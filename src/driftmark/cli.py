@@ -90,9 +90,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    config = load_config(args.config)
     try:
-        return _dispatch(args, config)
+        return _dispatch(args, load_config(args.config))
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,8 @@ from typing import Any
 
 import yaml
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ContractConfig:
@@ -133,17 +135,20 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
     """Build a config from a nested dict, keeping defaults for absent keys."""
     sections: dict[str, Any] = {}
     for name, cls in _SECTIONS.items():
-        raw = dict(data.get(name) or {})
+        section = data.get(name) or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section [{name}] must hold a mapping")
+        raw = dict(section)
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ValueError(f"unknown config keys in [{name}]: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys in [{name}]: {sorted(unknown)}")
         for f in dataclasses.fields(cls):
             if f.name in raw and isinstance(f.default, tuple):
                 raw[f.name] = tuple(raw[f.name])
         sections[name] = cls(**raw)
     unknown_sections = set(data) - set(_SECTIONS)
     if unknown_sections:
-        raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
+        raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
     return EngineConfig(**sections)
 
 
@@ -151,7 +156,12 @@ def load_config(path: str | Path | None) -> EngineConfig:
     """Load YAML config; ``None`` yields all defaults."""
     if path is None:
         return EngineConfig()
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    try:
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a mapping")
+        raise ConfigError("config file must hold a mapping")
     return config_from_dict(data)

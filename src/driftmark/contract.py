@@ -127,6 +127,10 @@ def verify_contract(contract: PromptContract, claimed: ContractHash) -> bool:
     return compute_hash(contract, claimed.algorithm_id).digest == claimed.digest
 
 
+# The placeholder ``render_instruction_parts`` leaves open.
+_SUMMARY_KEY = "portfolio.summary"
+
+
 def render_instruction(
     contract: PromptContract,
     market,
@@ -138,6 +142,21 @@ def render_instruction(
     Available keys: ``market.*`` snapshot fields, ``portfolio.summary``,
     ``contract.version`` / ``contract.token_budget``, plus any ``extra``.
     """
+    if extra and _SUMMARY_KEY in extra:
+        portfolio_summary = extra[_SUMMARY_KEY]
+    return portfolio_summary.join(render_instruction_parts(contract, market, extra))
+
+
+def render_instruction_parts(
+    contract: PromptContract, market, extra: dict[str, str] | None = None
+) -> list[str]:
+    """Render every placeholder except ``{{portfolio.summary}}``, which is
+    left as a gap between the returned parts.
+
+    ``summary.join(parts)`` is byte for byte the instruction
+    ``render_instruction`` gives for that summary, for any template, so a
+    market is rendered once for all the portfolios that see it.
+    """
     if not contract.locked:
         raise UnlockedContract("render requires a locked contract")
     values = {
@@ -145,23 +164,31 @@ def render_instruction(
         "market.question": market.question,
         "market.yes_price": f"{market.yes_price:.4f}",
         "market.no_price": f"{market.no_price:.4f}",
-        "market.liquidity_tier": str(market.liquidity_tier),
+        "market.liquidity_tier": market.liquidity_tier.value,
         "market.end_time": to_iso(market.end_time),
         "market.observed_at": to_iso(market.observed_at),
-        "portfolio.summary": portfolio_summary,
         "contract.version": contract.version,
         "contract.token_budget": str(contract.token_budget),
     }
     if extra:
         values.update(extra)
 
-    def _sub(match: re.Match) -> str:
-        key = match.group(1)
-        if key not in values:
+    # split() alternates literal text and placeholder keys.
+    pieces = _PLACEHOLDER.split(contract.template_text)
+    parts: list[str] = []
+    current = [pieces[0]]
+    for i in range(1, len(pieces), 2):
+        key = pieces[i]
+        if key == _SUMMARY_KEY:
+            parts.append("".join(current))
+            current = []
+        elif key in values:
+            current.append(values[key])
+        else:
             raise MissingPlaceholderValue(key)
-        return values[key]
-
-    return _PLACEHOLDER.sub(_sub, contract.template_text)
+        current.append(pieces[i + 1])
+    parts.append("".join(current))
+    return parts
 
 
 # --- storage ----------------------------------------------------------------

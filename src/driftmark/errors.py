@@ -7,6 +7,12 @@ class EngineError(Exception):
     """Base class for all engine-raised errors."""
 
 
+# --- configuration ----------------------------------------------------------
+
+class ConfigError(EngineError, ValueError):
+    """Config file missing or unreadable, not YAML, or with unknown keys."""
+
+
 # --- contract ---------------------------------------------------------------
 
 class EmptyTemplate(EngineError):

@@ -49,7 +49,8 @@ from .contract import (
     DEFAULT_TEMPLATE,
     PromptContract,
     lock_contract,
-    render_instruction,
+    render_instruction,  # noqa: F401  perfbench/layers.py wraps it here
+    render_instruction_parts,
 )
 from .errors import (
     AgentTimeout,
@@ -71,7 +72,14 @@ from .market_data import (
     replay_feed,
     ResolvedOutcome,
 )
-from .metrics import narrative_drift, price_volatility, risk_category, temporal_drift
+from .metrics import (
+    narrative_drift,  # noqa: F401  perfbench/layers.py wraps it here
+    narrative_drift_sets,
+    price_volatility,
+    risk_category,
+    temporal_drift,
+    token_set,
+)
 from .simulator import (
     EntryKind,
     LedgerWriter,
@@ -148,8 +156,19 @@ def _safe_name(agent_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", agent_id)
 
 
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def event_line(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+    return _EVENT_ENCODER.encode(event) + "\n"
+
+
+class _IsoCache(dict):
+    """ISO-8601 text by timestamp; each distinct timestamp is formatted once."""
+
+    def __missing__(self, ts) -> str:
+        text = self[ts] = to_iso(ts)
+        return text
 
 
 def file_sha256(path: Path) -> str:
@@ -169,6 +188,8 @@ class _AgentState:
     portfolio: Portfolio
     window: CalibrationWindow
     prev_forecasts: dict[str, ForecastRecord] = field(default_factory=dict)
+    # Token sets of the prev_forecasts traces; one missing is computed from its trace.
+    prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
     ledger_lines: int = 0
 
 
@@ -341,24 +362,33 @@ class EvalEngine:
         )
 
     def _latest_checkpoint(self, at_cycle: int | None = None) -> dict:
+        """The checkpoint at ``at_cycle``, else the newest one that parses: a
+        crash while one is written leaves it torn, and resume falls back."""
         if at_cycle is not None:
-            path = self._checkpoint_path(at_cycle)
-            if not path.exists():
-                raise NoCheckpoint(f"no checkpoint at cycle {at_cycle}")
-            return json.loads(path.read_text(encoding="utf-8"))
-        candidates = sorted(self.paths.checkpoints.glob("cycle_*.json"))
-        if not candidates:
-            raise NoCheckpoint(f"no checkpoints under {self.paths.checkpoints}")
-        return json.loads(candidates[-1].read_text(encoding="utf-8"))
+            ckpt = _read_checkpoint(self._checkpoint_path(at_cycle))
+            if ckpt is None:
+                raise NoCheckpoint(f"no readable checkpoint at cycle {at_cycle}")
+            return ckpt
+        for path in sorted(self.paths.checkpoints.glob("cycle_*.json"), reverse=True):
+            ckpt = _read_checkpoint(path)
+            if ckpt is not None:
+                return ckpt
+        raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _truncate_lines(path: Path, keep: int) -> None:
+    def _truncate_lines(path: Path, keep: int, fold: reporting.EventFold | None = None) -> None:
+        """Cut a JSONL file after its first ``keep`` lines, feeding each kept
+        line to ``fold`` on the way."""
         if not path.exists():
             return
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines[:keep])
+        with open(path, "rb+") as fh:
+            for _ in range(keep):
+                line = fh.readline()
+                if not line:
+                    break
+                if fold is not None:
+                    fold.add(json.loads(line))
+            fh.truncate()
 
     # -- the run --
 
@@ -384,11 +414,14 @@ class EvalEngine:
         categories: dict[str, EventCategory] = {}
         start_cycle = 1
         events_mode = "w"
+        # Final reports fold every event of the log; the engine folds them as
+        # it writes them, and on resume folds the kept prefix as it cuts it.
+        fold = reporting.EventFold()
 
         if resume:
             ckpt = self._latest_checkpoint(resume_cycle)
             start_cycle = int(ckpt["next_cycle"])
-            self._truncate_lines(self.paths.events, int(ckpt["events_lines"]))
+            self._truncate_lines(self.paths.events, int(ckpt["events_lines"]), fold)
             events_mode = "a"
             price_history = {k: list(v) for k, v in ckpt["price_history"].items()}
             for aid in self.manifest.agent_ids:
@@ -460,10 +493,12 @@ class EvalEngine:
         }
         events = open(self.paths.events, events_mode, encoding="utf-8")
         events_lines = int(ckpt["events_lines"]) if resume else 0
+        iso = _IsoCache()
 
         def emit(ev: dict) -> None:
             nonlocal events_lines
             events.write(event_line(ev))
+            fold.add(ev)
             events_lines += 1
 
         try:
@@ -505,10 +540,11 @@ class EvalEngine:
                 if not snaps:
                     raise FatalFeedError(f"cycle {cycle} produced no snapshots")
                 now = snaps[0].observed_at
+                now_iso = iso[now]
                 snap_map = {s.condition_id: s for s in snaps}
                 known = set(snap_map)
 
-                emit({"kind": "cycle_start", "cycle": cycle, "time": to_iso(now)})
+                emit({"kind": "cycle_start", "cycle": cycle, "time": now_iso})
                 if cycle == 1:
                     for s in snaps:
                         categories[s.condition_id] = self._categorize(s)
@@ -522,7 +558,7 @@ class EvalEngine:
                                 "risk": cat.risk.value,
                                 "domain": cat.domain.value,
                                 "horizon": cat.horizon.value,
-                                "end_time": to_iso(s.end_time),
+                                "end_time": iso[s.end_time],
                             }
                         )
                 elif not categories:
@@ -537,7 +573,7 @@ class EvalEngine:
                             "condition_id": s.condition_id,
                             "yes_price": s.yes_price,
                             "no_price": s.no_price,
-                            "observed_at": to_iso(s.observed_at),
+                            "observed_at": iso[s.observed_at],
                         }
                     )
                     price_history.setdefault(s.condition_id, []).append(s.yes_price)
@@ -556,19 +592,21 @@ class EvalEngine:
                     for cid in snap_map
                 }
 
+                # Each market is rendered once; agents differ only in the
+                # portfolio summary that fills the gaps.
+                rendered = [render_instruction_parts(self.contract, s) for s in snaps]
+                budget = self.contract.token_budget
                 for aid in self.manifest.agent_ids:
                     st = states[aid]
-                    budget = self.contract.token_budget
                     records: dict[str, ForecastRecord] = {}
+                    curr_tokens: dict[str, frozenset[str]] = {}
                     batch: DecisionBatch | None = None
                     try:
-                        for s in snaps:
-                            instruction = render_instruction(
-                                self.contract, s, st.portfolio.summary()
-                            )
+                        summary = st.portfolio.summary()
+                        for s, parts in zip(snaps, rendered):
                             rec = sample_forecast(
                                 st.agent,
-                                instruction,
+                                summary.join(parts),
                                 s,
                                 budget,
                                 contract_hash=self.contract_hash,
@@ -589,14 +627,14 @@ class EvalEngine:
                                     "input_tokens": rec.input_tokens,
                                     "output_tokens": rec.output_tokens,
                                     "latency_ms": rec.latency_ms,
-                                    "sampled_at": to_iso(rec.sampled_at),
+                                    "sampled_at": iso[rec.sampled_at],
                                     "contract_digest": rec.contract_hash.digest,
                                 }
                             )
                         if cycle >= 2 and st.prev_forecasts:
                             emit(
                                 self._drift_event(
-                                    aid, cycle, st.prev_forecasts, records, snap_map, price_history
+                                    aid, cycle, st, records, curr_tokens, snap_map, price_history
                                 )
                             )
                         trigger_closes = self._trigger_closes(st.portfolio, snap_map)
@@ -698,6 +736,7 @@ class EvalEngine:
                         )
                     if records:
                         st.prev_forecasts = records
+                        st.prev_tokens = curr_tokens
 
                 # Baselines observe the exact same snapshots and timestamps.
                 baseline_probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
@@ -722,7 +761,7 @@ class EvalEngine:
                                 "baseline": bf.kind.value,
                                 "condition_id": bf.condition_id,
                                 "probability": bf.probability,
-                                "as_of": to_iso(bf.as_of),
+                                "as_of": iso[bf.as_of],
                             }
                         )
                 self._emit_baseline_drift(emit, cycle, baseline_probs, snap_map, price_history)
@@ -731,7 +770,7 @@ class EvalEngine:
                     {
                         "kind": "cycle_end",
                         "cycle": cycle,
-                        "time": to_iso(now),
+                        "time": now_iso,
                         "portfolios": {
                             aid: {
                                 "total_capital_cents": states[aid].portfolio.total_capital_cents,
@@ -758,7 +797,7 @@ class EvalEngine:
                         "kind": "resolution",
                         "condition_id": outcome.condition_id,
                         "outcome": outcome.outcome,
-                        "resolved_at": to_iso(outcome.resolved_at),
+                        "resolved_at": iso[outcome.resolved_at],
                     }
                 )
                 cat = categories.get(outcome.condition_id)
@@ -790,10 +829,8 @@ class EvalEngine:
                         )
             for writer in ledgers.values():
                 writer.sync()
-            events.flush()
 
             # Final reports are a fold over the log written so far.
-            fold = reporting.EventFold().consume(reporting.iter_events(self.paths.events))
             final = reporting.final_reports_from_fold(fold, cfg)
             for subject in sorted(final):
                 emit({"kind": "final_report", "subject": subject, **final[subject]})
@@ -869,12 +906,16 @@ class EvalEngine:
         self,
         agent_id: str,
         cycle: int,
-        prev: dict[str, ForecastRecord],
+        st: _AgentState,
         curr: dict[str, ForecastRecord],
+        curr_tokens: dict[str, frozenset[str]],
         snap_map: dict[str, MarketSnapshot],
         price_history: dict[str, list[float]],
     ) -> dict:
+        """Drift of ``curr`` against ``st.prev_forecasts``; fills
+        ``curr_tokens`` with the token sets of the traces it compares."""
         form = self.config.metrics.temporal_drift_form
+        prev = st.prev_forecasts
         dn_parts: list[float] = []
         dt_diff_parts: list[float] = []
         dt_prod_parts: list[float] = []
@@ -884,7 +925,11 @@ class EvalEngine:
             if prev_rec is None or len(history) < 2:
                 continue
             m_prev, m_curr = history[-2], history[-1]
-            dn_parts.append(narrative_drift(prev_rec.reasoning_trace, rec.reasoning_trace))
+            prev_tokens = st.prev_tokens.get(cid)
+            if prev_tokens is None:
+                prev_tokens = token_set(prev_rec.reasoning_trace)
+            tokens = curr_tokens[cid] = token_set(rec.reasoning_trace)
+            dn_parts.append(narrative_drift_sets(prev_tokens, tokens))
             dt_diff_parts.append(
                 temporal_drift(
                     prev_rec.probability, rec.probability, m_prev, m_curr, "difference"
@@ -968,6 +1013,14 @@ class EvalEngine:
                     }
                 )
         self._prev_baseline_probs_map = baseline_probs
+
+
+def _read_checkpoint(path: Path) -> dict | None:
+    """A checkpoint's payload, or None if it is missing or torn."""
+    try:
+        return json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
 
 
 def _thin_record(

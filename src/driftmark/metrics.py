@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -134,28 +135,25 @@ def reliability_bins_to_csv(bins_list: Sequence[ReliabilityBin], destination) ->
 # --- drift --------------------------------------------------------------------
 
 
-def _token_set(trace: str) -> frozenset[str]:
+# Maximal runs of the characters ``str.isalnum`` accepts: ``\w`` minus "_".
+_TOKEN = re.compile(r"[^\W_]+")
+
+
+def token_set(trace: str) -> frozenset[str]:
     """Maximal runs of alphanumeric characters, lowercased."""
-    tokens = set()
-    current: list[str] = []
-    for ch in trace.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.add("".join(current))
-            current.clear()
-    if current:
-        tokens.add("".join(current))
-    return frozenset(tokens)
+    return frozenset(_TOKEN.findall(trace.lower()))
+
+
+def narrative_drift_sets(a: frozenset[str], b: frozenset[str]) -> float:
+    """1 - Jaccard similarity of two token sets; two empties agree."""
+    if not a and not b:
+        return 0.0
+    return 1.0 - len(a & b) / len(a | b)
 
 
 def narrative_drift(trace_prev: str, trace_curr: str) -> float:
     """1 - Jaccard similarity of the traces' token sets; two empties agree."""
-    a, b = _token_set(trace_prev), _token_set(trace_curr)
-    if not a and not b:
-        return 0.0
-    union = a | b
-    return 1.0 - len(a & b) / len(union)
+    return narrative_drift_sets(token_set(trace_prev), token_set(trace_curr))
 
 
 def temporal_drift(

@@ -173,49 +173,53 @@ class EventFold:
 
     def consume(self, events: Iterable[dict]) -> "EventFold":
         for ev in events:
-            kind = ev.get("kind")
-            if kind == "market_meta":
-                self.meta[ev["condition_id"]] = ev
-            elif kind == "agent_meta":
-                self.agent_meta[ev["agent_id"]] = ev
-                if ev["agent_id"] not in self.agents_seen:
-                    self.agents_seen.append(ev["agent_id"])
-            elif kind == "snapshot":
-                self.prices[(ev["condition_id"], int(ev["cycle"]))] = float(ev["yes_price"])
-                self.cycles_seen.add(int(ev["cycle"]))
-            elif kind == "forecast":
-                subject = ev["agent_id"]
-                if subject not in self.agents_seen:
-                    self.agents_seen.append(subject)
-                self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
-                    (
-                        int(ev["cycle"]),
-                        float(ev["probability"]),
-                        int(ev.get("confidence", 5)),
-                        int(ev.get("input_tokens", 0)),
-                        int(ev.get("output_tokens", 0)),
-                        ev.get("strategy", "NONE"),
-                    )
-                )
-                self.cycles_seen.add(int(ev["cycle"]))
-            elif kind == "baseline":
-                subject = BASELINE_PREFIX + ev["baseline"]
-                if subject not in self.baselines_seen:
-                    self.baselines_seen.append(subject)
-                self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
-                    (int(ev["cycle"]), float(ev["probability"]), 5, 0, 0, "NONE")
-                )
-            elif kind == "drift":
-                self.drift_events.setdefault(ev["agent_id"], []).append(ev)
-            elif kind == "ledger":
-                self.ledgers.setdefault(ev["agent_id"], []).append(ev)
-            elif kind == "batch":
-                self.batches.setdefault(ev["agent_id"], []).append(ev)
-            elif kind == "agent_failure":
-                self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
-            elif kind == "resolution":
-                self.outcomes[ev["condition_id"]] = int(ev["outcome"])
+            self.add(ev)
         return self
+
+    def add(self, ev: dict) -> None:
+        """Fold one event; the engine calls this as it writes each event."""
+        kind = ev.get("kind")
+        if kind == "market_meta":
+            self.meta[ev["condition_id"]] = ev
+        elif kind == "agent_meta":
+            self.agent_meta[ev["agent_id"]] = ev
+            if ev["agent_id"] not in self.agents_seen:
+                self.agents_seen.append(ev["agent_id"])
+        elif kind == "snapshot":
+            self.prices[(ev["condition_id"], int(ev["cycle"]))] = float(ev["yes_price"])
+            self.cycles_seen.add(int(ev["cycle"]))
+        elif kind == "forecast":
+            subject = ev["agent_id"]
+            if subject not in self.agents_seen:
+                self.agents_seen.append(subject)
+            self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
+                (
+                    int(ev["cycle"]),
+                    float(ev["probability"]),
+                    int(ev.get("confidence", 5)),
+                    int(ev.get("input_tokens", 0)),
+                    int(ev.get("output_tokens", 0)),
+                    ev.get("strategy", "NONE"),
+                )
+            )
+            self.cycles_seen.add(int(ev["cycle"]))
+        elif kind == "baseline":
+            subject = BASELINE_PREFIX + ev["baseline"]
+            if subject not in self.baselines_seen:
+                self.baselines_seen.append(subject)
+            self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
+                (int(ev["cycle"]), float(ev["probability"]), 5, 0, 0, "NONE")
+            )
+        elif kind == "drift":
+            self.drift_events.setdefault(ev["agent_id"], []).append(ev)
+        elif kind == "ledger":
+            self.ledgers.setdefault(ev["agent_id"], []).append(ev)
+        elif kind == "batch":
+            self.batches.setdefault(ev["agent_id"], []).append(ev)
+        elif kind == "agent_failure":
+            self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
+        elif kind == "resolution":
+            self.outcomes[ev["condition_id"]] = int(ev["outcome"])
 
     # -- per-subject derivations --
 

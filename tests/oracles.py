@@ -56,6 +56,43 @@ def _tokens_oracle(text: str) -> set[str]:
     return set("".join(cleaned).split())
 
 
+def token_set_oracle(text: str) -> frozenset[str]:
+    """Maximal runs of ``str.isalnum`` characters of the lowercased text,
+    scanned one character at a time."""
+    tokens = set()
+    current: list[str] = []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.add("".join(current))
+            current.clear()
+    if current:
+        tokens.add("".join(current))
+    return frozenset(tokens)
+
+
+def render_instruction_oracle(template: str, values: dict[str, str]) -> str:
+    """Replace each ``{{ key }}`` left to right in one scan; a value is never
+    rescanned."""
+    out = []
+    pos = 0
+    while True:
+        start = template.find("{{", pos)
+        if start < 0:
+            out.append(template[pos:])
+            return "".join(out)
+        end = template.find("}}", start + 2)
+        key = template[start + 2:end].strip() if end >= 0 else ""
+        if end < 0 or not key or not all(c.isascii() and (c.isalnum() or c in "_.") for c in key):
+            out.append(template[pos:start + 1])
+            pos = start + 1
+            continue
+        out.append(template[pos:start])
+        out.append(values[key])
+        pos = end + 2
+
+
 def narrative_drift_oracle(prev: str, curr: str) -> float:
     a = _tokens_oracle(prev)
     b = _tokens_oracle(curr)

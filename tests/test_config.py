@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig, config_from_dict, load_config
+from driftmark.errors import ConfigError, EngineError
 
 
 def test_defaults():
@@ -50,3 +52,37 @@ def test_unknown_keys_rejected():
 def test_round_trip_through_dict():
     cfg = EngineConfig()
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # no file at all
+            "market: [unclosed\n",
+            "market:\n  no_such_knob: 1\n",
+            "no_such_section: {}\n",
+            "market: 3\n",
+            "- a list\n",
+        ],
+    )
+    def test_bad_config_raises_config_error(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_config_error_is_an_engine_and_value_error(self):
+        assert issubclass(ConfigError, EngineError)
+        assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize("text", [None, "market: [unclosed\n", "market:\n  nope: 1\n"])
+    def test_cli_exits_1_without_traceback(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = cli_main(["--config", str(path), "--out", str(tmp_path), "verify", "--run-id", "x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

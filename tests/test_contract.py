@@ -17,6 +17,7 @@ from driftmark.contract import (
     contract_to_json,
     lock_contract,
     render_instruction,
+    render_instruction_parts,
     verify_contract,
 )
 from driftmark.errors import (
@@ -26,6 +27,10 @@ from driftmark.errors import (
     NonPositiveBudget,
     UnlockedContract,
 )
+from driftmark.timeutil import to_iso
+
+from conftest import make_snapshot
+from oracles import render_instruction_oracle
 
 
 class TestLockContract:
@@ -140,6 +145,61 @@ class TestRenderInstruction:
         unlocked = dataclasses.replace(contract, locked=False)
         with pytest.raises(UnlockedContract):
             render_instruction(unlocked, snapshot)
+        with pytest.raises(UnlockedContract):
+            render_instruction_parts(unlocked, snapshot)
+
+    def test_liquidity_rendered_as_its_value(self, snapshot):
+        contract, _ = lock_contract(DEFAULT_TEMPLATE, "v1", 1000)
+        out = render_instruction(contract, snapshot, "portfolio state")
+        assert "liquidity=high\n" in out
+        assert "Liquidity." not in out
+
+    def test_parts_leave_summary_gaps(self, snapshot):
+        contract, _ = lock_contract(
+            "a{{portfolio.summary}}{{market.liquidity_tier}} {{ portfolio.summary }}z", "v1", 1000
+        )
+        assert render_instruction_parts(contract, snapshot) == ["a", "high ", "z"]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="{} ab.\n", max_size=6),
+                st.sampled_from([
+                    "{{portfolio.summary}}", "{{ portfolio.summary }}", "{{market.question}}",
+                    "{{market.liquidity_tier}}", "{{market.yes_price}}", "{{market.end_time}}",
+                    "{{contract.token_budget}}", "{{contract.version}}",
+                ]),
+            ),
+            min_size=1,
+            max_size=12,
+        ).map("".join).filter(bool),
+        st.text(max_size=30),
+    )
+    @settings(max_examples=200)
+    def test_joined_parts_match_one_scan_substitution(self, template, summary):
+        snapshot = make_snapshot()
+        contract, _ = lock_contract(template, "v7", 1000)
+        values = {
+            "market.condition_id": snapshot.condition_id,
+            "market.question": snapshot.question,
+            "market.yes_price": f"{snapshot.yes_price:.4f}",
+            "market.no_price": f"{snapshot.no_price:.4f}",
+            "market.liquidity_tier": snapshot.liquidity_tier.value,
+            "market.end_time": to_iso(snapshot.end_time),
+            "market.observed_at": to_iso(snapshot.observed_at),
+            "portfolio.summary": summary,
+            "contract.version": "v7",
+            "contract.token_budget": "1000",
+        }
+        try:
+            expected = render_instruction_oracle(template, values)
+        except KeyError as exc:  # the first unknown placeholder
+            with pytest.raises(MissingPlaceholderValue) as info:
+                render_instruction_parts(contract, snapshot)
+            assert info.value.key == exc.args[0]
+            return
+        assert summary.join(render_instruction_parts(contract, snapshot)) == expected
+        assert render_instruction(contract, snapshot, summary) == expected
 
 
 class TestStore:

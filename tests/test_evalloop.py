@@ -23,8 +23,11 @@ from driftmark.evalloop import (
     token_budget_sweep,
     verify_run,
 )
+from driftmark import evalloop
+from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
-from driftmark.reporting import iter_events
+from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
+from driftmark.simulator import entry_from_record, replay_ledger
 
 
 def make_engine(root, seed=42, agents=("market_copier", "momentum"), markets=40, cycles=5, run_id=None, mode="execution"):
@@ -152,6 +155,23 @@ class TestCheckpointResume:
         for cycle in range(1, 5):
             resumed = resume_run(tmp_path, "all", at_cycle=cycle)
             assert resumed.event_log_sha256 == full.event_log_sha256, f"cycle {cycle}"
+
+    def test_torn_latest_checkpoint_falls_back(self, tmp_path):
+        full = make_engine(tmp_path, cycles=5, run_id="torn").run()
+        latest = tmp_path / "torn" / "checkpoints" / "cycle_00005.json"
+        latest.write_bytes(latest.read_bytes()[:100])
+        # an explicit cycle that is torn does not fall back to another one
+        with pytest.raises(NoCheckpoint):
+            resume_run(tmp_path, "torn", at_cycle=5)
+        resumed = resume_run(tmp_path, "torn")
+        assert resumed.event_log_sha256 == full.event_log_sha256
+
+    def test_no_readable_checkpoint(self, tmp_path):
+        make_engine(tmp_path, cycles=2, run_id="allbad").run()
+        for path in (tmp_path / "allbad" / "checkpoints").iterdir():
+            path.write_text("", encoding="utf-8")
+        with pytest.raises(NoCheckpoint):
+            resume_run(tmp_path, "allbad")
 
     def test_missing_checkpoint(self, tmp_path):
         make_engine(tmp_path, cycles=3, run_id="nock").run()
@@ -405,3 +425,75 @@ class TestFallbackBatch:
         result = engine.run()
         batches = [e for e in iter_events(result.events_path) if e["kind"] == "batch"]
         assert all(b["accepted"] for b in batches)
+
+
+class TestHotPathEquivalence:
+    """The engine folds events as it writes them and renders each market once
+    per cycle; both must agree with the slow forms."""
+
+    def test_fresh_and_resumed_reports_equal_a_fold_of_the_log(self, tmp_path):
+        agents = ("momentum", "mean_reversion", "flaky")
+        full = make_engine(tmp_path, agents=agents, cycles=6, run_id="fold").run()
+
+        def from_disk():
+            return final_reports_from_fold(
+                EventFold().consume(iter_events(full.events_path)), EngineConfig()
+            )
+
+        assert full.final_reports == from_disk()
+        resumed = resume_run(tmp_path, "fold", at_cycle=3)
+        assert resumed.event_log_sha256 == full.event_log_sha256
+        assert resumed.final_reports == from_disk()
+
+    def test_input_tokens_count_the_rendered_instruction(self, tmp_path, monkeypatch):
+        # The summary slot appears twice and touches other text on both sides.
+        template = (
+            "Budget {{contract.token_budget}}:[{{portfolio.summary}}]{{market.condition_id}}\n"
+            "{{market.question}} liquidity={{market.liquidity_tier}}"
+            "{{ portfolio.summary }}end"
+        )
+        contract = lock_contract(template, "custom", 1000)
+        seen = {}
+        real = evalloop.sample_forecast
+
+        def spy(agent, instruction, market, budget, **kwargs):
+            seen[(agent.agent_id, kwargs["cycle_index"], market.condition_id)] = instruction
+            return real(agent, instruction, market, budget, **kwargs)
+
+        monkeypatch.setattr(evalloop, "sample_forecast", spy)
+        cycles = 4
+        result = EvalEngine.create(
+            tmp_path,
+            seed=2,
+            agent_ids=["momentum", "mean_reversion"],
+            feed_source={"kind": "synthetic", "n_markets": 40},
+            cycles=cycles,
+            contract=contract,
+            run_id="tmpl",
+        ).run()
+
+        sim = EngineConfig().simulator
+        snaps = {
+            (c, s.condition_id): s
+            for c, cycle in enumerate(generate_synthetic(2, 40, cycles).cycles(), start=1)
+            for s in cycle
+        }
+        events = list(iter_events(result.events_path))
+        forecasts = [e for e in events if e["kind"] == "forecast"]
+        assert len(forecasts) == len(seen) == 2 * 40 * cycles
+        for ev in forecasts:
+            aid, cycle = ev["agent_id"], ev["cycle"]
+            # the portfolio an agent forecasts from is its ledger up to the cycle
+            entries = [
+                entry_from_record({**e, "kind": e["entry_kind"]})
+                for e in events
+                if e["kind"] == "ledger" and e["agent_id"] == aid and e["cycle"] < cycle
+            ]
+            summary = replay_ledger(
+                sim.initial_capital_cents, entries, sim.max_open_positions
+            ).summary()
+            expected = render_instruction(
+                contract[0], snaps[(cycle, ev["condition_id"])], summary
+            )
+            assert seen[(aid, cycle, ev["condition_id"])] == expected
+            assert ev["input_tokens"] == len(expected.split())

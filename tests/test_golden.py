@@ -106,3 +106,15 @@ def test_resume_from_middle_matches_pins(name, tmp_path, monkeypatch):
     resumed = resume_run("out", name, at_cycle=middle)
     assert resumed.event_log_sha256 == PINS[name]["events.jsonl"]
     assert run_digests("out", name) == PINS[name]
+
+
+def test_torn_latest_checkpoint_resumes_to_pins(tmp_path, monkeypatch):
+    """A crash while the last checkpoint is written leaves it torn; resume
+    falls back to the one before and still reproduces the pinned bytes."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    latest = sorted(RunPaths("out", "flaky").checkpoints.glob("cycle_*.json"))[-1]
+    latest.write_bytes(latest.read_bytes()[: latest.stat().st_size // 2])
+    resumed = resume_run("out", "flaky")
+    assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"]
+    assert run_digests("out", "flaky") == PINS["flaky"]

@@ -32,12 +32,14 @@ from driftmark.metrics import (
     market_divergence,
     baseline_delta,
     narrative_drift,
+    narrative_drift_sets,
     overconfidence_index,
     price_volatility,
     reasoning_quality,
     reliability_bins_to_csv,
     risk_adjusted_return,
     risk_category,
+    token_set,
     score_forecasts,
     temporal_drift,
     var_cvar,
@@ -172,6 +174,42 @@ class TestNarrativeDrift:
         d = narrative_drift(a, b)
         assert 0.0 <= d <= 1.0
         assert d == narrative_drift(b, a)
+
+    def test_set_core_agrees_with_trace_form(self):
+        a, b = "Edge 0.05 beats, the market", "the market beats edge"
+        assert narrative_drift_sets(token_set(a), token_set(b)) == narrative_drift(a, b)
+        assert narrative_drift_sets(frozenset(), frozenset()) == 0.0
+
+
+# Text that mixes letters and digits of many scripts with underscores,
+# combining marks, whitespace and punctuation.
+_TRACE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("_ \t\n.,-'\u0301\u0308\u20dd\u0130\u00df\u2167\u00bd\u0663\u17e0"),
+        st.characters(categories=("L", "M", "N", "P", "Z")),
+        st.characters(),
+    ),
+    max_size=80,
+)
+
+
+class TestTokenSet:
+    @given(_TRACE_TEXT)
+    @settings(max_examples=300)
+    def test_matches_isalnum_loop(self, text):
+        assert token_set(text) == oracles.token_set_oracle(text)
+
+    def test_token_class_is_isalnum_on_every_code_point(self):
+        import sys
+
+        from driftmark.metrics import _TOKEN
+
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            assert bool(_TOKEN.fullmatch(ch)) == ch.isalnum(), hex(code)
+
+    def test_underscore_and_marks_split_tokens(self):
+        assert token_set("snake_case x\u0301y 42nd") == {"snake", "case", "x", "y", "42nd"}
 
 
 class TestTemporalDrift:
