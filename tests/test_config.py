@@ -64,12 +64,13 @@ class TestConfigErrors:
             "no_such_section: {}\n",
             "market: 3\n",
             "- a list\n",
+            b"market:\n  spread_tolerance: \xff\n",  # not UTF-8
         ],
     )
     def test_bad_config_raises_config_error(self, tmp_path, text):
         path = tmp_path / "config.yaml"
         if text is not None:
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ConfigError):
             load_config(path)
 
