@@ -144,8 +144,12 @@ class LiveSourceNotResumable(EngineError):
 # --- reporting --------------------------------------------------------------
 
 class CorruptLog(EngineError):
-    def __init__(self, line_no: int, reason: str = ""):
-        super().__init__(f"corrupt event log at line {line_no}: {reason}")
+    """An unparseable log line, or a log or ledger that disagrees with the
+    checkpoint resume starts from (``line_no`` is then None)."""
+
+    def __init__(self, line_no: int | None, reason: str = ""):
+        where = "" if line_no is None else f" at line {line_no}"
+        super().__init__(f"corrupt log{where}: {reason}")
         self.line_no = line_no
 
 

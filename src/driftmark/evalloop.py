@@ -12,11 +12,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .contract import (
 )
 from .errors import (
     AgentTimeout,
+    CorruptLog,
     FatalFeedError,
     InvalidParameters,
     LengthMismatch,
@@ -87,10 +89,10 @@ from .simulator import (
     Portfolio,
     Trigger,
     _value_cents,
+    entry_from_record,
     entry_to_record,
     evaluate_triggers,
-    portfolio_from_record,
-    portfolio_to_record,
+    replay_ledger,
     resolve_market,
     step,
 )
@@ -144,10 +146,9 @@ class RunPaths:
         self.contracts = self.root / "contracts"
         self.ledgers = self.root / "ledgers"
         self.checkpoints = self.root / "checkpoints"
-        self.reports = self.root / "reports"
 
     def ensure(self) -> "RunPaths":
-        for p in (self.root, self.contracts, self.ledgers, self.checkpoints, self.reports):
+        for p in (self.root, self.contracts, self.ledgers, self.checkpoints):
             p.mkdir(parents=True, exist_ok=True)
         return self
 
@@ -182,15 +183,69 @@ def file_sha256(path: Path) -> str:
 # --- engine ----------------------------------------------------------------------
 
 
+def _totals(p: Portfolio) -> dict:
+    """A portfolio's totals as the cycle_end event records them."""
+    return {
+        "total_capital_cents": p.total_capital_cents,
+        "available_cents": p.available_cents,
+        "deployed_cents": p.deployed_cents,
+        "open": len(p.open_positions),
+    }
+
+
+class _Forecast(NamedTuple):
+    """The fields of a previous forecast that the next drift event reads;
+    resume rebuilds them from the log in place of a ForecastRecord."""
+
+    probability: float
+    confidence: int
+    reasoning_trace: str
+
+
 @dataclass
 class _AgentState:
     agent: ScriptedAgent
     portfolio: Portfolio
     window: CalibrationWindow
-    prev_forecasts: dict[str, ForecastRecord] = field(default_factory=dict)
+    prev_forecasts: dict[str, ForecastRecord | _Forecast] = field(default_factory=dict)
     # Token sets of the prev_forecasts traces; one missing is computed from its trace.
     prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
-    ledger_lines: int = 0
+    # Ledger size at the last cycle boundary, recorded in the checkpoint.
+    ledger_bytes: int = 0
+
+
+class _KeptLog:
+    """Reads the kept log on resume. Feeds every event to the run's fold and
+    keeps what the fold does not: the last event, each market's recent
+    prices, and each agent's forecasts from its latest cycle without an
+    agent_failure, which the next drift event compares against."""
+
+    def __init__(self, fold: reporting.EventFold, history_len: int):
+        self.fold = fold
+        self.history_len = history_len
+        self.last: dict | None = None
+        self.price_history: dict[str, list[float]] = {}
+        self.prev_forecasts: dict[str, dict[str, _Forecast]] = {}
+        self._cycle: dict[str, dict[str, _Forecast]] = {}
+
+    def add(self, ev: dict) -> None:
+        self.fold.add(ev)
+        self.last = ev
+        kind = ev.get("kind")
+        if kind == "snapshot":
+            history = self.price_history.setdefault(ev["condition_id"], [])
+            history.append(ev["yes_price"])
+            if len(history) > self.history_len:
+                del history[0]
+        elif kind == "forecast":
+            self._cycle.setdefault(ev["agent_id"], {})[ev["condition_id"]] = _Forecast(
+                ev["probability"], ev["confidence"], ev["trace"]
+            )
+        elif kind == "agent_failure":
+            self._cycle.pop(ev["agent_id"], None)
+        elif kind == "cycle_end":
+            self.prev_forecasts.update(self._cycle)
+            self._cycle = {}
 
 
 @dataclass(frozen=True)
@@ -200,6 +255,8 @@ class RunResult:
     events_path: Path
     event_log_sha256: str
     final_reports: dict[str, dict]
+    # The in-memory fold of every event of the log.
+    fold: reporting.EventFold = field(compare=False, repr=False)
 
 
 class EvalEngine:
@@ -303,8 +360,6 @@ class EvalEngine:
         raise InvalidParameters(f"unknown feed source kind {kind!r}")
 
     def _live_cycle(self, limiter: RateLimiter) -> list[MarketSnapshot]:
-        import os
-
         from .market_data import ENDPOINT_ENV_VAR
 
         src = self.manifest.feed_source
@@ -331,35 +386,30 @@ class EvalEngine:
     def _checkpoint_path(self, cycle: int) -> Path:
         return self.paths.checkpoints / f"cycle_{cycle:05d}.json"
 
+    def _ledger_path(self, agent_id: str) -> Path:
+        return self.paths.ledgers / f"{_safe_name(agent_id)}.jsonl"
+
     def _write_checkpoint(self, cycle: int, states: dict[str, _AgentState],
-                          price_history: dict[str, list[float]], events_lines: int) -> None:
+                          events_bytes: int) -> None:
+        """Record where the boundary after ``cycle`` falls in the log and the
+        ledgers, and each agent's own state; resume rebuilds everything else
+        from the log. Written to a tmp file that ``cycle_*.json`` does not
+        match, fsynced, then renamed, so a crash never leaves it torn."""
         payload = {
             "next_cycle": cycle + 1,
-            "events_lines": events_lines,
-            "price_history": price_history,
+            "events_bytes": events_bytes,
             "agents": {
-                aid: {
-                    "portfolio": portfolio_to_record(st.portfolio),
-                    "window": [
-                        [e.condition_id, e.side, e.pnl_cents] for e in st.window.entries
-                    ],
-                    "state": st.agent.get_state(),
-                    "prev_forecasts": {
-                        cid: {
-                            "p": rec.probability,
-                            "trace": rec.reasoning_trace,
-                            "confidence": rec.confidence,
-                        }
-                        for cid, rec in st.prev_forecasts.items()
-                    },
-                    "ledger_lines": st.ledger_lines,
-                }
+                aid: {"state": st.agent.get_state(), "ledger_bytes": st.ledger_bytes}
                 for aid, st in states.items()
             },
         }
-        self._checkpoint_path(cycle).write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
+        path = self._checkpoint_path(cycle)
+        tmp = path.with_suffix(".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     def _latest_checkpoint(self, at_cycle: int | None = None) -> dict:
         """The checkpoint at ``at_cycle``, else the newest one that parses: a
@@ -376,19 +426,84 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _truncate_lines(path: Path, keep: int, fold: reporting.EventFold | None = None) -> None:
-        """Cut a JSONL file after its first ``keep`` lines, feeding each kept
-        line to ``fold`` on the way."""
-        if not path.exists():
-            return
-        with open(path, "rb+") as fh:
-            for _ in range(keep):
-                line = fh.readline()
-                if not line:
-                    break
-                if fold is not None:
-                    fold.add(json.loads(line))
-            fh.truncate()
+    def _truncate_lines(path: Path, size: int, fold: _KeptLog | None = None) -> None:
+        """Cut a JSONL file to its first ``size`` bytes, which must end a
+        line, feeding each kept line to ``fold.add`` on the way."""
+        with open(path, "ab+") as fh:
+            fh.seek(max(size - 1, 0))
+            if size > os.fstat(fh.fileno()).st_size or (size and fh.read(1) != b"\n"):
+                raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
+            if fold is not None:
+                fh.seek(0)
+                kept = 0
+                for line_no, line in enumerate(fh, start=1):
+                    if kept == size:
+                        break
+                    kept += len(line)
+                    try:
+                        fold.add(json.loads(line))
+                    except ValueError as exc:
+                        raise CorruptLog(line_no, str(exc)) from exc
+            fh.truncate(size)
+
+    def _restore(
+        self, ckpt: dict, fold: reporting.EventFold
+    ) -> tuple[dict[str, _AgentState], dict[str, list[float]]]:
+        """Cut the log and the ledgers back to the checkpoint and rebuild the
+        run state there from the kept log: portfolios replayed from the
+        ledger events, calibration windows, price history, previous
+        forecasts and baseline probabilities. The rebuilt portfolios must
+        match the boundary's cycle_end before any cycle runs."""
+        cfg = self.config
+        boundary = ckpt["next_cycle"] - 1
+        kept = _KeptLog(fold, cfg.metrics.volatility_window + 1)
+        self._truncate_lines(self.paths.events, ckpt["events_bytes"], kept)
+        last = kept.last or {}
+        if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
+            raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
+        states: dict[str, _AgentState] = {}
+        for aid in self.manifest.agent_ids:
+            saved = ckpt["agents"].get(aid)
+            if saved is None:
+                raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
+            ledger = fold.ledgers.get(aid, [])
+            portfolio = replay_ledger(
+                cfg.simulator.initial_capital_cents,
+                (entry_from_record({**e, "kind": e["entry_kind"]}) for e in ledger),
+                cfg.simulator.max_open_positions,
+            )
+            if last.get("portfolios", {}).get(aid) != _totals(portfolio):
+                raise CorruptLog(
+                    None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
+                )
+            size = cfg.agents.calibration_window_size
+            closed = [
+                ClosedPosition(e["condition_id"], e["side"], e["cash_delta_cents"])
+                for e in ledger
+                if e["entry_kind"] in ("CLOSE", "RESOLVE")
+            ]
+            agent = build_agent(aid, self.manifest.seed)
+            agent.set_state(saved["state"])
+            states[aid] = _AgentState(
+                agent=agent,
+                portfolio=portfolio,
+                window=CalibrationWindow(entries=tuple(closed[-size:]), size=size),
+                prev_forecasts=kept.prev_forecasts.get(aid, {}),
+                ledger_bytes=saved["ledger_bytes"],
+            )
+        for aid, st in states.items():
+            self._truncate_lines(self._ledger_path(aid), st.ledger_bytes)
+        # Baseline drift at the resume boundary compares with the boundary
+        # cycle's baseline probabilities.
+        self._prev_baseline_probs_map = {
+            k.value: {
+                cid: rows[-1][1]
+                for cid, rows in fold.forecasts.get(reporting.BASELINE_PREFIX + k.value, {}).items()
+                if rows[-1][0] == boundary
+            }
+            for k in BaselineKind
+        }
+        return states, kept.price_history
 
     # -- the run --
 
@@ -420,59 +535,13 @@ class EvalEngine:
 
         if resume:
             ckpt = self._latest_checkpoint(resume_cycle)
-            start_cycle = int(ckpt["next_cycle"])
-            self._truncate_lines(self.paths.events, int(ckpt["events_lines"]), fold)
+            start_cycle = ckpt["next_cycle"]
             events_mode = "a"
-            price_history = {k: list(v) for k, v in ckpt["price_history"].items()}
-            for aid in self.manifest.agent_ids:
-                saved = ckpt["agents"][aid]
-                agent = build_agent(aid, self.manifest.seed)
-                agent.set_state(saved["state"])
-                window = CalibrationWindow(
-                    entries=tuple(
-                        ClosedPosition(cid, side, int(pnl)) for cid, side, pnl in saved["window"]
-                    ),
-                    size=cfg.agents.calibration_window_size,
-                )
-                st = _AgentState(
-                    agent=agent,
-                    portfolio=portfolio_from_record(saved["portfolio"]),
-                    window=window,
-                    ledger_lines=int(saved["ledger_lines"]),
-                )
-                for cid, rec in saved["prev_forecasts"].items():
-                    st.prev_forecasts[cid] = _thin_record(
-                        cid, aid, rec["p"], rec["trace"], int(rec["confidence"]), self.contract_hash
-                    )
-                states[aid] = st
-                self._truncate_lines(
-                    self.paths.ledgers / f"{_safe_name(aid)}.jsonl", st.ledger_lines
-                )
+            states, price_history = self._restore(ckpt, fold)
             # Rebuild static categories deterministically from cycle 1.
             if cycles_data:
                 for snap in cycles_data[0]:
                     categories[snap.condition_id] = self._categorize(snap)
-            # Baseline drift at the resume boundary needs the previous
-            # cycle's baseline probabilities; baselines are pure functions
-            # of the snapshots, so recompute them.
-            if start_cycle >= 2 and cycles_data:
-                prev_snaps = cycles_data[start_cycle - 2]
-                probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
-                for s in prev_snaps:
-                    cat = categories.get(s.condition_id) or self._categorize(s)
-                    probs[BaselineKind.MARKET.value][s.condition_id] = market_baseline(
-                        s, cfg.baselines.market_use_mid
-                    ).probability
-                    probs[BaselineKind.UNIFORM.value][s.condition_id] = 0.5
-                    probs[BaselineKind.HISTORICAL.value][s.condition_id] = (
-                        historical_frequency_baseline(cat, [], snapshot=s).probability
-                    )
-                    probs[BaselineKind.HEURISTIC.value][s.condition_id] = heuristic_baseline(
-                        s,
-                        cfg.baselines.heuristic_favorite_prob,
-                        cfg.baselines.heuristic_longshot_prob,
-                    ).probability
-                self._prev_baseline_probs_map = probs
         else:
             if not self.paths.manifest.exists():
                 self.paths.manifest.write_text(self.manifest.to_json(), encoding="utf-8")
@@ -487,19 +556,13 @@ class EvalEngine:
                     window=CalibrationWindow(size=cfg.agents.calibration_window_size),
                 )
 
-        ledgers = {
-            aid: LedgerWriter(self.paths.ledgers / f"{_safe_name(aid)}.jsonl")
-            for aid in self.manifest.agent_ids
-        }
+        ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in self.manifest.agent_ids}
         events = open(self.paths.events, events_mode, encoding="utf-8")
-        events_lines = int(ckpt["events_lines"]) if resume else 0
         iso = _IsoCache()
 
         def emit(ev: dict) -> None:
-            nonlocal events_lines
             events.write(event_line(ev))
             fold.add(ev)
-            events_lines += 1
 
         try:
             if not resume:
@@ -703,7 +766,6 @@ class EvalEngine:
                     st.portfolio = result.portfolio
                     for entry in result.entries:
                         ledgers[aid].append(entry)
-                        st.ledger_lines += 1
                         emit(
                             {
                                 "kind": "ledger",
@@ -772,21 +834,18 @@ class EvalEngine:
                         "cycle": cycle,
                         "time": now_iso,
                         "portfolios": {
-                            aid: {
-                                "total_capital_cents": states[aid].portfolio.total_capital_cents,
-                                "available_cents": states[aid].portfolio.available_cents,
-                                "deployed_cents": states[aid].portfolio.deployed_cents,
-                                "open": len(states[aid].portfolio.open_positions),
-                            }
-                            for aid in self.manifest.agent_ids
+                            aid: _totals(states[aid].portfolio) for aid in self.manifest.agent_ids
                         },
                     }
                 )
-                for writer in ledgers.values():
-                    writer.sync()
+                for aid, writer in ledgers.items():
+                    states[aid].ledger_bytes = writer.sync()
                 events.flush()
                 if cfg.loop.checkpoint_every and cycle % cfg.loop.checkpoint_every == 0 and not live:
-                    self._write_checkpoint(cycle, states, price_history, events_lines)
+                    # The checkpoint points into the log, so the log is made
+                    # durable first.
+                    os.fsync(events.fileno())
+                    self._write_checkpoint(cycle, states, os.fstat(events.fileno()).st_size)
                 cycle += 1
 
             # Resolution and settlement after the last cycle.
@@ -808,7 +867,6 @@ class EvalEngine:
                     st.portfolio, entry = resolve_market(st.portfolio, outcome)
                     if entry is not None:
                         ledgers[aid].append(entry)
-                        st.ledger_lines += 1
                         emit(
                             {
                                 "kind": "ledger",
@@ -848,6 +906,7 @@ class EvalEngine:
             events_path=self.paths.events,
             event_log_sha256=sha,
             final_reports=final,
+            fold=fold,
         )
 
     # -- helpers --
@@ -1016,33 +1075,21 @@ class EvalEngine:
 
 
 def _read_checkpoint(path: Path) -> dict | None:
-    """A checkpoint's payload, or None if it is missing or torn."""
+    """A checkpoint's payload, or None if it is missing, torn, or written
+    before checkpoints held byte offsets (it cannot be resumed)."""
     try:
-        return json.loads(path.read_bytes())
-    except (OSError, ValueError):
+        ckpt = json.loads(path.read_bytes())
+        valid = (
+            isinstance(ckpt["next_cycle"], int)
+            and isinstance(ckpt["events_bytes"], int)
+            and all(
+                isinstance(a["state"], dict) and isinstance(a["ledger_bytes"], int)
+                for a in ckpt["agents"].values()
+            )
+        )
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None
-
-
-def _thin_record(
-    cid: str, agent_id: str, p: float, trace: str, confidence: int, chash: ContractHash
-) -> ForecastRecord:
-    """Reconstruct the slice of a ForecastRecord that drift needs."""
-    from .agents import Strategy
-    from .timeutil import EPOCH
-
-    return ForecastRecord(
-        condition_id=cid,
-        agent_id=agent_id,
-        probability=p,
-        confidence=confidence,
-        reasoning_trace=trace,
-        strategy=Strategy.NONE,
-        input_tokens=0,
-        output_tokens=0,
-        latency_ms=0.0,
-        sampled_at=EPOCH,
-        contract_hash=chash,
-    )
+    return ckpt if valid else None
 
 
 # --- statistics ----------------------------------------------------------------------
@@ -1148,7 +1195,7 @@ def token_budget_sweep(
         )
         result = engine.run()
         run_ids.append(result.run_id)
-        fold = reporting.EventFold().consume(reporting.iter_events(result.events_path))
+        fold = result.fold
         table: dict[str, dict[tuple[str, int], float]] = {}
         for aid in agent_ids:
             table[aid] = {

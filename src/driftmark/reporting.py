@@ -244,22 +244,6 @@ class EventFold:
             return None
         return sum(gaps) / len(gaps)
 
-    def post_hoc_confidence_drift(self, subject: str) -> float:
-        """Mean confidence drift of each forecast against the subject's own
-        resolved history (computable only after resolution)."""
-        history = self.scored_pairs(subject)
-        if not history:
-            return 0.0
-        table = decile_accuracy_table(history)
-        drifts = []
-        for cid, rows in self.forecasts.get(subject, {}).items():
-            if cid not in self.outcomes:
-                continue
-            for (_, prob, *_rest) in rows:
-                value, _low = confidence_drift_from_table(prob, table)
-                drifts.append(value)
-        return sum(drifts) / len(drifts) if drifts else 0.0
-
     def drift_means(self, subject: str) -> tuple[float, float, float]:
         """(mean d_narrative, mean d_temporal, mean product-form d_temporal)."""
         events = self.drift_events.get(subject, [])
@@ -337,8 +321,20 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
             score = score_forecasts(
                 pairs, bins=config.metrics.ece_bins, eps=config.metrics.log_likelihood_eps
             )
+        # Confidence drift of each resolved forecast against the subject's
+        # own resolved history (computable only after resolution).
+        confidences: list[float] = []
+        drifts: list[float] = []
+        if pairs:
+            table = decile_accuracy_table(pairs)
+            for cid, rows in fold.forecasts.get(subject, {}).items():
+                if cid not in fold.outcomes:
+                    continue
+                for (_, prob, conf, *_rest) in rows:
+                    confidences.append(float(conf))
+                    drifts.append(confidence_drift_from_table(prob, table)[0])
         dn, dt, dtp = fold.drift_means(subject)
-        dc = fold.post_hoc_confidence_drift(subject)
+        dc = sum(drifts) / len(drifts) if drifts else 0.0
         divergence = fold.divergence(subject)
         drift = drift_report(dn, dt, dc, divergence if divergence is not None else 0.0, dtp)
 
@@ -375,18 +371,10 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
         risk_score = 1.0 - (len(high_buys) / len(buys)) if buys else 1.0
         quality = reasoning_quality(dn, dc)
         alignment: float | None
-        confidences = []
-        qualities = []
-        table = decile_accuracy_table(pairs) if pairs else None
-        for cid, rows in fold.forecasts.get(subject, {}).items():
-            if cid not in fold.outcomes or table is None:
-                continue
-            for (_, prob, conf, *_rest) in rows:
-                value, _ = confidence_drift_from_table(prob, table)
-                confidences.append(float(conf))
-                qualities.append(1.0 - value)
         try:
-            alignment = confidence_reasoning_alignment(confidences, qualities)
+            alignment = confidence_reasoning_alignment(
+                confidences, [1.0 - value for value in drifts]
+            )
         except (DegenerateInput, LengthMismatch):
             alignment = None
         composite = CompositeScores(

@@ -506,52 +506,6 @@ def entry_from_record(data: dict) -> LedgerEntry:
     )
 
 
-def position_to_record(p: Position) -> dict:
-    return {
-        "condition_id": p.condition_id,
-        "side": p.side.value,
-        "entry_price": p.entry_price,
-        "quantity_micro": p.quantity_micro,
-        "cost_basis_cents": p.cost_basis_cents,
-        "opened_at": to_iso(p.opened_at),
-        "unrealized_pnl_cents": p.unrealized_pnl_cents,
-    }
-
-
-def position_from_record(data: dict) -> Position:
-    return Position(
-        condition_id=data["condition_id"],
-        side=Side(data["side"]),
-        entry_price=float(data["entry_price"]),
-        quantity_micro=int(data["quantity_micro"]),
-        cost_basis_cents=int(data["cost_basis_cents"]),
-        opened_at=from_iso(data["opened_at"]),
-        unrealized_pnl_cents=int(data["unrealized_pnl_cents"]),
-    )
-
-
-def portfolio_to_record(p: Portfolio) -> dict:
-    return {
-        "total_capital_cents": p.total_capital_cents,
-        "available_cents": p.available_cents,
-        "deployed_cents": p.deployed_cents,
-        "max_open": p.max_open,
-        "next_seq": p.next_seq,
-        "open_positions": [position_to_record(pos) for pos in p.open_positions],
-    }
-
-
-def portfolio_from_record(data: dict) -> Portfolio:
-    return Portfolio(
-        total_capital_cents=int(data["total_capital_cents"]),
-        available_cents=int(data["available_cents"]),
-        deployed_cents=int(data["deployed_cents"]),
-        max_open=int(data["max_open"]),
-        next_seq=int(data["next_seq"]),
-        open_positions=tuple(position_from_record(d) for d in data["open_positions"]),
-    )
-
-
 class LedgerWriter:
     """Append-only JSONL ledger; ``sync`` fsyncs at cycle boundaries."""
 
@@ -563,9 +517,11 @@ class LedgerWriter:
     def append(self, entry: LedgerEntry) -> None:
         self._fh.write(json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n")
 
-    def sync(self) -> None:
+    def sync(self) -> int:
+        """Flush and fsync; return the ledger's size in bytes."""
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        return os.fstat(self._fh.fileno()).st_size
 
     def close(self) -> None:
         self._fh.flush()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,9 +9,11 @@ import pytest
 
 from driftmark.config import EngineConfig, config_from_dict
 from driftmark.errors import (
+    CorruptLog,
     InvalidParameters,
     LengthMismatch,
     LiveSourceNotResumable,
+    MalformedAgentOutput,
     NoCheckpoint,
 )
 from driftmark.evalloop import (
@@ -23,7 +26,7 @@ from driftmark.evalloop import (
     token_budget_sweep,
     verify_run,
 )
-from driftmark import evalloop
+from driftmark import agents, evalloop
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
@@ -179,6 +182,108 @@ class TestCheckpointResume:
             resume_run(tmp_path, "nock", at_cycle=99)
         with pytest.raises(NoCheckpoint):
             resume_run(tmp_path, "never-ran")
+
+    def test_resume_after_a_failure_mid_cycle(self, tmp_path, monkeypatch):
+        """Forecasts logged before an agent_failure in the same cycle are not
+        the previous forecasts of the next cycle; those of the cycle before are."""
+
+        class FailsAfterOneForecast(agents.MarketCopier):
+            def probability(self, market, cycle_index, budget):
+                if cycle_index == 2:
+                    if getattr(self, "forecast_once", False):
+                        raise MalformedAgentOutput("garbled output mid-cycle")
+                    self.forecast_once = True
+                return super().probability(market, cycle_index, budget)
+
+        monkeypatch.setitem(agents.AGENT_BUILDERS, "fails_mid_cycle", FailsAfterOneForecast)
+        full = make_engine(tmp_path, agents=("fails_mid_cycle", "momentum"), cycles=4,
+                           run_id="mid").run()
+        cycle_2 = [
+            e["kind"] for e in iter_events(full.events_path)
+            if e.get("cycle") == 2 and e.get("agent_id") == "fails_mid_cycle"
+        ]
+        assert cycle_2 == ["forecast", "agent_failure"]
+        resumed = resume_run(tmp_path, "mid", at_cycle=2)
+        assert resumed.event_log_sha256 == full.event_log_sha256
+
+    def test_checkpoint_holds_offsets_and_agent_state_only(self, tmp_path):
+        make_engine(tmp_path, cycles=3, run_id="keys").run()
+        run_dir = tmp_path / "keys"
+        names = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+        # no tmp file is left beside the checkpoints
+        assert names == ["cycle_00001.json", "cycle_00002.json", "cycle_00003.json"]
+        events = (run_dir / "events.jsonl").read_bytes()
+        for name in names:
+            ckpt = json.loads((run_dir / "checkpoints" / name).read_bytes())
+            assert set(ckpt) == {"next_cycle", "events_bytes", "agents"}
+            assert set(ckpt["agents"]) == {"market_copier", "momentum"}
+            for aid, saved in ckpt["agents"].items():
+                assert set(saved) == {"state", "ledger_bytes"}
+                ledger = (run_dir / "ledgers" / f"{aid}.jsonl").read_bytes()
+                assert saved["ledger_bytes"] <= len(ledger)
+            boundary = json.loads(events[: ckpt["events_bytes"]].splitlines()[-1])
+            assert boundary["kind"] == "cycle_end"
+            assert boundary["cycle"] == ckpt["next_cycle"] - 1
+
+    def test_stray_tmp_checkpoint_ignored(self, tmp_path):
+        full = make_engine(tmp_path, cycles=4, run_id="tmp").run()
+        (tmp_path / "tmp" / "checkpoints" / "cycle_00009.tmp").write_text('{"next_cycle"')
+        resumed = resume_run(tmp_path, "tmp")
+        assert resumed.event_log_sha256 == full.event_log_sha256
+
+    def test_old_format_checkpoint_raises_no_checkpoint(self, tmp_path):
+        make_engine(tmp_path, cycles=3, run_id="old").run()
+        old = {
+            "next_cycle": 3,
+            "events_lines": 10,
+            "price_history": {},
+            "agents": {
+                aid: {"portfolio": {}, "window": [], "state": {}, "prev_forecasts": {},
+                      "ledger_lines": 0}
+                for aid in ("market_copier", "momentum")
+            },
+        }
+        for path in (tmp_path / "old" / "checkpoints").iterdir():
+            path.write_text(json.dumps(old), encoding="utf-8")
+        with pytest.raises(NoCheckpoint):
+            resume_run(tmp_path, "old", at_cycle=2)
+        with pytest.raises(NoCheckpoint):
+            resume_run(tmp_path, "old")
+
+    @pytest.mark.parametrize("where", ["past_end", "mid_line", "not_cycle_end"])
+    def test_events_offset_off_the_boundary_raises_corrupt_log(self, tmp_path, where):
+        make_engine(tmp_path, cycles=4, run_id="off").run()
+        events = (tmp_path / "off" / "events.jsonl").read_bytes()
+        path = tmp_path / "off" / "checkpoints" / "cycle_00002.json"
+        ckpt = json.loads(path.read_bytes())
+        offset = ckpt["events_bytes"]
+        ckpt["events_bytes"] = {
+            "past_end": len(events) + 1,
+            "mid_line": offset - 5,
+            # the end of the line before the boundary's cycle_end
+            "not_cycle_end": events.rindex(b"\n", 0, offset - 1) + 1,
+        }[where]
+        path.write_text(json.dumps(ckpt), encoding="utf-8")
+        with pytest.raises(CorruptLog):
+            resume_run(tmp_path, "off", at_cycle=2)
+
+    def test_cycle_end_totals_disagreeing_with_ledger_raise_corrupt_log(self, tmp_path):
+        make_engine(tmp_path, cycles=4, run_id="tot").run()
+        events_path = tmp_path / "tot" / "events.jsonl"
+        path = tmp_path / "tot" / "checkpoints" / "cycle_00002.json"
+        ckpt = json.loads(path.read_bytes())
+        events = events_path.read_bytes()
+        head, tail = events[: ckpt["events_bytes"]], events[ckpt["events_bytes"]:]
+        lines = head.splitlines(keepends=True)
+        cycle_end = json.loads(lines[-1])
+        cycle_end["portfolios"]["momentum"]["open"] += 1
+        lines[-1] = evalloop.event_line(cycle_end).encode()
+        head = b"".join(lines)
+        events_path.write_bytes(head + tail)
+        ckpt["events_bytes"] = len(head)
+        path.write_text(json.dumps(ckpt), encoding="utf-8")
+        with pytest.raises(CorruptLog):
+            resume_run(tmp_path, "tot", at_cycle=2)
 
     def test_live_not_resumable(self, tmp_path):
         engine = make_engine(tmp_path, cycles=3, run_id="liveck")
@@ -398,6 +503,34 @@ class TestTokenBudgetSweep:
         for row in report.rows:
             assert row.max_prob_gap_vs_first_budget == 0.0
 
+    def test_rows_equal_rows_from_logs_on_disk(self, tmp_path, monkeypatch):
+        kwargs = dict(
+            seed=11,
+            agent_ids=["budget_noise", "momentum"],
+            feed_source={"kind": "synthetic", "n_markets": 35},
+            cycles=3,
+            budgets=(500, 2000),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep re-read a log")
+
+        with monkeypatch.context() as m:
+            m.setattr(evalloop.reporting, "iter_events", refuse)
+            in_memory = token_budget_sweep(tmp_path / "mem", **kwargs)
+
+        run = EvalEngine.run
+
+        def run_then_fold_from_disk(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            disk = EventFold().consume(iter_events(result.events_path))
+            return dataclasses.replace(result, fold=disk)
+
+        monkeypatch.setattr(EvalEngine, "run", run_then_fold_from_disk)
+        from_disk = token_budget_sweep(tmp_path / "disk", **kwargs)
+        assert in_memory.rows == from_disk.rows
+        assert len(in_memory.rows) == 4
+
     def test_trace_truncated_to_budget(self, tmp_path):
         report = token_budget_sweep(
             tmp_path,
@@ -413,6 +546,19 @@ class TestTokenBudgetSweep:
         for ev in iter_events(events_path):
             if ev["kind"] == "forecast":
                 assert ev["output_tokens"] <= 500
+
+
+class TestRunDirectory:
+    def test_entries_match_readme_tree(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        tree = readme.split("## What a run produces", 1)[1].split("```")[1]
+        documented = {
+            line.split()[0].split("/")[0]
+            for line in tree.splitlines()
+            if line.startswith("  ") and not line.lstrip().startswith("#")
+        }
+        make_engine(tmp_path, cycles=2, run_id="tree").run()
+        assert {p.name for p in (tmp_path / "tree").iterdir()} == documented
 
 
 class TestFallbackBatch:

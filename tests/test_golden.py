@@ -118,3 +118,15 @@ def test_torn_latest_checkpoint_resumes_to_pins(tmp_path, monkeypatch):
     resumed = resume_run("out", "flaky")
     assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"]
     assert run_digests("out", "flaky") == PINS["flaky"]
+
+
+def test_resume_at_every_boundary_matches_pins(tmp_path, monkeypatch):
+    """Resume rebuilds its state from the kept log. ``flaky`` fails on cycles
+    3 and 6, so boundaries after a failed cycle take the previous forecasts
+    from the latest cycle without an agent_failure."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    for boundary in range(1, MANIFESTS["flaky"]["cycles"] + 1):
+        resumed = resume_run("out", "flaky", at_cycle=boundary)
+        assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"], f"boundary {boundary}"
+        assert run_digests("out", "flaky") == PINS["flaky"], f"boundary {boundary}"
