@@ -8,10 +8,14 @@ and update the pins; any other change that moves one is a regression.
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from driftmark.evalloop import EvalEngine, RunPaths, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
+from driftmark.reporting import aggregate, emit
 
 SIX_AGENTS = (
     "market_copier", "momentum", "mean_reversion", "drift_adjusted", "risk_confirmation",
@@ -73,6 +77,47 @@ PINS = {
 }
 
 
+# source -> {emit format: sha256 of emit(aggregate(events), format)}, for the
+# events of each pinned manifest and for the leaderboard fixture. Computed
+# before the scoring fold walked each subject once; the reports must not move.
+REPORT_FORMATS = ("json", "csv", "table")
+LEADERBOARD_FIXTURE = Path(__file__).parent / "fixtures" / "leaderboard_events.jsonl"
+REPORT_PINS = {
+    "flaky": {
+        "json": "2236030e05b7b4ff31da3644d06e4b423c9847cb9c76d8141e20c728f225424e",
+        "csv": "7219128924f48b94fd9438707220a4211b841d4c0c480a2be003ecd0ba7b86dd",
+        "table": "8d71dc398541f245954c30aa5b4789451334701d3e4287c28ac1e416d0b4a3ee",
+    },
+    "observation": {
+        "json": "b8d3a9ad41b77174436b74066293be8d8d3b5ede75db74a80c9eaf9a21d01ef6",
+        "csv": "a182a920fb9d4e8183a851594ac271c9624b7410b174ad422bb00c3a5fa321a0",
+        "table": "eaa14b4397fe6bb5c80695c7941b6de0850b530267bcc118ee0f245271b7ee94",
+    },
+    "replay": {
+        "json": "2bf23ca7023ef09e91560217f6855413639e5df20a8b129cdf9a3e83198cb8ec",
+        "csv": "b48f89ce35067cf55ef290cd36007cdbff9552b5af3fd2a772cbdfacca2fbc0f",
+        "table": "47bc673852473776b5f8202fb855fca0c00872fabf16cbd722d3f0d55a7c9a61",
+    },
+    "synthetic": {
+        "json": "353f1643063145bfab79495865d9980ea5fa36544f01bd2272d4ae554c2e756f",
+        "csv": "33e92d920d66f446c43a8035e4c0dae0aed308c8ed497bdf822f549921e0ad31",
+        "table": "92e2a57f4f6ebef8aa9e7f0ab2d3882ae574537057b7a914b48e8d91c982878f",
+    },
+    "leaderboard_fixture": {
+        "json": "96645ab28fe55d4e6aad60ff2be38b10fea8e27e798ad5fa69f1392b6d9efff3",
+        "csv": "88881a2c111e444f7b9279c8196db908fb568f37e032e4ca5ce80758eb747a3a",
+        "table": "542094933fe2cb59ca7c641489a5327f0a7ddfcdf30454d48f1efa88f3b4905e",
+    },
+}
+
+
+def report_digests(events) -> dict[str, str]:
+    report = aggregate(events)
+    return {
+        fmt: hashlib.sha256(emit(report, fmt).encode()).hexdigest() for fmt in REPORT_FORMATS
+    }
+
+
 def run_digests(root, run_id: str) -> dict[str, str]:
     paths = RunPaths(root, run_id)
     files = [paths.events] + sorted(paths.ledgers.glob("*.jsonl"))
@@ -96,6 +141,17 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     digests = run_digests("out", name)
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_reports_match_pins(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", name)
+    assert report_digests(RunPaths("out", name).events) == REPORT_PINS[name]
+
+
+def test_leaderboard_fixture_reports_match_pins():
+    assert report_digests(LEADERBOARD_FIXTURE) == REPORT_PINS["leaderboard_fixture"]
 
 
 @pytest.mark.parametrize("name", ["synthetic", "flaky"])
