@@ -555,11 +555,14 @@ def sample_forecast(
     contract_hash: ContractHash,
     sampled_at: datetime,
     cycle_index: int,
+    input_tokens: int,
 ) -> ForecastRecord:
     """Query the agent once and log the full record.
 
-    Traces are truncated to the token budget; scripted agents run in-process
-    so latency is recorded as zero.
+    ``input_tokens`` is the whitespace-token count of ``instruction``, which
+    the caller counts from the rendered parts. Traces are truncated to the
+    token budget; scripted agents run in-process so latency is recorded as
+    zero.
     """
     prob, conf, trace, strategy = agent.forecast(market, cycle_index, budget)
     if not (0.0 <= prob <= 1.0):
@@ -574,7 +577,7 @@ def sample_forecast(
         confidence=conf,
         reasoning_trace=trace,
         strategy=strategy,
-        input_tokens=len(instruction.split()),
+        input_tokens=input_tokens,
         output_tokens=len(trace.split()),
         latency_ms=0.0,
         sampled_at=sampled_at,

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BudgetNotAllowed,
@@ -189,6 +190,41 @@ def render_instruction_parts(
         current.append(pieces[i + 1])
     parts.append("".join(current))
     return parts
+
+
+class TokenSpan(NamedTuple):
+    """A non-empty text's whitespace-token count (``len(text.split())``) and
+    whether it starts and ends with a non-whitespace character."""
+
+    count: int
+    head: bool
+    tail: bool
+
+
+def token_span(text: str) -> TokenSpan | None:
+    """The span of ``text``; None for the empty string, which joins to nothing."""
+    if not text:
+        return None
+    return TokenSpan(len(text.split()), not text[0].isspace(), not text[-1].isspace())
+
+
+def _joined(a: TokenSpan | None, b: TokenSpan | None) -> TokenSpan | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    # A token that ends ``a`` and one that starts ``b`` are one token.
+    return TokenSpan(a.count + b.count - (a.tail and b.head), a.head, b.tail)
+
+
+def instruction_tokens(summary: TokenSpan | None, parts: Sequence[TokenSpan | None]) -> int:
+    """``len(summary.join(parts).split())`` from the spans of the summary and
+    of the parts ``render_instruction_parts`` returns, so a market's parts are
+    counted once for every portfolio that sees them."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = _joined(_joined(total, summary), part)
+    return total.count if total is not None else 0
 
 
 # --- storage ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -49,9 +50,11 @@ from .contract import (
     ContractStore,
     DEFAULT_TEMPLATE,
     PromptContract,
+    instruction_tokens,
     lock_contract,
     render_instruction,  # noqa: F401  perfbench/layers.py wraps it here
     render_instruction_parts,
+    token_span,
 )
 from .errors import (
     AgentTimeout,
@@ -426,38 +429,50 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _truncate_lines(path: Path, size: int, fold: _KeptLog | None = None) -> None:
-        """Cut a JSONL file to its first ``size`` bytes, which must end a
-        line, feeding each kept line to ``fold.add`` on the way."""
-        with open(path, "ab+") as fh:
+    def _read_prefix(path: Path, size: int, kept: _KeptLog | None = None) -> None:
+        """Check that the first ``size`` bytes of a JSONL file end a line and
+        feed each of those lines to ``kept.add``; a missing file is empty.
+        The file is left as it is."""
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            fh = io.BytesIO()
+        with fh:
+            end = fh.seek(0, os.SEEK_END)
             fh.seek(max(size - 1, 0))
-            if size > os.fstat(fh.fileno()).st_size or (size and fh.read(1) != b"\n"):
+            if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
-            if fold is not None:
+            if kept is not None:
                 fh.seek(0)
-                kept = 0
+                read = 0
                 for line_no, line in enumerate(fh, start=1):
-                    if kept == size:
+                    if read == size:
                         break
-                    kept += len(line)
+                    read += len(line)
                     try:
-                        fold.add(json.loads(line))
+                        kept.add(json.loads(line))
                     except ValueError as exc:
                         raise CorruptLog(line_no, str(exc)) from exc
+
+    @staticmethod
+    def _truncate_lines(path: Path, size: int) -> None:
+        """Cut a file to its first ``size`` bytes, checked by ``_read_prefix``."""
+        with open(path, "ab") as fh:
             fh.truncate(size)
 
     def _restore(
         self, ckpt: dict, fold: reporting.EventFold
     ) -> tuple[dict[str, _AgentState], dict[str, list[float]]]:
-        """Cut the log and the ledgers back to the checkpoint and rebuild the
-        run state there from the kept log: portfolios replayed from the
-        ledger events, calibration windows, price history, previous
-        forecasts and baseline probabilities. The rebuilt portfolios must
-        match the boundary's cycle_end before any cycle runs."""
+        """Rebuild the run state at the checkpoint from the kept log:
+        portfolios replayed from the ledger events, calibration windows,
+        price history, previous forecasts and baseline probabilities. The
+        rebuilt portfolios must match the boundary's cycle_end. The log and
+        the ledgers are cut back to the checkpoint only once every check has
+        passed, so a resume that fails leaves them as they were."""
         cfg = self.config
         boundary = ckpt["next_cycle"] - 1
         kept = _KeptLog(fold, cfg.metrics.volatility_window + 1)
-        self._truncate_lines(self.paths.events, ckpt["events_bytes"], kept)
+        self._read_prefix(self.paths.events, ckpt["events_bytes"], kept)
         last = kept.last or {}
         if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
             raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
@@ -466,6 +481,7 @@ class EvalEngine:
             saved = ckpt["agents"].get(aid)
             if saved is None:
                 raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
+            self._read_prefix(self._ledger_path(aid), saved["ledger_bytes"])
             ledger = fold.ledgers.get(aid, [])
             portfolio = replay_ledger(
                 cfg.simulator.initial_capital_cents,
@@ -491,6 +507,7 @@ class EvalEngine:
                 prev_forecasts=kept.prev_forecasts.get(aid, {}),
                 ledger_bytes=saved["ledger_bytes"],
             )
+        self._truncate_lines(self.paths.events, ckpt["events_bytes"])
         for aid, st in states.items():
             self._truncate_lines(self._ledger_path(aid), st.ledger_bytes)
         # Baseline drift at the resume boundary compares with the boundary
@@ -658,6 +675,7 @@ class EvalEngine:
                 # Each market is rendered once; agents differ only in the
                 # portfolio summary that fills the gaps.
                 rendered = [render_instruction_parts(self.contract, s) for s in snaps]
+                rendered_spans = [[token_span(part) for part in parts] for parts in rendered]
                 budget = self.contract.token_budget
                 for aid in self.manifest.agent_ids:
                     st = states[aid]
@@ -666,7 +684,8 @@ class EvalEngine:
                     batch: DecisionBatch | None = None
                     try:
                         summary = st.portfolio.summary()
-                        for s, parts in zip(snaps, rendered):
+                        summary_span = token_span(summary)
+                        for s, parts, spans in zip(snaps, rendered, rendered_spans):
                             rec = sample_forecast(
                                 st.agent,
                                 summary.join(parts),
@@ -675,6 +694,7 @@ class EvalEngine:
                                 contract_hash=self.contract_hash,
                                 sampled_at=now,
                                 cycle_index=cycle,
+                                input_tokens=instruction_tokens(summary_span, spans),
                             )
                             records[s.condition_id] = rec
                             emit(

@@ -94,9 +94,14 @@ def ece_mce(
         raise EmptyInput("ece_mce needs at least one forecast")
     p = np.asarray([f[0] for f in forecasts], dtype=float)
     y = np.asarray([f[1] for f in forecasts], dtype=float)
-    idx = np.minimum((p * bins).astype(int), bins - 1)
+    return _ece_mce(p, y, bins)
 
-    n = float(len(forecasts))
+
+def _ece_mce(
+    p: np.ndarray, y: np.ndarray, bins: int
+) -> tuple[float, float, list[ReliabilityBin]]:
+    idx = np.minimum((p * bins).astype(int), bins - 1)
+    n = float(len(p))
     ece = 0.0
     mce = 0.0
     out: list[ReliabilityBin] = []
@@ -215,6 +220,22 @@ def confidence_drift(
     if not resolved_history:
         return 0.0, True
     return confidence_drift_from_table(p_curr, decile_accuracy_table(resolved_history))
+
+
+def confidence_drifts(probs: Sequence[float], outcomes: Sequence[int]) -> list[float]:
+    """``confidence_drift`` of every forecast against the whole resolved
+    history ``zip(probs, outcomes)``, bit for bit, in one pass over arrays.
+
+    Every forecast lies in a decile its own history fills, so none is low
+    evidence.
+    """
+    p = np.asarray(probs, dtype=float)
+    conf = np.maximum(p, 1.0 - p)
+    idx = np.minimum((conf * 10).astype(int), 9)
+    hit = (p >= 0.5) == (np.asarray(outcomes) == 1)
+    counts = np.bincount(idx, minlength=10)
+    hits = np.bincount(idx[hit], minlength=10)
+    return np.abs(conf - hits[idx] / counts[idx]).tolist()
 
 
 def market_divergence(series_p: Sequence[float], series_m: Sequence[float]) -> float:
@@ -384,21 +405,35 @@ class ScoreReport:
 def score_forecasts(
     pairs: Sequence[tuple[float, int]], bins: int = 10, eps: float = 1e-9
 ) -> ScoreReport:
-    """Full correctness + calibration report over (probability, outcome) pairs."""
+    """Full correctness + calibration report over (probability, outcome) pairs.
+
+    Every value is bit for bit what ``brier``, ``log_likelihood``,
+    ``log_likelihood_clamped`` and ``accuracy`` give per forecast; ``eps``
+    is checked once for all of them.
+    """
     if not pairs:
         raise EmptyInput("score_forecasts needs at least one forecast")
-    briers = [brier(p, o) for p, o in pairs]
-    lls = [log_likelihood(p, o, eps) for p, o in pairs]
-    clamped = sum(1 for p, o in pairs if log_likelihood_clamped(p, o, eps))
-    ece, mce, bins_list = ece_mce(pairs, bins)
+    if not (0.0 < eps <= 0.01):
+        raise InvalidAlpha(f"eps must be in (0, 0.01], got {eps}")
+    if bins < 2:
+        raise EmptyInput(f"need at least 2 bins, got {bins}")
+    p = np.asarray([f[0] for f in pairs], dtype=float)
+    y = np.asarray([f[1] for f in pairs], dtype=float)
+    chosen = np.where(y == 1, p, 1.0 - p)
+    high = 1.0 - eps
+    # ** and math.log stay per element: numpy's square and log may round
+    # differently from the per-forecast definitions.
+    briers = [d ** 2 for d in (p - y).tolist()]
+    lls = list(map(math.log, np.minimum(np.maximum(chosen, eps), high).tolist()))
+    ece, mce, bins_list = _ece_mce(p, y, bins)
     return ScoreReport(
         brier=float(np.mean(briers)),
         log_likelihood=float(np.mean(lls)),
-        accuracy=accuracy(pairs),
+        accuracy=int(((p >= 0.5) == (y == 1)).sum()) / len(pairs),
         ece=ece,
         mce=mce,
         reliability_bins=bins_list,
-        clamped_count=clamped,
+        clamped_count=int(((chosen < eps) | (chosen > high)).sum()),
         sample_size=len(pairs),
     )
 

@@ -22,9 +22,8 @@ from .metrics import (
     DriftReport,
     RiskReport,
     ScoreReport,
-    confidence_drift_from_table,
+    confidence_drifts,
     confidence_reasoning_alignment,
-    decile_accuracy_table,
     drift_report,
     hhis,
     reasoning_quality,
@@ -223,26 +222,29 @@ class EventFold:
 
     # -- per-subject derivations --
 
-    def scored_pairs(self, subject: str) -> list[tuple[float, int]]:
-        pairs = []
-        for cid, rows in self.forecasts.get(subject, {}).items():
-            outcome = self.outcomes.get(cid)
-            if outcome is None:
-                continue
-            for (_, prob, *_rest) in rows:
-                pairs.append((prob, outcome))
-        return pairs
-
-    def divergence(self, subject: str) -> float | None:
-        gaps = []
-        for cid, rows in self.forecasts.get(subject, {}).items():
-            for (cycle, prob, *_rest) in rows:
-                m = self.prices.get((cid, cycle))
-                if m is not None:
-                    gaps.append(abs(prob - m))
-        if not gaps:
-            return None
-        return sum(gaps) / len(gaps)
+    def score_columns(
+        self, subject: str
+    ) -> tuple[list[float], list[int], list[float], list[float]]:
+        """A subject's forecasts as columns, in log order: probability,
+        outcome and confidence of each resolved forecast, and the gap
+        |probability - market price| of each forecast with a snapshot."""
+        forecasts = self.forecasts.get(subject, {})
+        prices = self.prices
+        gaps = [
+            abs(row[1] - m)
+            for cid, rows in forecasts.items()
+            for row in rows
+            if (m := prices.get((cid, row[0]))) is not None
+        ]
+        resolved = [
+            (rows, outcome)
+            for cid, rows in forecasts.items()
+            if (outcome := self.outcomes.get(cid)) is not None
+        ]
+        probs = [row[1] for rows, _ in resolved for row in rows]
+        outcomes = [outcome for rows, outcome in resolved for _ in rows]
+        confidences = [float(row[2]) for rows, _ in resolved for row in rows]
+        return probs, outcomes, confidences, gaps
 
     def drift_means(self, subject: str) -> tuple[float, float, float]:
         """(mean d_narrative, mean d_temporal, mean product-form d_temporal)."""
@@ -291,17 +293,24 @@ class EventFold:
         edge, and expected return on a fixed reference bet."""
         dprobs: list[float] = []
         dedges: list[float] = []
-        ders: list[float] = []
+        ders: list[int] = []
         for cid, rows in self.forecasts.get(subject, {}).items():
             ordered = sorted(rows)
-            for prev, curr in zip(ordered, ordered[1:]):
-                (c0, p0, *_r0), (c1, p1, *_r1) = prev, curr
-                dprobs.append(abs(p1 - p0))
-                m0, m1 = self.prices.get((cid, c0)), self.prices.get((cid, c1))
-                if m0 is not None and m1 is not None and 0.0 < m0 and 0.0 < m1:
-                    dedges.append(abs((p1 - m1) - (p0 - m0)))
-                    er0 = expected_return(p0, _REFERENCE_BET_CENTS, m0)
-                    er1 = expected_return(p1, _REFERENCE_BET_CENTS, m1)
+            probs = [row[1] for row in ordered]
+            dprobs.extend(abs(p1 - p0) for p0, p1 in zip(probs, probs[1:]))
+            # Price and expected return of each forecast, None without a
+            # positive price; each return is computed once.
+            markets = [self.prices.get((cid, row[0])) for row in ordered]
+            ers = [
+                expected_return(p, _REFERENCE_BET_CENTS, m)
+                if m is not None and 0.0 < m
+                else None
+                for p, m in zip(probs, markets)
+            ]
+            for i in range(1, len(ordered)):
+                er0, er1 = ers[i - 1], ers[i]
+                if er0 is not None and er1 is not None:
+                    dedges.append(abs((probs[i] - markets[i]) - (probs[i - 1] - markets[i - 1])))
                     ders.append(abs(er1 - er0))
         mean = lambda xs: (sum(xs) / len(xs)) if xs else None  # noqa: E731
         return mean(dprobs), mean(dedges), mean(ders)
@@ -315,28 +324,22 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
     """Score/drift/risk/composite report per agent and per baseline."""
     out: dict[str, dict] = {}
     for subject in fold.agents_seen + fold.baselines_seen:
-        pairs = fold.scored_pairs(subject)
+        probs, outcomes, confidences, gaps = fold.score_columns(subject)
         score: ScoreReport | None = None
-        if pairs:
-            score = score_forecasts(
-                pairs, bins=config.metrics.ece_bins, eps=config.metrics.log_likelihood_eps
-            )
         # Confidence drift of each resolved forecast against the subject's
         # own resolved history (computable only after resolution).
-        confidences: list[float] = []
         drifts: list[float] = []
-        if pairs:
-            table = decile_accuracy_table(pairs)
-            for cid, rows in fold.forecasts.get(subject, {}).items():
-                if cid not in fold.outcomes:
-                    continue
-                for (_, prob, conf, *_rest) in rows:
-                    confidences.append(float(conf))
-                    drifts.append(confidence_drift_from_table(prob, table)[0])
+        if probs:
+            score = score_forecasts(
+                list(zip(probs, outcomes)),
+                bins=config.metrics.ece_bins,
+                eps=config.metrics.log_likelihood_eps,
+            )
+            drifts = confidence_drifts(probs, outcomes)
         dn, dt, dtp = fold.drift_means(subject)
         dc = sum(drifts) / len(drifts) if drifts else 0.0
-        divergence = fold.divergence(subject)
-        drift = drift_report(dn, dt, dc, divergence if divergence is not None else 0.0, dtp)
+        divergence = sum(gaps) / len(gaps) if gaps else 0.0
+        drift = drift_report(dn, dt, dc, divergence, dtp)
 
         buys = fold.buys(subject)
         high_buys = [
@@ -471,6 +474,12 @@ def aggregate(
                 pnl_by_cid[e["condition_id"]] = (
                     pnl_by_cid.get(e["condition_id"], 0) + e["cash_delta_cents"]
                 )
+        # Each market's Brier scores, built once for all four dimensions.
+        briers_by_cid: dict[str, list[float]] = {}
+        for cid, rows_ in fold.forecasts.get(subject, {}).items():
+            outcome = fold.outcomes.get(cid)
+            if outcome is not None:
+                briers_by_cid[cid] = [(p - outcome) ** 2 for (_, p, *_r) in rows_]
         for dimension, meta_key in (
             ("risk", "risk"),
             ("domain", "domain"),
@@ -478,14 +487,12 @@ def aggregate(
             ("liquidity", "liquidity"),
         ):
             cells: dict[str, dict] = {}
-            for cid, rows_ in fold.forecasts.get(subject, {}).items():
+            for cid in fold.forecasts.get(subject, {}):
                 value = fold.meta.get(cid, {}).get(meta_key)
                 if value is None:
                     continue
                 cell = cells.setdefault(value, {"briers": [], "pnl": 0, "counted": set()})
-                outcome = fold.outcomes.get(cid)
-                if outcome is not None:
-                    cell["briers"].extend((p - outcome) ** 2 for (_, p, *_r) in rows_)
+                cell["briers"].extend(briers_by_cid.get(cid, ()))
                 if cid not in cell["counted"]:
                     cell["pnl"] += pnl_by_cid.get(cid, 0)
                     cell["counted"].add(cid)

@@ -513,14 +513,19 @@ class LedgerWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
+        self._unsynced = False
 
     def append(self, entry: LedgerEntry) -> None:
         self._fh.write(json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n")
+        self._unsynced = True
 
     def sync(self) -> int:
-        """Flush and fsync; return the ledger's size in bytes."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        """Flush and fsync what was appended since the last sync, if anything;
+        return the ledger's size in bytes."""
+        if self._unsynced:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._unsynced = False
         return os.fstat(self._fh.fileno()).st_size
 
     def close(self) -> None:

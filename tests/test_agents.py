@@ -356,7 +356,8 @@ class TestScriptedAgents:
         contract, chash = lock_contract("t", "v1", 1000)
         instruction = "forecast the market"
         return sample_forecast(
-            agent, instruction, snap, budget, contract_hash=chash, sampled_at=NOW, cycle_index=cycle
+            agent, instruction, snap, budget, contract_hash=chash, sampled_at=NOW,
+            cycle_index=cycle, input_tokens=len(instruction.split()),
         )
 
     def test_market_copier(self):
@@ -436,7 +437,8 @@ class TestBuildDecisionBatch:
         contract, chash = lock_contract("t", "v1", 1000)
         records = {
             s.condition_id: sample_forecast(
-                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1
+                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1,
+                input_tokens=1,
             )
             for s in snaps
         }
@@ -464,7 +466,8 @@ class TestBuildDecisionBatch:
         contract, chash = lock_contract("t", "v1", 1000)
         records = {
             s.condition_id: sample_forecast(
-                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1
+                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1,
+                input_tokens=1,
             )
             for s in snaps
         }

@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmark.contract import (
@@ -15,9 +15,11 @@ from driftmark.contract import (
     compute_hash,
     contract_from_json,
     contract_to_json,
+    instruction_tokens,
     lock_contract,
     render_instruction,
     render_instruction_parts,
+    token_span,
     verify_contract,
 )
 from driftmark.errors import (
@@ -200,6 +202,31 @@ class TestRenderInstruction:
             return
         assert summary.join(render_instruction_parts(contract, snapshot)) == expected
         assert render_instruction(contract, snapshot, summary) == expected
+
+
+# Letters, ASCII and Unicode whitespace (ideographic space, the four
+# information separators and NEL are whitespace to str.split too).
+TOKEN_TEXT = st.text(alphabet="ab \n\t\u3000\x1c\x1d\x1e\x1f\x85", max_size=8)
+
+
+class TestInstructionTokens:
+    @given(TOKEN_TEXT, st.lists(TOKEN_TEXT, min_size=1, max_size=6))
+    @settings(max_examples=500)
+    @example("", ["a", "b"])  # an empty summary: the parts meet directly
+    @example("a", ["", "", "b"])  # empty parts: summaries meet each other
+    @example("x y", ["a", "b", "c"])  # adjacent placeholders on both sides
+    @example("\u3000", ["a\x1c", "\x85b"])
+    def test_equals_split_of_the_joined_instruction(self, summary, parts):
+        spans = [token_span(part) for part in parts]
+        assert instruction_tokens(token_span(summary), spans) == len(summary.join(parts).split())
+
+    def test_default_template(self):
+        parts = render_instruction_parts(lock_contract(DEFAULT_TEMPLATE, "v1", 1000)[0],
+                                         make_snapshot())
+        summary = "capital=$10,000.00 available=$10,000.00 deployed=$0.00 open=0"
+        assert instruction_tokens(
+            token_span(summary), [token_span(part) for part in parts]
+        ) == len(summary.join(parts).split())
 
 
 class TestStore:

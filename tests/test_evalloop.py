@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,41 @@ class TestRunBasics:
         # one batch or one failure per cycle
         assert len(batches) + len(failures) == 4
         assert any(e["kind"] == "run_completed" for e in events)
+
+
+    @pytest.mark.parametrize("mode", ["observation", "execution"])
+    def test_ledgers_fsynced_only_after_appends(self, tmp_path, monkeypatch, mode):
+        """A ledger is fsynced at a cycle boundary (and after settlement) only
+        when an entry was appended to it since its last fsync."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_dev, st.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        result = make_engine(
+            tmp_path, agents=("momentum", "market_copier", "mean_reversion"), cycles=5,
+            run_id=mode, mode=mode,
+        ).run()
+        ledgers = {
+            (st.st_dev, st.st_ino): p.stem
+            for p in RunPaths(tmp_path, mode).ledgers.glob("*.jsonl")
+            for st in [p.stat()]
+        }
+        got = sorted(ledgers[key] for key in synced if key in ledgers)
+        appended = {
+            (e["cycle"], e["agent_id"])
+            for e in iter_events(result.events_path)
+            if e["kind"] == "ledger"
+        }
+        assert got == sorted(aid for _, aid in appended)
+        if mode == "observation":
+            assert got == []
+        else:
+            assert got
 
 
 class TestDeterminism:
@@ -284,6 +320,76 @@ class TestCheckpointResume:
         path.write_text(json.dumps(ckpt), encoding="utf-8")
         with pytest.raises(CorruptLog):
             resume_run(tmp_path, "tot", at_cycle=2)
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
+            "events_mid_line", "events_not_cycle_end", "totals", "ledger_past_end",
+            "agent_missing", "live",
+        ],
+    )
+    def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
+        """Every check runs before the log or a ledger is cut."""
+        make_engine(tmp_path, cycles=4, run_id="keep").run()
+        run_dir = tmp_path / "keep"
+        ckpt_path = run_dir / "checkpoints" / "cycle_00002.json"
+        ckpt = json.loads(ckpt_path.read_bytes())
+        events_path = run_dir / "events.jsonl"
+        events = events_path.read_bytes()
+        ledger_path = run_dir / "ledgers" / "momentum.jsonl"
+        assert ledger_path.stat().st_size > 0
+
+        def save(ckpt):
+            ckpt_path.write_text(json.dumps(ckpt), encoding="utf-8")
+
+        at_cycle, error = 2, CorruptLog
+        if failure == "torn_at_cycle":
+            ckpt_path.write_bytes(ckpt_path.read_bytes()[:50])
+            error = NoCheckpoint
+        elif failure == "no_readable":
+            for path in ckpt_path.parent.iterdir():
+                path.write_text("", encoding="utf-8")
+            at_cycle, error = None, NoCheckpoint
+        elif failure == "missing":
+            at_cycle, error = 99, NoCheckpoint
+        elif failure == "old_format":
+            save({"next_cycle": 3, "events_lines": 10})
+            error = NoCheckpoint
+        elif failure.startswith("events_"):
+            offset = ckpt["events_bytes"]
+            ckpt["events_bytes"] = {
+                "events_past_end": len(events) + 1,
+                "events_mid_line": offset - 5,
+                "events_not_cycle_end": events.rindex(b"\n", 0, offset - 1) + 1,
+            }[failure]
+            save(ckpt)
+        elif failure == "totals":
+            lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+            cycle_end = json.loads(lines[-1])
+            cycle_end["portfolios"]["momentum"]["open"] += 1
+            lines[-1] = evalloop.event_line(cycle_end).encode()
+            head = b"".join(lines)
+            events_path.write_bytes(head + events[ckpt["events_bytes"]:])
+            save({**ckpt, "events_bytes": len(head)})
+        elif failure == "ledger_past_end":
+            ckpt["agents"]["momentum"]["ledger_bytes"] = ledger_path.stat().st_size + 1
+            save(ckpt)
+        elif failure == "agent_missing":
+            del ckpt["agents"]["momentum"]
+            save(ckpt)
+            error = NoCheckpoint
+        elif failure == "live":
+            manifest_path = run_dir / "manifest.json"
+            data = json.loads(manifest_path.read_text(encoding="utf-8"))
+            data["feed_source"] = {"kind": "live", "endpoint": "http://x", "condition_ids": []}
+            manifest_path.write_text(json.dumps(data), encoding="utf-8")
+            error = LiveSourceNotResumable
+        files = [events_path, *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        before = {p.name: file_sha256(p) for p in files}
+        with pytest.raises(error):
+            resume_run(tmp_path, "keep", at_cycle=at_cycle)
+        assert {p.name: file_sha256(p) for p in files} == before
 
     def test_live_not_resumable(self, tmp_path):
         engine = make_engine(tmp_path, cycles=3, run_id="liveck")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmark.errors import (
@@ -20,8 +20,11 @@ from driftmark.market_data import Domain, EventCategory, Horizon, Risk
 from driftmark.metrics import (
     DriftReport,
     RiskReport,
+    ScoreReport,
+    accuracy,
     brier,
     confidence_drift,
+    confidence_drifts,
     confidence_reasoning_alignment,
     confidence_stability,
     drift_report,
@@ -458,3 +461,58 @@ class TestReports:
             RiskReport(risk_category=Risk.LOW, var=10.0, cvar=15.0)
         ok = RiskReport(risk_category=Risk.HIGH, var=10.0, cvar=15.0)
         assert ok.to_dict()["cvar"] == 15.0
+
+
+# Probabilities with the edges and the decile boundary drawn often.
+edge_probs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), probs)
+resolved = st.lists(st.tuples(edge_probs, st.integers(0, 1)), min_size=1, max_size=60)
+
+
+class TestArrayScoringMatchesPerForecast:
+    """The array forms used by the final-report fold equal the per-forecast
+    definitions bit for bit (exact ==, no tolerance)."""
+
+    @given(resolved)
+    @example([(0.0, 0), (0.5, 1), (1.0, 1), (1.0, 0), (0.5, 0)])
+    @example([(0.95, 1), (0.97, 0), (0.02, 0), (1.0, 1)])  # all in the top decile
+    @example([(0.55, 1), (0.45, 1), (0.5, 0)])  # all in one middle decile
+    def test_confidence_drifts_equal_confidence_drift(self, pairs):
+        probs_, outcomes = [p for p, _ in pairs], [o for _, o in pairs]
+        assert confidence_drifts(probs_, outcomes) == [
+            confidence_drift(p, pairs)[0] for p in probs_
+        ]
+
+    def test_confidence_drifts_of_nothing(self):
+        assert confidence_drifts([], []) == []
+
+    @given(
+        resolved,
+        st.integers(2, 20),
+        st.one_of(st.sampled_from([1e-9, 0.01]), st.floats(min_value=1e-12, max_value=0.01)),
+    )
+    @example([(0.0, 0), (0.5, 1), (1.0, 1), (1.0, 0)], 10, 1e-9)
+    @example([(0.995, 1), (0.004, 1), (0.3, 0)], 10, 0.01)  # the clamp binds inside (0, 1)
+    @example([(0.91, 1), (0.99, 1), (0.95, 0)], 10, 1e-9)  # all in one bin
+    def test_score_forecasts_equals_per_forecast_oracle(self, pairs, bins, eps):
+        ece, mce, bins_list = ece_mce(pairs, bins)
+        expected = ScoreReport(
+            brier=float(np.mean([brier(p, o) for p, o in pairs])),
+            log_likelihood=float(np.mean([log_likelihood(p, o, eps) for p, o in pairs])),
+            accuracy=accuracy(pairs),
+            ece=ece,
+            mce=mce,
+            reliability_bins=bins_list,
+            clamped_count=sum(1 for p, o in pairs if log_likelihood_clamped(p, o, eps)),
+            sample_size=len(pairs),
+        )
+        assert score_forecasts(pairs, bins, eps) == expected
+
+    def test_score_forecasts_checks_eps_and_bins_once(self):
+        with pytest.raises(EmptyInput):
+            score_forecasts([])
+        with pytest.raises(InvalidAlpha):
+            score_forecasts([(0.5, 1)], eps=0.0)
+        with pytest.raises(InvalidAlpha):
+            score_forecasts([(0.5, 1)], bins=1, eps=0.02)
+        with pytest.raises(EmptyInput):
+            score_forecasts([(0.5, 1)], bins=1)

@@ -3,15 +3,31 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftmark.agents import expected_return
 from driftmark.cli import main as cli_main
-from driftmark.errors import CorruptLog, IoError
+from driftmark.config import EngineConfig
+from driftmark.errors import CorruptLog, DegenerateInput, IoError
 from driftmark.evalloop import EvalEngine
+from driftmark.metrics import (
+    accuracy,
+    brier,
+    confidence_drift,
+    confidence_reasoning_alignment,
+    ece_mce,
+    log_likelihood,
+    log_likelihood_clamped,
+)
 from driftmark.reporting import (
+    EventFold,
     LeaderboardRow,
     aggregate,
     emit,
+    final_reports_from_fold,
     format_cents,
     iter_events,
 )
@@ -248,3 +264,167 @@ class TestCli:
             ]
         ) == 0
         assert (tmp_path / "sweep_report.json").exists()
+
+
+# --- the scoring fold against per-forecast definitions ------------------------------
+
+PROBS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+UNRESOLVED = "0xopen"
+
+
+@st.composite
+def scoring_logs(draw) -> list[dict]:
+    """Forecasts of two agents over a few markets in a drawn order, some
+    snapshots (a price may be 0) and some resolutions; ``never_resolved``
+    forecasts only a market that never resolves."""
+    cids = [f"0x{i:02d}" for i in range(draw(st.integers(1, 4)))]
+    events = [{"kind": "agent_meta", "agent_id": a} for a in ("a", "b", "never_resolved")]
+    events += [
+        {
+            "kind": "market_meta",
+            "condition_id": cid,
+            "risk": draw(st.sampled_from(["low", "medium", "high"])),
+            "domain": draw(st.sampled_from(["politics", "sports"])),
+            "horizon": draw(st.sampled_from(["short", "long"])),
+            "liquidity": draw(st.sampled_from(["low", "high"])),
+        }
+        for cid in cids + [UNRESOLVED]
+    ]
+
+    def forecast(agent_id, cid, cycle):
+        return {
+            "kind": "forecast", "agent_id": agent_id, "condition_id": cid, "cycle": cycle,
+            "probability": draw(PROBS), "confidence": draw(st.integers(0, 10)),
+        }
+
+    for cycle in range(1, draw(st.integers(1, 4)) + 1):
+        for cid in cids + [UNRESOLVED]:
+            if draw(st.booleans()):
+                events.append({
+                    "kind": "snapshot", "condition_id": cid, "cycle": cycle,
+                    "yes_price": draw(st.one_of(st.just(0.0), st.floats(0.001, 1.0))),
+                })
+        for agent_id in ("a", "b"):
+            for cid in draw(st.permutations(cids)):
+                if draw(st.booleans()):
+                    events.append(forecast(agent_id, cid, cycle))
+        events.append(forecast("never_resolved", UNRESOLVED, cycle))
+    for cid in cids:
+        if draw(st.booleans()):
+            events.append(
+                {"kind": "resolution", "condition_id": cid, "outcome": draw(st.integers(0, 1))}
+            )
+    return events
+
+
+def per_forecast_oracle(events: list[dict], subject: str, config: EngineConfig) -> dict:
+    """The report values the fold derives per forecast, computed with one
+    call of the per-forecast definitions per forecast, in log order."""
+    rows: dict[str, list[tuple[int, float, int]]] = {}
+    prices: dict[tuple[str, int], float] = {}
+    outcomes: dict[str, int] = {}
+    for ev in events:
+        if ev["kind"] == "forecast" and ev["agent_id"] == subject:
+            rows.setdefault(ev["condition_id"], []).append(
+                (ev["cycle"], ev["probability"], ev["confidence"])
+            )
+        elif ev["kind"] == "snapshot":
+            prices[(ev["condition_id"], ev["cycle"])] = ev["yes_price"]
+        elif ev["kind"] == "resolution":
+            outcomes[ev["condition_id"]] = ev["outcome"]
+    pairs, confidences, gaps = [], [], []
+    for cid, forecasts in rows.items():
+        for cycle, p, conf in forecasts:
+            if (cid, cycle) in prices:
+                gaps.append(abs(p - prices[(cid, cycle)]))
+            if cid in outcomes:
+                pairs.append((p, outcomes[cid]))
+                confidences.append(float(conf))
+    score = None
+    if pairs:
+        eps, bins = config.metrics.log_likelihood_eps, config.metrics.ece_bins
+        ece, mce, bins_list = ece_mce(pairs, bins)
+        score = {
+            "brier": float(np.mean([brier(p, o) for p, o in pairs])),
+            "log_likelihood": float(np.mean([log_likelihood(p, o, eps) for p, o in pairs])),
+            "accuracy": accuracy(pairs),
+            "ece": ece,
+            "mce": mce,
+            "reliability_bins": [b.to_dict() for b in bins_list],
+            "clamped_count": sum(1 for p, o in pairs if log_likelihood_clamped(p, o, eps)),
+            "sample_size": len(pairs),
+        }
+    drifts = [confidence_drift(p, pairs)[0] for p, _ in pairs]
+    try:
+        alignment = confidence_reasoning_alignment(confidences, [1.0 - d for d in drifts])
+    except DegenerateInput:
+        alignment = None
+    return {
+        "score": score,
+        "d_confidence": sum(drifts) / len(drifts) if drifts else 0.0,
+        "market_divergence": sum(gaps) / len(gaps) if gaps else 0.0,
+        "alignment": alignment,
+    }
+
+
+def adjustment_depth_oracle(events: list[dict], subject: str) -> tuple:
+    rows: dict[str, list[tuple[int, float]]] = {}
+    prices: dict[tuple[str, int], float] = {}
+    for ev in events:
+        if ev["kind"] == "forecast" and ev["agent_id"] == subject:
+            rows.setdefault(ev["condition_id"], []).append((ev["cycle"], ev["probability"]))
+        elif ev["kind"] == "snapshot":
+            prices[(ev["condition_id"], ev["cycle"])] = ev["yes_price"]
+    dprobs, dedges, ders = [], [], []
+    for cid, forecasts in rows.items():
+        ordered = sorted(forecasts)
+        for (c0, p0), (c1, p1) in zip(ordered, ordered[1:]):
+            dprobs.append(abs(p1 - p0))
+            m0, m1 = prices.get((cid, c0)), prices.get((cid, c1))
+            if m0 and m1:
+                dedges.append(abs((p1 - m1) - (p0 - m0)))
+                ders.append(abs(expected_return(p1, 15_000, m1) - expected_return(p0, 15_000, m0)))
+    mean = lambda xs: sum(xs) / len(xs) if xs else None  # noqa: E731
+    return mean(dprobs), mean(dedges), mean(ders)
+
+
+class TestScoringFoldMatchesPerForecast:
+    @settings(max_examples=150, deadline=None)
+    @given(scoring_logs())
+    def test_final_reports(self, events):
+        config = EngineConfig()
+        reports = final_reports_from_fold(EventFold().consume(events), config)
+        assert set(reports) == {"a", "b", "never_resolved"}
+        for subject, rep in reports.items():
+            want = per_forecast_oracle(events, subject, config)
+            assert rep["score"] == want["score"], subject
+            assert rep["drift"]["d_confidence"] == want["d_confidence"], subject
+            assert rep["drift"]["market_divergence"] == want["market_divergence"], subject
+            assert rep["composite"]["confidence_reasoning_alignment"] == want["alignment"]
+        assert reports["never_resolved"]["score"] is None
+        assert reports["never_resolved"]["drift"]["d_confidence"] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(scoring_logs())
+    def test_adjustment_depth_and_category_briers(self, events):
+        report = aggregate(events)
+        outcomes = {e["condition_id"]: e["outcome"] for e in events if e["kind"] == "resolution"}
+        meta = {e["condition_id"]: e for e in events if e["kind"] == "market_meta"}
+        for diag in report.diagnostics:
+            assert (
+                diag.mean_abs_dprob, diag.mean_abs_dedge, diag.mean_abs_der_cents
+            ) == adjustment_depth_oracle(events, diag.agent_id)
+        for row in report.categories:
+            # markets in the order of the agent's first forecast on each
+            by_cid: dict[str, list[float]] = {}
+            for e in events:
+                if e["kind"] == "forecast" and e["agent_id"] == row.agent_id:
+                    by_cid.setdefault(e["condition_id"], []).append(e["probability"])
+            briers = [
+                brier(p, outcomes[cid])
+                for cid, ps in by_cid.items()
+                if cid in outcomes and meta[cid][row.dimension] == row.value
+                for p in ps
+            ]
+            assert row.n_scored == len(briers)
+            assert row.mean_brier == (sum(briers) / len(briers) if briers else None)
