@@ -298,20 +298,17 @@ class EventFold:
             ordered = sorted(rows)
             probs = [row[1] for row in ordered]
             dprobs.extend(abs(p1 - p0) for p0, p1 in zip(probs, probs[1:]))
-            # Price and expected return of each forecast, None without a
-            # positive price; each return is computed once.
             markets = [self.prices.get((cid, row[0])) for row in ordered]
-            ers = [
-                expected_return(p, _REFERENCE_BET_CENTS, m)
-                if m is not None and 0.0 < m
-                else None
-                for p, m in zip(probs, markets)
-            ]
+            er1 = None  # the previous pair's second return, reused as the next first
             for i in range(1, len(ordered)):
-                er0, er1 = ers[i - 1], ers[i]
-                if er0 is not None and er1 is not None:
-                    dedges.append(abs((probs[i] - markets[i]) - (probs[i - 1] - markets[i - 1])))
+                p0, p1, m0, m1 = probs[i - 1], probs[i], markets[i - 1], markets[i]
+                if m0 is not None and m1 is not None and 0.0 < m0 and 0.0 < m1:
+                    dedges.append(abs((p1 - m1) - (p0 - m0)))
+                    er0 = er1 if er1 is not None else expected_return(p0, _REFERENCE_BET_CENTS, m0)
+                    er1 = expected_return(p1, _REFERENCE_BET_CENTS, m1)
                     ders.append(abs(er1 - er0))
+                else:
+                    er1 = None
         mean = lambda xs: (sum(xs) / len(xs)) if xs else None  # noqa: E731
         return mean(dprobs), mean(dedges), mean(ders)
 

@@ -302,7 +302,7 @@ def scoring_logs(draw) -> list[dict]:
             if draw(st.booleans()):
                 events.append({
                     "kind": "snapshot", "condition_id": cid, "cycle": cycle,
-                    "yes_price": draw(st.one_of(st.just(0.0), st.floats(0.001, 1.0))),
+                    "yes_price": draw(st.floats(min_value=0.0, max_value=1.0)),
                 })
         for agent_id in ("a", "b"):
             for cid in draw(st.permutations(cids)):
@@ -407,13 +407,23 @@ class TestScoringFoldMatchesPerForecast:
     @settings(max_examples=150, deadline=None)
     @given(scoring_logs())
     def test_adjustment_depth_and_category_briers(self, events):
+        try:
+            want = {
+                aid: adjustment_depth_oracle(events, aid) for aid in ("a", "b", "never_resolved")
+            }
+        except (OverflowError, ValueError) as exc:
+            # expected_return overflows on a subnormal price; the fold must
+            # fail the same way, no earlier and no later
+            with pytest.raises(type(exc)):
+                aggregate(events)
+            return
         report = aggregate(events)
         outcomes = {e["condition_id"]: e["outcome"] for e in events if e["kind"] == "resolution"}
         meta = {e["condition_id"]: e for e in events if e["kind"] == "market_meta"}
         for diag in report.diagnostics:
             assert (
                 diag.mean_abs_dprob, diag.mean_abs_dedge, diag.mean_abs_der_cents
-            ) == adjustment_depth_oracle(events, diag.agent_id)
+            ) == want[diag.agent_id]
         for row in report.categories:
             # markets in the order of the agent's first forecast on each
             by_cid: dict[str, list[float]] = {}
