@@ -293,15 +293,13 @@ class EventFold:
         edge, and expected return on a fixed reference bet."""
         dprobs: list[float] = []
         dedges: list[float] = []
-        ders: list[int] = []
+        ders: list[float] = []
         for cid, rows in self.forecasts.get(subject, {}).items():
             ordered = sorted(rows)
-            probs = [row[1] for row in ordered]
-            dprobs.extend(abs(p1 - p0) for p0, p1 in zip(probs, probs[1:]))
-            markets = [self.prices.get((cid, row[0])) for row in ordered]
-            er1 = None  # the previous pair's second return, reused as the next first
-            for i in range(1, len(ordered)):
-                p0, p1, m0, m1 = probs[i - 1], probs[i], markets[i - 1], markets[i]
+            er1 = None  # a priced pair's second return is the next pair's first
+            for (c0, p0, *_r0), (c1, p1, *_r1) in zip(ordered, ordered[1:]):
+                dprobs.append(abs(p1 - p0))
+                m0, m1 = self.prices.get((cid, c0)), self.prices.get((cid, c1))
                 if m0 is not None and m1 is not None and 0.0 < m0 and 0.0 < m1:
                     dedges.append(abs((p1 - m1) - (p0 - m0)))
                     er0 = er1 if er1 is not None else expected_return(p0, _REFERENCE_BET_CENTS, m0)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmark.agents import expected_return
@@ -297,7 +297,7 @@ def scoring_logs(draw) -> list[dict]:
             "probability": draw(PROBS), "confidence": draw(st.integers(0, 10)),
         }
 
-    for cycle in range(1, draw(st.integers(1, 4)) + 1):
+    for cycle in range(1, draw(st.integers(1, 6)) + 1):
         for cid in cids + [UNRESOLVED]:
             if draw(st.booleans()):
                 events.append({
@@ -406,6 +406,18 @@ class TestScoringFoldMatchesPerForecast:
 
     @settings(max_examples=150, deadline=None)
     @given(scoring_logs())
+    @example(  # priced, priced, unpriced, priced, priced: no return is carried over the gap
+        [{"kind": "agent_meta", "agent_id": "a"}]
+        + [
+            {"kind": "forecast", "agent_id": "a", "condition_id": "0x00", "cycle": c,
+             "probability": 0.1 * c, "confidence": 5}
+            for c in range(1, 6)
+        ]
+        + [
+            {"kind": "snapshot", "condition_id": "0x00", "cycle": c, "yes_price": 0.2 + 0.1 * c}
+            for c in (1, 2, 4, 5)
+        ]
+    )
     def test_adjustment_depth_and_category_briers(self, events):
         try:
             want = {
