@@ -16,9 +16,11 @@ import json
 import os
 import re
 import time as _time
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
+from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from .market_data import (
     EventCategory,
     MarketSnapshot,
     RateLimiter,
+    Risk,
     categorize_event,
     fetch_snapshot,
     generate_synthetic,
@@ -87,6 +90,7 @@ from .metrics import (
 )
 from .simulator import (
     EntryKind,
+    LedgerEntry,
     LedgerWriter,
     Mode,
     Portfolio,
@@ -196,6 +200,67 @@ def _totals(p: Portfolio) -> dict:
     }
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a tmp file beside ``path``, fsync it, then rename it
+    over ``path``: a crash leaves the old file or the new one, never a torn
+    one. The tmp name ends in ``.tmp``, which ``cycle_*.json`` does not match."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _price_history(window: int) -> defaultdict[str, deque[float]]:
+    """Each market's latest yes prices; the volatility of ``window`` price
+    changes needs ``window + 1`` of them."""
+    return defaultdict(lambda: deque(maxlen=window + 1))
+
+
+# Ledger entries that realize a position's P&L, which calibration windows hold.
+_REALIZED = (EntryKind.CLOSE, EntryKind.RESOLVE)
+
+
+def _calibrated(window: CalibrationWindow, entry: LedgerEntry) -> CalibrationWindow:
+    if entry.kind not in _REALIZED:
+        return window
+    return window.record(
+        ClosedPosition(entry.condition_id, entry.side.value, entry.cash_delta_cents)
+    )
+
+
+def _mean(xs: list[float]) -> float:
+    return (sum(xs) / len(xs)) if xs else 0.0
+
+
+def _drift_means(
+    curr: dict[str, float],
+    prev: dict[str, float],
+    snap_map: dict[str, MarketSnapshot],
+    prices: dict[str, deque[float]],
+) -> tuple[tuple[float, float, float], list[str]]:
+    """Means over the probabilities ``curr`` of the temporal drift from
+    ``prev`` in both forms and of the divergence from the market price, and
+    the markets whose temporal drift was taken, in order."""
+    compared: list[str] = []
+    dt_diff: list[float] = []
+    dt_prod: list[float] = []
+    divergence: list[float] = []
+    for cid, p_curr in curr.items():
+        if cid in snap_map:
+            divergence.append(abs(p_curr - snap_map[cid].yes_price))
+        p_prev = prev.get(cid)
+        history = prices.get(cid, ())
+        if p_prev is None or len(history) < 2:
+            continue
+        m_prev, m_curr = history[-2], history[-1]
+        compared.append(cid)
+        dt_diff.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "difference"))
+        dt_prod.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "product"))
+    return (_mean(dt_diff), _mean(dt_prod), _mean(divergence)), compared
+
+
 class _Forecast(NamedTuple):
     """The fields of a previous forecast that the next drift event reads;
     resume rebuilds them from the log in place of a ForecastRecord."""
@@ -203,6 +268,18 @@ class _Forecast(NamedTuple):
     probability: float
     confidence: int
     reasoning_trace: str
+
+
+class _Cycle(NamedTuple):
+    """One cycle's snapshots and what every agent's turn reads of them."""
+
+    number: int
+    now: datetime
+    snaps: list[MarketSnapshot]
+    snap_map: dict[str, MarketSnapshot]
+    # Each snapshot's instruction parts and their token spans.
+    rendered: list[tuple[list[str], list]]
+    risk_by_market: dict[str, Risk]
 
 
 @dataclass
@@ -217,17 +294,60 @@ class _AgentState:
     ledger_bytes: int = 0
 
 
+@dataclass
+class _Run:
+    """What a run carries from cycle to cycle, and the files it appends to."""
+
+    states: dict[str, _AgentState]
+    # Folds every event of the log, for the final reports.
+    fold: reporting.EventFold
+    prices: dict[str, deque[float]]
+    next_cycle: int = 1
+    # Each market's category from its cycle-1 snapshot.
+    categories: dict[str, EventCategory] = field(default_factory=dict)
+    # The previous cycle's baseline probabilities by kind, for baseline drift.
+    prev_baseline: dict[str, dict[str, float]] | None = None
+    events: TextIO | None = None
+    ledgers: dict[str, LedgerWriter] = field(default_factory=dict)
+    iso: _IsoCache = field(default_factory=_IsoCache)
+
+    def emit(self, ev: dict) -> None:
+        self.events.write(event_line(ev))
+        self.fold.add(ev)
+
+    def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
+        """Append an entry to the agent's ledger, log it, and feed it to the
+        agent's calibration window."""
+        self.ledgers[agent_id].append(entry)
+        self.emit(
+            {
+                "kind": "ledger",
+                "cycle": cycle,
+                "agent_id": agent_id,
+                "entry_kind": entry.kind.value,
+                **{k: v for k, v in entry_to_record(entry).items() if k != "kind"},
+            }
+        )
+        st = self.states[agent_id]
+        st.window = _calibrated(st.window, entry)
+
+    def close(self) -> None:
+        if self.events is not None:
+            self.events.close()
+        for writer in self.ledgers.values():
+            writer.close()
+
+
 class _KeptLog:
     """Reads the kept log on resume. Feeds every event to the run's fold and
     keeps what the fold does not: the last event, each market's recent
     prices, and each agent's forecasts from its latest cycle without an
     agent_failure, which the next drift event compares against."""
 
-    def __init__(self, fold: reporting.EventFold, history_len: int):
+    def __init__(self, fold: reporting.EventFold, prices: dict[str, deque[float]]):
         self.fold = fold
-        self.history_len = history_len
         self.last: dict | None = None
-        self.price_history: dict[str, list[float]] = {}
+        self.prices = prices
         self.prev_forecasts: dict[str, dict[str, _Forecast]] = {}
         self._cycle: dict[str, dict[str, _Forecast]] = {}
 
@@ -236,10 +356,7 @@ class _KeptLog:
         self.last = ev
         kind = ev.get("kind")
         if kind == "snapshot":
-            history = self.price_history.setdefault(ev["condition_id"], [])
-            history.append(ev["yes_price"])
-            if len(history) > self.history_len:
-                del history[0]
+            self.prices[ev["condition_id"]].append(ev["yes_price"])
         elif kind == "forecast":
             self._cycle.setdefault(ev["agent_id"], {})[ev["condition_id"]] = _Forecast(
                 ev["probability"], ev["confidence"], ev["trace"]
@@ -284,8 +401,6 @@ class EvalEngine:
         if not self.contract.locked:
             raise InvalidParameters("contract must be locked")
         self.mode = Mode(manifest.mode)
-        # Previous cycle's baseline probabilities, for baseline drift events.
-        self._prev_baseline_probs_map: dict[str, dict[str, float]] | None = None
 
     # -- construction helpers --
 
@@ -396,8 +511,7 @@ class EvalEngine:
                           events_bytes: int) -> None:
         """Record where the boundary after ``cycle`` falls in the log and the
         ledgers, and each agent's own state; resume rebuilds everything else
-        from the log. Written to a tmp file that ``cycle_*.json`` does not
-        match, fsynced, then renamed, so a crash never leaves it torn."""
+        from the log."""
         payload = {
             "next_cycle": cycle + 1,
             "events_bytes": events_bytes,
@@ -406,13 +520,10 @@ class EvalEngine:
                 for aid, st in states.items()
             },
         }
-        path = self._checkpoint_path(cycle)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        _write_atomic(
+            self._checkpoint_path(cycle),
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(),
+        )
 
     def _latest_checkpoint(self, at_cycle: int | None = None) -> dict:
         """The checkpoint at ``at_cycle``, else the newest one that parses: a
@@ -460,9 +571,7 @@ class EvalEngine:
         with open(path, "ab") as fh:
             fh.truncate(size)
 
-    def _restore(
-        self, ckpt: dict, fold: reporting.EventFold
-    ) -> tuple[dict[str, _AgentState], dict[str, list[float]]]:
+    def _restore(self, ckpt: dict, fold: reporting.EventFold) -> _Run:
         """Rebuild the run state at the checkpoint from the kept log:
         portfolios replayed from the ledger events, calibration windows,
         price history, previous forecasts and baseline probabilities. The
@@ -471,7 +580,7 @@ class EvalEngine:
         passed, so a resume that fails leaves them as they were."""
         cfg = self.config
         boundary = ckpt["next_cycle"] - 1
-        kept = _KeptLog(fold, cfg.metrics.volatility_window + 1)
+        kept = _KeptLog(fold, _price_history(cfg.metrics.volatility_window))
         self._read_prefix(self.paths.events, ckpt["events_bytes"], kept)
         last = kept.last or {}
         if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
@@ -482,28 +591,26 @@ class EvalEngine:
             if saved is None:
                 raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
             self._read_prefix(self._ledger_path(aid), saved["ledger_bytes"])
-            ledger = fold.ledgers.get(aid, [])
+            entries = [
+                entry_from_record({**e, "kind": e["entry_kind"]})
+                for e in fold.ledgers.get(aid, [])
+            ]
             portfolio = replay_ledger(
-                cfg.simulator.initial_capital_cents,
-                (entry_from_record({**e, "kind": e["entry_kind"]}) for e in ledger),
-                cfg.simulator.max_open_positions,
+                cfg.simulator.initial_capital_cents, entries, cfg.simulator.max_open_positions
             )
             if last.get("portfolios", {}).get(aid) != _totals(portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            size = cfg.agents.calibration_window_size
-            closed = [
-                ClosedPosition(e["condition_id"], e["side"], e["cash_delta_cents"])
-                for e in ledger
-                if e["entry_kind"] in ("CLOSE", "RESOLVE")
-            ]
+            window = CalibrationWindow(size=cfg.agents.calibration_window_size)
+            for entry in entries:
+                window = _calibrated(window, entry)
             agent = build_agent(aid, self.manifest.seed)
             agent.set_state(saved["state"])
             states[aid] = _AgentState(
                 agent=agent,
                 portfolio=portfolio,
-                window=CalibrationWindow(entries=tuple(closed[-size:]), size=size),
+                window=window,
                 prev_forecasts=kept.prev_forecasts.get(aid, {}),
                 ledger_bytes=saved["ledger_bytes"],
             )
@@ -512,7 +619,7 @@ class EvalEngine:
             self._truncate_lines(self._ledger_path(aid), st.ledger_bytes)
         # Baseline drift at the resume boundary compares with the boundary
         # cycle's baseline probabilities.
-        self._prev_baseline_probs_map = {
+        prev_baseline = {
             k.value: {
                 cid: rows[-1][1]
                 for cid, rows in fold.forecasts.get(reporting.BASELINE_PREFIX + k.value, {}).items()
@@ -520,7 +627,7 @@ class EvalEngine:
             }
             for k in BaselineKind
         }
-        return states, kept.price_history
+        return _Run(states, fold, kept.prices, ckpt["next_cycle"], prev_baseline=prev_baseline)
 
     # -- the run --
 
@@ -530,404 +637,401 @@ class EvalEngine:
         if resume and live:
             raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
         cycles_data, outcomes = self._load_feed()
-        cfg = self.config
-        batch_size = cfg.agents.batch_size
-        if not live:
+        if live:
+            total_cycles = self.manifest.cycles
+        else:
+            batch_size = self.config.agents.batch_size
             n_markets = len(cycles_data[0]) if cycles_data else 0
             if n_markets < batch_size:
                 raise InvalidParameters(
                     f"need at least {batch_size} markets per cycle, got {n_markets}"
                 )
-        total_cycles = min(self.manifest.cycles, len(cycles_data)) if not live else self.manifest.cycles
-
-        # Mutable run state.
-        states: dict[str, _AgentState] = {}
-        price_history: dict[str, list[float]] = {}
-        categories: dict[str, EventCategory] = {}
-        start_cycle = 1
-        events_mode = "w"
-        # Final reports fold every event of the log; the engine folds them as
-        # it writes them, and on resume folds the kept prefix as it cuts it.
-        fold = reporting.EventFold()
-
-        if resume:
-            ckpt = self._latest_checkpoint(resume_cycle)
-            start_cycle = ckpt["next_cycle"]
-            events_mode = "a"
-            states, price_history = self._restore(ckpt, fold)
-            # Rebuild static categories deterministically from cycle 1.
-            if cycles_data:
-                for snap in cycles_data[0]:
-                    categories[snap.condition_id] = self._categorize(snap)
-        else:
-            if not self.paths.manifest.exists():
-                self.paths.manifest.write_text(self.manifest.to_json(), encoding="utf-8")
-            store = ContractStore(self.paths.contracts)
-            store.save(self.contract, self.contract_hash)
-            for aid in self.manifest.agent_ids:
-                states[aid] = _AgentState(
-                    agent=build_agent(aid, self.manifest.seed),
-                    portfolio=Portfolio.fresh(
-                        cfg.simulator.initial_capital_cents, cfg.simulator.max_open_positions
-                    ),
-                    window=CalibrationWindow(size=cfg.agents.calibration_window_size),
-                )
-
-        ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in self.manifest.agent_ids}
-        events = open(self.paths.events, events_mode, encoding="utf-8")
-        iso = _IsoCache()
-
-        def emit(ev: dict) -> None:
-            events.write(event_line(ev))
-            fold.add(ev)
-
+            total_cycles = min(self.manifest.cycles, len(cycles_data))
+        run = self._setup(resume, resume_cycle, cycles_data[0] if cycles_data else [])
         try:
             if not resume:
-                emit(
-                    {
-                        "kind": "run_started",
-                        "run_id": self.manifest.run_id,
-                        "seed": self.manifest.seed,
-                        "cycles": total_cycles,
-                        "mode": self.manifest.mode,
-                        "agent_ids": list(self.manifest.agent_ids),
-                        "contract_hashes": list(self.manifest.contract_hashes),
-                        "feed_source": self.manifest.feed_source,
-                        "cycle_interval_sec": self.manifest.cycle_interval_sec,
-                    }
-                )
-                for aid in self.manifest.agent_ids:
-                    emit(
-                        {
-                            "kind": "agent_meta",
-                            "agent_id": aid,
-                            "agent_count": 1,
-                            "unique_users": None,
-                        }
-                    )
-
-            limiter = RateLimiter(cfg.market.rate_limit_per_sec) if live else None
-            resolved_so_far: list[tuple[ResolvedOutcome, EventCategory]] = []
-
-            cycle = start_cycle
-            while cycle <= total_cycles:
-                if live:
-                    if cycle > start_cycle and self.manifest.cycle_interval_sec > 0:
+                self._start(run, total_cycles)
+            limiter = RateLimiter(self.config.market.rate_limit_per_sec) if live else None
+            for cycle in range(run.next_cycle, total_cycles + 1):
+                if not live:
+                    snaps = cycles_data[cycle - 1]
+                else:
+                    if cycle > run.next_cycle and self.manifest.cycle_interval_sec > 0:
                         _time.sleep(self.manifest.cycle_interval_sec)
                     snaps = self._live_cycle(limiter)
-                else:
-                    snaps = cycles_data[cycle - 1]
-                if not snaps:
-                    raise FatalFeedError(f"cycle {cycle} produced no snapshots")
-                now = snaps[0].observed_at
-                now_iso = iso[now]
-                snap_map = {s.condition_id: s for s in snaps}
-                known = set(snap_map)
-
-                emit({"kind": "cycle_start", "cycle": cycle, "time": now_iso})
-                if cycle == 1:
-                    for s in snaps:
-                        categories[s.condition_id] = self._categorize(s)
-                        cat = categories[s.condition_id]
-                        emit(
-                            {
-                                "kind": "market_meta",
-                                "condition_id": s.condition_id,
-                                "question": s.question,
-                                "liquidity": s.liquidity_tier.value,
-                                "risk": cat.risk.value,
-                                "domain": cat.domain.value,
-                                "horizon": cat.horizon.value,
-                                "end_time": iso[s.end_time],
-                            }
-                        )
-                elif not categories:
-                    for s in snaps:
-                        categories.setdefault(s.condition_id, self._categorize(s))
-
-                for s in snaps:
-                    emit(
-                        {
-                            "kind": "snapshot",
-                            "cycle": cycle,
-                            "condition_id": s.condition_id,
-                            "yes_price": s.yes_price,
-                            "no_price": s.no_price,
-                            "observed_at": iso[s.observed_at],
-                        }
-                    )
-                    price_history.setdefault(s.condition_id, []).append(s.yes_price)
-                    # Volatility window only needs the recent tail.
-                    if len(price_history[s.condition_id]) > cfg.metrics.volatility_window + 1:
-                        price_history[s.condition_id] = price_history[s.condition_id][
-                            -(cfg.metrics.volatility_window + 1):
-                        ]
-
-                risk_by_market = {
-                    cid: risk_category(
-                        categories.get(cid, self._categorize(snap_map[cid])),
-                        price_volatility(price_history.get(cid, []), cfg.metrics.volatility_window),
-                        cfg.metrics.volatility_threshold,
-                    )
-                    for cid in snap_map
-                }
-
-                # Each market is rendered once; agents differ only in the
-                # portfolio summary that fills the gaps.
-                rendered = [render_instruction_parts(self.contract, s) for s in snaps]
-                rendered_spans = [[token_span(part) for part in parts] for parts in rendered]
-                budget = self.contract.token_budget
-                for aid in self.manifest.agent_ids:
-                    st = states[aid]
-                    records: dict[str, ForecastRecord] = {}
-                    curr_tokens: dict[str, frozenset[str]] = {}
-                    batch: DecisionBatch | None = None
-                    try:
-                        summary = st.portfolio.summary()
-                        summary_span = token_span(summary)
-                        for s, parts, spans in zip(snaps, rendered, rendered_spans):
-                            rec = sample_forecast(
-                                st.agent,
-                                summary.join(parts),
-                                s,
-                                budget,
-                                contract_hash=self.contract_hash,
-                                sampled_at=now,
-                                cycle_index=cycle,
-                                input_tokens=instruction_tokens(summary_span, spans),
-                            )
-                            records[s.condition_id] = rec
-                            emit(
-                                {
-                                    "kind": "forecast",
-                                    "cycle": cycle,
-                                    "agent_id": aid,
-                                    "condition_id": s.condition_id,
-                                    "probability": rec.probability,
-                                    "confidence": rec.confidence,
-                                    "trace": rec.reasoning_trace,
-                                    "strategy": rec.strategy.value,
-                                    "input_tokens": rec.input_tokens,
-                                    "output_tokens": rec.output_tokens,
-                                    "latency_ms": rec.latency_ms,
-                                    "sampled_at": iso[rec.sampled_at],
-                                    "contract_digest": rec.contract_hash.digest,
-                                }
-                            )
-                        if cycle >= 2 and st.prev_forecasts:
-                            emit(
-                                self._drift_event(
-                                    aid, cycle, st, records, curr_tokens, snap_map, price_history
-                                )
-                            )
-                        trigger_closes = self._trigger_closes(st.portfolio, snap_map)
-                        wire = build_decision_batch(
-                            st.agent,
-                            records,
-                            snaps,
-                            st.window,
-                            {p.condition_id for p in st.portfolio.open_positions},
-                            risk_by_market=risk_by_market,
-                            trigger_closes=trigger_closes,
-                            cfg=cfg.agents,
-                            produced_at=now,
-                        )
-                        batch, violations = parse_decision_wire(
-                            wire, agent_id=aid, produced_at=now, lenient=cfg.agents.lenient_json
-                        )
-                        validation = validate_decision_batch(
-                            batch,
-                            known | {p.condition_id for p in st.portfolio.open_positions},
-                            st.window,
-                            cfg.agents,
-                        )
-                        emit(
-                            {
-                                "kind": "batch",
-                                "cycle": cycle,
-                                "agent_id": aid,
-                                "accepted": validation.ok,
-                                "issues": [
-                                    {"code": i.code, "detail": i.detail} for i in validation.issues
-                                ],
-                                "wire_violations": violations,
-                                "n_decisions": len(batch.decisions),
-                                "n_buys": sum(
-                                    1
-                                    for d in batch.decisions
-                                    if d.action in (Action.BUY_YES, Action.BUY_NO)
-                                ),
-                            }
-                        )
-                        if not validation.ok:
-                            batch = self._fallback_batch(aid, now, snaps)
-                    except (MalformedAgentOutput, AgentTimeout) as exc:
-                        emit(
-                            {
-                                "kind": "agent_failure",
-                                "cycle": cycle,
-                                "agent_id": aid,
-                                "error": str(exc),
-                            }
-                        )
-                        records = {}
-                        batch = self._fallback_batch(aid, now, snaps)
-
-                    result = step(
-                        st.portfolio,
-                        batch,
-                        snap_map,
-                        self.mode,
-                        cfg.simulator.edge_delta,
-                        now=now,
-                        stop_loss=cfg.simulator.stop_loss_ratio,
-                        target_win=cfg.simulator.target_win_ratio,
-                    )
-                    st.portfolio = result.portfolio
-                    for entry in result.entries:
-                        ledgers[aid].append(entry)
-                        emit(
-                            {
-                                "kind": "ledger",
-                                "cycle": cycle,
-                                "agent_id": aid,
-                                "entry_kind": entry.kind.value,
-                                **{
-                                    k: v
-                                    for k, v in entry_to_record(entry).items()
-                                    if k != "kind"
-                                },
-                            }
-                        )
-                        if entry.kind == EntryKind.CLOSE:
-                            st.window = st.window.record(
-                                ClosedPosition(
-                                    entry.condition_id, entry.side.value, entry.cash_delta_cents
-                                )
-                            )
-                    for skip in result.skipped:
-                        emit(
-                            {
-                                "kind": "skip",
-                                "cycle": cycle,
-                                "agent_id": aid,
-                                "market_id": skip.market_id,
-                                "action": skip.action,
-                                "reason": skip.reason,
-                            }
-                        )
-                    if records:
-                        st.prev_forecasts = records
-                        st.prev_tokens = curr_tokens
-
-                # Baselines observe the exact same snapshots and timestamps.
-                baseline_probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
-                for s in snaps:
-                    cat = categories.get(s.condition_id) or self._categorize(s)
-                    forecasts = (
-                        market_baseline(s, cfg.baselines.market_use_mid),
-                        uniform_baseline(s),
-                        historical_frequency_baseline(cat, resolved_so_far, snapshot=s),
-                        heuristic_baseline(
-                            s,
-                            cfg.baselines.heuristic_favorite_prob,
-                            cfg.baselines.heuristic_longshot_prob,
-                        ),
-                    )
-                    for bf in forecasts:
-                        baseline_probs[bf.kind.value][s.condition_id] = bf.probability
-                        emit(
-                            {
-                                "kind": "baseline",
-                                "cycle": cycle,
-                                "baseline": bf.kind.value,
-                                "condition_id": bf.condition_id,
-                                "probability": bf.probability,
-                                "as_of": iso[bf.as_of],
-                            }
-                        )
-                self._emit_baseline_drift(emit, cycle, baseline_probs, snap_map, price_history)
-
-                emit(
-                    {
-                        "kind": "cycle_end",
-                        "cycle": cycle,
-                        "time": now_iso,
-                        "portfolios": {
-                            aid: _totals(states[aid].portfolio) for aid in self.manifest.agent_ids
-                        },
-                    }
-                )
-                for aid, writer in ledgers.items():
-                    states[aid].ledger_bytes = writer.sync()
-                events.flush()
-                if cfg.loop.checkpoint_every and cycle % cfg.loop.checkpoint_every == 0 and not live:
-                    # The checkpoint points into the log, so the log is made
-                    # durable first.
-                    os.fsync(events.fileno())
-                    self._write_checkpoint(cycle, states, os.fstat(events.fileno()).st_size)
-                cycle += 1
-
-            # Resolution and settlement after the last cycle.
-            resolution_cycle = total_cycles + 1
-            for outcome in outcomes:
-                emit(
-                    {
-                        "kind": "resolution",
-                        "condition_id": outcome.condition_id,
-                        "outcome": outcome.outcome,
-                        "resolved_at": iso[outcome.resolved_at],
-                    }
-                )
-                cat = categories.get(outcome.condition_id)
-                if cat is not None:
-                    resolved_so_far.append((outcome, cat))
-                for aid in self.manifest.agent_ids:
-                    st = states[aid]
-                    st.portfolio, entry = resolve_market(st.portfolio, outcome)
-                    if entry is not None:
-                        ledgers[aid].append(entry)
-                        emit(
-                            {
-                                "kind": "ledger",
-                                "cycle": resolution_cycle,
-                                "agent_id": aid,
-                                "entry_kind": entry.kind.value,
-                                **{
-                                    k: v
-                                    for k, v in entry_to_record(entry).items()
-                                    if k != "kind"
-                                },
-                            }
-                        )
-                        st.window = st.window.record(
-                            ClosedPosition(
-                                entry.condition_id, entry.side.value, entry.cash_delta_cents
-                            )
-                        )
-            for writer in ledgers.values():
-                writer.sync()
-
+                self._run_cycle(run, cycle, snaps)
+                self._end_cycle(run, cycle, checkpoint=not live)
+            self._settle(run, outcomes, total_cycles + 1)
             # Final reports are a fold over the log written so far.
-            final = reporting.final_reports_from_fold(fold, cfg)
+            final = reporting.final_reports_from_fold(run.fold, self.config)
             for subject in sorted(final):
-                emit({"kind": "final_report", "subject": subject, **final[subject]})
-            emit({"kind": "run_completed", "cycles_run": total_cycles})
+                run.emit({"kind": "final_report", "subject": subject, **final[subject]})
+            run.emit({"kind": "run_completed", "cycles_run": total_cycles})
         finally:
-            events.close()
-            for writer in ledgers.values():
-                writer.close()
-
+            run.close()
         sha = file_sha256(self.paths.events)
-        self.paths.events_sha.write_text(sha + "\n", encoding="utf-8")
+        _write_atomic(self.paths.events_sha, f"{sha}\n".encode())
         return RunResult(
             run_id=self.manifest.run_id,
             cycles_run=total_cycles,
             events_path=self.paths.events,
             event_log_sha256=sha,
             final_reports=final,
-            fold=fold,
+            fold=run.fold,
         )
+
+    def _setup(
+        self, resume: bool, resume_cycle: int | None, first_snaps: list[MarketSnapshot]
+    ) -> _Run:
+        """The run state before its next cycle, with the log and the ledgers
+        open: restored from a checkpoint, or fresh after the manifest and the
+        contract are saved."""
+        fold = reporting.EventFold()
+        if resume:
+            run = self._restore(self._latest_checkpoint(resume_cycle), fold)
+            run.categories = {s.condition_id: self._categorize(s) for s in first_snaps}
+        else:
+            if not self.paths.manifest.exists():
+                _write_atomic(self.paths.manifest, self.manifest.to_json().encode())
+            ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
+            sim = self.config.simulator
+            states = {
+                aid: _AgentState(
+                    agent=build_agent(aid, self.manifest.seed),
+                    portfolio=Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions),
+                    window=CalibrationWindow(size=self.config.agents.calibration_window_size),
+                )
+                for aid in self.manifest.agent_ids
+            }
+            run = _Run(states, fold, _price_history(self.config.metrics.volatility_window))
+        run.ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in self.manifest.agent_ids}
+        run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
+        return run
+
+    def _start(self, run: _Run, total_cycles: int) -> None:
+        m = self.manifest
+        run.emit(
+            {
+                "kind": "run_started",
+                "run_id": m.run_id,
+                "seed": m.seed,
+                "cycles": total_cycles,
+                "mode": m.mode,
+                "agent_ids": list(m.agent_ids),
+                "contract_hashes": list(m.contract_hashes),
+                "feed_source": m.feed_source,
+                "cycle_interval_sec": m.cycle_interval_sec,
+            }
+        )
+        for aid in m.agent_ids:
+            run.emit({"kind": "agent_meta", "agent_id": aid, "agent_count": 1, "unique_users": None})
+
+    def _run_cycle(self, run: _Run, cycle: int, snaps: list[MarketSnapshot]) -> None:
+        """Log one cycle: its snapshots, each agent's turn, the baselines and
+        the portfolios at its end."""
+        if not snaps:
+            raise FatalFeedError(f"cycle {cycle} produced no snapshots")
+        cfg = self.config.metrics
+        iso = run.iso
+        now_iso = iso[snaps[0].observed_at]
+        run.emit({"kind": "cycle_start", "cycle": cycle, "time": now_iso})
+        if cycle == 1:
+            run.categories.update((s.condition_id, self._categorize(s)) for s in snaps)
+            for s in snaps:
+                cat = run.categories[s.condition_id]
+                run.emit(
+                    {
+                        "kind": "market_meta",
+                        "condition_id": s.condition_id,
+                        "question": s.question,
+                        "liquidity": s.liquidity_tier.value,
+                        "risk": cat.risk.value,
+                        "domain": cat.domain.value,
+                        "horizon": cat.horizon.value,
+                        "end_time": iso[s.end_time],
+                    }
+                )
+        for s in snaps:
+            run.emit(
+                {
+                    "kind": "snapshot",
+                    "cycle": cycle,
+                    "condition_id": s.condition_id,
+                    "yes_price": s.yes_price,
+                    "no_price": s.no_price,
+                    "observed_at": iso[s.observed_at],
+                }
+            )
+            run.prices[s.condition_id].append(s.yes_price)
+        snap_map = {s.condition_id: s for s in snaps}
+        # Each market is rendered once; agents differ only in the portfolio
+        # summary that fills the gaps.
+        rendered = []
+        for s in snaps:
+            parts = render_instruction_parts(self.contract, s)
+            rendered.append((parts, [token_span(part) for part in parts]))
+        c = _Cycle(
+            number=cycle,
+            now=snaps[0].observed_at,
+            snaps=snaps,
+            snap_map=snap_map,
+            rendered=rendered,
+            risk_by_market={
+                cid: risk_category(
+                    self._category(run, s),
+                    price_volatility(run.prices[cid], cfg.volatility_window),
+                    cfg.volatility_threshold,
+                )
+                for cid, s in snap_map.items()
+            },
+        )
+        for aid in self.manifest.agent_ids:
+            self._agent_turn(run, c, aid)
+        self._baselines(run, c)
+        run.emit(
+            {
+                "kind": "cycle_end",
+                "cycle": cycle,
+                "time": now_iso,
+                "portfolios": {
+                    aid: _totals(run.states[aid].portfolio) for aid in self.manifest.agent_ids
+                },
+            }
+        )
+
+    def _end_cycle(self, run: _Run, cycle: int, checkpoint: bool) -> None:
+        """Make the cycle durable: ledgers synced, the log flushed, and a
+        checkpoint when one is due."""
+        for aid, writer in run.ledgers.items():
+            run.states[aid].ledger_bytes = writer.sync()
+        run.events.flush()
+        every = self.config.loop.checkpoint_every
+        if checkpoint and every and cycle % every == 0:
+            # The checkpoint points into the log, so the log is made durable first.
+            os.fsync(run.events.fileno())
+            self._write_checkpoint(cycle, run.states, os.fstat(run.events.fileno()).st_size)
+
+    def _agent_turn(self, run: _Run, c: _Cycle, aid: str) -> None:
+        """One agent's cycle: forecasts, drift, its decision batch and the
+        simulator step. A failing agent trades a batch of HOLDs."""
+        st = run.states[aid]
+        sim = self.config.simulator
+        curr_tokens: dict[str, frozenset[str]] = {}
+        try:
+            records = self._forecasts(run, c, aid)
+            if st.prev_forecasts:
+                run.emit(self._agent_drift(run, c, aid, records, curr_tokens))
+            batch = self._decide(run, c, aid, records)
+        except (MalformedAgentOutput, AgentTimeout) as exc:
+            run.emit(
+                {"kind": "agent_failure", "cycle": c.number, "agent_id": aid, "error": str(exc)}
+            )
+            records = {}
+            batch = self._fallback_batch(aid, c.now, c.snaps)
+        result = step(
+            st.portfolio,
+            batch,
+            c.snap_map,
+            self.mode,
+            sim.edge_delta,
+            now=c.now,
+            stop_loss=sim.stop_loss_ratio,
+            target_win=sim.target_win_ratio,
+        )
+        st.portfolio = result.portfolio
+        for entry in result.entries:
+            run.record(c.number, aid, entry)
+        for skip in result.skipped:
+            run.emit(
+                {
+                    "kind": "skip",
+                    "cycle": c.number,
+                    "agent_id": aid,
+                    "market_id": skip.market_id,
+                    "action": skip.action,
+                    "reason": skip.reason,
+                }
+            )
+        if records:
+            st.prev_forecasts = records
+            st.prev_tokens = curr_tokens
+
+    def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
+        """Sample and log the agent's forecast of every market."""
+        st = run.states[aid]
+        summary = st.portfolio.summary()
+        summary_span = token_span(summary)
+        records: dict[str, ForecastRecord] = {}
+        for s, (parts, spans) in zip(c.snaps, c.rendered):
+            rec = sample_forecast(
+                st.agent,
+                summary.join(parts),
+                s,
+                self.contract.token_budget,
+                contract_hash=self.contract_hash,
+                sampled_at=c.now,
+                cycle_index=c.number,
+                input_tokens=instruction_tokens(summary_span, spans),
+            )
+            records[s.condition_id] = rec
+            run.emit(
+                {
+                    "kind": "forecast",
+                    "cycle": c.number,
+                    "agent_id": aid,
+                    "condition_id": s.condition_id,
+                    "probability": rec.probability,
+                    "confidence": rec.confidence,
+                    "trace": rec.reasoning_trace,
+                    "strategy": rec.strategy.value,
+                    "input_tokens": rec.input_tokens,
+                    "output_tokens": rec.output_tokens,
+                    "latency_ms": rec.latency_ms,
+                    "sampled_at": run.iso[rec.sampled_at],
+                    "contract_digest": rec.contract_hash.digest,
+                }
+            )
+        return records
+
+    def _decide(
+        self, run: _Run, c: _Cycle, aid: str, records: dict[str, ForecastRecord]
+    ) -> DecisionBatch:
+        """Build, parse, validate and log the agent's decision batch; a
+        rejected batch falls back to HOLDs."""
+        cfg = self.config.agents
+        st = run.states[aid]
+        open_ids = {p.condition_id for p in st.portfolio.open_positions}
+        wire = build_decision_batch(
+            st.agent,
+            records,
+            c.snaps,
+            st.window,
+            open_ids,
+            risk_by_market=c.risk_by_market,
+            trigger_closes=self._trigger_closes(st.portfolio, c.snap_map),
+            cfg=cfg,
+            produced_at=c.now,
+        )
+        batch, violations = parse_decision_wire(
+            wire, agent_id=aid, produced_at=c.now, lenient=cfg.lenient_json
+        )
+        validation = validate_decision_batch(batch, set(c.snap_map) | open_ids, st.window, cfg)
+        run.emit(
+            {
+                "kind": "batch",
+                "cycle": c.number,
+                "agent_id": aid,
+                "accepted": validation.ok,
+                "issues": [{"code": i.code, "detail": i.detail} for i in validation.issues],
+                "wire_violations": violations,
+                "n_decisions": len(batch.decisions),
+                "n_buys": sum(
+                    1 for d in batch.decisions if d.action in (Action.BUY_YES, Action.BUY_NO)
+                ),
+            }
+        )
+        return batch if validation.ok else self._fallback_batch(aid, c.now, c.snaps)
+
+    def _agent_drift(
+        self,
+        run: _Run,
+        c: _Cycle,
+        aid: str,
+        records: dict[str, ForecastRecord],
+        curr_tokens: dict[str, frozenset[str]],
+    ) -> dict:
+        """The agent's drift against its previous forecasts; fills
+        ``curr_tokens`` with the token sets of the traces it compares."""
+        st = run.states[aid]
+        prev = st.prev_forecasts
+        means, compared = _drift_means(
+            {cid: rec.probability for cid, rec in records.items()},
+            {cid: rec.probability for cid, rec in prev.items()},
+            c.snap_map,
+            run.prices,
+        )
+        dn_parts: list[float] = []
+        for cid in compared:
+            prev_tokens = st.prev_tokens.get(cid)
+            if prev_tokens is None:
+                prev_tokens = token_set(prev[cid].reasoning_trace)
+            tokens = curr_tokens[cid] = token_set(records[cid].reasoning_trace)
+            dn_parts.append(narrative_drift_sets(prev_tokens, tokens))
+        return self._drift_event(c.number, aid, means, _mean(dn_parts))
+
+    def _baselines(self, run: _Run, c: _Cycle) -> None:
+        """Log every baseline's forecast from the snapshots and timestamps the
+        agents saw, then each baseline's drift."""
+        cfg = self.config.baselines
+        probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
+        for s in c.snaps:
+            forecasts = (
+                market_baseline(s, cfg.market_use_mid),
+                uniform_baseline(s),
+                # Outcomes settle only after the last cycle, so none has resolved.
+                historical_frequency_baseline(self._category(run, s), (), snapshot=s),
+                heuristic_baseline(s, cfg.heuristic_favorite_prob, cfg.heuristic_longshot_prob),
+            )
+            for bf in forecasts:
+                probs[bf.kind.value][s.condition_id] = bf.probability
+                run.emit(
+                    {
+                        "kind": "baseline",
+                        "cycle": c.number,
+                        "baseline": bf.kind.value,
+                        "condition_id": bf.condition_id,
+                        "probability": bf.probability,
+                        "as_of": run.iso[bf.as_of],
+                    }
+                )
+        if run.prev_baseline:
+            for kind, curr in probs.items():
+                prev = run.prev_baseline.get(kind, {})
+                means, _ = _drift_means(curr, prev, c.snap_map, run.prices)
+                run.emit(self._drift_event(c.number, reporting.BASELINE_PREFIX + kind, means))
+        run.prev_baseline = probs
+
+    def _drift_event(
+        self, cycle: int, subject: str, means: tuple[float, float, float], d_narrative: float = 0.0
+    ) -> dict:
+        """A drift event from ``_drift_means``; only agents drift in narrative.
+        Nothing resolves mid-run, so ``d_confidence`` is 0 (see the post-hoc
+        fold)."""
+        dt_diff, dt_prod, divergence = means
+        dt = dt_diff if self.config.metrics.temporal_drift_form == "difference" else dt_prod
+        return {
+            "kind": "drift",
+            "cycle": cycle,
+            "agent_id": subject,
+            "d_narrative": d_narrative,
+            "d_temporal": dt,
+            "d_temporal_difference": dt_diff,
+            "d_temporal_product": dt_prod,
+            "d_confidence": 0.0,
+            "d_total": d_narrative + dt,
+            "market_divergence": divergence,
+            "low_evidence": True,
+        }
+
+    def _settle(self, run: _Run, outcomes: list[ResolvedOutcome], cycle: int) -> None:
+        """Log each outcome and settle every agent's position in its market,
+        after the last cycle."""
+        for outcome in outcomes:
+            run.emit(
+                {
+                    "kind": "resolution",
+                    "condition_id": outcome.condition_id,
+                    "outcome": outcome.outcome,
+                    "resolved_at": run.iso[outcome.resolved_at],
+                }
+            )
+            for aid in self.manifest.agent_ids:
+                st = run.states[aid]
+                st.portfolio, entry = resolve_market(st.portfolio, outcome)
+                if entry is not None:
+                    run.record(cycle, aid, entry)
+        for writer in run.ledgers.values():
+            writer.sync()
 
     # -- helpers --
 
@@ -943,6 +1047,12 @@ class EvalEngine:
             horizon_short_days=m.horizon_short_days,
             horizon_medium_days=m.horizon_medium_days,
         )
+
+    def _category(self, run: _Run, snap: MarketSnapshot) -> EventCategory:
+        """The market's cycle-1 category; a market first seen later is
+        categorized from this snapshot."""
+        cat = run.categories.get(snap.condition_id)
+        return cat if cat is not None else self._categorize(snap)
 
     def _trigger_closes(
         self, portfolio: Portfolio, snap_map: dict[str, MarketSnapshot]
@@ -981,117 +1091,6 @@ class EvalEngine:
             produced_at=now,
         )
 
-    def _drift_event(
-        self,
-        agent_id: str,
-        cycle: int,
-        st: _AgentState,
-        curr: dict[str, ForecastRecord],
-        curr_tokens: dict[str, frozenset[str]],
-        snap_map: dict[str, MarketSnapshot],
-        price_history: dict[str, list[float]],
-    ) -> dict:
-        """Drift of ``curr`` against ``st.prev_forecasts``; fills
-        ``curr_tokens`` with the token sets of the traces it compares."""
-        form = self.config.metrics.temporal_drift_form
-        prev = st.prev_forecasts
-        dn_parts: list[float] = []
-        dt_diff_parts: list[float] = []
-        dt_prod_parts: list[float] = []
-        for cid, rec in curr.items():
-            prev_rec = prev.get(cid)
-            history = price_history.get(cid, [])
-            if prev_rec is None or len(history) < 2:
-                continue
-            m_prev, m_curr = history[-2], history[-1]
-            prev_tokens = st.prev_tokens.get(cid)
-            if prev_tokens is None:
-                prev_tokens = token_set(prev_rec.reasoning_trace)
-            tokens = curr_tokens[cid] = token_set(rec.reasoning_trace)
-            dn_parts.append(narrative_drift_sets(prev_tokens, tokens))
-            dt_diff_parts.append(
-                temporal_drift(
-                    prev_rec.probability, rec.probability, m_prev, m_curr, "difference"
-                )
-            )
-            dt_prod_parts.append(
-                temporal_drift(prev_rec.probability, rec.probability, m_prev, m_curr, "product")
-            )
-        divergence_parts = [
-            abs(rec.probability - snap_map[cid].yes_price)
-            for cid, rec in curr.items()
-            if cid in snap_map
-        ]
-        mean = lambda xs: (sum(xs) / len(xs)) if xs else 0.0  # noqa: E731
-        dn = mean(dn_parts)
-        dt_diff = mean(dt_diff_parts)
-        dt_prod = mean(dt_prod_parts)
-        dt = dt_diff if form == "difference" else dt_prod
-        dc = 0.0  # nothing resolved mid-run; see the post-hoc fold
-        return {
-            "kind": "drift",
-            "cycle": cycle,
-            "agent_id": agent_id,
-            "d_narrative": dn,
-            "d_temporal": dt,
-            "d_temporal_difference": dt_diff,
-            "d_temporal_product": dt_prod,
-            "d_confidence": dc,
-            "d_total": dn + dt + dc,
-            "market_divergence": mean(divergence_parts),
-            "low_evidence": True,
-        }
-
-    def _emit_baseline_drift(
-        self,
-        emit,
-        cycle: int,
-        baseline_probs: dict[str, dict[str, float]],
-        snap_map: dict[str, MarketSnapshot],
-        price_history: dict[str, list[float]],
-    ) -> None:
-        prev = self._prev_baseline_probs_map
-        if cycle >= 2 and prev:
-            form = self.config.metrics.temporal_drift_form
-            for bkind, probs in baseline_probs.items():
-                prev_probs = prev.get(bkind, {})
-                dt_diff_parts: list[float] = []
-                dt_prod_parts: list[float] = []
-                divergence_parts: list[float] = []
-                for cid, p_curr in probs.items():
-                    if cid in snap_map:
-                        divergence_parts.append(abs(p_curr - snap_map[cid].yes_price))
-                    p_prev = prev_probs.get(cid)
-                    history = price_history.get(cid, [])
-                    if p_prev is None or len(history) < 2:
-                        continue
-                    m_prev, m_curr = history[-2], history[-1]
-                    dt_diff_parts.append(
-                        temporal_drift(p_prev, p_curr, m_prev, m_curr, "difference")
-                    )
-                    dt_prod_parts.append(
-                        temporal_drift(p_prev, p_curr, m_prev, m_curr, "product")
-                    )
-                mean = lambda xs: (sum(xs) / len(xs)) if xs else 0.0  # noqa: E731
-                dt_diff = mean(dt_diff_parts)
-                dt_prod = mean(dt_prod_parts)
-                dt = dt_diff if form == "difference" else dt_prod
-                emit(
-                    {
-                        "kind": "drift",
-                        "cycle": cycle,
-                        "agent_id": reporting.BASELINE_PREFIX + bkind,
-                        "d_narrative": 0.0,
-                        "d_temporal": dt,
-                        "d_temporal_difference": dt_diff,
-                        "d_temporal_product": dt_prod,
-                        "d_confidence": 0.0,
-                        "d_total": dt,
-                        "market_divergence": mean(divergence_parts),
-                        "low_evidence": True,
-                    }
-                )
-        self._prev_baseline_probs_map = baseline_probs
 
 
 def _read_checkpoint(path: Path) -> dict | None:

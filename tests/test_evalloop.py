@@ -402,6 +402,32 @@ class TestCheckpointResume:
             resume_run(tmp_path, "liveck")
 
 
+class TestAtomicWrites:
+    def test_manifest_checkpoints_and_hash_are_renamed_into_place(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        make_engine(tmp_path, cycles=2, run_id="atomic").run()
+        assert replaced == ["manifest.json", "cycle_00001.json", "cycle_00002.json", "events.sha256"]
+
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.sha256"
+        path.write_bytes(b"old\n")
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            evalloop._write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"old\n"
+
+
 class TestReplaySource:
     def test_replay_feed_run(self, tmp_path):
         feed = generate_synthetic(9, 35, 4)
