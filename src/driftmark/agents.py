@@ -596,27 +596,18 @@ def build_decision_batch(
     open_positions: set[str],
     *,
     risk_by_market: dict[str, Risk],
-    trigger_closes: Sequence[str],
     cfg: AgentConfig,
     produced_at: datetime,
 ) -> str:
     """Assemble the agent's wire-format reply for one cycle.
 
-    Mandatory trigger closes come first, then ranked BUY candidates that
-    clear the mode's floors, then HOLD padding up to exactly 30 unique
-    markets.
+    Ranked BUY candidates that clear the mode's floors come first, then HOLD
+    padding up to exactly 30 unique markets. Stop-loss and target-win closes
+    are not decisions: ``simulator.step`` enforces them.
     """
     mode = window.mode
     decisions: list[Decision] = []
     used: set[str] = set()
-
-    for cid in trigger_closes:
-        if cid in used:
-            continue
-        decisions.append(
-            Decision(market_id=cid, action=Action.CLOSE, reasoning="risk trigger close")
-        )
-        used.add(cid)
 
     if mode == WindowMode.CALIBRATION:
         min_conf, min_edge = cfg.calibration_min_confidence, cfg.calibration_min_edge

@@ -17,7 +17,7 @@ import os
 import re
 import time as _time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
@@ -94,11 +94,8 @@ from .simulator import (
     LedgerWriter,
     Mode,
     Portfolio,
-    Trigger,
-    _value_cents,
     entry_from_record,
     entry_to_record,
-    evaluate_triggers,
     replay_ledger,
     resolve_market,
     step,
@@ -908,7 +905,6 @@ class EvalEngine:
             st.window,
             open_ids,
             risk_by_market=c.risk_by_market,
-            trigger_closes=self._trigger_closes(st.portfolio, c.snap_map),
             cfg=cfg,
             produced_at=c.now,
         )
@@ -1053,27 +1049,6 @@ class EvalEngine:
         categorized from this snapshot."""
         cat = run.categories.get(snap.condition_id)
         return cat if cat is not None else self._categorize(snap)
-
-    def _trigger_closes(
-        self, portfolio: Portfolio, snap_map: dict[str, MarketSnapshot]
-    ) -> list[str]:
-        triggered = []
-        for p in portfolio.open_positions:
-            snap = snap_map.get(p.condition_id)
-            if snap is None:
-                continue
-            value = _value_cents(p.quantity_micro, p.side_price(snap))
-            marked = replace(p, unrealized_pnl_cents=value - p.cost_basis_cents)
-            if (
-                evaluate_triggers(
-                    marked,
-                    self.config.simulator.stop_loss_ratio,
-                    self.config.simulator.target_win_ratio,
-                )
-                != Trigger.NONE
-            ):
-                triggered.append(p.condition_id)
-        return triggered
 
     def _fallback_batch(
         self, agent_id: str, now, snaps: Sequence[MarketSnapshot]

@@ -449,7 +449,6 @@ class TestBuildDecisionBatch:
             CalibrationWindow(),
             set(),
             risk_by_market={s.condition_id: Risk.LOW for s in snaps},
-            trigger_closes=[],
             cfg=AgentConfig(),
             produced_at=NOW,
         )
@@ -459,29 +458,3 @@ class TestBuildDecisionBatch:
         assert len(set(ids)) == 30
         result = validate_decision_batch(batch, {s.condition_id for s in snaps}, CalibrationWindow())
         assert result.ok
-
-    def test_trigger_closes_lead(self):
-        agent = build_agent("market_copier")
-        snaps = [make_snapshot(cid=f"0x{i:040x}") for i in range(35)]
-        contract, chash = lock_contract("t", "v1", 1000)
-        records = {
-            s.condition_id: sample_forecast(
-                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1,
-                input_tokens=1,
-            )
-            for s in snaps
-        }
-        wire = build_decision_batch(
-            agent,
-            records,
-            snaps,
-            CalibrationWindow(),
-            {snaps[0].condition_id},
-            risk_by_market={},
-            trigger_closes=[snaps[0].condition_id],
-            cfg=AgentConfig(),
-            produced_at=NOW,
-        )
-        batch, _ = parse_decision_wire(wire, agent_id="a", produced_at=NOW)
-        assert batch.decisions[0].action == Action.CLOSE
-        assert batch.decisions[0].market_id == snaps[0].condition_id

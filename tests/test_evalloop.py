@@ -102,6 +102,17 @@ class TestRunBasics:
         ]
         assert sorted(e["cycle"] for e in drift) == [2, 3, 4]
 
+    def test_trigger_close_logged_once_without_a_skip(self, tmp_path):
+        """Stop-loss and target-win closes are the simulator step's alone, so
+        no agent CLOSE of an already closed position is skipped."""
+        result = make_engine(
+            tmp_path, seed=7, agents=("momentum", "mean_reversion"), cycles=6, run_id="trig"
+        ).run()
+        events = list(iter_events(result.events_path))
+        notes = [e["note"] for e in events if e["kind"] == "ledger" and e["entry_kind"] == "CLOSE"]
+        assert any(note.startswith("trigger_") for note in notes)
+        assert [e for e in events if e["kind"] == "skip" and e["reason"] == "no_such_position"] == []
+
     def test_observation_mode_trades_nothing(self, tmp_path):
         result = make_engine(tmp_path, cycles=3, mode="observation").run()
         ledger = [e for e in iter_events(result.events_path) if e["kind"] == "ledger"]

@@ -46,10 +46,13 @@ MANIFESTS = {
 
 # name -> {path under the run directory: sha256}, computed on the engine
 # before its hot-path pass. An agent that never trades has an empty ledger.
+# The event-log pins moved once since, when the engine stopped asking for
+# trigger closes that the simulator step had already made: each new log is
+# the old one without its ``no_such_position`` skip lines.
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "d8d3f9255cdd8be739622172247a3f55c3c363e20862f7f42fb81b82f3256f53",
+        "events.jsonl": "38442c679ead9ccee5a8d2fd8e8ce365df99d95776c1bedc29c37b7e8496e2a4",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -62,13 +65,13 @@ PINS = {
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "0e29075a45c5b0376ebb31f16928a69c71f8cbc8d792248b5082c0e805822e63",
+        "events.jsonl": "6a37c4c9fd01e10f9c05a6d71ee78aaa9329e73b43e4654effd215b8da23b33b",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "6062e5f7ae2290dd42ecb6b90cb1c4cddfcdb1b80a5c5c0304fd42376c8e27b8",
+        "events.jsonl": "7d4554664b6e4f8c213e4b878499d826c5b7cca91048218e78739fb9076bad81",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
