@@ -596,14 +596,16 @@ def build_decision_batch(
     open_positions: set[str],
     *,
     risk_by_market: dict[str, Risk],
+    max_open_positions: int,
     cfg: AgentConfig,
     produced_at: datetime,
 ) -> str:
     """Assemble the agent's wire-format reply for one cycle.
 
-    Ranked BUY candidates that clear the mode's floors come first, then HOLD
-    padding up to exactly 30 unique markets. Stop-loss and target-win closes
-    are not decisions: ``simulator.step`` enforces them.
+    Ranked BUY candidates that clear the mode's floors come first, as many
+    as ``max_open_positions`` leaves room for, then HOLD padding up to
+    exactly 30 unique markets. Stop-loss and target-win closes are not
+    decisions: ``simulator.step`` enforces them.
     """
     mode = window.mode
     decisions: list[Decision] = []
@@ -654,7 +656,7 @@ def build_decision_batch(
                 )
             )
 
-    room = cfg.max_open_positions - len(open_positions)
+    room = max_open_positions - len(open_positions)
     for opp in rank_opportunities(candidates):
         if len(decisions) >= cfg.batch_size or room <= 0:
             break

@@ -48,15 +48,11 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    momentum_bias: float = 0.05
-    mean_reversion_weight: float = 0.25
-    drift_ema_alpha: float = 0.3
     # RISK_CONFIRMATION sizing multiplier on HIGH-risk markets.
     high_risk_size_factor: float = 0.5
     buy_min_cents: int = 10_000
     buy_max_cents: int = 20_000
     batch_size: int = 30
-    max_open_positions: int = 30
     bootstrap_min_confidence: int = 7
     bootstrap_min_edge: float = 0.05
     calibration_min_confidence: int = 9
@@ -86,6 +82,13 @@ class MetricConfig:
     volatility_window: int = 10
     hhis_weights: tuple[float, float, float, float, float] = (0.2, 0.2, 0.3, 0.15, 0.15)
 
+    def __post_init__(self):
+        if self.temporal_drift_form not in ("difference", "product"):
+            raise ConfigError(
+                f"metrics.temporal_drift_form must be difference or product, "
+                f"not {self.temporal_drift_form!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SimulatorConfig:
@@ -94,6 +97,7 @@ class SimulatorConfig:
     target_win_ratio: float = 0.50
     # Execution-mode entry threshold on recorded edge.
     edge_delta: float = 0.03
+    # The one open-position limit: the simulator enforces it, agents plan for it.
     max_open_positions: int = 30
 
 
@@ -101,9 +105,7 @@ class SimulatorConfig:
 class LoopConfig:
     cycle_interval_sec: int = 3600
     sweep_budgets: tuple[int, ...] = (500, 1000, 2000, 4000)
-    bootstrap_resamples: int = 10_000
     checkpoint_every: int = 1
-    mode: str = "execution"  # or "observation"
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,19 @@ _SECTIONS = {
 }
 
 
+# Keys that no longer exist. Config snapshots in older manifests still hold
+# them, so they are ignored: none of them had an effect, apart from
+# agents.max_open_positions, which must equal the simulator's limit.
+_RETIRED = (
+    ("agents", "momentum_bias"),
+    ("agents", "mean_reversion_weight"),
+    ("agents", "drift_ema_alpha"),
+    ("agents", "max_open_positions"),
+    ("loop", "bootstrap_resamples"),
+    ("loop", "mode"),
+)
+
+
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
     """Build a config from a nested dict, keeping defaults for absent keys."""
     sections: dict[str, Any] = {}
@@ -138,7 +153,7 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
         section = data.get(name) or {}
         if not isinstance(section, dict):
             raise ConfigError(f"config section [{name}] must hold a mapping")
-        raw = dict(section)
+        raw = {k: v for k, v in section.items() if (name, k) not in _RETIRED}
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys in [{name}]: {sorted(unknown)}")
@@ -149,6 +164,13 @@ def config_from_dict(data: dict[str, Any]) -> EngineConfig:
     unknown_sections = set(data) - set(_SECTIONS)
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
+    agent_limit = (data.get("agents") or {}).get("max_open_positions")
+    if agent_limit is not None and agent_limit != sections["simulator"].max_open_positions:
+        raise ConfigError(
+            f"agents.max_open_positions {agent_limit} differs from "
+            f"simulator.max_open_positions {sections['simulator'].max_open_positions}; "
+            "the one limit is now simulator.max_open_positions"
+        )
     return EngineConfig(**sections)
 
 

@@ -905,6 +905,7 @@ class EvalEngine:
             st.window,
             open_ids,
             risk_by_market=c.risk_by_market,
+            max_open_positions=self.config.simulator.max_open_positions,
             cfg=cfg,
             produced_at=c.now,
         )

@@ -449,6 +449,7 @@ class TestBuildDecisionBatch:
             CalibrationWindow(),
             set(),
             risk_by_market={s.condition_id: Risk.LOW for s in snaps},
+            max_open_positions=30,
             cfg=AgentConfig(),
             produced_at=NOW,
         )

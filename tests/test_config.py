@@ -15,7 +15,7 @@ def test_defaults():
     assert cfg.agents.buy_min_cents == 10_000
     assert cfg.agents.buy_max_cents == 20_000
     assert cfg.agents.batch_size == 30
-    assert cfg.agents.max_open_positions == 30
+    assert cfg.simulator.max_open_positions == 30
     assert cfg.metrics.hhis_weights == (0.2, 0.2, 0.3, 0.15, 0.15)
     assert cfg.metrics.temporal_drift_form == "difference"
     assert cfg.simulator.initial_capital_cents == 600_000
@@ -52,6 +52,58 @@ def test_unknown_keys_rejected():
 def test_round_trip_through_dict():
     cfg = EngineConfig()
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+# The six knobs a config snapshot held before they were retired, at their defaults.
+RETIRED_DEFAULTS = {
+    "agents": {
+        "momentum_bias": 0.05, "mean_reversion_weight": 0.25, "drift_ema_alpha": 0.3,
+        "max_open_positions": 30,
+    },
+    "loop": {"bootstrap_resamples": 10_000, "mode": "execution"},
+}
+
+
+class TestRetiredKeys:
+    def test_old_snapshot_still_loads(self):
+        data = EngineConfig().to_dict()
+        for section, keys in RETIRED_DEFAULTS.items():
+            data[section].update(keys)
+        assert config_from_dict(data) == EngineConfig()
+
+    def test_retired_keys_are_gone(self):
+        cfg = EngineConfig()
+        for section, keys in RETIRED_DEFAULTS.items():
+            for key in keys:
+                assert not hasattr(getattr(cfg, section), key)
+
+    def test_agent_limit_must_equal_simulator_limit(self):
+        assert config_from_dict(
+            {"agents": {"max_open_positions": 5}, "simulator": {"max_open_positions": 5}}
+        ).simulator.max_open_positions == 5
+        with pytest.raises(ConfigError, match="max_open_positions"):
+            config_from_dict({"agents": {"max_open_positions": 5}})
+        with pytest.raises(ConfigError, match="max_open_positions"):
+            config_from_dict({"simulator": {"max_open_positions": 5}, "agents": {"max_open_positions": 30}})
+
+
+class TestDriftForm:
+    @pytest.mark.parametrize("form", ["difference", "product"])
+    def test_known_forms(self, form):
+        cfg = config_from_dict({"metrics": {"temporal_drift_form": form}})
+        assert cfg.metrics.temporal_drift_form == form
+
+    @pytest.mark.parametrize("form", ["differnce", "Product", ""])
+    def test_unknown_form_raises_config_error(self, form):
+        with pytest.raises(ConfigError, match="temporal_drift_form"):
+            config_from_dict({"metrics": {"temporal_drift_form": form}})
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "typo.yaml"
+        path.write_text("metrics:\n  temporal_drift_form: differnce\n", encoding="utf-8")
+        code = cli_main(["--config", str(path), "--out", str(tmp_path), "verify", "--run-id", "x"])
+        assert code == 1
+        assert "temporal_drift_form" in capsys.readouterr().err
 
 
 class TestConfigErrors:

@@ -113,6 +113,20 @@ class TestRunBasics:
         assert any(note.startswith("trigger_") for note in notes)
         assert [e for e in events if e["kind"] == "skip" and e["reason"] == "no_such_position"] == []
 
+    def test_batches_plan_for_the_simulator_position_limit(self, tmp_path):
+        config = config_from_dict({"simulator": {"max_open_positions": 5}})
+        result = EvalEngine.create(
+            tmp_path, seed=7, agent_ids=["momentum", "mean_reversion"],
+            feed_source={"kind": "synthetic", "n_markets": 60}, cycles=4, config=config,
+        ).run()
+        events = list(iter_events(result.events_path))
+        opens = [e for e in events if e["kind"] == "ledger" and e["entry_kind"] == "OPEN"]
+        assert opens
+        assert [e for e in events if e["kind"] == "skip" and e["reason"] == "position_limit_reached"] == []
+        for ev in events:
+            if ev["kind"] == "cycle_end":
+                assert all(p["open"] <= 5 for p in ev["portfolios"].values())
+
     def test_observation_mode_trades_nothing(self, tmp_path):
         result = make_engine(tmp_path, cycles=3, mode="observation").run()
         ledger = [e for e in iter_events(result.events_path) if e["kind"] == "ledger"]
