@@ -71,6 +71,11 @@ class EventCategory:
         return (self.risk.value, self.domain.value, self.horizon.value)
 
 
+# A quoted price is 0 or at least this: a bet's expected return scales with
+# 1/price, which must stay finite.
+_MIN_POSITIVE_PRICE = 1e-6
+
+
 @dataclass(frozen=True)
 class MarketSnapshot:
     condition_id: str
@@ -82,10 +87,13 @@ class MarketSnapshot:
     observed_at: datetime
 
     def validate(self, spread_tolerance: float = 0.02, resolved: bool = False) -> "MarketSnapshot":
-        if not (0.0 <= self.yes_price <= 1.0):
-            raise PriceOutOfRange(f"yes_price {self.yes_price} outside [0,1]")
-        if not (0.0 <= self.no_price <= 1.0):
-            raise PriceOutOfRange(f"no_price {self.no_price} outside [0,1]")
+        for name, price in (("yes_price", self.yes_price), ("no_price", self.no_price)):
+            if not (0.0 <= price <= 1.0):
+                raise PriceOutOfRange(f"{name} {price} outside [0,1]")
+            if 0.0 < price < _MIN_POSITIVE_PRICE:
+                raise PriceOutOfRange(
+                    f"{name} {price} is positive but below {_MIN_POSITIVE_PRICE}"
+                )
         if abs(self.yes_price + self.no_price - 1.0) > spread_tolerance:
             raise PriceOutOfRange(
                 f"yes+no = {self.yes_price + self.no_price:.4f} deviates from 1 "

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmark.cli import main as cli_main
 from driftmark.errors import (
     CorruptRecord,
     InvalidParameters,
@@ -173,6 +174,32 @@ class TestReplay:
             list(replay_feed(path))
         assert err.value.line_no == 2
 
+    def test_tiny_positive_price_is_a_corrupt_record(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        good = snapshot_to_record(make_snapshot())
+        tiny = dict(good, yes_price=5e-324, no_price=1.0)
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps(tiny) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(CorruptRecord) as err:
+            list(replay_feed(path))
+        assert err.value.line_no == 2
+
+    def test_run_on_a_tiny_price_exits_1(self, tmp_path, capsys):
+        """The engine would otherwise raise OverflowError from an expected
+        return of 1/price."""
+        feed = generate_synthetic(7, 35, 3)
+        records = [snapshot_to_record(s) for s in feed.snapshots]
+        records[40].update(yes_price=5e-324, no_price=1.0)
+        path = tmp_path / "feed.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = cli_main([
+            "--out", str(tmp_path / "runs"), "run", "--agents", "momentum,mean_reversion",
+            "--cycles", "3", "--feed", str(path),
+        ])
+        assert code == 1
+        assert "line 41" in capsys.readouterr().err
+
     def test_outcome_round_trip(self, tmp_path):
         feed = generate_synthetic(3, 5, 2)
         path = tmp_path / "outcomes.jsonl"
@@ -316,6 +343,15 @@ class TestSnapshotValidation:
         snap.validate(spread_tolerance=0.05)
         with pytest.raises(PriceOutOfRange):
             snap.validate(spread_tolerance=0.02)
+
+    @pytest.mark.parametrize("yes, no", [(5e-324, 1.0), (1.0, 5e-324), (1e-7, 1.0)])
+    def test_tiny_positive_price_rejected(self, yes, no):
+        with pytest.raises(PriceOutOfRange, match="positive but below"):
+            make_snapshot(yes=yes, no=no).validate()
+
+    @pytest.mark.parametrize("yes, no", [(0.0, 1.0), (1e-6, 1.0), (1.0, 0.0)])
+    def test_zero_and_small_prices_accepted(self, yes, no):
+        make_snapshot(yes=yes, no=no).validate()
 
     def test_observed_after_end_rejected(self, now):
         snap = make_snapshot(observed=now, end=now - timedelta(days=1))
