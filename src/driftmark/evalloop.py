@@ -329,8 +329,7 @@ class _Run:
         st.window = _calibrated(st.window, entry)
 
     def close(self) -> None:
-        if self.events is not None:
-            self.events.close()
+        self.events.close()
         for writer in self.ledgers.values():
             writer.close()
 

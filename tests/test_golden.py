@@ -44,11 +44,8 @@ MANIFESTS = {
     ),
 }
 
-# name -> {path under the run directory: sha256}, computed on the engine
-# before its hot-path pass. An agent that never trades has an empty ledger.
-# The event-log pins moved once since, when the engine stopped asking for
-# trigger closes that the simulator step had already made: each new log is
-# the old one without its ``no_such_position`` skip lines.
+# name -> {path under the run directory: sha256}. An agent that never trades
+# has an empty ledger.
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
