@@ -539,11 +539,18 @@ def build_agent(agent_id: str, seed: int = 0) -> ScriptedAgent:
     return AGENT_BUILDERS[kind](agent_id, seed)
 
 
-def truncate_tokens(text: str, budget: int) -> str:
-    words = text.split()
+def _truncated(text: str, words: list[str], budget: int) -> tuple[str, int]:
+    """``text`` cut to its first ``budget`` whitespace tokens ``words``
+    (``text.split()``), and how many tokens it keeps. A text within budget
+    is kept as it is."""
     if len(words) <= budget:
-        return text
-    return " ".join(words[:budget])
+        return text, len(words)
+    kept = words[:budget]
+    return " ".join(kept), len(kept)
+
+
+def truncate_tokens(text: str, budget: int) -> str:
+    return _truncated(text, text.split(), budget)[0]
 
 
 def sample_forecast(
@@ -569,7 +576,7 @@ def sample_forecast(
         raise MalformedAgentOutput(f"probability {prob} outside [0,1]")
     if not (0 <= conf <= 10):
         raise MalformedAgentOutput(f"confidence {conf} outside 0-10")
-    trace = truncate_tokens(trace, budget)
+    trace, output_tokens = _truncated(trace, trace.split(), budget)
     return ForecastRecord(
         condition_id=market.condition_id,
         agent_id=agent.agent_id,
@@ -578,7 +585,7 @@ def sample_forecast(
         reasoning_trace=trace,
         strategy=strategy,
         input_tokens=input_tokens,
-        output_tokens=len(trace.split()),
+        output_tokens=output_tokens,
         latency_ms=0.0,
         sampled_at=sampled_at,
         contract_hash=contract_hash,

@@ -141,6 +141,11 @@ class LiveSourceNotResumable(EngineError):
     pass
 
 
+class RunExists(EngineError):
+    """A fresh run into a run directory that already holds a log or a
+    manifest; nothing is written."""
+
+
 # --- reporting --------------------------------------------------------------
 
 class CorruptLog(EngineError):

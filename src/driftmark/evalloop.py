@@ -13,12 +13,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import time as _time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
@@ -67,6 +69,7 @@ from .errors import (
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
+    RunExists,
 )
 from .market_data import (
     EventCategory,
@@ -163,8 +166,54 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+# The line ``_EVENT_ENCODER`` writes for a forecast event whose strings are
+# exact ``str``, whose counts are exact ``int`` and whose two floats are
+# finite exact ``float``: keys sorted, strings through
+# ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and
+# ``float``'s own repr.
+_FORECAST_LINE = (
+    '{"agent_id":%s,"condition_id":%s,"confidence":%d,"contract_digest":%s,'
+    '"cycle":%d,"input_tokens":%d,"kind":"forecast","latency_ms":%r,'
+    '"output_tokens":%d,"probability":%r,"sampled_at":%s,"strategy":%s,"trace":%s}\n'
+)
+_FORECAST_KEYS = frozenset(re.findall(r'"(\w+)":', _FORECAST_LINE))
 
-def event_line(event: dict) -> str:
+
+class _JsonStrings(dict):
+    """JSON text by string, for the strings a run's forecast events repeat
+    (agent ids, market ids, the contract digest, timestamps, strategies):
+    each is encoded once."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_basestring_ascii(text)
+        return encoded
+
+
+def event_line(event: dict, strings: _JsonStrings | None = None) -> str:
+    """One log line: ``event`` as compact JSON with sorted keys. Given a
+    run's ``strings``, a forecast event is written through
+    ``_FORECAST_LINE``; an event with another key set or another value type
+    (a bool, a numpy number, a non-finite float) takes the generic encoder,
+    so the bytes are the same either way."""
+    if strings is not None and event.get("kind") == "forecast" and event.keys() == _FORECAST_KEYS:
+        agent, market, digest = event["agent_id"], event["condition_id"], event["contract_digest"]
+        at, strategy, trace = event["sampled_at"], event["strategy"], event["trace"]
+        conf, cycle = event["confidence"], event["cycle"]
+        n_in, n_out = event["input_tokens"], event["output_tokens"]
+        latency, prob = event["latency_ms"], event["probability"]
+        if (
+            type(agent) is type(market) is type(digest) is type(at) is str
+            and type(strategy) is type(trace) is str
+            and type(conf) is type(cycle) is type(n_in) is type(n_out) is int
+            and type(latency) is type(prob) is float
+            and math.isfinite(latency)
+            and math.isfinite(prob)
+        ):
+            return _FORECAST_LINE % (
+                strings[agent], strings[market], conf, strings[digest], cycle, n_in,
+                latency, n_out, prob, strings[at], strings[strategy],
+                encode_basestring_ascii(trace),
+            )
     return _EVENT_ENCODER.encode(event) + "\n"
 
 
@@ -307,9 +356,10 @@ class _Run:
     events: TextIO | None = None
     ledgers: dict[str, LedgerWriter] = field(default_factory=dict)
     iso: _IsoCache = field(default_factory=_IsoCache)
+    strings: _JsonStrings = field(default_factory=_JsonStrings)
 
     def emit(self, ev: dict) -> None:
-        self.events.write(event_line(ev))
+        self.events.write(event_line(ev, self.strings))
         self.fold.add(ev)
 
     def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
@@ -375,6 +425,10 @@ class RunResult:
     fold: reporting.EventFold = field(compare=False, repr=False)
 
 
+# The key each kind of feed source needs besides ``kind``.
+_FEED_KEYS = {"synthetic": "n_markets", "replay": "feed", "live": "condition_ids"}
+
+
 class EvalEngine:
     """Executes one manifest end to end."""
 
@@ -390,6 +444,11 @@ class EvalEngine:
         digest = manifest.contract_hashes[0]
         if digest not in contracts:
             raise InvalidParameters(f"contract {digest} not supplied")
+        kind = manifest.feed_source.get("kind")
+        if kind not in _FEED_KEYS:
+            raise InvalidParameters(f"unknown feed source kind {kind!r}")
+        if _FEED_KEYS[kind] not in manifest.feed_source:
+            raise InvalidParameters(f"a {kind} feed source needs {_FEED_KEYS[kind]!r}")
         self.manifest = manifest
         self.config = config
         self.paths = RunPaths(out_root, manifest.run_id)
@@ -469,9 +528,7 @@ class EvalEngine:
             cycles = [grouped[ts] for ts in sorted(grouped)][: self.manifest.cycles]
             outcomes = load_outcomes(src["outcomes"]) if src.get("outcomes") else []
             return cycles, outcomes
-        if kind == "live":
-            return [], []  # fetched lazily inside run()
-        raise InvalidParameters(f"unknown feed source kind {kind!r}")
+        return [], []  # live: fetched lazily inside run()
 
     def _live_cycle(self, limiter: RateLimiter) -> list[MarketSnapshot]:
         from .market_data import ENDPOINT_ENV_VAR
@@ -628,6 +685,10 @@ class EvalEngine:
     # -- the run --
 
     def run(self, resume: bool = False, resume_cycle: int | None = None) -> RunResult:
+        if not resume and (self.paths.events.exists() or self.paths.manifest.exists()):
+            raise RunExists(
+                f"{self.paths.root} already holds a run; resume it or choose another run id"
+            )
         self.paths.ensure()
         live = self.manifest.feed_source.get("kind") == "live"
         if resume and live:
@@ -687,8 +748,7 @@ class EvalEngine:
             run = self._restore(self._latest_checkpoint(resume_cycle), fold)
             run.categories = {s.condition_id: self._categorize(s) for s in first_snaps}
         else:
-            if not self.paths.manifest.exists():
-                _write_atomic(self.paths.manifest, self.manifest.to_json().encode())
+            _write_atomic(self.paths.manifest, self.manifest.to_json().encode())
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
             sim = self.config.simulator
             states = {

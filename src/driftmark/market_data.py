@@ -8,17 +8,20 @@ instead of clamping them.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
+from urllib.parse import urlencode, urlsplit
 
 import numpy as np
-import requests
 
 from .errors import (
     CorruptRecord,
@@ -162,7 +165,6 @@ def fetch_snapshot(
     endpoint: str,
     condition_id: str,
     *,
-    session: requests.Session | None = None,
     rate_limiter: RateLimiter | None = None,
     spread_tolerance: float = 0.02,
     timeout: float = 10.0,
@@ -171,7 +173,10 @@ def fetch_snapshot(
 
     The response body must be a JSON object with the feed-record fields
     (``observed_at`` is overridden with receipt time). The auth header, if
-    any, comes from the ``DRIFTMARK_MARKET_AUTH`` environment variable.
+    any, comes from the ``DRIFTMARK_MARKET_AUTH`` environment variable. A
+    refused connection, a timeout or a status of 500 or above is a
+    ``NetworkError``; any other status but 200, or a bad body, is a
+    ``MalformedResponse``.
     """
     if rate_limiter is not None:
         rate_limiter.acquire()
@@ -179,19 +184,24 @@ def fetch_snapshot(
     auth = os.environ.get(AUTH_ENV_VAR)
     if auth:
         headers["Authorization"] = auth
-    http = session or requests
+    query = urlencode({"condition_id": condition_id})
+    url = f"{endpoint}{'&' if urlsplit(endpoint).query else '?'}{query}"
     try:
-        resp = http.get(
-            endpoint, params={"condition_id": condition_id}, headers=headers, timeout=timeout
-        )
-    except (requests.ConnectionError, requests.Timeout) as exc:
+        with urllib.request.urlopen(
+            urllib.request.Request(url, headers=headers), timeout=timeout
+        ) as resp:
+            status, body = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            status, body = exc.code, b""
+    except (OSError, http.client.HTTPException) as exc:
         raise NetworkError(f"fetch failed: {exc}") from exc
-    if resp.status_code >= 500:
-        raise NetworkError(f"server error {resp.status_code}")
-    if resp.status_code != 200:
-        raise MalformedResponse(f"unexpected status {resp.status_code}")
+    if status >= 500:
+        raise NetworkError(f"server error {status}")
+    if status != 200:
+        raise MalformedResponse(f"unexpected status {status}")
     try:
-        data = resp.json()
+        data = json.loads(body)
         snapshot = MarketSnapshot(
             condition_id=str(data["condition_id"]),
             question=str(data["question"]),

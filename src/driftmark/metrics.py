@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -142,11 +143,18 @@ def reliability_bins_to_csv(bins_list: Sequence[ReliabilityBin], destination) ->
 
 # Maximal runs of the characters ``str.isalnum`` accepts: ``\w`` minus "_".
 _TOKEN = re.compile(r"[^\W_]+")
+# ASCII text takes a byte-level path: every byte that is not alphanumeric
+# becomes a space, and the rest splits on whitespace. Bytes above 127 never
+# reach the table.
+_ASCII_TOKEN_BYTES = bytes(c if c < 128 and chr(c).isalnum() else 32 for c in range(256))
 
 
 def token_set(trace: str) -> frozenset[str]:
     """Maximal runs of alphanumeric characters, lowercased."""
-    return frozenset(_TOKEN.findall(trace.lower()))
+    lowered = trace.lower()
+    if lowered.isascii():
+        return frozenset(lowered.encode().translate(_ASCII_TOKEN_BYTES).decode().split())
+    return frozenset(_TOKEN.findall(lowered))
 
 
 def narrative_drift_sets(a: frozenset[str], b: frozenset[str]) -> float:
@@ -278,14 +286,47 @@ def var_cvar(
     return var, cvar
 
 
+def _pairwise_sum(xs: list[float]) -> float:
+    """``numpy.sum`` of a float64 vector, in numpy's order: sequential below
+    8 elements, 8 interleaved accumulators up to 128, halves (cut at a
+    multiple of 8) above. The built-in ``sum`` may compensate its rounding,
+    so every addition here is explicit."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    blocked = n - n % 8
+    acc = xs[:8]
+    for i in range(8, blocked, 8):
+        acc = list(map(operator.add, acc, xs[i : i + 8]))
+    a0, a1, a2, a3, a4, a5, a6, a7 = acc
+    total = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    for x in xs[blocked:]:
+        total += x
+    return total
+
+
 def price_volatility(prices: Sequence[float], window: int = 10) -> float:
-    """Stdev of the last ``window`` price changes; 0 when fewer than 2 changes."""
-    deltas = np.diff(np.asarray(prices, dtype=float))
+    """Population stdev of the last ``window`` price changes (all of them
+    when ``window`` is not positive); 0 when fewer than 2 changes. Equal bit
+    for bit to ``numpy.std(numpy.diff(prices)[-window:])``: the same
+    subtractions, correctly rounded divisions and square root, and
+    ``_pairwise_sum`` for both sums."""
+    p = list(map(float, prices))
     if window > 0:
-        deltas = deltas[-window:]
-    if deltas.size < 2:
+        p = p[-window - 1 :]
+    deltas = list(map(operator.sub, p[1:], p))
+    n = len(deltas)
+    if n < 2:
         return 0.0
-    return float(np.std(deltas, ddof=0))
+    mean = _pairwise_sum(deltas) / n
+    return math.sqrt(_pairwise_sum([(d - mean) * (d - mean) for d in deltas]) / n)
 
 
 def risk_category(category: EventCategory, volatility: float, threshold: float = 0.08) -> Risk:

@@ -1,12 +1,16 @@
 """Independent brute-force implementations used to cross-check the library.
 
 Everything here is deliberately written as plain loops and explicit
-enumeration, sharing no code path with the package.
+enumeration, sharing no code path with the package. The exception is
+``price_volatility_oracle``, numpy's own float64 form: the reference the
+package's pure-Python volatility must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def brier_oracle(p: float, outcome: int) -> float:
@@ -70,6 +74,17 @@ def token_set_oracle(text: str) -> frozenset[str]:
     if current:
         tokens.add("".join(current))
     return frozenset(tokens)
+
+
+def price_volatility_oracle(prices, window: int = 10) -> float:
+    """``numpy.std`` of the last ``window`` price changes (all when
+    ``window`` is not positive); 0 when fewer than 2 changes."""
+    deltas = np.diff(np.asarray(prices, dtype=float))
+    if window > 0:
+        deltas = deltas[-window:]
+    if deltas.size < 2:
+        return 0.0
+    return float(np.std(deltas, ddof=0))
 
 
 def render_instruction_oracle(template: str, values: dict[str, str]) -> str:

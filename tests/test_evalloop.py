@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig, config_from_dict
 from driftmark.errors import (
     CorruptLog,
@@ -16,6 +19,7 @@ from driftmark.errors import (
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
+    RunExists,
 )
 from driftmark.evalloop import (
     EvalEngine,
@@ -547,7 +551,8 @@ class TestLiveSource:
         from driftmark.config import LoopConfig, MarketConfig
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         try:
             engine = EvalEngine.create(
                 tmp_path,
@@ -568,6 +573,9 @@ class TestLiveSource:
             result = engine.run()
         finally:
             server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
         forecasts = [e for e in iter_events(result.events_path) if e["kind"] == "forecast"]
         assert len(forecasts) == 31 * 2
         # live runs cannot be resumed
@@ -703,6 +711,138 @@ class TestTokenBudgetSweep:
         for ev in iter_events(events_path):
             if ev["kind"] == "forecast":
                 assert ev["output_tokens"] <= 500
+
+
+class TestRunExists:
+    def test_second_fresh_run_raises_and_keeps_the_first(self, tmp_path):
+        make_engine(tmp_path, agents=("momentum",), cycles=3, run_id="again").run()
+        root = tmp_path / "again"
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        with pytest.raises(RunExists):
+            make_engine(tmp_path, agents=("momentum",), cycles=3, run_id="again").run()
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+        assert verify_run(tmp_path, "again").ok
+
+    def test_a_manifest_alone_is_a_run(self, tmp_path):
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m" / "manifest.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(RunExists):
+            make_engine(tmp_path, cycles=2, run_id="m").run()
+        assert [p.name for p in (tmp_path / "m").iterdir()] == ["manifest.json"]
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        argv = ["--seed", "3", "--out", str(tmp_path), "run", "--agents", "momentum",
+                "--cycles", "2", "--markets", "31", "--run-id", "twice"]
+        assert cli_main(argv) == 0
+        assert cli_main(argv) == 1
+        assert "already holds a run" in capsys.readouterr().err
+
+
+class TestFeedSourceKeys:
+    @pytest.mark.parametrize(
+        "feed_source, key",
+        [
+            ({"kind": "synthetic"}, "n_markets"),
+            ({"kind": "replay", "outcomes": "o.jsonl"}, "feed"),
+            ({"kind": "live", "endpoint": "http://127.0.0.1:9/price"}, "condition_ids"),
+        ],
+    )
+    def test_missing_key_is_invalid_parameters(self, tmp_path, feed_source, key):
+        with pytest.raises(InvalidParameters, match=key):
+            EvalEngine.create(
+                tmp_path, seed=1, agent_ids=["momentum"], feed_source=feed_source, cycles=2
+            )
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_kind(self, tmp_path):
+        with pytest.raises(InvalidParameters, match="unknown feed source kind"):
+            EvalEngine.create(
+                tmp_path, seed=1, agent_ids=["momentum"], feed_source={"kind": "csv"}, cycles=2
+            )
+
+
+# Strings with non-ASCII text, quotes, backslashes, control characters and
+# the separators JSON leaves alone but JavaScript does not.
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ufeff\U0001f600 \t\n\r'), st.characters()
+    ),
+    max_size=60,
+)
+_JSON_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
+)
+_FORECAST_EVENTS = st.fixed_dictionaries(
+    {
+        "kind": st.just("forecast"),
+        "cycle": st.integers(),
+        "agent_id": _JSON_TEXT,
+        "condition_id": _JSON_TEXT,
+        "probability": _JSON_FLOAT,
+        "confidence": st.integers(-5, 15),
+        "trace": _JSON_TEXT,
+        "strategy": _JSON_TEXT,
+        "input_tokens": st.integers(0, 2**70),
+        "output_tokens": st.integers(0, 10**6),
+        "latency_ms": _JSON_FLOAT,
+        "sampled_at": _JSON_TEXT,
+        "contract_digest": _JSON_TEXT,
+    }
+)
+_GENERIC = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _sample_forecast_event() -> dict:
+    return {
+        "kind": "forecast", "cycle": 3, "agent_id": "momentum", "condition_id": "0x" + "ab" * 20,
+        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume", "strategy": "momentum",
+        "input_tokens": 312, "output_tokens": 4, "latency_ms": 0.0,
+        "sampled_at": "2026-01-01T00:00:00Z", "contract_digest": "f" * 64,
+    }
+
+
+class TestForecastLine:
+    """A forecast event's precompiled line equals the generic encoder's."""
+
+    @given(_FORECAST_EVENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_generic_encoder(self, ev):
+        strings = evalloop._JsonStrings()
+        expected = _GENERIC.encode(ev) + "\n"
+        assert evalloop.event_line(ev, strings) == expected
+        # the second line reads every repeated string from the run's cache
+        assert evalloop.event_line(ev, strings) == expected
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("confidence", True),
+            ("cycle", False),
+            ("probability", np.float64(0.625)),
+            ("latency_ms", float("inf")),
+            ("probability", float("nan")),
+            ("input_tokens", 312.0),
+            ("strategy", None),
+        ],
+    )
+    def test_other_value_types_take_the_fallback(self, field, value):
+        ev = {**_sample_forecast_event(), field: value}
+        assert evalloop.event_line(ev, evalloop._JsonStrings()) == _GENERIC.encode(ev) + "\n"
+
+    def test_numpy_int_is_not_serializable(self):
+        ev = {**_sample_forecast_event(), "cycle": np.int64(3)}
+        with pytest.raises(TypeError):
+            evalloop.event_line(ev, evalloop._JsonStrings())
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_other_key_sets_take_the_fallback(self, change):
+        ev = _sample_forecast_event()
+        if change == "extra":
+            ev["note"] = "x"
+        else:
+            del ev["latency_ms"]
+        assert evalloop.event_line(ev, evalloop._JsonStrings()) == _GENERIC.encode(ev) + "\n"
 
 
 class TestRunDirectory:

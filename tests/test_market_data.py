@@ -68,6 +68,9 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/price", _Handler
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def _body(yes=0.62, no=0.38):

@@ -214,6 +214,23 @@ class TestTokenSet:
     def test_underscore_and_marks_split_tokens(self):
         assert token_set("snake_case x\u0301y 42nd") == {"snake", "case", "x", "y", "42nd"}
 
+    def test_every_ascii_code_point_alone_and_between_letters(self):
+        # ASCII text takes the byte-table path; each code point must split or
+        # join tokens exactly as str.isalnum says.
+        for code in range(128):
+            ch = chr(code)
+            for text in (ch, f"ab{ch}cd", f"A{ch}{ch}z", f"{ch}x{ch}"):
+                assert token_set(text) == oracles.token_set_oracle(text), repr(text)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=120))
+    @settings(max_examples=300)
+    def test_ascii_text_matches_isalnum_loop(self, text):
+        assert token_set(text) == oracles.token_set_oracle(text)
+
+    def test_text_lowered_to_ascii_takes_the_ascii_path(self):
+        # KELVIN SIGN is not ASCII, but lowers to "k".
+        assert token_set("\u212a_9 ok") == oracles.token_set_oracle("\u212a_9 ok") == {"k", "9", "ok"}
+
 
 class TestTemporalDrift:
     def test_difference_hand_value(self):
@@ -362,6 +379,39 @@ class TestRiskCategory:
         assert price_volatility([0.5, 0.5, 0.5, 0.5]) == 0.0
         assert price_volatility([0.5]) == 0.0
         assert price_volatility([0.2, 0.8, 0.2, 0.8], window=3) > 0.2
+
+
+@st.composite
+def _price_paths(draw):
+    """0-300 prices in [0, 1]: free draws that include 0 and 1, or a walk of
+    equal prices and 1e-6 steps."""
+    if draw(st.booleans()):
+        return draw(
+            st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])), max_size=300)
+        )
+    price = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-6, 0.5, 1.0])))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-6, -1e-6, 0.25]), max_size=299))
+    path = [price]
+    for step in steps:
+        path.append(min(1.0, max(0.0, path[-1] + step)))
+    return path
+
+
+class TestPriceVolatility:
+    """Pure-Python volatility equals numpy's float64 form bit for bit."""
+
+    @given(_price_paths(), st.sampled_from([0, 1, 2, 7, 8, 9, 10, 16, 129, 200]))
+    @settings(max_examples=400, deadline=None)
+    # Ten changes: a sequential sum rounds differently from numpy's pairwise one.
+    @example([0.62, 0.74, 0.8, 0.94, 0.74, 0.92, 0.03, 0.47, 0.94, 0.65, 0.9], 10)
+    def test_equals_numpy(self, prices, window):
+        assert price_volatility(prices, window) == oracles.price_volatility_oracle(prices, window)
+
+    def test_reads_a_deque(self):
+        from collections import deque
+
+        prices = deque([0.1, 0.4, 0.35, 0.9, 0.2], maxlen=4)
+        assert price_volatility(prices, 3) == oracles.price_volatility_oracle(list(prices), 3)
 
 
 class TestHHIS:
