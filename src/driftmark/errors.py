@@ -149,8 +149,9 @@ class RunExists(EngineError):
 # --- reporting --------------------------------------------------------------
 
 class CorruptLog(EngineError):
-    """An unparseable log line, or a log or ledger that disagrees with the
-    checkpoint resume starts from (``line_no`` is then None)."""
+    """A log line that is not UTF-8, not JSON or not a JSON object; or
+    (``line_no`` is then None) an event the fold cannot take, or a log or
+    ledger that disagrees with the checkpoint resume starts from."""
 
     def __init__(self, line_no: int | None, reason: str = ""):
         where = "" if line_no is None else f" at line {line_no}"
@@ -159,4 +160,4 @@ class CorruptLog(EngineError):
 
 
 class IoError(EngineError):
-    """Wraps OS-level failures when emitting reports."""
+    """Wraps OS-level failures when reading an event log or emitting reports."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -256,6 +256,16 @@ def _write_atomic(path: Path, data: bytes) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
+    """The lines of a binary file in its first ``size`` bytes, which end a line."""
+    read = 0
+    for line in fh:
+        if read == size:
+            return
+        read += len(line)
+        yield line
 
 
 def _price_history(window: int) -> defaultdict[str, deque[float]]:
@@ -595,8 +605,8 @@ class EvalEngine:
     @staticmethod
     def _read_prefix(path: Path, size: int, kept: _KeptLog | None = None) -> None:
         """Check that the first ``size`` bytes of a JSONL file end a line and
-        feed each of those lines to ``kept.add``; a missing file is empty.
-        The file is left as it is."""
+        feed each of those lines, read by ``reporting.decode_lines``, to
+        ``kept.add``; a missing file is empty. The file is left as it is."""
         try:
             fh = open(path, "rb")
         except FileNotFoundError:
@@ -608,15 +618,7 @@ class EvalEngine:
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             if kept is not None:
                 fh.seek(0)
-                read = 0
-                for line_no, line in enumerate(fh, start=1):
-                    if read == size:
-                        break
-                    read += len(line)
-                    try:
-                        kept.add(json.loads(line))
-                    except ValueError as exc:
-                        raise CorruptLog(line_no, str(exc)) from exc
+                reporting.fold_events(kept.add, reporting.decode_lines(_lines_upto(fh, size)))
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -644,10 +646,11 @@ class EvalEngine:
             if saved is None:
                 raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
             self._read_prefix(self._ledger_path(aid), saved["ledger_bytes"])
-            entries = [
-                entry_from_record({**e, "kind": e["entry_kind"]})
-                for e in fold.ledgers.get(aid, [])
-            ]
+            entries: list[LedgerEntry] = []
+            reporting.fold_events(
+                lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})),
+                fold.ledgers.get(aid, []),
+            )
             portfolio = replay_ledger(
                 cfg.simulator.initial_capital_cents, entries, cfg.simulator.max_open_positions
             )

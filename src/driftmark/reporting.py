@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .agents import expected_return
 from .config import EngineConfig
@@ -40,19 +40,66 @@ def format_cents(cents: int) -> str:
     return f"${cents / 100:,.2f}"
 
 
+# The C scanner behind ``json.loads``, called without its per-line wrapper.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_lines(lines: Iterable[bytes]) -> Iterator[dict]:
+    """Decode JSONL lines, as a binary file yields them, to event dicts.
+
+    A line is strict UTF-8. A value the C scanner reads up to nothing or
+    exactly ``"\\n"`` is taken as is; every other line goes to
+    ``json.loads``, so each value and error message is that of
+    ``json.loads`` on the line. Blank lines are skipped but counted. A
+    line that is not UTF-8, not JSON or not a JSON object is a
+    ``CorruptLog`` naming it."""
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise CorruptLog(line_no, f"not UTF-8: {exc}") from exc
+        try:
+            ev, end = _scan_once(line, 0)
+            exact = line[end:] == "\n" or end == len(line)
+        except (StopIteration, ValueError, RecursionError):
+            exact = False
+        if not exact:
+            if not line.strip():
+                continue
+            try:
+                ev = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise CorruptLog(line_no, str(exc)) from exc
+        if type(ev) is not dict:
+            raise CorruptLog(line_no, f"a {type(ev).__name__}, not a JSON object")
+        yield ev
+
+
 def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
-    """Yield event dicts from a JSONL path or pass an iterable through."""
+    """Yield event dicts from a JSONL path, read by ``decode_lines``, or
+    pass an iterable through. A path that cannot be opened is an
+    ``IoError`` naming it."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorruptLog(line_no, str(exc)) from exc
+        try:
+            fh = open(source, "rb")
+        except OSError as exc:
+            raise IoError(f"cannot read event log {source}: {exc.strerror or exc}") from exc
+        with fh:
+            yield from decode_lines(fh)
     else:
         yield from source
+
+
+def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> None:
+    """Feed each event to ``add``. An event it cannot take, for a missing
+    key or a value of the wrong type, is a ``CorruptLog`` naming the event."""
+    for ev in events:
+        try:
+            add(ev)
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+            event = json.dumps(ev, default=repr)[:200]
+            raise CorruptLog(None, f"{what} in event {event}") from exc
 
 
 @dataclass
@@ -155,7 +202,7 @@ class EventFold:
     def __init__(self):
         self.meta: dict[str, dict] = {}  # condition_id -> market_meta
         self.agent_meta: dict[str, dict] = {}
-        self.prices: dict[tuple[str, int], float] = {}  # (cid, cycle) -> yes price
+        self.prices: dict[str, dict[int, float]] = {}  # cid -> cycle -> yes price
         # subject -> cid -> [(cycle, prob, confidence, in_tok, out_tok, strategy)]
         self.forecasts: dict[str, dict[str, list[tuple]]] = {}
         self.drift_events: dict[str, list[dict]] = {}
@@ -171,29 +218,21 @@ class EventFold:
         return self.forecasts.setdefault(subject, {})
 
     def consume(self, events: Iterable[dict]) -> "EventFold":
-        for ev in events:
-            self.add(ev)
+        fold_events(self.add, events)
         return self
 
     def add(self, ev: dict) -> None:
-        """Fold one event; the engine calls this as it writes each event."""
+        """Fold one event; the engine calls this as it writes each event.
+        Kinds are tested from the most frequent down."""
         kind = ev.get("kind")
-        if kind == "market_meta":
-            self.meta[ev["condition_id"]] = ev
-        elif kind == "agent_meta":
-            self.agent_meta[ev["agent_id"]] = ev
-            if ev["agent_id"] not in self.agents_seen:
-                self.agents_seen.append(ev["agent_id"])
-        elif kind == "snapshot":
-            self.prices[(ev["condition_id"], int(ev["cycle"]))] = float(ev["yes_price"])
-            self.cycles_seen.add(int(ev["cycle"]))
-        elif kind == "forecast":
+        if kind == "forecast":
             subject = ev["agent_id"]
             if subject not in self.agents_seen:
                 self.agents_seen.append(subject)
+            cycle = int(ev["cycle"])
             self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
                 (
-                    int(ev["cycle"]),
+                    cycle,
                     float(ev["probability"]),
                     int(ev.get("confidence", 5)),
                     int(ev.get("input_tokens", 0)),
@@ -201,7 +240,7 @@ class EventFold:
                     ev.get("strategy", "NONE"),
                 )
             )
-            self.cycles_seen.add(int(ev["cycle"]))
+            self.cycles_seen.add(cycle)
         elif kind == "baseline":
             subject = BASELINE_PREFIX + ev["baseline"]
             if subject not in self.baselines_seen:
@@ -209,16 +248,26 @@ class EventFold:
             self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
                 (int(ev["cycle"]), float(ev["probability"]), 5, 0, 0, "NONE")
             )
-        elif kind == "drift":
-            self.drift_events.setdefault(ev["agent_id"], []).append(ev)
         elif kind == "ledger":
             self.ledgers.setdefault(ev["agent_id"], []).append(ev)
+        elif kind == "snapshot":
+            cycle = int(ev["cycle"])
+            self.prices.setdefault(ev["condition_id"], {})[cycle] = float(ev["yes_price"])
+            self.cycles_seen.add(cycle)
+        elif kind == "drift":
+            self.drift_events.setdefault(ev["agent_id"], []).append(ev)
         elif kind == "batch":
             self.batches.setdefault(ev["agent_id"], []).append(ev)
-        elif kind == "agent_failure":
-            self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
+        elif kind == "market_meta":
+            self.meta[ev["condition_id"]] = ev
         elif kind == "resolution":
             self.outcomes[ev["condition_id"]] = int(ev["outcome"])
+        elif kind == "agent_failure":
+            self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
+        elif kind == "agent_meta":
+            self.agent_meta[ev["agent_id"]] = ev
+            if ev["agent_id"] not in self.agents_seen:
+                self.agents_seen.append(ev["agent_id"])
 
     # -- per-subject derivations --
 
@@ -233,8 +282,9 @@ class EventFold:
         gaps = [
             abs(row[1] - m)
             for cid, rows in forecasts.items()
+            if (by_cycle := prices.get(cid)) is not None
             for row in rows
-            if (m := prices.get((cid, row[0]))) is not None
+            if (m := by_cycle.get(row[0])) is not None
         ]
         resolved = [
             (rows, outcome)
@@ -296,10 +346,12 @@ class EventFold:
         ders: list[float] = []
         for cid, rows in self.forecasts.get(subject, {}).items():
             ordered = sorted(rows)
+            prices = self.prices.get(cid, {})
             er1 = None  # a priced pair's second return is the next pair's first
-            for (c0, p0, *_r0), (c1, p1, *_r1) in zip(ordered, ordered[1:]):
+            for prev, row in zip(ordered, ordered[1:]):
+                p0, p1 = prev[1], row[1]
                 dprobs.append(abs(p1 - p0))
-                m0, m1 = self.prices.get((cid, c0)), self.prices.get((cid, c1))
+                m0, m1 = prices.get(prev[0]), prices.get(row[0])
                 if m0 is not None and m1 is not None and 0.0 < m0 and 0.0 < m1:
                     dedges.append(abs((p1 - m1) - (p0 - m0)))
                     er0 = er1 if er1 is not None else expected_return(p0, _REFERENCE_BET_CENTS, m0)
@@ -436,7 +488,8 @@ def aggregate(
         strat_counts: dict[str, int] = {}
         total_forecasts = 0
         for rows_ in fold.forecasts.get(subject, {}).values():
-            for (*_head, strategy) in rows_:
+            for row in rows_:
+                strategy = row[5]
                 strat_counts[strategy] = strat_counts.get(strategy, 0) + 1
                 total_forecasts += 1
         freq = (
@@ -474,7 +527,7 @@ def aggregate(
         for cid, rows_ in fold.forecasts.get(subject, {}).items():
             outcome = fold.outcomes.get(cid)
             if outcome is not None:
-                briers_by_cid[cid] = [(p - outcome) ** 2 for (_, p, *_r) in rows_]
+                briers_by_cid[cid] = [(row[1] - outcome) ** 2 for row in rows_]
         for dimension, meta_key in (
             ("risk", "risk"),
             ("domain", "domain"),

@@ -1,13 +1,16 @@
 """Independent brute-force implementations used to cross-check the library.
 
 Everything here is deliberately written as plain loops and explicit
-enumeration, sharing no code path with the package. The exception is
+enumeration, sharing no code path with the package. The exceptions are
 ``price_volatility_oracle``, numpy's own float64 form: the reference the
-package's pure-Python volatility must equal bit for bit.
+package's pure-Python volatility must equal bit for bit; and
+``read_log_oracle``, ``json.loads`` on each line: the reference the
+package's event-log reader must equal value for value and error for error.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -218,3 +221,31 @@ def calibration_adjustment_oracle(entries_pnl, window_size, stated_prob, penalty
     wins = len([x for x in entries_pnl if x > 0])
     rate = (wins + 1) / (n + 2) if n < window_size else wins / n
     return rate, (penalty if rate < stated_prob else 0.0)
+
+
+def read_log_oracle(data: bytes):
+    """The events of a JSONL log as ``json.loads`` reads it one line at a
+    time: ``("events", [event, ...])``, or ``("error", line_no, reason)``
+    for the first line that is not strict UTF-8, not JSON or not a JSON
+    object. A line holds everything up to and including its ``"\\n"``;
+    a blank line is skipped but counted."""
+    pieces = data.split(b"\n")
+    lines = [piece + b"\n" for piece in pieces[:-1]]
+    if pieces[-1]:
+        lines.append(pieces[-1])
+    events = []
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8", "strict")
+        except UnicodeDecodeError as exc:
+            return ("error", line_no, f"not UTF-8: {exc}")
+        if text.strip() == "":
+            continue
+        try:
+            value = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            return ("error", line_no, str(exc))
+        if not isinstance(value, dict):
+            return ("error", line_no, f"a {type(value).__name__}, not a JSON object")
+        events.append(value)
+    return ("events", events)

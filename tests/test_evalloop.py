@@ -355,7 +355,8 @@ class TestCheckpointResume:
         [
             "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
             "events_mid_line", "events_not_cycle_end", "totals", "ledger_past_end",
-            "agent_missing", "live",
+            "agent_missing", "live", "kept_not_utf8", "kept_not_object", "kept_no_agent_id",
+            "kept_ledger_no_price",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
@@ -372,7 +373,7 @@ class TestCheckpointResume:
         def save(ckpt):
             ckpt_path.write_text(json.dumps(ckpt), encoding="utf-8")
 
-        at_cycle, error = 2, CorruptLog
+        at_cycle, error, match = 2, CorruptLog, None
         if failure == "torn_at_cycle":
             ckpt_path.write_bytes(ckpt_path.read_bytes()[:50])
             error = NoCheckpoint
@@ -401,6 +402,23 @@ class TestCheckpointResume:
             head = b"".join(lines)
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
+        elif failure.startswith("kept_"):
+            # A line of the kept prefix that the reader, the fold or the
+            # ledger replay refuses.
+            lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+            kind, key = ("ledger", "price") if failure == "kept_ledger_no_price" else (
+                "forecast", "agent_id")
+            at = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
+            event = json.loads(lines[at])
+            del event[key]
+            lines[at], match = {
+                "kept_not_utf8": (lines[at].replace(b'"forecast"', b'"fore\xffcast"'),
+                                  "not UTF-8"),
+                "kept_not_object": (b"[1,2]\n", "not a JSON object"),
+            }.get(failure, ((json.dumps(event) + "\n").encode(), f"no key '{key}'"))
+            head = b"".join(lines)
+            events_path.write_bytes(head + events[ckpt["events_bytes"]:])
+            save({**ckpt, "events_bytes": len(head)})
         elif failure == "ledger_past_end":
             ckpt["agents"]["momentum"]["ledger_bytes"] = ledger_path.stat().st_size + 1
             save(ckpt)
@@ -416,7 +434,7 @@ class TestCheckpointResume:
             error = LiveSourceNotResumable
         files = [events_path, *sorted((run_dir / "ledgers").glob("*.jsonl"))]
         before = {p.name: file_sha256(p) for p in files}
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             resume_run(tmp_path, "keep", at_cycle=at_cycle)
         assert {p.name: file_sha256(p) for p in files} == before
 

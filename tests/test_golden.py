@@ -15,7 +15,8 @@ import pytest
 
 from driftmark.evalloop import EvalEngine, RunPaths, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
-from driftmark.reporting import aggregate, emit
+from driftmark.reporting import aggregate, emit, iter_events
+from oracles import read_log_oracle
 
 SIX_AGENTS = (
     "market_copier", "momentum", "mean_reversion", "drift_adjusted", "risk_confirmation",
@@ -148,6 +149,19 @@ def test_reports_match_pins(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_manifest("out", name)
     assert report_digests(RunPaths("out", name).events) == REPORT_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_reader_matches_oracle_on_pinned_logs(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", name)
+    path = RunPaths("out", name).events
+    assert read_log_oracle(path.read_bytes()) == ("events", list(iter_events(path)))
+
+
+def test_reader_matches_oracle_on_leaderboard_fixture():
+    expected = read_log_oracle(LEADERBOARD_FIXTURE.read_bytes())
+    assert expected == ("events", list(iter_events(LEADERBOARD_FIXTURE)))
 
 
 def test_leaderboard_fixture_reports_match_pins():

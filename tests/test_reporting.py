@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -26,11 +27,13 @@ from driftmark.reporting import (
     EventFold,
     LeaderboardRow,
     aggregate,
+    decode_lines,
     emit,
     final_reports_from_fold,
     format_cents,
     iter_events,
 )
+from oracles import read_log_oracle
 
 FIXTURE = Path(__file__).parent / "fixtures" / "leaderboard_events.jsonl"
 
@@ -93,6 +96,133 @@ class TestLeaderboardFixture:
         with pytest.raises(CorruptLog) as err:
             aggregate(bad)
         assert err.value.line_no == 2
+
+
+# JSON texts json.loads reads with care: escapes, a lone surrogate, raw
+# non-ASCII and U+2028, a raw control character (an error), non-finite,
+# huge and negative-zero numbers.
+_SCALARS = (
+    st.sampled_from([
+        '0', '-0', '-0.0', '1e400', '-1e400', 'NaN', 'Infinity', '-Infinity', '1.5',
+        '12345678901234567890', 'true', 'false', 'null', '"\\""', '"\\\\"', '"\\u2028"',
+        '"\\u0000"', '"\\ud800"', '"\\t"', '"é€\U0001F600"', '"\u2028"', '"a\tb"',
+    ])
+    | st.text(max_size=6).map(json.dumps)
+    | st.text(max_size=6).map(lambda t: json.dumps(t, ensure_ascii=False))
+)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]"),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _objects(draw) -> str:
+    keys = draw(st.lists(st.sampled_from(['"kind"', '"k\\"q"', '"é"']) | _SCALARS,
+                         max_size=4))
+    comma, colon = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :")]))
+    return "{" + comma.join(f"{k}{colon}{draw(_VALUES)}" for k in keys) + "}"
+
+
+# One line's text without its end: an object with whitespace, a BOM or
+# trailing data around it, a blank or whitespace-only line, a line of two
+# values, or JSON that is not an object.
+_LINES = (
+    st.tuples(
+        st.sampled_from(["", "", "", " ", "\t", " \t", "\ufeff"]),
+        _objects(),
+        st.sampled_from(["", "", "", " ", "\t", "\r", " x", "{}", " {}", ","]),
+    ).map("".join)
+    | st.sampled_from(["", " ", "\t", "\r", "\x0c", "\u2028", "{} x", "{}{}", "not json", "{"])
+    | _VALUES
+)
+# Lines that are not UTF-8, and the UTF-8 BOM as bytes.
+_RAW_LINES = st.sampled_from([b"\xff", b'{"a":"\xff"}', b'{"a":"\xc3"}', b"\xef\xbb\xbf{}"])
+
+
+@st.composite
+def _logs(draw) -> bytes:
+    lines = draw(st.lists(
+        _LINES.map(lambda t: t.encode("utf-8", "surrogatepass")) | _RAW_LINES, max_size=6
+    ))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = b""  # a last line without "\n"
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _read(data: bytes):
+    """The reader's result in the oracle's form."""
+    try:
+        return ("events", list(decode_lines(io.BytesIO(data))))
+    except CorruptLog as exc:
+        return ("error", exc.line_no, str(exc))
+
+
+def _expected(data: bytes):
+    result = read_log_oracle(data)
+    if result[0] == "error":
+        _, line_no, reason = result
+        return ("error", line_no, f"corrupt log at line {line_no}: {reason}")
+    return result
+
+
+class TestLogReader:
+    """The one reader of ``report`` and resume against ``json.loads`` per line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_logs())
+    @example(b'{"kind":"x"} x\n')
+    @example(b'{"kind":"x"}{}\n')
+    @example(b'{"kind":"x"}')
+    @example(b'{"kind":"x"} ')
+    @example(b'\xef\xbb\xbf{"kind":"x"}\n')
+    @example(b'{"kind":"x"}\r\n\n \n{"a":NaN}')
+    def test_matches_json_loads_per_line(self, data):
+        # repr tells NaN, -0.0 and 0 apart and keeps the key order.
+        assert repr(_read(data)) == repr(_expected(data))
+
+    def test_taken_value_ends_its_line(self):
+        assert _read(b'{"a":1}\n{"b":2}') == ("events", [{"a": 1}, {"b": 2}])
+        assert _read(b'{"a":1}\n\n{"b":2}\n{} x\n')[:2] == ("error", 4)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"\xff", "not UTF-8"),
+            (b"[1,2]", "a list, not a JSON object"),
+            (b'"kind"', "a str, not a JSON object"),
+            (b'{"kind":"x"} {}', "Extra data"),
+            (b"[" * 100_000, "recursion"),
+        ],
+    )
+    def test_bad_line_is_corrupt_log_naming_it(self, tmp_path, line, reason):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"kind":"cycle_start","cycle":1}\n' + line + b"\n")
+        with pytest.raises(CorruptLog, match=reason) as err:
+            aggregate(bad)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "event, reason",
+        [
+            ({"kind": "forecast", "cycle": 1}, "no key 'agent_id'"),
+            ({"kind": "snapshot", "cycle": "x", "condition_id": "a", "yes_price": 0.5},
+             "invalid literal"),
+            ({"kind": "baseline", "baseline": 3, "cycle": 1}, "can only concatenate"),
+        ],
+    )
+    def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(event) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptLog, match=reason) as err:
+            aggregate(bad)
+        assert '"kind": "' + event["kind"] + '"' in str(err.value)
+
+    def test_unreadable_path_is_io_error(self, tmp_path):
+        for path in (tmp_path / "missing.jsonl", tmp_path):
+            with pytest.raises(IoError, match=str(path)):
+                aggregate(path)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +374,25 @@ class TestCli:
         digest_line = capsys.readouterr().out.strip()
         digest = digest_line.split()[0]
         assert (store / f"{digest}.contract.json").exists()
+
+    def test_report_errors_exit_one_with_one_line(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "bad.jsonl"
+        not_utf8.write_bytes(b'{"kind":"cycle_start"}\n\xff\n')
+        not_object = tmp_path / "list.jsonl"
+        not_object.write_text("[1,2]\n", encoding="utf-8")
+        no_key = tmp_path / "nokey.jsonl"
+        no_key.write_text('{"kind":"forecast","cycle":1}\n', encoding="utf-8")
+        for args in (
+            ["--run-id", "nope"],
+            ["--log", str(tmp_path / "missing.jsonl")],
+            ["--log", str(tmp_path)],
+            ["--log", str(not_utf8)],
+            ["--log", str(not_object)],
+            ["--log", str(no_key)],
+        ):
+            assert cli_main(["--out", str(tmp_path), "report", *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_report_from_bare_log(self, capsys):
         assert cli_main(["report", "--log", str(FIXTURE), "--format", "csv", "--sort", "pnl"]) == 0
