@@ -150,8 +150,8 @@ class RunExists(EngineError):
 
 class CorruptLog(EngineError):
     """A log line that is not UTF-8, not JSON or not a JSON object; or
-    (``line_no`` is then None) an event the fold cannot take, or a log or
-    ledger that disagrees with the checkpoint resume starts from."""
+    (``line_no`` is then None) an event the fold cannot take, or a log that
+    disagrees with the checkpoint resume starts from."""
 
     def __init__(self, line_no: int | None, reason: str = ""):
         where = "" if line_no is None else f" at line {line_no}"

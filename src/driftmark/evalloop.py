@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -65,12 +64,14 @@ from .errors import (
     CorruptLog,
     FatalFeedError,
     InvalidParameters,
+    IoError,
     LengthMismatch,
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
     RunExists,
 )
+from .fileio import write_atomic
 from .market_data import (
     EventCategory,
     MarketSnapshot,
@@ -246,18 +247,6 @@ def _totals(p: Portfolio) -> dict:
     }
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a tmp file beside ``path``, fsync it, then rename it
-    over ``path``: a crash leaves the old file or the new one, never a torn
-    one. The tmp name ends in ``.tmp``, which ``cycle_*.json`` does not match."""
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
     """The lines of a binary file in its first ``size`` bytes, which end a line."""
     read = 0
@@ -346,25 +335,24 @@ class _AgentState:
     prev_forecasts: dict[str, ForecastRecord | _Forecast] = field(default_factory=dict)
     # Token sets of the prev_forecasts traces; one missing is computed from its trace.
     prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
-    # Ledger size at the last cycle boundary, recorded in the checkpoint.
-    ledger_bytes: int = 0
 
 
 @dataclass
 class _Run:
-    """What a run carries from cycle to cycle, and the files it appends to."""
+    """What a run carries from cycle to cycle: the log it appends to, and
+    each agent's ledger, written once at the end of the run."""
 
     states: dict[str, _AgentState]
     # Folds every event of the log, for the final reports.
     fold: reporting.EventFold
     prices: dict[str, deque[float]]
+    ledgers: dict[str, LedgerWriter]
     next_cycle: int = 1
     # Each market's category from its cycle-1 snapshot.
     categories: dict[str, EventCategory] = field(default_factory=dict)
     # The previous cycle's baseline probabilities by kind, for baseline drift.
     prev_baseline: dict[str, dict[str, float]] | None = None
     events: TextIO | None = None
-    ledgers: dict[str, LedgerWriter] = field(default_factory=dict)
     iso: _IsoCache = field(default_factory=_IsoCache)
     strings: _JsonStrings = field(default_factory=_JsonStrings)
 
@@ -373,7 +361,7 @@ class _Run:
         self.fold.add(ev)
 
     def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
-        """Append an entry to the agent's ledger, log it, and feed it to the
+        """Add an entry to the agent's ledger, log it, and feed it to the
         agent's calibration window."""
         self.ledgers[agent_id].append(entry)
         self.emit(
@@ -387,11 +375,6 @@ class _Run:
         )
         st = self.states[agent_id]
         st.window = _calibrated(st.window, entry)
-
-    def close(self) -> None:
-        self.events.close()
-        for writer in self.ledgers.values():
-            writer.close()
 
 
 class _KeptLog:
@@ -572,18 +555,14 @@ class EvalEngine:
 
     def _write_checkpoint(self, cycle: int, states: dict[str, _AgentState],
                           events_bytes: int) -> None:
-        """Record where the boundary after ``cycle`` falls in the log and the
-        ledgers, and each agent's own state; resume rebuilds everything else
-        from the log."""
+        """Record where the boundary after ``cycle`` falls in the log, and
+        each agent's own state; resume rebuilds everything else from the log."""
         payload = {
             "next_cycle": cycle + 1,
             "events_bytes": events_bytes,
-            "agents": {
-                aid: {"state": st.agent.get_state(), "ledger_bytes": st.ledger_bytes}
-                for aid, st in states.items()
-            },
+            "agents": {aid: {"state": st.agent.get_state()} for aid, st in states.items()},
         }
-        _write_atomic(
+        write_atomic(
             self._checkpoint_path(cycle),
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(),
         )
@@ -603,22 +582,21 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _read_prefix(path: Path, size: int, kept: _KeptLog | None = None) -> None:
-        """Check that the first ``size`` bytes of a JSONL file end a line and
-        feed each of those lines, read by ``reporting.decode_lines``, to
-        ``kept.add``; a missing file is empty. The file is left as it is."""
+    def _read_prefix(path: Path, size: int, kept: _KeptLog) -> None:
+        """Check that the first ``size`` bytes of the log end a line and feed
+        each of those lines, read by ``reporting.decode_lines``, to
+        ``kept.add``. The log is left as it is."""
         try:
             fh = open(path, "rb")
-        except FileNotFoundError:
-            fh = io.BytesIO()
+        except OSError as exc:
+            raise IoError(f"cannot read event log {path}: {exc.strerror or exc}") from exc
         with fh:
             end = fh.seek(0, os.SEEK_END)
             fh.seek(max(size - 1, 0))
             if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
-            if kept is not None:
-                fh.seek(0)
-                reporting.fold_events(kept.add, reporting.decode_lines(_lines_upto(fh, size)))
+            fh.seek(0)
+            reporting.fold_events(kept.add, reporting.decode_lines(_lines_upto(fh, size)))
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -628,11 +606,12 @@ class EvalEngine:
 
     def _restore(self, ckpt: dict, fold: reporting.EventFold) -> _Run:
         """Rebuild the run state at the checkpoint from the kept log:
-        portfolios replayed from the ledger events, calibration windows,
-        price history, previous forecasts and baseline probabilities. The
-        rebuilt portfolios must match the boundary's cycle_end. The log and
-        the ledgers are cut back to the checkpoint only once every check has
-        passed, so a resume that fails leaves them as they were."""
+        portfolios replayed from the ledger events, each agent's ledger so
+        far, calibration windows, price history, previous forecasts and
+        baseline probabilities. The rebuilt portfolios must match the
+        boundary's cycle_end. The log is cut back to the checkpoint only once
+        every check has passed, so a resume that fails leaves it as it was;
+        no ledger file is read or written."""
         cfg = self.config
         boundary = ckpt["next_cycle"] - 1
         kept = _KeptLog(fold, _price_history(cfg.metrics.volatility_window))
@@ -641,11 +620,11 @@ class EvalEngine:
         if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
             raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
         states: dict[str, _AgentState] = {}
+        ledgers: dict[str, LedgerWriter] = {}
         for aid in self.manifest.agent_ids:
             saved = ckpt["agents"].get(aid)
             if saved is None:
                 raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
-            self._read_prefix(self._ledger_path(aid), saved["ledger_bytes"])
             entries: list[LedgerEntry] = []
             reporting.fold_events(
                 lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})),
@@ -659,8 +638,10 @@ class EvalEngine:
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
             window = CalibrationWindow(size=cfg.agents.calibration_window_size)
+            ledger = ledgers[aid] = LedgerWriter(self._ledger_path(aid))
             for entry in entries:
                 window = _calibrated(window, entry)
+                ledger.append(entry)
             agent = build_agent(aid, self.manifest.seed)
             agent.set_state(saved["state"])
             states[aid] = _AgentState(
@@ -668,11 +649,8 @@ class EvalEngine:
                 portfolio=portfolio,
                 window=window,
                 prev_forecasts=kept.prev_forecasts.get(aid, {}),
-                ledger_bytes=saved["ledger_bytes"],
             )
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
-        for aid, st in states.items():
-            self._truncate_lines(self._ledger_path(aid), st.ledger_bytes)
         # Baseline drift at the resume boundary compares with the boundary
         # cycle's baseline probabilities.
         prev_baseline = {
@@ -683,7 +661,9 @@ class EvalEngine:
             }
             for k in BaselineKind
         }
-        return _Run(states, fold, kept.prices, ckpt["next_cycle"], prev_baseline=prev_baseline)
+        return _Run(
+            states, fold, kept.prices, ledgers, ckpt["next_cycle"], prev_baseline=prev_baseline
+        )
 
     # -- the run --
 
@@ -728,9 +708,9 @@ class EvalEngine:
                 run.emit({"kind": "final_report", "subject": subject, **final[subject]})
             run.emit({"kind": "run_completed", "cycles_run": total_cycles})
         finally:
-            run.close()
+            run.events.close()
         sha = file_sha256(self.paths.events)
-        _write_atomic(self.paths.events_sha, f"{sha}\n".encode())
+        write_atomic(self.paths.events_sha, f"{sha}\n".encode())
         return RunResult(
             run_id=self.manifest.run_id,
             cycles_run=total_cycles,
@@ -743,15 +723,16 @@ class EvalEngine:
     def _setup(
         self, resume: bool, resume_cycle: int | None, first_snaps: list[MarketSnapshot]
     ) -> _Run:
-        """The run state before its next cycle, with the log and the ledgers
-        open: restored from a checkpoint, or fresh after the manifest and the
+        """The run state before its next cycle, with the log open for
+        appending: restored from a checkpoint (the log kept up to it, each
+        ledger refilled from it), or fresh after the manifest and the
         contract are saved."""
         fold = reporting.EventFold()
         if resume:
             run = self._restore(self._latest_checkpoint(resume_cycle), fold)
             run.categories = {s.condition_id: self._categorize(s) for s in first_snaps}
         else:
-            _write_atomic(self.paths.manifest, self.manifest.to_json().encode())
+            write_atomic(self.paths.manifest, self.manifest.to_json().encode())
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
             sim = self.config.simulator
             states = {
@@ -762,8 +743,9 @@ class EvalEngine:
                 )
                 for aid in self.manifest.agent_ids
             }
-            run = _Run(states, fold, _price_history(self.config.metrics.volatility_window))
-        run.ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in self.manifest.agent_ids}
+            ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in states}
+            prices = _price_history(self.config.metrics.volatility_window)
+            run = _Run(states, fold, prices, ledgers)
         run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
         return run
 
@@ -859,10 +841,8 @@ class EvalEngine:
         )
 
     def _end_cycle(self, run: _Run, cycle: int, checkpoint: bool) -> None:
-        """Make the cycle durable: ledgers synced, the log flushed, and a
-        checkpoint when one is due."""
-        for aid, writer in run.ledgers.items():
-            run.states[aid].ledger_bytes = writer.sync()
+        """Make the cycle durable: the log flushed, and a checkpoint when one
+        is due."""
         run.events.flush()
         every = self.config.loop.checkpoint_every
         if checkpoint and every and cycle % every == 0:
@@ -1074,7 +1054,7 @@ class EvalEngine:
 
     def _settle(self, run: _Run, outcomes: list[ResolvedOutcome], cycle: int) -> None:
         """Log each outcome and settle every agent's position in its market,
-        after the last cycle."""
+        after the last cycle; then write each agent's ledger, whole."""
         for outcome in outcomes:
             run.emit(
                 {
@@ -1133,16 +1113,14 @@ class EvalEngine:
 
 def _read_checkpoint(path: Path) -> dict | None:
     """A checkpoint's payload, or None if it is missing, torn, or written
-    before checkpoints held byte offsets (it cannot be resumed)."""
+    before checkpoints held byte offsets (it cannot be resumed). Other keys,
+    such as the ledger offsets that older checkpoints hold, are ignored."""
     try:
         ckpt = json.loads(path.read_bytes())
         valid = (
             isinstance(ckpt["next_cycle"], int)
             and isinstance(ckpt["events_bytes"], int)
-            and all(
-                isinstance(a["state"], dict) and isinstance(a["ledger_bytes"], int)
-                for a in ckpt["agents"].values()
-            )
+            and all(isinstance(a["state"], dict) for a in ckpt["agents"].values())
         )
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None

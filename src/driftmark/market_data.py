@@ -219,20 +219,6 @@ def fetch_snapshot(
 # --- replay -------------------------------------------------------------------
 
 
-class VirtualClock:
-    """Cursor over replayed feed time; ``now`` is the last emitted timestamp."""
-
-    def __init__(self, start: datetime | None = None):
-        self._now = start
-
-    @property
-    def now(self) -> datetime | None:
-        return self._now
-
-    def advance(self, ts: datetime) -> None:
-        self._now = ts
-
-
 def _is_multinomial(record: dict) -> bool:
     if record.get("outcome_count", 2) != 2:
         return True
@@ -242,7 +228,6 @@ def _is_multinomial(record: dict) -> bool:
 
 def replay_feed(
     feed_file: str | Path,
-    clock: VirtualClock | None = None,
     *,
     spread_tolerance: float = 0.02,
     skipped_multinomial: list[int] | None = None,
@@ -273,8 +258,6 @@ def replay_feed(
             if prev is not None and snapshot.observed_at < prev:
                 raise UnsortedFeed(f"timestamp regression at line {line_no}")
             prev = snapshot.observed_at
-            if clock is not None:
-                clock.advance(snapshot.observed_at)
             yield snapshot
 
 

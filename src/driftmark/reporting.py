@@ -205,8 +205,13 @@ class EventFold:
         self.prices: dict[str, dict[int, float]] = {}  # cid -> cycle -> yes price
         # subject -> cid -> [(cycle, prob, confidence, in_tok, out_tok, strategy)]
         self.forecasts: dict[str, dict[str, list[tuple]]] = {}
-        self.drift_events: dict[str, list[dict]] = {}
+        # subject -> [(d_narrative, d_temporal, d_temporal_product)]
+        self.drifts: dict[str, list[tuple]] = {}
         self.ledgers: dict[str, list[dict]] = {}
+        # subject -> [(condition_id, basis_delta_cents, price)] of its OPEN entries
+        self.opens: dict[str, list[tuple]] = {}
+        # subject -> [(cycle, condition_id, cash_delta_cents)] of its CLOSE and RESOLVE entries
+        self.realized: dict[str, list[tuple]] = {}
         self.batches: dict[str, list[dict]] = {}
         self.failures: dict[str, int] = {}
         self.outcomes: dict[str, int] = {}
@@ -223,7 +228,9 @@ class EventFold:
 
     def add(self, ev: dict) -> None:
         """Fold one event; the engine calls this as it writes each event.
-        Kinds are tested from the most frequent down."""
+        Kinds are tested from the most frequent down. Every key the reports
+        read later is read here, so an event without one fails in
+        ``fold_events``."""
         kind = ev.get("kind")
         if kind == "forecast":
             subject = ev["agent_id"]
@@ -249,13 +256,21 @@ class EventFold:
                 (int(ev["cycle"]), float(ev["probability"]), 5, 0, 0, "NONE")
             )
         elif kind == "ledger":
-            self.ledgers.setdefault(ev["agent_id"], []).append(ev)
+            agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
+            cycle, cash = int(ev["cycle"]), ev["cash_delta_cents"]
+            if entry_kind == "OPEN":
+                self.opens.setdefault(agent, []).append((cid, ev["basis_delta_cents"], ev["price"]))
+            elif entry_kind in ("CLOSE", "RESOLVE"):
+                self.realized.setdefault(agent, []).append((cycle, cid, cash))
+            self.ledgers.setdefault(agent, []).append(ev)
         elif kind == "snapshot":
             cycle = int(ev["cycle"])
             self.prices.setdefault(ev["condition_id"], {})[cycle] = float(ev["yes_price"])
             self.cycles_seen.add(cycle)
         elif kind == "drift":
-            self.drift_events.setdefault(ev["agent_id"], []).append(ev)
+            self.drifts.setdefault(ev["agent_id"], []).append(
+                (ev["d_narrative"], ev["d_temporal"], ev.get("d_temporal_product", 0.0))
+            )
         elif kind == "batch":
             self.batches.setdefault(ev["agent_id"], []).append(ev)
         elif kind == "market_meta":
@@ -298,32 +313,24 @@ class EventFold:
 
     def drift_means(self, subject: str) -> tuple[float, float, float]:
         """(mean d_narrative, mean d_temporal, mean product-form d_temporal)."""
-        events = self.drift_events.get(subject, [])
-        if not events:
+        drifts = self.drifts.get(subject, [])
+        if not drifts:
             return 0.0, 0.0, 0.0
-        dn = sum(e["d_narrative"] for e in events) / len(events)
-        dt = sum(e["d_temporal"] for e in events) / len(events)
-        dtp = sum(e.get("d_temporal_product", 0.0) for e in events) / len(events)
+        dn = sum(d[0] for d in drifts) / len(drifts)
+        dt = sum(d[1] for d in drifts) / len(drifts)
+        dtp = sum(d[2] for d in drifts) / len(drifts)
         return dn, dt, dtp
 
     def pnl_cents(self, subject: str) -> int:
-        return sum(
-            e["cash_delta_cents"]
-            for e in self.ledgers.get(subject, [])
-            if e["entry_kind"] in ("CLOSE", "RESOLVE")
-        )
+        return sum(cash for _, _, cash in self.realized.get(subject, []))
 
     def pnl_by_cycle(self, subject: str) -> list[int]:
         by_cycle: dict[int, int] = {}
-        for e in self.ledgers.get(subject, []):
-            if e["entry_kind"] in ("CLOSE", "RESOLVE"):
-                by_cycle[int(e["cycle"])] = by_cycle.get(int(e["cycle"]), 0) + e["cash_delta_cents"]
+        for cycle, _, cash in self.realized.get(subject, []):
+            by_cycle[cycle] = by_cycle.get(cycle, 0) + cash
         for c in self.cycles_seen:
             by_cycle.setdefault(c, 0)
         return [by_cycle[c] for c in sorted(by_cycle)]
-
-    def buys(self, subject: str) -> list[dict]:
-        return [e for e in self.ledgers.get(subject, []) if e["entry_kind"] == "OPEN"]
 
     def token_averages(self, subject: str) -> tuple[float | None, float | None]:
         n = 0
@@ -354,8 +361,11 @@ class EventFold:
                 m0, m1 = prices.get(prev[0]), prices.get(row[0])
                 if m0 is not None and m1 is not None and 0.0 < m0 and 0.0 < m1:
                     dedges.append(abs((p1 - m1) - (p0 - m0)))
+                    # The later return first, as in the per-pair form: a price
+                    # expected_return cannot take fails with the same error.
+                    er2 = expected_return(p1, _REFERENCE_BET_CENTS, m1)
                     er0 = er1 if er1 is not None else expected_return(p0, _REFERENCE_BET_CENTS, m0)
-                    er1 = expected_return(p1, _REFERENCE_BET_CENTS, m1)
+                    er1 = er2
                     ders.append(abs(er1 - er0))
                 else:
                     er1 = None
@@ -388,13 +398,11 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
         divergence = sum(gaps) / len(gaps) if gaps else 0.0
         drift = drift_report(dn, dt, dc, divergence, dtp)
 
-        buys = fold.buys(subject)
-        high_buys = [
-            b for b in buys if fold.meta.get(b["condition_id"], {}).get("risk") == "high"
-        ]
+        buys = fold.opens.get(subject, [])
+        high_buys = [b for b in buys if fold.meta.get(b[0], {}).get("risk") == "high"]
         if buys:
             worst = max(
-                (fold.meta.get(b["condition_id"], {}).get("risk", "medium") for b in buys),
+                (fold.meta.get(b[0], {}).get("risk", "medium") for b in buys),
                 key=_risk_rank,
             )
         else:
@@ -403,12 +411,10 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
         var = cvar = None
         if risk_cat == Risk.HIGH:
             var, cvar = 0.0, 0.0
-            for b in high_buys:
+            for _, basis, price in high_buys:
                 # Stake-level risk at entry; the fill price is the market's
                 # implied win probability for the chosen side.
-                v, cv = var_cvar(
-                    b["basis_delta_cents"], b["price"], b["price"], config.metrics.var_alpha
-                )
+                v, cv = var_cvar(basis, price, price, config.metrics.var_alpha)
                 var += v
                 cvar += cv
         rar = risk_adjusted_return(fold.pnl_cents(subject), fold.pnl_by_cycle(subject))
@@ -517,11 +523,8 @@ def aggregate(
 
         # Per-category partition of scored forecasts and realized P&L.
         pnl_by_cid: dict[str, int] = {}
-        for e in fold.ledgers.get(subject, []):
-            if e["entry_kind"] in ("CLOSE", "RESOLVE"):
-                pnl_by_cid[e["condition_id"]] = (
-                    pnl_by_cid.get(e["condition_id"], 0) + e["cash_delta_cents"]
-                )
+        for _, cid, cash in fold.realized.get(subject, []):
+            pnl_by_cid[cid] = pnl_by_cid.get(cid, 0) + cash
         # Each market's Brier scores, built once for all four dimensions.
         briers_by_cid: dict[str, list[float]] = {}
         for cid, rows_ in fold.forecasts.get(subject, {}).items():

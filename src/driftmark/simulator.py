@@ -1,5 +1,5 @@
 """Execution mode: simulated fills, the portfolio state machine, and the
-append-only P&L ledger.
+P&L ledger.
 
 Money is integer cents throughout; share quantities are integer
 micro-shares so partial closes stay exact. Operations are functional: each
@@ -13,7 +13,6 @@ depth is out of scope). One position per market per agent.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
@@ -29,6 +28,7 @@ from .errors import (
     PositionLimitReached,
     ZeroPrice,
 )
+from .fileio import write_atomic
 from .market_data import MarketSnapshot, ResolvedOutcome
 from .timeutil import from_iso, to_iso
 
@@ -507,30 +507,18 @@ def entry_from_record(data: dict) -> LedgerEntry:
 
 
 class LedgerWriter:
-    """Append-only JSONL ledger; ``sync`` fsyncs at cycle boundaries."""
+    """A JSONL ledger, kept in memory until ``sync`` writes the whole file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._unsynced = False
+        self._lines: list[str] = []
 
     def append(self, entry: LedgerEntry) -> None:
-        self._fh.write(json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n")
-        self._unsynced = True
+        self._lines.append(json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n")
 
-    def sync(self) -> int:
-        """Flush and fsync what was appended since the last sync, if anything;
-        return the ledger's size in bytes."""
-        if self._unsynced:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._unsynced = False
-        return os.fstat(self._fh.fileno()).st_size
-
-    def close(self) -> None:
-        self._fh.flush()
-        self._fh.close()
+    def sync(self) -> None:
+        """Write every entry appended so far as the ledger file, atomically."""
+        write_atomic(self.path, "".join(self._lines).encode())
 
 
 def replay_ledger(

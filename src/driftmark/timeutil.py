@@ -8,7 +8,7 @@ output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 UTC = timezone.utc
 
@@ -35,11 +35,3 @@ def from_iso(text: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=UTC)
     return ts.astimezone(UTC)
-
-
-def days(n: float) -> timedelta:
-    return timedelta(days=n)
-
-
-def seconds(n: float) -> timedelta:
-    return timedelta(seconds=n)

@@ -10,6 +10,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from driftmark.simulator import (
     replay_ledger,
     step,
 )
-from driftmark.timeutil import SYNTHETIC_START, seconds
+from driftmark.timeutil import SYNTHETIC_START
 
 import oracles
 from conftest import make_snapshot
@@ -243,7 +244,7 @@ def test_criterion_05_simulator_conservation():
             assert portfolio.available_cents + portfolio.deployed_cents == portfolio.total_capital_cents
             for pos in portfolio.open_positions:
                 assert evaluate_triggers(pos) == Trigger.NONE
-            now = now + seconds(300)
+            now = now + timedelta(seconds=300)
 
         folded = replay_ledger(3_000_000, entries, max_open=30)
         assert folded.total_capital_cents == portfolio.total_capital_cents

@@ -31,7 +31,7 @@ from driftmark.evalloop import (
     token_budget_sweep,
     verify_run,
 )
-from driftmark import agents, evalloop
+from driftmark import agents, evalloop, fileio
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
@@ -150,38 +150,36 @@ class TestRunBasics:
 
 
     @pytest.mark.parametrize("mode", ["observation", "execution"])
-    def test_ledgers_fsynced_only_after_appends(self, tmp_path, monkeypatch, mode):
-        """A ledger is fsynced at a cycle boundary (and after settlement) only
-        when an entry was appended to it since its last fsync."""
-        synced = []
+    def test_each_ledger_fsynced_once_after_the_last_cycle_end(self, tmp_path, monkeypatch, mode):
+        """Every agent's ledger is written once per run, after the log holds
+        the last cycle_end; an agent that never trades gets an empty one."""
+        paths = RunPaths(tmp_path, mode)
+        synced = []  # (file id, cycle_end lines in the log) at each fsync
         real_fsync = os.fsync
 
         def fsync(fd):
             st = os.fstat(fd)
-            synced.append((st.st_dev, st.st_ino))
+            log = paths.events.read_bytes() if paths.events.exists() else b""
+            synced.append(((st.st_dev, st.st_ino), log.count(b'"kind":"cycle_end"')))
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        result = make_engine(
-            tmp_path, agents=("momentum", "market_copier", "mean_reversion"), cycles=5,
-            run_id=mode, mode=mode,
-        ).run()
+        agent_ids = ("momentum", "market_copier", "mean_reversion")
+        result = make_engine(tmp_path, agents=agent_ids, cycles=5, run_id=mode, mode=mode).run()
         ledgers = {
             (st.st_dev, st.st_ino): p.stem
-            for p in RunPaths(tmp_path, mode).ledgers.glob("*.jsonl")
+            for p in paths.ledgers.glob("*.jsonl")
             for st in [p.stat()]
         }
-        got = sorted(ledgers[key] for key in synced if key in ledgers)
-        appended = {
-            (e["cycle"], e["agent_id"])
-            for e in iter_events(result.events_path)
-            if e["kind"] == "ledger"
-        }
-        assert got == sorted(aid for _, aid in appended)
+        assert sorted(ledgers.values()) == sorted(agent_ids)
+        got = sorted((ledgers[key], ends) for key, ends in synced if key in ledgers)
+        assert got == sorted((aid, 5) for aid in agent_ids)
+        logged = [e for e in iter_events(result.events_path) if e["kind"] == "ledger"]
+        sizes = [p.stat().st_size for p in paths.ledgers.glob("*.jsonl")]
         if mode == "observation":
-            assert got == []
+            assert logged == [] and sizes == [0, 0, 0]
         else:
-            assert got
+            assert logged and any(sizes)
 
 
 class TestDeterminism:
@@ -282,10 +280,8 @@ class TestCheckpointResume:
             ckpt = json.loads((run_dir / "checkpoints" / name).read_bytes())
             assert set(ckpt) == {"next_cycle", "events_bytes", "agents"}
             assert set(ckpt["agents"]) == {"market_copier", "momentum"}
-            for aid, saved in ckpt["agents"].items():
-                assert set(saved) == {"state", "ledger_bytes"}
-                ledger = (run_dir / "ledgers" / f"{aid}.jsonl").read_bytes()
-                assert saved["ledger_bytes"] <= len(ledger)
+            for saved in ckpt["agents"].values():
+                assert set(saved) == {"state"}
             boundary = json.loads(events[: ckpt["events_bytes"]].splitlines()[-1])
             assert boundary["kind"] == "cycle_end"
             assert boundary["cycle"] == ckpt["next_cycle"] - 1
@@ -354,9 +350,8 @@ class TestCheckpointResume:
         "failure",
         [
             "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
-            "events_mid_line", "events_not_cycle_end", "totals", "ledger_past_end",
-            "agent_missing", "live", "kept_not_utf8", "kept_not_object", "kept_no_agent_id",
-            "kept_ledger_no_price",
+            "events_mid_line", "events_not_cycle_end", "totals", "agent_missing", "live",
+            "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
@@ -419,9 +414,6 @@ class TestCheckpointResume:
             head = b"".join(lines)
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
-        elif failure == "ledger_past_end":
-            ckpt["agents"]["momentum"]["ledger_bytes"] = ledger_path.stat().st_size + 1
-            save(ckpt)
         elif failure == "agent_missing":
             del ckpt["agents"]["momentum"]
             save(ckpt)
@@ -460,7 +452,10 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", spy)
         make_engine(tmp_path, cycles=2, run_id="atomic").run()
-        assert replaced == ["manifest.json", "cycle_00001.json", "cycle_00002.json", "events.sha256"]
+        assert replaced == [
+            "manifest.json", "cycle_00001.json", "cycle_00002.json",
+            "market_copier.jsonl", "momentum.jsonl", "events.sha256",
+        ]
 
     def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "events.sha256"
@@ -471,7 +466,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            evalloop._write_atomic(path, b"new\n")
+            fileio.write_atomic(path, b"new\n")
         assert path.read_bytes() == b"old\n"
 
 

@@ -9,10 +9,14 @@ and update the pins; any other change that moves one is a regression.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+from driftmark.errors import CorruptLog, IoError
 from driftmark.evalloop import EvalEngine, RunPaths, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import aggregate, emit, iter_events
@@ -200,3 +204,97 @@ def test_resume_at_every_boundary_matches_pins(tmp_path, monkeypatch):
         resumed = resume_run("out", "flaky", at_cycle=boundary)
         assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"], f"boundary {boundary}"
         assert run_digests("out", "flaky") == PINS["flaky"], f"boundary {boundary}"
+
+
+def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
+    """Checkpoints written before ledgers were derived from the log also hold
+    each ledger's size at the boundary; resume ignores it."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    paths = RunPaths("out", "flaky")
+    log = paths.events.read_bytes()
+    ledgers = {
+        p.stem: p.read_bytes().splitlines(keepends=True) for p in paths.ledgers.glob("*.jsonl")
+    }
+    for path in paths.checkpoints.glob("cycle_*.json"):
+        ckpt = json.loads(path.read_bytes())
+        kept = [json.loads(line) for line in log[: ckpt["events_bytes"]].splitlines()]
+        for aid, saved in ckpt["agents"].items():
+            n = sum(1 for e in kept if e["kind"] == "ledger" and e["agent_id"] == aid)
+            saved["ledger_bytes"] = len(b"".join(ledgers[aid][:n]))
+        path.write_text(json.dumps(ckpt), encoding="utf-8")
+    for at_cycle in (MANIFESTS["flaky"]["cycles"] // 2, None):
+        resumed = resume_run("out", "flaky", at_cycle=at_cycle)
+        assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"]
+        assert run_digests("out", "flaky") == PINS["flaky"]
+
+
+@pytest.mark.parametrize("damage", ["deleted", "edited"])
+def test_resume_rewrites_damaged_ledgers_to_pins(tmp_path, monkeypatch, damage):
+    """Resume never reads a ledger: it rebuilds each one from the log."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    paths = RunPaths("out", "flaky")
+    if damage == "deleted":
+        shutil.rmtree(paths.ledgers)
+    else:
+        ledger = paths.ledgers / "momentum.jsonl"
+        data = bytearray(ledger.read_bytes())
+        data[10] ^= 1
+        ledger.write_bytes(bytes(data))
+    resumed = resume_run("out", "flaky", at_cycle=MANIFESTS["flaky"]["cycles"] // 2)
+    assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"]
+    assert run_digests("out", "flaky") == PINS["flaky"]
+
+
+def test_resume_without_the_log_is_a_typed_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    RunPaths("out", "flaky").events.unlink()
+    with pytest.raises((CorruptLog, IoError)):
+        resume_run("out", "flaky")
+
+
+def test_crash_at_any_durable_write_resumes_to_pins(tmp_path, monkeypatch):
+    """A crash at each fsync or rename after the first checkpoint (the log,
+    each checkpoint, each ledger and ``events.sha256``) stops the run; resume
+    then writes the pinned bytes. Until the first ledger is renamed into
+    place, the run has no ledger at all."""
+    calls = []
+    real = {"fsync": os.fsync, "replace": os.replace}
+
+    def spy(name, fail_at=None):
+        def call(*args):
+            calls.append((name, Path(args[1]).name if name == "replace" else None))
+            if len(calls) == fail_at:
+                raise OSError(f"injected failure at {name} call {fail_at}")
+            return real[name](*args)
+
+        return call
+
+    def patch(fail_at=None):
+        calls.clear()
+        monkeypatch.setattr(os, "fsync", spy("fsync", fail_at))
+        monkeypatch.setattr(os, "replace", spy("replace", fail_at))
+
+    patch()
+    run_manifest(tmp_path / "clean", "flaky")
+    monkeypatch.undo()
+    writes = list(calls)
+    first_checkpoint = writes.index(("replace", "cycle_00001.json")) + 1
+    # The 1-based number of the first ledger rename.
+    first_ledger = 1 + next(i for i, (_, dst) in enumerate(writes) if (dst or "").endswith(".jsonl"))
+    assert writes[-1] == ("replace", "events.sha256")
+    for k in range(first_checkpoint + 1, len(writes) + 1):
+        root = tmp_path / f"crash{k}"
+        patch(fail_at=k)
+        with pytest.raises(OSError, match="injected"):
+            run_manifest(root, "flaky")
+        monkeypatch.undo()
+        paths = RunPaths(root, "flaky")
+        if k <= first_ledger:
+            assert list(paths.ledgers.glob("*.jsonl")) == [], f"call {k}"
+        resumed = resume_run(root, "flaky")
+        assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"], f"call {k}"
+        assert run_digests(root, "flaky") == PINS["flaky"], f"call {k}"
+        assert list(paths.ledgers.glob("*.tmp")) == [], f"call {k}"

@@ -26,7 +26,6 @@ from driftmark.market_data import (
     Horizon,
     Liquidity,
     Risk,
-    VirtualClock,
     categorize_event,
     fetch_snapshot,
     generate_synthetic,
@@ -141,11 +140,9 @@ class TestReplay:
             for i in range(3)
         ]
         feed = _write_feed(tmp_path / "feed.jsonl", snaps)
-        clock = VirtualClock()
-        out = list(replay_feed(feed, clock))
+        out = list(replay_feed(feed))
         assert len(out) == 3
         assert [s.condition_id for s in out] == [s.condition_id for s in snaps]
-        assert clock.now == snaps[-1].observed_at
 
     def test_replay_idempotent(self, tmp_path):
         feed = generate_synthetic(3, 20, 4)

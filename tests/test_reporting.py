@@ -210,11 +210,20 @@ class TestLogReader:
             ({"kind": "snapshot", "cycle": "x", "condition_id": "a", "yes_price": 0.5},
              "invalid literal"),
             ({"kind": "baseline", "baseline": 3, "cycle": 1}, "can only concatenate"),
+            # Keys the reports read only after the fold.
+            ({"kind": "ledger", "agent_id": "a"}, "no key 'entry_kind'"),
+            ({"kind": "ledger", "agent_id": "a", "entry_kind": "OPEN", "cycle": 1,
+              "condition_id": "m", "cash_delta_cents": 0}, "no key 'basis_delta_cents'"),
+            ({"kind": "drift", "agent_id": "a"}, "no key 'd_narrative'"),
         ],
     )
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
+        """The log names agent ``a`` and a high-risk market ``m`` first, so
+        the reports would read every key of the bad event."""
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(event) + "\n", encoding="utf-8")
+        meta = [{"kind": "agent_meta", "agent_id": "a"},
+                {"kind": "market_meta", "condition_id": "m", "risk": "high"}]
+        bad.write_text("".join(json.dumps(ev) + "\n" for ev in [*meta, event]), encoding="utf-8")
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(bad)
         assert '"kind": "' + event["kind"] + '"' in str(err.value)
@@ -382,6 +391,11 @@ class TestCli:
         not_object.write_text("[1,2]\n", encoding="utf-8")
         no_key = tmp_path / "nokey.jsonl"
         no_key.write_text('{"kind":"forecast","cycle":1}\n', encoding="utf-8")
+        no_entry_kind = tmp_path / "ledger.jsonl"
+        no_entry_kind.write_text(
+            '{"kind":"agent_meta","agent_id":"a"}\n{"kind":"ledger","agent_id":"a"}\n',
+            encoding="utf-8",
+        )
         for args in (
             ["--run-id", "nope"],
             ["--log", str(tmp_path / "missing.jsonl")],
@@ -389,6 +403,7 @@ class TestCli:
             ["--log", str(not_utf8)],
             ["--log", str(not_object)],
             ["--log", str(no_key)],
+            ["--log", str(no_entry_kind)],
         ):
             assert cli_main(["--out", str(tmp_path), "report", *args]) == 1
             err = capsys.readouterr().err
@@ -565,6 +580,18 @@ class TestScoringFoldMatchesPerForecast:
         + [
             {"kind": "snapshot", "condition_id": "0x00", "cycle": c, "yes_price": 0.2 + 0.1 * c}
             for c in (1, 2, 4, 5)
+        ]
+    )
+    @example(  # the first return overflows, the second is NaN: the later one fails first
+        [{"kind": "agent_meta", "agent_id": "a"}]
+        + [
+            {"kind": "forecast", "agent_id": "a", "condition_id": "0x00", "cycle": c,
+             "probability": p, "confidence": 0}
+            for c, p in ((1, 0.5), (2, 0.0))
+        ]
+        + [
+            {"kind": "snapshot", "condition_id": "0x00", "cycle": c, "yes_price": 2.2e-311}
+            for c in (1, 2)
         ]
     )
     def test_adjustment_depth_and_category_briers(self, events):
