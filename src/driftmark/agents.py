@@ -251,21 +251,17 @@ def validate_decision_batch(
 # --- opportunity ranking ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Opportunity:
-    h_score: float
-    expected_return_cents: int
-    edge: float
-    confidence: int
-    payload: object = None
-
-
-def rank_opportunities(candidates: Sequence[Opportunity]) -> list[Opportunity]:
-    """Descending lexicographic sort on (H, expected return, edge, confidence);
-    full ties keep their input order."""
+def rank_decisions(decisions: Sequence[Decision]) -> list[Decision]:
+    """Descending lexicographic sort on (H, expected return, edge, confidence),
+    a missing value counting as 0; full ties keep their input order."""
     return sorted(
-        candidates,
-        key=lambda o: (-o.h_score, -o.expected_return_cents, -o.edge, -o.confidence),
+        decisions,
+        key=lambda d: (
+            -(d.h_score or 0.0),
+            -(d.expected_return_cents or 0),
+            -(d.edge or 0.0),
+            -(d.confidence or 0),
+        ),
     )
 
 
@@ -623,7 +619,7 @@ def build_decision_batch(
     else:
         min_conf, min_edge = cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge
 
-    candidates: list[Opportunity] = []
+    candidates: list[Decision] = []
     for snap in snapshots:
         cid = snap.condition_id
         if cid in used or cid in open_positions or cid not in records:
@@ -644,30 +640,23 @@ def build_decision_batch(
         er = expected_return(p_side, bet, price)
         if record.confidence >= min_conf and edge >= min_edge and er > 0:
             candidates.append(
-                Opportunity(
-                    h_score=0.0,
-                    expected_return_cents=er,
-                    edge=edge,
+                Decision(
+                    market_id=cid,
+                    action=action,
+                    amount_cents=bet,
+                    reasoning=f"{agent.strategy.value}: edge {edge:.4f} at {price:.4f}",
                     confidence=record.confidence,
-                    payload=Decision(
-                        market_id=cid,
-                        action=action,
-                        amount_cents=bet,
-                        reasoning=f"{agent.strategy.value}: edge {edge:.4f} at {price:.4f}",
-                        confidence=record.confidence,
-                        edge=edge,
-                        expected_return_cents=er,
-                        h_score=0.0,
-                        strategy=agent.strategy,
-                    ),
+                    edge=edge,
+                    expected_return_cents=er,
+                    h_score=0.0,
+                    strategy=agent.strategy,
                 )
             )
 
     room = max_open_positions - len(open_positions)
-    for opp in rank_opportunities(candidates):
+    for decision in rank_decisions(candidates):
         if len(decisions) >= cfg.batch_size or room <= 0:
             break
-        decision = opp.payload
         decisions.append(decision)
         used.add(decision.market_id)
         room -= 1

@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveBudget,
     UnlockedContract,
 )
+from .fileio import write_atomic
 from .timeutil import EPOCH, from_iso, to_iso
 
 # Field order is part of the hash contract; never reorder.
@@ -278,7 +279,7 @@ class ContractStore:
             raise UnlockedContract("only locked contracts can be stored")
         path = self.path_for(chash.digest)
         if not path.exists():
-            path.write_text(contract_to_json(contract, chash.algorithm_id), encoding="utf-8")
+            write_atomic(path, contract_to_json(contract, chash.algorithm_id).encode())
         return path
 
     def load(self, digest: str) -> tuple[PromptContract, ContractHash]:

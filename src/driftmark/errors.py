@@ -121,12 +121,6 @@ class NoSuchPosition(EngineError):
     pass
 
 
-class MissingSnapshot(EngineError):
-    def __init__(self, condition_id: str):
-        super().__init__(f"no snapshot for open position {condition_id}")
-        self.condition_id = condition_id
-
-
 # --- evaluation loop --------------------------------------------------------
 
 class FatalFeedError(EngineError):
@@ -134,7 +128,8 @@ class FatalFeedError(EngineError):
 
 
 class NoCheckpoint(EngineError):
-    pass
+    """Resume has no readable checkpoint, manifest or stored contract to
+    start from."""
 
 
 class LiveSourceNotResumable(EngineError):

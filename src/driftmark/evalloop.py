@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .contract import (
     ContractStore,
     DEFAULT_TEMPLATE,
     PromptContract,
+    contract_from_json,
     instruction_tokens,
     lock_contract,
     render_instruction,  # noqa: F401  perfbench/layers.py wraps it here
@@ -62,6 +63,7 @@ from .contract import (
 from .errors import (
     AgentTimeout,
     CorruptLog,
+    EngineError,
     FatalFeedError,
     InvalidParameters,
     IoError,
@@ -98,15 +100,16 @@ from .simulator import (
     LedgerWriter,
     Mode,
     Portfolio,
+    apply_entry,
     entry_from_record,
     entry_to_record,
-    replay_ledger,
     resolve_market,
     step,
 )
 from .timeutil import to_iso, utc_now
 
 _MASK64 = (1 << 64) - 1
+_T = TypeVar("_T")
 
 
 # --- manifest -------------------------------------------------------------------
@@ -136,12 +139,12 @@ class RunManifest:
             seed=int(data["seed"]),
             contract_hashes=tuple(data["contract_hashes"]),
             agent_ids=tuple(data["agent_ids"]),
-            feed_source=data["feed_source"],
+            feed_source=dict(data["feed_source"]),
             cycle_interval_sec=int(data["cycle_interval_sec"]),
             cycles=int(data["cycles"]),
             metric_config=data["metric_config"],
             started_at=data["started_at"],
-            mode=data["mode"],
+            mode=Mode(data["mode"]).value,
         )
 
 
@@ -630,18 +633,26 @@ class EvalEngine:
                 lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})),
                 fold.ledgers.get(aid, []),
             )
-            portfolio = replay_ledger(
-                cfg.simulator.initial_capital_cents, entries, cfg.simulator.max_open_positions
+            portfolio = Portfolio.fresh(
+                cfg.simulator.initial_capital_cents, cfg.simulator.max_open_positions
             )
+            window = CalibrationWindow(size=cfg.agents.calibration_window_size)
+            ledger = ledgers[aid] = LedgerWriter(self._ledger_path(aid))
+            for entry in entries:
+                # apply_entry's own errors, a broken Portfolio invariant
+                # (AssertionError), or a price it cannot value
+                try:
+                    portfolio = apply_entry(portfolio, entry)
+                except (EngineError, AssertionError, ArithmeticError, ValueError) as exc:
+                    raise CorruptLog(
+                        None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
+                    ) from exc
+                window = _calibrated(window, entry)
+                ledger.append(entry)
             if last.get("portfolios", {}).get(aid) != _totals(portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            window = CalibrationWindow(size=cfg.agents.calibration_window_size)
-            ledger = ledgers[aid] = LedgerWriter(self._ledger_path(aid))
-            for entry in entries:
-                window = _calibrated(window, entry)
-                ledger.append(entry)
             agent = build_agent(aid, self.manifest.seed)
             agent.set_state(saved["state"])
             states[aid] = _AgentState(
@@ -707,8 +718,13 @@ class EvalEngine:
             for subject in sorted(final):
                 run.emit({"kind": "final_report", "subject": subject, **final[subject]})
             run.emit({"kind": "run_completed", "cycles_run": total_cycles})
+            # Durable before the ledgers and events.sha256 that derive from it.
+            run.events.flush()
+            os.fsync(run.events.fileno())
         finally:
             run.events.close()
+        for writer in run.ledgers.values():
+            writer.sync()
         sha = file_sha256(self.paths.events)
         write_atomic(self.paths.events_sha, f"{sha}\n".encode())
         return RunResult(
@@ -1054,7 +1070,7 @@ class EvalEngine:
 
     def _settle(self, run: _Run, outcomes: list[ResolvedOutcome], cycle: int) -> None:
         """Log each outcome and settle every agent's position in its market,
-        after the last cycle; then write each agent's ledger, whole."""
+        after the last cycle."""
         for outcome in outcomes:
             run.emit(
                 {
@@ -1069,8 +1085,6 @@ class EvalEngine:
                 st.portfolio, entry = resolve_market(st.portfolio, outcome)
                 if entry is not None:
                     run.record(cycle, aid, entry)
-        for writer in run.ledgers.values():
-            writer.sync()
 
     # -- helpers --
 
@@ -1264,20 +1278,28 @@ def token_budget_sweep(
 # --- resumption and verification -----------------------------------------------------------
 
 
+def _read_run_file(path: Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the text of a file resume starts from: the manifest or a
+    stored contract. A missing, unreadable or malformed one is a
+    ``NoCheckpoint`` naming it."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise NoCheckpoint(f"cannot resume from {path}: {exc}") from exc
+
+
 def resume_run(out_root: str | Path, run_id: str, at_cycle: int | None = None) -> RunResult:
     """Resume an interrupted run from its latest (or given) checkpoint."""
     paths = RunPaths(out_root, run_id)
-    if not paths.manifest.exists():
-        raise NoCheckpoint(f"no manifest for run {run_id}")
-    manifest = RunManifest.from_json(paths.manifest.read_text(encoding="utf-8"))
+    manifest = _read_run_file(paths.manifest, RunManifest.from_json)
     if manifest.feed_source.get("kind") == "live":
         raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
     config = config_from_dict(manifest.metric_config)
     store = ContractStore(paths.contracts)
-    contracts = {}
-    for digest in manifest.contract_hashes:
-        contract, chash = store.load(digest)
-        contracts[digest] = (contract, chash)
+    contracts = {
+        digest: _read_run_file(store.path_for(digest), contract_from_json)
+        for digest in manifest.contract_hashes
+    }
     engine = EvalEngine(manifest, config, out_root, contracts)
     return engine.run(resume=True, resume_cycle=at_cycle)
 

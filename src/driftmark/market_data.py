@@ -76,7 +76,7 @@ class EventCategory:
 
 # A quoted price is 0 or at least this: a bet's expected return scales with
 # 1/price, which must stay finite.
-_MIN_POSITIVE_PRICE = 1e-6
+MIN_POSITIVE_PRICE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ class MarketSnapshot:
         for name, price in (("yes_price", self.yes_price), ("no_price", self.no_price)):
             if not (0.0 <= price <= 1.0):
                 raise PriceOutOfRange(f"{name} {price} outside [0,1]")
-            if 0.0 < price < _MIN_POSITIVE_PRICE:
+            if 0.0 < price < MIN_POSITIVE_PRICE:
                 raise PriceOutOfRange(
-                    f"{name} {price} is positive but below {_MIN_POSITIVE_PRICE}"
+                    f"{name} {price} is positive but below {MIN_POSITIVE_PRICE}"
                 )
         if abs(self.yes_price + self.no_price - 1.0) > spread_tolerance:
             raise PriceOutOfRange(

@@ -255,11 +255,6 @@ def market_divergence(series_p: Sequence[float], series_m: Sequence[float]) -> f
     return float(np.mean(np.abs(np.asarray(series_p) - np.asarray(series_m))))
 
 
-def baseline_delta(model_brier: float, baseline_brier: float) -> float:
-    """Model Brier minus baseline Brier; negative means the model is better."""
-    return model_brier - baseline_brier
-
-
 # --- risk -----------------------------------------------------------------------
 
 
@@ -392,28 +387,6 @@ def confidence_reasoning_alignment(
     if float(np.std(c)) == 0.0 or float(np.std(q)) == 0.0:
         raise DegenerateInput("zero variance in an input series")
     return float(np.corrcoef(c, q)[0, 1])
-
-
-def overconfidence_index(forecasts: Sequence[tuple[float, int]], bins: int = 10) -> float:
-    """Count-weighted mean of signed (confidence - accuracy) across bins.
-
-    Interpretation of the named diagnostic: positive values mean stated
-    probability mass runs ahead of realized accuracy.
-    """
-    _, _, bin_list = ece_mce(forecasts, bins)
-    total = sum(b.count for b in bin_list)
-    signed = 0.0
-    for b in bin_list:
-        if b.count and b.mean_confidence is not None and b.empirical_accuracy is not None:
-            signed += (b.count / total) * (b.mean_confidence - b.empirical_accuracy)
-    return signed
-
-
-def confidence_stability(confidences: Sequence[float]) -> float:
-    """Stdev of stated confidence over time; 0 for fewer than two samples."""
-    if len(confidences) < 2:
-        return 0.0
-    return float(np.std(np.asarray(confidences, dtype=float), ddof=0))
 
 
 # --- report types ------------------------------------------------------------------

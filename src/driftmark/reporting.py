@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 from .agents import expected_return
 from .config import EngineConfig
 from .errors import CorruptLog, DegenerateInput, IoError, LengthMismatch
-from .market_data import Risk
+from .market_data import MIN_POSITIVE_PRICE, Risk
 from .metrics import (
     CompositeScores,
     DriftReport,
@@ -264,8 +264,10 @@ class EventFold:
                 self.realized.setdefault(agent, []).append((cycle, cid, cash))
             self.ledgers.setdefault(agent, []).append(ev)
         elif kind == "snapshot":
-            cycle = int(ev["cycle"])
-            self.prices.setdefault(ev["condition_id"], {})[cycle] = float(ev["yes_price"])
+            cycle, price = int(ev["cycle"]), float(ev["yes_price"])
+            if 0.0 < price < MIN_POSITIVE_PRICE:
+                raise ValueError(f"yes_price {price} is positive but below {MIN_POSITIVE_PRICE}")
+            self.prices.setdefault(ev["condition_id"], {})[cycle] = price
             self.cycles_seen.add(cycle)
         elif kind == "drift":
             self.drifts.setdefault(ev["agent_id"], []).append(

@@ -3,8 +3,9 @@ P&L ledger.
 
 Money is integer cents throughout; share quantities are integer
 micro-shares so partial closes stay exact. Operations are functional: each
-returns a new portfolio plus the ledger entries it produced, and the
-capital identity available + deployed = total holds after every mutation.
+prices its change as one ledger entry and returns ``apply_entry`` of it, the
+one portfolio transition, which ledger replay folds too. The capital
+identity available + deployed = total holds after every transition.
 
 Fills happen at the quoted price with no slippage (quote-level model;
 depth is out of scope). One position per market per agent.
@@ -13,17 +14,16 @@ depth is out of scope). One position per market per agent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .agents import Action, Decision, DecisionBatch, Opportunity, rank_opportunities
+from .agents import Action, Decision, DecisionBatch, rank_decisions
 from .errors import (
     AlreadyOpen,
     InsufficientCapital,
-    MissingSnapshot,
     NoSuchPosition,
     PositionLimitReached,
     ZeroPrice,
@@ -133,9 +133,6 @@ class Portfolio:
                 return p
         return None
 
-    def _without(self, condition_id: str) -> tuple[Position, ...]:
-        return tuple(p for p in self.open_positions if p.condition_id != condition_id)
-
     def summary(self) -> str:
         return (
             f"total ${self.total_capital_cents / 100:.2f}, "
@@ -168,14 +165,6 @@ def open_position(
     if price <= 0.0:
         raise ZeroPrice(f"cannot fill at price {price}")
     quantity = int(round(amount * 10_000.0 / price))
-    position = Position(
-        condition_id=decision.market_id,
-        side=side,
-        entry_price=price,
-        quantity_micro=quantity,
-        cost_basis_cents=amount,
-        opened_at=now,
-    )
     entry = LedgerEntry(
         seq=portfolio.next_seq,
         kind=EntryKind.OPEN,
@@ -188,28 +177,7 @@ def open_position(
         basis_delta_cents=amount,
         note="fill",
     )
-    updated = replace(
-        portfolio,
-        available_cents=portfolio.available_cents - amount,
-        deployed_cents=portfolio.deployed_cents + amount,
-        open_positions=portfolio.open_positions + (position,),
-        next_seq=portfolio.next_seq + 1,
-    )
-    return updated, entry
-
-
-def mark_to_market(
-    portfolio: Portfolio, snapshots: dict[str, MarketSnapshot]
-) -> Portfolio:
-    """Recompute unrealized P&L for every open position."""
-    marked = []
-    for p in portfolio.open_positions:
-        snap = snapshots.get(p.condition_id)
-        if snap is None:
-            raise MissingSnapshot(p.condition_id)
-        value = _value_cents(p.quantity_micro, p.side_price(snap))
-        marked.append(replace(p, unrealized_pnl_cents=value - p.cost_basis_cents))
-    return replace(portfolio, open_positions=tuple(marked))
+    return apply_entry(portfolio, entry), entry
 
 
 def evaluate_triggers(
@@ -247,24 +215,7 @@ def close_position(
     basis_released = int(
         round(position.cost_basis_cents * closed_micro / position.quantity_micro)
     )
-    proceeds = _value_cents(closed_micro, price)
-    realized = proceeds - basis_released
-
-    if closed_micro == position.quantity_micro:
-        positions = portfolio._without(condition_id)
-    else:
-        remaining_micro = position.quantity_micro - closed_micro
-        remaining_basis = position.cost_basis_cents - basis_released
-        remaining = replace(
-            position,
-            quantity_micro=remaining_micro,
-            cost_basis_cents=remaining_basis,
-            unrealized_pnl_cents=_value_cents(remaining_micro, price) - remaining_basis,
-        )
-        positions = tuple(
-            remaining if p.condition_id == condition_id else p
-            for p in portfolio.open_positions
-        )
+    realized = _value_cents(closed_micro, price) - basis_released
     entry = LedgerEntry(
         seq=portfolio.next_seq,
         kind=EntryKind.CLOSE,
@@ -277,15 +228,7 @@ def close_position(
         basis_delta_cents=-basis_released,
         note=note,
     )
-    updated = replace(
-        portfolio,
-        total_capital_cents=portfolio.total_capital_cents + realized,
-        available_cents=portfolio.available_cents + proceeds,
-        deployed_cents=portfolio.deployed_cents - basis_released,
-        open_positions=positions,
-        next_seq=portfolio.next_seq + 1,
-    )
-    return updated, entry
+    return apply_entry(portfolio, entry), entry
 
 
 def resolve_market(
@@ -301,8 +244,7 @@ def resolve_market(
     ts = now or outcome.resolved_at
     won = (position.side == Side.YES) == (outcome.outcome == 1)
     settle_price = 1.0 if won else 0.0
-    proceeds = _value_cents(position.quantity_micro, settle_price)
-    realized = proceeds - position.cost_basis_cents
+    realized = _value_cents(position.quantity_micro, settle_price) - position.cost_basis_cents
     entry = LedgerEntry(
         seq=portfolio.next_seq,
         kind=EntryKind.RESOLVE,
@@ -315,15 +257,69 @@ def resolve_market(
         basis_delta_cents=-position.cost_basis_cents,
         note="resolution",
     )
-    updated = replace(
-        portfolio,
-        total_capital_cents=portfolio.total_capital_cents + realized,
-        available_cents=portfolio.available_cents + proceeds,
-        deployed_cents=portfolio.deployed_cents - position.cost_basis_cents,
-        open_positions=portfolio._without(outcome.condition_id),
-        next_seq=portfolio.next_seq + 1,
+    return apply_entry(portfolio, entry), entry
+
+
+def apply_entry(portfolio: Portfolio, entry: LedgerEntry) -> Portfolio:
+    """The portfolio after one ledger entry: the only transition, shared by
+    every operation above, ``step``'s marks and ``replay_ledger``.
+
+    Every kind moves capital alike: ``basis_delta_cents`` goes from available
+    to deployed, and the realized ``cash_delta_cents`` into available and
+    total. An OPEN adds its position. A CLOSE, RESOLVE or MARK adds its
+    quantity and basis to the market's position and marks what is left at
+    its price; a position with no quantity left is removed. A MARK for a
+    market without a position changes nothing; a CLOSE or RESOLVE for one
+    raises ``NoSuchPosition``.
+    """
+    cid = entry.condition_id
+    held = portfolio.open_positions
+    at = next((i for i, p in enumerate(held) if p.condition_id == cid), None)
+    if entry.kind == EntryKind.OPEN:
+        if at is not None:
+            raise AlreadyOpen(cid)
+        opened = Position(
+            condition_id=cid,
+            side=entry.side,
+            entry_price=entry.price,
+            quantity_micro=entry.quantity_micro,
+            cost_basis_cents=entry.basis_delta_cents,
+            opened_at=entry.timestamp,
+        )
+        positions = held + (opened,)
+    elif at is None:
+        if entry.kind == EntryKind.MARK:
+            return portfolio
+        raise NoSuchPosition(cid)
+    else:
+        position = held[at]
+        quantity = position.quantity_micro + entry.quantity_micro
+        basis = position.cost_basis_cents + entry.basis_delta_cents
+        if quantity <= 0:
+            positions = held[:at] + held[at + 1 :]
+        else:
+            changed = Position(
+                condition_id=cid,
+                side=position.side,
+                entry_price=position.entry_price,
+                quantity_micro=quantity,
+                cost_basis_cents=basis,
+                opened_at=position.opened_at,
+                unrealized_pnl_cents=_value_cents(quantity, entry.price) - basis,
+            )
+            positions = held[:at] + (changed,) + held[at + 1 :]
+    # The constructors, not dataclasses.replace: step marks every position
+    # through here each cycle.
+    return Portfolio(
+        total_capital_cents=portfolio.total_capital_cents + entry.cash_delta_cents,
+        available_cents=(
+            portfolio.available_cents - entry.basis_delta_cents + entry.cash_delta_cents
+        ),
+        deployed_cents=portfolio.deployed_cents + entry.basis_delta_cents,
+        open_positions=positions,
+        max_open=portfolio.max_open,
+        next_seq=entry.seq + 1,
     )
-    return updated, entry
 
 
 # --- the step ---------------------------------------------------------------------
@@ -370,33 +366,25 @@ def step(
 
     # Mark positions with a snapshot this cycle; stale ones keep their last
     # mark and are reported, not fatal.
-    marked: list[Position] = []
-    next_seq = portfolio.next_seq
     for p in portfolio.open_positions:
         snap = snapshots.get(p.condition_id)
         if snap is None:
             skipped.append(SkipRecord(p.condition_id, "MARK", "missing_snapshot"))
-            marked.append(p)
             continue
-        price = p.side_price(snap)
-        value = _value_cents(p.quantity_micro, price)
-        marked.append(replace(p, unrealized_pnl_cents=value - p.cost_basis_cents))
-        entries.append(
-            LedgerEntry(
-                seq=next_seq,
-                kind=EntryKind.MARK,
-                condition_id=p.condition_id,
-                cash_delta_cents=0,
-                timestamp=now,
-                side=p.side,
-                price=price,
-                quantity_micro=0,
-                basis_delta_cents=0,
-                note="mark",
-            )
+        entry = LedgerEntry(
+            seq=portfolio.next_seq,
+            kind=EntryKind.MARK,
+            condition_id=p.condition_id,
+            cash_delta_cents=0,
+            timestamp=now,
+            side=p.side,
+            price=p.side_price(snap),
+            quantity_micro=0,
+            basis_delta_cents=0,
+            note="mark",
         )
-        next_seq += 1
-    portfolio = replace(portfolio, open_positions=tuple(marked), next_seq=next_seq)
+        portfolio = apply_entry(portfolio, entry)
+        entries.append(entry)
 
     # Mandatory trigger closes, engine-enforced.
     for position in list(portfolio.open_positions):
@@ -432,22 +420,7 @@ def step(
 
     # BUYs above the entry threshold, best first.
     buys = [d for d in batch.decisions if d.action in (Action.BUY_YES, Action.BUY_NO)]
-    ranked = rank_opportunities(
-        [
-            Opportunity(
-                h_score=d.h_score if d.h_score is not None else 0.0,
-                expected_return_cents=(
-                    d.expected_return_cents if d.expected_return_cents is not None else 0
-                ),
-                edge=d.edge if d.edge is not None else 0.0,
-                confidence=d.confidence if d.confidence is not None else 0,
-                payload=d,
-            )
-            for d in buys
-        ]
-    )
-    for opp in ranked:
-        d: Decision = opp.payload
+    for d in rank_decisions(buys):
         if d.edge is None:
             skipped.append(SkipRecord(d.market_id, d.action.value, "no_recorded_edge"))
             continue
@@ -527,67 +500,5 @@ def replay_ledger(
     """Fold a ledger from initial capital back into the final portfolio."""
     portfolio = Portfolio.fresh(initial_capital_cents, max_open=max_open)
     for entry in entries:
-        if entry.kind == EntryKind.OPEN:
-            position = Position(
-                condition_id=entry.condition_id,
-                side=entry.side,
-                entry_price=entry.price,
-                quantity_micro=entry.quantity_micro,
-                cost_basis_cents=entry.basis_delta_cents,
-                opened_at=entry.timestamp,
-            )
-            portfolio = replace(
-                portfolio,
-                available_cents=portfolio.available_cents - entry.basis_delta_cents,
-                deployed_cents=portfolio.deployed_cents + entry.basis_delta_cents,
-                open_positions=portfolio.open_positions + (position,),
-                next_seq=entry.seq + 1,
-            )
-        elif entry.kind in (EntryKind.CLOSE, EntryKind.RESOLVE):
-            position = portfolio.position(entry.condition_id)
-            if position is None:
-                raise NoSuchPosition(entry.condition_id)
-            closed = -entry.quantity_micro
-            released = -entry.basis_delta_cents
-            proceeds = released + entry.cash_delta_cents
-            if closed >= position.quantity_micro:
-                positions = portfolio._without(entry.condition_id)
-            else:
-                remaining = replace(
-                    position,
-                    quantity_micro=position.quantity_micro - closed,
-                    cost_basis_cents=position.cost_basis_cents - released,
-                    unrealized_pnl_cents=_value_cents(
-                        position.quantity_micro - closed, entry.price
-                    )
-                    - (position.cost_basis_cents - released),
-                )
-                positions = tuple(
-                    remaining if p.condition_id == entry.condition_id else p
-                    for p in portfolio.open_positions
-                )
-            portfolio = replace(
-                portfolio,
-                total_capital_cents=portfolio.total_capital_cents + entry.cash_delta_cents,
-                available_cents=portfolio.available_cents + proceeds,
-                deployed_cents=portfolio.deployed_cents - released,
-                open_positions=positions,
-                next_seq=entry.seq + 1,
-            )
-        elif entry.kind == EntryKind.MARK:
-            position = portfolio.position(entry.condition_id)
-            if position is not None:
-                updated = replace(
-                    position,
-                    unrealized_pnl_cents=_value_cents(position.quantity_micro, entry.price)
-                    - position.cost_basis_cents,
-                )
-                portfolio = replace(
-                    portfolio,
-                    open_positions=tuple(
-                        updated if p.condition_id == entry.condition_id else p
-                        for p in portfolio.open_positions
-                    ),
-                    next_seq=entry.seq + 1,
-                )
+        portfolio = apply_entry(portfolio, entry)
     return portfolio

@@ -6,14 +6,20 @@ enumeration, sharing no code path with the package. The exceptions are
 package's pure-Python volatility must equal bit for bit; and
 ``read_log_oracle``, ``json.loads`` on each line: the reference the
 package's event-log reader must equal value for value and error for error.
+The portfolio oracles at the end use the simulator's data types, and
+nothing else of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from driftmark.agents import Action
+from driftmark.simulator import Position, Side
 
 
 def brier_oracle(p: float, outcome: int) -> float:
@@ -249,3 +255,114 @@ def read_log_oracle(data: bytes):
             return ("error", line_no, f"a {type(value).__name__}, not a JSON object")
         events.append(value)
     return ("events", events)
+
+
+# --- portfolio arithmetic, one function per operation --------------------------
+# Each operation builds its portfolio with its own arithmetic, as the
+# simulator did before every operation went through one transition.
+
+
+def _value_cents_oracle(quantity_micro: int, price: float) -> int:
+    return int(round(quantity_micro * price / 10_000.0))
+
+
+def _side_price_oracle(side, snapshot) -> float:
+    return snapshot.yes_price if side == Side.YES else snapshot.no_price
+
+
+def open_oracle(portfolio, decision, snapshot, now):
+    side = Side.YES if decision.action == Action.BUY_YES else Side.NO
+    price = _side_price_oracle(side, snapshot)
+    amount = decision.amount_cents
+    position = Position(
+        condition_id=decision.market_id,
+        side=side,
+        entry_price=price,
+        quantity_micro=int(round(amount * 10_000.0 / price)),
+        cost_basis_cents=amount,
+        opened_at=now,
+    )
+    return replace(
+        portfolio,
+        available_cents=portfolio.available_cents - amount,
+        deployed_cents=portfolio.deployed_cents + amount,
+        open_positions=portfolio.open_positions + (position,),
+        next_seq=portfolio.next_seq + 1,
+    )
+
+
+def close_oracle(portfolio, condition_id, snapshot, fraction=100):
+    position = next(p for p in portfolio.open_positions if p.condition_id == condition_id)
+    price = _side_price_oracle(position.side, snapshot)
+    if fraction == 100:
+        closed = position.quantity_micro
+    else:
+        closed = int(round(position.quantity_micro * fraction / 100.0))
+    closed = max(1, min(closed, position.quantity_micro))
+    released = int(round(position.cost_basis_cents * closed / position.quantity_micro))
+    proceeds = _value_cents_oracle(closed, price)
+    if closed == position.quantity_micro:
+        positions = tuple(p for p in portfolio.open_positions if p.condition_id != condition_id)
+    else:
+        quantity = position.quantity_micro - closed
+        basis = position.cost_basis_cents - released
+        remaining = replace(
+            position,
+            quantity_micro=quantity,
+            cost_basis_cents=basis,
+            unrealized_pnl_cents=_value_cents_oracle(quantity, price) - basis,
+        )
+        positions = tuple(
+            remaining if p.condition_id == condition_id else p for p in portfolio.open_positions
+        )
+    return replace(
+        portfolio,
+        total_capital_cents=portfolio.total_capital_cents + proceeds - released,
+        available_cents=portfolio.available_cents + proceeds,
+        deployed_cents=portfolio.deployed_cents - released,
+        open_positions=positions,
+        next_seq=portfolio.next_seq + 1,
+    )
+
+
+def resolve_oracle(portfolio, outcome):
+    position = next(
+        (p for p in portfolio.open_positions if p.condition_id == outcome.condition_id), None
+    )
+    if position is None:
+        return portfolio
+    won = (position.side == Side.YES) == (outcome.outcome == 1)
+    proceeds = _value_cents_oracle(position.quantity_micro, 1.0 if won else 0.0)
+    return replace(
+        portfolio,
+        total_capital_cents=portfolio.total_capital_cents + proceeds - position.cost_basis_cents,
+        available_cents=portfolio.available_cents + proceeds,
+        deployed_cents=portfolio.deployed_cents - position.cost_basis_cents,
+        open_positions=tuple(
+            p for p in portfolio.open_positions if p.condition_id != outcome.condition_id
+        ),
+        next_seq=portfolio.next_seq + 1,
+    )
+
+
+def step_oracle(portfolio, snapshots, stop_loss=-0.05, target_win=0.50):
+    """``simulator.step`` of an empty batch: every position with a snapshot
+    marked, then each marked one past a trigger band closed whole."""
+    marked = []
+    next_seq = portfolio.next_seq
+    for p in portfolio.open_positions:
+        snap = snapshots.get(p.condition_id)
+        if snap is None:
+            marked.append(p)
+            continue
+        value = _value_cents_oracle(p.quantity_micro, _side_price_oracle(p.side, snap))
+        marked.append(replace(p, unrealized_pnl_cents=value - p.cost_basis_cents))
+        next_seq += 1
+    portfolio = replace(portfolio, open_positions=tuple(marked), next_seq=next_seq)
+    for p in marked:
+        if p.condition_id not in snapshots:
+            continue
+        ratio = p.unrealized_pnl_cents / p.cost_basis_cents
+        if ratio <= stop_loss or ratio >= target_win:
+            portfolio = close_oracle(portfolio, p.condition_id, snapshots[p.condition_id])
+    return portfolio

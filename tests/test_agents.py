@@ -14,7 +14,6 @@ from driftmark.agents import (
     ClosedPosition,
     Decision,
     DecisionBatch,
-    Opportunity,
     Strategy,
     WindowMode,
     build_agent,
@@ -24,7 +23,7 @@ from driftmark.agents import (
     decisions_to_wire,
     expected_return,
     parse_decision_wire,
-    rank_opportunities,
+    rank_decisions,
     sample_forecast,
     truncate_tokens,
     validate_decision_batch,
@@ -268,26 +267,38 @@ class TestValidateBatch:
 
 
 class TestRankOpportunities:
+    @staticmethod
+    def buy(h, er, edge, conf, reasoning=""):
+        return Decision("0xm", Action.BUY_YES, 10_000, None, reasoning, conf, edge, er, h)
+
     def test_h_score_primary(self):
-        a = Opportunity(0.8, 100, 0.1, 5)
-        b = Opportunity(0.6, 999, 0.9, 9)
-        assert rank_opportunities([b, a]) == [a, b]
+        a = self.buy(0.8, 100, 0.1, 5)
+        b = self.buy(0.6, 999, 0.9, 9)
+        assert rank_decisions([b, a]) == [a, b]
 
     def test_expected_return_breaks_ties(self):
-        a = Opportunity(0.5, 2_000, 0.1, 5)
-        b = Opportunity(0.5, 500, 0.1, 5)
-        assert rank_opportunities([b, a]) == [a, b]
+        a = self.buy(0.5, 2_000, 0.1, 5)
+        b = self.buy(0.5, 500, 0.1, 5)
+        assert rank_decisions([b, a]) == [a, b]
+        # a missing value counts as 0
+        c = self.buy(0.5, None, 0.1, 5)
+        d = self.buy(0.5, -1, 0.1, 5)
+        assert rank_decisions([d, c]) == [c, d]
 
     def test_stable_on_full_tie(self):
-        a = Opportunity(0.5, 100, 0.1, 5, payload="first")
-        b = Opportunity(0.5, 100, 0.1, 5, payload="second")
-        assert [o.payload for o in rank_opportunities([a, b])] == ["first", "second"]
+        a = self.buy(0.5, 100, 0.1, 5, reasoning="first")
+        b = self.buy(0.5, 100, 0.1, 5, reasoning="second")
+        c = self.buy(None, 100, 0.1, 5, reasoning="third")
+        d = self.buy(0.0, 100, 0.1, 5, reasoning="fourth")
+        assert [d.reasoning for d in rank_decisions([a, b, c, d])] == [
+            "first", "second", "third", "fourth"
+        ]
 
     def test_edge_then_confidence(self):
-        a = Opportunity(0.5, 100, 0.2, 5)
-        b = Opportunity(0.5, 100, 0.1, 9)
-        c = Opportunity(0.5, 100, 0.1, 7)
-        assert rank_opportunities([c, b, a]) == [a, b, c]
+        a = self.buy(0.5, 100, 0.2, 5)
+        b = self.buy(0.5, 100, 0.1, 9)
+        c = self.buy(0.5, 100, 0.1, 7)
+        assert rank_decisions([c, b, a]) == [a, b, c]
 
 
 class TestWireFormat:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,7 @@ class TestCheckpointResume:
             "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
             "events_mid_line", "events_not_cycle_end", "totals", "agent_missing", "live",
             "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
+            "kept_ledger_overdrawn", "kept_ledger_close_unopened",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
@@ -397,6 +399,23 @@ class TestCheckpointResume:
             head = b"".join(lines)
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
+        elif failure.startswith("kept_ledger_") and failure != "kept_ledger_no_price":
+            # A well-formed ledger event that replay cannot apply: momentum's
+            # first OPEN spending more than the capital left, or turned into a
+            # CLOSE of a market it never opened.
+            at = events.index(b'"kind":"ledger"')
+            start, end = events.rindex(b"\n", 0, at) + 1, events.index(b"\n", at)
+            line = events[start:end]
+            assert b'"agent_id":"momentum","basis_delta_cents":19000' in line
+            assert b'"entry_kind":"OPEN"' in line and b'"seq":1,' in line
+            if failure == "kept_ledger_overdrawn":
+                edited = line.replace(b'"basis_delta_cents":19000', b'"basis_delta_cents":999999')
+            else:
+                edited = line.replace(b'"entry_kind":"OPEN"', b'"entry_kind":"CLOSE"')
+            events_path.write_bytes(events[:start] + edited + events[end:])
+            ckpt["events_bytes"] += len(edited) - len(line)
+            save(ckpt)
+            match = "momentum: ledger entry seq 1 cannot be replayed"
         elif failure.startswith("kept_"):
             # A line of the kept prefix that the reader, the fold or the
             # ledger replay refuses.
@@ -440,6 +459,36 @@ class TestCheckpointResume:
         with pytest.raises(LiveSourceNotResumable):
             resume_run(tmp_path, "liveck")
 
+    @pytest.mark.parametrize(
+        "damage",
+        ["manifest_torn", "manifest_no_seed", "manifest_feed_not_object", "manifest_bad_mode",
+         "contract_missing", "contract_torn"],
+    )
+    def test_unreadable_manifest_or_contract_is_a_typed_error(self, tmp_path, capsys, damage):
+        engine = make_engine(tmp_path, cycles=2, run_id="files")
+        engine.run()
+        paths = RunPaths(tmp_path, "files")
+        contract = paths.contracts / f"{engine.contract_hash.digest}.contract.json"
+        path = paths.manifest if damage.startswith("manifest") else contract
+        if damage == "contract_missing":
+            path.unlink()
+        elif damage.endswith("_torn"):
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if damage == "manifest_no_seed":
+                del data["seed"]
+            elif damage == "manifest_feed_not_object":
+                data["feed_source"] = ["synthetic"]
+            else:
+                data["mode"] = "live"
+            path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(NoCheckpoint, match=re.escape(path.name)):
+            resume_run(tmp_path, "files")
+        argv = ["--out", str(tmp_path), "run", "--agents", "momentum", "--resume", "files"]
+        assert cli_main(argv) == 1
+        assert path.name in capsys.readouterr().err
+
 
 class TestAtomicWrites:
     def test_manifest_checkpoints_and_hash_are_renamed_into_place(self, tmp_path, monkeypatch):
@@ -451,9 +500,11 @@ class TestAtomicWrites:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", spy)
-        make_engine(tmp_path, cycles=2, run_id="atomic").run()
+        engine = make_engine(tmp_path, cycles=2, run_id="atomic")
+        engine.run()
         assert replaced == [
-            "manifest.json", "cycle_00001.json", "cycle_00002.json",
+            "manifest.json", f"{engine.contract_hash.digest}.contract.json",
+            "cycle_00001.json", "cycle_00002.json",
             "market_copier.jsonl", "momentum.jsonl", "events.sha256",
         ]
 

@@ -26,17 +26,14 @@ from driftmark.metrics import (
     confidence_drift,
     confidence_drifts,
     confidence_reasoning_alignment,
-    confidence_stability,
     drift_report,
     ece_mce,
     hhis,
     log_likelihood,
     log_likelihood_clamped,
     market_divergence,
-    baseline_delta,
     narrative_drift,
     narrative_drift_sets,
-    overconfidence_index,
     price_volatility,
     reasoning_quality,
     reliability_bins_to_csv,
@@ -322,15 +319,6 @@ class TestMarketDivergence:
         )
 
 
-class TestBaselineDelta:
-    def test_signed_difference(self):
-        assert baseline_delta(0.20, 0.18) == pytest.approx(0.02, abs=1e-15)
-        assert baseline_delta(0.3, 0.3) == 0.0
-
-    def test_vs_uniform_constant(self):
-        assert baseline_delta(0.19, 0.25) == pytest.approx(-0.06, abs=1e-15)
-
-
 class TestVarCvar:
     def test_coin_flip_full_loss(self):
         var, cvar = var_cvar(10_000, 0.5, 0.5)
@@ -475,15 +463,6 @@ class TestComposites:
             confidence_reasoning_alignment([1.0, 2.0], [0.1, 0.2])
         with pytest.raises(LengthMismatch):
             confidence_reasoning_alignment([1.0, 2.0, 3.0], [0.1, 0.2])
-
-    def test_overconfidence_index_sign(self):
-        overconfident = [(0.9, 0)] * 10 + [(0.9, 1)] * 10  # stated 0.9, hit rate 0.5
-        assert overconfidence_index(overconfident) > 0.3
-
-    def test_confidence_stability(self):
-        assert confidence_stability([5, 5, 5, 5]) == 0.0
-        assert confidence_stability([4]) == 0.0
-        assert confidence_stability([0, 10]) == 5.0
 
     def test_risk_adjusted_return(self):
         assert risk_adjusted_return(100, [0, 0, 0]) is None

@@ -14,6 +14,7 @@ from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig
 from driftmark.errors import CorruptLog, DegenerateInput, IoError
 from driftmark.evalloop import EvalEngine
+from driftmark.market_data import MIN_POSITIVE_PRICE
 from driftmark.metrics import (
     accuracy,
     brier,
@@ -552,10 +553,21 @@ def adjustment_depth_oracle(events: list[dict], subject: str) -> tuple:
     return mean(dprobs), mean(dedges), mean(ders)
 
 
+def tiny_price(events: list[dict]) -> bool:
+    """A snapshot price the feed refuses: positive but below its floor."""
+    return any(
+        e["kind"] == "snapshot" and 0.0 < e["yes_price"] < MIN_POSITIVE_PRICE for e in events
+    )
+
+
 class TestScoringFoldMatchesPerForecast:
     @settings(max_examples=150, deadline=None)
     @given(scoring_logs())
     def test_final_reports(self, events):
+        if tiny_price(events):
+            with pytest.raises(CorruptLog, match="yes_price"):
+                EventFold().consume(events)
+            return
         config = EngineConfig()
         reports = final_reports_from_fold(EventFold().consume(events), config)
         assert set(reports) == {"a", "b", "never_resolved"}
@@ -582,7 +594,7 @@ class TestScoringFoldMatchesPerForecast:
             for c in (1, 2, 4, 5)
         ]
     )
-    @example(  # the first return overflows, the second is NaN: the later one fails first
+    @example(  # returns at such a price would overflow and be NaN: the fold refuses the log
         [{"kind": "agent_meta", "agent_id": "a"}]
         + [
             {"kind": "forecast", "agent_id": "a", "condition_id": "0x00", "cycle": c,
@@ -595,16 +607,11 @@ class TestScoringFoldMatchesPerForecast:
         ]
     )
     def test_adjustment_depth_and_category_briers(self, events):
-        try:
-            want = {
-                aid: adjustment_depth_oracle(events, aid) for aid in ("a", "b", "never_resolved")
-            }
-        except (OverflowError, ValueError) as exc:
-            # expected_return overflows on a subnormal price; the fold must
-            # fail the same way, no earlier and no later
-            with pytest.raises(type(exc)):
+        if tiny_price(events):
+            with pytest.raises(CorruptLog, match="yes_price"):
                 aggregate(events)
             return
+        want = {aid: adjustment_depth_oracle(events, aid) for aid in ("a", "b", "never_resolved")}
         report = aggregate(events)
         outcomes = {e["condition_id"]: e["outcome"] for e in events if e["kind"] == "resolution"}
         meta = {e["condition_id"]: e for e in events if e["kind"] == "market_meta"}

@@ -4,33 +4,38 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from driftmark.agents import Action, Decision, DecisionBatch
 from driftmark.errors import (
     AlreadyOpen,
     InsufficientCapital,
-    MissingSnapshot,
     NoSuchPosition,
     PositionLimitReached,
+    ZeroPrice,
 )
-from driftmark.market_data import ResolvedOutcome
+from driftmark.market_data import MIN_POSITIVE_PRICE, ResolvedOutcome
 from driftmark.simulator import (
     EntryKind,
+    LedgerEntry,
     Mode,
     Portfolio,
     Side,
     Trigger,
+    apply_entry,
     close_position,
     entry_from_record,
     entry_to_record,
     evaluate_triggers,
-    mark_to_market,
     open_position,
     replay_ledger,
     resolve_market,
     step,
 )
 
+import oracles
 from conftest import make_snapshot
 
 NOW = datetime(2026, 2, 1, tzinfo=timezone.utc)
@@ -49,6 +54,13 @@ def buy(cid, amount_cents=15_000, action=Action.BUY_YES, edge=0.10, conf=9, er=1
 
 def batch_of(decisions, agent="a1"):
     return DecisionBatch(tuple(decisions), "", agent, NOW)
+
+
+def mark(p, yes, cid="0xm"):
+    """``p`` after a MARK of its position in ``cid`` at a YES price of ``yes``."""
+    pos = p.position(cid)
+    price = pos.side_price(make_snapshot(cid=cid, yes=yes))
+    return apply_entry(p, LedgerEntry(p.next_seq, EntryKind.MARK, cid, 0, NOW, pos.side, price, 0, 0))
 
 
 class TestOpenPosition:
@@ -97,41 +109,38 @@ class TestMarkAndTriggers:
         return open_position(p, buy("0xm", amount), snap, NOW)[0]
 
     def test_mark_unchanged(self):
-        p = self._open()
-        p = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.50)})
+        p = mark(self._open(), 0.50)
         assert p.position("0xm").unrealized_pnl_cents == 0
 
     def test_mark_up(self):
-        p = self._open()
-        p = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.60)})
+        p = mark(self._open(), 0.60)
         assert p.position("0xm").unrealized_pnl_cents == 3_000  # +$30
 
     def test_mark_down(self):
-        p = self._open()
-        p = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.40)})
+        p = mark(self._open(), 0.40)
         assert p.position("0xm").unrealized_pnl_cents == -3_000
 
     def test_missing_snapshot(self):
-        p = self._open()
-        with pytest.raises(MissingSnapshot):
-            mark_to_market(p, {})
+        # a stale position keeps its last mark and the step reports it
+        p = mark(self._open(), 0.48)
+        result = step(p, batch_of([]), {}, Mode.EXECUTION, now=NOW)
+        assert result.entries == ()
+        assert result.portfolio == p
+        assert [(s.market_id, s.action, s.reason) for s in result.skipped] == [
+            ("0xm", "MARK", "missing_snapshot")
+        ]
 
     def test_trigger_bands(self):
         p = self._open()
-        marked = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.47)})
-        assert evaluate_triggers(marked.position("0xm")) == Trigger.STOP_LOSS  # -6%
-        marked = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.78)})
-        assert evaluate_triggers(marked.position("0xm")) == Trigger.TARGET_WIN  # +56%
-        marked = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.49)})
-        assert evaluate_triggers(marked.position("0xm")) == Trigger.NONE  # -4%
+        assert evaluate_triggers(mark(p, 0.47).position("0xm")) == Trigger.STOP_LOSS  # -6%
+        assert evaluate_triggers(mark(p, 0.78).position("0xm")) == Trigger.TARGET_WIN  # +56%
+        assert evaluate_triggers(mark(p, 0.49).position("0xm")) == Trigger.NONE  # -4%
 
     def test_trigger_boundaries(self):
         p = self._open(yes=0.50, amount=10_000)
         # exactly -5% and +50%
-        marked = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.475)})
-        assert evaluate_triggers(marked.position("0xm")) == Trigger.STOP_LOSS
-        marked = mark_to_market(p, {"0xm": make_snapshot(cid="0xm", yes=0.75)})
-        assert evaluate_triggers(marked.position("0xm")) == Trigger.TARGET_WIN
+        assert evaluate_triggers(mark(p, 0.475).position("0xm")) == Trigger.STOP_LOSS
+        assert evaluate_triggers(mark(p, 0.75).position("0xm")) == Trigger.TARGET_WIN
 
 
 class TestClose:
@@ -313,6 +322,17 @@ class TestLedger:
         # position order, unrealized P&L, opened_at and next_seq included.
         assert replayed == p
 
+    def test_apply_entry_replay_rules(self):
+        p = Portfolio.fresh(600_000)
+        p, opened = open_position(p, buy("0xa"), make_snapshot(cid="0xa"), NOW)
+        # a MARK of a market without a position changes nothing, next_seq included
+        assert apply_entry(p, LedgerEntry(9, EntryKind.MARK, "0xz", 0, NOW, Side.YES, 0.5, 0, 0)) == p
+        for kind in (EntryKind.CLOSE, EntryKind.RESOLVE):
+            with pytest.raises(NoSuchPosition):
+                apply_entry(p, LedgerEntry(9, kind, "0xz", 0, NOW, Side.YES, 0.5, -1, -1))
+        with pytest.raises(AlreadyOpen):
+            apply_entry(p, opened)
+
     def test_capital_identity_enforced(self):
         with pytest.raises(AssertionError):
             Portfolio(total_capital_cents=100, available_cents=60, deployed_cents=30)
@@ -388,3 +408,83 @@ class TestConservationFuzz:
             return [entry_to_record(e) for e in entries]
 
         assert run() == run()
+
+
+MACHINE_CIDS = ("0xa", "0xb", "0xc", "0xd")
+# A quoted price is 0 or at least MIN_POSITIVE_PRICE, as the feed enforces.
+PRICES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(MIN_POSITIVE_PRICE, 1.0))
+
+
+class PortfolioMachine(RuleBasedStateMachine):
+    """Opens, partial and full closes, resolutions and steps (marks and
+    trigger closes) on one portfolio. Each operation's portfolio equals the
+    per-operation arithmetic of ``oracles``, and the replay of every entry so
+    far equals the live portfolio."""
+
+    CAPITAL = 50_000
+    MAX_OPEN = 3
+
+    def __init__(self):
+        super().__init__()
+        self.portfolio = Portfolio.fresh(self.CAPITAL, self.MAX_OPEN)
+        self.entries = []
+        self.now = NOW
+
+    def _took(self, portfolio, entries):
+        self.portfolio = portfolio
+        self.entries.extend(entries)
+
+    @rule(
+        cid=st.sampled_from(MACHINE_CIDS),
+        # the agent wire's amount range, which batch validation enforces
+        amount=st.integers(10_000, 20_000),
+        action=st.sampled_from([Action.BUY_YES, Action.BUY_NO]),
+        yes=PRICES,
+    )
+    def open(self, cid, amount, action, yes):
+        decision = Decision(market_id=cid, action=action, amount_cents=amount)
+        snap = make_snapshot(cid=cid, yes=yes)
+        try:
+            after, entry = open_position(self.portfolio, decision, snap, self.now)
+        except (AlreadyOpen, InsufficientCapital, PositionLimitReached, ZeroPrice):
+            return
+        assert after == oracles.open_oracle(self.portfolio, decision, snap, self.now)
+        self._took(after, [entry])
+
+    @rule(
+        cid=st.sampled_from(MACHINE_CIDS),
+        fraction=st.one_of(st.just(100), st.integers(1, 99)),
+        yes=PRICES,
+    )
+    def close(self, cid, fraction, yes):
+        snap = make_snapshot(cid=cid, yes=yes)
+        if self.portfolio.position(cid) is None:
+            with pytest.raises(NoSuchPosition):
+                close_position(self.portfolio, cid, snap, self.now, fraction)
+            return
+        after, entry = close_position(self.portfolio, cid, snap, self.now, fraction)
+        assert after == oracles.close_oracle(self.portfolio, cid, snap, fraction)
+        self._took(after, [entry])
+
+    @rule(cid=st.sampled_from(MACHINE_CIDS), outcome=st.integers(0, 1))
+    def resolve(self, cid, outcome):
+        resolved = ResolvedOutcome(cid, outcome, self.now)
+        after, entry = resolve_market(self.portfolio, resolved)
+        assert after == oracles.resolve_oracle(self.portfolio, resolved)
+        self._took(after, [entry] if entry else [])
+
+    @rule(moves=st.dictionaries(st.sampled_from(MACHINE_CIDS), PRICES))
+    def step(self, moves):
+        self.now += timedelta(minutes=5)
+        snaps = {cid: make_snapshot(cid=cid, yes=yes) for cid, yes in moves.items()}
+        result = step(self.portfolio, batch_of([]), snaps, Mode.EXECUTION, now=self.now)
+        assert result.portfolio == oracles.step_oracle(self.portfolio, snaps)
+        self._took(result.portfolio, result.entries)
+
+    @invariant()
+    def replay_equals_live(self):
+        assert replay_ledger(self.CAPITAL, self.entries, self.MAX_OPEN) == self.portfolio
+
+
+TestPortfolioMachine = PortfolioMachine.TestCase
+TestPortfolioMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
