@@ -5,7 +5,7 @@ measurement, holistic scoring, and simulated trading."""
 __version__ = "0.1.0"
 
 from .config import EngineConfig, load_config
-from .contract import ContractHash, PromptContract, lock_contract, verify_contract
+from .contract import ContractHash, PromptContract, lock_contract
 from .market_data import MarketSnapshot, ResolvedOutcome, generate_synthetic
 from .evalloop import EvalEngine, RunManifest, significance_test, token_budget_sweep
 from .reporting import aggregate
@@ -16,7 +16,6 @@ __all__ = [
     "ContractHash",
     "PromptContract",
     "lock_contract",
-    "verify_contract",
     "MarketSnapshot",
     "ResolvedOutcome",
     "generate_synthetic",

@@ -408,14 +408,6 @@ class ScriptedAgent:
             bet = int(bet * cfg.high_risk_size_factor)
         return min(max(bet, cfg.buy_min_cents), cfg.buy_max_cents)
 
-    # -- checkpointing --
-
-    def get_state(self) -> dict:
-        return dict(self._state)
-
-    def set_state(self, state: dict) -> None:
-        self._state = dict(state)
-
 
 class MarketCopier(ScriptedAgent):
     """Null agent: repeats the market's own probability verbatim."""
@@ -535,20 +527,6 @@ def build_agent(agent_id: str, seed: int = 0) -> ScriptedAgent:
     return AGENT_BUILDERS[kind](agent_id, seed)
 
 
-def _truncated(text: str, words: list[str], budget: int) -> tuple[str, int]:
-    """``text`` cut to its first ``budget`` whitespace tokens ``words``
-    (``text.split()``), and how many tokens it keeps. A text within budget
-    is kept as it is."""
-    if len(words) <= budget:
-        return text, len(words)
-    kept = words[:budget]
-    return " ".join(kept), len(kept)
-
-
-def truncate_tokens(text: str, budget: int) -> str:
-    return _truncated(text, text.split(), budget)[0]
-
-
 def sample_forecast(
     agent: ScriptedAgent,
     instruction: str,
@@ -563,16 +541,19 @@ def sample_forecast(
     """Query the agent once and log the full record.
 
     ``input_tokens`` is the whitespace-token count of ``instruction``, which
-    the caller counts from the rendered parts. Traces are truncated to the
-    token budget; scripted agents run in-process so latency is recorded as
-    zero.
+    the caller counts from the rendered parts. A trace is cut to its first
+    ``budget`` whitespace tokens; one within budget is kept as it is.
+    Scripted agents run in-process so latency is recorded as zero.
     """
     prob, conf, trace, strategy = agent.forecast(market, cycle_index, budget)
     if not (0.0 <= prob <= 1.0):
         raise MalformedAgentOutput(f"probability {prob} outside [0,1]")
     if not (0 <= conf <= 10):
         raise MalformedAgentOutput(f"confidence {conf} outside 0-10")
-    trace, output_tokens = _truncated(trace, trace.split(), budget)
+    words = trace.split()
+    if len(words) > budget:
+        words = words[:budget]
+        trace = " ".join(words)
     return ForecastRecord(
         condition_id=market.condition_id,
         agent_id=agent.agent_id,
@@ -581,7 +562,7 @@ def sample_forecast(
         reasoning_trace=trace,
         strategy=strategy,
         input_tokens=input_tokens,
-        output_tokens=output_tokens,
+        output_tokens=len(words),
         latency_ms=0.0,
         sampled_at=sampled_at,
         contract_hash=contract_hash,

@@ -88,6 +88,11 @@ class MetricConfig:
                 f"metrics.temporal_drift_form must be difference or product, "
                 f"not {self.temporal_drift_form!r}"
             )
+        # The volatility of a window of price changes needs at least one change.
+        if not isinstance(self.volatility_window, int) or self.volatility_window < 1:
+            raise ConfigError(
+                f"metrics.volatility_window must be at least 1, not {self.volatility_window!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,6 @@ class SimulatorConfig:
 class LoopConfig:
     cycle_interval_sec: int = 3600
     sweep_budgets: tuple[int, ...] = (500, 1000, 2000, 4000)
-    checkpoint_every: int = 1
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,9 @@ _SECTIONS = {
 
 # Keys that no longer exist. Config snapshots in older manifests still hold
 # them, so they are ignored: none of them had an effect, apart from
-# agents.max_open_positions, which must equal the simulator's limit.
+# agents.max_open_positions, which must equal the simulator's limit, and
+# loop.checkpoint_every, whose one value in use (1) is now fixed: a replay
+# or synthetic run is checkpointed at every cycle.
 _RETIRED = (
     ("agents", "momentum_bias"),
     ("agents", "mean_reversion_weight"),
@@ -143,6 +149,7 @@ _RETIRED = (
     ("agents", "max_open_positions"),
     ("loop", "bootstrap_resamples"),
     ("loop", "mode"),
+    ("loop", "checkpoint_every"),
 )
 
 

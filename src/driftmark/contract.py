@@ -122,13 +122,6 @@ def lock_contract(
     return contract, compute_hash(contract, algorithm_id)
 
 
-def verify_contract(contract: PromptContract, claimed: ContractHash) -> bool:
-    """True iff the recomputed digest matches the claimed one."""
-    if not contract.locked:
-        raise UnlockedContract("cannot verify an unlocked contract")
-    return compute_hash(contract, claimed.algorithm_id).digest == claimed.digest
-
-
 # The placeholder ``render_instruction_parts`` leaves open.
 _SUMMARY_KEY = "portfolio.summary"
 

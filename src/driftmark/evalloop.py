@@ -309,15 +309,6 @@ def _drift_means(
     return (_mean(dt_diff), _mean(dt_prod), _mean(divergence)), compared
 
 
-class _Forecast(NamedTuple):
-    """The fields of a previous forecast that the next drift event reads;
-    resume rebuilds them from the log in place of a ForecastRecord."""
-
-    probability: float
-    confidence: int
-    reasoning_trace: str
-
-
 class _Cycle(NamedTuple):
     """One cycle's snapshots and what every agent's turn reads of them."""
 
@@ -335,7 +326,7 @@ class _AgentState:
     agent: ScriptedAgent
     portfolio: Portfolio
     window: CalibrationWindow
-    prev_forecasts: dict[str, ForecastRecord | _Forecast] = field(default_factory=dict)
+    prev_forecasts: dict[str, ForecastRecord] = field(default_factory=dict)
     # Token sets of the prev_forecasts traces; one missing is computed from its trace.
     prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
 
@@ -378,36 +369,6 @@ class _Run:
         )
         st = self.states[agent_id]
         st.window = _calibrated(st.window, entry)
-
-
-class _KeptLog:
-    """Reads the kept log on resume. Feeds every event to the run's fold and
-    keeps what the fold does not: the last event, each market's recent
-    prices, and each agent's forecasts from its latest cycle without an
-    agent_failure, which the next drift event compares against."""
-
-    def __init__(self, fold: reporting.EventFold, prices: dict[str, deque[float]]):
-        self.fold = fold
-        self.last: dict | None = None
-        self.prices = prices
-        self.prev_forecasts: dict[str, dict[str, _Forecast]] = {}
-        self._cycle: dict[str, dict[str, _Forecast]] = {}
-
-    def add(self, ev: dict) -> None:
-        self.fold.add(ev)
-        self.last = ev
-        kind = ev.get("kind")
-        if kind == "snapshot":
-            self.prices[ev["condition_id"]].append(ev["yes_price"])
-        elif kind == "forecast":
-            self._cycle.setdefault(ev["agent_id"], {})[ev["condition_id"]] = _Forecast(
-                ev["probability"], ev["confidence"], ev["trace"]
-            )
-        elif kind == "agent_failure":
-            self._cycle.pop(ev["agent_id"], None)
-        elif kind == "cycle_end":
-            self.prev_forecasts.update(self._cycle)
-            self._cycle = {}
 
 
 @dataclass(frozen=True)
@@ -556,15 +517,10 @@ class EvalEngine:
     def _ledger_path(self, agent_id: str) -> Path:
         return self.paths.ledgers / f"{_safe_name(agent_id)}.jsonl"
 
-    def _write_checkpoint(self, cycle: int, states: dict[str, _AgentState],
-                          events_bytes: int) -> None:
-        """Record where the boundary after ``cycle`` falls in the log, and
-        each agent's own state; resume rebuilds everything else from the log."""
-        payload = {
-            "next_cycle": cycle + 1,
-            "events_bytes": events_bytes,
-            "agents": {aid: {"state": st.agent.get_state()} for aid, st in states.items()},
-        }
+    def _write_checkpoint(self, cycle: int, events_bytes: int) -> None:
+        """Record where the boundary after ``cycle`` falls in the log; resume
+        rebuilds everything else from the log and the manifest."""
+        payload = {"next_cycle": cycle + 1, "events_bytes": events_bytes}
         write_atomic(
             self._checkpoint_path(cycle),
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(),
@@ -585,10 +541,11 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _read_prefix(path: Path, size: int, kept: _KeptLog) -> None:
-        """Check that the first ``size`` bytes of the log end a line and feed
-        each of those lines, read by ``reporting.decode_lines``, to
-        ``kept.add``. The log is left as it is."""
+    def _read_prefix(path: Path, size: int, fold: reporting.EventFold) -> dict:
+        """Check that the first ``size`` bytes of the log end a line, feed
+        each of those lines, read by ``reporting.decode_lines``, to ``fold``
+        and return the last one's event ({} for none). The log is left as it
+        is."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -599,7 +556,8 @@ class EvalEngine:
             if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             fh.seek(0)
-            reporting.fold_events(kept.add, reporting.decode_lines(_lines_upto(fh, size)))
+            lines = reporting.decode_lines(_lines_upto(fh, size))
+            return reporting.fold_events(fold.add, lines) or {}
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -607,27 +565,48 @@ class EvalEngine:
         with open(path, "ab") as fh:
             fh.truncate(size)
 
-    def _restore(self, ckpt: dict, fold: reporting.EventFold) -> _Run:
-        """Rebuild the run state at the checkpoint from the kept log:
+    def _restore(
+        self, ckpt: dict, fold: reporting.EventFold, cycles: list[list[MarketSnapshot]]
+    ) -> _Run:
+        """Rebuild the run state at the checkpoint. From the kept log:
         portfolios replayed from the ledger events, each agent's ledger so
-        far, calibration windows, price history, previous forecasts and
-        baseline probabilities. The rebuilt portfolios must match the
-        boundary's cycle_end. The log is cut back to the checkpoint only once
-        every check has passed, so a resume that fails leaves it as it was;
-        no ledger file is read or written."""
+        far, calibration windows and baseline probabilities. From the kept
+        ``cycles`` of the feed: each agent, built afresh, forecasts them again
+        in run order, which gives its own state and its records of its last
+        complete cycle; the price history comes from the same pass. The
+        rebuilt portfolios must match the boundary's cycle_end. The log is
+        cut back to the checkpoint only once every check has passed, so a
+        resume that fails leaves it as it was; no ledger file is read or
+        written."""
         cfg = self.config
         boundary = ckpt["next_cycle"] - 1
-        kept = _KeptLog(fold, _price_history(cfg.metrics.volatility_window))
-        self._read_prefix(self.paths.events, ckpt["events_bytes"], kept)
-        last = kept.last or {}
+        last = self._read_prefix(self.paths.events, ckpt["events_bytes"], fold)
         if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
             raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
+        agents = {aid: build_agent(aid, self.manifest.seed) for aid in self.manifest.agent_ids}
+        prev_forecasts: dict[str, dict[str, ForecastRecord]] = {aid: {} for aid in agents}
+        prices = _price_history(cfg.metrics.volatility_window)
+        for number, snaps in enumerate(cycles[:boundary], 1):
+            for s in snaps:
+                prices[s.condition_id].append(s.yes_price)
+            for aid, agent in agents.items():
+                # An error ends the agent's cycle, as in _agent_turn. Drift
+                # reads only the records' probabilities and traces, so no
+                # instruction is rendered.
+                try:
+                    prev_forecasts[aid] = {
+                        s.condition_id: sample_forecast(
+                            agent, "", s, self.contract.token_budget,
+                            contract_hash=self.contract_hash, sampled_at=snaps[0].observed_at,
+                            cycle_index=number, input_tokens=0,
+                        )
+                        for s in snaps
+                    }
+                except (MalformedAgentOutput, AgentTimeout):
+                    pass
         states: dict[str, _AgentState] = {}
         ledgers: dict[str, LedgerWriter] = {}
         for aid in self.manifest.agent_ids:
-            saved = ckpt["agents"].get(aid)
-            if saved is None:
-                raise NoCheckpoint(f"checkpoint has no state for agent {aid}")
             entries: list[LedgerEntry] = []
             reporting.fold_events(
                 lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})),
@@ -653,13 +632,11 @@ class EvalEngine:
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            agent = build_agent(aid, self.manifest.seed)
-            agent.set_state(saved["state"])
             states[aid] = _AgentState(
-                agent=agent,
+                agent=agents[aid],
                 portfolio=portfolio,
                 window=window,
-                prev_forecasts=kept.prev_forecasts.get(aid, {}),
+                prev_forecasts=prev_forecasts[aid],
             )
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
         # Baseline drift at the resume boundary compares with the boundary
@@ -672,9 +649,7 @@ class EvalEngine:
             }
             for k in BaselineKind
         }
-        return _Run(
-            states, fold, kept.prices, ledgers, ckpt["next_cycle"], prev_baseline=prev_baseline
-        )
+        return _Run(states, fold, prices, ledgers, ckpt["next_cycle"], prev_baseline=prev_baseline)
 
     # -- the run --
 
@@ -698,7 +673,7 @@ class EvalEngine:
                     f"need at least {batch_size} markets per cycle, got {n_markets}"
                 )
             total_cycles = min(self.manifest.cycles, len(cycles_data))
-        run = self._setup(resume, resume_cycle, cycles_data[0] if cycles_data else [])
+        run = self._setup(resume, resume_cycle, cycles_data)
         try:
             if not resume:
                 self._start(run, total_cycles)
@@ -737,16 +712,17 @@ class EvalEngine:
         )
 
     def _setup(
-        self, resume: bool, resume_cycle: int | None, first_snaps: list[MarketSnapshot]
+        self, resume: bool, resume_cycle: int | None, cycles_data: list[list[MarketSnapshot]]
     ) -> _Run:
         """The run state before its next cycle, with the log open for
         appending: restored from a checkpoint (the log kept up to it, each
-        ledger refilled from it), or fresh after the manifest and the
-        contract are saved."""
+        ledger refilled from it, the kept cycles of ``cycles_data``
+        forecast again), or fresh after the manifest and the contract are
+        saved."""
         fold = reporting.EventFold()
         if resume:
-            run = self._restore(self._latest_checkpoint(resume_cycle), fold)
-            run.categories = {s.condition_id: self._categorize(s) for s in first_snaps}
+            run = self._restore(self._latest_checkpoint(resume_cycle), fold, cycles_data)
+            run.categories = {s.condition_id: self._categorize(s) for s in cycles_data[0]}
         else:
             write_atomic(self.paths.manifest, self.manifest.to_json().encode())
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
@@ -857,14 +833,13 @@ class EvalEngine:
         )
 
     def _end_cycle(self, run: _Run, cycle: int, checkpoint: bool) -> None:
-        """Make the cycle durable: the log flushed, and a checkpoint when one
-        is due."""
+        """Make the cycle durable: the log flushed and, when the run can be
+        resumed, fsynced and checkpointed."""
         run.events.flush()
-        every = self.config.loop.checkpoint_every
-        if checkpoint and every and cycle % every == 0:
+        if checkpoint:
             # The checkpoint points into the log, so the log is made durable first.
             os.fsync(run.events.fileno())
-            self._write_checkpoint(cycle, run.states, os.fstat(run.events.fileno()).st_size)
+            self._write_checkpoint(cycle, os.fstat(run.events.fileno()).st_size)
 
     def _agent_turn(self, run: _Run, c: _Cycle, aid: str) -> None:
         """One agent's cycle: forecasts, drift, its decision batch and the
@@ -1128,15 +1103,12 @@ class EvalEngine:
 def _read_checkpoint(path: Path) -> dict | None:
     """A checkpoint's payload, or None if it is missing, torn, or written
     before checkpoints held byte offsets (it cannot be resumed). Other keys,
-    such as the ledger offsets that older checkpoints hold, are ignored."""
+    such as the agent states and ledger offsets that older checkpoints
+    hold, are ignored."""
     try:
         ckpt = json.loads(path.read_bytes())
-        valid = (
-            isinstance(ckpt["next_cycle"], int)
-            and isinstance(ckpt["events_bytes"], int)
-            and all(isinstance(a["state"], dict) for a in ckpt["agents"].values())
-        )
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        valid = isinstance(ckpt["next_cycle"], int) and isinstance(ckpt["events_bytes"], int)
+    except (OSError, ValueError, LookupError, TypeError):
         return None
     return ckpt if valid else None
 
@@ -1279,13 +1251,13 @@ def token_budget_sweep(
 
 
 def _read_run_file(path: Path, parse: Callable[[str], _T]) -> _T:
-    """``parse`` of the text of a file resume starts from: the manifest or a
-    stored contract. A missing, unreadable or malformed one is a
-    ``NoCheckpoint`` naming it."""
+    """``parse`` of the text of a file resume and ``verify`` start from: the
+    manifest or a stored contract. A missing, unreadable or malformed one is
+    a ``NoCheckpoint`` naming it."""
     try:
         return parse(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise NoCheckpoint(f"cannot resume from {path}: {exc}") from exc
+        raise NoCheckpoint(f"cannot read {path}: {exc}") from exc
 
 
 def resume_run(out_root: str | Path, run_id: str, at_cycle: int | None = None) -> RunResult:
@@ -1340,11 +1312,17 @@ def verify_run(out_root: str | Path, run_id: str) -> VerifyReport:
         contracts[digest] = store.verify_stored(digest)
         if not contracts[digest]:
             messages.append(f"contract {digest[:12]}… failed verification")
+    manifest_ok = True
     if paths.manifest.exists():
-        manifest = RunManifest.from_json(paths.manifest.read_text(encoding="utf-8"))
-        for digest in manifest.contract_hashes:
-            if digest not in contracts:
-                contracts[digest] = False
-                messages.append(f"manifest contract {digest[:12]}… not stored")
-    ok = events_ok and all(contracts.values()) and bool(contracts)
+        try:
+            manifest = _read_run_file(paths.manifest, RunManifest.from_json)
+        except NoCheckpoint as exc:
+            manifest_ok = False
+            messages.append(str(exc))
+        else:
+            for digest in manifest.contract_hashes:
+                if digest not in contracts:
+                    contracts[digest] = False
+                    messages.append(f"manifest contract {digest[:12]}… not stored")
+    ok = events_ok and manifest_ok and all(contracts.values()) and bool(contracts)
     return VerifyReport(ok=ok, events_ok=events_ok, contracts=contracts, messages=tuple(messages))

@@ -90,9 +90,11 @@ def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
         yield from source
 
 
-def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> None:
-    """Feed each event to ``add``. An event it cannot take, for a missing
-    key or a value of the wrong type, is a ``CorruptLog`` naming the event."""
+def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> dict | None:
+    """Feed each event to ``add`` and return the last one (None for none).
+    An event it cannot take, for a missing key or a value of the wrong type,
+    is a ``CorruptLog`` naming the event."""
+    ev = None
     for ev in events:
         try:
             add(ev)
@@ -100,6 +102,7 @@ def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> None:
             what = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
             event = json.dumps(ev, default=repr)[:200]
             raise CorruptLog(None, f"{what} in event {event}") from exc
+    return ev
 
 
 @dataclass

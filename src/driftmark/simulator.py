@@ -14,6 +14,7 @@ depth is out of scope). One position per market per agent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -75,7 +76,12 @@ class Position:
 
     @property
     def pnl_ratio(self) -> float:
-        return self.unrealized_pnl_cents / self.cost_basis_cents
+        """Marked P&L per cent of cost basis. Partial closes can round the
+        basis to 0 while shares are left; any P&L is then unbounded."""
+        pnl, basis = self.unrealized_pnl_cents, self.cost_basis_cents
+        if basis == 0:
+            return math.copysign(math.inf, pnl) if pnl else 0.0
+        return pnl / basis
 
     def side_price(self, snapshot: MarketSnapshot) -> float:
         return snapshot.yes_price if self.side == Side.YES else snapshot.no_price

@@ -362,7 +362,11 @@ def step_oracle(portfolio, snapshots, stop_loss=-0.05, target_win=0.50):
     for p in marked:
         if p.condition_id not in snapshots:
             continue
-        ratio = p.unrealized_pnl_cents / p.cost_basis_cents
+        pnl, basis = p.unrealized_pnl_cents, p.cost_basis_cents
+        if basis:
+            ratio = pnl / basis
+        else:  # partial closes rounded the basis to 0: any P&L is unbounded
+            ratio = 0.0 if pnl == 0 else (math.inf if pnl > 0 else -math.inf)
         if ratio <= stop_loss or ratio >= target_win:
             portfolio = close_oracle(portfolio, p.condition_id, snapshots[p.condition_id])
     return portfolio

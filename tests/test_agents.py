@@ -14,6 +14,7 @@ from driftmark.agents import (
     ClosedPosition,
     Decision,
     DecisionBatch,
+    MarketCopier,
     Strategy,
     WindowMode,
     build_agent,
@@ -25,7 +26,6 @@ from driftmark.agents import (
     parse_decision_wire,
     rank_decisions,
     sample_forecast,
-    truncate_tokens,
     validate_decision_batch,
 )
 from driftmark.config import AgentConfig
@@ -421,6 +421,24 @@ class TestScriptedAgents:
         rec = self._forecast(agent, make_snapshot(), budget=5)
         assert rec.output_tokens <= 5
 
+    @pytest.mark.parametrize(
+        "trace, budget, kept",
+        [
+            (" ".join(str(i) for i in range(100)), 10, " ".join(str(i) for i in range(10))),
+            # a trace within budget is kept as it is, spacing included
+            ("a  b\n", 10, "a  b\n"),
+        ],
+        ids=["over_budget", "within_budget"],
+    )
+    def test_trace_cut_to_its_first_budget_tokens(self, trace, budget, kept):
+        class Talker(MarketCopier):
+            def trace(self, market, prob):
+                return trace
+
+        rec = self._forecast(Talker("talker"), make_snapshot(), budget=budget)
+        assert rec.reasoning_trace == kept
+        assert rec.output_tokens == len(kept.split())
+
     def test_flaky_agent_raises(self):
         agent = build_agent("flaky")
         with pytest.raises(MalformedAgentOutput):
@@ -433,12 +451,6 @@ class TestScriptedAgents:
     def test_variant_suffix(self):
         agent = build_agent("momentum#b", seed=1)
         assert agent.agent_id == "momentum#b"
-
-
-def test_truncate_tokens():
-    text = " ".join(str(i) for i in range(100))
-    assert len(truncate_tokens(text, 10).split()) == 10
-    assert truncate_tokens("a b", 10) == "a b"
 
 
 class TestBuildDecisionBatch:

@@ -54,13 +54,13 @@ def test_round_trip_through_dict():
     assert config_from_dict(cfg.to_dict()) == cfg
 
 
-# The six knobs a config snapshot held before they were retired, at their defaults.
+# The seven knobs a config snapshot held before they were retired, at their defaults.
 RETIRED_DEFAULTS = {
     "agents": {
         "momentum_bias": 0.05, "mean_reversion_weight": 0.25, "drift_ema_alpha": 0.3,
         "max_open_positions": 30,
     },
-    "loop": {"bootstrap_resamples": 10_000, "mode": "execution"},
+    "loop": {"bootstrap_resamples": 10_000, "mode": "execution", "checkpoint_every": 1},
 }
 
 
@@ -104,6 +104,18 @@ class TestDriftForm:
         code = cli_main(["--config", str(path), "--out", str(tmp_path), "verify", "--run-id", "x"])
         assert code == 1
         assert "temporal_drift_form" in capsys.readouterr().err
+
+
+class TestVolatilityWindow:
+    def test_one_change_is_enough(self):
+        assert config_from_dict({"metrics": {"volatility_window": 1}}).metrics.volatility_window == 1
+
+    # 0 and -1 would leave every d_temporal at 0 (a price history holding one
+    # price); below -1 the history cannot be built at all.
+    @pytest.mark.parametrize("window", [0, -1, -2, 2.5, "10"])
+    def test_fewer_than_one_change_raises_config_error(self, window):
+        with pytest.raises(ConfigError, match="volatility_window"):
+            config_from_dict({"metrics": {"volatility_window": window}})
 
 
 class TestConfigErrors:

@@ -20,7 +20,6 @@ from driftmark.contract import (
     render_instruction,
     render_instruction_parts,
     token_span,
-    verify_contract,
 )
 from driftmark.errors import (
     BudgetNotAllowed,
@@ -76,23 +75,6 @@ class TestLockContract:
         assert contract.locked
         with pytest.raises(dataclasses.FrozenInstanceError):
             contract.template_text = "changed"
-
-
-class TestVerifyContract:
-    def test_own_hash_verifies(self):
-        contract, chash = lock_contract("Forecast X", "v1", 1000)
-        assert verify_contract(contract, chash) is True
-
-    def test_foreign_hash_fails(self):
-        contract, _ = lock_contract("Forecast X", "v1", 1000)
-        _, other = lock_contract("Forecast Y", "v1", 1000)
-        assert verify_contract(contract, other) is False
-
-    def test_unlocked_contract_rejected(self):
-        contract, chash = lock_contract("Forecast X", "v1", 1000)
-        unlocked = dataclasses.replace(contract, locked=False)
-        with pytest.raises(UnlockedContract):
-            verify_contract(unlocked, chash)
 
 
 class TestAvalanche:

@@ -226,7 +226,7 @@ class TestCheckpointResume:
     def test_torn_latest_checkpoint_falls_back(self, tmp_path):
         full = make_engine(tmp_path, cycles=5, run_id="torn").run()
         latest = tmp_path / "torn" / "checkpoints" / "cycle_00005.json"
-        latest.write_bytes(latest.read_bytes()[:100])
+        latest.write_bytes(latest.read_bytes()[: latest.stat().st_size // 2])
         # an explicit cycle that is torn does not fall back to another one
         with pytest.raises(NoCheckpoint):
             resume_run(tmp_path, "torn", at_cycle=5)
@@ -270,7 +270,7 @@ class TestCheckpointResume:
         resumed = resume_run(tmp_path, "mid", at_cycle=2)
         assert resumed.event_log_sha256 == full.event_log_sha256
 
-    def test_checkpoint_holds_offsets_and_agent_state_only(self, tmp_path):
+    def test_checkpoint_holds_log_offsets_only(self, tmp_path):
         make_engine(tmp_path, cycles=3, run_id="keys").run()
         run_dir = tmp_path / "keys"
         names = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
@@ -279,10 +279,7 @@ class TestCheckpointResume:
         events = (run_dir / "events.jsonl").read_bytes()
         for name in names:
             ckpt = json.loads((run_dir / "checkpoints" / name).read_bytes())
-            assert set(ckpt) == {"next_cycle", "events_bytes", "agents"}
-            assert set(ckpt["agents"]) == {"market_copier", "momentum"}
-            for saved in ckpt["agents"].values():
-                assert set(saved) == {"state"}
+            assert set(ckpt) == {"next_cycle", "events_bytes"}
             boundary = json.loads(events[: ckpt["events_bytes"]].splitlines()[-1])
             assert boundary["kind"] == "cycle_end"
             assert boundary["cycle"] == ckpt["next_cycle"] - 1
@@ -351,7 +348,7 @@ class TestCheckpointResume:
         "failure",
         [
             "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
-            "events_mid_line", "events_not_cycle_end", "totals", "agent_missing", "live",
+            "events_mid_line", "events_not_cycle_end", "totals", "live",
             "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
             "kept_ledger_overdrawn", "kept_ledger_close_unopened",
         ],
@@ -372,7 +369,7 @@ class TestCheckpointResume:
 
         at_cycle, error, match = 2, CorruptLog, None
         if failure == "torn_at_cycle":
-            ckpt_path.write_bytes(ckpt_path.read_bytes()[:50])
+            ckpt_path.write_bytes(ckpt_path.read_bytes()[: ckpt_path.stat().st_size // 2])
             error = NoCheckpoint
         elif failure == "no_readable":
             for path in ckpt_path.parent.iterdir():
@@ -433,10 +430,6 @@ class TestCheckpointResume:
             head = b"".join(lines)
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
-        elif failure == "agent_missing":
-            del ckpt["agents"]["momentum"]
-            save(ckpt)
-            error = NoCheckpoint
         elif failure == "live":
             manifest_path = run_dir / "manifest.json"
             data = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -671,6 +664,18 @@ class TestVerify:
         report = verify_run(tmp_path, "c")
         assert not report.ok
         assert not all(report.contracts.values())
+
+    def test_torn_manifest_fails_verification(self, tmp_path, capsys):
+        make_engine(tmp_path, cycles=2, run_id="m").run()
+        manifest = RunPaths(tmp_path, "m").manifest
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        report = verify_run(tmp_path, "m")
+        assert report.events_ok and not report.ok
+        assert [m for m in report.messages if "manifest.json" in m]
+        assert cli_main(["--out", str(tmp_path), "verify", "--run-id", "m"]) == 1
+        out, err = capsys.readouterr()
+        assert "verify m: FAILED" in out and "manifest.json" in out
+        assert "Traceback" not in out + err
 
 
 class TestSignificance:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from driftmark.errors import CorruptLog, IoError
+from driftmark.agents import build_agent
+from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput
 from driftmark.evalloop import EvalEngine, RunPaths, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import aggregate, emit, iter_events
@@ -206,9 +207,23 @@ def test_resume_at_every_boundary_matches_pins(tmp_path, monkeypatch):
         assert run_digests("out", "flaky") == PINS["flaky"], f"boundary {boundary}"
 
 
+def older_agent_state(agent_id: str, seed: int, cycles) -> dict:
+    """The state an older checkpoint held for an agent after ``cycles``: the
+    ``_state`` its forecasts left, an agent's cycle ending at its first
+    failure."""
+    agent = build_agent(agent_id, seed)
+    for number, snaps in enumerate(cycles, 1):
+        try:
+            for s in snaps:
+                agent.forecast(s, number, 1000)
+        except MalformedAgentOutput:
+            pass
+    return dict(agent._state)
+
+
 def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
-    """Checkpoints written before ledgers were derived from the log also hold
-    each ledger's size at the boundary; resume ignores it."""
+    """Older checkpoints also hold each agent's state, and older ones still
+    each ledger's size at the boundary; resume ignores both."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", "flaky")
     paths = RunPaths("out", "flaky")
@@ -216,12 +231,20 @@ def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
     ledgers = {
         p.stem: p.read_bytes().splitlines(keepends=True) for p in paths.ledgers.glob("*.jsonl")
     }
+    spec = MANIFESTS["flaky"]
+    feed = generate_synthetic(
+        seed=spec["seed"], n_markets=40, steps=spec["cycles"], interval_seconds=3600
+    ).cycles()
     for path in paths.checkpoints.glob("cycle_*.json"):
         ckpt = json.loads(path.read_bytes())
         kept = [json.loads(line) for line in log[: ckpt["events_bytes"]].splitlines()]
-        for aid, saved in ckpt["agents"].items():
+        ckpt["agents"] = {}
+        for aid in spec["agent_ids"]:
             n = sum(1 for e in kept if e["kind"] == "ledger" and e["agent_id"] == aid)
-            saved["ledger_bytes"] = len(b"".join(ledgers[aid][:n]))
+            ckpt["agents"][aid] = {
+                "state": older_agent_state(aid, spec["seed"], feed[: ckpt["next_cycle"] - 1]),
+                "ledger_bytes": len(b"".join(ledgers[aid][:n])),
+            }
         path.write_text(json.dumps(ckpt), encoding="utf-8")
     for at_cycle in (MANIFESTS["flaky"]["cycles"] // 2, None):
         resumed = resume_run("out", "flaky", at_cycle=at_cycle)

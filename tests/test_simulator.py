@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from driftmark.agents import Action, Decision, DecisionBatch
+from driftmark.agents import (
+    Action,
+    CalibrationWindow,
+    Decision,
+    DecisionBatch,
+    parse_decision_wire,
+    validate_decision_batch,
+)
 from driftmark.errors import (
     AlreadyOpen,
     InsufficientCapital,
@@ -488,3 +496,54 @@ class PortfolioMachine(RuleBasedStateMachine):
 
 TestPortfolioMachine = PortfolioMachine.TestCase
 TestPortfolioMachine.settings = settings(max_examples=150, stateful_step_count=25, deadline=None)
+
+
+WIRE_CIDS = tuple(f"0x{i:02d}" for i in range(30))
+
+
+def wire(first: dict) -> str:
+    """An agent's reply: ``first`` for the first market, HOLDs for the rest."""
+    holds = [{"marketId": cid, "action": "HOLD", "reasoning": ""} for cid in WIRE_CIDS[1:]]
+    return json.dumps({"decisions": [{"marketId": WIRE_CIDS[0], **first}, *holds], "reasoning": ""})
+
+
+class TestPartialClosesThroughTheWire:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entry=st.floats(0.05, 0.95),
+        # Each close's price moves at most 4% from the entry, mostly inside
+        # the trigger bands, so a position can outlive many partial closes.
+        closes=st.lists(st.tuples(st.integers(1, 99), st.floats(-0.04, 0.04)), max_size=16),
+    )
+    # Three 99% closes leave 200 micro-shares at a basis of 0 cents.
+    @example(entry=0.5, closes=[(99, 0.0)] * 4)
+    @example(entry=0.5, closes=[(99, 0.0)] * 3 + [(50, 0.04)])
+    def test_any_close_amount_steps(self, entry, closes):
+        """Each cycle's reply is parsed, validated and stepped: a $100 BUY,
+        then CLOSEs of any closeAmount at moving prices. No step raises, a
+        position left open can be checked against the trigger bands, and the
+        ledger replays to the portfolio."""
+        portfolio = Portfolio.fresh(600_000)
+        entries = []
+        buy_yes = {"action": "BUY_YES", "amount": 100.0, "reasoning": "", "confidence": 9,
+                   "edge": 0.1, "expectedReturn": 1.0}
+        replies = [(buy_yes, entry)] + [
+            ({"action": "CLOSE", "closeAmount": f, "reasoning": ""}, entry * (1 + move))
+            for f, move in closes
+        ]
+        for n, (first, yes) in enumerate(replies):
+            now = NOW + timedelta(minutes=5 * n)
+            batch, violations = parse_decision_wire(wire(first), agent_id="a1", produced_at=now)
+            validation = validate_decision_batch(
+                batch, set(WIRE_CIDS), CalibrationWindow(size=30)
+            )
+            assert violations == [] and validation.ok, validation.issues
+            snaps = {cid: make_snapshot(cid=cid, yes=yes) for cid in WIRE_CIDS}
+            result = step(portfolio, batch, snaps, Mode.EXECUTION, now=now)
+            portfolio = result.portfolio
+            entries.extend(result.entries)
+            for position in portfolio.open_positions:
+                assert position.quantity_micro > 0 and position.cost_basis_cents >= 0
+                # the next step's check, which divided by a basis of 0
+                assert evaluate_triggers(position) in Trigger
+        assert replay_ledger(600_000, entries) == portfolio
