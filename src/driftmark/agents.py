@@ -118,14 +118,24 @@ def calibration_adjustment(
     the plain wins/n. The penalty fires when the rate trails the stated
     probability.
     """
+    return _adjustment(_win_rate(window), stated_prob, penalty)
+
+
+def _win_rate(window: CalibrationWindow) -> float | None:
+    """The window's win rate as ``calibration_adjustment`` takes it; None
+    with no history."""
     n = len(window.entries)
     if n == 0:
-        return CalibrationAdjustment(win_rate_adj=0.5, prob_adjustment=0.0)
+        return None
     wins = sum(1 for e in window.entries if e.pnl_cents > 0)
     if n < window.size:
-        rate = (wins + 1) / (n + 2)
-    else:
-        rate = wins / n
+        return (wins + 1) / (n + 2)
+    return wins / n
+
+
+def _adjustment(rate: float | None, stated_prob: float, penalty: float) -> CalibrationAdjustment:
+    if rate is None:
+        return CalibrationAdjustment(win_rate_adj=0.5, prob_adjustment=0.0)
     adjustment = penalty if rate < stated_prob else 0.0
     return CalibrationAdjustment(win_rate_adj=rate, prob_adjustment=adjustment)
 
@@ -601,12 +611,14 @@ def build_decision_batch(
         min_conf, min_edge = cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge
 
     candidates: list[Decision] = []
+    # The window is the same for every market, so its win rate is too.
+    rate = _win_rate(window)
     for snap in snapshots:
         cid = snap.condition_id
         if cid in used or cid in open_positions or cid not in records:
             continue
         record = records[cid]
-        adj = calibration_adjustment(window, record.probability, cfg.prob_adjustment_penalty)
+        adj = _adjustment(rate, record.probability, cfg.prob_adjustment_penalty)
         calibrated = _clamp01(record.probability + adj.prob_adjustment)
         edge_yes = compute_edge(calibrated, snap.yes_price)
         edge_no = compute_edge(1.0 - calibrated, snap.no_price)

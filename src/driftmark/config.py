@@ -93,6 +93,12 @@ class MetricConfig:
             raise ConfigError(
                 f"metrics.volatility_window must be at least 1, not {self.volatility_window!r}"
             )
+        # The final reports bin forecasts for ECE and price VaR at this tail;
+        # a value they cannot take would fail the run only after its last cycle.
+        if not isinstance(self.ece_bins, int) or self.ece_bins < 2:
+            raise ConfigError(f"metrics.ece_bins must be at least 2, not {self.ece_bins!r}")
+        if not isinstance(self.var_alpha, (int, float)) or not 0.0 < self.var_alpha < 0.5:
+            raise ConfigError(f"metrics.var_alpha must be in (0, 0.5), not {self.var_alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,14 @@ class SimulatorConfig:
     edge_delta: float = 0.03
     # The one open-position limit: the simulator enforces it, agents plan for it.
     max_open_positions: int = 30
+
+    def __post_init__(self):
+        # A portfolio's available capital may never go negative.
+        if not isinstance(self.initial_capital_cents, int) or self.initial_capital_cents < 0:
+            raise ConfigError(
+                f"simulator.initial_capital_cents must be at least 0, "
+                f"not {self.initial_capital_cents!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .agents import (
     validate_decision_batch,
 )
 from .baselines import (
+    BaselineForecast,
     BaselineKind,
     heuristic_baseline,
     historical_frequency_baseline,
@@ -170,54 +171,98 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The line ``_EVENT_ENCODER`` writes for a forecast event whose strings are
-# exact ``str``, whose counts are exact ``int`` and whose two floats are
-# finite exact ``float``: keys sorted, strings through
-# ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and
-# ``float``'s own repr.
+# The lines ``_EVENT_ENCODER`` writes for the three bulk kinds of event when
+# every string is an exact ``str``, every count an exact ``int`` and every
+# price or probability a finite exact ``float``: keys sorted, strings through
+# ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and ``float``'s
+# own repr. Each ``_*_line`` function takes the values of its template's
+# ``_*_FIELDS``, the keys of its ``%`` fields, in that order.
 _FORECAST_LINE = (
     '{"agent_id":%s,"condition_id":%s,"confidence":%d,"contract_digest":%s,'
     '"cycle":%d,"input_tokens":%d,"kind":"forecast","latency_ms":%r,'
     '"output_tokens":%d,"probability":%r,"sampled_at":%s,"strategy":%s,"trace":%s}\n'
 )
-_FORECAST_KEYS = frozenset(re.findall(r'"(\w+)":', _FORECAST_LINE))
+_BASELINE_LINE = (
+    '{"as_of":%s,"baseline":%s,"condition_id":%s,"cycle":%d,"kind":"baseline",'
+    '"probability":%r}\n'
+)
+_SNAPSHOT_LINE = (
+    '{"condition_id":%s,"cycle":%d,"kind":"snapshot","no_price":%r,"observed_at":%s,'
+    '"yes_price":%r}\n'
+)
+_FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS = (
+    tuple(re.findall(r'"(\w+)":%', line))
+    for line in (_FORECAST_LINE, _BASELINE_LINE, _SNAPSHOT_LINE)
+)
 
 
 class _JsonStrings(dict):
-    """JSON text by string, for the strings a run's forecast events repeat
-    (agent ids, market ids, the contract digest, timestamps, strategies):
-    each is encoded once."""
+    """JSON text by string, for the strings a run's bulk events repeat
+    (agent ids, market ids, the contract digest, timestamps, strategies,
+    baseline kinds): each is encoded once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
         return encoded
 
 
-def event_line(event: dict, strings: _JsonStrings | None = None) -> str:
-    """One log line: ``event`` as compact JSON with sorted keys. Given a
-    run's ``strings``, a forecast event is written through
-    ``_FORECAST_LINE``; an event with another key set or another value type
-    (a bool, a numpy number, a non-finite float) takes the generic encoder,
-    so the bytes are the same either way."""
-    if strings is not None and event.get("kind") == "forecast" and event.keys() == _FORECAST_KEYS:
-        agent, market, digest = event["agent_id"], event["condition_id"], event["contract_digest"]
-        at, strategy, trace = event["sampled_at"], event["strategy"], event["trace"]
-        conf, cycle = event["confidence"], event["cycle"]
-        n_in, n_out = event["input_tokens"], event["output_tokens"]
-        latency, prob = event["latency_ms"], event["probability"]
-        if (
-            type(agent) is type(market) is type(digest) is type(at) is str
-            and type(strategy) is type(trace) is str
-            and type(conf) is type(cycle) is type(n_in) is type(n_out) is int
-            and type(latency) is type(prob) is float
-            and math.isfinite(latency)
-            and math.isfinite(prob)
-        ):
-            return _FORECAST_LINE % (
-                strings[agent], strings[market], conf, strings[digest], cycle, n_in,
-                latency, n_out, prob, strings[at], strings[strategy],
-                encode_basestring_ascii(trace),
-            )
+def _forecast_line(
+    strings: _JsonStrings, agent_id, condition_id, confidence, contract_digest, cycle,
+    input_tokens, latency_ms, output_tokens, probability, sampled_at, strategy, trace,
+) -> str | None:
+    """A forecast event's line through ``_FORECAST_LINE``, or None when a
+    value is not of the type the template writes."""
+    if (
+        type(agent_id) is type(condition_id) is type(contract_digest) is type(sampled_at) is str
+        and type(strategy) is type(trace) is str
+        and type(confidence) is type(cycle) is type(input_tokens) is type(output_tokens) is int
+        and type(latency_ms) is type(probability) is float
+        and math.isfinite(latency_ms)
+        and math.isfinite(probability)
+    ):
+        return _FORECAST_LINE % (
+            strings[agent_id], strings[condition_id], confidence, strings[contract_digest],
+            cycle, input_tokens, latency_ms, output_tokens, probability, strings[sampled_at],
+            strings[strategy], encode_basestring_ascii(trace),
+        )
+    return None
+
+
+def _baseline_line(
+    strings: _JsonStrings, as_of, baseline, condition_id, cycle, probability
+) -> str | None:
+    """A baseline event's line through ``_BASELINE_LINE``, or None."""
+    if (
+        type(as_of) is type(baseline) is type(condition_id) is str
+        and type(cycle) is int
+        and type(probability) is float
+        and math.isfinite(probability)
+    ):
+        return _BASELINE_LINE % (
+            strings[as_of], strings[baseline], strings[condition_id], cycle, probability
+        )
+    return None
+
+
+def _snapshot_line(
+    strings: _JsonStrings, condition_id, cycle, no_price, observed_at, yes_price
+) -> str | None:
+    """A snapshot event's line through ``_SNAPSHOT_LINE``, or None."""
+    if (
+        type(condition_id) is type(observed_at) is str
+        and type(cycle) is int
+        and type(no_price) is type(yes_price) is float
+        and math.isfinite(no_price)
+        and math.isfinite(yes_price)
+    ):
+        return _SNAPSHOT_LINE % (
+            strings[condition_id], cycle, no_price, strings[observed_at], yes_price
+        )
+    return None
+
+
+def event_line(event: dict) -> str:
+    """One log line: ``event`` as compact JSON with sorted keys."""
     return _EVENT_ENCODER.encode(event) + "\n"
 
 
@@ -351,20 +396,59 @@ class _Run:
     strings: _JsonStrings = field(default_factory=_JsonStrings)
 
     def emit(self, ev: dict) -> None:
-        self.events.write(event_line(ev, self.strings))
+        self.events.write(event_line(ev))
         self.fold.add(ev)
+
+    # The bulk kinds are written through their templates and folded from
+    # their values; an event holding a value its template cannot take is
+    # built whole and goes through ``emit``.
+
+    def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord) -> None:
+        cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
+        n_in, n_out, strategy = rec.input_tokens, rec.output_tokens, rec.strategy.value
+        values = (
+            agent_id, cid, conf, rec.contract_hash.digest, cycle, n_in, rec.latency_ms, n_out,
+            prob, self.iso[rec.sampled_at], strategy, rec.reasoning_trace,
+        )
+        line = _forecast_line(self.strings, *values)
+        if line is None:
+            self.emit(dict(zip(_FORECAST_FIELDS, values), kind="forecast"))
+        else:
+            self.events.write(line)
+            self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
+
+    def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
+        kind, cid, prob = bf.kind.value, bf.condition_id, bf.probability
+        values = (self.iso[bf.as_of], kind, cid, cycle, prob)
+        line = _baseline_line(self.strings, *values)
+        if line is None:
+            self.emit(dict(zip(_BASELINE_FIELDS, values), kind="baseline"))
+        else:
+            self.events.write(line)
+            self.fold.add_baseline(reporting.BASELINE_PREFIX + kind, cycle, cid, prob)
+
+    def emit_snapshot(self, cycle: int, s: MarketSnapshot) -> None:
+        cid, yes = s.condition_id, s.yes_price
+        values = (cid, cycle, s.no_price, self.iso[s.observed_at], yes)
+        line = _snapshot_line(self.strings, *values)
+        if line is None:
+            self.emit(dict(zip(_SNAPSHOT_FIELDS, values), kind="snapshot"))
+        else:
+            self.events.write(line)
+            self.fold.add_snapshot(cycle, cid, yes)
 
     def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
         """Add an entry to the agent's ledger, log it, and feed it to the
         agent's calibration window."""
-        self.ledgers[agent_id].append(entry)
+        record = entry_to_record(entry)
+        self.ledgers[agent_id].append(record)
         self.emit(
             {
                 "kind": "ledger",
                 "cycle": cycle,
                 "agent_id": agent_id,
                 "entry_kind": entry.kind.value,
-                **{k: v for k, v in entry_to_record(entry).items() if k != "kind"},
+                **{k: v for k, v in record.items() if k != "kind"},
             }
         )
         st = self.states[agent_id]
@@ -627,7 +711,7 @@ class EvalEngine:
                         None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
                     ) from exc
                 window = _calibrated(window, entry)
-                ledger.append(entry)
+                ledger.append(entry_to_record(entry))
             if last.get("portfolios", {}).get(aid) != _totals(portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
@@ -785,16 +869,7 @@ class EvalEngine:
                     }
                 )
         for s in snaps:
-            run.emit(
-                {
-                    "kind": "snapshot",
-                    "cycle": cycle,
-                    "condition_id": s.condition_id,
-                    "yes_price": s.yes_price,
-                    "no_price": s.no_price,
-                    "observed_at": iso[s.observed_at],
-                }
-            )
+            run.emit_snapshot(cycle, s)
             run.prices[s.condition_id].append(s.yes_price)
         snap_map = {s.condition_id: s for s in snaps}
         # Each market is rendered once; agents differ only in the portfolio
@@ -904,23 +979,7 @@ class EvalEngine:
                 input_tokens=instruction_tokens(summary_span, spans),
             )
             records[s.condition_id] = rec
-            run.emit(
-                {
-                    "kind": "forecast",
-                    "cycle": c.number,
-                    "agent_id": aid,
-                    "condition_id": s.condition_id,
-                    "probability": rec.probability,
-                    "confidence": rec.confidence,
-                    "trace": rec.reasoning_trace,
-                    "strategy": rec.strategy.value,
-                    "input_tokens": rec.input_tokens,
-                    "output_tokens": rec.output_tokens,
-                    "latency_ms": rec.latency_ms,
-                    "sampled_at": run.iso[rec.sampled_at],
-                    "contract_digest": rec.contract_hash.digest,
-                }
-            )
+            run.emit_forecast(c.number, aid, rec)
         return records
 
     def _decide(
@@ -1004,16 +1063,7 @@ class EvalEngine:
             )
             for bf in forecasts:
                 probs[bf.kind.value][s.condition_id] = bf.probability
-                run.emit(
-                    {
-                        "kind": "baseline",
-                        "cycle": c.number,
-                        "baseline": bf.kind.value,
-                        "condition_id": bf.condition_id,
-                        "probability": bf.probability,
-                        "as_of": run.iso[bf.as_of],
-                    }
-                )
+                run.emit_baseline(c.number, bf)
         if run.prev_baseline:
             for kind, curr in probs.items():
                 prev = run.prev_baseline.get(kind, {})

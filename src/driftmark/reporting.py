@@ -222,41 +222,26 @@ class EventFold:
         self.agents_seen: list[str] = []
         self.baselines_seen: list[str] = []
 
-    def _subject_forecasts(self, subject: str) -> dict[str, list[tuple]]:
-        return self.forecasts.setdefault(subject, {})
-
     def consume(self, events: Iterable[dict]) -> "EventFold":
         fold_events(self.add, events)
         return self
 
     def add(self, ev: dict) -> None:
-        """Fold one event; the engine calls this as it writes each event.
-        Kinds are tested from the most frequent down. Every key the reports
-        read later is read here, so an event without one fails in
-        ``fold_events``."""
+        """Fold one event; the engine calls this for each event it writes
+        through ``event_line``. Kinds are tested from the most frequent
+        down. Every key the reports read later is read here, so an event
+        without one fails in ``fold_events``."""
         kind = ev.get("kind")
         if kind == "forecast":
-            subject = ev["agent_id"]
-            if subject not in self.agents_seen:
-                self.agents_seen.append(subject)
-            cycle = int(ev["cycle"])
-            self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
-                (
-                    cycle,
-                    float(ev["probability"]),
-                    int(ev.get("confidence", 5)),
-                    int(ev.get("input_tokens", 0)),
-                    int(ev.get("output_tokens", 0)),
-                    ev.get("strategy", "NONE"),
-                )
+            self.add_forecast(
+                ev["agent_id"], int(ev["cycle"]), ev["condition_id"], float(ev["probability"]),
+                int(ev.get("confidence", 5)), int(ev.get("input_tokens", 0)),
+                int(ev.get("output_tokens", 0)), ev.get("strategy", "NONE"),
             )
-            self.cycles_seen.add(cycle)
         elif kind == "baseline":
-            subject = BASELINE_PREFIX + ev["baseline"]
-            if subject not in self.baselines_seen:
-                self.baselines_seen.append(subject)
-            self._subject_forecasts(subject).setdefault(ev["condition_id"], []).append(
-                (int(ev["cycle"]), float(ev["probability"]), 5, 0, 0, "NONE")
+            self.add_baseline(
+                BASELINE_PREFIX + ev["baseline"], int(ev["cycle"]), ev["condition_id"],
+                float(ev["probability"]),
             )
         elif kind == "ledger":
             agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
@@ -267,11 +252,7 @@ class EventFold:
                 self.realized.setdefault(agent, []).append((cycle, cid, cash))
             self.ledgers.setdefault(agent, []).append(ev)
         elif kind == "snapshot":
-            cycle, price = int(ev["cycle"]), float(ev["yes_price"])
-            if 0.0 < price < MIN_POSITIVE_PRICE:
-                raise ValueError(f"yes_price {price} is positive but below {MIN_POSITIVE_PRICE}")
-            self.prices.setdefault(ev["condition_id"], {})[cycle] = price
-            self.cycles_seen.add(cycle)
+            self.add_snapshot(int(ev["cycle"]), ev["condition_id"], float(ev["yes_price"]))
         elif kind == "drift":
             self.drifts.setdefault(ev["agent_id"], []).append(
                 (ev["d_narrative"], ev["d_temporal"], ev.get("d_temporal_product", 0.0))
@@ -288,6 +269,33 @@ class EventFold:
             self.agent_meta[ev["agent_id"]] = ev
             if ev["agent_id"] not in self.agents_seen:
                 self.agents_seen.append(ev["agent_id"])
+
+    # The bulk kinds, from their values: ``add`` converts an event's keys and
+    # calls these, and the engine calls them as it writes each such event.
+
+    def add_forecast(
+        self, subject: str, cycle: int, condition_id: str, probability: float,
+        confidence: int, input_tokens: int, output_tokens: int, strategy: str,
+    ) -> None:
+        if subject not in self.agents_seen:
+            self.agents_seen.append(subject)
+        self.forecasts.setdefault(subject, {}).setdefault(condition_id, []).append(
+            (cycle, probability, confidence, input_tokens, output_tokens, strategy)
+        )
+        self.cycles_seen.add(cycle)
+
+    def add_baseline(self, subject: str, cycle: int, condition_id: str, probability: float) -> None:
+        if subject not in self.baselines_seen:
+            self.baselines_seen.append(subject)
+        self.forecasts.setdefault(subject, {}).setdefault(condition_id, []).append(
+            (cycle, probability, 5, 0, 0, "NONE")
+        )
+
+    def add_snapshot(self, cycle: int, condition_id: str, yes_price: float) -> None:
+        if 0.0 < yes_price < MIN_POSITIVE_PRICE:
+            raise ValueError(f"yes_price {yes_price} is positive but below {MIN_POSITIVE_PRICE}")
+        self.prices.setdefault(condition_id, {})[cycle] = yes_price
+        self.cycles_seen.add(cycle)
 
     # -- per-subject derivations --
 

@@ -492,8 +492,9 @@ class LedgerWriter:
         self.path = Path(path)
         self._lines: list[str] = []
 
-    def append(self, entry: LedgerEntry) -> None:
-        self._lines.append(json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n")
+    def append(self, record: dict) -> None:
+        """Add one entry, as ``entry_to_record`` gives it."""
+        self._lines.append(json.dumps(record, separators=(",", ":")) + "\n")
 
     def sync(self) -> None:
         """Write every entry appended so far as the ledger file, atomically."""

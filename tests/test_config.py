@@ -151,3 +151,48 @@ class TestConfigErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestInitialCapital:
+    def test_zero_is_allowed(self):
+        assert config_from_dict(
+            {"simulator": {"initial_capital_cents": 0}}
+        ).simulator.initial_capital_cents == 0
+
+    @pytest.mark.parametrize("capital", [-1, -600_000, 600_000.0, "600000"])
+    def test_negative_or_not_cents_raises_config_error(self, capital):
+        with pytest.raises(ConfigError, match="initial_capital_cents"):
+            config_from_dict({"simulator": {"initial_capital_cents": capital}})
+
+    def test_cli_run_writes_nothing(self, tmp_path, capsys):
+        """The run used to end in an AssertionError after it had written its
+        manifest and contract, which took the run id."""
+        path = tmp_path / "negative.yaml"
+        path.write_text("simulator:\n  initial_capital_cents: -1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli_main([
+            "--config", str(path), "--out", str(out), "run", "--agents", "momentum",
+            "--cycles", "2", "--run-id", "neg",
+        ])
+        assert code == 1
+        assert "initial_capital_cents" in capsys.readouterr().err
+        assert not (out / "neg").exists()
+
+
+class TestFinalReportSettings:
+    """Values the final reports cannot take used to fail a run only after
+    its last cycle, leaving no run_completed and no events.sha256."""
+
+    def test_bounds_are_allowed(self):
+        metrics = config_from_dict({"metrics": {"ece_bins": 2, "var_alpha": 0.49}}).metrics
+        assert (metrics.ece_bins, metrics.var_alpha) == (2, 0.49)
+
+    @pytest.mark.parametrize("bins", [1, 0, -10, 10.0, "10"])
+    def test_fewer_than_two_ece_bins_raises_config_error(self, bins):
+        with pytest.raises(ConfigError, match="ece_bins"):
+            config_from_dict({"metrics": {"ece_bins": bins}})
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.05, 1.0, float("nan"), "0.05"])
+    def test_var_alpha_outside_open_interval_raises_config_error(self, alpha):
+        with pytest.raises(ConfigError, match="var_alpha"):
+            config_from_dict({"metrics": {"var_alpha": alpha}})

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import io
 import json
 import os
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +36,15 @@ from driftmark.evalloop import (
     verify_run,
 )
 from driftmark import agents, evalloop, fileio
-from driftmark.contract import lock_contract, render_instruction
-from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
+from driftmark.baselines import BaselineForecast, BaselineKind
+from driftmark.contract import ContractHash, lock_contract, render_instruction
+from driftmark.market_data import (
+    Liquidity,
+    MarketSnapshot,
+    generate_synthetic,
+    save_feed,
+    save_outcomes,
+)
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
 from driftmark.simulator import entry_from_record, replay_ledger
 
@@ -840,78 +850,192 @@ _JSON_TEXT = st.text(
 )
 _JSON_FLOAT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-05, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
 )
-_FORECAST_EVENTS = st.fixed_dictionaries(
-    {
-        "kind": st.just("forecast"),
-        "cycle": st.integers(),
-        "agent_id": _JSON_TEXT,
-        "condition_id": _JSON_TEXT,
-        "probability": _JSON_FLOAT,
-        "confidence": st.integers(-5, 15),
-        "trace": _JSON_TEXT,
-        "strategy": _JSON_TEXT,
-        "input_tokens": st.integers(0, 2**70),
-        "output_tokens": st.integers(0, 10**6),
-        "latency_ms": _JSON_FLOAT,
-        "sampled_at": _JSON_TEXT,
-        "contract_digest": _JSON_TEXT,
-    }
-)
-_GENERIC = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _sample_forecast_event() -> dict:
-    return {
+# kind -> the events of that kind, with every value of the type its template writes
+_BULK_EVENTS = {
+    "forecast": st.fixed_dictionaries(
+        {
+            "kind": st.just("forecast"),
+            "cycle": st.integers(),
+            "agent_id": _JSON_TEXT,
+            "condition_id": _JSON_TEXT,
+            "probability": _JSON_FLOAT,
+            "confidence": st.integers(-5, 15),
+            "trace": _JSON_TEXT,
+            "strategy": _JSON_TEXT,
+            "input_tokens": st.integers(0, 2**70),
+            "output_tokens": st.integers(0, 10**6),
+            "latency_ms": _JSON_FLOAT,
+            "sampled_at": _JSON_TEXT,
+            "contract_digest": _JSON_TEXT,
+        }
+    ),
+    "baseline": st.fixed_dictionaries(
+        {
+            "kind": st.just("baseline"),
+            "cycle": st.integers(),
+            "baseline": _JSON_TEXT,
+            "condition_id": _JSON_TEXT,
+            "probability": _JSON_FLOAT,
+            "as_of": _JSON_TEXT,
+        }
+    ),
+    "snapshot": st.fixed_dictionaries(
+        {
+            "kind": st.just("snapshot"),
+            "cycle": st.integers(),
+            "condition_id": _JSON_TEXT,
+            "yes_price": _JSON_FLOAT,
+            "no_price": _JSON_FLOAT,
+            "observed_at": _JSON_TEXT,
+        }
+    ),
+}
+_BULK_LINES = {
+    "forecast": evalloop._forecast_line,
+    "baseline": evalloop._baseline_line,
+    "snapshot": evalloop._snapshot_line,
+}
+_AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
+_SAMPLE_EVENTS = {
+    "forecast": {
         "kind": "forecast", "cycle": 3, "agent_id": "momentum", "condition_id": "0x" + "ab" * 20,
-        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume", "strategy": "momentum",
+        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume", "strategy": "MOMENTUM",
         "input_tokens": 312, "output_tokens": 4, "latency_ms": 0.0,
         "sampled_at": "2026-01-01T00:00:00Z", "contract_digest": "f" * 64,
-    }
+    },
+    "baseline": {
+        "kind": "baseline", "cycle": 3, "baseline": "market", "condition_id": "0x" + "ab" * 20,
+        "probability": 0.625, "as_of": "2026-01-01T00:00:00Z",
+    },
+    "snapshot": {
+        "kind": "snapshot", "cycle": 3, "condition_id": "0x" + "ab" * 20, "yes_price": 0.625,
+        "no_price": 0.375, "observed_at": "2026-01-01T00:00:00Z",
+    },
+}
 
 
-class TestForecastLine:
-    """A forecast event's precompiled line equals the generic encoder's."""
+def _typed_line(ev: dict, strings) -> str | None:
+    return _BULK_LINES[ev["kind"]](strings, **{k: v for k, v in ev.items() if k != "kind"})
 
-    @given(_FORECAST_EVENTS)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_generic_encoder(self, ev):
+
+def _emit_typed(run, ev: dict) -> None:
+    """Hand the engine's typed writer of ``ev``'s kind the record ``ev`` was
+    made from; its timestamps are all ``_AT``."""
+    if ev["kind"] == "forecast":
+        run.emit_forecast(ev["cycle"], ev["agent_id"], agents.ForecastRecord(
+            condition_id=ev["condition_id"], agent_id=ev["agent_id"],
+            probability=ev["probability"], confidence=ev["confidence"],
+            reasoning_trace=ev["trace"], strategy=agents.Strategy(ev["strategy"]),
+            input_tokens=ev["input_tokens"], output_tokens=ev["output_tokens"],
+            latency_ms=ev["latency_ms"], sampled_at=_AT,
+            contract_hash=ContractHash(ev["contract_digest"]),
+        ))
+    elif ev["kind"] == "baseline":
+        run.emit_baseline(ev["cycle"], BaselineForecast(
+            BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"], _AT
+        ))
+    else:
+        run.emit_snapshot(ev["cycle"], MarketSnapshot(
+            ev["condition_id"], "q", ev["yes_price"], ev["no_price"], Liquidity.HIGH, _AT, _AT
+        ))
+
+
+class TestBulkLines:
+    """The template lines of the bulk kinds equal the generic encoder's."""
+
+    def _check(self, ev):
+        expected = evalloop._EVENT_ENCODER.encode(ev) + "\n"
         strings = evalloop._JsonStrings()
-        expected = _GENERIC.encode(ev) + "\n"
-        assert evalloop.event_line(ev, strings) == expected
+        assert _typed_line(ev, strings) == expected
         # the second line reads every repeated string from the run's cache
-        assert evalloop.event_line(ev, strings) == expected
+        assert _typed_line(ev, strings) == expected
+
+    @given(_BULK_EVENTS["forecast"])
+    @settings(max_examples=300, deadline=None)
+    def test_forecast_line(self, ev):
+        self._check(ev)
+
+    @given(_BULK_EVENTS["baseline"])
+    @settings(max_examples=300, deadline=None)
+    def test_baseline_line(self, ev):
+        self._check(ev)
+
+    @given(_BULK_EVENTS["snapshot"])
+    @settings(max_examples=300, deadline=None)
+    def test_snapshot_line(self, ev):
+        self._check(ev)
+
+    @pytest.mark.parametrize("value", [1e-05, 1e16, -0.0, 5e-324])
+    @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
+    def test_edge_floats_and_non_ascii_strings(self, kind, value):
+        text = "é\u2028\U0001f600\x00"
+        ev = {
+            k: value if type(v) is float else text if type(v) is str else v
+            for k, v in _SAMPLE_EVENTS[kind].items()
+        }
+        ev["kind"] = kind
+        self._check(ev)
+
+    # a bool, a numpy float, a non-finite float, an int where a float
+    # belongs, a float where an int belongs, and None for a string
+    OTHER_TYPES = [
+        ("forecast", "confidence", True),
+        ("forecast", "cycle", False),
+        ("forecast", "probability", np.float64(0.625)),
+        ("forecast", "latency_ms", float("inf")),
+        ("forecast", "probability", float("nan")),
+        ("forecast", "probability", 1),
+        ("forecast", "input_tokens", 312.0),
+        ("forecast", "strategy", None),
+        ("baseline", "probability", np.float64(0.625)),
+        ("baseline", "probability", float("-inf")),
+        ("baseline", "probability", 0),
+        ("baseline", "cycle", True),
+        ("snapshot", "yes_price", np.float64(0.625)),
+        ("snapshot", "no_price", float("nan")),
+        ("snapshot", "yes_price", 1),
+        ("snapshot", "cycle", 3.0),
+    ]
+
+    @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
+    def test_line_takes_its_template_keys_in_order(self, kind):
+        """The engine builds an event the template cannot take from the
+        same values, zipped with the keys."""
+        keys = getattr(evalloop, f"_{kind.upper()}_FIELDS")
+        assert tuple(inspect.signature(_BULK_LINES[kind]).parameters)[1:] == keys
+
+    @pytest.mark.parametrize("kind, field, value", OTHER_TYPES)
+    def test_other_value_types_take_the_generic_path(self, kind, field, value):
+        ev = {**_SAMPLE_EVENTS[kind], field: value}
+        assert _typed_line(ev, evalloop._JsonStrings()) is None
 
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("confidence", True),
-            ("cycle", False),
-            ("probability", np.float64(0.625)),
-            ("latency_ms", float("inf")),
-            ("probability", float("nan")),
-            ("input_tokens", 312.0),
-            ("strategy", None),
-        ],
+        "kind, field, value",
+        [(k, f, v) for k, f, v in OTHER_TYPES if f not in ("strategy", "cycle")]
+        + [(kind, None, None) for kind in _SAMPLE_EVENTS],
     )
-    def test_other_value_types_take_the_fallback(self, field, value):
-        ev = {**_sample_forecast_event(), field: value}
-        assert evalloop.event_line(ev, evalloop._JsonStrings()) == _GENERIC.encode(ev) + "\n"
+    def test_engine_writes_and_folds_as_the_generic_path(self, kind, field, value):
+        """Through its template or through ``emit``, the engine writes the
+        event's ``event_line`` and folds what ``EventFold.add`` of the line
+        read back folds."""
+        ev = dict(_SAMPLE_EVENTS[kind])
+        if field is not None:
+            ev[field] = value
+        out = io.StringIO()
+        run = evalloop._Run({}, EventFold(), {}, {}, events=out)
+        _emit_typed(run, ev)
+        assert out.getvalue() == evalloop.event_line(ev)
+        read = EventFold()
+        read.add(json.loads(out.getvalue()))
+        # NaN != NaN, so folds are compared by their repr
+        assert repr(vars(run.fold)) == repr(vars(read))
 
     def test_numpy_int_is_not_serializable(self):
-        ev = {**_sample_forecast_event(), "cycle": np.int64(3)}
+        ev = {**_SAMPLE_EVENTS["forecast"], "cycle": np.int64(3)}
         with pytest.raises(TypeError):
-            evalloop.event_line(ev, evalloop._JsonStrings())
-
-    @pytest.mark.parametrize("change", ["extra", "missing"])
-    def test_other_key_sets_take_the_fallback(self, change):
-        ev = _sample_forecast_event()
-        if change == "extra":
-            ev["note"] = "x"
-        else:
-            del ev["latency_ms"]
-        assert evalloop.event_line(ev, evalloop._JsonStrings()) == _GENERIC.encode(ev) + "\n"
+            evalloop.event_line(ev)
 
 
 class TestRunDirectory:

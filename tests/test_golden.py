@@ -18,7 +18,7 @@ import pytest
 
 from driftmark.agents import build_agent
 from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput
-from driftmark.evalloop import EvalEngine, RunPaths, file_sha256, resume_run
+from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import aggregate, emit, iter_events
 from oracles import read_log_oracle
@@ -147,6 +147,9 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     digests = run_digests("out", name)
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
+    # The bulk kinds' template lines are the generic encoder's lines.
+    for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
+        assert event_line(json.loads(line)) == line
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))

@@ -507,6 +507,20 @@ def wire(first: dict) -> str:
     return json.dumps({"decisions": [{"marketId": WIRE_CIDS[0], **first}, *holds], "reasoning": ""})
 
 
+BUY_YES_100 = {"action": "BUY_YES", "amount": 100.0, "reasoning": "", "confidence": 9,
+               "edge": 0.1, "expectedReturn": 1.0}
+
+
+def step_reply(portfolio, n: int, first: dict, yes: float):
+    """Parse, validate and step the ``n``-th cycle's reply at yes price ``yes``."""
+    now = NOW + timedelta(minutes=5 * n)
+    batch, violations = parse_decision_wire(wire(first), agent_id="a1", produced_at=now)
+    validation = validate_decision_batch(batch, set(WIRE_CIDS), CalibrationWindow(size=30))
+    assert violations == [] and validation.ok, validation.issues
+    snaps = {cid: make_snapshot(cid=cid, yes=yes) for cid in WIRE_CIDS}
+    return step(portfolio, batch, snaps, Mode.EXECUTION, now=now)
+
+
 class TestPartialClosesThroughTheWire:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -525,21 +539,12 @@ class TestPartialClosesThroughTheWire:
         ledger replays to the portfolio."""
         portfolio = Portfolio.fresh(600_000)
         entries = []
-        buy_yes = {"action": "BUY_YES", "amount": 100.0, "reasoning": "", "confidence": 9,
-                   "edge": 0.1, "expectedReturn": 1.0}
-        replies = [(buy_yes, entry)] + [
+        replies = [(BUY_YES_100, entry)] + [
             ({"action": "CLOSE", "closeAmount": f, "reasoning": ""}, entry * (1 + move))
             for f, move in closes
         ]
         for n, (first, yes) in enumerate(replies):
-            now = NOW + timedelta(minutes=5 * n)
-            batch, violations = parse_decision_wire(wire(first), agent_id="a1", produced_at=now)
-            validation = validate_decision_batch(
-                batch, set(WIRE_CIDS), CalibrationWindow(size=30)
-            )
-            assert violations == [] and validation.ok, validation.issues
-            snaps = {cid: make_snapshot(cid=cid, yes=yes) for cid in WIRE_CIDS}
-            result = step(portfolio, batch, snaps, Mode.EXECUTION, now=now)
+            result = step_reply(portfolio, n, first, yes)
             portfolio = result.portfolio
             entries.extend(result.entries)
             for position in portfolio.open_positions:
@@ -547,3 +552,22 @@ class TestPartialClosesThroughTheWire:
                 # the next step's check, which divided by a basis of 0
                 assert evaluate_triggers(position) in Trigger
         assert replay_ledger(600_000, entries) == portfolio
+
+    def test_a_close_can_leave_a_remainder_past_a_band_until_the_next_step(self):
+        """The step checks the trigger bands before the agent's own CLOSEs,
+        and a partial close rounds the remaining basis and value to cents
+        apart. So after these closes at an unchanged price the remainder is
+        past the stop-loss band, and only the next step closes it."""
+        portfolio = step_reply(Portfolio.fresh(600_000), 0, BUY_YES_100, 0.5).portfolio
+        for n, fraction in enumerate((19, 42, 48, 75, 77, 89), 1):
+            close = {"action": "CLOSE", "closeAmount": fraction, "reasoning": ""}
+            portfolio = step_reply(portfolio, n, close, 0.5).portfolio
+        (position,) = portfolio.open_positions
+        assert (position.quantity_micro, position.cost_basis_cents) == (309_034, 16)
+        assert position.unrealized_pnl_cents == -1
+        assert evaluate_triggers(position) == Trigger.STOP_LOSS
+        hold = {"action": "HOLD", "reasoning": ""}
+        result = step_reply(portfolio, 7, hold, 0.5)
+        closes = [e for e in result.entries if e.kind == EntryKind.CLOSE]
+        assert [(e.condition_id, e.note) for e in closes] == [(WIRE_CIDS[0], "trigger_stop_loss")]
+        assert result.portfolio.open_positions == ()
