@@ -34,6 +34,7 @@ from .agents import (
     DecisionBatch,
     ForecastRecord,
     ScriptedAgent,
+    Strategy,
     build_agent,
     build_decision_batch,
     parse_decision_wire,
@@ -72,6 +73,7 @@ from .errors import (
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
+    OlderLogShape,
     RunExists,
 )
 from .fileio import write_atomic
@@ -178,13 +180,12 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # own repr. Each ``_*_line`` function takes the values of its template's
 # ``_*_FIELDS``, the keys of its ``%`` fields, in that order.
 _FORECAST_LINE = (
-    '{"agent_id":%s,"condition_id":%s,"confidence":%d,"contract_digest":%s,'
-    '"cycle":%d,"input_tokens":%d,"kind":"forecast","latency_ms":%r,'
-    '"output_tokens":%d,"probability":%r,"sampled_at":%s,"strategy":%s,"trace":%s}\n'
+    '{"agent_id":%s,"condition_id":%s,"confidence":%d,"cycle":%d,"input_tokens":%d,'
+    '"kind":"forecast","latency_ms":%r,"output_tokens":%d,"probability":%r,"strategy":%s,'
+    '"trace":%s}\n'
 )
 _BASELINE_LINE = (
-    '{"as_of":%s,"baseline":%s,"condition_id":%s,"cycle":%d,"kind":"baseline",'
-    '"probability":%r}\n'
+    '{"baseline":%s,"condition_id":%s,"cycle":%d,"kind":"baseline","probability":%r}\n'
 )
 _SNAPSHOT_LINE = (
     '{"condition_id":%s,"cycle":%d,"kind":"snapshot","no_price":%r,"observed_at":%s,'
@@ -196,10 +197,17 @@ _FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS = (
 )
 
 
+# Each member's text. ``.value`` goes through a Python-level descriptor on
+# every read; these members hash and compare as their text, so a lookup
+# here does not.
+_STRATEGY_TEXT = {s: s.value for s in Strategy}
+_BASELINE_TEXT = {k: k.value for k in BaselineKind}
+
+
 class _JsonStrings(dict):
     """JSON text by string, for the strings a run's bulk events repeat
-    (agent ids, market ids, the contract digest, timestamps, strategies,
-    baseline kinds): each is encoded once."""
+    (agent ids, market ids, snapshot times, strategies, baseline kinds):
+    each is encoded once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
@@ -207,40 +215,37 @@ class _JsonStrings(dict):
 
 
 def _forecast_line(
-    strings: _JsonStrings, agent_id, condition_id, confidence, contract_digest, cycle,
-    input_tokens, latency_ms, output_tokens, probability, sampled_at, strategy, trace,
+    strings: _JsonStrings, agent_id, condition_id, confidence, cycle, input_tokens, latency_ms,
+    output_tokens, probability, strategy, trace,
 ) -> str | None:
     """A forecast event's line through ``_FORECAST_LINE``, or None when a
     value is not of the type the template writes."""
     if (
-        type(agent_id) is type(condition_id) is type(contract_digest) is type(sampled_at) is str
-        and type(strategy) is type(trace) is str
+        type(agent_id) is type(condition_id) is type(strategy) is type(trace) is str
         and type(confidence) is type(cycle) is type(input_tokens) is type(output_tokens) is int
         and type(latency_ms) is type(probability) is float
         and math.isfinite(latency_ms)
         and math.isfinite(probability)
     ):
         return _FORECAST_LINE % (
-            strings[agent_id], strings[condition_id], confidence, strings[contract_digest],
-            cycle, input_tokens, latency_ms, output_tokens, probability, strings[sampled_at],
-            strings[strategy], encode_basestring_ascii(trace),
+            strings[agent_id], strings[condition_id], confidence, cycle, input_tokens,
+            latency_ms, output_tokens, probability, strings[strategy],
+            encode_basestring_ascii(trace),
         )
     return None
 
 
 def _baseline_line(
-    strings: _JsonStrings, as_of, baseline, condition_id, cycle, probability
+    strings: _JsonStrings, baseline, condition_id, cycle, probability
 ) -> str | None:
     """A baseline event's line through ``_BASELINE_LINE``, or None."""
     if (
-        type(as_of) is type(baseline) is type(condition_id) is str
+        type(baseline) is type(condition_id) is str
         and type(cycle) is int
         and type(probability) is float
         and math.isfinite(probability)
     ):
-        return _BASELINE_LINE % (
-            strings[as_of], strings[baseline], strings[condition_id], cycle, probability
-        )
+        return _BASELINE_LINE % (strings[baseline], strings[condition_id], cycle, probability)
     return None
 
 
@@ -303,6 +308,32 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
             return
         read += len(line)
         yield line
+
+
+# The keys the bulk lines of older logs hold and today's do not: the run's
+# contract digest (run_started's contract_hashes) and the cycle's time
+# (cycle_start's time, and each market's snapshot observed_at).
+_OLDER_KEYS = {
+    "forecast": frozenset(("contract_digest", "sampled_at")),
+    "baseline": frozenset(("as_of",)),
+}
+
+
+def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
+    """Pass a kept log's events through; a forecast or baseline holding a
+    key of ``_OLDER_KEYS`` is an ``OlderLogShape`` naming its line (blank
+    lines, which no run writes, are not counted)."""
+    for line_no, ev in enumerate(events, start=1):
+        kind = ev.get("kind")
+        # compared, not hashed: a kind may be any JSON value
+        if (kind == "forecast" or kind == "baseline") and not _OLDER_KEYS[kind].isdisjoint(ev):
+            keys = ", ".join(sorted(_OLDER_KEYS[kind].intersection(ev)))
+            raise OlderLogShape(
+                line_no,
+                f"a {kind} holding {keys}; resume this run with the version that "
+                "started it, or start it again",
+            )
+        yield ev
 
 
 def _price_history(window: int) -> defaultdict[str, deque[float]]:
@@ -405,10 +436,10 @@ class _Run:
 
     def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord) -> None:
         cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
-        n_in, n_out, strategy = rec.input_tokens, rec.output_tokens, rec.strategy.value
+        n_in, n_out, strategy = rec.input_tokens, rec.output_tokens, _STRATEGY_TEXT[rec.strategy]
         values = (
-            agent_id, cid, conf, rec.contract_hash.digest, cycle, n_in, rec.latency_ms, n_out,
-            prob, self.iso[rec.sampled_at], strategy, rec.reasoning_trace,
+            agent_id, cid, conf, cycle, n_in, rec.latency_ms, n_out, prob, strategy,
+            rec.reasoning_trace,
         )
         line = _forecast_line(self.strings, *values)
         if line is None:
@@ -418,8 +449,8 @@ class _Run:
             self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
 
     def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
-        kind, cid, prob = bf.kind.value, bf.condition_id, bf.probability
-        values = (self.iso[bf.as_of], kind, cid, cycle, prob)
+        kind, cid, prob = _BASELINE_TEXT[bf.kind], bf.condition_id, bf.probability
+        values = (kind, cid, cycle, prob)
         line = _baseline_line(self.strings, *values)
         if line is None:
             self.emit(dict(zip(_BASELINE_FIELDS, values), kind="baseline"))
@@ -627,9 +658,9 @@ class EvalEngine:
     @staticmethod
     def _read_prefix(path: Path, size: int, fold: reporting.EventFold) -> dict:
         """Check that the first ``size`` bytes of the log end a line, feed
-        each of those lines, read by ``reporting.decode_lines``, to ``fold``
-        and return the last one's event ({} for none). The log is left as it
-        is."""
+        each of those lines, read by ``reporting.decode_lines`` and checked
+        by ``_current_shape``, to ``fold`` and return the last one's event
+        ({} for none). The log is left as it is."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -640,8 +671,8 @@ class EvalEngine:
             if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             fh.seek(0)
-            lines = reporting.decode_lines(_lines_upto(fh, size))
-            return reporting.fold_events(fold.add, lines) or {}
+            events = _current_shape(reporting.decode_lines(_lines_upto(fh, size)))
+            return reporting.fold_events(fold.add, events) or {}
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -1062,7 +1093,7 @@ class EvalEngine:
                 heuristic_baseline(s, cfg.heuristic_favorite_prob, cfg.heuristic_longshot_prob),
             )
             for bf in forecasts:
-                probs[bf.kind.value][s.condition_id] = bf.probability
+                probs[_BASELINE_TEXT[bf.kind]][s.condition_id] = bf.probability
                 run.emit_baseline(c.number, bf)
         if run.prev_baseline:
             for kind, curr in probs.items():

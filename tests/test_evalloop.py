@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -99,14 +100,21 @@ class TestRunBasics:
         assert len(forecasts) == 31 * 4
 
     def test_baselines_follow_agent_schedule(self, tmp_path):
+        """Forecasts and baselines name no time of their own: both cover the
+        same markets in the same cycles, whose one cycle_start records the
+        time, and each baseline's market has a snapshot in its cycle."""
         result = make_engine(tmp_path, agents=("market_copier",), markets=31, cycles=3).run()
         events = list(iter_events(result.events_path))
         baselines = [e for e in events if e["kind"] == "baseline"]
         # four baseline kinds per market per cycle
         assert len(baselines) == 4 * 31 * 3
-        agent_times = {(e["cycle"], e["sampled_at"]) for e in events if e["kind"] == "forecast"}
-        baseline_times = {(e["cycle"], e["as_of"]) for e in baselines}
-        assert baseline_times == agent_times
+        forecast_keys = {(e["cycle"], e["condition_id"]) for e in events if e["kind"] == "forecast"}
+        baseline_keys = {(e["cycle"], e["condition_id"]) for e in baselines}
+        assert baseline_keys == forecast_keys
+        starts = Counter(e["cycle"] for e in events if e["kind"] == "cycle_start")
+        assert starts == Counter({cycle for cycle, _ in baseline_keys})
+        snapshots = {(e["cycle"], e["condition_id"]) for e in events if e["kind"] == "snapshot"}
+        assert baseline_keys <= snapshots
 
     def test_drift_starts_at_cycle_two(self, tmp_path):
         result = make_engine(tmp_path, agents=("momentum",), markets=31, cycles=4).run()
@@ -867,8 +875,6 @@ _BULK_EVENTS = {
             "input_tokens": st.integers(0, 2**70),
             "output_tokens": st.integers(0, 10**6),
             "latency_ms": _JSON_FLOAT,
-            "sampled_at": _JSON_TEXT,
-            "contract_digest": _JSON_TEXT,
         }
     ),
     "baseline": st.fixed_dictionaries(
@@ -878,7 +884,6 @@ _BULK_EVENTS = {
             "baseline": _JSON_TEXT,
             "condition_id": _JSON_TEXT,
             "probability": _JSON_FLOAT,
-            "as_of": _JSON_TEXT,
         }
     ),
     "snapshot": st.fixed_dictionaries(
@@ -903,11 +908,10 @@ _SAMPLE_EVENTS = {
         "kind": "forecast", "cycle": 3, "agent_id": "momentum", "condition_id": "0x" + "ab" * 20,
         "probability": 0.625, "confidence": 7, "trace": "up 3% on volume", "strategy": "MOMENTUM",
         "input_tokens": 312, "output_tokens": 4, "latency_ms": 0.0,
-        "sampled_at": "2026-01-01T00:00:00Z", "contract_digest": "f" * 64,
     },
     "baseline": {
         "kind": "baseline", "cycle": 3, "baseline": "market", "condition_id": "0x" + "ab" * 20,
-        "probability": 0.625, "as_of": "2026-01-01T00:00:00Z",
+        "probability": 0.625,
     },
     "snapshot": {
         "kind": "snapshot", "cycle": 3, "condition_id": "0x" + "ab" * 20, "yes_price": 0.625,
@@ -922,7 +926,8 @@ def _typed_line(ev: dict, strings) -> str | None:
 
 def _emit_typed(run, ev: dict) -> None:
     """Hand the engine's typed writer of ``ev``'s kind the record ``ev`` was
-    made from; its timestamps are all ``_AT``."""
+    made from; its timestamps are all ``_AT``, and a forecast's contract
+    digest, which its line does not hold, is all ``f``s."""
     if ev["kind"] == "forecast":
         run.emit_forecast(ev["cycle"], ev["agent_id"], agents.ForecastRecord(
             condition_id=ev["condition_id"], agent_id=ev["agent_id"],
@@ -930,7 +935,7 @@ def _emit_typed(run, ev: dict) -> None:
             reasoning_trace=ev["trace"], strategy=agents.Strategy(ev["strategy"]),
             input_tokens=ev["input_tokens"], output_tokens=ev["output_tokens"],
             latency_ms=ev["latency_ms"], sampled_at=_AT,
-            contract_hash=ContractHash(ev["contract_digest"]),
+            contract_hash=ContractHash("f" * 64),
         ))
     elif ev["kind"] == "baseline":
         run.emit_baseline(ev["cycle"], BaselineForecast(
@@ -1005,6 +1010,17 @@ class TestBulkLines:
         same values, zipped with the keys."""
         keys = getattr(evalloop, f"_{kind.upper()}_FIELDS")
         assert tuple(inspect.signature(_BULK_LINES[kind]).parameters)[1:] == keys
+
+    def test_readme_table_lists_each_template_s_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 2:
+                rows[cells[0].strip("`")] = tuple(re.findall(r"`(\w+)`", cells[1]))
+        assert rows == {
+            kind: getattr(evalloop, f"_{kind.upper()}_FIELDS") for kind in sorted(_BULK_LINES)
+        }
 
     @pytest.mark.parametrize("kind, field, value", OTHER_TYPES)
     def test_other_value_types_take_the_generic_path(self, kind, field, value):

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from driftmark.agents import build_agent
-from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput
+from driftmark import evalloop
+from driftmark.cli import main as cli_main
+from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
 from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
 from driftmark.reporting import aggregate, emit, iter_events
@@ -55,7 +57,7 @@ MANIFESTS = {
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "38442c679ead9ccee5a8d2fd8e8ce365df99d95776c1bedc29c37b7e8496e2a4",
+        "events.jsonl": "e3a8088356c824daf3a048485a588be1a57c100eb15c6e058832661c1b3405f4",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -64,22 +66,32 @@ PINS = {
         "ledgers/risk_confirmation.jsonl": EMPTY,
     },
     "observation": {
-        "events.jsonl": "9b8e67dd4fd440387fe7437ca1a37b9c7152bcaacb22a8cb76ac73411e64fd64",
+        "events.jsonl": "995c83c004288f828c51706053aa8cd9ceb5b8e7e0f6b2effbe5fd8010356fe9",
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "6a37c4c9fd01e10f9c05a6d71ee78aaa9329e73b43e4654effd215b8da23b33b",
+        "events.jsonl": "88d21abd1e9605c21427c22872ed8f2635a82c0b402920e3db07314f128069a0",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "7d4554664b6e4f8c213e4b878499d826c5b7cca91048218e78739fb9076bad81",
+        "events.jsonl": "6363281ad7e29623d89a9aca0a8415c86c4acea4a9abbd86526c7dd8ebef4a6d",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
         "ledgers/risk_confirmation.jsonl": EMPTY,
     },
+}
+
+# name -> sha256 of the pinned log in the shape older versions wrote (see
+# ``older_shape``): these were the events pins until the bulk lines stopped
+# repeating the run's contract digest and the cycle's time.
+OLDER_SHAPE_PINS = {
+    "synthetic": "38442c679ead9ccee5a8d2fd8e8ce365df99d95776c1bedc29c37b7e8496e2a4",
+    "observation": "9b8e67dd4fd440387fe7437ca1a37b9c7152bcaacb22a8cb76ac73411e64fd64",
+    "replay": "6a37c4c9fd01e10f9c05a6d71ee78aaa9329e73b43e4654effd215b8da23b33b",
+    "flaky": "7d4554664b6e4f8c213e4b878499d826c5b7cca91048218e78739fb9076bad81",
 }
 
 
@@ -117,6 +129,36 @@ REPORT_PINS = {
 }
 
 
+TEMPLATE_KEYS = {
+    "forecast": evalloop._FORECAST_FIELDS,
+    "baseline": evalloop._BASELINE_FIELDS,
+    "snapshot": evalloop._SNAPSHOT_FIELDS,
+}
+
+
+def older_shape(path: Path) -> list[str]:
+    """The lines of a log as older versions wrote them: each forecast also
+    holds ``contract_digest``, the run's contract from ``run_started``, and
+    ``sampled_at``, its cycle's ``cycle_start`` time; each baseline holds
+    ``as_of``, the time of its market's snapshot in the same cycle."""
+    lines = []
+    observed: dict[tuple[int, str], str] = {}
+    for ev in iter_events(path):
+        kind = ev["kind"]
+        if kind == "run_started":
+            digest = ev["contract_hashes"][0]
+        elif kind == "cycle_start":
+            time = ev["time"]
+        elif kind == "snapshot":
+            observed[ev["cycle"], ev["condition_id"]] = ev["observed_at"]
+        elif kind == "forecast":
+            ev.update(contract_digest=digest, sampled_at=time)
+        elif kind == "baseline":
+            ev["as_of"] = observed[ev["cycle"], ev["condition_id"]]
+        lines.append(event_line(ev))
+    return lines
+
+
 def report_digests(events) -> dict[str, str]:
     report = aggregate(events)
     return {
@@ -147,9 +189,13 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     digests = run_digests("out", name)
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
-    # The bulk kinds' template lines are the generic encoder's lines.
+    # The bulk kinds' template lines are the generic encoder's lines, with
+    # exactly their template's keys.
     for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
-        assert event_line(json.loads(line)) == line
+        ev = json.loads(line)
+        assert event_line(ev) == line
+        if ev["kind"] in TEMPLATE_KEYS:
+            assert set(ev) == {"kind", *TEMPLATE_KEYS[ev["kind"]]}, line
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
@@ -165,6 +211,18 @@ def test_reader_matches_oracle_on_pinned_logs(name, tmp_path, monkeypatch):
     run_manifest("out", name)
     path = RunPaths("out", name).events
     assert read_log_oracle(path.read_bytes()) == ("events", list(iter_events(path)))
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_older_shape_logs_report_the_same(name, tmp_path, monkeypatch):
+    """Putting back the keys the bulk lines no longer repeat gives the log
+    older versions wrote, byte for byte, and ``report`` reads it as before."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", name)
+    older = tmp_path / "older.jsonl"
+    older.write_text("".join(older_shape(RunPaths("out", name).events)), encoding="utf-8")
+    assert file_sha256(older) == OLDER_SHAPE_PINS[name]
+    assert report_digests(older) == REPORT_PINS[name]
 
 
 def test_reader_matches_oracle_on_leaderboard_fixture():
@@ -271,6 +329,50 @@ def test_resume_rewrites_damaged_ledgers_to_pins(tmp_path, monkeypatch, damage):
     resumed = resume_run("out", "flaky", at_cycle=MANIFESTS["flaky"]["cycles"] // 2)
     assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"]
     assert run_digests("out", "flaky") == PINS["flaky"]
+
+
+@pytest.mark.parametrize("older", ["all", "contract_digest", "sampled_at", "as_of"])
+def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
+    """A run whose kept log holds a bulk line of the older shape, everywhere
+    (a run started before the keys were dropped) or in one line, is not
+    resumed: no version would reproduce the mixed log. Its log, ledgers and
+    checkpoints are left as they were."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    paths = RunPaths("out", "flaky")
+    lines = older_shape(paths.events)
+    if older != "all":
+        # Only the last line of its kind in cycle 1 keeps the key.
+        events = list(iter_events(paths.events))
+        kind = "baseline" if older == "as_of" else "forecast"
+        at = max(i for i, ev in enumerate(events) if ev["kind"] == kind and ev["cycle"] == 1)
+        events[at][older] = json.loads(lines[at])[older]
+        lines = [event_line(ev) for ev in events]
+    first = next(
+        i for i, line in enumerate(lines, 1)
+        if any(f'"{key}":' in line for key in ("contract_digest", "sampled_at", "as_of"))
+    )
+    # Each checkpoint points just past its cycle's cycle_end in the rewritten log.
+    ends = {}
+    size = 0
+    for line in lines:
+        size += len(line.encode())
+        ev = json.loads(line)
+        if ev["kind"] == "cycle_end":
+            ends[ev["cycle"]] = size
+    for path in paths.checkpoints.glob("cycle_*.json"):
+        ckpt = json.loads(path.read_bytes())
+        ckpt["events_bytes"] = ends[ckpt["next_cycle"] - 1]
+        path.write_text(json.dumps(ckpt), encoding="utf-8")
+    paths.events.write_text("".join(lines), encoding="utf-8")
+    files = [paths.events, *paths.ledgers.iterdir(), *paths.checkpoints.iterdir()]
+    before = {p: p.read_bytes() for p in files}
+    for at_cycle in (1, MANIFESTS["flaky"]["cycles"] // 2, None):
+        with pytest.raises(OlderLogShape, match=f"at line {first}:"):
+            resume_run("out", "flaky", at_cycle=at_cycle)
+    assert cli_main(["--out", "out", "run", "--agents", "momentum", "--resume", "flaky"]) == 1
+    assert f"at line {first}:" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in files} == before
 
 
 def test_resume_without_the_log_is_a_typed_error(tmp_path, monkeypatch):
