@@ -1,9 +1,10 @@
 """Forecasting agents, the decision wire format, and batch validation.
 
 Scripted agents are pure functions of (seed, market history), so whole runs
-replay bit-identically. Every agent answers the same locked instruction and
-returns a probability, a confidence on the inferred 0-10 scale, and a
-reasoning trace truncated to the token budget.
+replay bit-identically. Every agent forecasts each market under the same
+locked contract and returns a probability, a confidence on the inferred 0-10
+scale, and a reasoning trace truncated to the token budget; a forecast's
+``input_tokens`` counts the instruction the contract renders for it.
 
 Decision batches cross a JSON wire format; the parser is strict by default
 (raw JSON only) with an opt-in lenient mode that strips markdown fences and
@@ -21,7 +22,6 @@ from enum import Enum
 from typing import Sequence
 
 from .config import AgentConfig
-from .contract import ContractHash
 from .errors import MalformedAgentOutput, ZeroPrice
 from .market_data import MarketSnapshot, Risk
 
@@ -63,16 +63,11 @@ def unit_noise(*parts) -> float:
 @dataclass(frozen=True)
 class ForecastRecord:
     condition_id: str
-    agent_id: str
     probability: float
     confidence: int  # integer 0-10
     reasoning_trace: str
-    strategy: Strategy
     input_tokens: int
     output_tokens: int
-    latency_ms: float
-    sampled_at: datetime
-    contract_hash: ContractHash
 
 
 @dataclass(frozen=True)
@@ -406,9 +401,9 @@ class ScriptedAgent:
 
     def forecast(
         self, market: MarketSnapshot, cycle_index: int, budget: int
-    ) -> tuple[float, int, str, Strategy]:
+    ) -> tuple[float, int, str]:
         prob = self.probability(market, cycle_index, budget)
-        return prob, self.confidence(market, prob), self.trace(market, prob), self.strategy
+        return prob, self.confidence(market, prob), self.trace(market, prob)
 
     # -- decision sizing --
 
@@ -539,23 +534,20 @@ def build_agent(agent_id: str, seed: int = 0) -> ScriptedAgent:
 
 def sample_forecast(
     agent: ScriptedAgent,
-    instruction: str,
     market: MarketSnapshot,
     budget: int,
     *,
-    contract_hash: ContractHash,
-    sampled_at: datetime,
     cycle_index: int,
     input_tokens: int,
 ) -> ForecastRecord:
-    """Query the agent once and log the full record.
+    """Query the agent once for its forecast of ``market``.
 
-    ``input_tokens`` is the whitespace-token count of ``instruction``, which
-    the caller counts from the rendered parts. A trace is cut to its first
-    ``budget`` whitespace tokens; one within budget is kept as it is.
-    Scripted agents run in-process so latency is recorded as zero.
+    ``input_tokens`` is the whitespace-token count of the market's rendered
+    instruction, which the caller counts from the rendered parts. A trace is
+    cut to its first ``budget`` whitespace tokens; one within budget is kept
+    as it is.
     """
-    prob, conf, trace, strategy = agent.forecast(market, cycle_index, budget)
+    prob, conf, trace = agent.forecast(market, cycle_index, budget)
     if not (0.0 <= prob <= 1.0):
         raise MalformedAgentOutput(f"probability {prob} outside [0,1]")
     if not (0 <= conf <= 10):
@@ -566,16 +558,11 @@ def sample_forecast(
         trace = " ".join(words)
     return ForecastRecord(
         condition_id=market.condition_id,
-        agent_id=agent.agent_id,
         probability=prob,
         confidence=conf,
         reasoning_trace=trace,
-        strategy=strategy,
         input_tokens=input_tokens,
         output_tokens=len(words),
-        latency_ms=0.0,
-        sampled_at=sampled_at,
-        contract_hash=contract_hash,
     )
 
 

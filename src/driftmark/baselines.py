@@ -8,7 +8,6 @@ impossible by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from typing import Iterable
 
@@ -27,7 +26,6 @@ class BaselineForecast:
     kind: BaselineKind
     condition_id: str
     probability: float
-    as_of: datetime
 
 
 def market_baseline(snapshot: MarketSnapshot, use_mid: bool = False) -> BaselineForecast:
@@ -39,7 +37,6 @@ def market_baseline(snapshot: MarketSnapshot, use_mid: bool = False) -> Baseline
         kind=BaselineKind.MARKET,
         condition_id=snapshot.condition_id,
         probability=prob,
-        as_of=snapshot.observed_at,
     )
 
 
@@ -48,7 +45,6 @@ def uniform_baseline(snapshot: MarketSnapshot) -> BaselineForecast:
         kind=BaselineKind.UNIFORM,
         condition_id=snapshot.condition_id,
         probability=0.5,
-        as_of=snapshot.observed_at,
     )
 
 
@@ -89,7 +85,6 @@ def historical_frequency_baseline(
         kind=BaselineKind.HISTORICAL,
         condition_id=snapshot.condition_id,
         probability=tracker.probability(category),
-        as_of=snapshot.observed_at,
     )
 
 
@@ -109,5 +104,4 @@ def heuristic_baseline(
         kind=BaselineKind.HEURISTIC,
         condition_id=snapshot.condition_id,
         probability=prob,
-        as_of=snapshot.observed_at,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import load_config
 from .contract import ContractStore, DEFAULT_TEMPLATE, lock_contract
-from .errors import EngineError
+from .errors import EngineError, FatalFeedError, IoError
 from .evalloop import (
     EvalEngine,
     resume_run,
@@ -99,11 +99,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args, config) -> int:
     if args.command == "lock":
-        template = (
-            args.template_file.read_text(encoding="utf-8")
-            if args.template_file
-            else DEFAULT_TEMPLATE
-        )
+        template = DEFAULT_TEMPLATE
+        if args.template_file:
+            try:
+                template = args.template_file.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise IoError(f"cannot read template {args.template_file}: {exc}") from exc
         contract, chash = lock_contract(
             template,
             args.version,
@@ -130,9 +131,12 @@ def _dispatch(args, config) -> int:
     if args.command == "replay":
         h = hashlib.sha256()
         count = 0
-        for snap in replay_feed(args.feed, spread_tolerance=config.market.spread_tolerance):
-            h.update(f"{snap.condition_id}|{snap.observed_at}|{snap.yes_price}\n".encode())
-            count += 1
+        try:
+            for snap in replay_feed(args.feed, spread_tolerance=config.market.spread_tolerance):
+                h.update(f"{snap.condition_id}|{snap.observed_at}|{snap.yes_price}\n".encode())
+                count += 1
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FatalFeedError(f"cannot read feed {args.feed}: {exc}") from exc
         print(f"{count} snapshots, stream hash {h.hexdigest()}")
         return 0
 

@@ -164,4 +164,4 @@ class CorruptLog(EngineError):
 
 
 class IoError(EngineError):
-    """Wraps OS-level failures when reading an event log or emitting reports."""
+    """Wraps OS-level failures reading an event log or a template, or emitting reports."""

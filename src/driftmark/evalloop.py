@@ -27,6 +27,7 @@ import numpy as np
 
 from . import reporting
 from .agents import (
+    AGENT_BUILDERS,
     Action,
     CalibrationWindow,
     ClosedPosition,
@@ -34,7 +35,6 @@ from .agents import (
     DecisionBatch,
     ForecastRecord,
     ScriptedAgent,
-    Strategy,
     build_agent,
     build_decision_batch,
     parse_decision_wire,
@@ -181,8 +181,7 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # ``_*_FIELDS``, the keys of its ``%`` fields, in that order.
 _FORECAST_LINE = (
     '{"agent_id":%s,"condition_id":%s,"confidence":%d,"cycle":%d,"input_tokens":%d,'
-    '"kind":"forecast","latency_ms":%r,"output_tokens":%d,"probability":%r,"strategy":%s,'
-    '"trace":%s}\n'
+    '"kind":"forecast","output_tokens":%d,"probability":%r,"trace":%s}\n'
 )
 _BASELINE_LINE = (
     '{"baseline":%s,"condition_id":%s,"cycle":%d,"kind":"baseline","probability":%r}\n'
@@ -197,17 +196,16 @@ _FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS = (
 )
 
 
-# Each member's text. ``.value`` goes through a Python-level descriptor on
-# every read; these members hash and compare as their text, so a lookup
-# here does not.
-_STRATEGY_TEXT = {s: s.value for s in Strategy}
+# Each baseline kind's text. ``.value`` goes through a Python-level
+# descriptor on every read; the members hash and compare as their text, so a
+# lookup here does not.
 _BASELINE_TEXT = {k: k.value for k in BaselineKind}
 
 
 class _JsonStrings(dict):
     """JSON text by string, for the strings a run's bulk events repeat
-    (agent ids, market ids, snapshot times, strategies, baseline kinds):
-    each is encoded once."""
+    (agent ids, market ids, snapshot times, baseline kinds): each is
+    encoded once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
@@ -215,22 +213,20 @@ class _JsonStrings(dict):
 
 
 def _forecast_line(
-    strings: _JsonStrings, agent_id, condition_id, confidence, cycle, input_tokens, latency_ms,
-    output_tokens, probability, strategy, trace,
+    strings: _JsonStrings, agent_id, condition_id, confidence, cycle, input_tokens,
+    output_tokens, probability, trace,
 ) -> str | None:
     """A forecast event's line through ``_FORECAST_LINE``, or None when a
     value is not of the type the template writes."""
     if (
-        type(agent_id) is type(condition_id) is type(strategy) is type(trace) is str
+        type(agent_id) is type(condition_id) is type(trace) is str
         and type(confidence) is type(cycle) is type(input_tokens) is type(output_tokens) is int
-        and type(latency_ms) is type(probability) is float
-        and math.isfinite(latency_ms)
+        and type(probability) is float
         and math.isfinite(probability)
     ):
         return _FORECAST_LINE % (
             strings[agent_id], strings[condition_id], confidence, cycle, input_tokens,
-            latency_ms, output_tokens, probability, strings[strategy],
-            encode_basestring_ascii(trace),
+            output_tokens, probability, encode_basestring_ascii(trace),
         )
     return None
 
@@ -311,10 +307,10 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
 
 
 # The keys the bulk lines of older logs hold and today's do not: the run's
-# contract digest (run_started's contract_hashes) and the cycle's time
-# (cycle_start's time, and each market's snapshot observed_at).
+# contract digest (run_started's), the cycle's time (cycle_start's, and each
+# snapshot's observed_at), the agent's strategy (its agent_meta's) and a latency, always 0.
 _OLDER_KEYS = {
-    "forecast": frozenset(("contract_digest", "sampled_at")),
+    "forecast": frozenset(("contract_digest", "latency_ms", "sampled_at", "strategy")),
     "baseline": frozenset(("as_of",)),
 }
 
@@ -392,8 +388,8 @@ class _Cycle(NamedTuple):
     now: datetime
     snaps: list[MarketSnapshot]
     snap_map: dict[str, MarketSnapshot]
-    # Each snapshot's instruction parts and their token spans.
-    rendered: list[tuple[list[str], list]]
+    # The token spans of each snapshot's instruction parts.
+    rendered: list[list]
     risk_by_market: dict[str, Risk]
 
 
@@ -436,16 +432,14 @@ class _Run:
 
     def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord) -> None:
         cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
-        n_in, n_out, strategy = rec.input_tokens, rec.output_tokens, _STRATEGY_TEXT[rec.strategy]
-        values = (
-            agent_id, cid, conf, cycle, n_in, rec.latency_ms, n_out, prob, strategy,
-            rec.reasoning_trace,
-        )
+        n_in, n_out = rec.input_tokens, rec.output_tokens
+        values = (agent_id, cid, conf, cycle, n_in, n_out, prob, rec.reasoning_trace)
         line = _forecast_line(self.strings, *values)
         if line is None:
             self.emit(dict(zip(_FORECAST_FIELDS, values), kind="forecast"))
         else:
             self.events.write(line)
+            strategy = self.fold.strategy(agent_id)
             self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
 
     def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
@@ -521,6 +515,14 @@ class EvalEngine:
             raise InvalidParameters(f"unknown feed source kind {kind!r}")
         if _FEED_KEYS[kind] not in manifest.feed_source:
             raise InvalidParameters(f"a {kind} feed source needs {_FEED_KEYS[kind]!r}")
+        for aid in manifest.agent_ids:
+            if aid.split("#", 1)[0] not in AGENT_BUILDERS:
+                raise InvalidParameters(f"unknown agent {aid!r}; known: {sorted(AGENT_BUILDERS)}")
+        if len({_safe_name(aid) for aid in manifest.agent_ids}) < len(manifest.agent_ids):
+            raise InvalidParameters(
+                f"agents {','.join(manifest.agent_ids)} repeat an id or a ledger file name; "
+                "a second agent of one kind takes a suffix, as in momentum#2"
+            )
         self.manifest = manifest
         self.config = config
         self.paths = RunPaths(out_root, manifest.run_id)
@@ -592,13 +594,16 @@ class EvalEngine:
                 snapshots = list(
                     replay_feed(src["feed"], spread_tolerance=self.config.market.spread_tolerance)
                 )
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise FatalFeedError(f"cannot read feed {src['feed']}: {exc}") from exc
             grouped: dict = {}
             for s in snapshots:
                 grouped.setdefault(s.observed_at, []).append(s)
             cycles = [grouped[ts] for ts in sorted(grouped)][: self.manifest.cycles]
-            outcomes = load_outcomes(src["outcomes"]) if src.get("outcomes") else []
+            try:
+                outcomes = load_outcomes(src["outcomes"]) if src.get("outcomes") else []
+            except (OSError, UnicodeDecodeError) as exc:
+                raise FatalFeedError(f"cannot read outcomes {src['outcomes']}: {exc}") from exc
             return cycles, outcomes
         return [], []  # live: fetched lazily inside run()
 
@@ -707,13 +712,12 @@ class EvalEngine:
             for aid, agent in agents.items():
                 # An error ends the agent's cycle, as in _agent_turn. Drift
                 # reads only the records' probabilities and traces, so no
-                # instruction is rendered.
+                # instruction tokens are counted.
                 try:
                     prev_forecasts[aid] = {
                         s.condition_id: sample_forecast(
-                            agent, "", s, self.contract.token_budget,
-                            contract_hash=self.contract_hash, sampled_at=snaps[0].observed_at,
-                            cycle_index=number, input_tokens=0,
+                            agent, s, self.contract.token_budget, cycle_index=number,
+                            input_tokens=0,
                         )
                         for s in snaps
                     }
@@ -773,7 +777,6 @@ class EvalEngine:
             raise RunExists(
                 f"{self.paths.root} already holds a run; resume it or choose another run id"
             )
-        self.paths.ensure()
         live = self.manifest.feed_source.get("kind") == "live"
         if resume and live:
             raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
@@ -788,6 +791,7 @@ class EvalEngine:
                     f"need at least {batch_size} markets per cycle, got {n_markets}"
                 )
             total_cycles = min(self.manifest.cycles, len(cycles_data))
+        self.paths.ensure()
         run = self._setup(resume, resume_cycle, cycles_data)
         try:
             if not resume:
@@ -872,7 +876,9 @@ class EvalEngine:
             }
         )
         for aid in m.agent_ids:
-            run.emit({"kind": "agent_meta", "agent_id": aid, "agent_count": 1, "unique_users": None})
+            strategy = run.states[aid].agent.strategy.value
+            meta = {"agent_id": aid, "agent_count": 1, "strategy": strategy, "unique_users": None}
+            run.emit({"kind": "agent_meta", **meta})
 
     def _run_cycle(self, run: _Run, cycle: int, snaps: list[MarketSnapshot]) -> None:
         """Log one cycle: its snapshots, each agent's turn, the baselines and
@@ -905,10 +911,10 @@ class EvalEngine:
         snap_map = {s.condition_id: s for s in snaps}
         # Each market is rendered once; agents differ only in the portfolio
         # summary that fills the gaps.
-        rendered = []
-        for s in snaps:
-            parts = render_instruction_parts(self.contract, s)
-            rendered.append((parts, [token_span(part) for part in parts]))
+        rendered = [
+            [token_span(part) for part in render_instruction_parts(self.contract, s)]
+            for s in snaps
+        ]
         c = _Cycle(
             number=cycle,
             now=snaps[0].observed_at,
@@ -995,18 +1001,11 @@ class EvalEngine:
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
         """Sample and log the agent's forecast of every market."""
         st = run.states[aid]
-        summary = st.portfolio.summary()
-        summary_span = token_span(summary)
+        summary_span = token_span(st.portfolio.summary())
         records: dict[str, ForecastRecord] = {}
-        for s, (parts, spans) in zip(c.snaps, c.rendered):
+        for s, spans in zip(c.snaps, c.rendered):
             rec = sample_forecast(
-                st.agent,
-                summary.join(parts),
-                s,
-                self.contract.token_budget,
-                contract_hash=self.contract_hash,
-                sampled_at=c.now,
-                cycle_index=c.number,
+                st.agent, s, self.contract.token_budget, cycle_index=c.number,
                 input_tokens=instruction_tokens(summary_span, spans),
             )
             records[s.condition_id] = rec
@@ -1381,7 +1380,8 @@ def verify_run(out_root: str | Path, run_id: str) -> VerifyReport:
     if not paths.events.exists() or not paths.events_sha.exists():
         messages.append("event log or recorded hash missing")
     else:
-        recorded = paths.events_sha.read_text(encoding="utf-8").strip()
+        # bytes that are not UTF-8 are a hash that cannot match
+        recorded = paths.events_sha.read_bytes().decode("utf-8", "replace").strip()
         actual = file_sha256(paths.events)
         events_ok = recorded == actual
         if not events_ok:

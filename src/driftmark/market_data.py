@@ -286,6 +286,8 @@ def load_outcomes(path: str | Path) -> list[ResolvedOutcome]:
                 continue
             try:
                 data = json.loads(line)
+                if not isinstance(data, dict) or data.get("outcome") not in (0, 1):
+                    raise ValueError("not an object whose outcome is 0 or 1")
                 outcomes.append(
                     ResolvedOutcome(
                         condition_id=data["condition_id"],

@@ -236,7 +236,8 @@ class EventFold:
             self.add_forecast(
                 ev["agent_id"], int(ev["cycle"]), ev["condition_id"], float(ev["probability"]),
                 int(ev.get("confidence", 5)), int(ev.get("input_tokens", 0)),
-                int(ev.get("output_tokens", 0)), ev.get("strategy", "NONE"),
+                int(ev.get("output_tokens", 0)),
+                ev["strategy"] if "strategy" in ev else self.strategy(ev["agent_id"]),
             )
         elif kind == "baseline":
             self.add_baseline(
@@ -298,6 +299,10 @@ class EventFold:
         self.cycles_seen.add(cycle)
 
     # -- per-subject derivations --
+
+    def strategy(self, subject: str) -> str:
+        """The strategy the subject's agent_meta records; "NONE" without one."""
+        return self.agent_meta.get(subject, {}).get("strategy", "NONE")
 
     def score_columns(
         self, subject: str

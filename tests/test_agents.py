@@ -29,7 +29,6 @@ from driftmark.agents import (
     validate_decision_batch,
 )
 from driftmark.config import AgentConfig
-from driftmark.contract import lock_contract
 from driftmark.errors import MalformedAgentOutput, ZeroPrice
 from driftmark.market_data import Risk
 
@@ -364,17 +363,13 @@ class TestWireFormat:
 
 class TestScriptedAgents:
     def _forecast(self, agent, snap, cycle=1, budget=1000):
-        contract, chash = lock_contract("t", "v1", 1000)
-        instruction = "forecast the market"
-        return sample_forecast(
-            agent, instruction, snap, budget, contract_hash=chash, sampled_at=NOW,
-            cycle_index=cycle, input_tokens=len(instruction.split()),
-        )
+        return sample_forecast(agent, snap, budget, cycle_index=cycle, input_tokens=3)
 
     def test_market_copier(self):
-        rec = self._forecast(build_agent("market_copier"), make_snapshot(yes=0.62))
+        agent = build_agent("market_copier")
+        rec = self._forecast(agent, make_snapshot(yes=0.62))
         assert rec.probability == 0.62
-        assert rec.strategy == Strategy.NONE
+        assert agent.strategy == Strategy.NONE
 
     def test_constant(self):
         rec = self._forecast(build_agent("constant"), make_snapshot(yes=0.9))
@@ -457,12 +452,8 @@ class TestBuildDecisionBatch:
     def test_exactly_thirty_unique(self):
         agent = build_agent("momentum")
         snaps = [make_snapshot(cid=f"0x{i:040x}", yes=0.3 + 0.01 * i) for i in range(40)]
-        contract, chash = lock_contract("t", "v1", 1000)
         records = {
-            s.condition_id: sample_forecast(
-                agent, "i", s, 1000, contract_hash=chash, sampled_at=NOW, cycle_index=1,
-                input_tokens=1,
-            )
+            s.condition_id: sample_forecast(agent, s, 1000, cycle_index=1, input_tokens=1)
             for s in snaps
         }
         wire = build_decision_batch(

@@ -38,7 +38,7 @@ from driftmark.evalloop import (
 )
 from driftmark import agents, evalloop, fileio
 from driftmark.baselines import BaselineForecast, BaselineKind
-from driftmark.contract import ContractHash, lock_contract, render_instruction
+from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
     Liquidity,
     MarketSnapshot,
@@ -848,6 +848,38 @@ class TestFeedSourceKeys:
             )
 
 
+class TestAgentIds:
+    @pytest.mark.parametrize(
+        "agents, message",
+        [
+            ("nobody", "unknown agent 'nobody'"),
+            # once one agent taking two turns a cycle, folded as one subject
+            ("momentum,momentum", "repeat an id or a ledger file name"),
+            ("momentum#a/b,momentum#a_b", "repeat an id or a ledger file name"),
+        ],
+    )
+    def test_bad_ids_exit_1_before_anything_is_written(self, tmp_path, capsys, agents, message):
+        def run(agent_ids):
+            return cli_main([
+                "--out", str(tmp_path), "run", "--agents", agent_ids, "--cycles", "2",
+                "--run-id", "r",
+            ])
+
+        assert run(agents) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not any(tmp_path.iterdir())
+        # a second instance of a kind takes a suffix, and resumes as any run
+        assert run("momentum,momentum#2") == 0
+        fresh = (tmp_path / "r" / "events.sha256").read_text(encoding="utf-8").strip()
+        result = resume_run(tmp_path, "r", at_cycle=1)
+        assert result.event_log_sha256 == fresh
+        forecasts = [e for e in iter_events(result.events_path) if e["kind"] == "forecast"]
+        assert {e["agent_id"] for e in forecasts} == {"momentum", "momentum#2"}
+        assert len(forecasts) == 2 * 40 * 2
+
+
 # Strings with non-ASCII text, quotes, backslashes, control characters and
 # the separators JSON leaves alone but JavaScript does not.
 _JSON_TEXT = st.text(
@@ -871,10 +903,8 @@ _BULK_EVENTS = {
             "probability": _JSON_FLOAT,
             "confidence": st.integers(-5, 15),
             "trace": _JSON_TEXT,
-            "strategy": _JSON_TEXT,
             "input_tokens": st.integers(0, 2**70),
             "output_tokens": st.integers(0, 10**6),
-            "latency_ms": _JSON_FLOAT,
         }
     ),
     "baseline": st.fixed_dictionaries(
@@ -906,8 +936,8 @@ _AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
 _SAMPLE_EVENTS = {
     "forecast": {
         "kind": "forecast", "cycle": 3, "agent_id": "momentum", "condition_id": "0x" + "ab" * 20,
-        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume", "strategy": "MOMENTUM",
-        "input_tokens": 312, "output_tokens": 4, "latency_ms": 0.0,
+        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume",
+        "input_tokens": 312, "output_tokens": 4,
     },
     "baseline": {
         "kind": "baseline", "cycle": 3, "baseline": "market", "condition_id": "0x" + "ab" * 20,
@@ -926,20 +956,16 @@ def _typed_line(ev: dict, strings) -> str | None:
 
 def _emit_typed(run, ev: dict) -> None:
     """Hand the engine's typed writer of ``ev``'s kind the record ``ev`` was
-    made from; its timestamps are all ``_AT``, and a forecast's contract
-    digest, which its line does not hold, is all ``f``s."""
+    made from; a snapshot's times are both ``_AT``."""
     if ev["kind"] == "forecast":
         run.emit_forecast(ev["cycle"], ev["agent_id"], agents.ForecastRecord(
-            condition_id=ev["condition_id"], agent_id=ev["agent_id"],
-            probability=ev["probability"], confidence=ev["confidence"],
-            reasoning_trace=ev["trace"], strategy=agents.Strategy(ev["strategy"]),
+            condition_id=ev["condition_id"], probability=ev["probability"],
+            confidence=ev["confidence"], reasoning_trace=ev["trace"],
             input_tokens=ev["input_tokens"], output_tokens=ev["output_tokens"],
-            latency_ms=ev["latency_ms"], sampled_at=_AT,
-            contract_hash=ContractHash("f" * 64),
         ))
     elif ev["kind"] == "baseline":
         run.emit_baseline(ev["cycle"], BaselineForecast(
-            BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"], _AT
+            BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"]
         ))
     else:
         run.emit_snapshot(ev["cycle"], MarketSnapshot(
@@ -989,11 +1015,10 @@ class TestBulkLines:
         ("forecast", "confidence", True),
         ("forecast", "cycle", False),
         ("forecast", "probability", np.float64(0.625)),
-        ("forecast", "latency_ms", float("inf")),
         ("forecast", "probability", float("nan")),
         ("forecast", "probability", 1),
         ("forecast", "input_tokens", 312.0),
-        ("forecast", "strategy", None),
+        ("forecast", "trace", None),
         ("baseline", "probability", np.float64(0.625)),
         ("baseline", "probability", float("-inf")),
         ("baseline", "probability", 0),
@@ -1029,21 +1054,25 @@ class TestBulkLines:
 
     @pytest.mark.parametrize(
         "kind, field, value",
-        [(k, f, v) for k, f, v in OTHER_TYPES if f not in ("strategy", "cycle")]
+        [(k, f, v) for k, f, v in OTHER_TYPES if f != "cycle"]
         + [(kind, None, None) for kind in _SAMPLE_EVENTS],
     )
     def test_engine_writes_and_folds_as_the_generic_path(self, kind, field, value):
         """Through its template or through ``emit``, the engine writes the
         event's ``event_line`` and folds what ``EventFold.add`` of the line
-        read back folds."""
+        read back folds; both take a forecast's strategy from its agent's
+        agent_meta."""
         ev = dict(_SAMPLE_EVENTS[kind])
         if field is not None:
             ev[field] = value
+        meta = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
         out = io.StringIO()
         run = evalloop._Run({}, EventFold(), {}, {}, events=out)
+        run.fold.add(meta)
         _emit_typed(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
         read = EventFold()
+        read.add(meta)
         read.add(json.loads(out.getvalue()))
         # NaN != NaN, so folds are compared by their repr
         assert repr(vars(run.fold)) == repr(vars(read))
@@ -1097,7 +1126,7 @@ class TestHotPathEquivalence:
         assert resumed.event_log_sha256 == full.event_log_sha256
         assert resumed.final_reports == from_disk()
 
-    def test_input_tokens_count_the_rendered_instruction(self, tmp_path, monkeypatch):
+    def test_input_tokens_count_the_rendered_instruction(self, tmp_path):
         # The summary slot appears twice and touches other text on both sides.
         template = (
             "Budget {{contract.token_budget}}:[{{portfolio.summary}}]{{market.condition_id}}\n"
@@ -1105,14 +1134,6 @@ class TestHotPathEquivalence:
             "{{ portfolio.summary }}end"
         )
         contract = lock_contract(template, "custom", 1000)
-        seen = {}
-        real = evalloop.sample_forecast
-
-        def spy(agent, instruction, market, budget, **kwargs):
-            seen[(agent.agent_id, kwargs["cycle_index"], market.condition_id)] = instruction
-            return real(agent, instruction, market, budget, **kwargs)
-
-        monkeypatch.setattr(evalloop, "sample_forecast", spy)
         cycles = 4
         result = EvalEngine.create(
             tmp_path,
@@ -1132,7 +1153,7 @@ class TestHotPathEquivalence:
         }
         events = list(iter_events(result.events_path))
         forecasts = [e for e in events if e["kind"] == "forecast"]
-        assert len(forecasts) == len(seen) == 2 * 40 * cycles
+        assert len(forecasts) == 2 * 40 * cycles
         for ev in forecasts:
             aid, cycle = ev["agent_id"], ev["cycle"]
             # the portfolio an agent forecasts from is its ledger up to the cycle
@@ -1147,5 +1168,4 @@ class TestHotPathEquivalence:
             expected = render_instruction(
                 contract[0], snaps[(cycle, ev["condition_id"])], summary
             )
-            assert seen[(aid, cycle, ev["condition_id"])] == expected
             assert ev["input_tokens"] == len(expected.split())

@@ -57,7 +57,7 @@ MANIFESTS = {
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "e3a8088356c824daf3a048485a588be1a57c100eb15c6e058832661c1b3405f4",
+        "events.jsonl": "70b4d8402205481e11b9d2c79e971388c6d51ac8391c334e65427e679b2e2748",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -66,17 +66,17 @@ PINS = {
         "ledgers/risk_confirmation.jsonl": EMPTY,
     },
     "observation": {
-        "events.jsonl": "995c83c004288f828c51706053aa8cd9ceb5b8e7e0f6b2effbe5fd8010356fe9",
+        "events.jsonl": "9270524bf2544f0e5cedde468b4cc4d6189922704bb5e803601fb857df879039",
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "88d21abd1e9605c21427c22872ed8f2635a82c0b402920e3db07314f128069a0",
+        "events.jsonl": "f4d4e5f9de0467b7de5c855900639573fae36533248fb17a0a7c0d63221301d9",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "6363281ad7e29623d89a9aca0a8415c86c4acea4a9abbd86526c7dd8ebef4a6d",
+        "events.jsonl": "8fc7826d8da64874d384fe6ad332861132e9eb34df5703fea617a9a6d5d30f0f",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
@@ -84,9 +84,19 @@ PINS = {
     },
 }
 
+# name -> sha256 of the pinned log in the shape the previous version wrote
+# (see ``previous_shape``): these were the events pins until forecasts
+# stopped repeating their agent's strategy and a latency of 0.
+PREVIOUS_SHAPE_PINS = {
+    "synthetic": "e3a8088356c824daf3a048485a588be1a57c100eb15c6e058832661c1b3405f4",
+    "observation": "995c83c004288f828c51706053aa8cd9ceb5b8e7e0f6b2effbe5fd8010356fe9",
+    "replay": "88d21abd1e9605c21427c22872ed8f2635a82c0b402920e3db07314f128069a0",
+    "flaky": "6363281ad7e29623d89a9aca0a8415c86c4acea4a9abbd86526c7dd8ebef4a6d",
+}
+
 # name -> sha256 of the pinned log in the shape older versions wrote (see
-# ``older_shape``): these were the events pins until the bulk lines stopped
-# repeating the run's contract digest and the cycle's time.
+# ``older_shape``): these were the events pins before that, until the bulk
+# lines stopped repeating the run's contract digest and the cycle's time.
 OLDER_SHAPE_PINS = {
     "synthetic": "38442c679ead9ccee5a8d2fd8e8ce365df99d95776c1bedc29c37b7e8496e2a4",
     "observation": "9b8e67dd4fd440387fe7437ca1a37b9c7152bcaacb22a8cb76ac73411e64fd64",
@@ -136,14 +146,34 @@ TEMPLATE_KEYS = {
 }
 
 
+# The keys a bulk line of an older shape holds and today's do not.
+OLDER_KEYS = ("as_of", "contract_digest", "latency_ms", "sampled_at", "strategy")
+
+
+def previous_shape(path: Path) -> list[dict]:
+    """The events of a log as the previous version wrote them: each forecast
+    also holds ``latency_ms`` 0.0 and its agent's ``strategy``, which the
+    agent's ``agent_meta`` does not hold."""
+    events = []
+    strategies: dict[str, str] = {}
+    for ev in iter_events(path):
+        if ev["kind"] == "agent_meta":
+            strategies[ev["agent_id"]] = ev.pop("strategy")
+        elif ev["kind"] == "forecast":
+            ev.update(latency_ms=0.0, strategy=strategies[ev["agent_id"]])
+        events.append(ev)
+    return events
+
+
 def older_shape(path: Path) -> list[str]:
-    """The lines of a log as older versions wrote them: each forecast also
-    holds ``contract_digest``, the run's contract from ``run_started``, and
-    ``sampled_at``, its cycle's ``cycle_start`` time; each baseline holds
-    ``as_of``, the time of its market's snapshot in the same cycle."""
+    """The lines of a log as older versions wrote them: ``previous_shape``,
+    and each forecast also holds ``contract_digest``, the run's contract from
+    ``run_started``, and ``sampled_at``, its cycle's ``cycle_start`` time;
+    each baseline holds ``as_of``, the time of its market's snapshot in the
+    same cycle."""
     lines = []
     observed: dict[tuple[int, str], str] = {}
-    for ev in iter_events(path):
+    for ev in previous_shape(path):
         kind = ev["kind"]
         if kind == "run_started":
             digest = ev["contract_hashes"][0]
@@ -215,12 +245,17 @@ def test_reader_matches_oracle_on_pinned_logs(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
 def test_older_shape_logs_report_the_same(name, tmp_path, monkeypatch):
-    """Putting back the keys the bulk lines no longer repeat gives the log
-    older versions wrote, byte for byte, and ``report`` reads it as before."""
+    """Putting back the keys the bulk lines no longer repeat gives the logs
+    older versions wrote, byte for byte, and ``report`` reads them as before."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", name)
+    events = RunPaths("out", name).events
+    previous = tmp_path / "previous.jsonl"
+    previous.write_text("".join(map(event_line, previous_shape(events))), encoding="utf-8")
+    assert file_sha256(previous) == PREVIOUS_SHAPE_PINS[name]
+    assert report_digests(previous) == REPORT_PINS[name]
     older = tmp_path / "older.jsonl"
-    older.write_text("".join(older_shape(RunPaths("out", name).events)), encoding="utf-8")
+    older.write_text("".join(older_shape(events)), encoding="utf-8")
     assert file_sha256(older) == OLDER_SHAPE_PINS[name]
     assert report_digests(older) == REPORT_PINS[name]
 
@@ -331,7 +366,7 @@ def test_resume_rewrites_damaged_ledgers_to_pins(tmp_path, monkeypatch, damage):
     assert run_digests("out", "flaky") == PINS["flaky"]
 
 
-@pytest.mark.parametrize("older", ["all", "contract_digest", "sampled_at", "as_of"])
+@pytest.mark.parametrize("older", ["all", *OLDER_KEYS])
 def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
     """A run whose kept log holds a bulk line of the older shape, everywhere
     (a run started before the keys were dropped) or in one line, is not
@@ -349,8 +384,8 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
         events[at][older] = json.loads(lines[at])[older]
         lines = [event_line(ev) for ev in events]
     first = next(
-        i for i, line in enumerate(lines, 1)
-        if any(f'"{key}":' in line for key in ("contract_digest", "sampled_at", "as_of"))
+        i for i, ev in enumerate(map(json.loads, lines), 1)
+        if ev["kind"] in ("forecast", "baseline") and any(key in ev for key in OLDER_KEYS)
     )
     # Each checkpoint points just past its cycle's cycle_end in the rewritten log.
     ends = {}

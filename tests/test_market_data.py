@@ -223,6 +223,54 @@ class TestReplay:
 # --- synthesis -----------------------------------------------------------------------
 
 
+class TestOutcomesInput:
+    @pytest.mark.parametrize(
+        "outcome", [7, -1, 2, 0.5, "1", None, [1]],
+        ids=["7", "-1", "2", "0.5", "string", "null", "list"],
+    )
+    def test_outcome_other_than_0_or_1_is_corrupt(self, tmp_path, outcome):
+        path = tmp_path / "outcomes.jsonl"
+        save_outcomes(generate_synthetic(3, 5, 2).outcomes, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), "outcome": outcome}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptRecord, match="0 or 1") as err:
+            load_outcomes(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("case", ["outcome_7", "array_line", "missing", "not_utf8"])
+    def test_bad_outcomes_exit_1_and_leave_the_run_id_free(self, tmp_path, capsys, case):
+        """An outcome of 7 once read silently (every Brier score then read
+        above 1); the others were raw tracebacks."""
+        feed = generate_synthetic(4, 40, 3)
+        save_feed(feed.snapshots, tmp_path / "feed.jsonl")
+        good = tmp_path / "outcomes.jsonl"
+        save_outcomes(feed.outcomes, good)
+        bad = tmp_path / "bad.jsonl"
+        first, *rest = good.read_text(encoding="utf-8").splitlines(keepends=True)
+        if case == "outcome_7":
+            bad.write_text(json.dumps({**json.loads(first), "outcome": 7}) + "\n" + "".join(rest))
+        elif case == "array_line":
+            bad.write_text("[1, 2]\n" + "".join(rest), encoding="utf-8")
+        elif case == "not_utf8":
+            bad.write_bytes(b"\xff" + good.read_bytes())
+        out = tmp_path / "runs"
+
+        def run(outcomes):
+            return cli_main([
+                "--out", str(out), "run", "--agents", "momentum", "--cycles", "3",
+                "--feed", str(tmp_path / "feed.jsonl"), "--outcomes", str(outcomes),
+                "--run-id", "r",
+            ])
+
+        assert run(bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ("line 1" if case in ("outcome_7", "array_line") else str(bad)) in err
+        assert not (out / "r").exists()
+        assert run(good) == 0
+
+
 class TestSynthetic:
     def test_seeded_determinism(self):
         a = generate_synthetic(7, 10, 5)

@@ -410,6 +410,29 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_file_errors_exit_one_with_one_line(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "feed.jsonl"
+        not_utf8.write_bytes(b"\xff\n")
+        for argv in (
+            ["lock", "--template-file", str(tmp_path / "missing.txt")],
+            ["replay", "--feed", str(tmp_path / "missing.jsonl")],
+            ["replay", "--feed", str(not_utf8)],
+        ):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read ") and err.count("\n") == 1, err
+
+    def test_verify_fails_on_a_hash_file_that_is_not_utf8(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        argv = ["--out", str(out), "run", "--agents", "momentum", "--cycles", "2", "--run-id", "v"]
+        assert cli_main(argv) == 0
+        (out / "v" / "events.sha256").write_bytes(b"\xff" * 64 + b"\n")
+        capsys.readouterr()
+        assert cli_main(["--out", str(out), "verify", "--run-id", "v"]) == 1
+        captured = capsys.readouterr()
+        assert "verify v: FAILED" in captured.out and "event log hash mismatch" in captured.out
+        assert captured.err == ""
+
     def test_report_from_bare_log(self, capsys):
         assert cli_main(["report", "--log", str(FIXTURE), "--format", "csv", "--sort", "pnl"]) == 0
         out = capsys.readouterr().out
