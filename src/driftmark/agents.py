@@ -41,6 +41,25 @@ class Strategy(str, Enum):
     NONE = "NONE"
 
 
+# Each action's and strategy's text, and the members by text. ``.value``
+# and the enum constructor run Python-level code on every call; the members
+# hash and compare as their text, so a lookup here does not.
+_ACTION_TEXT = {a: a.value for a in Action}
+_STRATEGY_TEXT = {s: s.value for s in Strategy}
+_ACTIONS = {a.value: a for a in Action}
+_STRATEGIES = {s.value: s for s in Strategy}
+
+
+def _member(members: dict, enum: type[Enum], value):
+    """``enum(value)``, looked up in ``members`` first: a value that is no
+    member's text, or is not hashable, goes to the constructor, which
+    raises its own error."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
 class WindowMode(str, Enum):
     FIRST_CALL = "FIRST_CALL"
     BOOTSTRAP = "BOOTSTRAP"
@@ -279,7 +298,7 @@ def decisions_to_wire(batch: DecisionBatch) -> str:
     """Serialize to the agent wire schema (amounts in dollars)."""
     items = []
     for d in batch.decisions:
-        item: dict = {"marketId": d.market_id, "action": d.action.value}
+        item: dict = {"marketId": d.market_id, "action": _ACTION_TEXT[d.action]}
         if d.amount_cents is not None:
             item["amount"] = round(d.amount_cents / 100.0, 2)
         if d.close_fraction is not None:
@@ -294,7 +313,7 @@ def decisions_to_wire(batch: DecisionBatch) -> str:
         if d.h_score is not None:
             item["hScore"] = round(d.h_score, 6)
         if d.strategy is not None:
-            item["strategy"] = d.strategy.value
+            item["strategy"] = _STRATEGY_TEXT[d.strategy]
         items.append(item)
     return json.dumps(
         {"decisions": items, "reasoning": batch.overall_reasoning}, separators=(",", ":")
@@ -333,7 +352,7 @@ def parse_decision_wire(
         if not isinstance(item, dict):
             raise MalformedAgentOutput(f"decision {i} is not an object")
         try:
-            action = Action(item["action"])
+            action = _member(_ACTIONS, Action, item["action"])
             market_id = str(item["marketId"])
         except (KeyError, ValueError) as exc:
             raise MalformedAgentOutput(f"decision {i}: {exc}") from exc
@@ -357,7 +376,9 @@ def parse_decision_wire(
                 edge=None if item.get("edge") is None else float(item["edge"]),
                 expected_return_cents=None if er is None else int(round(float(er) * 100)),
                 h_score=None if item.get("hScore") is None else float(item["hScore"]),
-                strategy=Strategy(item["strategy"]) if "strategy" in item else None,
+                strategy=(
+                    _member(_STRATEGIES, Strategy, item["strategy"]) if "strategy" in item else None
+                ),
             )
         )
     batch = DecisionBatch(
@@ -394,7 +415,7 @@ class ScriptedAgent:
 
     def trace(self, market: MarketSnapshot, prob: float) -> str:
         return (
-            f"{self.strategy.value.lower()} view on {market.condition_id}: "
+            f"{_STRATEGY_TEXT[self.strategy].lower()} view on {market.condition_id}: "
             f"market quotes yes {market.yes_price:.4f} no {market.no_price:.4f}; "
             f"estimate {prob:.4f} with confidence {self.confidence(market, prob)}."
         )
@@ -598,8 +619,10 @@ def build_decision_batch(
         min_conf, min_edge = cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge
 
     candidates: list[Decision] = []
-    # The window is the same for every market, so its win rate is too.
+    # The window and the strategy are the same for every market, so the win
+    # rate and the strategy's text are too.
     rate = _win_rate(window)
+    strategy_text = agent.strategy.value
     for snap in snapshots:
         cid = snap.condition_id
         if cid in used or cid in open_positions or cid not in records:
@@ -624,7 +647,7 @@ def build_decision_batch(
                     market_id=cid,
                     action=action,
                     amount_cents=bet,
-                    reasoning=f"{agent.strategy.value}: edge {edge:.4f} at {price:.4f}",
+                    reasoning=f"{strategy_text}: edge {edge:.4f} at {price:.4f}",
                     confidence=record.confidence,
                     edge=edge,
                     expected_return_cents=er,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import load_config
 from .contract import ContractStore, DEFAULT_TEMPLATE, lock_contract
-from .errors import EngineError, FatalFeedError, IoError
+from .errors import EngineError, FatalFeedError, InvalidParameters, IoError
 from .evalloop import (
     EvalEngine,
     resume_run,
@@ -97,6 +97,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _budgets(text: str) -> tuple[int, ...]:
+    """The token budgets of ``--budgets``: comma-separated integers."""
+    budgets = []
+    for part in text.split(","):
+        try:
+            budgets.append(int(part))
+        except ValueError:
+            raise InvalidParameters(f"--budgets {text!r}: {part!r} is not an integer") from None
+    return tuple(budgets)
+
+
 def _dispatch(args, config) -> int:
     if args.command == "lock":
         template = DEFAULT_TEMPLATE
@@ -114,7 +125,10 @@ def _dispatch(args, config) -> int:
             allow_any_budget=config.contract.allow_any_budget,
             algorithm_id=config.contract.hash_algorithm,
         )
-        path = ContractStore(args.store).save(contract, chash)
+        try:
+            path = ContractStore(args.store).save(contract, chash)
+        except OSError as exc:
+            raise IoError(f"cannot write contract store {args.store}: {exc}") from exc
         print(f"{chash.digest}  {path}")
         return 0
 
@@ -122,8 +136,11 @@ def _dispatch(args, config) -> int:
         feed = generate_synthetic(
             args.seed, args.markets, args.steps, interval_seconds=args.interval
         )
-        save_feed(feed.snapshots, args.feed)
-        save_outcomes(feed.outcomes, args.outcomes)
+        try:
+            save_feed(feed.snapshots, args.feed)
+            save_outcomes(feed.outcomes, args.outcomes)
+        except OSError as exc:
+            raise IoError(f"cannot write the synthetic feed: {exc}") from exc
         print(f"wrote {len(feed.snapshots)} snapshots to {args.feed}")
         print(f"wrote {len(feed.outcomes)} outcomes to {args.outcomes}")
         return 0
@@ -167,9 +184,7 @@ def _dispatch(args, config) -> int:
         return 0
 
     if args.command == "sweep":
-        budgets = (
-            tuple(int(b) for b in args.budgets.split(",")) if args.budgets else None
-        )
+        budgets = _budgets(args.budgets) if args.budgets else None
         report = token_budget_sweep(
             args.out,
             seed=args.seed,

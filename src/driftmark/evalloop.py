@@ -103,13 +103,14 @@ from .simulator import (
     LedgerWriter,
     Mode,
     Portfolio,
+    Side,
     apply_entry,
     entry_from_record,
-    entry_to_record,
+    entry_line,
     resolve_market,
     step,
 )
-from .timeutil import to_iso, utc_now
+from .timeutil import from_iso, to_iso, utc_now
 
 _MASK64 = (1 << 64) - 1
 _T = TypeVar("_T")
@@ -173,7 +174,7 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The lines ``_EVENT_ENCODER`` writes for the three bulk kinds of event when
+# The lines ``_EVENT_ENCODER`` writes for the four bulk kinds of event when
 # every string is an exact ``str``, every count an exact ``int`` and every
 # price or probability a finite exact ``float``: keys sorted, strings through
 # ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and ``float``'s
@@ -190,22 +191,38 @@ _SNAPSHOT_LINE = (
     '{"condition_id":%s,"cycle":%d,"kind":"snapshot","no_price":%r,"observed_at":%s,'
     '"yes_price":%r}\n'
 )
-_FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS = (
+_LEDGER_LINE = (
+    '{"agent_id":%s,"basis_delta_cents":%d,"cash_delta_cents":%d,"condition_id":%s,'
+    '"cycle":%d,"entry_kind":%s,"kind":"ledger","note":%s,"price":%r,"quantity_micro":%d,'
+    '"seq":%d,"side":%s,"timestamp":%s}\n'
+)
+# A ledger file's line: ``entry_to_record``'s keys in its order, through
+# ``json.dumps`` with the same separators and ASCII escapes.
+_LEDGER_FILE_LINE = (
+    '{"seq":%d,"kind":%s,"condition_id":%s,"cash_delta_cents":%d,"timestamp":%s,'
+    '"side":%s,"price":%r,"quantity_micro":%d,"basis_delta_cents":%d,"note":%s}\n'
+)
+_FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS, _LEDGER_FIELDS, _LEDGER_FILE_FIELDS = (
     tuple(re.findall(r'"(\w+)":%', line))
-    for line in (_FORECAST_LINE, _BASELINE_LINE, _SNAPSHOT_LINE)
+    for line in (_FORECAST_LINE, _BASELINE_LINE, _SNAPSHOT_LINE, _LEDGER_LINE, _LEDGER_FILE_LINE)
 )
 
 
-# Each baseline kind's text. ``.value`` goes through a Python-level
-# descriptor on every read; the members hash and compare as their text, so a
-# lookup here does not.
+# Each baseline kind's, entry kind's and side's text. ``.value`` goes through
+# a Python-level descriptor on every read; the members hash and compare as
+# their text, so a lookup here does not.
 _BASELINE_TEXT = {k: k.value for k in BaselineKind}
+_ENTRY_KIND_TEXT = {k: k.value for k in EntryKind}
+_SIDE_TEXT = {s: s.value for s in Side}
+# The members by text, for the entries resume rebuilds.
+_ENTRY_KINDS = {k.value: k for k in EntryKind}
+_SIDES = {s.value: s for s in Side}
 
 
 class _JsonStrings(dict):
     """JSON text by string, for the strings a run's bulk events repeat
-    (agent ids, market ids, snapshot times, baseline kinds): each is
-    encoded once."""
+    (agent ids, market ids, snapshot times, baseline kinds, and a ledger
+    entry's kind, side, time and note): each is encoded once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
@@ -262,6 +279,46 @@ def _snapshot_line(
     return None
 
 
+def _ledger_line(
+    strings: _JsonStrings, agent_id, basis_delta_cents, cash_delta_cents, condition_id, cycle,
+    entry_kind, note, price, quantity_micro, seq, side, timestamp,
+) -> str | None:
+    """A ledger event's line through ``_LEDGER_LINE``, or None."""
+    if (
+        type(agent_id) is type(condition_id) is type(entry_kind) is type(note) is str
+        and type(side) is type(timestamp) is str
+        and type(basis_delta_cents) is type(cash_delta_cents) is type(cycle) is int
+        and type(quantity_micro) is type(seq) is int
+        and type(price) is float
+        and math.isfinite(price)
+    ):
+        return _LEDGER_LINE % (
+            strings[agent_id], basis_delta_cents, cash_delta_cents, strings[condition_id], cycle,
+            strings[entry_kind], strings[note], price, quantity_micro, seq, strings[side],
+            strings[timestamp],
+        )
+    return None
+
+
+def _ledger_file_line(
+    strings: _JsonStrings, seq, kind, condition_id, cash_delta_cents, timestamp, side, price,
+    quantity_micro, basis_delta_cents, note,
+) -> str | None:
+    """An entry's ledger file line through ``_LEDGER_FILE_LINE``, or None."""
+    if (
+        type(kind) is type(condition_id) is type(timestamp) is type(side) is type(note) is str
+        and type(seq) is type(cash_delta_cents) is type(quantity_micro) is int
+        and type(basis_delta_cents) is int
+        and type(price) is float
+        and math.isfinite(price)
+    ):
+        return _LEDGER_FILE_LINE % (
+            seq, strings[kind], strings[condition_id], cash_delta_cents, strings[timestamp],
+            strings[side], price, quantity_micro, basis_delta_cents, strings[note],
+        )
+    return None
+
+
 def event_line(event: dict) -> str:
     """One log line: ``event`` as compact JSON with sorted keys."""
     return _EVENT_ENCODER.encode(event) + "\n"
@@ -273,6 +330,14 @@ class _IsoCache(dict):
     def __missing__(self, ts) -> str:
         text = self[ts] = to_iso(ts)
         return text
+
+
+class _Timestamps(dict):
+    """Timestamp by ISO-8601 text; each distinct text is parsed once."""
+
+    def __missing__(self, text) -> datetime:
+        ts = self[text] = from_iso(text)
+        return ts
 
 
 def file_sha256(path: Path) -> str:
@@ -330,6 +395,28 @@ def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
                 "started it, or start it again",
             )
         yield ev
+
+
+def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
+    """The entry of a kept ledger event, from its fold row: converted as
+    ``entry_from_record`` converts the event, with each entry kind, side and
+    timestamp text looked up. A row that does not convert goes through
+    ``entry_from_record`` of its event, rebuilt with sorted keys, inside
+    ``reporting.fold_events``, which raises that conversion's error."""
+    basis, cash, cid, _, kind, note, price, qty, seq, side, ts = row
+    try:
+        return LedgerEntry(
+            int(seq), _ENTRY_KINDS[kind], cid, int(cash), times[ts], _SIDES[side], float(price),
+            int(qty), int(basis), "" if note is reporting.NO_KEY else note,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError):
+        fields = dict(zip(_LEDGER_FIELDS, (agent_id, *row)), kind="ledger")
+        event = {k: fields[k] for k in sorted(fields) if fields[k] is not reporting.NO_KEY}
+        entries: list[LedgerEntry] = []
+        reporting.fold_events(
+            lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})), [event]
+        )
+        return entries[0]
 
 
 def _price_history(window: int) -> defaultdict[str, deque[float]]:
@@ -462,20 +549,31 @@ class _Run:
             self.events.write(line)
             self.fold.add_snapshot(cycle, cid, yes)
 
+    def ledger_line(self, entry: LedgerEntry) -> str:
+        """The entry's ledger file line, through ``_LEDGER_FILE_LINE`` when
+        it can take the entry's values, else ``entry_line``."""
+        line = _ledger_file_line(
+            self.strings, entry.seq, _ENTRY_KIND_TEXT[entry.kind], entry.condition_id,
+            entry.cash_delta_cents, self.iso[entry.timestamp], _SIDE_TEXT[entry.side],
+            entry.price, entry.quantity_micro, entry.basis_delta_cents, entry.note,
+        )
+        return entry_line(entry) if line is None else line
+
     def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
         """Add an entry to the agent's ledger, log it, and feed it to the
         agent's calibration window."""
-        record = entry_to_record(entry)
-        self.ledgers[agent_id].append(record)
-        self.emit(
-            {
-                "kind": "ledger",
-                "cycle": cycle,
-                "agent_id": agent_id,
-                "entry_kind": entry.kind.value,
-                **{k: v for k, v in record.items() if k != "kind"},
-            }
+        self.ledgers[agent_id].append(self.ledger_line(entry))
+        values = (
+            agent_id, entry.basis_delta_cents, entry.cash_delta_cents, entry.condition_id, cycle,
+            _ENTRY_KIND_TEXT[entry.kind], entry.note, entry.price, entry.quantity_micro,
+            entry.seq, _SIDE_TEXT[entry.side], self.iso[entry.timestamp],
         )
+        line = _ledger_line(self.strings, *values)
+        if line is None:
+            self.emit(dict(zip(_LEDGER_FIELDS, values), kind="ledger"))
+        else:
+            self.events.write(line)
+            self.fold.add_ledger(*values)
         st = self.states[agent_id]
         st.window = _calibrated(st.window, entry)
 
@@ -723,19 +821,15 @@ class EvalEngine:
                     }
                 except (MalformedAgentOutput, AgentTimeout):
                     pass
-        states: dict[str, _AgentState] = {}
-        ledgers: dict[str, LedgerWriter] = {}
+        run = _Run({}, fold, prices, {}, ckpt["next_cycle"])
+        times = _Timestamps()
         for aid in self.manifest.agent_ids:
-            entries: list[LedgerEntry] = []
-            reporting.fold_events(
-                lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})),
-                fold.ledgers.get(aid, []),
-            )
+            entries = [_kept_entry(aid, row, times) for row in fold.ledgers.get(aid, [])]
             portfolio = Portfolio.fresh(
                 cfg.simulator.initial_capital_cents, cfg.simulator.max_open_positions
             )
             window = CalibrationWindow(size=cfg.agents.calibration_window_size)
-            ledger = ledgers[aid] = LedgerWriter(self._ledger_path(aid))
+            ledger = run.ledgers[aid] = LedgerWriter(self._ledger_path(aid))
             for entry in entries:
                 # apply_entry's own errors, a broken Portfolio invariant
                 # (AssertionError), or a price it cannot value
@@ -746,12 +840,12 @@ class EvalEngine:
                         None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
                     ) from exc
                 window = _calibrated(window, entry)
-                ledger.append(entry_to_record(entry))
+                ledger.append(run.ledger_line(entry))
             if last.get("portfolios", {}).get(aid) != _totals(portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            states[aid] = _AgentState(
+            run.states[aid] = _AgentState(
                 agent=agents[aid],
                 portfolio=portfolio,
                 window=window,
@@ -760,7 +854,7 @@ class EvalEngine:
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
         # Baseline drift at the resume boundary compares with the boundary
         # cycle's baseline probabilities.
-        prev_baseline = {
+        run.prev_baseline = {
             k.value: {
                 cid: rows[-1][1]
                 for cid, rows in fold.forecasts.get(reporting.BASELINE_PREFIX + k.value, {}).items()
@@ -768,7 +862,7 @@ class EvalEngine:
             }
             for k in BaselineKind
         }
-        return _Run(states, fold, prices, ledgers, ckpt["next_cycle"], prev_baseline=prev_baseline)
+        return run
 
     # -- the run --
 

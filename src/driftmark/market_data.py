@@ -279,23 +279,32 @@ def save_outcomes(outcomes: Iterable[ResolvedOutcome], path: str | Path) -> None
 
 
 def load_outcomes(path: str | Path) -> list[ResolvedOutcome]:
+    """One outcome per market: a line that is not an object whose
+    ``outcome`` is the JSON integer 0 or 1, or that names a market an
+    earlier line resolved, is a ``CorruptRecord`` naming it."""
     outcomes = []
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 data = json.loads(line)
-                if not isinstance(data, dict) or data.get("outcome") not in (0, 1):
+                outcome = data.get("outcome") if isinstance(data, dict) else None
+                if type(outcome) is not int or outcome not in (0, 1):
                     raise ValueError("not an object whose outcome is 0 or 1")
+                cid = data["condition_id"]
+                if cid in seen:
+                    raise ValueError(f"condition_id {cid!r} already resolved on line {seen[cid]}")
+                seen[cid] = line_no
                 outcomes.append(
                     ResolvedOutcome(
-                        condition_id=data["condition_id"],
-                        outcome=int(data["outcome"]),
+                        condition_id=cid,
+                        outcome=outcome,
                         resolved_at=from_iso(data["resolved_at"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorruptRecord(line_no, str(exc)) from exc
     return outcomes
 

@@ -33,6 +33,8 @@ from .metrics import (
 )
 
 BASELINE_PREFIX = "baseline:"
+# What a ledger row holds for a key its event lacks.
+NO_KEY = object()
 
 
 def format_cents(cents: int) -> str:
@@ -210,7 +212,9 @@ class EventFold:
         self.forecasts: dict[str, dict[str, list[tuple]]] = {}
         # subject -> [(d_narrative, d_temporal, d_temporal_product)]
         self.drifts: dict[str, list[tuple]] = {}
-        self.ledgers: dict[str, list[dict]] = {}
+        # subject -> a row per ledger event: its values in the order of
+        # add_ledger's parameters after subject, the event's keys sorted
+        self.ledgers: dict[str, list[tuple]] = {}
         # subject -> [(condition_id, basis_delta_cents, price)] of its OPEN entries
         self.opens: dict[str, list[tuple]] = {}
         # subject -> [(cycle, condition_id, cash_delta_cents)] of its CLOSE and RESOLVE entries
@@ -245,13 +249,20 @@ class EventFold:
                 float(ev["probability"]),
             )
         elif kind == "ledger":
+            # The keys the reports read must be there, an OPEN's basis and
+            # price too; one only resume reads may be missing (NO_KEY).
             agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
             cycle, cash = int(ev["cycle"]), ev["cash_delta_cents"]
+            get = ev.get
             if entry_kind == "OPEN":
-                self.opens.setdefault(agent, []).append((cid, ev["basis_delta_cents"], ev["price"]))
-            elif entry_kind in ("CLOSE", "RESOLVE"):
-                self.realized.setdefault(agent, []).append((cycle, cid, cash))
-            self.ledgers.setdefault(agent, []).append(ev)
+                basis, price = ev["basis_delta_cents"], ev["price"]
+            else:
+                basis, price = get("basis_delta_cents", NO_KEY), get("price", NO_KEY)
+            self.add_ledger(
+                agent, basis, cash, cid, cycle, entry_kind, get("note", NO_KEY), price,
+                get("quantity_micro", NO_KEY), get("seq", NO_KEY), get("side", NO_KEY),
+                get("timestamp", NO_KEY),
+            )
         elif kind == "snapshot":
             self.add_snapshot(int(ev["cycle"]), ev["condition_id"], float(ev["yes_price"]))
         elif kind == "drift":
@@ -290,6 +301,20 @@ class EventFold:
             self.baselines_seen.append(subject)
         self.forecasts.setdefault(subject, {}).setdefault(condition_id, []).append(
             (cycle, probability, 5, 0, 0, "NONE")
+        )
+
+    def add_ledger(
+        self, subject: str, basis_delta_cents: int, cash_delta_cents: int, condition_id: str,
+        cycle: int, entry_kind: str, note: str, price: float, quantity_micro: int, seq: int,
+        side: str, timestamp: str,
+    ) -> None:
+        if entry_kind == "OPEN":
+            self.opens.setdefault(subject, []).append((condition_id, basis_delta_cents, price))
+        elif entry_kind in ("CLOSE", "RESOLVE"):
+            self.realized.setdefault(subject, []).append((cycle, condition_id, cash_delta_cents))
+        self.ledgers.setdefault(subject, []).append(
+            (basis_delta_cents, cash_delta_cents, condition_id, cycle, entry_kind, note, price,
+             quantity_micro, seq, side, timestamp)
         )
 
     def add_snapshot(self, cycle: int, condition_id: str, yes_price: float) -> None:

@@ -470,6 +470,11 @@ def entry_to_record(entry: LedgerEntry) -> dict:
     }
 
 
+def entry_line(entry: LedgerEntry) -> str:
+    """An entry's ledger file line: ``entry_to_record`` as compact JSON."""
+    return json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n"
+
+
 def entry_from_record(data: dict) -> LedgerEntry:
     return LedgerEntry(
         seq=int(data["seq"]),
@@ -492,9 +497,9 @@ class LedgerWriter:
         self.path = Path(path)
         self._lines: list[str] = []
 
-    def append(self, record: dict) -> None:
-        """Add one entry, as ``entry_to_record`` gives it."""
-        self._lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    def append(self, line: str) -> None:
+        """Add one entry's line, as ``entry_line`` writes it."""
+        self._lines.append(line)
 
     def sync(self) -> None:
         """Write every entry appended so far as the ledger file, atomically."""

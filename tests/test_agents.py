@@ -360,6 +360,48 @@ class TestWireFormat:
         batch, _ = parse_decision_wire(wire, agent_id="a1", produced_at=NOW)
         assert batch.decisions[0].close_fraction == 50
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("action", "SELL"), ("action", ["HOLD"]), ("strategy", "GREEDY"),
+         ("strategy", ["MOMENTUM"])],
+        ids=["unknown_action", "list_action", "unknown_strategy", "list_strategy"],
+    )
+    def test_text_no_member_has_fails_as_the_enum_constructor(self, key, value):
+        """Texts are looked up in tables; one no member has, or a list,
+        still fails with the constructor's own ``ValueError`` message (an
+        action's wrapped in ``MalformedAgentOutput``, a strategy's raw)."""
+        enum = Action if key == "action" else Strategy
+        with pytest.raises(ValueError) as constructor:
+            enum(value)
+        item = {"marketId": "0x1", "action": "HOLD", "reasoning": "", key: value}
+        wire = json.dumps({"decisions": [item], "reasoning": ""})
+        error = MalformedAgentOutput if key == "action" else ValueError
+        with pytest.raises(error) as parsed:
+            parse_decision_wire(wire, agent_id="a1", produced_at=NOW)
+        prefix = "decision 0: " if key == "action" else ""
+        assert str(parsed.value) == prefix + str(constructor.value)
+
+    def test_every_action_and_strategy_round_trips(self):
+        decisions = tuple(
+            Decision(
+                market_id=f"0x{i}", action=action, amount_cents=15_000, reasoning="r",
+                strategy=strategy,
+            )
+            for i, (action, strategy) in enumerate(
+                (a, s) for a in Action for s in (*Strategy, None)
+            )
+        )
+        batch = DecisionBatch(decisions, "overall", "a1", NOW)
+        wire = json.loads(decisions_to_wire(batch))
+        assert [(d["action"], d.get("strategy")) for d in wire["decisions"]] == [
+            (d.action.value, d.strategy and d.strategy.value) for d in decisions
+        ]
+        again, _ = parse_decision_wire(decisions_to_wire(batch), agent_id="a1", produced_at=NOW)
+        assert [(d.action, d.strategy) for d in again.decisions] == [
+            (d.action, d.strategy) for d in decisions
+        ]
+        assert all(type(d.action) is Action for d in again.decisions)
+
 
 class TestScriptedAgents:
     def _forecast(self, agent, snap, cycle=1, budget=1000):

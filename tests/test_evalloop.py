@@ -36,7 +36,7 @@ from driftmark.evalloop import (
     token_budget_sweep,
     verify_run,
 )
-from driftmark import agents, evalloop, fileio
+from driftmark import agents, evalloop, fileio, reporting
 from driftmark.baselines import BaselineForecast, BaselineKind
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
@@ -47,7 +47,15 @@ from driftmark.market_data import (
     save_outcomes,
 )
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
-from driftmark.simulator import entry_from_record, replay_ledger
+from driftmark.simulator import (
+    EntryKind,
+    LedgerEntry,
+    LedgerWriter,
+    Side,
+    entry_from_record,
+    entry_to_record,
+    replay_ledger,
+)
 
 
 def make_engine(root, seed=42, agents=("market_copier", "momentum"), markets=40, cycles=5, run_id=None, mode="execution"):
@@ -459,6 +467,64 @@ class TestCheckpointResume:
         with pytest.raises(error, match=match):
             resume_run(tmp_path, "keep", at_cycle=at_cycle)
         assert {p.name: file_sha256(p) for p in files} == before
+
+    @pytest.mark.parametrize(
+        "damage",
+        [("seq", None), ("timestamp", None), ("side", None), ("side", "LEFT"),
+         ("side", ["YES"]), ("entry_kind", "SELL"), ("timestamp", "yesterday"),
+         ("quantity_micro", "many"), ("price", None),
+         ("price", "cheap")],
+        ids=lambda d: f"{d[0]}={d[1]!r}" if d[1] is not None else f"no_{d[0]}",
+    )
+    def test_kept_ledger_event_that_does_not_convert(self, tmp_path, damage):
+        """Resume builds each kept entry from its fold row; one that does not
+        convert raises the CorruptLog the conversion of the event itself
+        gives, quoting the event."""
+        key, value = damage
+        make_engine(tmp_path, cycles=4, run_id="conv").run()
+        run_dir = tmp_path / "conv"
+        ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
+        ckpt = json.loads(ckpt_path.read_bytes())
+        events = (run_dir / "events.jsonl").read_bytes()
+        lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+        # a MARK, so the fold itself reads no price
+        at = next(i for i, line in enumerate(lines) if b'"entry_kind":"MARK"' in line)
+        event = json.loads(lines[at])
+        if value is None:
+            del event[key]
+        else:
+            event[key] = value
+        lines[at] = evalloop.event_line(event).encode()
+        head = b"".join(lines)
+        (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
+        ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
+        with pytest.raises(CorruptLog) as converted:
+            reporting.fold_events(
+                lambda e: entry_from_record({**e, "kind": e["entry_kind"]}), [event]
+            )
+        with pytest.raises(CorruptLog) as resumed:
+            resume_run(tmp_path, "conv", at_cycle=3)
+        assert str(resumed.value) == str(converted.value)
+
+    def test_kept_ledger_event_without_a_note_resumes_with_an_empty_one(self, tmp_path):
+        """A kept entry's note is its event's, or "" when the event has none."""
+        make_engine(tmp_path, cycles=4, run_id="note").run()
+        run_dir = tmp_path / "note"
+        ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
+        ckpt = json.loads(ckpt_path.read_bytes())
+        events = (run_dir / "events.jsonl").read_bytes()
+        lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if b'"kind":"ledger"' in line)
+        event = json.loads(lines[at])
+        del event["note"]
+        lines[at] = evalloop.event_line(event).encode()
+        head = b"".join(lines)
+        (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
+        ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
+        resume_run(tmp_path, "note", at_cycle=3)
+        ledger = (run_dir / "ledgers" / f"{event['agent_id']}.jsonl").read_text(encoding="utf-8")
+        record = json.loads(ledger.splitlines()[event["seq"] - 1])
+        assert (record["seq"], record["note"]) == (event["seq"], "")
 
     def test_live_not_resumable(self, tmp_path):
         engine = make_engine(tmp_path, cycles=3, run_id="liveck")
@@ -926,12 +992,46 @@ _BULK_EVENTS = {
             "observed_at": _JSON_TEXT,
         }
     ),
+    "ledger": st.fixed_dictionaries(
+        {
+            "kind": st.just("ledger"),
+            "cycle": st.integers(),
+            "agent_id": _JSON_TEXT,
+            "entry_kind": _JSON_TEXT,
+            "seq": st.integers(),
+            "condition_id": _JSON_TEXT,
+            "cash_delta_cents": st.integers(),
+            "timestamp": _JSON_TEXT,
+            "side": _JSON_TEXT,
+            "price": _JSON_FLOAT,
+            "quantity_micro": st.integers(),
+            "basis_delta_cents": st.integers(),
+            "note": _JSON_TEXT,
+        }
+    ),
 }
 _BULK_LINES = {
     "forecast": evalloop._forecast_line,
     "baseline": evalloop._baseline_line,
     "snapshot": evalloop._snapshot_line,
+    "ledger": evalloop._ledger_line,
 }
+# Ledger entries as the simulator makes them, with any text and numbers.
+_LEDGER_ENTRIES = st.builds(
+    LedgerEntry,
+    seq=st.integers(),
+    kind=st.sampled_from(EntryKind),
+    condition_id=_JSON_TEXT,
+    cash_delta_cents=st.integers(),
+    timestamp=st.datetimes(
+        min_value=datetime(1000, 1, 1), timezones=st.just(timezone.utc)
+    ),
+    side=st.sampled_from(Side),
+    price=_JSON_FLOAT,
+    quantity_micro=st.integers(),
+    basis_delta_cents=st.integers(),
+    note=_JSON_TEXT,
+)
 _AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
 _SAMPLE_EVENTS = {
     "forecast": {
@@ -947,7 +1047,36 @@ _SAMPLE_EVENTS = {
         "kind": "snapshot", "cycle": 3, "condition_id": "0x" + "ab" * 20, "yes_price": 0.625,
         "no_price": 0.375, "observed_at": "2026-01-01T00:00:00Z",
     },
+    "ledger": {
+        "kind": "ledger", "cycle": 3, "agent_id": "momentum", "entry_kind": "OPEN", "seq": 4,
+        "condition_id": "0x" + "ab" * 20, "cash_delta_cents": 0,
+        "timestamp": "2026-01-01T00:00:00Z", "side": "YES", "price": 0.625,
+        "quantity_micro": 240_000_000, "basis_delta_cents": 15_000, "note": "fill",
+    },
 }
+
+
+def _ledger_event(cycle: int, agent_id: str, entry: LedgerEntry) -> dict:
+    """The ledger event of an entry, built as the generic path builds it."""
+    record = entry_to_record(entry)
+    return {
+        "kind": "ledger", "cycle": cycle, "agent_id": agent_id, "entry_kind": record.pop("kind"),
+        **record,
+    }
+
+
+def _ledger_record(ev: dict) -> dict:
+    """The ledger file record of a ledger event, keys in ``entry_to_record``'s order."""
+    return {
+        "seq": ev["seq"], "kind": ev["entry_kind"], "condition_id": ev["condition_id"],
+        "cash_delta_cents": ev["cash_delta_cents"], "timestamp": ev["timestamp"],
+        "side": ev["side"], "price": ev["price"], "quantity_micro": ev["quantity_micro"],
+        "basis_delta_cents": ev["basis_delta_cents"], "note": ev["note"],
+    }
+
+
+def _file_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def _typed_line(ev: dict, strings) -> str | None:
@@ -967,6 +1096,13 @@ def _emit_typed(run, ev: dict) -> None:
         run.emit_baseline(ev["cycle"], BaselineForecast(
             BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"]
         ))
+    elif ev["kind"] == "ledger":
+        assert ev["timestamp"] == evalloop.to_iso(_AT)
+        run.record(ev["cycle"], ev["agent_id"], LedgerEntry(
+            ev["seq"], EntryKind(ev["entry_kind"]), ev["condition_id"], ev["cash_delta_cents"], _AT,
+            Side(ev["side"]), ev["price"], ev["quantity_micro"], ev["basis_delta_cents"],
+            ev["note"],
+        ))
     else:
         run.emit_snapshot(ev["cycle"], MarketSnapshot(
             ev["condition_id"], "q", ev["yes_price"], ev["no_price"], Liquidity.HIGH, _AT, _AT
@@ -982,6 +1118,9 @@ class TestBulkLines:
         assert _typed_line(ev, strings) == expected
         # the second line reads every repeated string from the run's cache
         assert _typed_line(ev, strings) == expected
+        if ev["kind"] == "ledger":
+            record = _ledger_record(ev)
+            assert evalloop._ledger_file_line(strings, **record) == _file_line(record)
 
     @given(_BULK_EVENTS["forecast"])
     @settings(max_examples=300, deadline=None)
@@ -997,6 +1136,42 @@ class TestBulkLines:
     @settings(max_examples=300, deadline=None)
     def test_snapshot_line(self, ev):
         self._check(ev)
+
+    @given(_BULK_EVENTS["ledger"])
+    @settings(max_examples=300, deadline=None)
+    def test_ledger_line(self, ev):
+        self._check(ev)
+
+    @given(st.integers(), _JSON_TEXT, _LEDGER_ENTRIES)
+    @settings(max_examples=300, deadline=None)
+    def test_ledger_lines_of_an_entry(self, cycle, agent_id, entry):
+        """Both lines of a ledger entry, the log's and the ledger file's, as
+        the engine fills them (its kind, side and time text from its tables
+        and caches), on a fresh and then a warm string cache."""
+        ev = _ledger_event(cycle, agent_id, entry)
+        expected = (evalloop.event_line(ev), _file_line(entry_to_record(entry)))
+        out = io.StringIO()
+        run = evalloop._Run(
+            {agent_id: evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))},
+            EventFold(), {}, {agent_id: LedgerWriter("unused.jsonl")}, events=out,
+        )
+        for _ in range(2):
+            out.seek(0)
+            out.truncate()
+            run.record(cycle, agent_id, entry)
+            assert (out.getvalue(), run.ledgers[agent_id]._lines[-1]) == expected
+
+    def test_fold_rows_hold_the_ledger_template_s_values(self):
+        """``EventFold.add_ledger`` takes, and its rows hold, the values of
+        ``_LEDGER_FIELDS`` in that order; resume reads the rows so."""
+        params = tuple(inspect.signature(EventFold.add_ledger).parameters)
+        assert params[2:] == evalloop._LEDGER_FIELDS[1:]
+
+    def test_ledger_file_line_takes_entry_to_record_s_keys_in_order(self):
+        entry = entry_from_record(_ledger_record(_SAMPLE_EVENTS["ledger"]))
+        keys = tuple(entry_to_record(entry))
+        assert evalloop._LEDGER_FILE_FIELDS == keys
+        assert tuple(inspect.signature(evalloop._ledger_file_line).parameters)[1:] == keys
 
     @pytest.mark.parametrize("value", [1e-05, 1e16, -0.0, 5e-324])
     @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
@@ -1027,6 +1202,15 @@ class TestBulkLines:
         ("snapshot", "no_price", float("nan")),
         ("snapshot", "yes_price", 1),
         ("snapshot", "cycle", 3.0),
+        ("ledger", "seq", True),
+        ("ledger", "quantity_micro", np.int64(240_000_000)),
+        ("ledger", "price", float("nan")),
+        ("ledger", "price", 1),
+        ("ledger", "cash_delta_cents", 0.0),
+        ("ledger", "basis_delta_cents", 15_000.0),
+        ("ledger", "condition_id", 7),
+        ("ledger", "note", None),
+        ("ledger", "cycle", True),
     ]
 
     @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
@@ -1051,26 +1235,35 @@ class TestBulkLines:
     def test_other_value_types_take_the_generic_path(self, kind, field, value):
         ev = {**_SAMPLE_EVENTS[kind], field: value}
         assert _typed_line(ev, evalloop._JsonStrings()) is None
+        if kind == "ledger" and field != "cycle":
+            record = _ledger_record(ev)
+            assert evalloop._ledger_file_line(evalloop._JsonStrings(), **record) is None
 
     @pytest.mark.parametrize(
         "kind, field, value",
-        [(k, f, v) for k, f, v in OTHER_TYPES if f != "cycle"]
+        # a numpy int is not JSON, and a bool cycle folds as an int
+        [(k, f, v) for k, f, v in OTHER_TYPES if f != "cycle" and not isinstance(v, np.integer)]
         + [(kind, None, None) for kind in _SAMPLE_EVENTS],
     )
     def test_engine_writes_and_folds_as_the_generic_path(self, kind, field, value):
         """Through its template or through ``emit``, the engine writes the
         event's ``event_line`` and folds what ``EventFold.add`` of the line
         read back folds; both take a forecast's strategy from its agent's
-        agent_meta."""
+        agent_meta. A ledger entry's ledger file line is ``json.dumps`` of
+        its record either way."""
         ev = dict(_SAMPLE_EVENTS[kind])
         if field is not None:
             ev[field] = value
         meta = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
         out = io.StringIO()
-        run = evalloop._Run({}, EventFold(), {}, {}, events=out)
+        state = evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))
+        ledger = LedgerWriter("unused.jsonl")
+        run = evalloop._Run({"momentum": state}, EventFold(), {}, {"momentum": ledger}, events=out)
         run.fold.add(meta)
         _emit_typed(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
+        if kind == "ledger":
+            assert ledger._lines == [_file_line(_ledger_record(ev))]
         read = EventFold()
         read.add(meta)
         read.add(json.loads(out.getvalue()))

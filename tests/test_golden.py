@@ -143,6 +143,7 @@ TEMPLATE_KEYS = {
     "forecast": evalloop._FORECAST_FIELDS,
     "baseline": evalloop._BASELINE_FIELDS,
     "snapshot": evalloop._SNAPSHOT_FIELDS,
+    "ledger": evalloop._LEDGER_FIELDS,
 }
 
 
@@ -301,6 +302,23 @@ def test_resume_at_every_boundary_matches_pins(tmp_path, monkeypatch):
         resumed = resume_run("out", "flaky", at_cycle=boundary)
         assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"], f"boundary {boundary}"
         assert run_digests("out", "flaky") == PINS["flaky"], f"boundary {boundary}"
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_resume_at_every_boundary_rewrites_each_ledger(name, tmp_path, monkeypatch):
+    """Resume builds each kept ledger entry from the fold's row of its event
+    and writes its line again: with the ledger files removed, every
+    boundary gives back each ledger file byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", name)
+    paths = RunPaths("out", name)
+    full = {p.name: p.read_bytes() for p in paths.ledgers.glob("*.jsonl")}
+    assert any(full.values()) or name == "observation"
+    for boundary in range(1, MANIFESTS[name]["cycles"] + 1):
+        shutil.rmtree(paths.ledgers)
+        resume_run("out", name, at_cycle=boundary)
+        ledgers = {p.name: p.read_bytes() for p in paths.ledgers.glob("*.jsonl")}
+        assert ledgers == full, f"boundary {boundary}"
 
 
 def older_agent_state(agent_id: str, seed: int, cycles) -> dict:

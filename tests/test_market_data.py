@@ -225,8 +225,8 @@ class TestReplay:
 
 class TestOutcomesInput:
     @pytest.mark.parametrize(
-        "outcome", [7, -1, 2, 0.5, "1", None, [1]],
-        ids=["7", "-1", "2", "0.5", "string", "null", "list"],
+        "outcome", [7, -1, 2, 0.5, "1", None, [1], True, False, 1.0, 0.0],
+        ids=["7", "-1", "2", "0.5", "string", "null", "list", "true", "false", "1.0", "0.0"],
     )
     def test_outcome_other_than_0_or_1_is_corrupt(self, tmp_path, outcome):
         path = tmp_path / "outcomes.jsonl"
@@ -238,10 +238,36 @@ class TestOutcomesInput:
             load_outcomes(path)
         assert err.value.line_no == 3
 
-    @pytest.mark.parametrize("case", ["outcome_7", "array_line", "missing", "not_utf8"])
+    def test_a_market_resolved_twice_is_corrupt(self, tmp_path):
+        """Settlement took a repeated market's first outcome and every score
+        its last; the second line naming it is refused."""
+        path = tmp_path / "outcomes.jsonl"
+        save_outcomes(generate_synthetic(3, 5, 2).outcomes, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        repeat = json.loads(lines[1])
+        repeat["outcome"] = 1 - repeat["outcome"]
+        path.write_text("".join(lines) + json.dumps(repeat) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptRecord, match="already resolved on line 2") as err:
+            load_outcomes(path)
+        assert err.value.line_no == len(lines) + 1
+
+    def test_a_repeat_after_a_blank_line_names_both_lines(self, tmp_path):
+        path = tmp_path / "outcomes.jsonl"
+        save_outcomes(generate_synthetic(3, 5, 2).outcomes[:1], path)
+        line = path.read_text(encoding="utf-8")
+        path.write_text(line + "\n" + line, encoding="utf-8")
+        with pytest.raises(CorruptRecord, match="at line 3: .* already resolved on line 1"):
+            load_outcomes(path)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["outcome_7", "array_line", "missing", "not_utf8", "outcome_true", "outcome_1.0",
+         "repeated_market"],
+    )
     def test_bad_outcomes_exit_1_and_leave_the_run_id_free(self, tmp_path, capsys, case):
         """An outcome of 7 once read silently (every Brier score then read
-        above 1); the others were raw tracebacks."""
+        above 1), and so did ``true``, ``1.0`` and a market resolved twice;
+        the others were raw tracebacks."""
         feed = generate_synthetic(4, 40, 3)
         save_feed(feed.snapshots, tmp_path / "feed.jsonl")
         good = tmp_path / "outcomes.jsonl"
@@ -250,6 +276,14 @@ class TestOutcomesInput:
         first, *rest = good.read_text(encoding="utf-8").splitlines(keepends=True)
         if case == "outcome_7":
             bad.write_text(json.dumps({**json.loads(first), "outcome": 7}) + "\n" + "".join(rest))
+        elif case in ("outcome_true", "outcome_1.0"):
+            outcome = True if case == "outcome_true" else 1.0
+            bad.write_text(
+                json.dumps({**json.loads(first), "outcome": outcome}) + "\n" + "".join(rest)
+            )
+        elif case == "repeated_market":
+            flipped = {**json.loads(first), "outcome": 1 - json.loads(first)["outcome"]}
+            bad.write_text(first + "".join(rest) + json.dumps(flipped) + "\n")
         elif case == "array_line":
             bad.write_text("[1, 2]\n" + "".join(rest), encoding="utf-8")
         elif case == "not_utf8":
@@ -266,7 +300,10 @@ class TestOutcomesInput:
         assert run(bad) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert ("line 1" if case in ("outcome_7", "array_line") else str(bad)) in err
+        where = {
+            "missing": str(bad), "not_utf8": str(bad), "repeated_market": f"line {len(rest) + 2}"
+        }.get(case, "line 1")
+        assert where in err
         assert not (out / "r").exists()
         assert run(good) == 0
 

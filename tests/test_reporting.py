@@ -291,6 +291,23 @@ class TestAggregateFromRun:
         briers = [r.mean_brier for r in by_brier]
         assert briers == sorted(briers)
 
+    def test_ledger_keys_only_resume_reads_may_be_missing(self, run_report, tmp_path):
+        """The fold reads an OPEN's basis and price and every entry's kind,
+        market, cycle and cash as it takes a ledger event, and no other key:
+        a log without the rest reports the same."""
+        report, result = run_report
+        kept = {"kind", "agent_id", "entry_kind", "condition_id", "cycle", "cash_delta_cents"}
+        lines = []
+        for ev in iter_events(result.events_path):
+            if ev["kind"] == "ledger":
+                ev = {k: v for k, v in ev.items() if k in kept or ev["entry_kind"] == "OPEN"
+                      and k in ("basis_delta_cents", "price")}
+            lines.append(json.dumps(ev) + "\n")
+        assert sum('"seq"' in line for line in lines) == 0
+        stripped = tmp_path / "stripped.jsonl"
+        stripped.write_text("".join(lines), encoding="utf-8")
+        assert aggregate(stripped).to_dict() == report.to_dict()
+
     def test_d_total_is_exact_sum(self, run_report):
         report, _ = run_report
         for subject, rep in report.final_reports.items():
@@ -421,6 +438,34 @@ class TestCli:
             assert cli_main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: cannot read ") and err.count("\n") == 1, err
+
+    def test_write_errors_exit_one_with_one_line(self, tmp_path, capsys):
+        """A synth output in a missing directory and a contract store path
+        that is a file were raw FileNotFoundError and FileExistsError."""
+        a_file = tmp_path / "a_file"
+        a_file.write_text("", encoding="utf-8")
+        synth = ["synth", "--markets", "40", "--steps", "3"]
+        for argv in (
+            [*synth, "--feed", str(tmp_path / "nodir" / "f.jsonl"),
+             "--outcomes", str(tmp_path / "o.jsonl")],
+            [*synth, "--feed", str(tmp_path / "f.jsonl"),
+             "--outcomes", str(tmp_path / "nodir" / "o.jsonl")],
+            ["lock", "--store", str(a_file)],
+        ):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("budgets", ["abc", "1,,2", "5x"])
+    def test_budgets_that_are_not_integers_exit_one_with_one_line(
+        self, tmp_path, capsys, budgets
+    ):
+        argv = ["--out", str(tmp_path), "sweep", "--agents", "momentum", "--budgets", budgets]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        bad = next(part for part in budgets.split(",") if not part.isdigit())
+        assert err == f"error: --budgets {budgets!r}: {bad!r} is not an integer\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_fails_on_a_hash_file_that_is_not_utf8(self, tmp_path, capsys):
         out = tmp_path / "runs"
