@@ -122,22 +122,9 @@ class CalibrationAdjustment:
     prob_adjustment: float
 
 
-def calibration_adjustment(
-    window: CalibrationWindow, stated_prob: float, penalty: float = -0.05
-) -> CalibrationAdjustment:
-    """Laplace-smoothed win rate and the downward nudge it implies.
-
-    With no history the prior win rate is 0.5 and no adjustment applies.
-    Below a full window the rate is (wins+1)/(n+2); at a full window it is
-    the plain wins/n. The penalty fires when the rate trails the stated
-    probability.
-    """
-    return _adjustment(_win_rate(window), stated_prob, penalty)
-
-
 def _win_rate(window: CalibrationWindow) -> float | None:
-    """The window's win rate as ``calibration_adjustment`` takes it; None
-    with no history."""
+    """The window's Laplace-smoothed win rate: (wins+1)/(n+2) below a full
+    window, the plain wins/n at a full one; None with no history."""
     n = len(window.entries)
     if n == 0:
         return None
@@ -148,6 +135,9 @@ def _win_rate(window: CalibrationWindow) -> float | None:
 
 
 def _adjustment(rate: float | None, stated_prob: float, penalty: float) -> CalibrationAdjustment:
+    """The win rate and the downward nudge it implies: with no history the
+    prior rate is 0.5 and no nudge applies; the penalty fires when the rate
+    trails the stated probability."""
     if rate is None:
         return CalibrationAdjustment(win_rate_adj=0.5, prob_adjustment=0.0)
     adjustment = penalty if rate < stated_prob else 0.0
@@ -320,6 +310,23 @@ def decisions_to_wire(batch: DecisionBatch) -> str:
     )
 
 
+def _cents(dollars) -> int:
+    return int(round(float(dollars) * 100))
+
+
+# The optional keys of a wire decision: each one's ``Decision`` field and
+# its conversion. Only a BUY reads an amount.
+_WIRE_FIELDS = (
+    ("closeAmount", "close_fraction", int),
+    ("confidence", "confidence", int),
+    ("edge", "edge", float),
+    ("expectedReturn", "expected_return_cents", _cents),
+    ("hScore", "h_score", float),
+    ("strategy", "strategy", lambda text: _member(_STRATEGIES, Strategy, text)),
+)
+_BUY_WIRE_FIELDS = (("amount", "amount_cents", _cents), *_WIRE_FIELDS)
+
+
 def parse_decision_wire(
     text: str,
     *,
@@ -342,7 +349,7 @@ def parse_decision_wire(
         violations.append("markdown_fence_stripped")
     try:
         data = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedAgentOutput(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("decisions"), list):
         raise MalformedAgentOutput('top level must be {"decisions": [...], "reasoning": ...}')
@@ -356,29 +363,24 @@ def parse_decision_wire(
             market_id = str(item["marketId"])
         except (KeyError, ValueError) as exc:
             raise MalformedAgentOutput(f"decision {i}: {exc}") from exc
-        amount_cents: int | None = None
-        if action in (Action.BUY_YES, Action.BUY_NO):
-            if "amount" not in item:
-                raise MalformedAgentOutput(f"decision {i}: BUY without amount")
-            amount_cents = int(round(float(item["amount"]) * 100))
-        close_fraction = None
-        if "closeAmount" in item:
-            close_fraction = int(item["closeAmount"])
-        er = item.get("expectedReturn")
+        buy = action in (Action.BUY_YES, Action.BUY_NO)
+        if buy and item.get("amount") is None:
+            raise MalformedAgentOutput(f"decision {i}: BUY without amount")
+        # A key that is absent or null is None; a value its conversion
+        # cannot take names the decision and the key.
+        fields = {}
+        for key, name, convert in _BUY_WIRE_FIELDS if buy else _WIRE_FIELDS:
+            value = item.get(key)
+            try:
+                fields[name] = None if value is None else convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedAgentOutput(f"decision {i}: {key}: {exc}") from exc
         decisions.append(
             Decision(
                 market_id=market_id,
                 action=action,
-                amount_cents=amount_cents,
-                close_fraction=close_fraction,
                 reasoning=str(item.get("reasoning", "")),
-                confidence=None if item.get("confidence") is None else int(item["confidence"]),
-                edge=None if item.get("edge") is None else float(item["edge"]),
-                expected_return_cents=None if er is None else int(round(float(er) * 100)),
-                h_score=None if item.get("hScore") is None else float(item["hScore"]),
-                strategy=(
-                    _member(_STRATEGIES, Strategy, item["strategy"]) if "strategy" in item else None
-                ),
+                **fields,
             )
         )
     batch = DecisionBatch(
@@ -566,13 +568,17 @@ def sample_forecast(
     ``input_tokens`` is the whitespace-token count of the market's rendered
     instruction, which the caller counts from the rendered parts. A trace is
     cut to its first ``budget`` whitespace tokens; one within budget is kept
-    as it is.
+    as it is. A reply whose probability is not a ``float`` in [0,1], whose
+    confidence is not an ``int`` 0-10 (a bool is not one) or whose trace is
+    not a ``str`` is a ``MalformedAgentOutput``.
     """
     prob, conf, trace = agent.forecast(market, cycle_index, budget)
-    if not (0.0 <= prob <= 1.0):
-        raise MalformedAgentOutput(f"probability {prob} outside [0,1]")
-    if not (0 <= conf <= 10):
-        raise MalformedAgentOutput(f"confidence {conf} outside 0-10")
+    if type(prob) is not float or not (0.0 <= prob <= 1.0):
+        raise MalformedAgentOutput(f"probability {prob!r} is not a float in [0,1]")
+    if type(conf) is not int or not (0 <= conf <= 10):
+        raise MalformedAgentOutput(f"confidence {conf!r} is not an integer 0-10")
+    if type(trace) is not str:
+        raise MalformedAgentOutput(f"trace {trace!r} is not a string")
     words = trace.split()
     if len(words) > budget:
         words = words[:budget]

@@ -70,6 +70,13 @@ class BaselineConfig:
     # Use mid of (yes, 1-no) instead of raw yes_price for the market baseline.
     market_use_mid: bool = False
 
+    def __post_init__(self):
+        # Each is a logged probability: a number JSON writes as the run does.
+        for name in ("heuristic_favorite_prob", "heuristic_longshot_prob"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ConfigError(f"baselines.{name} must be a number in [0, 1], not {value!r}")
+
 
 @dataclass(frozen=True)
 class MetricConfig:

@@ -150,7 +150,8 @@ def render_instruction_parts(
 
     ``summary.join(parts)`` is byte for byte the instruction
     ``render_instruction`` gives for that summary, for any template, so a
-    market is rendered once for all the portfolios that see it.
+    market is rendered once for all the portfolios that see it. The market's
+    times are formatted here only when ``extra`` does not hold their text.
     """
     if not contract.locked:
         raise UnlockedContract("render requires a locked contract")
@@ -160,13 +161,14 @@ def render_instruction_parts(
         "market.yes_price": f"{market.yes_price:.4f}",
         "market.no_price": f"{market.no_price:.4f}",
         "market.liquidity_tier": market.liquidity_tier.value,
-        "market.end_time": to_iso(market.end_time),
-        "market.observed_at": to_iso(market.observed_at),
         "contract.version": contract.version,
         "contract.token_budget": str(contract.token_budget),
+        **(extra or {}),
     }
-    if extra:
-        values.update(extra)
+    if "market.end_time" not in values:
+        values["market.end_time"] = to_iso(market.end_time)
+    if "market.observed_at" not in values:
+        values["market.observed_at"] = to_iso(market.observed_at)
 
     # split() alternates literal text and placeholder keys.
     pieces = _PLACEHOLDER.split(contract.template_text)

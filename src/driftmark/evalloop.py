@@ -106,7 +106,6 @@ from .simulator import (
     Side,
     apply_entry,
     entry_from_record,
-    entry_line,
     resolve_market,
     step,
 )
@@ -174,12 +173,14 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The lines ``_EVENT_ENCODER`` writes for the four bulk kinds of event when
-# every string is an exact ``str``, every count an exact ``int`` and every
-# price or probability a finite exact ``float``: keys sorted, strings through
-# ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and ``float``'s
-# own repr. Each ``_*_line`` function takes the values of its template's
-# ``_*_FIELDS``, the keys of its ``%`` fields, in that order.
+# The lines ``_EVENT_ENCODER`` writes for the four bulk kinds of event: keys
+# sorted, strings through ``encode_basestring_ascii``, ``%d`` and ``%r`` as
+# ``int``'s and ``float``'s own repr. They hold the same bytes because every
+# string is an exact ``str``, every count an exact ``int`` and every price or
+# probability a finite ``float`` (or the ``int`` 0 or 1, whose ``%r`` is the
+# encoder's): each value is checked where it enters the program (feed,
+# agent reply, config, manifest, kept log). ``_*_FIELDS`` are the keys of
+# each template's ``%`` fields, in order.
 _FORECAST_LINE = (
     '{"agent_id":%s,"condition_id":%s,"confidence":%d,"cycle":%d,"input_tokens":%d,'
     '"kind":"forecast","output_tokens":%d,"probability":%r,"trace":%s}\n'
@@ -227,96 +228,6 @@ class _JsonStrings(dict):
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
         return encoded
-
-
-def _forecast_line(
-    strings: _JsonStrings, agent_id, condition_id, confidence, cycle, input_tokens,
-    output_tokens, probability, trace,
-) -> str | None:
-    """A forecast event's line through ``_FORECAST_LINE``, or None when a
-    value is not of the type the template writes."""
-    if (
-        type(agent_id) is type(condition_id) is type(trace) is str
-        and type(confidence) is type(cycle) is type(input_tokens) is type(output_tokens) is int
-        and type(probability) is float
-        and math.isfinite(probability)
-    ):
-        return _FORECAST_LINE % (
-            strings[agent_id], strings[condition_id], confidence, cycle, input_tokens,
-            output_tokens, probability, encode_basestring_ascii(trace),
-        )
-    return None
-
-
-def _baseline_line(
-    strings: _JsonStrings, baseline, condition_id, cycle, probability
-) -> str | None:
-    """A baseline event's line through ``_BASELINE_LINE``, or None."""
-    if (
-        type(baseline) is type(condition_id) is str
-        and type(cycle) is int
-        and type(probability) is float
-        and math.isfinite(probability)
-    ):
-        return _BASELINE_LINE % (strings[baseline], strings[condition_id], cycle, probability)
-    return None
-
-
-def _snapshot_line(
-    strings: _JsonStrings, condition_id, cycle, no_price, observed_at, yes_price
-) -> str | None:
-    """A snapshot event's line through ``_SNAPSHOT_LINE``, or None."""
-    if (
-        type(condition_id) is type(observed_at) is str
-        and type(cycle) is int
-        and type(no_price) is type(yes_price) is float
-        and math.isfinite(no_price)
-        and math.isfinite(yes_price)
-    ):
-        return _SNAPSHOT_LINE % (
-            strings[condition_id], cycle, no_price, strings[observed_at], yes_price
-        )
-    return None
-
-
-def _ledger_line(
-    strings: _JsonStrings, agent_id, basis_delta_cents, cash_delta_cents, condition_id, cycle,
-    entry_kind, note, price, quantity_micro, seq, side, timestamp,
-) -> str | None:
-    """A ledger event's line through ``_LEDGER_LINE``, or None."""
-    if (
-        type(agent_id) is type(condition_id) is type(entry_kind) is type(note) is str
-        and type(side) is type(timestamp) is str
-        and type(basis_delta_cents) is type(cash_delta_cents) is type(cycle) is int
-        and type(quantity_micro) is type(seq) is int
-        and type(price) is float
-        and math.isfinite(price)
-    ):
-        return _LEDGER_LINE % (
-            strings[agent_id], basis_delta_cents, cash_delta_cents, strings[condition_id], cycle,
-            strings[entry_kind], strings[note], price, quantity_micro, seq, strings[side],
-            strings[timestamp],
-        )
-    return None
-
-
-def _ledger_file_line(
-    strings: _JsonStrings, seq, kind, condition_id, cash_delta_cents, timestamp, side, price,
-    quantity_micro, basis_delta_cents, note,
-) -> str | None:
-    """An entry's ledger file line through ``_LEDGER_FILE_LINE``, or None."""
-    if (
-        type(kind) is type(condition_id) is type(timestamp) is type(side) is type(note) is str
-        and type(seq) is type(cash_delta_cents) is type(quantity_micro) is int
-        and type(basis_delta_cents) is int
-        and type(price) is float
-        and math.isfinite(price)
-    ):
-        return _LEDGER_FILE_LINE % (
-            seq, strings[kind], strings[condition_id], cash_delta_cents, strings[timestamp],
-            strings[side], price, quantity_micro, basis_delta_cents, strings[note],
-        )
-    return None
 
 
 def event_line(event: dict) -> str:
@@ -402,10 +313,13 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
     ``entry_from_record`` converts the event, with each entry kind, side and
     timestamp text looked up. A row that does not convert goes through
     ``entry_from_record`` of its event, rebuilt with sorted keys, inside
-    ``reporting.fold_events``, which raises that conversion's error."""
+    ``reporting.fold_events``, which raises that conversion's error. An
+    entry whose condition_id or note is not a string, or whose price is not
+    finite, is a ``CorruptLog`` naming its agent and seq: its lines could
+    not be written as JSON."""
     basis, cash, cid, _, kind, note, price, qty, seq, side, ts = row
     try:
-        return LedgerEntry(
+        entry = LedgerEntry(
             int(seq), _ENTRY_KINDS[kind], cid, int(cash), times[ts], _SIDES[side], float(price),
             int(qty), int(basis), "" if note is reporting.NO_KEY else note,
         )
@@ -416,7 +330,15 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
         reporting.fold_events(
             lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})), [event]
         )
-        return entries[0]
+        entry = entries[0]
+    cid, note, price = entry.condition_id, entry.note, entry.price
+    if type(cid) is not str or type(note) is not str or not math.isfinite(price):
+        raise CorruptLog(
+            None,
+            f"{agent_id}: ledger entry seq {entry.seq} needs a string condition_id and note "
+            f"and a finite price, not {cid!r}, {note!r}, {price!r}",
+        )
+    return entry
 
 
 def _price_history(window: int) -> defaultdict[str, deque[float]]:
@@ -514,66 +436,59 @@ class _Run:
         self.fold.add(ev)
 
     # The bulk kinds are written through their templates and folded from
-    # their values; an event holding a value its template cannot take is
-    # built whole and goes through ``emit``.
+    # their values.
 
     def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord) -> None:
         cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
         n_in, n_out = rec.input_tokens, rec.output_tokens
-        values = (agent_id, cid, conf, cycle, n_in, n_out, prob, rec.reasoning_trace)
-        line = _forecast_line(self.strings, *values)
-        if line is None:
-            self.emit(dict(zip(_FORECAST_FIELDS, values), kind="forecast"))
-        else:
-            self.events.write(line)
-            strategy = self.fold.strategy(agent_id)
-            self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
+        strings = self.strings
+        self.events.write(_FORECAST_LINE % (
+            strings[agent_id], strings[cid], conf, cycle, n_in, n_out, prob,
+            encode_basestring_ascii(rec.reasoning_trace),
+        ))
+        strategy = self.fold.strategy(agent_id)
+        self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
 
     def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
         kind, cid, prob = _BASELINE_TEXT[bf.kind], bf.condition_id, bf.probability
-        values = (kind, cid, cycle, prob)
-        line = _baseline_line(self.strings, *values)
-        if line is None:
-            self.emit(dict(zip(_BASELINE_FIELDS, values), kind="baseline"))
-        else:
-            self.events.write(line)
-            self.fold.add_baseline(reporting.BASELINE_PREFIX + kind, cycle, cid, prob)
+        self.events.write(_BASELINE_LINE % (self.strings[kind], self.strings[cid], cycle, prob))
+        self.fold.add_baseline(reporting.BASELINE_PREFIX + kind, cycle, cid, prob)
 
     def emit_snapshot(self, cycle: int, s: MarketSnapshot) -> None:
-        cid, yes = s.condition_id, s.yes_price
-        values = (cid, cycle, s.no_price, self.iso[s.observed_at], yes)
-        line = _snapshot_line(self.strings, *values)
-        if line is None:
-            self.emit(dict(zip(_SNAPSHOT_FIELDS, values), kind="snapshot"))
-        else:
-            self.events.write(line)
-            self.fold.add_snapshot(cycle, cid, yes)
+        cid, yes, strings = s.condition_id, s.yes_price, self.strings
+        self.events.write(_SNAPSHOT_LINE % (
+            strings[cid], cycle, s.no_price, strings[self.iso[s.observed_at]], yes
+        ))
+        self.fold.add_snapshot(cycle, cid, yes)
 
     def ledger_line(self, entry: LedgerEntry) -> str:
-        """The entry's ledger file line, through ``_LEDGER_FILE_LINE`` when
-        it can take the entry's values, else ``entry_line``."""
-        line = _ledger_file_line(
-            self.strings, entry.seq, _ENTRY_KIND_TEXT[entry.kind], entry.condition_id,
-            entry.cash_delta_cents, self.iso[entry.timestamp], _SIDE_TEXT[entry.side],
-            entry.price, entry.quantity_micro, entry.basis_delta_cents, entry.note,
+        """The entry's ledger file line, through ``_LEDGER_FILE_LINE``."""
+        strings = self.strings
+        return _LEDGER_FILE_LINE % (
+            entry.seq, strings[_ENTRY_KIND_TEXT[entry.kind]], strings[entry.condition_id],
+            entry.cash_delta_cents, strings[self.iso[entry.timestamp]],
+            strings[_SIDE_TEXT[entry.side]], entry.price, entry.quantity_micro,
+            entry.basis_delta_cents, strings[entry.note],
         )
-        return entry_line(entry) if line is None else line
 
     def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
         """Add an entry to the agent's ledger, log it, and feed it to the
         agent's calibration window."""
         self.ledgers[agent_id].append(self.ledger_line(entry))
-        values = (
-            agent_id, entry.basis_delta_cents, entry.cash_delta_cents, entry.condition_id, cycle,
-            _ENTRY_KIND_TEXT[entry.kind], entry.note, entry.price, entry.quantity_micro,
-            entry.seq, _SIDE_TEXT[entry.side], self.iso[entry.timestamp],
+        strings = self.strings
+        basis, cash, cid, note = (
+            entry.basis_delta_cents, entry.cash_delta_cents, entry.condition_id, entry.note
         )
-        line = _ledger_line(self.strings, *values)
-        if line is None:
-            self.emit(dict(zip(_LEDGER_FIELDS, values), kind="ledger"))
-        else:
-            self.events.write(line)
-            self.fold.add_ledger(*values)
+        kind, side = _ENTRY_KIND_TEXT[entry.kind], _SIDE_TEXT[entry.side]
+        ts = self.iso[entry.timestamp]
+        self.events.write(_LEDGER_LINE % (
+            strings[agent_id], basis, cash, strings[cid], cycle, strings[kind], strings[note],
+            entry.price, entry.quantity_micro, entry.seq, strings[side], strings[ts],
+        ))
+        self.fold.add_ledger(
+            agent_id, basis, cash, cid, cycle, kind, note, entry.price, entry.quantity_micro,
+            entry.seq, side, ts,
+        )
         st = self.states[agent_id]
         st.window = _calibrated(st.window, entry)
 
@@ -614,6 +529,8 @@ class EvalEngine:
         if _FEED_KEYS[kind] not in manifest.feed_source:
             raise InvalidParameters(f"a {kind} feed source needs {_FEED_KEYS[kind]!r}")
         for aid in manifest.agent_ids:
+            if type(aid) is not str:
+                raise InvalidParameters(f"agent id {aid!r} is not a string")
             if aid.split("#", 1)[0] not in AGENT_BUILDERS:
                 raise InvalidParameters(f"unknown agent {aid!r}; known: {sorted(AGENT_BUILDERS)}")
         if len({_safe_name(aid) for aid in manifest.agent_ids}) < len(manifest.agent_ids):
@@ -1006,7 +923,13 @@ class EvalEngine:
         # Each market is rendered once; agents differ only in the portfolio
         # summary that fills the gaps.
         rendered = [
-            [token_span(part) for part in render_instruction_parts(self.contract, s)]
+            [
+                token_span(part)
+                for part in render_instruction_parts(
+                    self.contract, s,
+                    {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]},
+                )
+            ]
             for s in snaps
         ]
         c = _Cycle(

@@ -127,9 +127,14 @@ def snapshot_to_record(s: MarketSnapshot) -> dict:
 
 
 def snapshot_from_record(data: dict) -> MarketSnapshot:
+    """The snapshot of a feed record; a ``condition_id`` or ``question``
+    that is not a string is a ``TypeError``."""
+    cid, question = data["condition_id"], data["question"]
+    if type(cid) is not str or type(question) is not str:
+        raise TypeError(f"condition_id {cid!r} and question {question!r} must be strings")
     return MarketSnapshot(
-        condition_id=data["condition_id"],
-        question=data["question"],
+        condition_id=cid,
+        question=question,
         yes_price=float(data["yes_price"]),
         no_price=float(data["no_price"]),
         liquidity_tier=Liquidity(data["liquidity_tier"]),
@@ -247,6 +252,8 @@ def replay_feed(
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("not a JSON object")
                 if _is_multinomial(record):
                     if skipped_multinomial is not None:
                         skipped_multinomial.append(line_no)

@@ -46,12 +46,6 @@ def log_likelihood(p: float, outcome: int, eps: float = 1e-9) -> float:
     return math.log(min(max(p_outcome, eps), 1.0 - eps))
 
 
-def log_likelihood_clamped(p: float, outcome: int, eps: float = 1e-9) -> bool:
-    """True when the clamp in ``log_likelihood`` would bind."""
-    p_outcome = p if outcome == 1 else 1.0 - p
-    return p_outcome < eps or p_outcome > 1.0 - eps
-
-
 def accuracy(pairs: Sequence[tuple[float, int]]) -> float:
     """Thresholded correctness rate: predict YES iff p >= 0.5."""
     if not pairs:
@@ -183,56 +177,11 @@ def temporal_drift(
     raise ValueError(f"unknown temporal drift form {form!r}")
 
 
-def implied_confidence(p: float) -> float:
-    return max(p, 1.0 - p)
-
-
-def decile_accuracy_table(
-    resolved_history: Sequence[tuple[float, int]]
-) -> list[float | None]:
-    """Empirical favorite-side accuracy per implied-confidence decile.
-
-    One pass over the history; ``None`` marks empty deciles. Feeding the
-    result to ``confidence_drift_from_table`` is equivalent to calling
-    ``confidence_drift`` per forecast, just without the rescan.
-    """
-    hits = [0] * 10
-    counts = [0] * 10
-    for p, outcome in resolved_history:
-        idx = min(int(implied_confidence(p) * 10), 9)
-        counts[idx] += 1
-        if (p >= 0.5) == (outcome == 1):
-            hits[idx] += 1
-    return [hits[i] / counts[i] if counts[i] else None for i in range(10)]
-
-
-def confidence_drift_from_table(
-    p_curr: float, table: Sequence[float | None]
-) -> tuple[float, bool]:
-    conf = implied_confidence(p_curr)
-    acc = table[min(int(conf * 10), 9)]
-    if acc is None:
-        return 0.0, True
-    return abs(conf - acc), False
-
-
-def confidence_drift(
-    p_curr: float, resolved_history: Sequence[tuple[float, int]]
-) -> tuple[float, bool]:
-    """Gap between implied confidence and the empirical accuracy of past
-    forecasts in the same confidence decile.
-
-    Returns (drift, low_evidence); low_evidence marks an empty history or
-    an empty decile bin, where the drift defaults to 0.
-    """
-    if not resolved_history:
-        return 0.0, True
-    return confidence_drift_from_table(p_curr, decile_accuracy_table(resolved_history))
-
-
 def confidence_drifts(probs: Sequence[float], outcomes: Sequence[int]) -> list[float]:
-    """``confidence_drift`` of every forecast against the whole resolved
-    history ``zip(probs, outcomes)``, bit for bit, in one pass over arrays.
+    """Each forecast's confidence drift against the whole resolved history
+    ``zip(probs, outcomes)``, in one pass over arrays: the gap between its
+    implied confidence ``max(p, 1 - p)`` and the favorite-side accuracy of
+    the history's forecasts in the same confidence decile.
 
     Every forecast lies in a decile its own history fills, so none is low
     evidence.
@@ -244,15 +193,6 @@ def confidence_drifts(probs: Sequence[float], outcomes: Sequence[int]) -> list[f
     counts = np.bincount(idx, minlength=10)
     hits = np.bincount(idx[hit], minlength=10)
     return np.abs(conf - hits[idx] / counts[idx]).tolist()
-
-
-def market_divergence(series_p: Sequence[float], series_m: Sequence[float]) -> float:
-    """Mean absolute gap between a forecast series and the market's."""
-    if len(series_p) != len(series_m):
-        raise LengthMismatch(f"series lengths differ: {len(series_p)} vs {len(series_m)}")
-    if not series_p:
-        raise LengthMismatch("series must be non-empty")
-    return float(np.mean(np.abs(np.asarray(series_p) - np.asarray(series_m))))
 
 
 # --- risk -----------------------------------------------------------------------
@@ -421,9 +361,10 @@ def score_forecasts(
 ) -> ScoreReport:
     """Full correctness + calibration report over (probability, outcome) pairs.
 
-    Every value is bit for bit what ``brier``, ``log_likelihood``,
-    ``log_likelihood_clamped`` and ``accuracy`` give per forecast; ``eps``
-    is checked once for all of them.
+    Every value is bit for bit what ``brier``, ``log_likelihood`` and
+    ``accuracy`` give per forecast; ``clamped_count`` counts the forecasts
+    whose ``log_likelihood`` clamp binds. ``eps`` is checked once for all
+    of them.
     """
     if not pairs:
         raise EmptyInput("score_forecasts needs at least one forecast")

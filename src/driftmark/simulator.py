@@ -13,7 +13,6 @@ depth is out of scope). One position per market per agent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -470,11 +469,6 @@ def entry_to_record(entry: LedgerEntry) -> dict:
     }
 
 
-def entry_line(entry: LedgerEntry) -> str:
-    """An entry's ledger file line: ``entry_to_record`` as compact JSON."""
-    return json.dumps(entry_to_record(entry), separators=(",", ":")) + "\n"
-
-
 def entry_from_record(data: dict) -> LedgerEntry:
     return LedgerEntry(
         seq=int(data["seq"]),
@@ -498,7 +492,7 @@ class LedgerWriter:
         self._lines: list[str] = []
 
     def append(self, line: str) -> None:
-        """Add one entry's line, as ``entry_line`` writes it."""
+        """Add one entry's line: ``entry_to_record`` as compact JSON."""
         self._lines.append(line)
 
     def sync(self) -> None:

@@ -29,7 +29,10 @@ def to_iso(ts: datetime) -> str:
 
 
 def from_iso(text: str) -> datetime:
-    """Parse ISO-8601; accepts both ``Z`` and explicit offsets."""
+    """Parse ISO-8601; accepts both ``Z`` and explicit offsets. A value
+    that is not a string is a ``ValueError``."""
+    if not isinstance(text, str):
+        raise ValueError(f"timestamp {text!r} is not a string")
     cleaned = text.replace("Z", "+00:00")
     ts = datetime.fromisoformat(cleaned)
     if ts.tzinfo is None:

@@ -191,6 +191,15 @@ def market_divergence_oracle(series_p, series_m) -> float:
     return total / len(series_p)
 
 
+def log_likelihood_clamped_oracle(p: float, outcome: int, eps: float = 1e-9) -> bool:
+    """Whether ``log_likelihood_oracle``'s clamp changes the probability."""
+    if outcome == 1:
+        chosen = p
+    else:
+        chosen = 1.0 - p
+    return chosen < eps or chosen > 1.0 - eps
+
+
 def confidence_drift_oracle(p_curr, resolved_history):
     if p_curr >= 0.5:
         conf = p_curr

@@ -4,10 +4,12 @@ import json
 import random
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmark import agents
 from driftmark.agents import (
     Action,
     CalibrationWindow,
@@ -19,7 +21,6 @@ from driftmark.agents import (
     WindowMode,
     build_agent,
     build_decision_batch,
-    calibration_adjustment,
     compute_edge,
     decisions_to_wire,
     expected_return,
@@ -54,6 +55,12 @@ class TestCalibrationWindow:
         w2 = w.record(ClosedPosition("0xnew", "NO", -5))
         assert len(w2.entries) == 30
         assert w2.entries[-1].condition_id == "0xnew"
+
+
+def calibration_adjustment(window, stated_prob, penalty=-0.05):
+    """The win rate and nudge ``build_decision_batch`` takes for a forecast
+    of ``stated_prob`` under ``window``."""
+    return agents._adjustment(agents._win_rate(window), stated_prob, penalty)
 
 
 class TestCalibrationAdjustment:
@@ -300,6 +307,14 @@ class TestRankOpportunities:
         assert rank_decisions([c, b, a]) == [a, b, c]
 
 
+# Any JSON value, nested a little.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestWireFormat:
     def _wire(self, n=30):
         items = [
@@ -375,11 +390,70 @@ class TestWireFormat:
             enum(value)
         item = {"marketId": "0x1", "action": "HOLD", "reasoning": "", key: value}
         wire = json.dumps({"decisions": [item], "reasoning": ""})
-        error = MalformedAgentOutput if key == "action" else ValueError
-        with pytest.raises(error) as parsed:
+        with pytest.raises(MalformedAgentOutput) as parsed:
             parse_decision_wire(wire, agent_id="a1", produced_at=NOW)
-        prefix = "decision 0: " if key == "action" else ""
+        prefix = "decision 0: " if key == "action" else "decision 0: strategy: "
         assert str(parsed.value) == prefix + str(constructor.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("amount", "abc"), ("amount", 1e400), ("amount", float("nan")), ("amount", [150]),
+         ("closeAmount", "x"), ("closeAmount", 1e400), ("confidence", "high"),
+         ("edge", {"v": 1}), ("expectedReturn", "lots"), ("hScore", [0.5]),
+         ("strategy", "nope")],
+    )
+    def test_a_value_its_field_cannot_take_names_the_decision_and_the_field(self, field, value):
+        """Each of these once escaped as a raw ValueError, OverflowError or
+        TypeError, which ended the run instead of the agent's cycle."""
+        items = [
+            {"marketId": "0x0", "action": "HOLD", "reasoning": ""},
+            {"marketId": "0x1", "action": "BUY_YES", "amount": 150.0, "reasoning": "", field: value},
+        ]
+        wire = json.dumps({"decisions": items, "reasoning": ""})
+        with pytest.raises(MalformedAgentOutput, match=f"^decision 1: {field}: "):
+            parse_decision_wire(wire, agent_id="a1", produced_at=NOW)
+
+    def test_absent_or_null_optional_keys_are_none(self):
+        """Only a BUY reads an amount, so a HOLD's amount is not read."""
+        items = [
+            {"marketId": "0x0", "action": "HOLD", "amount": "abc", "closeAmount": None,
+             "strategy": None},
+            {"marketId": "0x1", "action": "CLOSE", "confidence": None, "edge": None},
+        ]
+        batch, _ = parse_decision_wire(
+            json.dumps({"decisions": items}), agent_id="a1", produced_at=NOW
+        )
+        assert [d.amount_cents for d in batch.decisions] == [None, None]
+        assert batch.decisions[0] == Decision("0x0", Action.HOLD)
+        assert batch.decisions[1] == Decision("0x1", Action.CLOSE)
+
+    def test_null_buy_amount_is_a_buy_without_amount(self):
+        item = {"marketId": "0x1", "action": "BUY_NO", "amount": None}
+        with pytest.raises(MalformedAgentOutput, match="BUY without amount"):
+            parse_decision_wire(
+                json.dumps({"decisions": [item]}), agent_id="a1", produced_at=NOW
+            )
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(
+                    ["marketId", "action", "amount", "closeAmount", "reasoning", "confidence",
+                     "edge", "expectedReturn", "hScore", "strategy", "other"]
+                ),
+                st.one_of(_JSON_VALUES, st.sampled_from([m.value for m in (*Action, *Strategy)])),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_any_json_decision_gives_a_batch_or_malformed_agent_output(self, items):
+        wire = json.dumps({"decisions": items, "reasoning": ""})
+        try:
+            batch, _ = parse_decision_wire(wire, agent_id="a1", produced_at=NOW)
+        except MalformedAgentOutput:
+            return
+        assert len(batch.decisions) == len(items)
 
     def test_every_action_and_strategy_round_trips(self):
         decisions = tuple(
@@ -475,6 +549,25 @@ class TestScriptedAgents:
         rec = self._forecast(Talker("talker"), make_snapshot(), budget=budget)
         assert rec.reasoning_trace == kept
         assert rec.output_tokens == len(kept.split())
+
+    @pytest.mark.parametrize(
+        "reply",
+        [(np.float64(0.625), 7, "t"), (float("nan"), 7, "t"), (1, 7, "t"), (0, 7, "t"),
+         (1.5, 7, "t"), (0.625, True, "t"), (0.625, 7.0, "t"), (0.625, 11, "t"),
+         (0.625, 7, None), (0.625, 7, b"t")],
+        ids=["numpy_float", "nan", "int_1", "int_0", "above_1", "bool_confidence",
+             "float_confidence", "confidence_11", "no_trace", "bytes_trace"],
+    )
+    def test_a_reply_of_other_types_is_malformed(self, reply):
+        """The probability is a ``float`` in [0,1], the confidence an ``int``
+        0-10 and the trace a ``str``, as the log's template writes them."""
+
+        class Odd(MarketCopier):
+            def forecast(self, market, cycle_index, budget):
+                return reply
+
+        with pytest.raises(MalformedAgentOutput):
+            self._forecast(Odd("odd"), make_snapshot())
 
     def test_flaky_agent_raises(self):
         agent = build_agent("flaky")

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig, config_from_dict, load_config
 from driftmark.errors import ConfigError, EngineError
+from driftmark.evalloop import EvalEngine, event_line
 
 
 def test_defaults():
@@ -196,3 +200,44 @@ class TestFinalReportSettings:
     def test_var_alpha_outside_open_interval_raises_config_error(self, alpha):
         with pytest.raises(ConfigError, match="var_alpha"):
             config_from_dict({"metrics": {"var_alpha": alpha}})
+
+
+class TestHeuristicProbabilities:
+    """Each is a baseline probability the log writes; a value JSON or the
+    log's template could not write as the generic encoder does once went
+    into the log as it was."""
+
+    NAMES = ("heuristic_favorite_prob", "heuristic_longshot_prob")
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 0.25, 1.0])
+    def test_numbers_in_the_unit_interval_are_kept_as_they_are(self, name, value):
+        kept = getattr(config_from_dict({"baselines": {name: value}}).baselines, name)
+        assert type(kept) is type(value) and kept == value
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "0.9", None, [0.9], float("nan"), float("inf"), float("-inf"), -0.1, 1.5, 2,
+         np.float64(0.9)],
+    )
+    def test_other_values_raise_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict({"baselines": {name: value}})
+
+    def test_integer_probabilities_are_logged_as_the_encoder_writes_them(self, tmp_path):
+        config = config_from_dict(
+            {"baselines": {"heuristic_favorite_prob": 1, "heuristic_longshot_prob": 0}}
+        )
+        engine = EvalEngine.create(
+            tmp_path, seed=3, agent_ids=["momentum"],
+            feed_source={"kind": "synthetic", "n_markets": 40}, cycles=2, config=config,
+        )
+        lines = engine.run().events_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        heuristic = set()
+        for line in lines:
+            ev = json.loads(line)
+            assert event_line(ev) == line
+            if ev.get("baseline") == "heuristic":
+                heuristic.add(ev["probability"])
+        assert {0, 1} <= heuristic

@@ -37,9 +37,11 @@ from driftmark.evalloop import (
     verify_run,
 )
 from driftmark import agents, evalloop, fileio, reporting
+from driftmark import contract as contract_module
 from driftmark.baselines import BaselineForecast, BaselineKind
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
+    MIN_POSITIVE_PRICE,
     Liquidity,
     MarketSnapshot,
     generate_synthetic,
@@ -472,7 +474,7 @@ class TestCheckpointResume:
         "damage",
         [("seq", None), ("timestamp", None), ("side", None), ("side", "LEFT"),
          ("side", ["YES"]), ("entry_kind", "SELL"), ("timestamp", "yesterday"),
-         ("quantity_micro", "many"), ("price", None),
+         ("timestamp", ["2026"]), ("quantity_micro", "many"), ("price", None),
          ("price", "cheap")],
         ids=lambda d: f"{d[0]}={d[1]!r}" if d[1] is not None else f"no_{d[0]}",
     )
@@ -505,6 +507,61 @@ class TestCheckpointResume:
         with pytest.raises(CorruptLog) as resumed:
             resume_run(tmp_path, "conv", at_cycle=3)
         assert str(resumed.value) == str(converted.value)
+
+    @staticmethod
+    def _damage_kept_entry(run_dir, entry_kind, key, value) -> dict:
+        """Set ``key`` of the first kept ledger event of ``entry_kind`` before
+        cycle 3's checkpoint to ``value``, written as ``json.dumps`` writes
+        it; the damaged event."""
+        ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
+        ckpt = json.loads(ckpt_path.read_bytes())
+        events = (run_dir / "events.jsonl").read_bytes()
+        lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+        marker = f'"entry_kind":"{entry_kind}"'.encode()
+        at = next(i for i, line in enumerate(lines) if marker in line)
+        event = {**json.loads(lines[at]), key: value}
+        lines[at] = (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        head = b"".join(lines)
+        (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
+        ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
+        return event
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("price", float("nan")), ("price", float("inf")), ("price", float("-inf")),
+         ("condition_id", 7), ("note", 5), ("note", None)],
+    )
+    def test_kept_ledger_value_no_ledger_line_can_hold_is_corrupt(self, tmp_path, key, value):
+        """An OPEN's replay takes each of these, so each once resumed and
+        went into the agent's ledger file as it was: ``NaN`` and
+        ``Infinity`` are not JSON."""
+        make_engine(tmp_path, cycles=4, run_id="kept").run()
+        run_dir = tmp_path / "kept"
+        event = self._damage_kept_entry(run_dir, "OPEN", key, value)
+        files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        before = {p.name: file_sha256(p) for p in files}
+        where = f"{event['agent_id']}: ledger entry seq {event['seq']} needs a string condition_id"
+        with pytest.raises(CorruptLog, match=re.escape(where)):
+            resume_run(tmp_path, "kept", at_cycle=3)
+        assert {p.name: file_sha256(p) for p in files} == before
+
+    @pytest.mark.parametrize(
+        "key, convert", [("cash_delta_cents", float), ("basis_delta_cents", float),
+                         ("quantity_micro", float), ("seq", float)],
+    )
+    def test_kept_ledger_numbers_of_another_json_type_convert(self, tmp_path, key, convert):
+        """A kept entry's ints are read with ``int``, so each ledger file
+        holds the same line as the clean run's."""
+        make_engine(tmp_path, cycles=4, run_id="num").run()
+        run_dir = tmp_path / "num"
+        ledgers = {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")}
+        event = json.loads(
+            next(line for line in (run_dir / "events.jsonl").read_bytes().splitlines()
+                 if b'"entry_kind":"MARK"' in line)
+        )
+        self._damage_kept_entry(run_dir, "MARK", key, convert(event[key]))
+        resume_run(tmp_path, "num", at_cycle=3)
+        assert {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")} == ledgers
 
     def test_kept_ledger_event_without_a_note_resumes_with_an_empty_one(self, tmp_path):
         """A kept entry's note is its event's, or "" when the event has none."""
@@ -945,6 +1002,46 @@ class TestAgentIds:
         assert {e["agent_id"] for e in forecasts} == {"momentum", "momentum#2"}
         assert len(forecasts) == 2 * 40 * 2
 
+    @pytest.mark.parametrize("agent_id", [5, None, ["momentum"]])
+    def test_an_agent_id_that_is_not_a_string_is_invalid(self, tmp_path, capsys, agent_id):
+        """Resuming a run whose manifest lists 5 once ended in a raw
+        AttributeError from ``aid.split``."""
+        with pytest.raises(InvalidParameters, match="is not a string"):
+            make_engine(tmp_path, agents=("momentum", agent_id), cycles=2, run_id="fresh")
+        make_engine(tmp_path, agents=("momentum",), cycles=2, run_id="r").run()
+        manifest = tmp_path / "r" / "manifest.json"
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["agent_ids"].append(agent_id)
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(InvalidParameters, match="is not a string"):
+            resume_run(tmp_path, "r")
+        argv = ["--out", str(tmp_path), "run", "--agents", "momentum", "--resume", "r"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestAgentReplies:
+    def test_a_reply_of_another_type_is_an_agent_failure(self, tmp_path, monkeypatch):
+        """An agent whose probability is a numpy float fails each cycle, as
+        an agent_failure and a batch of HOLDs; every line of the log is
+        then the generic encoder's."""
+        monkeypatch.setattr(
+            agents.MomentumAgent, "probability", lambda self, m, c, b: np.float64(m.yes_price)
+        )
+        result = make_engine(tmp_path, cycles=3, run_id="odd").run()
+        lines = result.events_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        events = [json.loads(line) for line in lines]
+        assert [evalloop.event_line(ev) for ev in events] == lines
+        failures = [ev for ev in events if ev["kind"] == "agent_failure"]
+        assert [(ev["agent_id"], ev["cycle"]) for ev in failures] == [
+            ("momentum", c) for c in (1, 2, 3)
+        ]
+        assert "is not a float" in failures[0]["error"]
+        assert not any(
+            ev["kind"] == "forecast" and ev["agent_id"] == "momentum" for ev in events
+        )
+
 
 # Strings with non-ASCII text, quotes, backslashes, control characters and
 # the separators JSON leaves alone but JavaScript does not.
@@ -958,7 +1055,8 @@ _JSON_FLOAT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 1.0, 1e-05, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
 )
-# kind -> the events of that kind, with every value of the type its template writes
+# kind -> the events of that kind, with every value of the type its template
+# writes; a baseline's kind and a ledger entry's kind and side are members' text
 _BULK_EVENTS = {
     "forecast": st.fixed_dictionaries(
         {
@@ -977,7 +1075,7 @@ _BULK_EVENTS = {
         {
             "kind": st.just("baseline"),
             "cycle": st.integers(),
-            "baseline": _JSON_TEXT,
+            "baseline": st.sampled_from([k.value for k in BaselineKind]),
             "condition_id": _JSON_TEXT,
             "probability": _JSON_FLOAT,
         }
@@ -987,7 +1085,8 @@ _BULK_EVENTS = {
             "kind": st.just("snapshot"),
             "cycle": st.integers(),
             "condition_id": _JSON_TEXT,
-            "yes_price": _JSON_FLOAT,
+            # the fold refuses a tiny positive price, as snapshot validation does
+            "yes_price": _JSON_FLOAT.filter(lambda p: not 0.0 < p < MIN_POSITIVE_PRICE),
             "no_price": _JSON_FLOAT,
             "observed_at": _JSON_TEXT,
         }
@@ -997,24 +1096,18 @@ _BULK_EVENTS = {
             "kind": st.just("ledger"),
             "cycle": st.integers(),
             "agent_id": _JSON_TEXT,
-            "entry_kind": _JSON_TEXT,
+            "entry_kind": st.sampled_from([k.value for k in EntryKind]),
             "seq": st.integers(),
             "condition_id": _JSON_TEXT,
             "cash_delta_cents": st.integers(),
             "timestamp": _JSON_TEXT,
-            "side": _JSON_TEXT,
+            "side": st.sampled_from([s.value for s in Side]),
             "price": _JSON_FLOAT,
             "quantity_micro": st.integers(),
             "basis_delta_cents": st.integers(),
             "note": _JSON_TEXT,
         }
     ),
-}
-_BULK_LINES = {
-    "forecast": evalloop._forecast_line,
-    "baseline": evalloop._baseline_line,
-    "snapshot": evalloop._snapshot_line,
-    "ledger": evalloop._ledger_line,
 }
 # Ledger entries as the simulator makes them, with any text and numbers.
 _LEDGER_ENTRIES = st.builds(
@@ -1079,13 +1172,19 @@ def _file_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _typed_line(ev: dict, strings) -> str | None:
-    return _BULK_LINES[ev["kind"]](strings, **{k: v for k, v in ev.items() if k != "kind"})
+def _bulk_run(agent_id: str = "momentum"):
+    """A run writing to a ``StringIO``, with one agent's state and ledger."""
+    out = io.StringIO()
+    state = evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))
+    ledger = LedgerWriter("unused.jsonl")
+    return evalloop._Run({agent_id: state}, EventFold(), {}, {agent_id: ledger}, events=out), out
 
 
 def _emit_typed(run, ev: dict) -> None:
     """Hand the engine's typed writer of ``ev``'s kind the record ``ev`` was
-    made from; a snapshot's times are both ``_AT``."""
+    made from. A snapshot's times and an entry's time are ``_AT``, whose
+    text in the run's ISO cache is the event's."""
+    run.iso[_AT] = ev.get("observed_at", ev.get("timestamp"))
     if ev["kind"] == "forecast":
         run.emit_forecast(ev["cycle"], ev["agent_id"], agents.ForecastRecord(
             condition_id=ev["condition_id"], probability=ev["probability"],
@@ -1097,7 +1196,6 @@ def _emit_typed(run, ev: dict) -> None:
             BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"]
         ))
     elif ev["kind"] == "ledger":
-        assert ev["timestamp"] == evalloop.to_iso(_AT)
         run.record(ev["cycle"], ev["agent_id"], LedgerEntry(
             ev["seq"], EntryKind(ev["entry_kind"]), ev["condition_id"], ev["cash_delta_cents"], _AT,
             Side(ev["side"]), ev["price"], ev["quantity_micro"], ev["basis_delta_cents"],
@@ -1109,18 +1207,27 @@ def _emit_typed(run, ev: dict) -> None:
         ))
 
 
+# The bulk keys whose text is a member's.
+_MEMBER_KEYS = ("kind", "baseline", "entry_kind", "side")
+
+
 class TestBulkLines:
     """The template lines of the bulk kinds equal the generic encoder's."""
 
     def _check(self, ev):
+        """The engine's line of ``ev``, on a fresh and then a warm string
+        cache, is the generic encoder's; a ledger entry's file line is
+        ``json.dumps`` of its record."""
         expected = evalloop._EVENT_ENCODER.encode(ev) + "\n"
-        strings = evalloop._JsonStrings()
-        assert _typed_line(ev, strings) == expected
-        # the second line reads every repeated string from the run's cache
-        assert _typed_line(ev, strings) == expected
+        agent_id = ev.get("agent_id", "momentum")
+        run, out = _bulk_run(agent_id)
+        for _ in range(2):
+            out.seek(0)
+            out.truncate()
+            _emit_typed(run, ev)
+            assert out.getvalue() == expected
         if ev["kind"] == "ledger":
-            record = _ledger_record(ev)
-            assert evalloop._ledger_file_line(strings, **record) == _file_line(record)
+            assert run.ledgers[agent_id]._lines == [_file_line(_ledger_record(ev))] * 2
 
     @given(_BULK_EVENTS["forecast"])
     @settings(max_examples=300, deadline=None)
@@ -1150,11 +1257,7 @@ class TestBulkLines:
         and caches), on a fresh and then a warm string cache."""
         ev = _ledger_event(cycle, agent_id, entry)
         expected = (evalloop.event_line(ev), _file_line(entry_to_record(entry)))
-        out = io.StringIO()
-        run = evalloop._Run(
-            {agent_id: evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))},
-            EventFold(), {}, {agent_id: LedgerWriter("unused.jsonl")}, events=out,
-        )
+        run, out = _bulk_run(agent_id)
         for _ in range(2):
             out.seek(0)
             out.truncate()
@@ -1169,56 +1272,20 @@ class TestBulkLines:
 
     def test_ledger_file_line_takes_entry_to_record_s_keys_in_order(self):
         entry = entry_from_record(_ledger_record(_SAMPLE_EVENTS["ledger"]))
-        keys = tuple(entry_to_record(entry))
-        assert evalloop._LEDGER_FILE_FIELDS == keys
-        assert tuple(inspect.signature(evalloop._ledger_file_line).parameters)[1:] == keys
+        assert evalloop._LEDGER_FILE_FIELDS == tuple(entry_to_record(entry))
 
     @pytest.mark.parametrize("value", [1e-05, 1e16, -0.0, 5e-324])
-    @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
+    @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_edge_floats_and_non_ascii_strings(self, kind, value):
         text = "é\u2028\U0001f600\x00"
         ev = {
-            k: value if type(v) is float else text if type(v) is str else v
+            k: value if type(v) is float else text if type(v) is str and k not in _MEMBER_KEYS
+            else v
             for k, v in _SAMPLE_EVENTS[kind].items()
         }
-        ev["kind"] = kind
+        if kind == "snapshot" and 0.0 < value < MIN_POSITIVE_PRICE:
+            ev["yes_price"] = _SAMPLE_EVENTS[kind]["yes_price"]
         self._check(ev)
-
-    # a bool, a numpy float, a non-finite float, an int where a float
-    # belongs, a float where an int belongs, and None for a string
-    OTHER_TYPES = [
-        ("forecast", "confidence", True),
-        ("forecast", "cycle", False),
-        ("forecast", "probability", np.float64(0.625)),
-        ("forecast", "probability", float("nan")),
-        ("forecast", "probability", 1),
-        ("forecast", "input_tokens", 312.0),
-        ("forecast", "trace", None),
-        ("baseline", "probability", np.float64(0.625)),
-        ("baseline", "probability", float("-inf")),
-        ("baseline", "probability", 0),
-        ("baseline", "cycle", True),
-        ("snapshot", "yes_price", np.float64(0.625)),
-        ("snapshot", "no_price", float("nan")),
-        ("snapshot", "yes_price", 1),
-        ("snapshot", "cycle", 3.0),
-        ("ledger", "seq", True),
-        ("ledger", "quantity_micro", np.int64(240_000_000)),
-        ("ledger", "price", float("nan")),
-        ("ledger", "price", 1),
-        ("ledger", "cash_delta_cents", 0.0),
-        ("ledger", "basis_delta_cents", 15_000.0),
-        ("ledger", "condition_id", 7),
-        ("ledger", "note", None),
-        ("ledger", "cycle", True),
-    ]
-
-    @pytest.mark.parametrize("kind", sorted(_BULK_LINES))
-    def test_line_takes_its_template_keys_in_order(self, kind):
-        """The engine builds an event the template cannot take from the
-        same values, zipped with the keys."""
-        keys = getattr(evalloop, f"_{kind.upper()}_FIELDS")
-        assert tuple(inspect.signature(_BULK_LINES[kind]).parameters)[1:] == keys
 
     def test_readme_table_lists_each_template_s_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1228,47 +1295,24 @@ class TestBulkLines:
             if line.startswith("| `") and len(cells) == 2:
                 rows[cells[0].strip("`")] = tuple(re.findall(r"`(\w+)`", cells[1]))
         assert rows == {
-            kind: getattr(evalloop, f"_{kind.upper()}_FIELDS") for kind in sorted(_BULK_LINES)
+            kind: getattr(evalloop, f"_{kind.upper()}_FIELDS") for kind in sorted(_SAMPLE_EVENTS)
         }
 
-    @pytest.mark.parametrize("kind, field, value", OTHER_TYPES)
-    def test_other_value_types_take_the_generic_path(self, kind, field, value):
-        ev = {**_SAMPLE_EVENTS[kind], field: value}
-        assert _typed_line(ev, evalloop._JsonStrings()) is None
-        if kind == "ledger" and field != "cycle":
-            record = _ledger_record(ev)
-            assert evalloop._ledger_file_line(evalloop._JsonStrings(), **record) is None
-
-    @pytest.mark.parametrize(
-        "kind, field, value",
-        # a numpy int is not JSON, and a bool cycle folds as an int
-        [(k, f, v) for k, f, v in OTHER_TYPES if f != "cycle" and not isinstance(v, np.integer)]
-        + [(kind, None, None) for kind in _SAMPLE_EVENTS],
-    )
-    def test_engine_writes_and_folds_as_the_generic_path(self, kind, field, value):
-        """Through its template or through ``emit``, the engine writes the
-        event's ``event_line`` and folds what ``EventFold.add`` of the line
-        read back folds; both take a forecast's strategy from its agent's
-        agent_meta. A ledger entry's ledger file line is ``json.dumps`` of
-        its record either way."""
-        ev = dict(_SAMPLE_EVENTS[kind])
-        if field is not None:
-            ev[field] = value
+    @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
+    def test_engine_folds_what_its_line_reads_back(self, kind):
+        """The engine folds a bulk event from its values as ``EventFold.add``
+        folds its line read back; both take a forecast's strategy from its
+        agent's agent_meta."""
+        ev = _SAMPLE_EVENTS[kind]
         meta = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
-        out = io.StringIO()
-        state = evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))
-        ledger = LedgerWriter("unused.jsonl")
-        run = evalloop._Run({"momentum": state}, EventFold(), {}, {"momentum": ledger}, events=out)
+        run, out = _bulk_run()
         run.fold.add(meta)
         _emit_typed(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
-        if kind == "ledger":
-            assert ledger._lines == [_file_line(_ledger_record(ev))]
         read = EventFold()
         read.add(meta)
         read.add(json.loads(out.getvalue()))
-        # NaN != NaN, so folds are compared by their repr
-        assert repr(vars(run.fold)) == repr(vars(read))
+        assert vars(run.fold) == vars(read)
 
     def test_numpy_int_is_not_serializable(self):
         ev = {**_SAMPLE_EVENTS["forecast"], "cycle": np.int64(3)}
@@ -1318,6 +1362,21 @@ class TestHotPathEquivalence:
         resumed = resume_run(tmp_path, "fold", at_cycle=3)
         assert resumed.event_log_sha256 == full.event_log_sha256
         assert resumed.final_reports == from_disk()
+
+    def test_the_renderer_takes_each_snapshot_s_times_from_the_run(self, tmp_path, monkeypatch):
+        """The run formats each distinct time once; the renderer formats
+        only the contract's own time, for the stored contract."""
+        contract = lock_contract(
+            "{{market.observed_at}} ends {{market.end_time}}: {{portfolio.summary}}", "t", 1000
+        )
+        formatted = []
+        real = contract_module.to_iso
+        monkeypatch.setattr(contract_module, "to_iso", lambda ts: formatted.append(ts) or real(ts))
+        EvalEngine.create(
+            tmp_path, seed=2, agent_ids=["momentum"],
+            feed_source={"kind": "synthetic", "n_markets": 40}, cycles=3, contract=contract,
+        ).run()
+        assert set(formatted) == {contract[0].created_at}
 
     def test_input_tokens_count_the_rendered_instruction(self, tmp_path):
         # The summary slot appears twice and touches other text on both sides.

@@ -229,6 +229,30 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
             assert set(ev) == {"kind", *TEMPLATE_KEYS[ev["kind"]]}, line
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_logs_and_ledgers_are_strict_json(name, tmp_path, monkeypatch):
+    """Every line a run writes, and a resume at cycle 2 writes again, is
+    strict JSON: ``NaN`` and ``Infinity``, which ``json.loads`` reads by
+    default, are refused."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", name)
+    paths = RunPaths("out", name)
+    for resumed in (False, True):
+        if resumed:
+            resume_run("out", name, at_cycle=2)
+        files = [paths.events, *sorted(paths.ledgers.glob("*.jsonl"))]
+        lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
+        assert any('"kind":"ledger"' in line for line in lines) or name == "observation"
+        for line in lines:
+            json.loads(line, parse_constant=_not_json)
+    with pytest.raises(ValueError, match="NaN is not JSON"):
+        json.loads('{"price":NaN}', parse_constant=_not_json)
+
+
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
 def test_reports_match_pins(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -33,6 +33,7 @@ from driftmark.market_data import (
     save_feed,
     save_outcomes,
     load_outcomes,
+    snapshot_from_record,
     snapshot_to_record,
 )
 
@@ -200,6 +201,54 @@ class TestReplay:
         assert code == 1
         assert "line 41" in capsys.readouterr().err
 
+    # A value the engine would write into a log line, or read as text, that
+    # it cannot take; a line that is not an object.
+    OTHER_TYPES = {
+        "int_condition_id": {"condition_id": 7},
+        "int_question": {"question": 5},
+        "int_end_time": {"end_time": 5},
+        "nan_no_price": {"no_price": float("nan")},
+        "not_an_object": None,
+    }
+
+    @pytest.mark.parametrize("case", sorted(OTHER_TYPES))
+    def test_record_of_other_types_is_corrupt(self, tmp_path, case):
+        """Replay once read an integer condition_id or question (a run then
+        ended in a TypeError from the renderer or an AttributeError from the
+        categorizer), and ended in an AttributeError on an integer time or a
+        line that is not an object; a NaN price was refused already."""
+        path = tmp_path / "feed.jsonl"
+        good = snapshot_to_record(make_snapshot())
+        bad = [1] if self.OTHER_TYPES[case] is None else dict(good, **self.OTHER_TYPES[case])
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptRecord) as err:
+            list(replay_feed(path))
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("case", sorted(OTHER_TYPES))
+    def test_run_on_a_record_of_other_types_exits_1(self, tmp_path, capsys, case):
+        records = [snapshot_to_record(s) for s in generate_synthetic(7, 35, 3).snapshots]
+        other = self.OTHER_TYPES[case]
+        records[40] = [1] if other is None else dict(records[40], **other)
+        path = tmp_path / "feed.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = cli_main([
+            "--out", str(tmp_path / "runs"), "run", "--agents", "momentum", "--cycles", "3",
+            "--feed", str(path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt feed record at line 41") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("yes", [1, 0, np.float64(0.625)])
+    def test_prices_are_read_as_floats(self, yes):
+        """A price of any number type enters as a ``float``, which a log
+        line writes as the generic encoder does."""
+        record = dict(snapshot_to_record(make_snapshot()), yes_price=yes, no_price=1 - yes)
+        snapshot = snapshot_from_record(record)
+        assert type(snapshot.yes_price) is float and type(snapshot.no_price) is float
+        assert snapshot.yes_price == yes
+
     def test_outcome_round_trip(self, tmp_path):
         feed = generate_synthetic(3, 5, 2)
         path = tmp_path / "outcomes.jsonl"
@@ -262,12 +311,13 @@ class TestOutcomesInput:
     @pytest.mark.parametrize(
         "case",
         ["outcome_7", "array_line", "missing", "not_utf8", "outcome_true", "outcome_1.0",
-         "repeated_market"],
+         "repeated_market", "resolved_at_5"],
     )
     def test_bad_outcomes_exit_1_and_leave_the_run_id_free(self, tmp_path, capsys, case):
         """An outcome of 7 once read silently (every Brier score then read
         above 1), and so did ``true``, ``1.0`` and a market resolved twice;
-        the others were raw tracebacks."""
+        the others were raw tracebacks (a ``resolved_at`` of 5 an
+        AttributeError from ``from_iso``)."""
         feed = generate_synthetic(4, 40, 3)
         save_feed(feed.snapshots, tmp_path / "feed.jsonl")
         good = tmp_path / "outcomes.jsonl"
@@ -281,6 +331,8 @@ class TestOutcomesInput:
             bad.write_text(
                 json.dumps({**json.loads(first), "outcome": outcome}) + "\n" + "".join(rest)
             )
+        elif case == "resolved_at_5":
+            bad.write_text(json.dumps({**json.loads(first), "resolved_at": 5}) + "\n" + "".join(rest))
         elif case == "repeated_market":
             flipped = {**json.loads(first), "outcome": 1 - json.loads(first)["outcome"]}
             bad.write_text(first + "".join(rest) + json.dumps(flipped) + "\n")

@@ -23,15 +23,12 @@ from driftmark.metrics import (
     ScoreReport,
     accuracy,
     brier,
-    confidence_drift,
     confidence_drifts,
     confidence_reasoning_alignment,
     drift_report,
     ece_mce,
     hhis,
     log_likelihood,
-    log_likelihood_clamped,
-    market_divergence,
     narrative_drift,
     narrative_drift_sets,
     price_volatility,
@@ -77,8 +74,8 @@ class TestLogLikelihood:
     def test_clamped_at_zero(self):
         value = log_likelihood(0.0, 1, 1e-9)
         assert value == pytest.approx(math.log(1e-9), abs=1e-9)
-        assert log_likelihood_clamped(0.0, 1, 1e-9)
-        assert not log_likelihood_clamped(0.4, 1, 1e-9)
+        assert score_forecasts([(0.0, 1)], eps=1e-9).clamped_count == 1
+        assert score_forecasts([(0.4, 1)], eps=1e-9).clamped_count == 0
 
     def test_eps_domain(self):
         with pytest.raises(InvalidAlpha):
@@ -258,66 +255,14 @@ class TestTemporalDrift:
 class TestConfidenceDrift:
     def test_bin_gap(self):
         # history in the 0.8 decile with 70% accuracy
-        history = [(0.8, 1)] * 7 + [(0.8, 0)] * 3
-        value, low = confidence_drift(0.8, history)
-        assert value == pytest.approx(0.1, abs=1e-12)
-        assert not low
-
-    def test_empty_history_flagged(self):
-        value, low = confidence_drift(0.8, [])
-        assert value == 0.0 and low
-
-    def test_empty_bin_flagged(self):
-        history = [(0.99, 1)] * 5  # decile 9 only
-        value, low = confidence_drift(0.55, history)  # decile 5
-        assert value == 0.0 and low
+        drifts = confidence_drifts([0.8] * 10, [1] * 7 + [0] * 3)
+        assert drifts == pytest.approx([0.1] * 10, abs=1e-12)
 
     def test_calibrated_history_small_drift(self):
         rng = np.random.default_rng(11)
         p = rng.uniform(0.0, 1.0, size=50_000)
         o = (rng.random(50_000) < p).astype(int)
-        history = list(zip(p, o))
-        drifts = [confidence_drift(x, history)[0] for x in (0.55, 0.65, 0.75, 0.85)]
-        assert all(d < 0.05 for d in drifts)
-
-    def test_matches_oracle_and_table_path(self):
-        from driftmark.metrics import confidence_drift_from_table, decile_accuracy_table
-
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            n = int(rng.integers(0, 40))
-            history = [
-                (float(rng.uniform(0, 1)), int(rng.integers(0, 2))) for _ in range(n)
-            ]
-            x = float(rng.uniform(0, 1))
-            got = confidence_drift(x, history)
-            want = oracles.confidence_drift_oracle(x, history)
-            assert got[0] == pytest.approx(want[0], abs=1e-12)
-            assert got[1] == want[1]
-            if history:
-                table = decile_accuracy_table(history)
-                assert confidence_drift_from_table(x, table) == got
-
-
-class TestMarketDivergence:
-    def test_identical(self):
-        assert market_divergence([0.3, 0.4], [0.3, 0.4]) == 0.0
-
-    def test_hand_value(self):
-        assert market_divergence([0.6, 0.7], [0.5, 0.5]) == pytest.approx(0.15, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            market_divergence([0.1, 0.2, 0.3], [0.1, 0.2])
-
-    @given(st.lists(st.tuples(probs, probs), min_size=1, max_size=50))
-    def test_matches_oracle(self, pairs):
-        ps = [p for p, _ in pairs]
-        ms = [m for _, m in pairs]
-        assert market_divergence(ps, ms) == pytest.approx(
-            oracles.market_divergence_oracle(ps, ms), abs=1e-12
-        )
-
+        assert np.mean(confidence_drifts(p, o)) < 0.05
 
 class TestVarCvar:
     def test_coin_flip_full_loss(self):
@@ -505,10 +450,10 @@ class TestArrayScoringMatchesPerForecast:
     @example([(0.0, 0), (0.5, 1), (1.0, 1), (1.0, 0), (0.5, 0)])
     @example([(0.95, 1), (0.97, 0), (0.02, 0), (1.0, 1)])  # all in the top decile
     @example([(0.55, 1), (0.45, 1), (0.5, 0)])  # all in one middle decile
-    def test_confidence_drifts_equal_confidence_drift(self, pairs):
+    def test_confidence_drifts_equal_the_per_forecast_oracle(self, pairs):
         probs_, outcomes = [p for p, _ in pairs], [o for _, o in pairs]
         assert confidence_drifts(probs_, outcomes) == [
-            confidence_drift(p, pairs)[0] for p in probs_
+            oracles.confidence_drift_oracle(p, pairs)[0] for p in probs_
         ]
 
     def test_confidence_drifts_of_nothing(self):
@@ -531,7 +476,9 @@ class TestArrayScoringMatchesPerForecast:
             ece=ece,
             mce=mce,
             reliability_bins=bins_list,
-            clamped_count=sum(1 for p, o in pairs if log_likelihood_clamped(p, o, eps)),
+            clamped_count=sum(
+                1 for p, o in pairs if oracles.log_likelihood_clamped_oracle(p, o, eps)
+            ),
             sample_size=len(pairs),
         )
         assert score_forecasts(pairs, bins, eps) == expected

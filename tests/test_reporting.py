@@ -18,11 +18,9 @@ from driftmark.market_data import MIN_POSITIVE_PRICE
 from driftmark.metrics import (
     accuracy,
     brier,
-    confidence_drift,
     confidence_reasoning_alignment,
     ece_mce,
     log_likelihood,
-    log_likelihood_clamped,
 )
 from driftmark.reporting import (
     EventFold,
@@ -34,7 +32,7 @@ from driftmark.reporting import (
     format_cents,
     iter_events,
 )
-from oracles import read_log_oracle
+from oracles import confidence_drift_oracle, log_likelihood_clamped_oracle, read_log_oracle
 
 FIXTURE = Path(__file__).parent / "fixtures" / "leaderboard_events.jsonl"
 
@@ -584,10 +582,12 @@ def per_forecast_oracle(events: list[dict], subject: str, config: EngineConfig) 
             "ece": ece,
             "mce": mce,
             "reliability_bins": [b.to_dict() for b in bins_list],
-            "clamped_count": sum(1 for p, o in pairs if log_likelihood_clamped(p, o, eps)),
+            "clamped_count": sum(
+                1 for p, o in pairs if log_likelihood_clamped_oracle(p, o, eps)
+            ),
             "sample_size": len(pairs),
         }
-    drifts = [confidence_drift(p, pairs)[0] for p, _ in pairs]
+    drifts = [confidence_drift_oracle(p, pairs)[0] for p, _ in pairs]
     try:
         alignment = confidence_reasoning_alignment(confidences, [1.0 - d for d in drifts])
     except DegenerateInput:
