@@ -314,9 +314,10 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
     timestamp text looked up. A row that does not convert goes through
     ``entry_from_record`` of its event, rebuilt with sorted keys, inside
     ``reporting.fold_events``, which raises that conversion's error. An
-    entry whose condition_id or note is not a string, or whose price is not
-    finite, is a ``CorruptLog`` naming its agent and seq: its lines could
-    not be written as JSON."""
+    entry whose seq is not an exact ``int`` (``int`` reads ``true`` as 1),
+    whose condition_id or note is not a string, or whose price is not finite
+    (its lines could not be written as JSON) is a ``CorruptLog`` naming its
+    agent and seq."""
     basis, cash, cid, _, kind, note, price, qty, seq, side, ts = row
     try:
         entry = LedgerEntry(
@@ -331,6 +332,8 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
             lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})), [event]
         )
         entry = entries[0]
+    if type(seq) is not int:
+        raise CorruptLog(None, f"{agent_id}: ledger entry seq {seq!r} is not an integer")
     cid, note, price = entry.condition_id, entry.note, entry.price
     if type(cid) is not str or type(note) is not str or not math.isfinite(price):
         raise CorruptLog(
@@ -748,6 +751,12 @@ class EvalEngine:
             window = CalibrationWindow(size=cfg.agents.calibration_window_size)
             ledger = run.ledgers[aid] = LedgerWriter(self._ledger_path(aid))
             for entry in entries:
+                if entry.seq != portfolio.next_seq:
+                    raise CorruptLog(
+                        None,
+                        f"{aid}: ledger entry seq {entry.seq} is not the next seq, "
+                        f"{portfolio.next_seq}",
+                    )
                 # apply_entry's own errors, a broken Portfolio invariant
                 # (AssertionError), or a price it cannot value
                 try:

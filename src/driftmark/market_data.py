@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import time
 import urllib.error
@@ -17,6 +18,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlencode, urlsplit
@@ -268,21 +270,70 @@ def replay_feed(
             yield snapshot
 
 
+# A feed line and an outcomes line as ``json.dumps`` with compact separators
+# writes ``snapshot_to_record`` and the outcome's record: keys in their order,
+# strings through ``encode_basestring_ascii``, and ``%r`` and ``%d`` as a finite
+# ``float``'s and an ``int``'s own repr. The writers check that each value is
+# one of those before they open the file.
+_FEED_LINE = (
+    '{"condition_id":%s,"question":%s,"yes_price":%r,"no_price":%r,'
+    '"liquidity_tier":%s,"end_time":%s,"observed_at":%s}\n'
+)
+_OUTCOME_LINE = '{"condition_id":%s,"outcome":%d,"resolved_at":%s}\n'
+_LIQUIDITY_TEXT = {tier: encode_basestring_ascii(tier.value) for tier in Liquidity}
+
+
+class _JsonText(dict):
+    """JSON text by string or timestamp, each encoded once per file."""
+
+    def __missing__(self, value: str | datetime) -> str:
+        text = value if type(value) is str else to_iso(value)
+        encoded = self[value] = encode_basestring_ascii(text)
+        return encoded
+
+
 def save_feed(snapshots: Iterable[MarketSnapshot], path: str | Path) -> None:
+    """Write ``snapshots`` as a JSONL feed, one ``snapshot_to_record`` per
+    line. A ``condition_id`` or ``question`` that is not a ``str``, or a price
+    that is not a finite ``float``, is a ``ValueError`` naming the snapshot,
+    raised before the file is opened."""
+    text = _JsonText()
+    lines = []
+    for n, s in enumerate(snapshots):
+        cid, question, yes, no = s.condition_id, s.question, s.yes_price, s.no_price
+        if not (
+            type(cid) is str and type(question) is str
+            and type(yes) is float and type(no) is float
+            and math.isfinite(yes) and math.isfinite(no)
+        ):
+            raise ValueError(
+                f"snapshot {n}: condition_id {cid!r} and question {question!r} must be "
+                f"strings, and yes_price {yes!r} and no_price {no!r} finite floats"
+            )
+        lines.append(_FEED_LINE % (
+            text[cid], text[question], yes, no, _LIQUIDITY_TEXT[s.liquidity_tier],
+            text[s.end_time], text[s.observed_at],
+        ))
     with open(path, "w", encoding="utf-8") as fh:
-        for s in snapshots:
-            fh.write(json.dumps(snapshot_to_record(s), separators=(",", ":")) + "\n")
+        fh.write("".join(lines))
 
 
 def save_outcomes(outcomes: Iterable[ResolvedOutcome], path: str | Path) -> None:
+    """Write ``outcomes`` as JSONL. A ``condition_id`` that is not a ``str``,
+    or an ``outcome`` that is not the ``int`` 0 or 1, is a ``ValueError``
+    naming the outcome, raised before the file is opened."""
+    text = _JsonText()
+    lines = []
+    for n, o in enumerate(outcomes):
+        cid, outcome = o.condition_id, o.outcome
+        if type(cid) is not str or type(outcome) is not int or outcome not in (0, 1):
+            raise ValueError(
+                f"outcome {n}: condition_id {cid!r} must be a string and outcome "
+                f"{outcome!r} the int 0 or 1"
+            )
+        lines.append(_OUTCOME_LINE % (text[cid], outcome, text[o.resolved_at]))
     with open(path, "w", encoding="utf-8") as fh:
-        for o in outcomes:
-            record = {
-                "condition_id": o.condition_id,
-                "outcome": o.outcome,
-                "resolved_at": to_iso(o.resolved_at),
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.write("".join(lines))
 
 
 def load_outcomes(path: str | Path) -> list[ResolvedOutcome]:
@@ -406,6 +457,7 @@ def generate_synthetic(
     domains = list(Domain)
     horizons = list(Horizon)
     snapshots_by_step: list[list[MarketSnapshot]] = [[] for _ in range(steps)]
+    times = [start + t * interval for t in range(steps)]
     outcomes: list[ResolvedOutcome] = []
     true_probs: dict[str, float] = {}
 
@@ -433,16 +485,17 @@ def generate_synthetic(
         liquidity = (Liquidity.HIGH, Liquidity.MEDIUM, Liquidity.LOW)[
             int(rng.choice(3, p=[0.5, 0.3, 0.2]))
         ]
-        last_step_time = start + (steps - 1) * interval
-        end_time = max(start + _HORIZON_SPAN[horizon], last_step_time + interval)
+        end_time = max(start + _HORIZON_SPAN[horizon], times[-1] + interval)
 
+        # ``min(max(x, lo), hi)`` clips a float as numpy's clip does, but for
+        # NaN and a signed zero at a bound; no draw here yields either.
         eps = 0.0
-        for t in range(steps):
-            eps = float(np.clip(0.8 * eps + rng.normal(0.0, 0.015), -0.03, 0.03))
-            yes = float(np.clip(p_star + eps, 0.01, 0.99))
-            spread = float(rng.uniform(-0.004, 0.004))
-            no = float(np.clip(1.0 - yes + spread, 0.0, 1.0))
-            snapshots_by_step[t].append(
+        for step, observed_at in zip(snapshots_by_step, times):
+            eps = min(max(0.8 * eps + rng.normal(0.0, 0.015), -0.03), 0.03)
+            yes = min(max(p_star + eps, 0.01), 0.99)
+            spread = rng.uniform(-0.004, 0.004)
+            no = min(max(1.0 - yes + spread, 0.0), 1.0)
+            step.append(
                 MarketSnapshot(
                     condition_id=cid,
                     question=question,
@@ -450,7 +503,7 @@ def generate_synthetic(
                     no_price=no,
                     liquidity_tier=liquidity,
                     end_time=end_time,
-                    observed_at=start + t * interval,
+                    observed_at=observed_at,
                 )
             )
         outcome = 1 if float(rng.random()) < p_star else 0

@@ -315,18 +315,38 @@ def reasoning_quality(d_narrative: float, d_confidence: float) -> float:
 def confidence_reasoning_alignment(
     confidences: Sequence[float], quality: Sequence[float]
 ) -> float:
-    """Pearson correlation between stated confidence and reasoning quality."""
+    """Pearson correlation between stated confidence ``c`` and reasoning
+    quality ``q``::
+
+        r = sum((c_i - mean(c)) * (q_i - mean(q)))
+            / sqrt(sum((c_i - mean(c))**2)) / sqrt(sum((q_i - mean(q))**2))
+
+    clipped to [-1, 1]. Every sum is ``_pairwise_sum``, and no BLAS kernel
+    is involved, so the bits do not depend on the host's CPU. A series
+    whose values are all equal, or whose deviations square to 0, has no
+    variance: a ``DegenerateInput``."""
     if len(confidences) != len(quality):
         raise LengthMismatch(
             f"lengths differ: {len(confidences)} vs {len(quality)}"
         )
-    if len(confidences) < 3:
+    n = len(confidences)
+    if n < 3:
         raise DegenerateInput("need at least 3 paired samples")
-    c = np.asarray(confidences, dtype=float)
-    q = np.asarray(quality, dtype=float)
-    if float(np.std(c)) == 0.0 or float(np.std(q)) == 0.0:
+    # Checked first, as it is cheap and every scripted agent's confidence is
+    # constant.
+    if min(confidences) == max(confidences) or min(quality) == max(quality):
         raise DegenerateInput("zero variance in an input series")
-    return float(np.corrcoef(c, q)[0, 1])
+    c = [float(x) for x in confidences]
+    q = [float(x) for x in quality]
+    mean_c, mean_q = _pairwise_sum(c) / n, _pairwise_sum(q) / n
+    dc = [x - mean_c for x in c]
+    dq = [x - mean_q for x in q]
+    scc = _pairwise_sum([d * d for d in dc])
+    sqq = _pairwise_sum([d * d for d in dq])
+    if scc == 0.0 or sqq == 0.0:
+        raise DegenerateInput("zero variance in an input series")
+    r = _pairwise_sum(list(map(operator.mul, dc, dq))) / math.sqrt(scc) / math.sqrt(sqq)
+    return min(max(r, -1.0), 1.0)
 
 
 # --- report types ------------------------------------------------------------------

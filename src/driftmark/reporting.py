@@ -201,6 +201,16 @@ class AggregateReport:
 _REFERENCE_BET_CENTS = 15_000
 
 
+def _probability(ev: dict) -> float:
+    """An event's probability; one that is not a number in [0, 1] (NaN and
+    infinities are not) is a ``ValueError``: the score folds bin it by
+    its place in [0, 1]."""
+    p = float(ev["probability"])
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {ev['probability']!r} is not in [0, 1]")
+    return p
+
+
 class EventFold:
     """Single pass over the event log gathering per-subject state."""
 
@@ -238,7 +248,7 @@ class EventFold:
         kind = ev.get("kind")
         if kind == "forecast":
             self.add_forecast(
-                ev["agent_id"], int(ev["cycle"]), ev["condition_id"], float(ev["probability"]),
+                ev["agent_id"], int(ev["cycle"]), ev["condition_id"], _probability(ev),
                 int(ev.get("confidence", 5)), int(ev.get("input_tokens", 0)),
                 int(ev.get("output_tokens", 0)),
                 ev["strategy"] if "strategy" in ev else self.strategy(ev["agent_id"]),
@@ -246,7 +256,7 @@ class EventFold:
         elif kind == "baseline":
             self.add_baseline(
                 BASELINE_PREFIX + ev["baseline"], int(ev["cycle"]), ev["condition_id"],
-                float(ev["probability"]),
+                _probability(ev),
             )
         elif kind == "ledger":
             # The keys the reports read must be there, an OPEN's basis and

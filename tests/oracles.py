@@ -5,7 +5,9 @@ enumeration, sharing no code path with the package. The exceptions are
 ``price_volatility_oracle``, numpy's own float64 form: the reference the
 package's pure-Python volatility must equal bit for bit; and
 ``read_log_oracle``, ``json.loads`` on each line: the reference the
-package's event-log reader must equal value for value and error for error.
+package's event-log reader must equal value for value and error for error;
+and ``generate_synthetic_oracle``, the synthetic generator with numpy's
+clip, which uses the generator's own tables and helpers.
 The portfolio oracles at the end use the simulator's data types, and
 nothing else of it.
 """
@@ -15,11 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 
+from driftmark import market_data as md
 from driftmark.agents import Action
 from driftmark.simulator import Position, Side
+from driftmark.timeutil import SYNTHETIC_START
 
 
 def brier_oracle(p: float, outcome: int) -> float:
@@ -264,6 +269,60 @@ def read_log_oracle(data: bytes):
             return ("error", line_no, f"a {type(value).__name__}, not a JSON object")
         events.append(value)
     return ("events", events)
+
+
+def generate_synthetic_oracle(seed: int, n_markets: int, steps: int, category_mix=None):
+    """``market_data.generate_synthetic`` as it was written with ``np.clip``
+    on each price of the walk: the same draws in the same order, and the
+    generator's own tables, condition ids and band draw."""
+    start = SYNTHETIC_START
+    mix = None
+    if category_mix:
+        total = float(sum(category_mix.values()))
+        mix = [(cat, w / total) for cat, w in category_mix.items()]
+    seed = int(seed) & ((1 << 64) - 1)
+    interval = timedelta(seconds=3600)
+    domains, horizons = list(md.Domain), list(md.Horizon)
+    snapshots_by_step = [[] for _ in range(steps)]
+    outcomes, true_probs = [], {}
+    for i in range(n_markets):
+        rng = np.random.default_rng([seed, i])
+        if mix is None:
+            p_star = float(rng.uniform(0.02, 0.98))
+            domain = domains[int(rng.integers(len(domains)))]
+            horizon = horizons[int(rng.integers(len(horizons)))]
+        else:
+            u = float(rng.random())
+            acc = 0.0
+            cat = mix[-1][0]
+            for candidate, w in mix:
+                acc += w
+                if u < acc:
+                    cat = candidate
+                    break
+            p_star = md._draw_yes_band(rng, cat.risk)
+            domain, horizon = cat.domain, cat.horizon
+        cid = md._condition_id(seed, i)
+        true_probs[cid] = p_star
+        question = md._QUESTION_TEMPLATES[domain].format(i=i)
+        liquidity = (md.Liquidity.HIGH, md.Liquidity.MEDIUM, md.Liquidity.LOW)[
+            int(rng.choice(3, p=[0.5, 0.3, 0.2]))
+        ]
+        last_step_time = start + (steps - 1) * interval
+        end_time = max(start + md._HORIZON_SPAN[horizon], last_step_time + interval)
+        eps = 0.0
+        for t in range(steps):
+            eps = float(np.clip(0.8 * eps + rng.normal(0.0, 0.015), -0.03, 0.03))
+            yes = float(np.clip(p_star + eps, 0.01, 0.99))
+            spread = float(rng.uniform(-0.004, 0.004))
+            no = float(np.clip(1.0 - yes + spread, 0.0, 1.0))
+            snapshots_by_step[t].append(
+                md.MarketSnapshot(cid, question, yes, no, liquidity, end_time, start + t * interval)
+            )
+        outcome = 1 if float(rng.random()) < p_star else 0
+        outcomes.append(md.ResolvedOutcome(cid, outcome, end_time))
+    flat = [s for step in snapshots_by_step for s in step]
+    return md.SyntheticFeed(snapshots=flat, outcomes=outcomes, true_probs=true_probs)
 
 
 # --- portfolio arithmetic, one function per operation --------------------------

@@ -509,15 +509,15 @@ class TestCheckpointResume:
         assert str(resumed.value) == str(converted.value)
 
     @staticmethod
-    def _damage_kept_entry(run_dir, entry_kind, key, value) -> dict:
-        """Set ``key`` of the first kept ledger event of ``entry_kind`` before
-        cycle 3's checkpoint to ``value``, written as ``json.dumps`` writes
-        it; the damaged event."""
+    def _damage_kept_entry(run_dir, entry_kind, key, value, marker=None) -> dict:
+        """Set ``key`` of the first kept ledger event of ``entry_kind`` (or
+        the first kept line holding ``marker``) before cycle 3's checkpoint
+        to ``value``, written as ``json.dumps`` writes it; the damaged event."""
         ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
         ckpt = json.loads(ckpt_path.read_bytes())
         events = (run_dir / "events.jsonl").read_bytes()
         lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
-        marker = f'"entry_kind":"{entry_kind}"'.encode()
+        marker = (marker or f'"entry_kind":"{entry_kind}"').encode()
         at = next(i for i, line in enumerate(lines) if marker in line)
         event = {**json.loads(lines[at]), key: value}
         lines[at] = (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
@@ -547,11 +547,12 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize(
         "key, convert", [("cash_delta_cents", float), ("basis_delta_cents", float),
-                         ("quantity_micro", float), ("seq", float)],
+                         ("quantity_micro", float)],
     )
     def test_kept_ledger_numbers_of_another_json_type_convert(self, tmp_path, key, convert):
-        """A kept entry's ints are read with ``int``, so each ledger file
-        holds the same line as the clean run's."""
+        """A kept entry's cents and quantity are read with ``int``, so each
+        ledger file holds the same line as the clean run's. Its seq is not:
+        see the next test."""
         make_engine(tmp_path, cycles=4, run_id="num").run()
         run_dir = tmp_path / "num"
         ledgers = {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")}
@@ -562,6 +563,48 @@ class TestCheckpointResume:
         self._damage_kept_entry(run_dir, "MARK", key, convert(event[key]))
         resume_run(tmp_path, "num", at_cycle=3)
         assert {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")} == ledgers
+
+    @pytest.mark.parametrize("case", ["true", "float", "fraction", "skipped"])
+    def test_kept_ledger_seq_must_be_the_agent_s_next(self, tmp_path, case):
+        """A kept entry's seq is an exact ``int`` and its agent's next seq,
+        or the resume is a ``CorruptLog`` naming the agent and seq. ``int``
+        once read ``true`` as 1, and the entry's ledger file line took it."""
+        make_engine(tmp_path, cycles=4, run_id="seq").run()
+        run_dir = tmp_path / "seq"
+        seq = json.loads(
+            next(line for line in (run_dir / "events.jsonl").read_bytes().splitlines()
+                 if b'"entry_kind":"MARK"' in line)
+        )["seq"]
+        value = {"true": True, "float": float(seq), "fraction": seq + 0.5, "skipped": seq + 1}[case]
+        event = self._damage_kept_entry(run_dir, "MARK", "seq", value)
+        files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        before = {p.name: file_sha256(p) for p in files}
+        if case == "skipped":
+            where = f"{event['agent_id']}: ledger entry seq {seq + 1} is not the next seq, {seq}"
+        else:
+            where = f"{event['agent_id']}: ledger entry seq {value!r} is not an integer"
+        with pytest.raises(CorruptLog, match=re.escape(where)):
+            resume_run(tmp_path, "seq", at_cycle=3)
+        assert {p.name: file_sha256(p) for p in files} == before
+
+    @pytest.mark.parametrize("kind", ["forecast", "baseline"])
+    @pytest.mark.parametrize("probability", [float("nan"), float("inf"), 1.5])
+    def test_a_logged_probability_outside_the_unit_interval_is_corrupt(
+        self, tmp_path, capsys, kind, probability
+    ):
+        """``report`` and a resume whose kept prefix holds such a probability
+        once ended in a raw ``ValueError`` from numpy's ``bincount``."""
+        make_engine(tmp_path, cycles=4, run_id="prob").run()
+        run_dir = tmp_path / "prob"
+        self._damage_kept_entry(
+            run_dir, None, "probability", probability, marker=f'"kind":"{kind}"'
+        )
+        assert cli_main(["--out", str(tmp_path), "report", "--run-id", "prob"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"probability {probability!r} is not in [0, 1]" in err
+        with pytest.raises(CorruptLog, match=re.escape(f"probability {probability!r}")):
+            resume_run(tmp_path, "prob", at_cycle=3)
 
     def test_kept_ledger_event_without_a_note_resumes_with_an_empty_one(self, tmp_path):
         """A kept entry's note is its event's, or "" when the event has none."""

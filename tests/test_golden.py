@@ -21,7 +21,15 @@ from driftmark import evalloop
 from driftmark.cli import main as cli_main
 from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
-from driftmark.market_data import generate_synthetic, save_feed, save_outcomes
+from driftmark.market_data import (
+    Domain,
+    EventCategory,
+    Horizon,
+    Risk,
+    generate_synthetic,
+    save_feed,
+    save_outcomes,
+)
 from driftmark.reporting import aggregate, emit, iter_events
 from oracles import read_log_oracle
 
@@ -139,6 +147,33 @@ REPORT_PINS = {
 }
 
 
+# name -> (generate_synthetic arguments, sha256 of the feed file, of the
+# outcomes file). Every pinned run takes its inputs from these two writers, so
+# they must not move either.
+SETUP_MIX = {
+    EventCategory(Risk.HIGH, Domain.POLITICAL, Horizon.SHORT): 1.0,
+    EventCategory(Risk.LOW, Domain.TECHNOLOGICAL, Horizon.LONG): 2.0,
+    EventCategory(Risk.MEDIUM, Domain.CULTURAL, Horizon.MEDIUM): 1.5,
+}
+SETUP_PINS = {
+    "wide": (
+        dict(seed=7, n_markets=100, steps=10),
+        "16ef18aea4d2307322428b453ebb33da9e11bc709fb81dd70b5a2613b110ea77",
+        "1de7f85b30b0ef4a6f0a30931623b1a70faca7ed5d535de4c872af4770f3a65e",
+    ),
+    "long": (
+        dict(seed=7, n_markets=40, steps=30),
+        "42ddbcb9da93010fbcba6942f53774af9584d61107823cb029e05c41d2ccb6b0",
+        "5e146ea0fc6acf3de6ec0bcd23c6cb2ba2b9c2508810202cd9af6a5efe0795c7",
+    ),
+    "category_mix": (
+        dict(seed=7, n_markets=60, steps=8, category_mix=SETUP_MIX),
+        "2a6d1dd90b25d4086ea18aacfd3d7834fb45b2cd79f6777f68ed8ae6a48693e9",
+        "fd13731345fe158f930537f7406d0ecd35b2f2f06203a49be42b76a9f2c60b31",
+    ),
+}
+
+
 TEMPLATE_KEYS = {
     "forecast": evalloop._FORECAST_FIELDS,
     "baseline": evalloop._BASELINE_FIELDS,
@@ -227,6 +262,16 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
         assert event_line(ev) == line
         if ev["kind"] in TEMPLATE_KEYS:
             assert set(ev) == {"kind", *TEMPLATE_KEYS[ev["kind"]]}, line
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_PINS))
+def test_setup_files_match_pins(name, tmp_path):
+    args, feed_pin, outcomes_pin = SETUP_PINS[name]
+    feed = generate_synthetic(**args)
+    save_feed(feed.snapshots, tmp_path / "feed.jsonl")
+    save_outcomes(feed.outcomes, tmp_path / "outcomes.jsonl")
+    assert file_sha256(tmp_path / "feed.jsonl") == feed_pin
+    assert file_sha256(tmp_path / "outcomes.jsonl") == outcomes_pin
 
 
 def _not_json(constant: str):

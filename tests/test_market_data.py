@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from driftmark.market_data import (
     EventCategory,
     Horizon,
     Liquidity,
+    MarketSnapshot,
+    ResolvedOutcome,
     Risk,
     categorize_event,
     fetch_snapshot,
@@ -36,8 +41,10 @@ from driftmark.market_data import (
     snapshot_from_record,
     snapshot_to_record,
 )
+from driftmark.timeutil import to_iso
 
 from conftest import make_snapshot
+from oracles import generate_synthetic_oracle
 
 UTC = timezone.utc
 
@@ -269,6 +276,109 @@ class TestReplay:
         assert skipped == [2]
 
 
+# --- writing feed and outcome files --------------------------------------------------
+
+_OFFSETS = st.sampled_from(
+    [UTC, timezone(timedelta(hours=5, minutes=30)), timezone(-timedelta(hours=7))]
+)
+_TIMES = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30), timezones=_OFFSETS
+)
+# Non-ASCII, control characters and lone surrogates, which the encoder escapes.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=40)
+_PRICES = st.sampled_from([1e-05, 0.1 + 0.2, 0.0, 1.0, 5e-324, 1e16]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+def _dumps_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+class TestWriters:
+    """``save_feed`` and ``save_outcomes`` write what ``json.dumps`` writes,
+    and refuse, before opening the file, a value whose line it would not."""
+
+    @given(
+        st.lists(_TEXT, min_size=1, max_size=3),
+        st.lists(_TIMES, min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), _PRICES, _PRICES,
+                      st.sampled_from(Liquidity), st.integers(0, 2), st.integers(0, 2)),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_feed_lines_are_json_dumps_of_the_record(self, texts, times, rows):
+        def pick(pool, i):
+            return pool[i % len(pool)]
+
+        snapshots = [
+            MarketSnapshot(pick(texts, c), pick(texts, q), yes, no, tier, pick(times, e),
+                           pick(times, o))
+            for c, q, yes, no, tier, e, o in rows
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "feed.jsonl"
+            save_feed(snapshots, path)
+            written = path.read_bytes().decode("ascii")
+        assert written == "".join(_dumps_line(snapshot_to_record(s)) for s in snapshots)
+
+    @given(
+        st.lists(st.tuples(_TEXT, st.sampled_from([0, 1]), _TIMES), max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_outcome_lines_are_json_dumps_of_the_record(self, rows):
+        outcomes = [ResolvedOutcome(cid, outcome, at) for cid, outcome, at in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "outcomes.jsonl"
+            save_outcomes(outcomes, path)
+            written = path.read_bytes().decode("ascii")
+        expected = "".join(
+            _dumps_line({"condition_id": o.condition_id, "outcome": o.outcome,
+                         "resolved_at": to_iso(o.resolved_at)})
+            for o in outcomes
+        )
+        assert written == expected
+
+    FEED_VALUES = {
+        "numpy_price": {"yes": np.float64(0.5)},
+        "bool_price": {"yes": True, "no": 0.0},
+        "int_price": {"yes": 1, "no": 0.0},
+        "nan_price": {"no": float("nan")},
+        "infinite_price": {"yes": float("inf")},
+        "int_condition_id": {"cid": 7},
+        "bytes_question": {"question": b"Will it?"},
+        "str_subclass_id": {"cid": Liquidity.LOW},
+    }
+
+    @pytest.mark.parametrize("case", sorted(FEED_VALUES))
+    def test_a_feed_value_no_line_can_hold_leaves_no_file(self, tmp_path, case):
+        """Such a value was once written as ``NaN`` or as numpy's repr, and
+        replay then refused the file."""
+        snapshots = [make_snapshot(), make_snapshot(**self.FEED_VALUES[case])]
+        path = tmp_path / "feed.jsonl"
+        with pytest.raises(ValueError, match=r"^snapshot 1: "):
+            save_feed(snapshots, path)
+        assert not path.exists()
+
+    OUTCOME_VALUES = {
+        "bool_outcome": {"outcome": True},
+        "float_outcome": {"outcome": 1.0},
+        "outcome_2": {"outcome": 2},
+        "int_condition_id": {"condition_id": 7},
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUTCOME_VALUES))
+    def test_an_outcome_value_no_line_can_hold_leaves_no_file(self, tmp_path, case):
+        good = ResolvedOutcome("0x" + "ab" * 20, 1, datetime(2026, 3, 1, tzinfo=UTC))
+        bad = dataclasses.replace(good, **self.OUTCOME_VALUES[case])
+        path = tmp_path / "outcomes.jsonl"
+        with pytest.raises(ValueError, match=r"^outcome 1: "):
+            save_outcomes([good, bad], path)
+        assert not path.exists()
+
+
 # --- synthesis -----------------------------------------------------------------------
 
 
@@ -401,6 +511,30 @@ class TestSynthetic:
             cat = categorize_event(s.question, s.end_time, s.observed_at, s.yes_price)
             assert cat.domain == Domain.POLITICAL
             assert cat.risk == Risk.HIGH
+
+    @given(
+        st.integers(0, 2**64 + 5),
+        st.integers(1, 25),
+        st.integers(2, 12),
+        st.none() | st.dictionaries(
+            st.builds(EventCategory, st.sampled_from(Risk), st.sampled_from(Domain),
+                      st.sampled_from(Horizon)),
+            st.floats(0.1, 5.0),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_clip_oracle(self, seed, n_markets, steps, mix):
+        feed = generate_synthetic(seed, n_markets, steps, category_mix=mix)
+        expected = generate_synthetic_oracle(seed, n_markets, steps, category_mix=mix)
+        assert len(feed.snapshots) == len(expected.snapshots)
+        for got, want in zip(feed.snapshots, expected.snapshots):
+            for name in ("yes_price", "no_price"):
+                assert type(getattr(got, name)) is float
+                assert getattr(got, name) == getattr(want, name)
+            assert got == want
+        assert feed.outcomes == expected.outcomes
+        assert feed.true_probs == expected.true_probs
 
     def test_cycles_grouping(self):
         feed = generate_synthetic(3, 7, 4)

@@ -401,6 +401,32 @@ class TestComposites:
             -1.0, abs=1e-9
         )
 
+    @given(
+        st.integers(3, 300).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 10).map(float) | st.floats(-1e6, 1e6),
+                         min_size=n, max_size=n),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+            )
+        )
+    )
+    # a constant series whose mean rounds away from its value
+    @example(([0.1, 0.1, 0.1], [0.0, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_alignment_equals_corrcoef(self, pair):
+        """The pure-Python Pearson correlation is numpy's to 1e-12, and is
+        degenerate exactly where a series is constant or numpy's standard
+        deviation of it is 0."""
+        c, q = pair
+        constant = len(set(c)) == 1 or len(set(q)) == 1
+        if constant or float(np.std(c)) == 0.0 or float(np.std(q)) == 0.0:
+            with pytest.raises(DegenerateInput):
+                confidence_reasoning_alignment(c, q)
+            return
+        r = confidence_reasoning_alignment(c, q)
+        assert -1.0 <= r <= 1.0
+        assert abs(r - float(np.corrcoef(c, q)[0, 1])) <= 1e-12
+
     def test_alignment_degenerate(self):
         with pytest.raises(DegenerateInput):
             confidence_reasoning_alignment([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
