@@ -48,6 +48,8 @@ _ACTION_TEXT = {a: a.value for a in Action}
 _STRATEGY_TEXT = {s: s.value for s in Strategy}
 _ACTIONS = {a.value: a for a in Action}
 _STRATEGIES = {s.value: s for s in Strategy}
+# Each strategy's text as a trace starts with it.
+_STRATEGY_TRACE = {s: s.value.lower() for s in Strategy}
 
 
 def _member(members: dict, enum: type[Enum], value):
@@ -116,12 +118,6 @@ class CalibrationWindow:
         return replace(self, entries=entries)
 
 
-@dataclass(frozen=True)
-class CalibrationAdjustment:
-    win_rate_adj: float
-    prob_adjustment: float
-
-
 def _win_rate(window: CalibrationWindow) -> float | None:
     """The window's Laplace-smoothed win rate: (wins+1)/(n+2) below a full
     window, the plain wins/n at a full one; None with no history."""
@@ -132,16 +128,6 @@ def _win_rate(window: CalibrationWindow) -> float | None:
     if n < window.size:
         return (wins + 1) / (n + 2)
     return wins / n
-
-
-def _adjustment(rate: float | None, stated_prob: float, penalty: float) -> CalibrationAdjustment:
-    """The win rate and the downward nudge it implies: with no history the
-    prior rate is 0.5 and no nudge applies; the penalty fires when the rate
-    trails the stated probability."""
-    if rate is None:
-        return CalibrationAdjustment(win_rate_adj=0.5, prob_adjustment=0.0)
-    adjustment = penalty if rate < stated_prob else 0.0
-    return CalibrationAdjustment(win_rate_adj=rate, prob_adjustment=adjustment)
 
 
 def compute_edge(calibrated_probability: float, market_price: float) -> float:
@@ -265,17 +251,21 @@ def validate_decision_batch(
 # --- opportunity ranking ----------------------------------------------------------
 
 
+def _rank_key(
+    h_score: float | None, expected_return_cents: int | None, edge: float | None,
+    confidence: int | None,
+) -> tuple:
+    """The ascending sort key that ranks decisions descending on (H,
+    expected return, edge, confidence), a missing value counting as 0."""
+    return (-(h_score or 0.0), -(expected_return_cents or 0), -(edge or 0.0), -(confidence or 0))
+
+
 def rank_decisions(decisions: Sequence[Decision]) -> list[Decision]:
     """Descending lexicographic sort on (H, expected return, edge, confidence),
     a missing value counting as 0; full ties keep their input order."""
     return sorted(
         decisions,
-        key=lambda d: (
-            -(d.h_score or 0.0),
-            -(d.expected_return_cents or 0),
-            -(d.edge or 0.0),
-            -(d.confidence or 0),
-        ),
+        key=lambda d: _rank_key(d.h_score, d.expected_return_cents, d.edge, d.confidence),
     )
 
 
@@ -284,47 +274,73 @@ def rank_decisions(decisions: Sequence[Decision]) -> list[Decision]:
 _FENCE = re.compile(r"^\s*```[a-zA-Z]*\s*|\s*```\s*$")
 
 
+_WIRE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _wire_item(
+    market_id: str,
+    action: Action,
+    amount_cents: int | None = None,
+    close_fraction: int | None = None,
+    reasoning: str = "",
+    confidence: int | None = None,
+    edge: float | None = None,
+    expected_return_cents: int | None = None,
+    h_score: float | None = None,
+    strategy: Strategy | None = None,
+) -> dict:
+    """One decision of the agent wire schema from a ``Decision``'s values,
+    in its field order: amounts in dollars, a value that is None left out."""
+    item: dict = {"marketId": market_id, "action": _ACTION_TEXT[action]}
+    if amount_cents is not None:
+        item["amount"] = round(amount_cents / 100.0, 2)
+    if close_fraction is not None:
+        item["closeAmount"] = close_fraction
+    item["reasoning"] = reasoning
+    if confidence is not None:
+        item["confidence"] = confidence
+    if edge is not None:
+        item["edge"] = round(edge, 6)
+    if expected_return_cents is not None:
+        item["expectedReturn"] = round(expected_return_cents / 100.0, 2)
+    if h_score is not None:
+        item["hScore"] = round(h_score, 6)
+    if strategy is not None:
+        item["strategy"] = _STRATEGY_TEXT[strategy]
+    return item
+
+
+def _wire_text(items: list[dict], overall_reasoning: str) -> str:
+    return _WIRE_ENCODER.encode({"decisions": items, "reasoning": overall_reasoning})
+
+
 def decisions_to_wire(batch: DecisionBatch) -> str:
     """Serialize to the agent wire schema (amounts in dollars)."""
-    items = []
-    for d in batch.decisions:
-        item: dict = {"marketId": d.market_id, "action": _ACTION_TEXT[d.action]}
-        if d.amount_cents is not None:
-            item["amount"] = round(d.amount_cents / 100.0, 2)
-        if d.close_fraction is not None:
-            item["closeAmount"] = d.close_fraction
-        item["reasoning"] = d.reasoning
-        if d.confidence is not None:
-            item["confidence"] = d.confidence
-        if d.edge is not None:
-            item["edge"] = round(d.edge, 6)
-        if d.expected_return_cents is not None:
-            item["expectedReturn"] = round(d.expected_return_cents / 100.0, 2)
-        if d.h_score is not None:
-            item["hScore"] = round(d.h_score, 6)
-        if d.strategy is not None:
-            item["strategy"] = _STRATEGY_TEXT[d.strategy]
-        items.append(item)
-    return json.dumps(
-        {"decisions": items, "reasoning": batch.overall_reasoning}, separators=(",", ":")
-    )
+    items = [
+        _wire_item(
+            d.market_id, d.action, d.amount_cents, d.close_fraction, d.reasoning, d.confidence,
+            d.edge, d.expected_return_cents, d.h_score, d.strategy,
+        )
+        for d in batch.decisions
+    ]
+    return _wire_text(items, batch.overall_reasoning)
 
 
 def _cents(dollars) -> int:
     return int(round(float(dollars) * 100))
 
 
-# The optional keys of a wire decision: each one's ``Decision`` field and
-# its conversion. Only a BUY reads an amount.
+# The optional keys of a wire decision and their conversions, in the order
+# of their ``Decision`` fields but reasoning. Only a BUY reads an amount.
 _WIRE_FIELDS = (
-    ("closeAmount", "close_fraction", int),
-    ("confidence", "confidence", int),
-    ("edge", "edge", float),
-    ("expectedReturn", "expected_return_cents", _cents),
-    ("hScore", "h_score", float),
-    ("strategy", "strategy", lambda text: _member(_STRATEGIES, Strategy, text)),
+    ("closeAmount", int),
+    ("confidence", int),
+    ("edge", float),
+    ("expectedReturn", _cents),
+    ("hScore", float),
+    ("strategy", lambda text: _member(_STRATEGIES, Strategy, text)),
 )
-_BUY_WIRE_FIELDS = (("amount", "amount_cents", _cents), *_WIRE_FIELDS)
+_BUY_WIRE_FIELDS = (("amount", _cents), *_WIRE_FIELDS)
 
 
 def parse_decision_wire(
@@ -367,20 +383,23 @@ def parse_decision_wire(
         if buy and item.get("amount") is None:
             raise MalformedAgentOutput(f"decision {i}: BUY without amount")
         # A key that is absent or null is None; a value its conversion
-        # cannot take names the decision and the key.
-        fields = {}
-        for key, name, convert in _BUY_WIRE_FIELDS if buy else _WIRE_FIELDS:
+        # cannot take names the decision and the key. Only a BUY has an
+        # amount.
+        values: list = [] if buy else [None]
+        for key, convert in _BUY_WIRE_FIELDS if buy else _WIRE_FIELDS:
             value = item.get(key)
+            if value is None:
+                values.append(None)
+                continue
             try:
-                fields[name] = None if value is None else convert(value)
+                values.append(convert(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedAgentOutput(f"decision {i}: {key}: {exc}") from exc
+        amount, close, confidence, edge, er, h_score, strategy = values
         decisions.append(
             Decision(
-                market_id=market_id,
-                action=action,
-                reasoning=str(item.get("reasoning", "")),
-                **fields,
+                market_id, action, amount, close, str(item.get("reasoning", "")), confidence,
+                edge, er, h_score, strategy,
             )
         )
     batch = DecisionBatch(
@@ -417,7 +436,7 @@ class ScriptedAgent:
 
     def trace(self, market: MarketSnapshot, prob: float) -> str:
         return (
-            f"{_STRATEGY_TEXT[self.strategy].lower()} view on {market.condition_id}: "
+            f"{_STRATEGY_TRACE[self.strategy]} view on {market.condition_id}: "
             f"market quotes yes {market.yes_price:.4f} no {market.no_price:.4f}; "
             f"estimate {prob:.4f} with confidence {self.confidence(market, prob)}."
         )
@@ -606,36 +625,40 @@ def build_decision_batch(
     risk_by_market: dict[str, Risk],
     max_open_positions: int,
     cfg: AgentConfig,
-    produced_at: datetime,
 ) -> str:
     """Assemble the agent's wire-format reply for one cycle.
 
     Ranked BUY candidates that clear the mode's floors come first, as many
     as ``max_open_positions`` leaves room for, then HOLD padding up to
     exactly 30 unique markets. Stop-loss and target-win closes are not
-    decisions: ``simulator.step`` enforces them.
+    decisions: ``simulator.step`` enforces them. Each item is written from
+    its values by the wire format's one writer, so the reply is the text
+    ``decisions_to_wire`` gives for those decisions, without building them.
     """
     mode = window.mode
-    decisions: list[Decision] = []
-    used: set[str] = set()
-
     if mode == WindowMode.CALIBRATION:
         min_conf, min_edge = cfg.calibration_min_confidence, cfg.calibration_min_edge
     else:
         min_conf, min_edge = cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge
 
-    candidates: list[Decision] = []
-    # The window and the strategy are the same for every market, so the win
-    # rate and the strategy's text are too.
+    # The window, the strategy and the sizing are the same for every market,
+    # so the win rate, the strategy's text and each (confidence, risk)'s bet
+    # are too.
     rate = _win_rate(window)
-    strategy_text = agent.strategy.value
+    penalty = cfg.prob_adjustment_penalty
+    strategy = agent.strategy
+    strategy_text = _STRATEGY_TEXT[strategy]
+    bets: dict[tuple[int, Risk], int] = {}
+    candidates: list[tuple] = []
     for snap in snapshots:
         cid = snap.condition_id
-        if cid in used or cid in open_positions or cid not in records:
+        if cid in open_positions or cid not in records:
             continue
         record = records[cid]
-        adj = _adjustment(rate, record.probability, cfg.prob_adjustment_penalty)
-        calibrated = _clamp01(record.probability + adj.prob_adjustment)
+        prob, confidence = record.probability, record.confidence
+        # With no history no nudge applies; the penalty fires when the win
+        # rate trails the stated probability.
+        calibrated = _clamp01(prob + (penalty if rate is not None and rate < prob else 0.0))
         edge_yes = compute_edge(calibrated, snap.yes_price)
         edge_no = compute_edge(1.0 - calibrated, snap.no_price)
         if edge_yes >= edge_no:
@@ -645,45 +668,34 @@ def build_decision_batch(
         if price <= 0.0:
             continue
         risk = risk_by_market.get(cid, Risk.MEDIUM)
-        bet = agent.bet_cents(record.confidence, risk, cfg)
+        bet = bets.get((confidence, risk))
+        if bet is None:
+            bet = bets[confidence, risk] = agent.bet_cents(confidence, risk, cfg)
         er = expected_return(p_side, bet, price)
-        if record.confidence >= min_conf and edge >= min_edge and er > 0:
-            candidates.append(
-                Decision(
-                    market_id=cid,
-                    action=action,
-                    amount_cents=bet,
-                    reasoning=f"{strategy_text}: edge {edge:.4f} at {price:.4f}",
-                    confidence=record.confidence,
-                    edge=edge,
-                    expected_return_cents=er,
-                    h_score=0.0,
-                    strategy=agent.strategy,
-                )
-            )
+        if confidence >= min_conf and edge >= min_edge and er > 0:
+            candidates.append((cid, action, bet, confidence, edge, er, price))
 
+    items: list[dict] = []
+    used: set[str] = set()
     room = max_open_positions - len(open_positions)
-    for decision in rank_decisions(candidates):
-        if len(decisions) >= cfg.batch_size or room <= 0:
+    # Ranked as rank_decisions ranks them; every candidate's H score is 0.
+    candidates.sort(key=lambda c: _rank_key(0.0, c[5], c[4], c[3]))
+    for cid, action, bet, confidence, edge, er, price in candidates:
+        if len(items) >= cfg.batch_size or room <= 0:
             break
-        decisions.append(decision)
-        used.add(decision.market_id)
+        items.append(_wire_item(
+            cid, action, bet, None, f"{strategy_text}: edge {edge:.4f} at {price:.4f}",
+            confidence, edge, er, 0.0, strategy,
+        ))
+        used.add(cid)
         room -= 1
 
     for snap in snapshots:
-        if len(decisions) >= cfg.batch_size:
+        if len(items) >= cfg.batch_size:
             break
         if snap.condition_id in used:
             continue
-        decisions.append(
-            Decision(market_id=snap.condition_id, action=Action.HOLD, reasoning="no edge")
-        )
+        items.append(_wire_item(snap.condition_id, Action.HOLD, reasoning="no edge"))
         used.add(snap.condition_id)
 
-    batch = DecisionBatch(
-        decisions=tuple(decisions),
-        overall_reasoning=f"{agent.agent_id} cycle decisions under {mode.value}",
-        agent_id=agent.agent_id,
-        produced_at=produced_at,
-    )
-    return decisions_to_wire(batch)
+    return _wire_text(items, f"{agent.agent_id} cycle decisions under {mode.value}")

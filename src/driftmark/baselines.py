@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .market_data import EventCategory, MarketSnapshot, ResolvedOutcome
 
@@ -72,19 +71,16 @@ class HistoricalFrequency:
 
 def historical_frequency_baseline(
     category: EventCategory,
-    resolved: Iterable[tuple[ResolvedOutcome, EventCategory]],
+    history: HistoricalFrequency,
     *,
     snapshot: MarketSnapshot,
 ) -> BaselineForecast:
-    """Laplace-smoothed frequency over resolved events sharing (risk, domain)."""
-    tracker = HistoricalFrequency()
-    for outcome, cat in resolved:
-        if tracker._key(cat) == tracker._key(category):
-            tracker.update(outcome, cat)
+    """Laplace-smoothed frequency over the resolved events of ``history``
+    sharing (risk, domain)."""
     return BaselineForecast(
         kind=BaselineKind.HISTORICAL,
         condition_id=snapshot.condition_id,
-        probability=tracker.probability(category),
+        probability=history.probability(category),
     )
 
 

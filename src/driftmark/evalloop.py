@@ -44,6 +44,7 @@ from .agents import (
 from .baselines import (
     BaselineForecast,
     BaselineKind,
+    HistoricalFrequency,
     heuristic_baseline,
     historical_frequency_baseline,
     market_baseline,
@@ -54,13 +55,11 @@ from .contract import (
     ContractHash,
     ContractStore,
     DEFAULT_TEMPLATE,
+    InstructionTokens,
     PromptContract,
     contract_from_json,
-    instruction_tokens,
     lock_contract,
     render_instruction,  # noqa: F401  perfbench/layers.py wraps it here
-    render_instruction_parts,
-    token_span,
 )
 from .errors import (
     AgentTimeout,
@@ -94,7 +93,7 @@ from .metrics import (
     narrative_drift_sets,
     price_volatility,
     risk_category,
-    temporal_drift,
+    temporal_drifts,
     token_set,
 )
 from .simulator import (
@@ -366,30 +365,42 @@ def _mean(xs: list[float]) -> float:
     return (sum(xs) / len(xs)) if xs else 0.0
 
 
+def _moves(
+    snap_map: dict[str, MarketSnapshot], prices: dict[str, deque[float]]
+) -> dict[str, tuple[float, float | None]]:
+    """Each of the cycle's markets' yes price and its |change| since the
+    previous price (None for a market's first price), once the cycle's
+    prices are in ``prices``."""
+    moves = {}
+    for cid, s in snap_map.items():
+        history = prices[cid]
+        moves[cid] = (s.yes_price, abs(history[-1] - history[-2]) if len(history) > 1 else None)
+    return moves
+
+
 def _drift_means(
     curr: dict[str, float],
     prev: dict[str, float],
-    snap_map: dict[str, MarketSnapshot],
-    prices: dict[str, deque[float]],
+    moves: dict[str, tuple[float, float | None]],
 ) -> tuple[tuple[float, float, float], list[str]]:
     """Means over the probabilities ``curr`` of the temporal drift from
     ``prev`` in both forms and of the divergence from the market price, and
-    the markets whose temporal drift was taken, in order."""
+    the markets whose temporal drift was taken, in order. ``moves`` is
+    ``_moves`` of the cycle, which holds every market of ``curr``."""
     compared: list[str] = []
     dt_diff: list[float] = []
     dt_prod: list[float] = []
     divergence: list[float] = []
     for cid, p_curr in curr.items():
-        if cid in snap_map:
-            divergence.append(abs(p_curr - snap_map[cid].yes_price))
+        yes, dm = moves[cid]
+        divergence.append(abs(p_curr - yes))
         p_prev = prev.get(cid)
-        history = prices.get(cid, ())
-        if p_prev is None or len(history) < 2:
+        if p_prev is None or dm is None:
             continue
-        m_prev, m_curr = history[-2], history[-1]
         compared.append(cid)
-        dt_diff.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "difference"))
-        dt_prod.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "product"))
+        difference, product = temporal_drifts(abs(p_curr - p_prev), dm)
+        dt_diff.append(difference)
+        dt_prod.append(product)
     return (_mean(dt_diff), _mean(dt_prod), _mean(divergence)), compared
 
 
@@ -400,8 +411,10 @@ class _Cycle(NamedTuple):
     now: datetime
     snaps: list[MarketSnapshot]
     snap_map: dict[str, MarketSnapshot]
-    # The token spans of each snapshot's instruction parts.
-    rendered: list[list]
+    # Each snapshot's InstructionTokens.market counts.
+    tokens: list[tuple[int, ...]]
+    # Each market's yes price and |change| since its previous price.
+    moves: dict[str, tuple[float, float | None]]
     risk_by_market: dict[str, Risk]
 
 
@@ -430,6 +443,9 @@ class _Run:
     categories: dict[str, EventCategory] = field(default_factory=dict)
     # The previous cycle's baseline probabilities by kind, for baseline drift.
     prev_baseline: dict[str, dict[str, float]] | None = None
+    # The outcomes the historical baseline has seen: none, since outcomes
+    # settle only after the last cycle.
+    history: HistoricalFrequency = field(default_factory=HistoricalFrequency)
     events: TextIO | None = None
     iso: _IsoCache = field(default_factory=_IsoCache)
     strings: _JsonStrings = field(default_factory=_JsonStrings)
@@ -441,7 +457,8 @@ class _Run:
     # The bulk kinds are written through their templates and folded from
     # their values.
 
-    def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord) -> None:
+    def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord, strategy: str) -> None:
+        """``strategy`` is the agent's, as its agent_meta records it."""
         cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
         n_in, n_out = rec.input_tokens, rec.output_tokens
         strings = self.strings
@@ -449,7 +466,6 @@ class _Run:
             strings[agent_id], strings[cid], conf, cycle, n_in, n_out, prob,
             encode_basestring_ascii(rec.reasoning_trace),
         ))
-        strategy = self.fold.strategy(agent_id)
         self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
 
     def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
@@ -547,6 +563,7 @@ class EvalEngine:
         self.contract, self.contract_hash = contracts[digest]
         if not self.contract.locked:
             raise InvalidParameters("contract must be locked")
+        self.instruction_tokens = InstructionTokens(self.contract)
         self.mode = Mode(manifest.mode)
 
     # -- construction helpers --
@@ -929,24 +946,19 @@ class EvalEngine:
             run.emit_snapshot(cycle, s)
             run.prices[s.condition_id].append(s.yes_price)
         snap_map = {s.condition_id: s for s in snaps}
-        # Each market is rendered once; agents differ only in the portfolio
-        # summary that fills the gaps.
-        rendered = [
-            [
-                token_span(part)
-                for part in render_instruction_parts(
-                    self.contract, s,
-                    {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]},
-                )
-            ]
-            for s in snaps
-        ]
+        # Each market's instruction is counted once; agents differ only in
+        # the portfolio summary that fills the gaps.
+        tokens = []
+        for s in snaps:
+            times = {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]}
+            tokens.append(self.instruction_tokens.market(s, times))
         c = _Cycle(
             number=cycle,
             now=snaps[0].observed_at,
             snaps=snaps,
             snap_map=snap_map,
-            rendered=rendered,
+            tokens=tokens,
+            moves=_moves(snap_map, run.prices),
             risk_by_market={
                 cid: risk_category(
                     self._category(run, s),
@@ -1027,15 +1039,16 @@ class EvalEngine:
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
         """Sample and log the agent's forecast of every market."""
         st = run.states[aid]
-        summary_span = token_span(st.portfolio.summary())
+        shape, added = self.instruction_tokens.summary(st.portfolio.summary())
+        strategy = run.fold.strategy(aid)
         records: dict[str, ForecastRecord] = {}
-        for s, spans in zip(c.snaps, c.rendered):
+        for s, counts in zip(c.snaps, c.tokens):
             rec = sample_forecast(
                 st.agent, s, self.contract.token_budget, cycle_index=c.number,
-                input_tokens=instruction_tokens(summary_span, spans),
+                input_tokens=counts[shape] + added,
             )
             records[s.condition_id] = rec
-            run.emit_forecast(c.number, aid, rec)
+            run.emit_forecast(c.number, aid, rec, strategy)
         return records
 
     def _decide(
@@ -1055,7 +1068,6 @@ class EvalEngine:
             risk_by_market=c.risk_by_market,
             max_open_positions=self.config.simulator.max_open_positions,
             cfg=cfg,
-            produced_at=c.now,
         )
         batch, violations = parse_decision_wire(
             wire, agent_id=aid, produced_at=c.now, lenient=cfg.lenient_json
@@ -1092,8 +1104,7 @@ class EvalEngine:
         means, compared = _drift_means(
             {cid: rec.probability for cid, rec in records.items()},
             {cid: rec.probability for cid, rec in prev.items()},
-            c.snap_map,
-            run.prices,
+            c.moves,
         )
         dn_parts: list[float] = []
         for cid in compared:
@@ -1113,8 +1124,7 @@ class EvalEngine:
             forecasts = (
                 market_baseline(s, cfg.market_use_mid),
                 uniform_baseline(s),
-                # Outcomes settle only after the last cycle, so none has resolved.
-                historical_frequency_baseline(self._category(run, s), (), snapshot=s),
+                historical_frequency_baseline(self._category(run, s), run.history, snapshot=s),
                 heuristic_baseline(s, cfg.heuristic_favorite_prob, cfg.heuristic_longshot_prob),
             )
             for bf in forecasts:
@@ -1123,7 +1133,7 @@ class EvalEngine:
         if run.prev_baseline:
             for kind, curr in probs.items():
                 prev = run.prev_baseline.get(kind, {})
-                means, _ = _drift_means(curr, prev, c.snap_map, run.prices)
+                means, _ = _drift_means(curr, prev, c.moves)
                 run.emit(self._drift_event(c.number, reporting.BASELINE_PREFIX + kind, means))
         run.prev_baseline = probs
 

@@ -8,20 +8,17 @@ instead of clamping them.
 
 from __future__ import annotations
 
-import http.client
+import bisect
 import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
-from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 
@@ -185,6 +182,13 @@ def fetch_snapshot(
     ``NetworkError``; any other status but 200, or a bad body, is a
     ``MalformedResponse``.
     """
+    # Imported here: they pull in ssl, socket and email, which no other
+    # source needs.
+    import http.client
+    import urllib.error
+    import urllib.request
+    from urllib.parse import urlencode, urlsplit
+
     if rate_limiter is not None:
         rate_limiter.acquire()
     headers = {}
@@ -415,6 +419,20 @@ def _condition_id(seed: int, index: int) -> str:
     return "0x" + h[:40]
 
 
+def _choice_cdf(p: list[float]) -> tuple[float, ...]:
+    """The CDF numpy's ``Generator.choice(len(p), p=p)`` searches,
+    ``cumsum(p) / cumsum(p)[-1]``. For one draw, choice takes
+    ``searchsorted(cdf, rng.random(), side="right")``, which is
+    ``bisect_right`` of this: the same index and the same next draw, without
+    choice's checks of ``p`` on every call."""
+    cdf = np.cumsum(p)
+    return tuple(float(x) for x in cdf / cdf[-1])
+
+
+_LIQUIDITY_TIERS = (Liquidity.HIGH, Liquidity.MEDIUM, Liquidity.LOW)
+_LIQUIDITY_CDF = _choice_cdf([0.5, 0.3, 0.2])
+
+
 def _draw_yes_band(rng: np.random.Generator, risk: Risk) -> float:
     bands = _RISK_BANDS[risk]
     band = bands[int(rng.integers(len(bands)))] if len(bands) > 1 else bands[0]
@@ -482,9 +500,7 @@ def generate_synthetic(
         cid = _condition_id(seed, i)
         true_probs[cid] = p_star
         question = _QUESTION_TEMPLATES[domain].format(i=i)
-        liquidity = (Liquidity.HIGH, Liquidity.MEDIUM, Liquidity.LOW)[
-            int(rng.choice(3, p=[0.5, 0.3, 0.2]))
-        ]
+        liquidity = _LIQUIDITY_TIERS[bisect.bisect_right(_LIQUIDITY_CDF, rng.random())]
         end_time = max(start + _HORIZON_SPAN[horizon], times[-1] + interval)
 
         # ``min(max(x, lo), hi)`` clips a float as numpy's clip does, but for

@@ -155,7 +155,8 @@ def narrative_drift_sets(a: frozenset[str], b: frozenset[str]) -> float:
     """1 - Jaccard similarity of two token sets; two empties agree."""
     if not a and not b:
         return 0.0
-    return 1.0 - len(a & b) / len(a | b)
+    shared = len(a & b)
+    return 1.0 - shared / (len(a) + len(b) - shared)
 
 
 def narrative_drift(trace_prev: str, trace_curr: str) -> float:
@@ -163,18 +164,22 @@ def narrative_drift(trace_prev: str, trace_curr: str) -> float:
     return narrative_drift_sets(token_set(trace_prev), token_set(trace_curr))
 
 
+def temporal_drifts(dp: float, dm: float) -> tuple[float, float]:
+    """Both forms of temporal drift from the probability's move ``dp`` and
+    the market's move ``dm``, each an absolute change: the movement
+    unexplained by (difference) and scaled by (product) the market's own."""
+    return dp - dm, dp * dm
+
+
 def temporal_drift(
     p_prev: float, p_curr: float, m_prev: float, m_curr: float, form: str = "difference"
 ) -> float:
     """Probability movement unexplained by (difference) or scaled by (product)
     the market's own movement."""
-    dp = abs(p_curr - p_prev)
-    dm = abs(m_curr - m_prev)
-    if form == "difference":
-        return dp - dm
-    if form == "product":
-        return dp * dm
-    raise ValueError(f"unknown temporal drift form {form!r}")
+    if form not in ("difference", "product"):
+        raise ValueError(f"unknown temporal drift form {form!r}")
+    difference, product = temporal_drifts(abs(p_curr - p_prev), abs(m_curr - m_prev))
+    return difference if form == "difference" else product
 
 
 def confidence_drifts(probs: Sequence[float], outcomes: Sequence[int]) -> list[float]:

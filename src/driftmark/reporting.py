@@ -9,6 +9,7 @@ unresolved markets contribute only to drift and divergence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -201,6 +202,17 @@ class AggregateReport:
 _REFERENCE_BET_CENTS = 15_000
 
 
+_RISKS = frozenset(r.value for r in Risk)
+
+
+def _finite(key: str, value) -> float:
+    """A drift event's ``value`` of ``key``: a finite number, not a bool;
+    anything else is a ``ValueError`` naming the key."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} {value!r} is not a finite number")
+    return value
+
+
 def _probability(ev: dict) -> float:
     """An event's probability; one that is not a number in [0, 1] (NaN and
     infinities are not) is a ``ValueError``: the score folds bin it by
@@ -243,8 +255,11 @@ class EventFold:
     def add(self, ev: dict) -> None:
         """Fold one event; the engine calls this for each event it writes
         through ``event_line``. Kinds are tested from the most frequent
-        down. Every key the reports read later is read here, so an event
-        without one fails in ``fold_events``."""
+        down. Every key the reports read later is read here, and every value
+        they read is checked here, so an event without one, or with one
+        they cannot read, fails in ``fold_events``. The engine folds the bulk
+        kinds through the typed methods below, with values it checked where
+        they entered it."""
         kind = ev.get("kind")
         if kind == "forecast":
             self.add_forecast(
@@ -276,18 +291,36 @@ class EventFold:
         elif kind == "snapshot":
             self.add_snapshot(int(ev["cycle"]), ev["condition_id"], float(ev["yes_price"]))
         elif kind == "drift":
-            self.drifts.setdefault(ev["agent_id"], []).append(
-                (ev["d_narrative"], ev["d_temporal"], ev.get("d_temporal_product", 0.0))
-            )
+            self.drifts.setdefault(ev["agent_id"], []).append((
+                _finite("d_narrative", ev["d_narrative"]),
+                _finite("d_temporal", ev["d_temporal"]),
+                _finite("d_temporal_product", ev.get("d_temporal_product", 0.0)),
+            ))
         elif kind == "batch":
+            if type(ev["accepted"]) is not bool:
+                raise ValueError(f"accepted {ev['accepted']!r} is not true or false")
             self.batches.setdefault(ev["agent_id"], []).append(ev)
         elif kind == "market_meta":
+            risk = ev.get("risk", "medium")
+            if type(risk) is not str or risk not in _RISKS:
+                raise ValueError(f"risk {risk!r} is not one of {sorted(_RISKS)}")
+            for key in ("domain", "horizon", "liquidity"):
+                if type(ev.get(key, "")) is not str:
+                    raise ValueError(f"{key} {ev[key]!r} is not a string")
             self.meta[ev["condition_id"]] = ev
         elif kind == "resolution":
-            self.outcomes[ev["condition_id"]] = int(ev["outcome"])
+            outcome = ev["outcome"]
+            # as ``market_data.load_outcomes`` reads an outcome
+            if type(outcome) is not int or outcome not in (0, 1):
+                raise ValueError(f"outcome {outcome!r} is not 0 or 1")
+            self.outcomes[ev["condition_id"]] = outcome
         elif kind == "agent_failure":
             self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
         elif kind == "agent_meta":
+            if type(ev.get("agent_count", 1)) is not int:
+                raise ValueError(f"agent_count {ev['agent_count']!r} is not an integer")
+            if type(ev.get("unique_users")) not in (int, type(None)):
+                raise ValueError(f"unique_users {ev['unique_users']!r} is not an integer or null")
             self.agent_meta[ev["agent_id"]] = ev
             if ev["agent_id"] not in self.agents_seen:
                 self.agents_seen.append(ev["agent_id"])

@@ -7,7 +7,11 @@ package's pure-Python volatility must equal bit for bit; and
 ``read_log_oracle``, ``json.loads`` on each line: the reference the
 package's event-log reader must equal value for value and error for error;
 and ``generate_synthetic_oracle``, the synthetic generator with numpy's
-clip, which uses the generator's own tables and helpers.
+clip, which uses the generator's own tables and helpers; and
+``build_decision_batch_oracle``, the decision reply built as objects and
+serialized from them, which uses the agents' records and helpers; and
+``drift_means_oracle``, the drift means taken with ``metrics.temporal_drift``
+per market.
 The portfolio oracles at the end use the simulator's data types, and
 nothing else of it.
 """
@@ -16,13 +20,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import timedelta
 
 import numpy as np
 
+from driftmark import agents as ag
 from driftmark import market_data as md
 from driftmark.agents import Action
+from driftmark.metrics import temporal_drift
 from driftmark.simulator import Position, Side
 from driftmark.timeutil import SYNTHETIC_START
 
@@ -438,3 +444,133 @@ def step_oracle(portfolio, snapshots, stop_loss=-0.05, target_win=0.50):
         if ratio <= stop_loss or ratio >= target_win:
             portfolio = close_oracle(portfolio, p.condition_id, snapshots[p.condition_id])
     return portfolio
+
+
+# --- the decision reply, built as objects ------------------------------------------
+
+
+@dataclass(frozen=True)
+class CalibrationAdjustment:
+    win_rate_adj: float
+    prob_adjustment: float
+
+
+def adjustment(rate: float | None, stated_prob: float, penalty: float) -> CalibrationAdjustment:
+    """The win rate and the downward nudge it implies: with no history the
+    prior rate is 0.5 and no nudge applies; the penalty fires when the rate
+    trails the stated probability."""
+    if rate is None:
+        return CalibrationAdjustment(win_rate_adj=0.5, prob_adjustment=0.0)
+    nudge = penalty if rate < stated_prob else 0.0
+    return CalibrationAdjustment(win_rate_adj=rate, prob_adjustment=nudge)
+
+
+def decisions_to_wire_oracle(batch: ag.DecisionBatch) -> str:
+    """The agent wire schema of a batch, one dict per decision."""
+    items = []
+    for d in batch.decisions:
+        item: dict = {"marketId": d.market_id, "action": d.action.value}
+        if d.amount_cents is not None:
+            item["amount"] = round(d.amount_cents / 100.0, 2)
+        if d.close_fraction is not None:
+            item["closeAmount"] = d.close_fraction
+        item["reasoning"] = d.reasoning
+        if d.confidence is not None:
+            item["confidence"] = d.confidence
+        if d.edge is not None:
+            item["edge"] = round(d.edge, 6)
+        if d.expected_return_cents is not None:
+            item["expectedReturn"] = round(d.expected_return_cents / 100.0, 2)
+        if d.h_score is not None:
+            item["hScore"] = round(d.h_score, 6)
+        if d.strategy is not None:
+            item["strategy"] = d.strategy.value
+        items.append(item)
+    return json.dumps(
+        {"decisions": items, "reasoning": batch.overall_reasoning}, separators=(",", ":")
+    )
+
+
+def build_decision_batch_oracle(
+    agent, records, snapshots, window, open_positions, *, risk_by_market, max_open_positions,
+    cfg, produced_at,
+) -> str:
+    """The agent's reply for one cycle: a ``Decision`` per candidate and per
+    HOLD, ranked by a sort of the decisions, held in a ``DecisionBatch``
+    and serialized from it."""
+    mode = window.mode
+    if mode == ag.WindowMode.CALIBRATION:
+        min_conf, min_edge = cfg.calibration_min_confidence, cfg.calibration_min_edge
+    else:
+        min_conf, min_edge = cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge
+    rate = ag._win_rate(window)
+    candidates = []
+    for snap in snapshots:
+        cid = snap.condition_id
+        if cid in open_positions or cid not in records:
+            continue
+        record = records[cid]
+        adj = adjustment(rate, record.probability, cfg.prob_adjustment_penalty)
+        calibrated = min(max(record.probability + adj.prob_adjustment, 0.0), 1.0)
+        edge_yes = calibrated - snap.yes_price
+        edge_no = (1.0 - calibrated) - snap.no_price
+        if edge_yes >= edge_no:
+            action, edge, p_side, price = Action.BUY_YES, edge_yes, calibrated, snap.yes_price
+        else:
+            action, edge, p_side, price = Action.BUY_NO, edge_no, 1.0 - calibrated, snap.no_price
+        if price <= 0.0:
+            continue
+        bet = agent.bet_cents(record.confidence, risk_by_market.get(cid, md.Risk.MEDIUM), cfg)
+        er = ag.expected_return(p_side, bet, price)
+        if record.confidence >= min_conf and edge >= min_edge and er > 0:
+            candidates.append(ag.Decision(
+                market_id=cid, action=action, amount_cents=bet,
+                reasoning=f"{agent.strategy.value}: edge {edge:.4f} at {price:.4f}",
+                confidence=record.confidence, edge=edge, expected_return_cents=er, h_score=0.0,
+                strategy=agent.strategy,
+            ))
+    ranked = sorted(candidates, key=lambda d: (
+        -(d.h_score or 0.0), -(d.expected_return_cents or 0), -(d.edge or 0.0),
+        -(d.confidence or 0),
+    ))
+    decisions = []
+    used = set()
+    room = max_open_positions - len(open_positions)
+    for decision in ranked:
+        if len(decisions) >= cfg.batch_size or room <= 0:
+            break
+        decisions.append(decision)
+        used.add(decision.market_id)
+        room -= 1
+    for snap in snapshots:
+        if len(decisions) >= cfg.batch_size:
+            break
+        if snap.condition_id not in used:
+            decisions.append(ag.Decision(snap.condition_id, Action.HOLD, reasoning="no edge"))
+            used.add(snap.condition_id)
+    batch = ag.DecisionBatch(
+        tuple(decisions), f"{agent.agent_id} cycle decisions under {mode.value}",
+        agent.agent_id, produced_at,
+    )
+    return decisions_to_wire_oracle(batch)
+
+
+def drift_means_oracle(curr, prev, snap_map, prices):
+    """Means over the probabilities ``curr`` of ``metrics.temporal_drift``
+    from ``prev`` in both forms, each market's taken from its last two
+    prices, and of the divergence from the market's yes price; and the
+    markets compared, in order."""
+    compared, dt_diff, dt_prod, divergence = [], [], [], []
+    for cid, p_curr in curr.items():
+        if cid in snap_map:
+            divergence.append(abs(p_curr - snap_map[cid].yes_price))
+        p_prev = prev.get(cid)
+        history = prices.get(cid, ())
+        if p_prev is None or len(history) < 2:
+            continue
+        m_prev, m_curr = history[-2], history[-1]
+        compared.append(cid)
+        dt_diff.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "difference"))
+        dt_prod.append(temporal_drift(p_prev, p_curr, m_prev, m_curr, "product"))
+    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0  # noqa: E731
+    return (mean(dt_diff), mean(dt_prod), mean(divergence)), compared

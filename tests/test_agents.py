@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmark import agents
@@ -31,7 +31,7 @@ from driftmark.agents import (
 )
 from driftmark.config import AgentConfig
 from driftmark.errors import MalformedAgentOutput, ZeroPrice
-from driftmark.market_data import Risk
+from driftmark.market_data import MIN_POSITIVE_PRICE, Risk
 
 import oracles
 from conftest import make_snapshot
@@ -59,8 +59,10 @@ class TestCalibrationWindow:
 
 def calibration_adjustment(window, stated_prob, penalty=-0.05):
     """The win rate and nudge ``build_decision_batch`` takes for a forecast
-    of ``stated_prob`` under ``window``."""
-    return agents._adjustment(agents._win_rate(window), stated_prob, penalty)
+    of ``stated_prob`` under ``window``, as the object path took them: the
+    rate is the package's, the nudge the oracle's (``build_decision_batch``
+    nudges inline and is tested against that path)."""
+    return oracles.adjustment(agents._win_rate(window), stated_prob, penalty)
 
 
 class TestCalibrationAdjustment:
@@ -583,6 +585,10 @@ class TestScriptedAgents:
         assert agent.agent_id == "momentum#b"
 
 
+# A price a snapshot may quote: 0, or at least the smallest positive one.
+_PRICES = st.one_of(st.just(0.0), st.floats(MIN_POSITIVE_PRICE, 1.0))
+
+
 class TestBuildDecisionBatch:
     def test_exactly_thirty_unique(self):
         agent = build_agent("momentum")
@@ -600,7 +606,6 @@ class TestBuildDecisionBatch:
             risk_by_market={s.condition_id: Risk.LOW for s in snaps},
             max_open_positions=30,
             cfg=AgentConfig(),
-            produced_at=NOW,
         )
         batch, _ = parse_decision_wire(wire, agent_id=agent.agent_id, produced_at=NOW)
         assert len(batch.decisions) == 30
@@ -608,3 +613,55 @@ class TestBuildDecisionBatch:
         assert len(set(ids)) == 30
         result = validate_decision_batch(batch, {s.condition_id for s in snaps}, CalibrationWindow())
         assert result.ok
+
+    @given(
+        kind=st.sampled_from(sorted(agents.AGENT_BUILDERS)),
+        markets=st.lists(
+            st.tuples(
+                st.integers(0, 44),  # a small pool of ids, so some repeat
+                _PRICES, _PRICES,
+                st.floats(0.0, 1.0), st.integers(0, 10),  # the forecast
+                st.booleans(),  # whether the agent forecast it
+                st.sampled_from([None, *Risk]),
+            ),
+            min_size=1, max_size=45,
+        ),
+        pnls=st.lists(st.integers(-500, 500), max_size=12),
+        window_size=st.integers(1, 12),
+        open_ids=st.sets(st.integers(0, 50), max_size=8),
+        max_open=st.integers(0, 40),
+        batch_size=st.integers(1, 35),
+    )
+    @settings(max_examples=300, deadline=None)
+    # One confidence over three risks, which size a risk_confirmation bet
+    # apart; and a forecast equal to the window's win rate, 0.5, which the
+    # penalty spares.
+    @example(
+        kind="risk_confirmation",
+        markets=[(n, 0.3, 0.7, 0.5, 9, True, risk) for n, risk in enumerate([*Risk, None])],
+        pnls=[1, -1], window_size=12, open_ids=set(), max_open=40, batch_size=30,
+    )
+    def test_equals_the_object_path(
+        self, kind, markets, pnls, window_size, open_ids, max_open, batch_size
+    ):
+        """The reply is the text, and parses to the batch, that building a
+        ``Decision`` per candidate and per HOLD and serializing them gave."""
+        agent = build_agent(kind)
+        snaps, records, risks = [], {}, {}
+        for n, yes, no, prob, confidence, forecast, risk in markets:
+            cid = f"0x{n:040x}"
+            snaps.append(make_snapshot(cid=cid, yes=yes, no=no))
+            if forecast:
+                records[cid] = agents.ForecastRecord(cid, prob, confidence, "t", 0, 0)
+            if risk is not None:
+                risks[cid] = risk
+        args = (agent, records, snaps, window_with(pnls, size=window_size),
+                {f"0x{n:040x}" for n in open_ids})
+        kwargs = dict(risk_by_market=risks, max_open_positions=max_open,
+                      cfg=AgentConfig(batch_size=batch_size))
+        wire = build_decision_batch(*args, **kwargs)
+        expected = oracles.build_decision_batch_oracle(*args, **kwargs, produced_at=NOW)
+        assert wire == expected
+        assert parse_decision_wire(wire, agent_id=kind, produced_at=NOW) == parse_decision_wire(
+            expected, agent_id=kind, produced_at=NOW
+        )

@@ -8,6 +8,7 @@ import pytest
 
 from driftmark.baselines import (
     BaselineKind,
+    HistoricalFrequency,
     heuristic_baseline,
     historical_frequency_baseline,
     market_baseline,
@@ -29,11 +30,12 @@ NOW = datetime(2026, 2, 1, tzinfo=timezone.utc)
 CAT = EventCategory(Risk.MEDIUM, Domain.ECONOMIC, Horizon.SHORT)
 
 
-def _resolved(values, cat=CAT):
-    return [
-        (ResolvedOutcome(f"0x{i:040x}", v, NOW), cat)
-        for i, v in enumerate(values)
-    ]
+def _resolved(values, cat=CAT) -> HistoricalFrequency:
+    """A history that has seen one resolved market of ``cat`` per value."""
+    history = HistoricalFrequency()
+    for i, v in enumerate(values):
+        history.update(ResolvedOutcome(f"0x{i:040x}", v, NOW), cat)
+    return history
 
 
 class TestMarketBaseline:
@@ -69,7 +71,7 @@ class TestUniformBaseline:
 
 class TestHistoricalBaseline:
     def test_empty_set_laplace_prior(self):
-        bf = historical_frequency_baseline(CAT, [], snapshot=make_snapshot())
+        bf = historical_frequency_baseline(CAT, HistoricalFrequency(), snapshot=make_snapshot())
         assert bf.probability == 0.5
 
     def test_seven_of_ten(self):

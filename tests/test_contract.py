@@ -4,22 +4,21 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftmark.contract import (
     ContractHash,
     ContractStore,
     DEFAULT_TEMPLATE,
+    InstructionTokens,
     canonical_bytes,
     compute_hash,
     contract_from_json,
     contract_to_json,
-    instruction_tokens,
     lock_contract,
     render_instruction,
     render_instruction_parts,
-    token_span,
 )
 from driftmark.errors import (
     BudgetNotAllowed,
@@ -191,6 +190,22 @@ class TestRenderInstruction:
 TOKEN_TEXT = st.text(alphabet="ab \n\t\u3000\x1c\x1d\x1e\x1f\x85", max_size=8)
 
 
+def _count(contract, market, summary, extra=None) -> int:
+    """The instruction's token count from ``InstructionTokens``."""
+    counter = InstructionTokens(contract)
+    shape, added = counter.summary(summary)
+    return counter.market(market, extra)[shape] + added
+
+
+# Placeholders for the templates below: every key a market or the contract
+# fills, and the summary in both spellings. Two keys nothing fills come on top.
+_KEYS = (
+    "market.condition_id", "market.question", "market.yes_price", "market.no_price",
+    "market.liquidity_tier", "market.end_time", "market.observed_at", "contract.version",
+    "contract.token_budget", "portfolio.summary", " portfolio.summary ",
+)
+
+
 class TestInstructionTokens:
     @given(TOKEN_TEXT, st.lists(TOKEN_TEXT, min_size=1, max_size=6))
     @settings(max_examples=500)
@@ -199,16 +214,68 @@ class TestInstructionTokens:
     @example("x y", ["a", "b", "c"])  # adjacent placeholders on both sides
     @example("\u3000", ["a\x1c", "\x85b"])
     def test_equals_split_of_the_joined_instruction(self, summary, parts):
-        spans = [token_span(part) for part in parts]
-        assert instruction_tokens(token_span(summary), spans) == len(summary.join(parts).split())
+        template = "{{portfolio.summary}}".join(parts)
+        assume(template)
+        contract, _ = lock_contract(template, "v1", 1000)
+        assert _count(contract, make_snapshot(), summary) == len(summary.join(parts).split())
+
+    @given(
+        st.lists(
+            st.one_of(
+                TOKEN_TEXT,
+                st.sampled_from(_KEYS).map(lambda key: "{{%s}}" % key),
+                st.sampled_from(["{{no.such.key}}", "{{market.volume}}"]),
+            ),
+            min_size=1,
+            max_size=10,
+        ).map("".join).filter(bool),
+        st.fixed_dictionaries({
+            "cid": TOKEN_TEXT, "question": TOKEN_TEXT, "version": TOKEN_TEXT,
+            "end": TOKEN_TEXT, "observed": TOKEN_TEXT, "summary": TOKEN_TEXT,
+        }),
+        st.booleans(),
+    )
+    @settings(max_examples=500)
+    @example("{{portfolio.summary}}{{market.question}}{{portfolio.summary}}",
+             dict(cid="", question="", version="", end="", observed="", summary="a"), True)
+    @example("{{market.question}}{{portfolio.summary}}{{portfolio.summary}}{{market.condition_id}}",
+             dict(cid="b ", question=" a", version="", end="", observed="", summary="\x85c\u3000"),
+             False)
+    @example("{{market.question}} {{market.volume}}{{portfolio.summary}}{{no.such.key}}",
+             dict(cid="", question="", version="", end="", observed="", summary=""), False)
+    def test_equals_split_of_the_rendered_instruction(self, template, texts, with_times):
+        """Any template, with placeholders adjacent or at either end and the
+        summary repeated or absent, and values and summaries that are empty
+        or hold Unicode whitespace: the count is the rendered text's, and an
+        unknown key is the renderer's error."""
+        contract, _ = lock_contract(template, texts["version"], 1000)
+        market = make_snapshot(cid=texts["cid"], question=texts["question"])
+        extra = (
+            {"market.end_time": texts["end"], "market.observed_at": texts["observed"]}
+            if with_times else None
+        )
+        summary = texts["summary"]
+        try:
+            expected = len(render_instruction(contract, market, summary, extra).split())
+        except MissingPlaceholderValue as exc:
+            with pytest.raises(MissingPlaceholderValue) as info:
+                _count(contract, market, summary, extra)
+            assert info.value.key == exc.key
+            return
+        assert _count(contract, market, summary, extra) == expected
 
     def test_default_template(self):
-        parts = render_instruction_parts(lock_contract(DEFAULT_TEMPLATE, "v1", 1000)[0],
-                                         make_snapshot())
+        contract = lock_contract(DEFAULT_TEMPLATE, "v1", 1000)[0]
         summary = "capital=$10,000.00 available=$10,000.00 deployed=$0.00 open=0"
-        assert instruction_tokens(
-            token_span(summary), [token_span(part) for part in parts]
-        ) == len(summary.join(parts).split())
+        assert _count(contract, make_snapshot(), summary) == len(
+            render_instruction(contract, make_snapshot(), summary).split()
+        )
+
+    def test_unlocked_contract_rejected(self):
+        contract, _ = lock_contract("{{market.question}}", "v1", 1000)
+        unlocked = dataclasses.replace(contract, locked=False)
+        with pytest.raises(UnlockedContract):
+            InstructionTokens(unlocked).market(make_snapshot())
 
 
 class TestStore:

@@ -59,6 +59,9 @@ from driftmark.simulator import (
     replay_ledger,
 )
 
+import oracles
+from conftest import make_snapshot
+
 
 def make_engine(root, seed=42, agents=("market_copier", "momentum"), markets=40, cycles=5, run_id=None, mode="execution"):
     return EvalEngine.create(
@@ -606,6 +609,56 @@ class TestCheckpointResume:
         with pytest.raises(CorruptLog, match=re.escape(f"probability {probability!r}")):
             resume_run(tmp_path, "prob", at_cycle=3)
 
+    @pytest.mark.parametrize(
+        "kind, key, value, reason",
+        [
+            ("drift", "d_narrative", "0.25", "d_narrative '0.25' is not a finite number"),
+            ("drift", "d_narrative", None, "d_narrative None is not a finite number"),
+            ("drift", "d_temporal", "x", "d_temporal 'x' is not a finite number"),
+            ("drift", "d_temporal_product", None, "d_temporal_product None is not a finite"),
+            ("drift", "d_temporal", float("nan"), "d_temporal nan is not a finite number"),
+            ("drift", "d_narrative", True, "d_narrative True is not a finite number"),
+            ("market_meta", "risk", 5, "risk 5 is not one of ['high', 'low', 'medium']"),
+            ("market_meta", "domain", ["x"], "domain ['x'] is not a string"),
+            ("agent_meta", "agent_count", "many", "agent_count 'many' is not an integer"),
+            ("agent_meta", "unique_users", 1.5, "unique_users 1.5 is not an integer or null"),
+            ("batch", "accepted", "no", "accepted 'no' is not true or false"),
+        ],
+    )
+    def test_a_kept_value_the_reports_cannot_read_is_corrupt(
+        self, tmp_path, capsys, kind, key, value, reason
+    ):
+        """``report`` once ended each of these in a raw ``TypeError`` or
+        ``ValueError``, or scored it without a word; a resume went on past
+        the cut and failed in the final reports, or not at all. Now both
+        name the value, and resume leaves the log as it was."""
+        make_engine(tmp_path, agents=("momentum", "mean_reversion"), cycles=4, run_id="bad").run()
+        run_dir = tmp_path / "bad"
+        self._damage_kept_entry(run_dir, None, key, value, marker=f'"kind":"{kind}"')
+        assert cli_main(["--out", str(tmp_path), "report", "--run-id", "bad"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert reason in err
+        files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        before = {p.name: file_sha256(p) for p in files}
+        with pytest.raises(CorruptLog, match=re.escape(reason)):
+            resume_run(tmp_path, "bad", at_cycle=3)
+        assert {p.name: file_sha256(p) for p in files} == before
+
+    @pytest.mark.parametrize("outcome", [2, True, 1.0, "1", None])
+    def test_a_logged_outcome_other_than_0_or_1_is_corrupt(self, tmp_path, capsys, outcome):
+        """Such an outcome was scored as ``int`` read it (``true`` as 1, 2
+        as 2); an outcomes file cannot hold one."""
+        result = make_engine(tmp_path, cycles=3, run_id="res").run()
+        lines = result.events_path.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if b'"kind":"resolution"' in line)
+        lines[at] = evalloop.event_line({**json.loads(lines[at]), "outcome": outcome}).encode()
+        result.events_path.write_bytes(b"".join(lines))
+        assert cli_main(["--out", str(tmp_path), "report", "--run-id", "res"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"outcome {outcome!r} is not 0 or 1" in err
+
     def test_kept_ledger_event_without_a_note_resumes_with_an_empty_one(self, tmp_path):
         """A kept entry's note is its event's, or "" when the event has none."""
         make_engine(tmp_path, cycles=4, run_id="note").run()
@@ -1064,6 +1117,39 @@ class TestAgentIds:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+
+class TestDriftMeans:
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(_UNIT, min_size=1, max_size=3),  # the market's prices so far
+                _UNIT,  # this cycle's probability
+                st.none() | _UNIT,  # the previous cycle's, if any
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300)
+    def test_equal_the_per_market_means_of_temporal_drift(self, markets):
+        """Bit for bit, with markets of one price and markets without a
+        previous forecast."""
+        prices = evalloop._price_history(10)
+        snap_map, curr, prev = {}, {}, {}
+        for i, (history, p_curr, p_prev) in enumerate(markets):
+            cid = f"0x{i:040x}"
+            prices[cid].extend(history)
+            snap_map[cid] = make_snapshot(cid=cid, yes=history[-1])
+            curr[cid] = p_curr
+            if p_prev is not None:
+                prev[cid] = p_prev
+        means, compared = evalloop._drift_means(curr, prev, evalloop._moves(snap_map, prices))
+        want_means, want_compared = oracles.drift_means_oracle(curr, prev, snap_map, prices)
+        assert [m.hex() for m in means] == [m.hex() for m in want_means]
+        assert compared == want_compared
+
+
 class TestAgentReplies:
     def test_a_reply_of_another_type_is_an_agent_failure(self, tmp_path, monkeypatch):
         """An agent whose probability is a numpy float fails each cycle, as
@@ -1233,7 +1319,7 @@ def _emit_typed(run, ev: dict) -> None:
             condition_id=ev["condition_id"], probability=ev["probability"],
             confidence=ev["confidence"], reasoning_trace=ev["trace"],
             input_tokens=ev["input_tokens"], output_tokens=ev["output_tokens"],
-        ))
+        ), run.fold.strategy(ev["agent_id"]))
     elif ev["kind"] == "baseline":
         run.emit_baseline(ev["cycle"], BaselineForecast(
             BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"]

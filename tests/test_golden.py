@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from driftmark.agents import build_agent
-from driftmark import evalloop
+from driftmark import contract, evalloop
 from driftmark.cli import main as cli_main
 from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
@@ -246,6 +246,20 @@ def run_manifest(root, name: str):
         save_feed(feed.snapshots, "feed.jsonl")
         save_outcomes(feed.outcomes, "outcomes.jsonl")
     return EvalEngine.create(root, run_id=name, **MANIFESTS[name]).run()
+
+
+def test_a_run_builds_no_instruction_text(tmp_path, monkeypatch):
+    """A run counts each forecast's instruction tokens from the contract, so
+    the pins hold with the renderer refusing to run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run rendered an instruction")
+
+    monkeypatch.setattr(contract, "render_instruction_parts", refuse)
+    monkeypatch.setattr(evalloop, "render_instruction_parts", refuse, raising=False)
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "synthetic")
+    assert run_digests("out", "synthetic") == PINS["synthetic"]
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))

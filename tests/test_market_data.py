@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmark import market_data
 from driftmark.cli import main as cli_main
 from driftmark.errors import (
     CorruptRecord,
@@ -130,6 +135,23 @@ class TestFetchSnapshot:
         with pytest.raises(NetworkError):
             fetch_snapshot(endpoint, "x")
         handler.status = 200
+
+    def test_only_a_fetch_imports_the_network_stack(self):
+        """Importing the package and its CLI, as every replay or synthetic
+        run does, loads none of the modules a live fetch needs."""
+        import driftmark
+
+        src = str(Path(driftmark.__file__).resolve().parents[1])
+        code = (
+            "import sys, driftmark, driftmark.cli; "
+            "print(sorted(m for m in ('ssl', 'http.client', 'urllib.request') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 # --- replay ------------------------------------------------------------------------
@@ -535,6 +557,20 @@ class TestSynthetic:
             assert got == want
         assert feed.outcomes == expected.outcomes
         assert feed.true_probs == expected.true_probs
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**20), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_liquidity_draw_equals_numpy_choice(self, seed, market, draws_before):
+        """``bisect_right`` of the tier CDF takes the index and leaves the
+        stream where ``rng.choice(3, p=[0.5, 0.3, 0.2])`` does."""
+        ours = np.random.default_rng([seed, market])
+        numpy_s = np.random.default_rng([seed, market])
+        for _ in range(draws_before):
+            assert ours.random() == numpy_s.random()
+        for _ in range(5):
+            index = bisect.bisect_right(market_data._LIQUIDITY_CDF, ours.random())
+            assert index == int(numpy_s.choice(3, p=[0.5, 0.3, 0.2]))
+        assert ours.random() == numpy_s.random()
 
     def test_cycles_grouping(self):
         feed = generate_synthetic(3, 7, 4)
