@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, NamedTuple
 
 from .errors import (
     BudgetNotAllowed,
@@ -142,12 +141,19 @@ def render_instruction(
     return portfolio_summary.join(render_instruction_parts(contract, market, extra))
 
 
-def _placeholder_values(
-    contract: PromptContract, market, extra: dict[str, str] | None
-) -> dict[str, str]:
-    """The text of every placeholder but ``{{portfolio.summary}}``. The
-    market's times are formatted here only when ``extra`` does not hold
-    their text."""
+def render_instruction_parts(
+    contract: PromptContract, market, extra: dict[str, str] | None = None
+) -> list[str]:
+    """Render every placeholder except ``{{portfolio.summary}}``, which is
+    left as a gap between the returned parts.
+
+    ``summary.join(parts)`` is byte for byte the instruction
+    ``render_instruction`` gives for that summary, for any template. The
+    market's times are formatted only when ``extra`` does not hold their
+    text.
+    """
+    if not contract.locked:
+        raise UnlockedContract("render requires a locked contract")
     values = {
         "market.condition_id": market.condition_id,
         "market.question": market.question,
@@ -162,21 +168,6 @@ def _placeholder_values(
         values["market.end_time"] = to_iso(market.end_time)
     if "market.observed_at" not in values:
         values["market.observed_at"] = to_iso(market.observed_at)
-    return values
-
-
-def render_instruction_parts(
-    contract: PromptContract, market, extra: dict[str, str] | None = None
-) -> list[str]:
-    """Render every placeholder except ``{{portfolio.summary}}``, which is
-    left as a gap between the returned parts.
-
-    ``summary.join(parts)`` is byte for byte the instruction
-    ``render_instruction`` gives for that summary, for any template.
-    """
-    if not contract.locked:
-        raise UnlockedContract("render requires a locked contract")
-    values = _placeholder_values(contract, market, extra)
 
     # split() alternates literal text and placeholder keys.
     pieces = _PLACEHOLDER.split(contract.template_text)
@@ -196,122 +187,16 @@ def render_instruction_parts(
     return parts
 
 
-class TokenSpan(NamedTuple):
-    """A non-empty text's whitespace-token count (``len(text.split())``) and
-    whether it starts and ends with a non-whitespace character."""
-
-    count: int
-    head: bool
-    tail: bool
-
-
-def token_span(text: str) -> TokenSpan | None:
-    """The span of ``text``; None for the empty string, which joins to nothing."""
-    if not text:
-        return None
-    return TokenSpan(len(text.split()), not text[0].isspace(), not text[-1].isspace())
-
-
-def _concatenated(spans: Iterable[TokenSpan | None]) -> TokenSpan | None:
-    """The span of texts joined end to end, from their spans (None for an
-    empty text)."""
-    count = 0
-    head = tail = None
-    for span in spans:
-        if span is None:
-            continue
-        n, h, t = span
-        if head is None:
-            head = h
-        else:
-            # A token that ends one text and one that starts the next are one token.
-            n -= tail and h
-        count += n
-        tail = t
-    return None if head is None else TokenSpan(count, head, tail)
-
-
-class _Spans(dict):
-    """Token span by text; each distinct text is split once."""
-
-    def __missing__(self, text: str) -> TokenSpan | None:
-        span = self[text] = token_span(text)
-        return span
-
-
-# A stand-in of no tokens for each shape a summary can have: empty, then
-# starting and ending with whitespace or a token, as (head, tail) = (False,
-# False), (False, True), (True, False), (True, True).
-_SUMMARY_SHAPES = (
-    None, *(TokenSpan(0, head, tail) for head in (False, True) for tail in (False, True))
-)
-
-
-class InstructionTokens:
-    """The whitespace-token count of ``render_instruction``'s text, counted
-    from the contract's template without building the text.
-
-    The template is split once, and each literal piece keeps its span.
-    ``market`` takes only the spans of a market's placeholder values and
-    joins them with the literals into the spans of the parts, the text
-    between the ``{{portfolio.summary}}`` slots. Which of a summary's tokens
-    run into the text around it depends only on whether it starts and ends
-    with a token, so ``market`` counts the instruction once for each such
-    shape, with a stand-in of no tokens in every slot; each of the summary's
-    own tokens then adds one per slot. So for a market ``m`` and a summary
-    ``text``, with ``extra`` holding no summary,
-
-        shape, added = self.summary(text)
-        self.market(m, extra)[shape] + added
-        == len(render_instruction(contract, m, text, extra).split())
-    """
-
-    def __init__(self, contract: PromptContract):
-        self.contract = contract
-        pieces = _PLACEHOLDER.split(contract.template_text)
-        # The keys in template order, and each part as literal spans and keys.
-        self._keys = [key for key in pieces[1::2] if key != _SUMMARY_KEY]
-        self._parts: list[list] = [[token_span(pieces[0])]]
-        for i in range(1, len(pieces), 2):
-            if pieces[i] == _SUMMARY_KEY:
-                self._parts.append([])
-            else:
-                self._parts[-1].append(pieces[i])
-            self._parts[-1].append(token_span(pieces[i + 1]))
-        self._slots = len(self._parts) - 1
-        self._spans = _Spans()
-
-    def market(self, market, extra: dict[str, str] | None = None) -> tuple[int, ...]:
-        """The market's instruction count for each summary shape, less the
-        summary's own tokens. An unlocked contract or a placeholder without
-        a value raises as ``render_instruction_parts`` does."""
-        if not self.contract.locked:
-            raise UnlockedContract("render requires a locked contract")
-        values = _placeholder_values(self.contract, market, extra)
-        spans = self._spans
-        try:
-            first, *rest = [
-                _concatenated([spans[values[item]] if type(item) is str else item for item in part])
-                for part in self._parts
-            ]
-        except KeyError:
-            raise MissingPlaceholderValue(next(k for k in self._keys if k not in values)) from None
-        counts = []
-        for stand_in in _SUMMARY_SHAPES:
-            items = [first]
-            for part in rest:
-                items += (stand_in, part)
-            joined = _concatenated(items)
-            counts.append(joined.count if joined is not None else 0)
-        return tuple(counts)
-
-    def summary(self, text: str) -> tuple[int, int]:
-        """The summary's shape, an index into ``market``'s counts, and the
-        tokens it adds to every instruction."""
-        span = token_span(text)
-        if span is None:
-            return 0, 0
-        return 1 + 2 * span.head + span.tail, self._slots * span.count
+def summary_stand_in(summary: str) -> str:
+    """A text that splits as ``summary`` does wherever it is put: one ``x``
+    per whitespace token, joined by spaces, with a space before or after
+    where ``summary`` starts or ends with whitespace ("" for ""). Any
+    template rendered with it holds as many tokens as with ``summary``."""
+    if not summary:
+        return ""
+    head = " " if summary[0].isspace() else ""
+    tail = " " if summary[-1].isspace() else ""
+    return head + " ".join(["x"] * len(summary.split())) + tail
 
 
 # --- storage ----------------------------------------------------------------

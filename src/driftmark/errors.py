@@ -69,10 +69,6 @@ class InvalidParameters(EngineError):
 
 # --- agents -----------------------------------------------------------------
 
-class AgentTimeout(EngineError):
-    pass
-
-
 class MalformedAgentOutput(EngineError):
     pass
 

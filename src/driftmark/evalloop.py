@@ -55,14 +55,13 @@ from .contract import (
     ContractHash,
     ContractStore,
     DEFAULT_TEMPLATE,
-    InstructionTokens,
     PromptContract,
     contract_from_json,
     lock_contract,
-    render_instruction,  # noqa: F401  perfbench/layers.py wraps it here
+    render_instruction,
+    summary_stand_in,
 )
 from .errors import (
-    AgentTimeout,
     CorruptLog,
     EngineError,
     FatalFeedError,
@@ -411,8 +410,10 @@ class _Cycle(NamedTuple):
     now: datetime
     snaps: list[MarketSnapshot]
     snap_map: dict[str, MarketSnapshot]
-    # Each snapshot's InstructionTokens.market counts.
-    tokens: list[tuple[int, ...]]
+    # Each snapshot's time texts, and its instruction's token count by
+    # summary_stand_in of the portfolio summary.
+    times: list[dict[str, str]]
+    tokens: list[dict[str, int]]
     # Each market's yes price and |change| since its previous price.
     moves: dict[str, tuple[float, float | None]]
     risk_by_market: dict[str, Risk]
@@ -441,8 +442,6 @@ class _Run:
     next_cycle: int = 1
     # Each market's category from its cycle-1 snapshot.
     categories: dict[str, EventCategory] = field(default_factory=dict)
-    # The previous cycle's baseline probabilities by kind, for baseline drift.
-    prev_baseline: dict[str, dict[str, float]] | None = None
     # The outcomes the historical baseline has seen: none, since outcomes
     # settle only after the last cycle.
     history: HistoricalFrequency = field(default_factory=HistoricalFrequency)
@@ -547,6 +546,13 @@ class EvalEngine:
             raise InvalidParameters(f"unknown feed source kind {kind!r}")
         if _FEED_KEYS[kind] not in manifest.feed_source:
             raise InvalidParameters(f"a {kind} feed source needs {_FEED_KEYS[kind]!r}")
+        if kind == "live":
+            ids = list(manifest.feed_source["condition_ids"])
+            repeated = next((cid for i, cid in enumerate(ids) if cid in ids[:i]), None)
+            if repeated is not None:
+                raise InvalidParameters(
+                    f"live condition_ids repeat {repeated!r}; a cycle holds each market once"
+                )
         for aid in manifest.agent_ids:
             if type(aid) is not str:
                 raise InvalidParameters(f"agent id {aid!r} is not a string")
@@ -563,7 +569,6 @@ class EvalEngine:
         self.contract, self.contract_hash = contracts[digest]
         if not self.contract.locked:
             raise InvalidParameters("contract must be locked")
-        self.instruction_tokens = InstructionTokens(self.contract)
         self.mode = Mode(manifest.mode)
 
     # -- construction helpers --
@@ -725,7 +730,8 @@ class EvalEngine:
     ) -> _Run:
         """Rebuild the run state at the checkpoint. From the kept log:
         portfolios replayed from the ledger events, each agent's ledger so
-        far, calibration windows and baseline probabilities. From the kept
+        far and calibration windows; the fold of it holds the baselines'
+        forecasts, which baseline drift reads. From the kept
         ``cycles`` of the feed: each agent, built afresh, forecasts them again
         in run order, which gives its own state and its records of its last
         complete cycle; the price history comes from the same pass. The
@@ -756,7 +762,7 @@ class EvalEngine:
                         )
                         for s in snaps
                     }
-                except (MalformedAgentOutput, AgentTimeout):
+                except MalformedAgentOutput:
                     pass
         run = _Run({}, fold, prices, {}, ckpt["next_cycle"])
         times = _Timestamps()
@@ -795,16 +801,6 @@ class EvalEngine:
                 prev_forecasts=prev_forecasts[aid],
             )
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
-        # Baseline drift at the resume boundary compares with the boundary
-        # cycle's baseline probabilities.
-        run.prev_baseline = {
-            k.value: {
-                cid: rows[-1][1]
-                for cid, rows in fold.forecasts.get(reporting.BASELINE_PREFIX + k.value, {}).items()
-                if rows[-1][0] == boundary
-            }
-            for k in BaselineKind
-        }
         return run
 
     # -- the run --
@@ -946,18 +942,16 @@ class EvalEngine:
             run.emit_snapshot(cycle, s)
             run.prices[s.condition_id].append(s.yes_price)
         snap_map = {s.condition_id: s for s in snaps}
-        # Each market's instruction is counted once; agents differ only in
-        # the portfolio summary that fills the gaps.
-        tokens = []
-        for s in snaps:
-            times = {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]}
-            tokens.append(self.instruction_tokens.market(s, times))
         c = _Cycle(
             number=cycle,
             now=snaps[0].observed_at,
             snaps=snaps,
             snap_map=snap_map,
-            tokens=tokens,
+            times=[
+                {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]}
+                for s in snaps
+            ],
+            tokens=[{} for _ in snaps],
             moves=_moves(snap_map, run.prices),
             risk_by_market={
                 cid: risk_category(
@@ -1002,7 +996,7 @@ class EvalEngine:
             if st.prev_forecasts:
                 run.emit(self._agent_drift(run, c, aid, records, curr_tokens))
             batch = self._decide(run, c, aid, records)
-        except (MalformedAgentOutput, AgentTimeout) as exc:
+        except MalformedAgentOutput as exc:
             run.emit(
                 {"kind": "agent_failure", "cycle": c.number, "agent_id": aid, "error": str(exc)}
             )
@@ -1039,13 +1033,19 @@ class EvalEngine:
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
         """Sample and log the agent's forecast of every market."""
         st = run.states[aid]
-        shape, added = self.instruction_tokens.summary(st.portfolio.summary())
+        # Summaries that split alike share a stand-in, so each market's
+        # instruction is rendered once per cycle, not once per agent.
+        stand_in = summary_stand_in(st.portfolio.summary())
         strategy = run.fold.strategy(aid)
         records: dict[str, ForecastRecord] = {}
-        for s, counts in zip(c.snaps, c.tokens):
+        for s, times, counts in zip(c.snaps, c.times, c.tokens):
+            n_in = counts.get(stand_in)
+            if n_in is None:
+                n_in = counts[stand_in] = len(
+                    render_instruction(self.contract, s, stand_in, times).split()
+                )
             rec = sample_forecast(
-                st.agent, s, self.contract.token_budget, cycle_index=c.number,
-                input_tokens=counts[shape] + added,
+                st.agent, s, self.contract.token_budget, cycle_index=c.number, input_tokens=n_in
             )
             records[s.condition_id] = rec
             run.emit_forecast(c.number, aid, rec, strategy)
@@ -1117,9 +1117,19 @@ class EvalEngine:
 
     def _baselines(self, run: _Run, c: _Cycle) -> None:
         """Log every baseline's forecast from the snapshots and timestamps the
-        agents saw, then each baseline's drift."""
+        agents saw, then each baseline's drift from its forecasts of the
+        previous cycle, which the fold holds."""
         cfg = self.config.baselines
         probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
+        folded = run.fold.forecasts
+        prev = {
+            kind: {
+                cid: rows[-1][1]
+                for cid, rows in folded.get(reporting.BASELINE_PREFIX + kind, {}).items()
+                if rows[-1][0] == c.number - 1
+            }
+            for kind in probs
+        }
         for s in c.snaps:
             forecasts = (
                 market_baseline(s, cfg.market_use_mid),
@@ -1130,12 +1140,10 @@ class EvalEngine:
             for bf in forecasts:
                 probs[_BASELINE_TEXT[bf.kind]][s.condition_id] = bf.probability
                 run.emit_baseline(c.number, bf)
-        if run.prev_baseline:
+        if c.number > 1:
             for kind, curr in probs.items():
-                prev = run.prev_baseline.get(kind, {})
-                means, _ = _drift_means(curr, prev, c.moves)
+                means, _ = _drift_means(curr, prev[kind], c.moves)
                 run.emit(self._drift_event(c.number, reporting.BASELINE_PREFIX + kind, means))
-        run.prev_baseline = probs
 
     def _drift_event(
         self, cycle: int, subject: str, means: tuple[float, float, float], d_narrative: float = 0.0

@@ -69,9 +69,6 @@ class EventCategory:
     domain: Domain
     horizon: Horizon
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.risk.value, self.domain.value, self.horizon.value)
-
 
 # A quoted price is 0 or at least this: a bet's expected return scales with
 # 1/price, which must stay finite.
@@ -247,11 +244,14 @@ def replay_feed(
 
     Deterministic: two replays of the same file produce identical streams.
     Raises ``UnsortedFeed`` on a timestamp regression and ``CorruptRecord``
-    (with the 1-based line number) on anything unparseable. The agent
-    protocol is binary YES/NO, so multinomial records are skipped; pass a
-    list as ``skipped_multinomial`` to collect their line numbers.
+    (with the 1-based line number) on anything unparseable or on a market
+    listed twice at one ``observed_at``. The agent protocol is binary
+    YES/NO, so multinomial records are skipped; pass a list as
+    ``skipped_multinomial`` to collect their line numbers.
     """
     prev: datetime | None = None
+    # The markets seen at ``prev``.
+    seen: set[str] = set()
     with open(feed_file, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -270,7 +270,13 @@ def replay_feed(
                 raise CorruptRecord(line_no, str(exc)) from exc
             if prev is not None and snapshot.observed_at < prev:
                 raise UnsortedFeed(f"timestamp regression at line {line_no}")
-            prev = snapshot.observed_at
+            if snapshot.observed_at != prev:
+                prev, seen = snapshot.observed_at, set()
+            elif snapshot.condition_id in seen:
+                raise CorruptRecord(
+                    line_no, f"market {snapshot.condition_id} is listed twice at {to_iso(prev)}"
+                )
+            seen.add(snapshot.condition_id)
             yield snapshot
 
 

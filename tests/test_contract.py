@@ -11,7 +11,6 @@ from driftmark.contract import (
     ContractHash,
     ContractStore,
     DEFAULT_TEMPLATE,
-    InstructionTokens,
     canonical_bytes,
     compute_hash,
     contract_from_json,
@@ -19,6 +18,7 @@ from driftmark.contract import (
     lock_contract,
     render_instruction,
     render_instruction_parts,
+    summary_stand_in,
 )
 from driftmark.errors import (
     BudgetNotAllowed,
@@ -27,6 +27,7 @@ from driftmark.errors import (
     NonPositiveBudget,
     UnlockedContract,
 )
+from driftmark.simulator import Portfolio
 from driftmark.timeutil import to_iso
 
 from conftest import make_snapshot
@@ -191,10 +192,9 @@ TOKEN_TEXT = st.text(alphabet="ab \n\t\u3000\x1c\x1d\x1e\x1f\x85", max_size=8)
 
 
 def _count(contract, market, summary, extra=None) -> int:
-    """The instruction's token count from ``InstructionTokens``."""
-    counter = InstructionTokens(contract)
-    shape, added = counter.summary(summary)
-    return counter.market(market, extra)[shape] + added
+    """The instruction's token count as the engine takes it: rendered with
+    the summary's stand-in."""
+    return len(render_instruction(contract, market, summary_stand_in(summary), extra).split())
 
 
 # Placeholders for the templates below: every key a market or the contract
@@ -206,7 +206,15 @@ _KEYS = (
 )
 
 
-class TestInstructionTokens:
+class TestSummaryStandIn:
+    @pytest.mark.parametrize(
+        "summary, stand_in",
+        [("", ""), ("a", "x"), ("a b", "x x"), (" a\tb\n", " x x "), ("\u3000", "  "),
+         ("\x85ab\x1c", " x ")],
+    )
+    def test_one_x_per_token_and_the_ends(self, summary, stand_in):
+        assert summary_stand_in(summary) == stand_in
+
     @given(TOKEN_TEXT, st.lists(TOKEN_TEXT, min_size=1, max_size=6))
     @settings(max_examples=500)
     @example("", ["a", "b"])  # an empty summary: the parts meet directly
@@ -217,7 +225,10 @@ class TestInstructionTokens:
         template = "{{portfolio.summary}}".join(parts)
         assume(template)
         contract, _ = lock_contract(template, "v1", 1000)
-        assert _count(contract, make_snapshot(), summary) == len(summary.join(parts).split())
+        market = make_snapshot()
+        expected = len(render_instruction(contract, market, summary).split())
+        assert expected == len(summary.join(parts).split())
+        assert _count(contract, market, summary) == expected
 
     @given(
         st.lists(
@@ -246,8 +257,8 @@ class TestInstructionTokens:
     def test_equals_split_of_the_rendered_instruction(self, template, texts, with_times):
         """Any template, with placeholders adjacent or at either end and the
         summary repeated or absent, and values and summaries that are empty
-        or hold Unicode whitespace: the count is the rendered text's, and an
-        unknown key is the renderer's error."""
+        or hold Unicode whitespace: the stand-in's count is the summary's,
+        and an unknown key is the same error."""
         contract, _ = lock_contract(template, texts["version"], 1000)
         market = make_snapshot(cid=texts["cid"], question=texts["question"])
         extra = (
@@ -266,7 +277,7 @@ class TestInstructionTokens:
 
     def test_default_template(self):
         contract = lock_contract(DEFAULT_TEMPLATE, "v1", 1000)[0]
-        summary = "capital=$10,000.00 available=$10,000.00 deployed=$0.00 open=0"
+        summary = Portfolio.fresh(1_000_000, 30).summary()
         assert _count(contract, make_snapshot(), summary) == len(
             render_instruction(contract, make_snapshot(), summary).split()
         )
@@ -275,7 +286,7 @@ class TestInstructionTokens:
         contract, _ = lock_contract("{{market.question}}", "v1", 1000)
         unlocked = dataclasses.replace(contract, locked=False)
         with pytest.raises(UnlockedContract):
-            InstructionTokens(unlocked).market(make_snapshot())
+            _count(unlocked, make_snapshot(), "open 0/30")
 
 
 class TestStore:

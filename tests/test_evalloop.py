@@ -1060,6 +1060,19 @@ class TestFeedSourceKeys:
             )
         assert not any(tmp_path.iterdir())
 
+    def test_live_market_listed_twice_is_invalid_parameters(self, tmp_path):
+        """Each cycle would fetch the market twice, and every agent forecast
+        it twice."""
+        feed_source = {
+            "kind": "live", "endpoint": "http://127.0.0.1:9/price",
+            "condition_ids": ["0xa", "0xb", "0xa"],
+        }
+        with pytest.raises(InvalidParameters, match="repeat '0xa'"):
+            EvalEngine.create(
+                tmp_path, seed=1, agent_ids=["momentum"], feed_source=feed_source, cycles=2
+            )
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(InvalidParameters, match="unknown feed source kind"):
             EvalEngine.create(

@@ -12,12 +12,13 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from driftmark.agents import build_agent
-from driftmark import contract, evalloop
+from driftmark import evalloop
 from driftmark.cli import main as cli_main
 from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
@@ -248,18 +249,25 @@ def run_manifest(root, name: str):
     return EvalEngine.create(root, run_id=name, **MANIFESTS[name]).run()
 
 
-def test_a_run_builds_no_instruction_text(tmp_path, monkeypatch):
-    """A run counts each forecast's instruction tokens from the contract, so
-    the pins hold with the renderer refusing to run."""
+def test_a_run_renders_each_market_once_per_cycle(tmp_path, monkeypatch):
+    """Each forecast's input_tokens is the split of the text the renderer
+    gives, called through the name the engine imports: every portfolio
+    summary has the same stand-in, so each market is rendered once per
+    cycle for all six agents, and the pins hold."""
+    real = evalloop.render_instruction
+    calls = Counter()
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a run rendered an instruction")
+    def counted(contract, market, *args, **kwargs):
+        calls[market.observed_at, market.condition_id] += 1
+        return real(contract, market, *args, **kwargs)
 
-    monkeypatch.setattr(contract, "render_instruction_parts", refuse)
-    monkeypatch.setattr(evalloop, "render_instruction_parts", refuse, raising=False)
+    monkeypatch.setattr(evalloop, "render_instruction", counted)
     monkeypatch.chdir(tmp_path)
     run_manifest("out", "synthetic")
     assert run_digests("out", "synthetic") == PINS["synthetic"]
+    manifest = MANIFESTS["synthetic"]
+    assert len(calls) == manifest["feed_source"]["n_markets"] * manifest["cycles"]
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))

@@ -269,6 +269,36 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt feed record at line 41") and err.count("\n") == 1
 
+    @staticmethod
+    def _feed_listing_a_market_twice(path: Path, at_end: bool) -> Path:
+        """A 31-market, 3-cycle feed that lists each cycle's first market
+        again, next to it or at the cycle's end."""
+        lines = []
+        for cycle in generate_synthetic(7, 31, 3).cycles():
+            listed = cycle + cycle[:1] if at_end else cycle[:1] + cycle
+            lines += [json.dumps(snapshot_to_record(s)) + "\n" for s in listed]
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("at_end, line_no", [(False, 2), (True, 32)])
+    def test_market_listed_twice_at_one_time_is_corrupt(self, tmp_path, at_end, line_no):
+        """A run once forecast such a market twice per agent and cycle, and
+        took its next price move against the repeat."""
+        path = self._feed_listing_a_market_twice(tmp_path / "feed.jsonl", at_end)
+        with pytest.raises(CorruptRecord, match="listed twice") as err:
+            list(replay_feed(path))
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("command", ["replay", "run"])
+    def test_cli_on_a_market_listed_twice_exits_1(self, tmp_path, capsys, command):
+        path = self._feed_listing_a_market_twice(tmp_path / "feed.jsonl", at_end=False)
+        argv = ["replay", "--feed", str(path)] if command == "replay" else [
+            "run", "--agents", "momentum", "--cycles", "3", "--feed", str(path)
+        ]
+        assert cli_main(["--out", str(tmp_path / "runs"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt feed record at line 2") and err.count("\n") == 1
+
     @pytest.mark.parametrize("yes", [1, 0, np.float64(0.625)])
     def test_prices_are_read_as_floats(self, yes):
         """A price of any number type enters as a ``float``, which a log
@@ -288,8 +318,9 @@ class TestReplay:
         path = tmp_path / "feed.jsonl"
         good = snapshot_to_record(make_snapshot())
         multi = dict(good, outcome_count=4)
+        other = snapshot_to_record(make_snapshot(cid="0x" + "ef" * 20))
         path.write_text(
-            json.dumps(good) + "\n" + json.dumps(multi) + "\n" + json.dumps(good) + "\n",
+            json.dumps(good) + "\n" + json.dumps(multi) + "\n" + json.dumps(other) + "\n",
             encoding="utf-8",
         )
         skipped: list[int] = []
