@@ -4,7 +4,9 @@
 The fixture is a minimal event log whose aggregation reproduces the
 published leaderboard of eight large-scale agents: P&L to the cent, token
 averages to the integer, and the P&L ordering. Two synthetic markets carry
-the forecasts and the settled ledger entries.
+the forecasts and the settled ledger entries. It is written in an older,
+per-row shape (one forecast or snapshot per line, with the keys forecasts
+no longer repeat), which ``driftmark report`` still reads.
 """
 
 from __future__ import annotations
@@ -137,13 +139,21 @@ def build_events() -> list[dict]:
     return events
 
 
-def main() -> None:
-    dest = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "leaderboard_events.jsonl"
+FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "leaderboard_events.jsonl"
+
+
+def write_fixture(dest: Path) -> None:
+    """Write ``build_events()`` to ``dest``, one compact line per event with
+    sorted keys."""
     dest.parent.mkdir(parents=True, exist_ok=True)
     with open(dest, "w", encoding="utf-8") as fh:
         for ev in build_events():
             fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"wrote {dest}")
+
+
+def main() -> None:
+    write_fixture(FIXTURE)
+    print(f"wrote {FIXTURE}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .evalloop import (
     token_budget_sweep,
     verify_run,
 )
-from .market_data import generate_synthetic, replay_feed, save_feed, save_outcomes
+from .market_data import feed_lines, generate_synthetic, replay_feed, save_feed, save_outcomes
 from .reporting import aggregate, emit
 from .timeutil import utc_now
 
@@ -54,11 +54,13 @@ def _parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--feed", type=Path, required=True, help="output feed JSONL")
     p_synth.add_argument("--outcomes", type=Path, required=True, help="output outcomes JSONL")
 
-    p_replay = sub.add_parser("replay", help="validate a feed file and print its stream hash")
+    p_replay = sub.add_parser(
+        "replay", help="validate a feed file and print the sha256 of its canonical lines"
+    )
     p_replay.add_argument("--feed", type=Path, required=True)
 
     p_run = sub.add_parser("run", help="execute an evaluation run")
-    p_run.add_argument("--agents", required=True, help="comma-separated agent ids")
+    p_run.add_argument("--agents", help="comma-separated agent ids (a new run needs them)")
     p_run.add_argument("--cycles", type=int, default=10)
     p_run.add_argument("--feed", type=Path, help="replay feed file (else synthetic)")
     p_run.add_argument("--outcomes", type=Path, help="outcomes file for replay feeds")
@@ -89,7 +91,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.resume is None and args.agents is None:
+        parser.error("run needs --agents unless it resumes a run with --resume")
     try:
         return _dispatch(args, load_config(args.config))
     except EngineError as exc:
@@ -146,11 +151,14 @@ def _dispatch(args, config) -> int:
         return 0
 
     if args.command == "replay":
+        # Each snapshot's line as ``save_feed`` writes it, so a feed it wrote
+        # hashes to its file's sha256.
         h = hashlib.sha256()
         count = 0
         try:
-            for snap in replay_feed(args.feed, spread_tolerance=config.market.spread_tolerance):
-                h.update(f"{snap.condition_id}|{snap.observed_at}|{snap.yes_price}\n".encode())
+            snaps = replay_feed(args.feed, spread_tolerance=config.market.spread_tolerance)
+            for line in feed_lines(snaps):
+                h.update(line.encode())
                 count += 1
         except (OSError, UnicodeDecodeError) as exc:
             raise FatalFeedError(f"cannot read feed {args.feed}: {exc}") from exc

@@ -42,7 +42,6 @@ from .agents import (
     validate_decision_batch,
 )
 from .baselines import (
-    BaselineForecast,
     BaselineKind,
     HistoricalFrequency,
     heuristic_baseline,
@@ -171,25 +170,13 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The lines ``_EVENT_ENCODER`` writes for the four bulk kinds of event: keys
-# sorted, strings through ``encode_basestring_ascii``, ``%d`` and ``%r`` as
-# ``int``'s and ``float``'s own repr. They hold the same bytes because every
-# string is an exact ``str``, every count an exact ``int`` and every price or
-# probability a finite ``float`` (or the ``int`` 0 or 1, whose ``%r`` is the
-# encoder's): each value is checked where it enters the program (feed,
-# agent reply, config, manifest, kept log). ``_*_FIELDS`` are the keys of
-# each template's ``%`` fields, in order.
-_FORECAST_LINE = (
-    '{"agent_id":%s,"condition_id":%s,"confidence":%d,"cycle":%d,"input_tokens":%d,'
-    '"kind":"forecast","output_tokens":%d,"probability":%r,"trace":%s}\n'
-)
-_BASELINE_LINE = (
-    '{"baseline":%s,"condition_id":%s,"cycle":%d,"kind":"baseline","probability":%r}\n'
-)
-_SNAPSHOT_LINE = (
-    '{"condition_id":%s,"cycle":%d,"kind":"snapshot","no_price":%r,"observed_at":%s,'
-    '"yes_price":%r}\n'
-)
+# The line ``_EVENT_ENCODER`` writes for a ledger event: keys sorted, strings
+# through ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and
+# ``float``'s own repr. It holds the same bytes because every string is an
+# exact ``str``, every count an exact ``int`` and every price a finite
+# ``float``: each value is checked where it enters the program (feed, agent
+# reply, config, manifest, kept log). ``_*_FIELDS`` are the keys of each
+# template's ``%`` fields, in order.
 _LEDGER_LINE = (
     '{"agent_id":%s,"basis_delta_cents":%d,"cash_delta_cents":%d,"condition_id":%s,'
     '"cycle":%d,"entry_kind":%s,"kind":"ledger","note":%s,"price":%r,"quantity_micro":%d,'
@@ -201,9 +188,8 @@ _LEDGER_FILE_LINE = (
     '{"seq":%d,"kind":%s,"condition_id":%s,"cash_delta_cents":%d,"timestamp":%s,'
     '"side":%s,"price":%r,"quantity_micro":%d,"basis_delta_cents":%d,"note":%s}\n'
 )
-_FORECAST_FIELDS, _BASELINE_FIELDS, _SNAPSHOT_FIELDS, _LEDGER_FIELDS, _LEDGER_FILE_FIELDS = (
-    tuple(re.findall(r'"(\w+)":%', line))
-    for line in (_FORECAST_LINE, _BASELINE_LINE, _SNAPSHOT_LINE, _LEDGER_LINE, _LEDGER_FILE_LINE)
+_LEDGER_FIELDS, _LEDGER_FILE_FIELDS = (
+    tuple(re.findall(r'"(\w+)":%', line)) for line in (_LEDGER_LINE, _LEDGER_FILE_LINE)
 )
 
 
@@ -219,9 +205,9 @@ _SIDES = {s.value: s for s in Side}
 
 
 class _JsonStrings(dict):
-    """JSON text by string, for the strings a run's bulk events repeat
-    (agent ids, market ids, snapshot times, baseline kinds, and a ledger
-    entry's kind, side, time and note): each is encoded once."""
+    """JSON text by string, for the strings a run's ledger lines repeat (agent
+    ids, market ids, and an entry's kind, side, time and note): each is
+    encoded once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
@@ -280,28 +266,19 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
         yield line
 
 
-# The keys the bulk lines of older logs hold and today's do not: the run's
-# contract digest (run_started's), the cycle's time (cycle_start's, and each
-# snapshot's observed_at), the agent's strategy (its agent_meta's) and a latency, always 0.
-_OLDER_KEYS = {
-    "forecast": frozenset(("contract_digest", "latency_ms", "sampled_at", "strategy")),
-    "baseline": frozenset(("as_of",)),
-}
-
-
 def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
-    """Pass a kept log's events through; a forecast or baseline holding a
-    key of ``_OLDER_KEYS`` is an ``OlderLogShape`` naming its line (blank
-    lines, which no run writes, are not counted)."""
+    """Pass a kept log's events through; a per-row forecast, baseline or
+    snapshot, which older versions wrote where today's blocks are, is an
+    ``OlderLogShape`` naming its line (blank lines, which no run writes, are
+    not counted)."""
     for line_no, ev in enumerate(events, start=1):
         kind = ev.get("kind")
         # compared, not hashed: a kind may be any JSON value
-        if (kind == "forecast" or kind == "baseline") and not _OLDER_KEYS[kind].isdisjoint(ev):
-            keys = ", ".join(sorted(_OLDER_KEYS[kind].intersection(ev)))
+        if kind == "forecast" or kind == "baseline" or kind == "snapshot":
             raise OlderLogShape(
                 line_no,
-                f"a {kind} holding {keys}; resume this run with the version that "
-                "started it, or start it again",
+                f"a per-row {kind}; resume this run with the version that started it, "
+                "or start it again",
             )
         yield ev
 
@@ -453,31 +430,46 @@ class _Run:
         self.events.write(event_line(ev))
         self.fold.add(ev)
 
-    # The bulk kinds are written through their templates and folded from
-    # their values.
+    # A block is written through ``event_line`` and folded from the lists it
+    # was made of, by its typed adder.
 
-    def emit_forecast(self, cycle: int, agent_id: str, rec: ForecastRecord, strategy: str) -> None:
-        """``strategy`` is the agent's, as its agent_meta records it."""
-        cid, prob, conf = rec.condition_id, rec.probability, rec.confidence
-        n_in, n_out = rec.input_tokens, rec.output_tokens
-        strings = self.strings
-        self.events.write(_FORECAST_LINE % (
-            strings[agent_id], strings[cid], conf, cycle, n_in, n_out, prob,
-            encode_basestring_ascii(rec.reasoning_trace),
-        ))
-        self.fold.add_forecast(agent_id, cycle, cid, prob, conf, n_in, n_out, strategy)
+    def emit_snapshots(self, cycle: int, snaps: list[MarketSnapshot]) -> None:
+        cids = [s.condition_id for s in snaps]
+        yes_prices = [s.yes_price for s in snaps]
+        iso = self.iso
+        self.events.write(event_line({
+            "kind": "snapshots", "cycle": cycle, "condition_id": cids,
+            "no_price": [s.no_price for s in snaps],
+            "observed_at": [iso[s.observed_at] for s in snaps], "yes_price": yes_prices,
+        }))
+        self.fold.add_snapshots(cycle, cids, yes_prices)
 
-    def emit_baseline(self, cycle: int, bf: BaselineForecast) -> None:
-        kind, cid, prob = _BASELINE_TEXT[bf.kind], bf.condition_id, bf.probability
-        self.events.write(_BASELINE_LINE % (self.strings[kind], self.strings[cid], cycle, prob))
-        self.fold.add_baseline(reporting.BASELINE_PREFIX + kind, cycle, cid, prob)
+    def emit_forecasts(self, cycle: int, agent_id: str, records: list[ForecastRecord]) -> None:
+        """The agent's forecasts of one turn, one per market, in order; the
+        fold takes the agent's strategy from its agent_meta."""
+        cids = [r.condition_id for r in records]
+        probabilities = [r.probability for r in records]
+        confidences = [r.confidence for r in records]
+        n_in = [r.input_tokens for r in records]
+        n_out = [r.output_tokens for r in records]
+        self.events.write(event_line({
+            "kind": "forecasts", "cycle": cycle, "agent_id": agent_id, "condition_id": cids,
+            "confidence": confidences, "input_tokens": n_in, "output_tokens": n_out,
+            "probability": probabilities, "trace": [r.reasoning_trace for r in records],
+        }))
+        self.fold.add_forecasts(
+            agent_id, cycle, cids, probabilities, confidences, n_in, n_out,
+            self.fold.strategy(agent_id),
+        )
 
-    def emit_snapshot(self, cycle: int, s: MarketSnapshot) -> None:
-        cid, yes, strings = s.condition_id, s.yes_price, self.strings
-        self.events.write(_SNAPSHOT_LINE % (
-            strings[cid], cycle, s.no_price, strings[self.iso[s.observed_at]], yes
-        ))
-        self.fold.add_snapshot(cycle, cid, yes)
+    def emit_baselines(self, cycle: int, kind: str, probabilities: dict[str, float]) -> None:
+        """One baseline kind's forecasts, by market in the cycle's order."""
+        cids, values = list(probabilities), list(probabilities.values())
+        self.events.write(event_line({
+            "kind": "baselines", "cycle": cycle, "baseline": kind, "condition_id": cids,
+            "probability": values,
+        }))
+        self.fold.add_baselines(reporting.BASELINE_PREFIX + kind, cycle, cids, values)
 
     def ledger_line(self, entry: LedgerEntry) -> str:
         """The entry's ledger file line, through ``_LEDGER_FILE_LINE``."""
@@ -938,8 +930,8 @@ class EvalEngine:
                         "end_time": iso[s.end_time],
                     }
                 )
+        run.emit_snapshots(cycle, snaps)
         for s in snaps:
-            run.emit_snapshot(cycle, s)
             run.prices[s.condition_id].append(s.yes_price)
         snap_map = {s.condition_id: s for s in snaps}
         c = _Cycle(
@@ -1031,24 +1023,27 @@ class EvalEngine:
             st.prev_tokens = curr_tokens
 
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
-        """Sample and log the agent's forecast of every market."""
+        """Sample the agent's forecast of every market and log them as one
+        block; a turn that fails part-way logs the forecasts it made."""
         st = run.states[aid]
         # Summaries that split alike share a stand-in, so each market's
         # instruction is rendered once per cycle, not once per agent.
         stand_in = summary_stand_in(st.portfolio.summary())
-        strategy = run.fold.strategy(aid)
         records: dict[str, ForecastRecord] = {}
-        for s, times, counts in zip(c.snaps, c.times, c.tokens):
-            n_in = counts.get(stand_in)
-            if n_in is None:
-                n_in = counts[stand_in] = len(
-                    render_instruction(self.contract, s, stand_in, times).split()
+        try:
+            for s, times, counts in zip(c.snaps, c.times, c.tokens):
+                n_in = counts.get(stand_in)
+                if n_in is None:
+                    n_in = counts[stand_in] = len(
+                        render_instruction(self.contract, s, stand_in, times).split()
+                    )
+                records[s.condition_id] = sample_forecast(
+                    st.agent, s, self.contract.token_budget, cycle_index=c.number,
+                    input_tokens=n_in,
                 )
-            rec = sample_forecast(
-                st.agent, s, self.contract.token_budget, cycle_index=c.number, input_tokens=n_in
-            )
-            records[s.condition_id] = rec
-            run.emit_forecast(c.number, aid, rec, strategy)
+        finally:
+            if records:
+                run.emit_forecasts(c.number, aid, list(records.values()))
         return records
 
     def _decide(
@@ -1116,9 +1111,10 @@ class EvalEngine:
         return self._drift_event(c.number, aid, means, _mean(dn_parts))
 
     def _baselines(self, run: _Run, c: _Cycle) -> None:
-        """Log every baseline's forecast from the snapshots and timestamps the
-        agents saw, then each baseline's drift from its forecasts of the
-        previous cycle, which the fold holds."""
+        """Log every baseline's forecasts from the snapshots and timestamps
+        the agents saw, one block per baseline kind, then each baseline's
+        drift from its forecasts of the previous cycle, which the fold
+        holds."""
         cfg = self.config.baselines
         probs: dict[str, dict[str, float]] = {k.value: {} for k in BaselineKind}
         folded = run.fold.forecasts
@@ -1139,7 +1135,8 @@ class EvalEngine:
             )
             for bf in forecasts:
                 probs[_BASELINE_TEXT[bf.kind]][s.condition_id] = bf.probability
-                run.emit_baseline(c.number, bf)
+        for kind, curr in probs.items():
+            run.emit_baselines(c.number, kind, curr)
         if c.number > 1:
             for kind, curr in probs.items():
                 means, _ = _drift_means(curr, prev[kind], c.moves)

@@ -302,13 +302,11 @@ class _JsonText(dict):
         return encoded
 
 
-def save_feed(snapshots: Iterable[MarketSnapshot], path: str | Path) -> None:
-    """Write ``snapshots`` as a JSONL feed, one ``snapshot_to_record`` per
-    line. A ``condition_id`` or ``question`` that is not a ``str``, or a price
-    that is not a finite ``float``, is a ``ValueError`` naming the snapshot,
-    raised before the file is opened."""
+def feed_lines(snapshots: Iterable[MarketSnapshot]) -> Iterator[str]:
+    """Each snapshot's feed line, ``snapshot_to_record`` of it. A
+    ``condition_id`` or ``question`` that is not a ``str``, or a price that
+    is not a finite ``float``, is a ``ValueError`` naming the snapshot."""
     text = _JsonText()
-    lines = []
     for n, s in enumerate(snapshots):
         cid, question, yes, no = s.condition_id, s.question, s.yes_price, s.no_price
         if not (
@@ -320,12 +318,18 @@ def save_feed(snapshots: Iterable[MarketSnapshot], path: str | Path) -> None:
                 f"snapshot {n}: condition_id {cid!r} and question {question!r} must be "
                 f"strings, and yes_price {yes!r} and no_price {no!r} finite floats"
             )
-        lines.append(_FEED_LINE % (
+        yield _FEED_LINE % (
             text[cid], text[question], yes, no, _LIQUIDITY_TEXT[s.liquidity_tier],
             text[s.end_time], text[s.observed_at],
-        ))
+        )
+
+
+def save_feed(snapshots: Iterable[MarketSnapshot], path: str | Path) -> None:
+    """Write ``snapshots`` as a JSONL feed through ``feed_lines``; a snapshot
+    it refuses is a ``ValueError`` raised before the file is opened."""
+    text = "".join(feed_lines(snapshots))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(text)
 
 
 def save_outcomes(outcomes: Iterable[ResolvedOutcome], path: str | Path) -> None:

@@ -223,6 +223,62 @@ def _probability(ev: dict) -> float:
     return p
 
 
+# What a block's list may hold: the types of its values, a test each value
+# passes besides (None for none), and what a value must be.
+_STRINGS = (frozenset((str,)), None, "a string")
+_INTEGERS = (frozenset((int,)), None, "an integer")
+_PROBABILITIES = (frozenset((int, float)), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_PRICES = (frozenset((int, float)), lambda v: -math.inf < v < math.inf, "a finite number")
+
+# Each block kind's subject key, which it holds once beside ``kind`` and
+# ``cycle`` (None for none), and its lists, parallel, one value per market,
+# with what each may hold.
+BLOCK_SUBJECTS = {"forecasts": "agent_id", "baselines": "baseline", "snapshots": None}
+BLOCK_LISTS = {
+    "forecasts": {
+        "condition_id": _STRINGS, "confidence": _INTEGERS, "input_tokens": _INTEGERS,
+        "output_tokens": _INTEGERS, "probability": _PROBABILITIES, "trace": _STRINGS,
+    },
+    "baselines": {"condition_id": _STRINGS, "probability": _PROBABILITIES},
+    "snapshots": {
+        "condition_id": _STRINGS, "no_price": _PRICES, "observed_at": _STRINGS,
+        "yes_price": _PRICES,
+    },
+}
+
+
+def _block(ev: dict) -> tuple:
+    """A block's cycle, its subject (None for none) and its lists in
+    ``BLOCK_LISTS`` order. A cycle that is not an integer (a bool is not
+    one), a subject that is not a string, a list of another length than
+    ``condition_id``, or a value its list may not hold is a ``ValueError``
+    naming the key; nothing is converted."""
+    cycle = ev["cycle"]
+    if type(cycle) is not int:
+        raise ValueError(f"cycle {cycle!r} is not an integer")
+    kind = ev["kind"]
+    key = BLOCK_SUBJECTS[kind]
+    subject = None if key is None else ev[key]
+    if key is not None and type(subject) is not str:
+        raise ValueError(f"{key} {subject!r} is not a string")
+    columns = []
+    for key, (types, within, what) in BLOCK_LISTS[kind].items():
+        values = ev[key]
+        if type(values) is not list:
+            raise ValueError(f"{key} is not a list")
+        if columns and len(values) != len(columns[0]):
+            raise ValueError(f"{key} holds {len(values)} values, condition_id {len(columns[0])}")
+        if not types.issuperset(map(type, values)) or (
+            within is not None and not all(map(within, values))
+        ):
+            bad = next(
+                v for v in values if type(v) not in types or not (within is None or within(v))
+            )
+            raise ValueError(f"{key} {bad!r} is not {what}")
+        columns.append(values)
+    return cycle, subject, columns
+
+
 class EventFold:
     """Single pass over the event log gathering per-subject state."""
 
@@ -253,27 +309,16 @@ class EventFold:
         return self
 
     def add(self, ev: dict) -> None:
-        """Fold one event; the engine calls this for each event it writes
-        through ``event_line``. Kinds are tested from the most frequent
-        down. Every key the reports read later is read here, and every value
-        they read is checked here, so an event without one, or with one
-        they cannot read, fails in ``fold_events``. The engine folds the bulk
-        kinds through the typed methods below, with values it checked where
-        they entered it."""
+        """Fold one event. The engine calls this for each event it writes,
+        but for the blocks, which it folds through their typed adders below.
+        Kinds are tested from the most frequent down. Every key the reports
+        read later is read here, and every value they read is checked here,
+        so an event without one, or with one they cannot read, fails in
+        ``fold_events``. A block is checked whole by ``_block``. The per-row
+        ``forecast``, ``baseline`` and ``snapshot`` events of older logs are
+        converted and folded as one-row blocks."""
         kind = ev.get("kind")
-        if kind == "forecast":
-            self.add_forecast(
-                ev["agent_id"], int(ev["cycle"]), ev["condition_id"], _probability(ev),
-                int(ev.get("confidence", 5)), int(ev.get("input_tokens", 0)),
-                int(ev.get("output_tokens", 0)),
-                ev["strategy"] if "strategy" in ev else self.strategy(ev["agent_id"]),
-            )
-        elif kind == "baseline":
-            self.add_baseline(
-                BASELINE_PREFIX + ev["baseline"], int(ev["cycle"]), ev["condition_id"],
-                _probability(ev),
-            )
-        elif kind == "ledger":
+        if kind == "ledger":
             # The keys the reports read must be there, an OPEN's basis and
             # price too; one only resume reads may be missing (NO_KEY).
             agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
@@ -288,8 +333,17 @@ class EventFold:
                 get("quantity_micro", NO_KEY), get("seq", NO_KEY), get("side", NO_KEY),
                 get("timestamp", NO_KEY),
             )
-        elif kind == "snapshot":
-            self.add_snapshot(int(ev["cycle"]), ev["condition_id"], float(ev["yes_price"]))
+        elif kind == "forecasts":
+            cycle, agent, (cids, confidences, n_in, n_out, probabilities, _) = _block(ev)
+            self.add_forecasts(
+                agent, cycle, cids, probabilities, confidences, n_in, n_out, self.strategy(agent)
+            )
+        elif kind == "baselines":
+            cycle, baseline, (cids, probabilities) = _block(ev)
+            self.add_baselines(BASELINE_PREFIX + baseline, cycle, cids, probabilities)
+        elif kind == "snapshots":
+            cycle, _, (cids, _, _, yes_prices) = _block(ev)
+            self.add_snapshots(cycle, cids, yes_prices)
         elif kind == "drift":
             self.drifts.setdefault(ev["agent_id"], []).append((
                 _finite("d_narrative", ev["d_narrative"]),
@@ -324,27 +378,53 @@ class EventFold:
             self.agent_meta[ev["agent_id"]] = ev
             if ev["agent_id"] not in self.agents_seen:
                 self.agents_seen.append(ev["agent_id"])
+        elif kind == "forecast":
+            agent = ev["agent_id"]
+            self.add_forecasts(
+                agent, int(ev["cycle"]), [ev["condition_id"]], [_probability(ev)],
+                [int(ev.get("confidence", 5))], [int(ev.get("input_tokens", 0))],
+                [int(ev.get("output_tokens", 0))],
+                ev["strategy"] if "strategy" in ev else self.strategy(agent),
+            )
+        elif kind == "baseline":
+            self.add_baselines(
+                BASELINE_PREFIX + ev["baseline"], int(ev["cycle"]), [ev["condition_id"]],
+                [_probability(ev)],
+            )
+        elif kind == "snapshot":
+            self.add_snapshots(int(ev["cycle"]), [ev["condition_id"]], [float(ev["yes_price"])])
 
-    # The bulk kinds, from their values: ``add`` converts an event's keys and
-    # calls these, and the engine calls them as it writes each such event.
+    # The blocks, from their lists: ``add`` checks a block, or converts a
+    # per-row event, and calls these; the engine calls them as it writes
+    # each block. Each folds its rows in order, as their per-row events
+    # would fold, and a block without rows folds to nothing. A yes price
+    # above 0 but below the feed's floor is refused here, as it always was.
 
-    def add_forecast(
-        self, subject: str, cycle: int, condition_id: str, probability: float,
-        confidence: int, input_tokens: int, output_tokens: int, strategy: str,
+    def add_forecasts(
+        self, subject: str, cycle: int, condition_ids: list[str], probabilities: list[float],
+        confidences: list[int], input_tokens: list[int], output_tokens: list[int], strategy: str,
     ) -> None:
+        if not condition_ids:
+            return
         if subject not in self.agents_seen:
             self.agents_seen.append(subject)
-        self.forecasts.setdefault(subject, {}).setdefault(condition_id, []).append(
-            (cycle, probability, confidence, input_tokens, output_tokens, strategy)
-        )
+        by_market = self.forecasts.setdefault(subject, {})
+        for cid, p, conf, n_in, n_out in zip(
+            condition_ids, probabilities, confidences, input_tokens, output_tokens
+        ):
+            by_market.setdefault(cid, []).append((cycle, p, conf, n_in, n_out, strategy))
         self.cycles_seen.add(cycle)
 
-    def add_baseline(self, subject: str, cycle: int, condition_id: str, probability: float) -> None:
+    def add_baselines(
+        self, subject: str, cycle: int, condition_ids: list[str], probabilities: list[float]
+    ) -> None:
+        if not condition_ids:
+            return
         if subject not in self.baselines_seen:
             self.baselines_seen.append(subject)
-        self.forecasts.setdefault(subject, {}).setdefault(condition_id, []).append(
-            (cycle, probability, 5, 0, 0, "NONE")
-        )
+        by_market = self.forecasts.setdefault(subject, {})
+        for cid, p in zip(condition_ids, probabilities):
+            by_market.setdefault(cid, []).append((cycle, p, 5, 0, 0, "NONE"))
 
     def add_ledger(
         self, subject: str, basis_delta_cents: int, cash_delta_cents: int, condition_id: str,
@@ -360,10 +440,14 @@ class EventFold:
              quantity_micro, seq, side, timestamp)
         )
 
-    def add_snapshot(self, cycle: int, condition_id: str, yes_price: float) -> None:
-        if 0.0 < yes_price < MIN_POSITIVE_PRICE:
-            raise ValueError(f"yes_price {yes_price} is positive but below {MIN_POSITIVE_PRICE}")
-        self.prices.setdefault(condition_id, {})[cycle] = yes_price
+    def add_snapshots(self, cycle: int, condition_ids: list[str], yes_prices: list[float]) -> None:
+        if not condition_ids:
+            return
+        prices = self.prices
+        for cid, yes in zip(condition_ids, yes_prices):
+            if 0.0 < yes < MIN_POSITIVE_PRICE:
+                raise ValueError(f"yes_price {yes} is positive but below {MIN_POSITIVE_PRICE}")
+            prices.setdefault(cid, {})[cycle] = yes
         self.cycles_seen.add(cycle)
 
     # -- per-subject derivations --

@@ -331,6 +331,47 @@ def generate_synthetic_oracle(seed: int, n_markets: int, steps: int, category_mi
     return md.SyntheticFeed(snapshots=flat, outcomes=outcomes, true_probs=true_probs)
 
 
+# --- the per-row shape of a log ------------------------------------------------
+
+
+def _rows(block: dict) -> list[dict]:
+    """A block's per-row events: its kind without the plural ``s``, each
+    key it holds once, and each list's value at the row's place."""
+    lists = [key for key, value in block.items() if type(value) is list]
+    once = {key: value for key, value in block.items() if key not in lists}
+    once["kind"] = block["kind"][:-1]
+    return [
+        {**once, **{key: block[key][i] for key in lists}}
+        for i in range(len(block[lists[0]]))
+    ]
+
+
+def per_row_events(events) -> list[dict]:
+    """``events`` as the versions before blocks wrote them: each
+    ``forecasts`` and ``snapshots`` block becomes one event per market in
+    its place, and each run of consecutive ``baselines`` blocks, one per
+    baseline kind, becomes one event per market and kind, market by
+    market."""
+    rows: list[dict] = []
+    baselines: list[dict] = []
+    for ev in [*events, None]:
+        if ev is not None and ev["kind"] == "baselines":
+            baselines.append(ev)
+            continue
+        for per_kind in zip(*map(_rows, baselines)):
+            rows.extend(per_kind)
+        baselines.clear()
+        if ev is not None:
+            rows.extend(_rows(ev) if ev["kind"] in ("forecasts", "snapshots") else [ev])
+    return rows
+
+
+def per_row_shape(path) -> list[dict]:
+    """``per_row_events`` of a log's lines, each read with ``json.loads``."""
+    with open(path, encoding="utf-8") as fh:
+        return per_row_events(json.loads(line) for line in fh)
+
+
 # --- portfolio arithmetic, one function per operation --------------------------
 # Each operation builds its portfolio with its own arithmetic, as the
 # simulator did before every operation went through one transition.

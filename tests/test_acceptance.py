@@ -36,7 +36,7 @@ from driftmark.metrics import (
     temporal_drift,
     var_cvar,
 )
-from driftmark.reporting import aggregate, iter_events
+from driftmark.reporting import aggregate
 from driftmark.simulator import (
     Mode,
     Portfolio,
@@ -171,7 +171,7 @@ def test_criterion_04_market_copier_null(tmp_path):
         outcomes: dict[str, int] = {}
         baseline_probs: dict[tuple[int, str], float] = {}
         forecast_probs: dict[tuple[int, str], float] = {}
-        for ev in iter_events(result.events_path):
+        for ev in oracles.per_row_shape(result.events_path):
             if ev["kind"] == "drift" and ev["agent_id"] == "market_copier":
                 drift_cycles += 1
                 assert abs(ev["market_divergence"]) <= 1e-12

@@ -9,6 +9,7 @@ from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig, config_from_dict, load_config
 from driftmark.errors import ConfigError, EngineError
 from driftmark.evalloop import EvalEngine, event_line
+from oracles import per_row_shape
 
 
 def test_defaults():
@@ -233,11 +234,11 @@ class TestHeuristicProbabilities:
             tmp_path, seed=3, agent_ids=["momentum"],
             feed_source={"kind": "synthetic", "n_markets": 40}, cycles=2, config=config,
         )
-        lines = engine.run().events_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path = engine.run().events_path
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            assert event_line(json.loads(line)) == line
         heuristic = set()
-        for line in lines:
-            ev = json.loads(line)
-            assert event_line(ev) == line
+        for ev in per_row_shape(path):
             if ev.get("baseline") == "heuristic":
                 heuristic.add(ev["probability"])
         assert {0, 1} <= heuristic

@@ -7,7 +7,7 @@ import json
 import os
 import re
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from driftmark.evalloop import (
 )
 from driftmark import agents, evalloop, fileio, reporting
 from driftmark import contract as contract_module
-from driftmark.baselines import BaselineForecast, BaselineKind
+from driftmark.baselines import BaselineKind
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
     MIN_POSITIVE_PRICE,
@@ -60,6 +60,7 @@ from driftmark.simulator import (
 )
 
 import oracles
+from oracles import per_row_shape
 from conftest import make_snapshot
 
 
@@ -108,7 +109,7 @@ class TestRunBasics:
 
     def test_forecast_events_per_agent_market_cycle(self, tmp_path):
         result = make_engine(tmp_path, agents=("market_copier",), markets=31, cycles=4).run()
-        events = list(iter_events(result.events_path))
+        events = per_row_shape(result.events_path)
         forecasts = [e for e in events if e["kind"] == "forecast"]
         assert len(forecasts) == 31 * 4
 
@@ -117,7 +118,7 @@ class TestRunBasics:
         same markets in the same cycles, whose one cycle_start records the
         time, and each baseline's market has a snapshot in its cycle."""
         result = make_engine(tmp_path, agents=("market_copier",), markets=31, cycles=3).run()
-        events = list(iter_events(result.events_path))
+        events = per_row_shape(result.events_path)
         baselines = [e for e in events if e["kind"] == "baseline"]
         # four baseline kinds per market per cycle
         assert len(baselines) == 4 * 31 * 3
@@ -294,10 +295,17 @@ class TestCheckpointResume:
         full = make_engine(tmp_path, agents=("fails_mid_cycle", "momentum"), cycles=4,
                            run_id="mid").run()
         cycle_2 = [
-            e["kind"] for e in iter_events(full.events_path)
+            e["kind"] for e in per_row_shape(full.events_path)
             if e.get("cycle") == 2 and e.get("agent_id") == "fails_mid_cycle"
         ]
         assert cycle_2 == ["forecast", "agent_failure"]
+        # The forecast it made is logged as a block of one, before its failure.
+        blocks = [
+            e for e in iter_events(full.events_path)
+            if e.get("cycle") == 2 and e.get("agent_id") == "fails_mid_cycle"
+        ]
+        assert [e["kind"] for e in blocks] == ["forecasts", "agent_failure"]
+        assert len(blocks[0]["condition_id"]) == 1
         resumed = resume_run(tmp_path, "mid", at_cycle=2)
         assert resumed.event_log_sha256 == full.event_log_sha256
 
@@ -449,12 +457,12 @@ class TestCheckpointResume:
             # ledger replay refuses.
             lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
             kind, key = ("ledger", "price") if failure == "kept_ledger_no_price" else (
-                "forecast", "agent_id")
+                "forecasts", "agent_id")
             at = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
             event = json.loads(lines[at])
             del event[key]
             lines[at], match = {
-                "kept_not_utf8": (lines[at].replace(b'"forecast"', b'"fore\xffcast"'),
+                "kept_not_utf8": (lines[at].replace(b'"forecasts"', b'"fore\xffcasts"'),
                                   "not UTF-8"),
                 "kept_not_object": (b"[1,2]\n", "not a JSON object"),
             }.get(failure, ((json.dumps(event) + "\n").encode(), f"no key '{key}'"))
@@ -515,14 +523,16 @@ class TestCheckpointResume:
     def _damage_kept_entry(run_dir, entry_kind, key, value, marker=None) -> dict:
         """Set ``key`` of the first kept ledger event of ``entry_kind`` (or
         the first kept line holding ``marker``) before cycle 3's checkpoint
-        to ``value``, written as ``json.dumps`` writes it; the damaged event."""
+        to ``value``, written as ``json.dumps`` writes it; the damaged event.
+        A key that holds a list, a block's, gets ``value`` as its first value."""
         ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
         ckpt = json.loads(ckpt_path.read_bytes())
         events = (run_dir / "events.jsonl").read_bytes()
         lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
         marker = (marker or f'"entry_kind":"{entry_kind}"').encode()
         at = next(i for i, line in enumerate(lines) if marker in line)
-        event = {**json.loads(lines[at]), key: value}
+        event = json.loads(lines[at])
+        event[key] = [value, *event[key][1:]] if type(event[key]) is list else value
         lines[at] = (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
         head = b"".join(lines)
         (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
@@ -590,7 +600,7 @@ class TestCheckpointResume:
             resume_run(tmp_path, "seq", at_cycle=3)
         assert {p.name: file_sha256(p) for p in files} == before
 
-    @pytest.mark.parametrize("kind", ["forecast", "baseline"])
+    @pytest.mark.parametrize("kind", ["forecasts", "baselines"])
     @pytest.mark.parametrize("probability", [float("nan"), float("inf"), 1.5])
     def test_a_logged_probability_outside_the_unit_interval_is_corrupt(
         self, tmp_path, capsys, kind, probability
@@ -800,12 +810,12 @@ class TestReplaySource:
         ).run()
         syn_probs = [
             (e["cycle"], e["condition_id"], e["probability"])
-            for e in iter_events(r_syn.events_path)
+            for e in per_row_shape(r_syn.events_path)
             if e["kind"] == "forecast"
         ]
         rep_probs = [
             (e["cycle"], e["condition_id"], e["probability"])
-            for e in iter_events(r_rep.events_path)
+            for e in per_row_shape(r_rep.events_path)
             if e["kind"] == "forecast"
         ]
         assert syn_probs == rep_probs
@@ -870,7 +880,7 @@ class TestLiveSource:
             server.server_close()
             thread.join(timeout=5)
         assert not thread.is_alive()
-        forecasts = [e for e in iter_events(result.events_path) if e["kind"] == "forecast"]
+        forecasts = [e for e in per_row_shape(result.events_path) if e["kind"] == "forecast"]
         assert len(forecasts) == 31 * 2
         # live runs cannot be resumed
         with pytest.raises(LiveSourceNotResumable):
@@ -1014,7 +1024,7 @@ class TestTokenBudgetSweep:
             run_id_prefix="tb",
         )
         events_path = Path(tmp_path) / report.run_ids[0] / "events.jsonl"
-        for ev in iter_events(events_path):
+        for ev in per_row_shape(events_path):
             if ev["kind"] == "forecast":
                 assert ev["output_tokens"] <= 500
 
@@ -1107,7 +1117,7 @@ class TestAgentIds:
         fresh = (tmp_path / "r" / "events.sha256").read_text(encoding="utf-8").strip()
         result = resume_run(tmp_path, "r", at_cycle=1)
         assert result.event_log_sha256 == fresh
-        forecasts = [e for e in iter_events(result.events_path) if e["kind"] == "forecast"]
+        forecasts = [e for e in per_row_shape(result.events_path) if e["kind"] == "forecast"]
         assert {e["agent_id"] for e in forecasts} == {"momentum", "momentum#2"}
         assert len(forecasts) == 2 * 40 * 2
 
@@ -1181,7 +1191,8 @@ class TestAgentReplies:
         ]
         assert "is not a float" in failures[0]["error"]
         assert not any(
-            ev["kind"] == "forecast" and ev["agent_id"] == "momentum" for ev in events
+            ev["kind"] == "forecast" and ev["agent_id"] == "momentum"
+            for ev in per_row_shape(result.events_path)
         )
 
 
@@ -1197,60 +1208,25 @@ _JSON_FLOAT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 1.0, 1e-05, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
 )
-# kind -> the events of that kind, with every value of the type its template
-# writes; a baseline's kind and a ledger entry's kind and side are members' text
-_BULK_EVENTS = {
-    "forecast": st.fixed_dictionaries(
-        {
-            "kind": st.just("forecast"),
-            "cycle": st.integers(),
-            "agent_id": _JSON_TEXT,
-            "condition_id": _JSON_TEXT,
-            "probability": _JSON_FLOAT,
-            "confidence": st.integers(-5, 15),
-            "trace": _JSON_TEXT,
-            "input_tokens": st.integers(0, 2**70),
-            "output_tokens": st.integers(0, 10**6),
-        }
-    ),
-    "baseline": st.fixed_dictionaries(
-        {
-            "kind": st.just("baseline"),
-            "cycle": st.integers(),
-            "baseline": st.sampled_from([k.value for k in BaselineKind]),
-            "condition_id": _JSON_TEXT,
-            "probability": _JSON_FLOAT,
-        }
-    ),
-    "snapshot": st.fixed_dictionaries(
-        {
-            "kind": st.just("snapshot"),
-            "cycle": st.integers(),
-            "condition_id": _JSON_TEXT,
-            # the fold refuses a tiny positive price, as snapshot validation does
-            "yes_price": _JSON_FLOAT.filter(lambda p: not 0.0 < p < MIN_POSITIVE_PRICE),
-            "no_price": _JSON_FLOAT,
-            "observed_at": _JSON_TEXT,
-        }
-    ),
-    "ledger": st.fixed_dictionaries(
-        {
-            "kind": st.just("ledger"),
-            "cycle": st.integers(),
-            "agent_id": _JSON_TEXT,
-            "entry_kind": st.sampled_from([k.value for k in EntryKind]),
-            "seq": st.integers(),
-            "condition_id": _JSON_TEXT,
-            "cash_delta_cents": st.integers(),
-            "timestamp": _JSON_TEXT,
-            "side": st.sampled_from([s.value for s in Side]),
-            "price": _JSON_FLOAT,
-            "quantity_micro": st.integers(),
-            "basis_delta_cents": st.integers(),
-            "note": _JSON_TEXT,
-        }
-    ),
-}
+# A ledger event, with every value of the type its template writes; its entry
+# kind and side are members' text.
+_LEDGER_EVENTS = st.fixed_dictionaries(
+    {
+        "kind": st.just("ledger"),
+        "cycle": st.integers(),
+        "agent_id": _JSON_TEXT,
+        "entry_kind": st.sampled_from([k.value for k in EntryKind]),
+        "seq": st.integers(),
+        "condition_id": _JSON_TEXT,
+        "cash_delta_cents": st.integers(),
+        "timestamp": _JSON_TEXT,
+        "side": st.sampled_from([s.value for s in Side]),
+        "price": _JSON_FLOAT,
+        "quantity_micro": st.integers(),
+        "basis_delta_cents": st.integers(),
+        "note": _JSON_TEXT,
+    }
+)
 # Ledger entries as the simulator makes them, with any text and numbers.
 _LEDGER_ENTRIES = st.builds(
     LedgerEntry,
@@ -1267,24 +1243,73 @@ _LEDGER_ENTRIES = st.builds(
     basis_delta_cents=st.integers(),
     note=_JSON_TEXT,
 )
+# A few market and agent ids, non-ASCII, NUL and U+2028 among them, so that
+# blocks share markets and a market or an agent may come twice.
+_MARKET_IDS = st.sampled_from(["0x" + "ab" * 20, "\u00e9\u2028\x00", "m\U0001f600", '"', ""])
+_AGENT_IDS = st.sampled_from(["momentum", "drift_adjusted", "\u00e9\u2028\x00"])
+# A probability: any float in [0, 1], the edge floats and the ints 0 and 1 too.
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1.0, 0, 1]))
+# The fold refuses a tiny positive yes price, as snapshot validation does.
+_YES_PRICE = _JSON_FLOAT.filter(lambda p: not 0.0 < p < MIN_POSITIVE_PRICE)
+# The agent_meta that gives momentum's forecasts its strategy.
+_META = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
+
+
+@st.composite
+def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
+    """One cycle's blocks in the engine's order: its snapshots, the forecasts
+    of up to three agent turns (a turn that fails part-way has a shorter
+    block), then a baselines block per kind, each over the cycle's markets."""
+    cycle = draw(st.integers())
+    n = draw(st.integers(0, 4))
+    cids = draw(st.lists(_MARKET_IDS, min_size=n, max_size=n, unique=unique_markets))
+
+    def column(values, size=n):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    blocks = [{
+        "kind": "snapshots", "cycle": cycle, "condition_id": cids,
+        "yes_price": column(_YES_PRICE), "no_price": column(_JSON_FLOAT),
+        "observed_at": column(_JSON_TEXT),
+    }]
+    for agent_id in draw(st.lists(_AGENT_IDS, max_size=3)):
+        made = draw(st.integers(0, n))
+        blocks.append({
+            "kind": "forecasts", "cycle": cycle, "agent_id": agent_id,
+            "condition_id": cids[:made], "probability": column(_UNIT, made),
+            "confidence": column(st.integers(-5, 15), made),
+            "input_tokens": column(st.integers(0, 2**70), made),
+            "output_tokens": column(st.integers(0, 10**6), made),
+            "trace": column(_JSON_TEXT, made),
+        })
+    for kind in BaselineKind:
+        blocks.append({
+            "kind": "baselines", "cycle": cycle, "baseline": kind.value, "condition_id": cids,
+            "probability": column(_UNIT),
+        })
+    return blocks
+
+
 _AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
+_CID = "0x" + "ab" * 20
+# kind -> one event of each block kind and one ledger event
 _SAMPLE_EVENTS = {
-    "forecast": {
-        "kind": "forecast", "cycle": 3, "agent_id": "momentum", "condition_id": "0x" + "ab" * 20,
-        "probability": 0.625, "confidence": 7, "trace": "up 3% on volume",
-        "input_tokens": 312, "output_tokens": 4,
+    "forecasts": {
+        "kind": "forecasts", "cycle": 3, "agent_id": "momentum", "condition_id": [_CID, "m"],
+        "probability": [0.625, 0.5], "confidence": [7, 5], "trace": ["up 3% on volume", ""],
+        "input_tokens": [312, 310], "output_tokens": [4, 0],
     },
-    "baseline": {
-        "kind": "baseline", "cycle": 3, "baseline": "market", "condition_id": "0x" + "ab" * 20,
-        "probability": 0.625,
+    "baselines": {
+        "kind": "baselines", "cycle": 3, "baseline": "market", "condition_id": [_CID, "m"],
+        "probability": [0.625, 0.5],
     },
-    "snapshot": {
-        "kind": "snapshot", "cycle": 3, "condition_id": "0x" + "ab" * 20, "yes_price": 0.625,
-        "no_price": 0.375, "observed_at": "2026-01-01T00:00:00Z",
+    "snapshots": {
+        "kind": "snapshots", "cycle": 3, "condition_id": [_CID, "m"], "yes_price": [0.625, 0.5],
+        "no_price": [0.375, 0.5], "observed_at": ["2026-01-01T00:00:00Z"] * 2,
     },
     "ledger": {
         "kind": "ledger", "cycle": 3, "agent_id": "momentum", "entry_kind": "OPEN", "seq": 4,
-        "condition_id": "0x" + "ab" * 20, "cash_delta_cents": 0,
+        "condition_id": _CID, "cash_delta_cents": 0,
         "timestamp": "2026-01-01T00:00:00Z", "side": "YES", "price": 0.625,
         "quantity_micro": 240_000_000, "basis_delta_cents": 15_000, "note": "fill",
     },
@@ -1323,38 +1348,67 @@ def _bulk_run(agent_id: str = "momentum"):
 
 
 def _emit_typed(run, ev: dict) -> None:
-    """Hand the engine's typed writer of ``ev``'s kind the record ``ev`` was
-    made from. A snapshot's times and an entry's time are ``_AT``, whose
-    text in the run's ISO cache is the event's."""
-    run.iso[_AT] = ev.get("observed_at", ev.get("timestamp"))
-    if ev["kind"] == "forecast":
-        run.emit_forecast(ev["cycle"], ev["agent_id"], agents.ForecastRecord(
-            condition_id=ev["condition_id"], probability=ev["probability"],
-            confidence=ev["confidence"], reasoning_trace=ev["trace"],
-            input_tokens=ev["input_tokens"], output_tokens=ev["output_tokens"],
-        ), run.fold.strategy(ev["agent_id"]))
-    elif ev["kind"] == "baseline":
-        run.emit_baseline(ev["cycle"], BaselineForecast(
-            BaselineKind(ev["baseline"]), ev["condition_id"], ev["probability"]
-        ))
-    elif ev["kind"] == "ledger":
-        run.record(ev["cycle"], ev["agent_id"], LedgerEntry(
-            ev["seq"], EntryKind(ev["entry_kind"]), ev["condition_id"], ev["cash_delta_cents"], _AT,
-            Side(ev["side"]), ev["price"], ev["quantity_micro"], ev["basis_delta_cents"],
-            ev["note"],
-        ))
+    """Hand the engine's writer of ``ev``'s kind the records ``ev`` was made
+    from. Each time text of ``ev`` is that of a distinct timestamp in the
+    run's ISO cache."""
+    texts = ev["observed_at"] if ev["kind"] == "snapshots" else [ev.get("timestamp")]
+    times = {}
+    for text in texts:
+        at = times.setdefault(text, _AT + timedelta(seconds=len(times)))
+        run.iso[at] = text
+    if ev["kind"] == "forecasts":
+        run.emit_forecasts(ev["cycle"], ev["agent_id"], [
+            agents.ForecastRecord(
+                condition_id=cid, probability=p, confidence=conf, reasoning_trace=trace,
+                input_tokens=n_in, output_tokens=n_out,
+            )
+            for cid, p, conf, trace, n_in, n_out in zip(
+                ev["condition_id"], ev["probability"], ev["confidence"], ev["trace"],
+                ev["input_tokens"], ev["output_tokens"],
+            )
+        ])
+    elif ev["kind"] == "baselines":
+        run.emit_baselines(
+            ev["cycle"], ev["baseline"], dict(zip(ev["condition_id"], ev["probability"]))
+        )
+    elif ev["kind"] == "snapshots":
+        run.emit_snapshots(ev["cycle"], [
+            MarketSnapshot(cid, "q", yes, no, Liquidity.HIGH, _AT, times[text])
+            for cid, yes, no, text in zip(
+                ev["condition_id"], ev["yes_price"], ev["no_price"], ev["observed_at"]
+            )
+        ])
     else:
-        run.emit_snapshot(ev["cycle"], MarketSnapshot(
-            ev["condition_id"], "q", ev["yes_price"], ev["no_price"], Liquidity.HIGH, _AT, _AT
+        run.record(ev["cycle"], ev["agent_id"], LedgerEntry(
+            ev["seq"], EntryKind(ev["entry_kind"]), ev["condition_id"], ev["cash_delta_cents"],
+            times[ev["timestamp"]], Side(ev["side"]), ev["price"], ev["quantity_micro"],
+            ev["basis_delta_cents"], ev["note"],
         ))
 
 
-# The bulk keys whose text is a member's.
+def _state(fold: EventFold):
+    """A fold's state, each dict as its items in insertion order, so that two
+    states are equal only if their dicts were filled in the same order. Values
+    compare with ``==``, so a block's int probability 1 equals the 1.0 a
+    per-row event's is converted to."""
+    def ordered(value):
+        if type(value) is dict:
+            return [(k, ordered(v)) for k, v in value.items()]
+        if type(value) in (list, tuple):
+            return [ordered(v) for v in value]
+        return value
+
+    return ordered(vars(fold))
+
+
+# The keys whose text is a member's.
 _MEMBER_KEYS = ("kind", "baseline", "entry_kind", "side")
 
 
 class TestBulkLines:
-    """The template lines of the bulk kinds equal the generic encoder's."""
+    """The engine writes each block through ``event_line`` and the ledger
+    template's lines as the generic encoder does; a block folds as its
+    per-row events, which older versions wrote, do."""
 
     def _check(self, ev):
         """The engine's line of ``ev``, on a fresh and then a warm string
@@ -1371,25 +1425,46 @@ class TestBulkLines:
         if ev["kind"] == "ledger":
             assert run.ledgers[agent_id]._lines == [_file_line(_ledger_record(ev))] * 2
 
-    @given(_BULK_EVENTS["forecast"])
-    @settings(max_examples=300, deadline=None)
-    def test_forecast_line(self, ev):
-        self._check(ev)
+    @staticmethod
+    def _folds_as_its_rows(events: list[dict]) -> None:
+        """``events``, written with ``event_line`` and read back, fold to
+        the state their per-row events fold to."""
+        read = [json.loads(evalloop.event_line(ev)) for ev in events]
+        by_block = EventFold().consume(read)
+        by_row = EventFold().consume(oracles.per_row_events(read))
+        assert _state(by_block) == _state(by_row)
 
-    @given(_BULK_EVENTS["baseline"])
-    @settings(max_examples=300, deadline=None)
-    def test_baseline_line(self, ev):
-        self._check(ev)
-
-    @given(_BULK_EVENTS["snapshot"])
-    @settings(max_examples=300, deadline=None)
-    def test_snapshot_line(self, ev):
-        self._check(ev)
-
-    @given(_BULK_EVENTS["ledger"])
+    @given(_LEDGER_EVENTS)
     @settings(max_examples=300, deadline=None)
     def test_ledger_line(self, ev):
         self._check(ev)
+
+    @given(st.lists(_cycle_blocks(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_fold_as_their_rows(self, cycles):
+        """Every field, counts above 2**64, repeated markets and agents,
+        and turns that fail part-way; dict insertion order included, as
+        ``score_columns`` sums in that order."""
+        self._folds_as_its_rows([_META, *(block for blocks in cycles for block in blocks)])
+
+    @given(st.lists(_cycle_blocks(unique_markets=True), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_engine_writes_each_block_as_event_line_and_folds_it_as_add(self, cycles):
+        """The engine's block line is ``event_line`` of the block, and the
+        engine folds it from its lists as ``EventFold.add`` folds the line
+        read back; both take a forecast's strategy from its agent's
+        agent_meta. Each cycle names a market once, as the feed does."""
+        run, out = _bulk_run()
+        read = EventFold()
+        for fold in (run.fold, read):
+            fold.add(_META)
+        for block in (block for blocks in cycles for block in blocks):
+            out.seek(0)
+            out.truncate()
+            _emit_typed(run, block)
+            assert out.getvalue() == evalloop.event_line(block)
+            read.add(json.loads(out.getvalue()))
+        assert _state(run.fold) == _state(read)
 
     @given(st.integers(), _JSON_TEXT, _LEDGER_ENTRIES)
     @settings(max_examples=300, deadline=None)
@@ -1419,45 +1494,68 @@ class TestBulkLines:
     @pytest.mark.parametrize("value", [1e-05, 1e16, -0.0, 5e-324])
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_edge_floats_and_non_ascii_strings(self, kind, value):
-        text = "é\u2028\U0001f600\x00"
+        """Each float of the event, each string that is not a member's text
+        and each value of a block's lists of them, as the edge float and a
+        text of non-ASCII characters, NUL and U+2028 (once more for each
+        later value of a list); a probability or a yes price the fold
+        refuses keeps its sample value. A block folds as its rows too."""
+        text = "\u00e9\u2028\U0001f600\x00"
+
+        def edged(key, v, i=0):
+            if type(v) is list:
+                return [edged(key, item, i) for i, item in enumerate(v)]
+            if type(v) is float and (
+                key == "probability" and not 0.0 <= value <= 1.0
+                or key == "yes_price" and 0.0 < value < MIN_POSITIVE_PRICE
+            ):
+                return v
+            return value if type(v) is float else text * (i + 1) if type(v) is str else v
+
         ev = {
-            k: value if type(v) is float else text if type(v) is str and k not in _MEMBER_KEYS
-            else v
-            for k, v in _SAMPLE_EVENTS[kind].items()
+            k: v if k in _MEMBER_KEYS else edged(k, v) for k, v in _SAMPLE_EVENTS[kind].items()
         }
-        if kind == "snapshot" and 0.0 < value < MIN_POSITIVE_PRICE:
-            ev["yes_price"] = _SAMPLE_EVENTS[kind]["yes_price"]
         self._check(ev)
+        self._folds_as_its_rows([_META, ev])
 
     def test_readme_table_lists_each_template_s_keys(self):
+        """Each block kind's keys held once and its lists, and the ledger
+        template's keys."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = {}
         for line in readme.splitlines():
             cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            if line.startswith("| `") and len(cells) == 2:
-                rows[cells[0].strip("`")] = tuple(re.findall(r"`(\w+)`", cells[1]))
+            if line.startswith("| `") and len(cells) == 3:
+                rows[cells[0].strip("`")] = tuple(
+                    tuple(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]
+                )
         assert rows == {
-            kind: getattr(evalloop, f"_{kind.upper()}_FIELDS") for kind in sorted(_SAMPLE_EVENTS)
+            **{
+                kind: (
+                    tuple(sorted({"cycle", reporting.BLOCK_SUBJECTS[kind]} - {None})),
+                    tuple(lists),
+                )
+                for kind, lists in reporting.BLOCK_LISTS.items()
+            },
+            "ledger": (evalloop._LEDGER_FIELDS, ()),
         }
 
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_engine_folds_what_its_line_reads_back(self, kind):
-        """The engine folds a bulk event from its values as ``EventFold.add``
+        """The engine folds an event from its values as ``EventFold.add``
         folds its line read back; both take a forecast's strategy from its
         agent's agent_meta."""
         ev = _SAMPLE_EVENTS[kind]
-        meta = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
         run, out = _bulk_run()
-        run.fold.add(meta)
+        run.fold.add(_META)
         _emit_typed(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
         read = EventFold()
-        read.add(meta)
+        read.add(_META)
         read.add(json.loads(out.getvalue()))
-        assert vars(run.fold) == vars(read)
+        assert _state(run.fold) == _state(read)
 
     def test_numpy_int_is_not_serializable(self):
-        ev = {**_SAMPLE_EVENTS["forecast"], "cycle": np.int64(3)}
+        ev = {**_SAMPLE_EVENTS["forecasts"], "cycle": np.int64(3)}
         with pytest.raises(TypeError):
             evalloop.event_line(ev)
 
@@ -1545,7 +1643,7 @@ class TestHotPathEquivalence:
             for c, cycle in enumerate(generate_synthetic(2, 40, cycles).cycles(), start=1)
             for s in cycle
         }
-        events = list(iter_events(result.events_path))
+        events = per_row_shape(result.events_path)
         forecasts = [e for e in events if e["kind"] == "forecast"]
         assert len(forecasts) == 2 * 40 * cycles
         for ev in forecasts:

@@ -9,7 +9,9 @@ and update the pins; any other change that moves one is a regression.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shutil
 from collections import Counter
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from driftmark.agents import build_agent
-from driftmark import evalloop
+from driftmark import evalloop, reporting
 from driftmark.cli import main as cli_main
 from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
@@ -32,7 +34,7 @@ from driftmark.market_data import (
     save_outcomes,
 )
 from driftmark.reporting import aggregate, emit, iter_events
-from oracles import read_log_oracle
+from oracles import per_row_shape, read_log_oracle
 
 SIX_AGENTS = (
     "market_copier", "momentum", "mean_reversion", "drift_adjusted", "risk_confirmation",
@@ -66,7 +68,7 @@ MANIFESTS = {
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "70b4d8402205481e11b9d2c79e971388c6d51ac8391c334e65427e679b2e2748",
+        "events.jsonl": "5a384951f7ce30ea8c34af8c61face6d46e4522b2fb5fd3dfc407d3a7a18b61d",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -75,17 +77,17 @@ PINS = {
         "ledgers/risk_confirmation.jsonl": EMPTY,
     },
     "observation": {
-        "events.jsonl": "9270524bf2544f0e5cedde468b4cc4d6189922704bb5e803601fb857df879039",
+        "events.jsonl": "acafdac4414f9118170852e4affa994c3f8ac05580fc86a02fd8d0349cae1f7b",
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "f4d4e5f9de0467b7de5c855900639573fae36533248fb17a0a7c0d63221301d9",
+        "events.jsonl": "f4d8fd5bd3715e6a6d0eda6cfc95e32fe31be6915cc5db6f0a57a3d537b4e63a",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "8fc7826d8da64874d384fe6ad332861132e9eb34df5703fea617a9a6d5d30f0f",
+        "events.jsonl": "ee860ff6c507fca29091428d53962a685f22327f29ad94e84700433c999feea0",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
@@ -93,9 +95,20 @@ PINS = {
     },
 }
 
+# name -> sha256 of the pinned log in per-row shape (see
+# ``oracles.per_row_shape``), written with ``event_line``: these were the
+# events pins until a cycle's snapshots, each agent turn's forecasts and each
+# baseline kind's forecasts became one block each.
+PER_ROW_SHAPE_PINS = {
+    "synthetic": "70b4d8402205481e11b9d2c79e971388c6d51ac8391c334e65427e679b2e2748",
+    "observation": "9270524bf2544f0e5cedde468b4cc4d6189922704bb5e803601fb857df879039",
+    "replay": "f4d4e5f9de0467b7de5c855900639573fae36533248fb17a0a7c0d63221301d9",
+    "flaky": "8fc7826d8da64874d384fe6ad332861132e9eb34df5703fea617a9a6d5d30f0f",
+}
+
 # name -> sha256 of the pinned log in the shape the previous version wrote
-# (see ``previous_shape``): these were the events pins until forecasts
-# stopped repeating their agent's strategy and a latency of 0.
+# (see ``previous_shape``): these were the events pins before that, until
+# forecasts stopped repeating their agent's strategy and a latency of 0.
 PREVIOUS_SHAPE_PINS = {
     "synthetic": "e3a8088356c824daf3a048485a588be1a57c100eb15c6e058832661c1b3405f4",
     "observation": "995c83c004288f828c51706053aa8cd9ceb5b8e7e0f6b2effbe5fd8010356fe9",
@@ -175,11 +188,14 @@ SETUP_PINS = {
 }
 
 
-TEMPLATE_KEYS = {
-    "forecast": evalloop._FORECAST_FIELDS,
-    "baseline": evalloop._BASELINE_FIELDS,
-    "snapshot": evalloop._SNAPSHOT_FIELDS,
-    "ledger": evalloop._LEDGER_FIELDS,
+# The keys of each block kind's lines and of the ledger template's, besides
+# ``kind``.
+LINE_KEYS = {
+    **{
+        kind: {"cycle", reporting.BLOCK_SUBJECTS[kind], *lists} - {None}
+        for kind, lists in reporting.BLOCK_LISTS.items()
+    },
+    "ledger": set(evalloop._LEDGER_FIELDS),
 }
 
 
@@ -193,7 +209,7 @@ def previous_shape(path: Path) -> list[dict]:
     agent's ``agent_meta`` does not hold."""
     events = []
     strategies: dict[str, str] = {}
-    for ev in iter_events(path):
+    for ev in per_row_shape(path):
         if ev["kind"] == "agent_meta":
             strategies[ev["agent_id"]] = ev.pop("strategy")
         elif ev["kind"] == "forecast":
@@ -277,13 +293,17 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     digests = run_digests("out", name)
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
-    # The bulk kinds' template lines are the generic encoder's lines, with
-    # exactly their template's keys.
+    # Every line is the generic encoder's line; a block or ledger line holds
+    # exactly its kind's keys.
     for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
         ev = json.loads(line)
         assert event_line(ev) == line
-        if ev["kind"] in TEMPLATE_KEYS:
-            assert set(ev) == {"kind", *TEMPLATE_KEYS[ev["kind"]]}, line
+        assert ev["kind"] not in ("forecast", "baseline", "snapshot"), line
+        if ev["kind"] in LINE_KEYS:
+            assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
+    # Its blocks exploded into rows are the log per-row versions wrote.
+    rows = "".join(map(event_line, per_row_shape(result.events_path)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == PER_ROW_SHAPE_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_PINS))
@@ -361,6 +381,17 @@ def test_leaderboard_fixture_reports_match_pins():
     assert report_digests(LEADERBOARD_FIXTURE) == REPORT_PINS["leaderboard_fixture"]
 
 
+def test_fixture_script_writes_the_leaderboard_fixture(tmp_path):
+    """The fixture, the one per-row log checked in, is what its script
+    writes, byte for byte."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "build_leaderboard_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_leaderboard_fixture", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.write_fixture(tmp_path / "fixture.jsonl")
+    assert (tmp_path / "fixture.jsonl").read_bytes() == LEADERBOARD_FIXTURE.read_bytes()
+
+
 @pytest.mark.parametrize("name", ["synthetic", "flaky"])
 def test_resume_from_middle_matches_pins(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -383,16 +414,18 @@ def test_torn_latest_checkpoint_resumes_to_pins(tmp_path, monkeypatch):
     assert run_digests("out", "flaky") == PINS["flaky"]
 
 
-def test_resume_at_every_boundary_matches_pins(tmp_path, monkeypatch):
-    """Resume rebuilds its state from the kept log. ``flaky`` fails on cycles
-    3 and 6, so boundaries after a failed cycle take the previous forecasts
-    from the latest cycle without an agent_failure."""
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_resume_at_every_boundary_matches_pins(name, tmp_path, monkeypatch):
+    """Resume rebuilds its state from the kept log, folding its blocks.
+    ``flaky`` fails on cycles 3 and 6, so boundaries after a failed cycle
+    take the previous forecasts from the latest cycle without an
+    agent_failure."""
     monkeypatch.chdir(tmp_path)
-    run_manifest("out", "flaky")
-    for boundary in range(1, MANIFESTS["flaky"]["cycles"] + 1):
-        resumed = resume_run("out", "flaky", at_cycle=boundary)
-        assert resumed.event_log_sha256 == PINS["flaky"]["events.jsonl"], f"boundary {boundary}"
-        assert run_digests("out", "flaky") == PINS["flaky"], f"boundary {boundary}"
+    run_manifest("out", name)
+    for boundary in range(1, MANIFESTS[name]["cycles"] + 1):
+        resumed = resume_run("out", name, at_cycle=boundary)
+        assert resumed.event_log_sha256 == PINS[name]["events.jsonl"], f"boundary {boundary}"
+        assert run_digests("out", name) == PINS[name], f"boundary {boundary}"
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
@@ -475,28 +508,10 @@ def test_resume_rewrites_damaged_ledgers_to_pins(tmp_path, monkeypatch, damage):
     assert run_digests("out", "flaky") == PINS["flaky"]
 
 
-@pytest.mark.parametrize("older", ["all", *OLDER_KEYS])
-def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
-    """A run whose kept log holds a bulk line of the older shape, everywhere
-    (a run started before the keys were dropped) or in one line, is not
-    resumed: no version would reproduce the mixed log. Its log, ledgers and
-    checkpoints are left as they were."""
-    monkeypatch.chdir(tmp_path)
-    run_manifest("out", "flaky")
-    paths = RunPaths("out", "flaky")
-    lines = older_shape(paths.events)
-    if older != "all":
-        # Only the last line of its kind in cycle 1 keeps the key.
-        events = list(iter_events(paths.events))
-        kind = "baseline" if older == "as_of" else "forecast"
-        at = max(i for i, ev in enumerate(events) if ev["kind"] == kind and ev["cycle"] == 1)
-        events[at][older] = json.loads(lines[at])[older]
-        lines = [event_line(ev) for ev in events]
-    first = next(
-        i for i, ev in enumerate(map(json.loads, lines), 1)
-        if ev["kind"] in ("forecast", "baseline") and any(key in ev for key in OLDER_KEYS)
-    )
-    # Each checkpoint points just past its cycle's cycle_end in the rewritten log.
+def rewrite_log(paths: RunPaths, lines: list[str]) -> dict[Path, bytes]:
+    """Write ``lines`` as the run's log, point each checkpoint just past its
+    cycle's cycle_end in it, and return the bytes of the log, each ledger
+    and each checkpoint."""
     ends = {}
     size = 0
     for line in lines:
@@ -510,13 +525,94 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
         path.write_text(json.dumps(ckpt), encoding="utf-8")
     paths.events.write_text("".join(lines), encoding="utf-8")
     files = [paths.events, *paths.ledgers.iterdir(), *paths.checkpoints.iterdir()]
-    before = {p: p.read_bytes() for p in files}
+    return {p: p.read_bytes() for p in files}
+
+
+@pytest.mark.parametrize("older", ["all", *OLDER_KEYS, "one_row"])
+def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
+    """A run whose kept log holds a per-row bulk line, which older versions
+    wrote, is not resumed: everywhere (a run started before blocks), with a
+    key older versions still repeated on one line, or as one per-row
+    forecast among blocks. No version would reproduce the mixed log. Its
+    log, ledgers and checkpoints are left as they were."""
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    paths = RunPaths("out", "flaky")
+    if older == "one_row":
+        # The last forecasts block of cycle 1 gives its last market to a
+        # per-row forecast just after it.
+        lines = paths.events.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = max(
+            i for i, ev in enumerate(map(json.loads, lines))
+            if ev["kind"] == "forecasts" and ev["cycle"] == 1
+        )
+        block = json.loads(lines[at])
+        row = {k: v.pop() if type(v) is list else v for k, v in block.items()}
+        row["kind"] = "forecast"
+        lines[at:at + 1] = [event_line(block), event_line(row)]
+    else:
+        lines = older_shape(paths.events)
+    if older in OLDER_KEYS:
+        # Only the last line of its kind in cycle 1 keeps the key.
+        events = per_row_shape(paths.events)
+        kind = "baseline" if older == "as_of" else "forecast"
+        at = max(i for i, ev in enumerate(events) if ev["kind"] == kind and ev["cycle"] == 1)
+        events[at][older] = json.loads(lines[at])[older]
+        lines = [event_line(ev) for ev in events]
+    first = next(
+        i for i, ev in enumerate(map(json.loads, lines), 1)
+        if ev["kind"] in ("forecast", "baseline", "snapshot")
+    )
+    before = rewrite_log(paths, lines)
     for at_cycle in (1, MANIFESTS["flaky"]["cycles"] // 2, None):
-        with pytest.raises(OlderLogShape, match=f"at line {first}:"):
+        with pytest.raises(OlderLogShape, match=f"at line {first}: a per-row"):
             resume_run("out", "flaky", at_cycle=at_cycle)
     assert cli_main(["--out", "out", "run", "--agents", "momentum", "--resume", "flaky"]) == 1
     assert f"at line {first}:" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in files} == before
+    assert {p: p.read_bytes() for p in before} == before
+
+
+# name -> (block kind, key, value, the CorruptLog's words): the first block of
+# that kind holds ``value`` as its ``cycle``, or as the list's first value;
+# None drops the list's last value.
+DAMAGED_BLOCKS = {
+    "ragged": ("forecasts", "probability", None, "probability holds 39 values, condition_id 40"),
+    "nan_probability": ("forecasts", "probability", math.nan, "probability nan is not in "),
+    "probability_above_1": ("baselines", "probability", 1.5, "probability 1.5 is not in "),
+    "bool_cycle": ("snapshots", "cycle", True, "cycle True is not an integer"),
+    "float_confidence": ("forecasts", "confidence", 5.0, "confidence 5.0 is not an integer"),
+    "non_string_trace": ("forecasts", "trace", 7, "trace 7 is not a string"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_BLOCKS))
+def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
+    """A block the fold's checks refuse is a ``CorruptLog`` naming the key,
+    from ``report`` and from a resume that keeps it, which leaves the log,
+    ledgers and checkpoints as they were."""
+    kind, key, value, words = DAMAGED_BLOCKS[damage]
+    monkeypatch.chdir(tmp_path)
+    run_manifest("out", "flaky")
+    paths = RunPaths("out", "flaky")
+    lines = paths.events.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = next(i for i, ev in enumerate(map(json.loads, lines)) if ev["kind"] == kind)
+    block = json.loads(lines[at])
+    if value is None:
+        block[key].pop()
+    elif key == "cycle":
+        block[key] = value
+    else:
+        block[key][0] = value
+    lines[at] = event_line(block)
+    before = rewrite_log(paths, lines)
+    with pytest.raises(CorruptLog, match=words):
+        aggregate(paths.events)
+    assert cli_main(["report", "--log", str(paths.events)]) == 1
+    assert words in capsys.readouterr().err
+    for at_cycle in (1, MANIFESTS["flaky"]["cycles"] // 2, None):
+        with pytest.raises(CorruptLog, match=words):
+            resume_run("out", "flaky", at_cycle=at_cycle)
+    assert {p: p.read_bytes() for p in before} == before
 
 
 def test_resume_without_the_log_is_a_typed_error(tmp_path, monkeypatch):

@@ -13,8 +13,8 @@ from driftmark.agents import expected_return
 from driftmark.cli import main as cli_main
 from driftmark.config import EngineConfig
 from driftmark.errors import CorruptLog, DegenerateInput, IoError
-from driftmark.evalloop import EvalEngine
-from driftmark.market_data import MIN_POSITIVE_PRICE
+from driftmark.evalloop import EvalEngine, file_sha256
+from driftmark.market_data import MIN_POSITIVE_PRICE, generate_synthetic, save_feed
 from driftmark.metrics import (
     accuracy,
     brier,
@@ -392,6 +392,51 @@ class TestCli:
         raw[10] ^= 0x01
         events.write_bytes(bytes(raw))
         assert cli_main(["--out", str(out_root), "verify", "--run-id", "cli-test"]) == 1
+
+    @staticmethod
+    def _replay_hash(feed: Path, capsys) -> str:
+        assert cli_main(["replay", "--feed", str(feed)]) == 0
+        return capsys.readouterr().out.split()[-1]
+
+    def test_replay_hash_is_the_sha256_of_a_feed_save_feed_wrote(self, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        save_feed(generate_synthetic(5, 32, 3).snapshots, feed)
+        assert self._replay_hash(feed, capsys) == file_sha256(feed)
+
+    # key -> its value on the first line, edited; each edit keeps the feed valid
+    _FEED_EDITS = {
+        "condition_id": lambda v: v[:-1] + ("0" if v[-1] != "0" else "1"),
+        "question": lambda v: v + " Really?",
+        "yes_price": lambda v: v + 0.001,
+        "no_price": lambda v: v + 0.001,
+        "liquidity_tier": lambda v: "low" if v != "low" else "high",
+        "end_time": lambda v: "2099-01-01T00:00:00Z",
+        "observed_at": lambda v: "2020-01-01T00:00:00Z",
+    }
+
+    @pytest.mark.parametrize("key", sorted(_FEED_EDITS))
+    def test_replay_hash_sees_an_edit_of_any_field(self, key, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        save_feed(generate_synthetic(5, 32, 3).snapshots, feed)
+        before = self._replay_hash(feed, capsys)
+        first, *rest = feed.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(first)
+        record[key] = self._FEED_EDITS[key](record[key])
+        feed.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+        assert self._replay_hash(feed, capsys) != before
+
+    def test_run_resumes_with_resume_alone(self, tmp_path, capsys):
+        """``run --resume`` needs no ``--agents``; a new run does."""
+        out = str(tmp_path / "runs")
+        argv = ["--out", out, "run", "--agents", "momentum", "--cycles", "3", "--run-id", "r"]
+        assert cli_main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli_main(["--out", out, "run", "--resume", "r"]) == 0
+        assert capsys.readouterr().out == first
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--out", out, "run", "--cycles", "3"])
+        assert exc.value.code == 2
+        assert "--agents" in capsys.readouterr().err
 
     def test_lock_command(self, tmp_path, capsys):
         store = tmp_path / "contracts"
