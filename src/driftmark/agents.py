@@ -1,7 +1,8 @@
 """Forecasting agents, the decision wire format, and batch validation.
 
-Scripted agents are pure functions of (seed, market history), so whole runs
-replay bit-identically. Every agent forecasts each market under the same
+Scripted agents are pure functions of (seed, market, memory), where the
+memory the engine passes is read from the log, so whole runs replay
+bit-identically. Every agent forecasts each market under the same
 locked contract and returns a probability, a confidence on the inferred 0-10
 scale, and a reasoning trace truncated to the token budget; a forecast's
 ``input_tokens`` counts the instruction the contract renders for it.
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import AgentConfig
 from .errors import MalformedAgentOutput, ZeroPrice
@@ -414,9 +415,20 @@ def parse_decision_wire(
 # --- scripted agents ---------------------------------------------------------------
 
 
+class Memory(NamedTuple):
+    """What an agent remembers of a market, which the engine reads from the
+    log: the market's previous yes price (None for its first) and the
+    agent's own previous probability for it (None for none)."""
+
+    price: float | None = None
+    probability: float | None = None
+
+
 class ScriptedAgent:
     """Base for deterministic agents: probability is a pure function of the
-    market, the agent's own recorded history, and the seed."""
+    market, the agent's memory of it, and the seed. An agent holds its id
+    and seed, and keeps no state between calls; a kind's parameters are
+    constants of its class."""
 
     strategy = Strategy.NONE
     base_confidence = 5
@@ -424,11 +436,12 @@ class ScriptedAgent:
     def __init__(self, agent_id: str, seed: int = 0):
         self.agent_id = agent_id
         self.seed = seed
-        self._state: dict[str, float] = {}
 
     # -- forecasting --
 
-    def probability(self, market: MarketSnapshot, cycle_index: int, budget: int) -> float:
+    def probability(
+        self, market: MarketSnapshot, cycle_index: int, budget: int, memory: Memory
+    ) -> float:
         raise NotImplementedError
 
     def confidence(self, market: MarketSnapshot, prob: float) -> int:
@@ -442,9 +455,9 @@ class ScriptedAgent:
         )
 
     def forecast(
-        self, market: MarketSnapshot, cycle_index: int, budget: int
+        self, market: MarketSnapshot, cycle_index: int, budget: int, memory: Memory
     ) -> tuple[float, int, str]:
-        prob = self.probability(market, cycle_index, budget)
+        prob = self.probability(market, cycle_index, budget, memory)
         return prob, self.confidence(market, prob), self.trace(market, prob)
 
     # -- decision sizing --
@@ -459,28 +472,24 @@ class ScriptedAgent:
 class MarketCopier(ScriptedAgent):
     """Null agent: repeats the market's own probability verbatim."""
 
-    def probability(self, market, cycle_index, budget):
+    def probability(self, market, cycle_index, budget, memory):
         return market.yes_price
 
 
 class ConstantAgent(ScriptedAgent):
     """Always 0.5; the agent-side twin of the uniform baseline."""
 
-    def probability(self, market, cycle_index, budget):
+    def probability(self, market, cycle_index, budget, memory):
         return 0.5
 
 
 class MomentumAgent(ScriptedAgent):
     strategy = Strategy.MOMENTUM
     base_confidence = 9
+    bias = 0.05
 
-    def __init__(self, agent_id: str, seed: int = 0, bias: float = 0.05):
-        super().__init__(agent_id, seed)
-        self.bias = bias
-
-    def probability(self, market, cycle_index, budget):
-        prev = self._state.get(market.condition_id)
-        self._state[market.condition_id] = market.yes_price
+    def probability(self, market, cycle_index, budget, memory):
+        prev = memory.price
         if prev is None or market.yes_price == prev:
             return market.yes_price
         direction = 1.0 if market.yes_price > prev else -1.0
@@ -490,12 +499,9 @@ class MomentumAgent(ScriptedAgent):
 class MeanReversionAgent(ScriptedAgent):
     strategy = Strategy.MEAN_REVERSION
     base_confidence = 9
+    weight = 0.25
 
-    def __init__(self, agent_id: str, seed: int = 0, weight: float = 0.25):
-        super().__init__(agent_id, seed)
-        self.weight = weight
-
-    def probability(self, market, cycle_index, budget):
+    def probability(self, market, cycle_index, budget, memory):
         return market.yes_price + self.weight * (0.5 - market.yes_price)
 
 
@@ -504,23 +510,19 @@ class DriftAdjustedAgent(ScriptedAgent):
 
     strategy = Strategy.DRIFT_ADJUSTED
     base_confidence = 8
+    alpha = 0.3
 
-    def __init__(self, agent_id: str, seed: int = 0, alpha: float = 0.3):
-        super().__init__(agent_id, seed)
-        self.alpha = alpha
-
-    def probability(self, market, cycle_index, budget):
-        prev = self._state.get(market.condition_id, market.yes_price)
-        smoothed = self.alpha * market.yes_price + (1.0 - self.alpha) * prev
-        self._state[market.condition_id] = smoothed
-        return _clamp01(smoothed)
+    def probability(self, market, cycle_index, budget, memory):
+        prev = market.yes_price if memory.probability is None else memory.probability
+        # in [0, 1] for inputs in it, so the probability logged and read back is this value
+        return _clamp01(self.alpha * market.yes_price + (1.0 - self.alpha) * prev)
 
 
 class RiskConfirmationAgent(ScriptedAgent):
     strategy = Strategy.RISK_CONFIRMATION
     base_confidence = 9
 
-    def probability(self, market, cycle_index, budget):
+    def probability(self, market, cycle_index, budget, memory):
         return market.yes_price
 
 
@@ -531,11 +533,9 @@ class BudgetNoiseAgent(ScriptedAgent):
     fixed seed shrinks every deviation by exactly the budget ratio.
     """
 
-    def __init__(self, agent_id: str, seed: int = 0, amplitude: float = 30.0):
-        super().__init__(agent_id, seed)
-        self.amplitude = amplitude
+    amplitude = 30.0
 
-    def probability(self, market, cycle_index, budget):
+    def probability(self, market, cycle_index, budget, memory):
         u = unit_noise(self.seed, self.agent_id, market.condition_id, cycle_index)
         return _clamp01(0.5 + self.amplitude * u / budget)
 
@@ -543,12 +543,10 @@ class BudgetNoiseAgent(ScriptedAgent):
 class FlakyAgent(ScriptedAgent):
     """Deterministically fails on some cycles to exercise failure handling."""
 
-    def __init__(self, agent_id: str, seed: int = 0, fail_every: int = 3):
-        super().__init__(agent_id, seed)
-        self.fail_every = fail_every
+    fail_every = 3
 
-    def probability(self, market, cycle_index, budget):
-        if self.fail_every > 0 and cycle_index % self.fail_every == 0:
+    def probability(self, market, cycle_index, budget, memory):
+        if cycle_index % self.fail_every == 0:
             raise MalformedAgentOutput(f"garbled output on cycle {cycle_index}")
         return market.yes_price
 
@@ -581,8 +579,10 @@ def sample_forecast(
     *,
     cycle_index: int,
     input_tokens: int,
+    memory: Memory,
 ) -> ForecastRecord:
-    """Query the agent once for its forecast of ``market``.
+    """Query the agent once for its forecast of ``market``, given its
+    ``memory`` of it.
 
     ``input_tokens`` is the whitespace-token count of the market's rendered
     instruction, which the caller counts from the rendered parts. A trace is
@@ -591,7 +591,7 @@ def sample_forecast(
     confidence is not an ``int`` 0-10 (a bool is not one) or whose trace is
     not a ``str`` is a ``MalformedAgentOutput``.
     """
-    prob, conf, trace = agent.forecast(market, cycle_index, budget)
+    prob, conf, trace = agent.forecast(market, cycle_index, budget, memory)
     if type(prob) is not float or not (0.0 <= prob <= 1.0):
         raise MalformedAgentOutput(f"probability {prob!r} is not a float in [0,1]")
     if type(conf) is not int or not (0 <= conf <= 10):

@@ -34,6 +34,7 @@ from .agents import (
     Decision,
     DecisionBatch,
     ForecastRecord,
+    Memory,
     ScriptedAgent,
     build_agent,
     build_decision_batch,
@@ -299,7 +300,7 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
             int(seq), _ENTRY_KINDS[kind], cid, int(cash), times[ts], _SIDES[side], float(price),
             int(qty), int(basis), "" if note is reporting.NO_KEY else note,
         )
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         fields = dict(zip(_LEDGER_FIELDS, (agent_id, *row)), kind="ledger")
         event = {k: fields[k] for k in sorted(fields) if fields[k] is not reporting.NO_KEY}
         entries: list[LedgerEntry] = []
@@ -344,13 +345,12 @@ def _mean(xs: list[float]) -> float:
 def _moves(
     snap_map: dict[str, MarketSnapshot], prices: dict[str, deque[float]]
 ) -> dict[str, tuple[float, float | None]]:
-    """Each of the cycle's markets' yes price and its |change| since the
-    previous price (None for a market's first price), once the cycle's
-    prices are in ``prices``."""
+    """Each of the cycle's markets' yes price and its previous price (None
+    for a market's first price), once the cycle's prices are in ``prices``."""
     moves = {}
     for cid, s in snap_map.items():
         history = prices[cid]
-        moves[cid] = (s.yes_price, abs(history[-1] - history[-2]) if len(history) > 1 else None)
+        moves[cid] = (s.yes_price, history[-2] if len(history) > 1 else None)
     return moves
 
 
@@ -368,13 +368,13 @@ def _drift_means(
     dt_prod: list[float] = []
     divergence: list[float] = []
     for cid, p_curr in curr.items():
-        yes, dm = moves[cid]
+        yes, yes_prev = moves[cid]
         divergence.append(abs(p_curr - yes))
         p_prev = prev.get(cid)
-        if p_prev is None or dm is None:
+        if p_prev is None or yes_prev is None:
             continue
         compared.append(cid)
-        difference, product = temporal_drifts(abs(p_curr - p_prev), dm)
+        difference, product = temporal_drifts(abs(p_curr - p_prev), abs(yes - yes_prev))
         dt_diff.append(difference)
         dt_prod.append(product)
     return (_mean(dt_diff), _mean(dt_prod), _mean(divergence)), compared
@@ -391,7 +391,7 @@ class _Cycle(NamedTuple):
     # summary_stand_in of the portfolio summary.
     times: list[dict[str, str]]
     tokens: list[dict[str, int]]
-    # Each market's yes price and |change| since its previous price.
+    # Each market's yes price and its previous price.
     moves: dict[str, tuple[float, float | None]]
     risk_by_market: dict[str, Risk]
 
@@ -693,10 +693,10 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _read_prefix(path: Path, size: int, fold: reporting.EventFold) -> dict:
+    def _read_prefix(path: Path, size: int, add: Callable[[dict], None]) -> dict:
         """Check that the first ``size`` bytes of the log end a line, feed
         each of those lines, read by ``reporting.decode_lines`` and checked
-        by ``_current_shape``, to ``fold`` and return the last one's event
+        by ``_current_shape``, to ``add`` and return the last one's event
         ({} for none). The log is left as it is."""
         try:
             fh = open(path, "rb")
@@ -709,7 +709,7 @@ class EvalEngine:
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             fh.seek(0)
             events = _current_shape(reporting.decode_lines(_lines_upto(fh, size)))
-            return reporting.fold_events(fold.add, events) or {}
+            return reporting.fold_events(add, events) or {}
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -717,83 +717,74 @@ class EvalEngine:
         with open(path, "ab") as fh:
             fh.truncate(size)
 
-    def _restore(
-        self, ckpt: dict, fold: reporting.EventFold, cycles: list[list[MarketSnapshot]]
-    ) -> _Run:
-        """Rebuild the run state at the checkpoint. From the kept log:
-        portfolios replayed from the ledger events, each agent's ledger so
-        far and calibration windows; the fold of it holds the baselines'
-        forecasts, which baseline drift reads. From the kept
-        ``cycles`` of the feed: each agent, built afresh, forecasts them again
-        in run order, which gives its own state and its records of its last
-        complete cycle; the price history comes from the same pass. The
-        rebuilt portfolios must match the boundary's cycle_end. The log is
-        cut back to the checkpoint only once every check has passed, so a
-        resume that fails leaves it as it was; no ledger file is read or
-        written."""
-        cfg = self.config
+    def _restore(self, ckpt: dict, run: _Run) -> None:
+        """Bring a fresh run state to the checkpoint from the kept log alone:
+        its fold, which holds the agents' memory and the baselines'
+        forecasts; the price history from its snapshots; each agent's
+        portfolio, ledger and calibration window, replayed from its ledger
+        events; and each agent's previous forecasts, those of its last turn
+        without an agent_failure, which its drift compares against. No agent
+        is called. The replayed portfolios must match the boundary's
+        cycle_end. The log is cut back to the checkpoint only once every
+        check has passed, so a resume that fails leaves it as it was; no
+        ledger file is read or written."""
         boundary = ckpt["next_cycle"] - 1
-        last = self._read_prefix(self.paths.events, ckpt["events_bytes"], fold)
+        # Each agent's forecasts block of its last turn that completed, and
+        # those of the cycle being read, which a failure drops.
+        completed: dict[str, dict] = {}
+        turns: dict[str, dict] = {}
+
+        def add(ev: dict) -> None:
+            run.fold.add(ev)
+            kind = ev.get("kind")
+            if kind == "forecasts":
+                turns[ev["agent_id"]] = ev
+            elif kind == "agent_failure":
+                turns.pop(ev["agent_id"], None)
+            elif kind == "cycle_end":
+                completed.update(turns)
+                turns.clear()
+
+        last = self._read_prefix(self.paths.events, ckpt["events_bytes"], add)
         if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
             raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
-        agents = {aid: build_agent(aid, self.manifest.seed) for aid in self.manifest.agent_ids}
-        prev_forecasts: dict[str, dict[str, ForecastRecord]] = {aid: {} for aid in agents}
-        prices = _price_history(cfg.metrics.volatility_window)
-        for number, snaps in enumerate(cycles[:boundary], 1):
-            for s in snaps:
-                prices[s.condition_id].append(s.yes_price)
-            for aid, agent in agents.items():
-                # An error ends the agent's cycle, as in _agent_turn. Drift
-                # reads only the records' probabilities and traces, so no
-                # instruction tokens are counted.
-                try:
-                    prev_forecasts[aid] = {
-                        s.condition_id: sample_forecast(
-                            agent, s, self.contract.token_budget, cycle_index=number,
-                            input_tokens=0,
-                        )
-                        for s in snaps
-                    }
-                except MalformedAgentOutput:
-                    pass
-        run = _Run({}, fold, prices, {}, ckpt["next_cycle"])
+        run.next_cycle = ckpt["next_cycle"]
+        for cid, by_cycle in run.fold.prices.items():
+            run.prices[cid].extend(by_cycle.values())
         times = _Timestamps()
-        for aid in self.manifest.agent_ids:
-            entries = [_kept_entry(aid, row, times) for row in fold.ledgers.get(aid, [])]
-            portfolio = Portfolio.fresh(
-                cfg.simulator.initial_capital_cents, cfg.simulator.max_open_positions
-            )
-            window = CalibrationWindow(size=cfg.agents.calibration_window_size)
-            ledger = run.ledgers[aid] = LedgerWriter(self._ledger_path(aid))
+        for aid, st in run.states.items():
+            entries = [_kept_entry(aid, row, times) for row in run.fold.ledgers.get(aid, [])]
             for entry in entries:
-                if entry.seq != portfolio.next_seq:
+                if entry.seq != st.portfolio.next_seq:
                     raise CorruptLog(
                         None,
                         f"{aid}: ledger entry seq {entry.seq} is not the next seq, "
-                        f"{portfolio.next_seq}",
+                        f"{st.portfolio.next_seq}",
                     )
                 # apply_entry's own errors, a broken Portfolio invariant
                 # (AssertionError), or a price it cannot value
                 try:
-                    portfolio = apply_entry(portfolio, entry)
+                    st.portfolio = apply_entry(st.portfolio, entry)
                 except (EngineError, AssertionError, ArithmeticError, ValueError) as exc:
                     raise CorruptLog(
                         None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
                     ) from exc
-                window = _calibrated(window, entry)
-                ledger.append(run.ledger_line(entry))
-            if last.get("portfolios", {}).get(aid) != _totals(portfolio):
+                st.window = _calibrated(st.window, entry)
+                run.ledgers[aid].append(run.ledger_line(entry))
+            if last.get("portfolios", {}).get(aid) != _totals(st.portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            run.states[aid] = _AgentState(
-                agent=agents[aid],
-                portfolio=portfolio,
-                window=window,
-                prev_forecasts=prev_forecasts[aid],
-            )
+            block = completed.get(aid)
+            if block is not None:
+                st.prev_forecasts = {
+                    cid: ForecastRecord(cid, p, confidence, trace, n_in, n_out)
+                    for cid, p, confidence, trace, n_in, n_out in zip(
+                        block["condition_id"], block["probability"], block["confidence"],
+                        block["trace"], block["input_tokens"], block["output_tokens"],
+                    )
+                }
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
-        return run
 
     # -- the run --
 
@@ -859,29 +850,28 @@ class EvalEngine:
         self, resume: bool, resume_cycle: int | None, cycles_data: list[list[MarketSnapshot]]
     ) -> _Run:
         """The run state before its next cycle, with the log open for
-        appending: restored from a checkpoint (the log kept up to it, each
-        ledger refilled from it, the kept cycles of ``cycles_data``
-        forecast again), or fresh after the manifest and the contract are
-        saved."""
-        fold = reporting.EventFold()
+        appending: fresh after the manifest and the contract are saved, or
+        restored from a checkpoint and the log kept up to it, with each
+        market's category from its snapshot in ``cycles_data``' first
+        cycle."""
+        sim = self.config.simulator
+        states = {
+            aid: _AgentState(
+                agent=build_agent(aid, self.manifest.seed),
+                portfolio=Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions),
+                window=CalibrationWindow(size=self.config.agents.calibration_window_size),
+            )
+            for aid in self.manifest.agent_ids
+        }
+        ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in states}
+        prices = _price_history(self.config.metrics.volatility_window)
+        run = _Run(states, reporting.EventFold(), prices, ledgers)
         if resume:
-            run = self._restore(self._latest_checkpoint(resume_cycle), fold, cycles_data)
+            self._restore(self._latest_checkpoint(resume_cycle), run)
             run.categories = {s.condition_id: self._categorize(s) for s in cycles_data[0]}
         else:
             write_atomic(self.paths.manifest, self.manifest.to_json().encode())
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
-            sim = self.config.simulator
-            states = {
-                aid: _AgentState(
-                    agent=build_agent(aid, self.manifest.seed),
-                    portfolio=Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions),
-                    window=CalibrationWindow(size=self.config.agents.calibration_window_size),
-                )
-                for aid in self.manifest.agent_ids
-            }
-            ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in states}
-            prices = _price_history(self.config.metrics.volatility_window)
-            run = _Run(states, fold, prices, ledgers)
         run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
         return run
 
@@ -1023,9 +1013,12 @@ class EvalEngine:
             st.prev_tokens = curr_tokens
 
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
-        """Sample the agent's forecast of every market and log them as one
-        block; a turn that fails part-way logs the forecasts it made."""
+        """Sample the agent's forecast of every market, given its memory of
+        it, and log them as one block; a turn that fails part-way logs the
+        forecasts it made. The fold takes the block after the turn, so it
+        still holds the agent's previous probabilities."""
         st = run.states[aid]
+        previous = run.fold.forecasts.get(aid, {})
         # Summaries that split alike share a stand-in, so each market's
         # instruction is rendered once per cycle, not once per agent.
         stand_in = summary_stand_in(st.portfolio.summary())
@@ -1037,9 +1030,12 @@ class EvalEngine:
                     n_in = counts[stand_in] = len(
                         render_instruction(self.contract, s, stand_in, times).split()
                     )
-                records[s.condition_id] = sample_forecast(
+                cid = s.condition_id
+                rows = previous.get(cid)
+                memory = Memory(c.moves[cid][1], rows[-1][1] if rows else None)
+                records[cid] = sample_forecast(
                     st.agent, s, self.contract.token_budget, cycle_index=c.number,
-                    input_tokens=n_in,
+                    input_tokens=n_in, memory=memory,
                 )
         finally:
             if records:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -95,13 +96,13 @@ def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
 
 def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> dict | None:
     """Feed each event to ``add`` and return the last one (None for none).
-    An event it cannot take, for a missing key or a value of the wrong type,
-    is a ``CorruptLog`` naming the event."""
+    An event it cannot take, for a missing key, a value of the wrong type or
+    an integer too large for a float, is a ``CorruptLog`` naming the event."""
     ev = None
     for ev in events:
         try:
             add(ev)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
             event = json.dumps(ev, default=repr)[:200]
             raise CorruptLog(None, f"{what} in event {event}") from exc
@@ -206,7 +207,7 @@ _RISKS = frozenset(r.value for r in Risk)
 
 
 def _finite(key: str, value) -> float:
-    """A drift event's ``value`` of ``key``: a finite number, not a bool;
+    """An event's ``value`` of ``key``: a finite number, not a bool;
     anything else is a ``ValueError`` naming the key."""
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{key} {value!r} is not a finite number")
@@ -228,7 +229,8 @@ def _probability(ev: dict) -> float:
 _STRINGS = (frozenset((str,)), None, "a string")
 _INTEGERS = (frozenset((int,)), None, "an integer")
 _PROBABILITIES = (frozenset((int, float)), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_PRICES = (frozenset((int, float)), lambda v: -math.inf < v < math.inf, "a finite number")
+# compared, not converted: an integer too large for a float is not finite
+_PRICES = (frozenset((int, float)), lambda v: abs(v) <= sys.float_info.max, "a finite number")
 
 # Each block kind's subject key, which it holds once beside ``kind`` and
 # ``cycle`` (None for none), and its lists, parallel, one value per market,
@@ -392,7 +394,8 @@ class EventFold:
                 [_probability(ev)],
             )
         elif kind == "snapshot":
-            self.add_snapshots(int(ev["cycle"]), [ev["condition_id"]], [float(ev["yes_price"])])
+            yes = _finite("yes_price", float(ev["yes_price"]))
+            self.add_snapshots(int(ev["cycle"]), [ev["condition_id"]], [yes])
 
     # The blocks, from their lists: ``add`` checks a block, or converts a
     # per-row event, and calls these; the engine calls them as it writes

@@ -17,6 +17,7 @@ from driftmark.agents import (
     Decision,
     DecisionBatch,
     MarketCopier,
+    Memory,
     Strategy,
     WindowMode,
     build_agent,
@@ -479,9 +480,15 @@ class TestWireFormat:
         assert all(type(d.action) is Action for d in again.decisions)
 
 
+# A price a snapshot may quote: 0, or at least the smallest positive one.
+_PRICES = st.one_of(st.just(0.0), st.floats(MIN_POSITIVE_PRICE, 1.0))
+
+
 class TestScriptedAgents:
-    def _forecast(self, agent, snap, cycle=1, budget=1000):
-        return sample_forecast(agent, snap, budget, cycle_index=cycle, input_tokens=3)
+    def _forecast(self, agent, snap, cycle=1, budget=1000, memory=Memory()):
+        return sample_forecast(
+            agent, snap, budget, cycle_index=cycle, input_tokens=3, memory=memory
+        )
 
     def test_market_copier(self):
         agent = build_agent("market_copier")
@@ -497,9 +504,9 @@ class TestScriptedAgents:
         agent = build_agent("momentum")
         first = self._forecast(agent, make_snapshot(yes=0.55), cycle=1)
         assert first.probability == 0.55  # no prior price
-        second = self._forecast(agent, make_snapshot(yes=0.60), cycle=2)
+        second = self._forecast(agent, make_snapshot(yes=0.60), cycle=2, memory=Memory(0.55))
         assert second.probability == pytest.approx(0.65, abs=1e-12)
-        third = self._forecast(agent, make_snapshot(yes=0.58), cycle=3)
+        third = self._forecast(agent, make_snapshot(yes=0.58), cycle=3, memory=Memory(0.60))
         assert third.probability == pytest.approx(0.53, abs=1e-12)
 
     def test_mean_reversion_quarter_toward_half(self):
@@ -508,8 +515,9 @@ class TestScriptedAgents:
 
     def test_drift_adjusted_ema(self):
         agent = build_agent("drift_adjusted")
-        self._forecast(agent, make_snapshot(yes=0.5), cycle=1)
-        rec = self._forecast(agent, make_snapshot(yes=0.8), cycle=2)
+        first = self._forecast(agent, make_snapshot(yes=0.5), cycle=1)
+        memory = Memory(0.5, first.probability)
+        rec = self._forecast(agent, make_snapshot(yes=0.8), cycle=2, memory=memory)
         assert rec.probability == pytest.approx(0.3 * 0.8 + 0.7 * 0.5, abs=1e-12)
 
     def test_budget_noise_scales_inversely(self):
@@ -525,9 +533,63 @@ class TestScriptedAgents:
 
         def stream(seed):
             agent = build_agent("momentum", seed=seed)
-            return [self._forecast(agent, s, cycle=i + 1).probability for i, s in enumerate(snaps)]
+            memories = [Memory(), *(Memory(s.yes_price) for s in snaps)]
+            return [
+                self._forecast(agent, s, cycle=i + 1, memory=memory).probability
+                for i, (s, memory) in enumerate(zip(snaps, memories))
+            ]
 
         assert stream(3) == stream(3)
+
+    @staticmethod
+    def _reply(agent, market, cycle, budget, memory):
+        try:
+            return agent.forecast(market, cycle, budget, memory)
+        except MalformedAgentOutput as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("kind", sorted(agents.AGENT_BUILDERS))
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # the market, of three
+                _PRICES,
+                st.integers(1, 12),  # cycle
+                st.integers(1, 4000),  # budget
+                st.builds(Memory, st.none() | _PRICES, st.none() | st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_an_agent_is_a_pure_function_of_its_arguments(self, kind, seed, calls):
+        """The same market, cycle, budget and memory give the same reply
+        whatever calls come between, and no call changes the agent: all it
+        remembers is the memory the engine passes."""
+        agent = build_agent(kind, seed)
+        attributes = dict(vars(agent))
+        (n, yes, *args), *between = calls
+        market = make_snapshot(cid=f"0x{n:040x}", yes=yes)
+        first = self._reply(agent, market, *args)
+        for m, other_yes, *other_args in between:
+            self._reply(agent, make_snapshot(cid=f"0x{m:040x}", yes=other_yes), *other_args)
+        assert self._reply(agent, market, *args) == first
+        assert vars(agent) == attributes
+
+    @given(yes=_PRICES, previous=st.floats(0.0, 1.0))
+    @example(yes=1.0, previous=1.0)
+    @example(yes=0.0, previous=0.0)
+    def test_drift_adjusted_smoothing_stays_in_the_unit_interval(self, yes, previous):
+        """Its smoothing of a price and a probability in [0, 1] is in [0, 1]
+        itself, so the clamp keeps it as it is: the probability logged,
+        which the engine passes back as its memory, is the value computed."""
+        agent = build_agent("drift_adjusted")
+        smoothed = agent.alpha * yes + (1.0 - agent.alpha) * previous
+        assert 0.0 <= smoothed <= 1.0
+        memory = Memory(None, previous)
+        assert agent.probability(make_snapshot(yes=yes), 1, 1000, memory) == smoothed
 
     def test_trace_truncated_to_budget(self):
         agent = build_agent("market_copier")
@@ -565,7 +627,7 @@ class TestScriptedAgents:
         0-10 and the trace a ``str``, as the log's template writes them."""
 
         class Odd(MarketCopier):
-            def forecast(self, market, cycle_index, budget):
+            def forecast(self, market, cycle_index, budget, memory):
                 return reply
 
         with pytest.raises(MalformedAgentOutput):
@@ -585,16 +647,14 @@ class TestScriptedAgents:
         assert agent.agent_id == "momentum#b"
 
 
-# A price a snapshot may quote: 0, or at least the smallest positive one.
-_PRICES = st.one_of(st.just(0.0), st.floats(MIN_POSITIVE_PRICE, 1.0))
-
-
 class TestBuildDecisionBatch:
     def test_exactly_thirty_unique(self):
         agent = build_agent("momentum")
         snaps = [make_snapshot(cid=f"0x{i:040x}", yes=0.3 + 0.01 * i) for i in range(40)]
         records = {
-            s.condition_id: sample_forecast(agent, s, 1000, cycle_index=1, input_tokens=1)
+            s.condition_id: sample_forecast(
+                agent, s, 1000, cycle_index=1, input_tokens=1, memory=Memory()
+            )
             for s in snaps
         }
         wire = build_decision_batch(

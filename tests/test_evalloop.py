@@ -284,12 +284,12 @@ class TestCheckpointResume:
         the previous forecasts of the next cycle; those of the cycle before are."""
 
         class FailsAfterOneForecast(agents.MarketCopier):
-            def probability(self, market, cycle_index, budget):
+            def probability(self, market, cycle_index, budget, memory):
                 if cycle_index == 2:
                     if getattr(self, "forecast_once", False):
                         raise MalformedAgentOutput("garbled output mid-cycle")
                     self.forecast_once = True
-                return super().probability(market, cycle_index, budget)
+                return super().probability(market, cycle_index, budget, memory)
 
         monkeypatch.setitem(agents.AGENT_BUILDERS, "fails_mid_cycle", FailsAfterOneForecast)
         full = make_engine(tmp_path, agents=("fails_mid_cycle", "momentum"), cycles=4,
@@ -389,11 +389,12 @@ class TestCheckpointResume:
             "torn_at_cycle", "no_readable", "missing", "old_format", "events_past_end",
             "events_mid_line", "events_not_cycle_end", "totals", "live",
             "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
-            "kept_ledger_overdrawn", "kept_ledger_close_unopened",
+            "kept_ledger_overdrawn", "kept_ledger_close_unopened", "kept_huge_ledger_price",
+            "kept_huge_drift",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
-        """Every check runs before the log or a ledger is cut."""
+        """Every check runs before the log, a ledger or a checkpoint is cut."""
         make_engine(tmp_path, cycles=4, run_id="keep").run()
         run_dir = tmp_path / "keep"
         ckpt_path = run_dir / "checkpoints" / "cycle_00002.json"
@@ -452,6 +453,18 @@ class TestCheckpointResume:
             ckpt["events_bytes"] += len(edited) - len(line)
             save(ckpt)
             match = "momentum: ledger entry seq 1 cannot be replayed"
+        elif failure.startswith("kept_huge_"):
+            # A JSON integer too large for a float, which once escaped as an
+            # OverflowError: a ledger price, or a drift value.
+            lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+            kind, key = ("ledger", "price") if failure == "kept_huge_ledger_price" else (
+                "drift", "d_narrative")
+            at = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
+            lines[at] = evalloop.event_line({**json.loads(lines[at]), key: 10**400}).encode()
+            head = b"".join(lines)
+            events_path.write_bytes(head + events[ckpt["events_bytes"]:])
+            save({**ckpt, "events_bytes": len(head)})
+            match = "int too large to convert to float"
         elif failure.startswith("kept_"):
             # A line of the kept prefix that the reader, the fold or the
             # ledger replay refuses.
@@ -475,7 +488,10 @@ class TestCheckpointResume:
             data["feed_source"] = {"kind": "live", "endpoint": "http://x", "condition_ids": []}
             manifest_path.write_text(json.dumps(data), encoding="utf-8")
             error = LiveSourceNotResumable
-        files = [events_path, *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        files = [
+            events_path, *sorted((run_dir / "ledgers").glob("*.jsonl")),
+            *sorted((run_dir / "checkpoints").iterdir()),
+        ]
         before = {p.name: file_sha256(p) for p in files}
         with pytest.raises(error, match=match):
             resume_run(tmp_path, "keep", at_cycle=at_cycle)
@@ -1179,7 +1195,8 @@ class TestAgentReplies:
         an agent_failure and a batch of HOLDs; every line of the log is
         then the generic encoder's."""
         monkeypatch.setattr(
-            agents.MomentumAgent, "probability", lambda self, m, c, b: np.float64(m.yes_price)
+            agents.MomentumAgent, "probability",
+            lambda self, m, c, b, memory: np.float64(m.yes_price),
         )
         result = make_engine(tmp_path, cycles=3, run_id="odd").run()
         lines = result.events_path.read_text(encoding="utf-8").splitlines(keepends=True)

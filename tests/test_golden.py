@@ -19,10 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from driftmark.agents import build_agent
 from driftmark import evalloop, reporting
 from driftmark.cli import main as cli_main
-from driftmark.errors import CorruptLog, IoError, MalformedAgentOutput, OlderLogShape
+from driftmark.errors import CorruptLog, IoError, OlderLogShape
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
 from driftmark.market_data import (
     Domain,
@@ -416,16 +415,31 @@ def test_torn_latest_checkpoint_resumes_to_pins(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
 def test_resume_at_every_boundary_matches_pins(name, tmp_path, monkeypatch):
-    """Resume rebuilds its state from the kept log, folding its blocks.
+    """Resume rebuilds its state from the kept log, folding its blocks, and
+    calls no agent: ``sample_forecast`` raises while it restores.
     ``flaky`` fails on cycles 3 and 6, so boundaries after a failed cycle
     take the previous forecasts from the latest cycle without an
     agent_failure."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", name)
+    restore = EvalEngine._restore
+    restored = []
+
+    def no_agent(*args, **kwargs):
+        raise AssertionError("resume called an agent")
+
+    def restore_without_agents(engine, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(evalloop, "sample_forecast", no_agent)
+            restore(engine, *args)
+        restored.append(engine)
+
+    monkeypatch.setattr(EvalEngine, "_restore", restore_without_agents)
     for boundary in range(1, MANIFESTS[name]["cycles"] + 1):
         resumed = resume_run("out", name, at_cycle=boundary)
         assert resumed.event_log_sha256 == PINS[name]["events.jsonl"], f"boundary {boundary}"
         assert run_digests("out", name) == PINS[name], f"boundary {boundary}"
+    assert len(restored) == MANIFESTS[name]["cycles"]
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
@@ -445,18 +459,19 @@ def test_resume_at_every_boundary_rewrites_each_ledger(name, tmp_path, monkeypat
         assert ledgers == full, f"boundary {boundary}"
 
 
-def older_agent_state(agent_id: str, seed: int, cycles) -> dict:
-    """The state an older checkpoint held for an agent after ``cycles``: the
-    ``_state`` its forecasts left, an agent's cycle ending at its first
-    failure."""
-    agent = build_agent(agent_id, seed)
-    for number, snaps in enumerate(cycles, 1):
-        try:
-            for s in snaps:
-                agent.forecast(s, number, 1000)
-        except MalformedAgentOutput:
-            pass
-    return dict(agent._state)
+def older_agent_state(agent_id: str, kept: list[dict]) -> dict:
+    """The state an older checkpoint held for an agent, from the events of
+    the kept log: a momentum agent's is each market's last yes price, a
+    drift_adjusted agent's its own last probability of each market, and
+    the other agents' is empty."""
+    kind = agent_id.split("#", 1)[0]
+    state: dict = {}
+    for ev in kept:
+        if kind == "momentum" and ev["kind"] == "snapshots":
+            state.update(zip(ev["condition_id"], ev["yes_price"]))
+        elif kind == "drift_adjusted" and ev["kind"] == "forecasts" and ev["agent_id"] == agent_id:
+            state.update(zip(ev["condition_id"], ev["probability"]))
+    return state
 
 
 def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
@@ -470,9 +485,6 @@ def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
         p.stem: p.read_bytes().splitlines(keepends=True) for p in paths.ledgers.glob("*.jsonl")
     }
     spec = MANIFESTS["flaky"]
-    feed = generate_synthetic(
-        seed=spec["seed"], n_markets=40, steps=spec["cycles"], interval_seconds=3600
-    ).cycles()
     for path in paths.checkpoints.glob("cycle_*.json"):
         ckpt = json.loads(path.read_bytes())
         kept = [json.loads(line) for line in log[: ckpt["events_bytes"]].splitlines()]
@@ -480,7 +492,7 @@ def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
         for aid in spec["agent_ids"]:
             n = sum(1 for e in kept if e["kind"] == "ledger" and e["agent_id"] == aid)
             ckpt["agents"][aid] = {
-                "state": older_agent_state(aid, spec["seed"], feed[: ckpt["next_cycle"] - 1]),
+                "state": older_agent_state(aid, kept),
                 "ledger_bytes": len(b"".join(ledgers[aid][:n])),
             }
         path.write_text(json.dumps(ckpt), encoding="utf-8")
@@ -582,6 +594,8 @@ DAMAGED_BLOCKS = {
     "bool_cycle": ("snapshots", "cycle", True, "cycle True is not an integer"),
     "float_confidence": ("forecasts", "confidence", 5.0, "confidence 5.0 is not an integer"),
     "non_string_trace": ("forecasts", "trace", 7, "trace 7 is not a string"),
+    # a JSON integer too large for a float, which the reports once took
+    "huge_yes_price": ("snapshots", "yes_price", 10**400, "yes_price 1000000000000"),
 }
 
 

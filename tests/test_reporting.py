@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -214,15 +215,35 @@ class TestLogReader:
             ({"kind": "ledger", "agent_id": "a", "entry_kind": "OPEN", "cycle": 1,
               "condition_id": "m", "cash_delta_cents": 0}, "no key 'basis_delta_cents'"),
             ({"kind": "drift", "agent_id": "a"}, "no key 'd_narrative'"),
+            # A JSON integer too large for a float, which once escaped as an
+            # OverflowError, and a price that is not finite, which
+            # market_divergence once read as NaN.
+            ({"kind": "drift", "agent_id": "a", "d_narrative": 10**400, "d_temporal": 0.0},
+             "int too large to convert to float"),
+            ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
+              "probability": 10**400}, "int too large to convert to float"),
+            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": 10**400},
+             "int too large to convert to float"),
+            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.nan},
+             "yes_price nan is not a finite number"),
+            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.inf},
+             "yes_price inf is not a finite number"),
+            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": -math.inf},
+             "yes_price -inf is not a finite number"),
         ],
     )
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
         """The log names agent ``a`` and a high-risk market ``m`` first, so
-        the reports would read every key of the bad event."""
+        the reports would read every key of the bad event; a forecast of
+        ``m`` follows it."""
         bad = tmp_path / "bad.jsonl"
         meta = [{"kind": "agent_meta", "agent_id": "a"},
                 {"kind": "market_meta", "condition_id": "m", "risk": "high"}]
-        bad.write_text("".join(json.dumps(ev) + "\n" for ev in [*meta, event]), encoding="utf-8")
+        forecast = {"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
+                    "probability": 0.5}
+        bad.write_text(
+            "".join(json.dumps(ev) + "\n" for ev in [*meta, event, forecast]), encoding="utf-8"
+        )
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(bad)
         assert '"kind": "' + event["kind"] + '"' in str(err.value)
