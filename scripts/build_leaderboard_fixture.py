@@ -5,8 +5,8 @@ The fixture is a minimal event log whose aggregation reproduces the
 published leaderboard of eight large-scale agents: P&L to the cent, token
 averages to the integer, and the P&L ordering. Two synthetic markets carry
 the forecasts and the settled ledger entries. It is written in an older,
-per-row shape (one forecast or snapshot per line, with the keys forecasts
-no longer repeat), which ``driftmark report`` still reads.
+per-row shape (one forecast, snapshot or ledger entry per line, with the
+keys forecasts no longer repeat), which ``driftmark report`` still reads.
 """
 
 from __future__ import annotations

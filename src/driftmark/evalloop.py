@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import time as _time
@@ -103,7 +102,6 @@ from .simulator import (
     Portfolio,
     Side,
     apply_entry,
-    entry_from_record,
     resolve_market,
     step,
 )
@@ -171,27 +169,21 @@ def _safe_name(agent_id: str) -> str:
 
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-# The line ``_EVENT_ENCODER`` writes for a ledger event: keys sorted, strings
+# A ledger file's line: ``entry_to_record``'s keys in its order, as
+# ``json.dumps`` writes them with ``_EVENT_ENCODER``'s separators: strings
 # through ``encode_basestring_ascii``, ``%d`` and ``%r`` as ``int``'s and
 # ``float``'s own repr. It holds the same bytes because every string is an
 # exact ``str``, every count an exact ``int`` and every price a finite
 # ``float``: each value is checked where it enters the program (feed, agent
-# reply, config, manifest, kept log). ``_*_FIELDS`` are the keys of each
-# template's ``%`` fields, in order.
-_LEDGER_LINE = (
-    '{"agent_id":%s,"basis_delta_cents":%d,"cash_delta_cents":%d,"condition_id":%s,'
-    '"cycle":%d,"entry_kind":%s,"kind":"ledger","note":%s,"price":%r,"quantity_micro":%d,'
-    '"seq":%d,"side":%s,"timestamp":%s}\n'
-)
-# A ledger file's line: ``entry_to_record``'s keys in its order, through
-# ``json.dumps`` with the same separators and ASCII escapes.
+# reply, config, manifest, kept log). ``_LEDGER_FILE_FIELDS`` are the keys
+# of its ``%`` fields, in order.
 _LEDGER_FILE_LINE = (
     '{"seq":%d,"kind":%s,"condition_id":%s,"cash_delta_cents":%d,"timestamp":%s,'
     '"side":%s,"price":%r,"quantity_micro":%d,"basis_delta_cents":%d,"note":%s}\n'
 )
-_LEDGER_FIELDS, _LEDGER_FILE_FIELDS = (
-    tuple(re.findall(r'"(\w+)":%', line)) for line in (_LEDGER_LINE, _LEDGER_FILE_LINE)
-)
+_LEDGER_FILE_FIELDS = tuple(re.findall(r'"(\w+)":%', _LEDGER_FILE_LINE))
+# The lists of a ledgers block, in the order ``EventFold.add_ledgers`` takes them.
+_LEDGER_LISTS = tuple(reporting.BLOCK_LISTS["ledgers"])
 
 
 # Each baseline kind's, entry kind's and side's text. ``.value`` goes through
@@ -206,9 +198,9 @@ _SIDES = {s.value: s for s in Side}
 
 
 class _JsonStrings(dict):
-    """JSON text by string, for the strings a run's ledger lines repeat (agent
-    ids, market ids, and an entry's kind, side, time and note): each is
-    encoded once."""
+    """JSON text by string, for the strings a run's ledger file lines repeat
+    (market ids, and an entry's kind, side, time and note): each is encoded
+    once."""
 
     def __missing__(self, text: str) -> str:
         encoded = self[text] = encode_basestring_ascii(text)
@@ -269,55 +261,38 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
 
 def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
     """Pass a kept log's events through; a per-row forecast, baseline or
-    snapshot, which older versions wrote where today's blocks are, is an
-    ``OlderLogShape`` naming its line (blank lines, which no run writes, are
-    not counted)."""
+    snapshot or a per-entry ledger event, which older versions wrote where
+    today's blocks are, is an ``OlderLogShape`` naming its line (blank
+    lines, which no run writes, are not counted)."""
     for line_no, ev in enumerate(events, start=1):
         kind = ev.get("kind")
         # compared, not hashed: a kind may be any JSON value
-        if kind == "forecast" or kind == "baseline" or kind == "snapshot":
+        if kind == "forecast" or kind == "baseline" or kind == "snapshot" or kind == "ledger":
+            shape = "per-entry" if kind == "ledger" else "per-row"
             raise OlderLogShape(
                 line_no,
-                f"a per-row {kind}; resume this run with the version that started it, "
+                f"a {shape} {kind}; resume this run with the version that started it, "
                 "or start it again",
             )
         yield ev
 
 
 def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
-    """The entry of a kept ledger event, from its fold row: converted as
-    ``entry_from_record`` converts the event, with each entry kind, side and
-    timestamp text looked up. A row that does not convert goes through
-    ``entry_from_record`` of its event, rebuilt with sorted keys, inside
-    ``reporting.fold_events``, which raises that conversion's error. An
-    entry whose seq is not an exact ``int`` (``int`` reads ``true`` as 1),
-    whose condition_id or note is not a string, or whose price is not finite
-    (its lines could not be written as JSON) is a ``CorruptLog`` naming its
-    agent and seq."""
+    """The entry of a kept ledgers block's row, whose values the block's
+    checks have passed, with each entry kind, side and timestamp text looked
+    up. A timestamp that does not parse, or does not convert to UTC, is a
+    ``CorruptLog`` naming its agent and seq."""
     basis, cash, cid, _, kind, note, price, qty, seq, side, ts = row
     try:
-        entry = LedgerEntry(
-            int(seq), _ENTRY_KINDS[kind], cid, int(cash), times[ts], _SIDES[side], float(price),
-            int(qty), int(basis), "" if note is reporting.NO_KEY else note,
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-        fields = dict(zip(_LEDGER_FIELDS, (agent_id, *row)), kind="ledger")
-        event = {k: fields[k] for k in sorted(fields) if fields[k] is not reporting.NO_KEY}
-        entries: list[LedgerEntry] = []
-        reporting.fold_events(
-            lambda e: entries.append(entry_from_record({**e, "kind": e["entry_kind"]})), [event]
-        )
-        entry = entries[0]
-    if type(seq) is not int:
-        raise CorruptLog(None, f"{agent_id}: ledger entry seq {seq!r} is not an integer")
-    cid, note, price = entry.condition_id, entry.note, entry.price
-    if type(cid) is not str or type(note) is not str or not math.isfinite(price):
+        timestamp = times[ts]
+    except (ValueError, OverflowError) as exc:
         raise CorruptLog(
-            None,
-            f"{agent_id}: ledger entry seq {entry.seq} needs a string condition_id and note "
-            f"and a finite price, not {cid!r}, {note!r}, {price!r}",
-        )
-    return entry
+            None, f"{agent_id}: ledger entry seq {seq} has timestamp {ts!r}: {exc}"
+        ) from exc
+    return LedgerEntry(
+        seq, _ENTRY_KINDS[kind], cid, cash, timestamp, _SIDES[side], float(price), qty, basis,
+        note,
+    )
 
 
 def _price_history(window: int) -> defaultdict[str, deque[float]]:
@@ -481,26 +456,30 @@ class _Run:
             entry.basis_delta_cents, strings[entry.note],
         )
 
-    def record(self, cycle: int, agent_id: str, entry: LedgerEntry) -> None:
-        """Add an entry to the agent's ledger, log it, and feed it to the
-        agent's calibration window."""
-        self.ledgers[agent_id].append(self.ledger_line(entry))
-        strings = self.strings
-        basis, cash, cid, note = (
-            entry.basis_delta_cents, entry.cash_delta_cents, entry.condition_id, entry.note
-        )
-        kind, side = _ENTRY_KIND_TEXT[entry.kind], _SIDE_TEXT[entry.side]
-        ts = self.iso[entry.timestamp]
-        self.events.write(_LEDGER_LINE % (
-            strings[agent_id], basis, cash, strings[cid], cycle, strings[kind], strings[note],
-            entry.price, entry.quantity_micro, entry.seq, strings[side], strings[ts],
-        ))
-        self.fold.add_ledger(
-            agent_id, basis, cash, cid, cycle, kind, note, entry.price, entry.quantity_micro,
-            entry.seq, side, ts,
-        )
+    def record(self, cycle: int, agent_id: str, entries: Sequence[LedgerEntry]) -> None:
+        """Add an agent turn's entries to the agent's ledger, log them as one
+        block, and feed each to the agent's calibration window; a turn
+        without entries logs no block."""
+        if not entries:
+            return
+        ledger = self.ledgers[agent_id]
         st = self.states[agent_id]
-        st.window = _calibrated(st.window, entry)
+        for entry in entries:
+            ledger.append(self.ledger_line(entry))
+            st.window = _calibrated(st.window, entry)
+        iso = self.iso
+        columns = (
+            [e.basis_delta_cents for e in entries], [e.cash_delta_cents for e in entries],
+            [e.condition_id for e in entries], [_ENTRY_KIND_TEXT[e.kind] for e in entries],
+            [e.note for e in entries], [e.price for e in entries],
+            [e.quantity_micro for e in entries], [e.seq for e in entries],
+            [_SIDE_TEXT[e.side] for e in entries], [iso[e.timestamp] for e in entries],
+        )
+        self.events.write(event_line({
+            "kind": "ledgers", "cycle": cycle, "agent_id": agent_id,
+            **dict(zip(_LEDGER_LISTS, columns)),
+        }))
+        self.fold.add_ledgers(agent_id, cycle, *columns)
 
 
 @dataclass(frozen=True)
@@ -721,8 +700,8 @@ class EvalEngine:
         """Bring a fresh run state to the checkpoint from the kept log alone:
         its fold, which holds the agents' memory and the baselines'
         forecasts; the price history from its snapshots; each agent's
-        portfolio, ledger and calibration window, replayed from its ledger
-        events; and each agent's previous forecasts, those of its last turn
+        portfolio, ledger and calibration window, replayed from its ledgers
+        blocks' entries; and each agent's previous forecasts, those of its last turn
         without an agent_failure, which its drift compares against. No agent
         is called. The replayed portfolios must match the boundary's
         cycle_end. The log is cut back to the checkpoint only once every
@@ -995,8 +974,7 @@ class EvalEngine:
             target_win=sim.target_win_ratio,
         )
         st.portfolio = result.portfolio
-        for entry in result.entries:
-            run.record(c.number, aid, entry)
+        run.record(c.number, aid, result.entries)
         for skip in result.skipped:
             run.emit(
                 {
@@ -1161,7 +1139,8 @@ class EvalEngine:
         }
 
     def _settle(self, run: _Run, outcomes: list[ResolvedOutcome], cycle: int) -> None:
-        """Log each outcome and settle every agent's position in its market,
+        """Log each outcome, then settle every agent's positions in their
+        markets, in the outcomes' order, as one ledgers block per agent,
         after the last cycle."""
         for outcome in outcomes:
             run.emit(
@@ -1172,11 +1151,14 @@ class EvalEngine:
                     "resolved_at": run.iso[outcome.resolved_at],
                 }
             )
-            for aid in self.manifest.agent_ids:
-                st = run.states[aid]
+        for aid in self.manifest.agent_ids:
+            st = run.states[aid]
+            entries = []
+            for outcome in outcomes:
                 st.portfolio, entry = resolve_market(st.portfolio, outcome)
                 if entry is not None:
-                    run.record(cycle, aid, entry)
+                    entries.append(entry)
+            run.record(cycle, aid, entries)
 
     # -- helpers --
 

@@ -9,9 +9,9 @@ unresolved markets contribute only to drift and divergence.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -33,6 +33,7 @@ from .metrics import (
     score_forecasts,
     var_cvar,
 )
+from .simulator import EntryKind, Side
 
 BASELINE_PREFIX = "baseline:"
 # What a ledger row holds for a key its event lacks.
@@ -206,36 +207,66 @@ _REFERENCE_BET_CENTS = 15_000
 _RISKS = frozenset(r.value for r in Risk)
 
 
+# The largest number a float holds; an integer beyond it is compared, not
+# converted, since converting it raises.
+_FLOAT_MAX = sys.float_info.max
+
+
 def _finite(key: str, value) -> float:
-    """An event's ``value`` of ``key``: a finite number, not a bool;
-    anything else is a ``ValueError`` naming the key."""
-    if type(value) not in (int, float) or not math.isfinite(value):
+    """An event's ``value`` of ``key``: a finite number, not a bool, that a
+    float holds; anything else is a ``ValueError`` naming the key."""
+    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{key} {value!r} is not a finite number")
     return value
+
+
+def _float(key: str, value) -> float:
+    """``float`` of an older per-row event's ``value`` of ``key``, as it has
+    always been read; an integer too large for a float is a ``ValueError``
+    naming the key."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} {value!r} is not a finite number") from None
+
+
+def _cycle(ev: dict) -> int:
+    """An event's cycle: an exact ``int`` (a bool, a float or a string is
+    not one, and nothing is converted), or a ``ValueError``."""
+    cycle = ev["cycle"]
+    if type(cycle) is not int:
+        raise ValueError(f"cycle {cycle!r} is not an integer")
+    return cycle
 
 
 def _probability(ev: dict) -> float:
     """An event's probability; one that is not a number in [0, 1] (NaN and
     infinities are not) is a ``ValueError``: the score folds bin it by
     its place in [0, 1]."""
-    p = float(ev["probability"])
+    p = _float("probability", ev["probability"])
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {ev['probability']!r} is not in [0, 1]")
     return p
 
 
 # What a block's list may hold: the types of its values, a test each value
-# passes besides (None for none), and what a value must be.
+# passes besides (None for none), and what a value must be. Numbers are
+# compared, not converted: an integer too large for a float is refused.
 _STRINGS = (frozenset((str,)), None, "a string")
-_INTEGERS = (frozenset((int,)), None, "an integer")
+_INTEGERS = (
+    frozenset((int,)), lambda v: abs(v) <= _FLOAT_MAX, "an integer within a float's range"
+)
 _PROBABILITIES = (frozenset((int, float)), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-# compared, not converted: an integer too large for a float is not finite
-_PRICES = (frozenset((int, float)), lambda v: abs(v) <= sys.float_info.max, "a finite number")
+_PRICES = (frozenset((int, float)), lambda v: abs(v) <= _FLOAT_MAX, "a finite number")
+_ENTRY_KINDS = frozenset(k.value for k in EntryKind)
+_SIDES = frozenset(s.value for s in Side)
 
 # Each block kind's subject key, which it holds once beside ``kind`` and
-# ``cycle`` (None for none), and its lists, parallel, one value per market,
-# with what each may hold.
-BLOCK_SUBJECTS = {"forecasts": "agent_id", "baselines": "baseline", "snapshots": None}
+# ``cycle`` (None for none), and its lists, parallel, one value per market
+# or ledger entry, with what each may hold.
+BLOCK_SUBJECTS = {
+    "forecasts": "agent_id", "baselines": "baseline", "snapshots": None, "ledgers": "agent_id",
+}
 BLOCK_LISTS = {
     "forecasts": {
         "condition_id": _STRINGS, "confidence": _INTEGERS, "input_tokens": _INTEGERS,
@@ -246,6 +277,16 @@ BLOCK_LISTS = {
         "condition_id": _STRINGS, "no_price": _PRICES, "observed_at": _STRINGS,
         "yes_price": _PRICES,
     },
+    "ledgers": {
+        "basis_delta_cents": _INTEGERS, "cash_delta_cents": _INTEGERS,
+        "condition_id": _STRINGS,
+        "entry_kind": (
+            frozenset((str,)), _ENTRY_KINDS.__contains__, f"one of {sorted(_ENTRY_KINDS)}"
+        ),
+        "note": _STRINGS, "price": _PRICES, "quantity_micro": _INTEGERS, "seq": _INTEGERS,
+        "side": (frozenset((str,)), _SIDES.__contains__, f"one of {sorted(_SIDES)}"),
+        "timestamp": _STRINGS,
+    },
 }
 
 
@@ -253,11 +294,9 @@ def _block(ev: dict) -> tuple:
     """A block's cycle, its subject (None for none) and its lists in
     ``BLOCK_LISTS`` order. A cycle that is not an integer (a bool is not
     one), a subject that is not a string, a list of another length than
-    ``condition_id``, or a value its list may not hold is a ``ValueError``
-    naming the key; nothing is converted."""
-    cycle = ev["cycle"]
-    if type(cycle) is not int:
-        raise ValueError(f"cycle {cycle!r} is not an integer")
+    the first, or a value its list may not hold is a ``ValueError`` naming
+    the key; nothing is converted."""
+    cycle = _cycle(ev)
     kind = ev["kind"]
     key = BLOCK_SUBJECTS[kind]
     subject = None if key is None else ev[key]
@@ -269,7 +308,8 @@ def _block(ev: dict) -> tuple:
         if type(values) is not list:
             raise ValueError(f"{key} is not a list")
         if columns and len(values) != len(columns[0]):
-            raise ValueError(f"{key} holds {len(values)} values, condition_id {len(columns[0])}")
+            first = next(iter(BLOCK_LISTS[kind]))
+            raise ValueError(f"{key} holds {len(values)} values, {first} {len(columns[0])}")
         if not types.issuperset(map(type, values)) or (
             within is not None and not all(map(within, values))
         ):
@@ -292,8 +332,8 @@ class EventFold:
         self.forecasts: dict[str, dict[str, list[tuple]]] = {}
         # subject -> [(d_narrative, d_temporal, d_temporal_product)]
         self.drifts: dict[str, list[tuple]] = {}
-        # subject -> a row per ledger event: its values in the order of
-        # add_ledger's parameters after subject, the event's keys sorted
+        # subject -> a row per ledger entry: its values in the sorted order
+        # of a per-entry ledger event's keys, its cycle among them
         self.ledgers: dict[str, list[tuple]] = {}
         # subject -> [(condition_id, basis_delta_cents, price)] of its OPEN entries
         self.opens: dict[str, list[tuple]] = {}
@@ -317,24 +357,30 @@ class EventFold:
         read later is read here, and every value they read is checked here,
         so an event without one, or with one they cannot read, fails in
         ``fold_events``. A block is checked whole by ``_block``. The per-row
-        ``forecast``, ``baseline`` and ``snapshot`` events of older logs are
-        converted and folded as one-row blocks."""
+        ``forecast``, ``baseline`` and ``snapshot`` events and the per-entry
+        ``ledger`` events of older logs are converted and folded as one-row
+        blocks."""
         kind = ev.get("kind")
         if kind == "ledger":
-            # The keys the reports read must be there, an OPEN's basis and
-            # price too; one only resume reads may be missing (NO_KEY).
+            # The keys the reports read must be there and hold numbers they
+            # can read, an OPEN's basis and price too; one only resume read
+            # may be missing (NO_KEY).
             agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
-            cycle, cash = int(ev["cycle"]), ev["cash_delta_cents"]
+            cycle, cash = _cycle(ev), _finite("cash_delta_cents", ev["cash_delta_cents"])
             get = ev.get
             if entry_kind == "OPEN":
-                basis, price = ev["basis_delta_cents"], ev["price"]
+                basis = _finite("basis_delta_cents", ev["basis_delta_cents"])
+                price = _finite("price", ev["price"])
             else:
                 basis, price = get("basis_delta_cents", NO_KEY), get("price", NO_KEY)
-            self.add_ledger(
-                agent, basis, cash, cid, cycle, entry_kind, get("note", NO_KEY), price,
-                get("quantity_micro", NO_KEY), get("seq", NO_KEY), get("side", NO_KEY),
-                get("timestamp", NO_KEY),
+            self.add_ledgers(
+                agent, cycle, [basis], [cash], [cid], [entry_kind], [get("note", NO_KEY)], [price],
+                [get("quantity_micro", NO_KEY)], [get("seq", NO_KEY)], [get("side", NO_KEY)],
+                [get("timestamp", NO_KEY)],
             )
+        elif kind == "ledgers":
+            cycle, agent, columns = _block(ev)
+            self.add_ledgers(agent, cycle, *columns)
         elif kind == "forecasts":
             cycle, agent, (cids, confidences, n_in, n_out, probabilities, _) = _block(ev)
             self.add_forecasts(
@@ -383,19 +429,20 @@ class EventFold:
         elif kind == "forecast":
             agent = ev["agent_id"]
             self.add_forecasts(
-                agent, int(ev["cycle"]), [ev["condition_id"]], [_probability(ev)],
-                [int(ev.get("confidence", 5))], [int(ev.get("input_tokens", 0))],
-                [int(ev.get("output_tokens", 0))],
+                agent, _cycle(ev), [ev["condition_id"]], [_probability(ev)],
+                [_finite("confidence", int(ev.get("confidence", 5)))],
+                [_finite("input_tokens", int(ev.get("input_tokens", 0)))],
+                [_finite("output_tokens", int(ev.get("output_tokens", 0)))],
                 ev["strategy"] if "strategy" in ev else self.strategy(agent),
             )
         elif kind == "baseline":
             self.add_baselines(
-                BASELINE_PREFIX + ev["baseline"], int(ev["cycle"]), [ev["condition_id"]],
+                BASELINE_PREFIX + ev["baseline"], _cycle(ev), [ev["condition_id"]],
                 [_probability(ev)],
             )
         elif kind == "snapshot":
-            yes = _finite("yes_price", float(ev["yes_price"]))
-            self.add_snapshots(int(ev["cycle"]), [ev["condition_id"]], [yes])
+            yes = _finite("yes_price", _float("yes_price", ev["yes_price"]))
+            self.add_snapshots(_cycle(ev), [ev["condition_id"]], [yes])
 
     # The blocks, from their lists: ``add`` checks a block, or converts a
     # per-row event, and calls these; the engine calls them as it writes
@@ -429,19 +476,26 @@ class EventFold:
         for cid, p in zip(condition_ids, probabilities):
             by_market.setdefault(cid, []).append((cycle, p, 5, 0, 0, "NONE"))
 
-    def add_ledger(
-        self, subject: str, basis_delta_cents: int, cash_delta_cents: int, condition_id: str,
-        cycle: int, entry_kind: str, note: str, price: float, quantity_micro: int, seq: int,
-        side: str, timestamp: str,
+    def add_ledgers(
+        self, subject: str, cycle: int, basis_delta_cents: list[int],
+        cash_delta_cents: list[int], condition_ids: list[str], entry_kinds: list[str],
+        notes: list[str], prices: list[float], quantities_micro: list[int], seqs: list[int],
+        sides: list[str], timestamps: list[str],
     ) -> None:
-        if entry_kind == "OPEN":
-            self.opens.setdefault(subject, []).append((condition_id, basis_delta_cents, price))
-        elif entry_kind in ("CLOSE", "RESOLVE"):
-            self.realized.setdefault(subject, []).append((cycle, condition_id, cash_delta_cents))
-        self.ledgers.setdefault(subject, []).append(
-            (basis_delta_cents, cash_delta_cents, condition_id, cycle, entry_kind, note, price,
-             quantity_micro, seq, side, timestamp)
-        )
+        """One agent turn's ledger entries, each folded as one row."""
+        if not condition_ids:
+            return
+        rows = self.ledgers.setdefault(subject, [])
+        for row in zip(
+            basis_delta_cents, cash_delta_cents, condition_ids, repeat(cycle), entry_kinds, notes,
+            prices, quantities_micro, seqs, sides, timestamps,
+        ):
+            basis, cash, cid, _, entry_kind, _, price, *_ = row
+            if entry_kind == "OPEN":
+                self.opens.setdefault(subject, []).append((cid, basis, price))
+            elif entry_kind in ("CLOSE", "RESOLVE"):
+                self.realized.setdefault(subject, []).append((cycle, cid, cash))
+            rows.append(row)
 
     def add_snapshots(self, cycle: int, condition_ids: list[str], yes_prices: list[float]) -> None:
         if not condition_ids:

@@ -346,15 +346,45 @@ def _rows(block: dict) -> list[dict]:
     ]
 
 
+def per_entry_events(events) -> list[dict]:
+    """``events`` as the versions before ledgers blocks wrote them: each
+    ``ledgers`` block becomes one ``ledger`` event per entry in its place,
+    but for settlement's. There the versions before wrote each resolution
+    followed by each agent's entry for its market, agent by agent, where
+    blocks write every resolution and then one block per agent."""
+    rows: list[dict] = []
+    resolutions: list[dict] = []
+    settled: list[dict] = []
+    for ev in [*events, None]:
+        if ev is not None and ev["kind"] == "resolution" and not settled:
+            resolutions.append(ev)
+            continue
+        if ev is not None and ev["kind"] == "ledgers" and resolutions:
+            settled.extend(_rows(ev))
+            continue
+        placed = 0
+        for resolution in resolutions:
+            entries = [e for e in settled if e["condition_id"] == resolution["condition_id"]]
+            rows += [resolution, *entries]
+            placed += len(entries)
+        assert placed == len(settled), "a settlement entry without its resolution"
+        resolutions.clear()
+        settled.clear()
+        if ev is not None:
+            rows.extend(_rows(ev) if ev["kind"] == "ledgers" else [ev])
+    return rows
+
+
 def per_row_events(events) -> list[dict]:
     """``events`` as the versions before blocks wrote them: each
     ``forecasts`` and ``snapshots`` block becomes one event per market in
-    its place, and each run of consecutive ``baselines`` blocks, one per
+    its place, each run of consecutive ``baselines`` blocks, one per
     baseline kind, becomes one event per market and kind, market by
-    market."""
+    market, and the ledger entries are written as ``per_entry_events``
+    writes them."""
     rows: list[dict] = []
     baselines: list[dict] = []
-    for ev in [*events, None]:
+    for ev in [*per_entry_events(events), None]:
         if ev is not None and ev["kind"] == "baselines":
             baselines.append(ev)
             continue
@@ -366,10 +396,20 @@ def per_row_events(events) -> list[dict]:
     return rows
 
 
-def per_row_shape(path) -> list[dict]:
-    """``per_row_events`` of a log's lines, each read with ``json.loads``."""
+def read_events(path) -> list[dict]:
+    """A log's lines, each read with ``json.loads``."""
     with open(path, encoding="utf-8") as fh:
-        return per_row_events(json.loads(line) for line in fh)
+        return [json.loads(line) for line in fh]
+
+
+def per_row_shape(path) -> list[dict]:
+    """``per_row_events`` of a log's events."""
+    return per_row_events(read_events(path))
+
+
+def per_entry_shape(path) -> list[dict]:
+    """``per_entry_events`` of a log's events."""
+    return per_entry_events(read_events(path))
 
 
 # --- portfolio arithmetic, one function per operation --------------------------

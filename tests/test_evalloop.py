@@ -1,12 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import io
 import json
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -60,8 +59,12 @@ from driftmark.simulator import (
 )
 
 import oracles
-from oracles import per_row_shape
+from oracles import per_entry_events, per_row_shape
 from conftest import make_snapshot
+
+
+# Takes a value out of its list, for ``_damage_kept_entry``.
+_DROP = object()
 
 
 def make_engine(root, seed=42, agents=("market_copier", "momentum"), markets=40, cycles=5, run_id=None, mode="execution"):
@@ -145,7 +148,7 @@ class TestRunBasics:
         result = make_engine(
             tmp_path, seed=7, agents=("momentum", "mean_reversion"), cycles=6, run_id="trig"
         ).run()
-        events = list(iter_events(result.events_path))
+        events = per_entry_events(iter_events(result.events_path))
         notes = [e["note"] for e in events if e["kind"] == "ledger" and e["entry_kind"] == "CLOSE"]
         assert any(note.startswith("trigger_") for note in notes)
         assert [e for e in events if e["kind"] == "skip" and e["reason"] == "no_such_position"] == []
@@ -156,7 +159,7 @@ class TestRunBasics:
             tmp_path, seed=7, agent_ids=["momentum", "mean_reversion"],
             feed_source={"kind": "synthetic", "n_markets": 60}, cycles=4, config=config,
         ).run()
-        events = list(iter_events(result.events_path))
+        events = per_entry_events(iter_events(result.events_path))
         opens = [e for e in events if e["kind"] == "ledger" and e["entry_kind"] == "OPEN"]
         assert opens
         assert [e for e in events if e["kind"] == "skip" and e["reason"] == "position_limit_reached"] == []
@@ -166,7 +169,7 @@ class TestRunBasics:
 
     def test_observation_mode_trades_nothing(self, tmp_path):
         result = make_engine(tmp_path, cycles=3, mode="observation").run()
-        ledger = [e for e in iter_events(result.events_path) if e["kind"] == "ledger"]
+        ledger = [e for e in iter_events(result.events_path) if e["kind"] in ("ledger", "ledgers")]
         # resolution settlements are also skipped: no positions ever open
         assert ledger == []
 
@@ -207,7 +210,7 @@ class TestRunBasics:
         assert sorted(ledgers.values()) == sorted(agent_ids)
         got = sorted((ledgers[key], ends) for key, ends in synced if key in ledgers)
         assert got == sorted((aid, 5) for aid in agent_ids)
-        logged = [e for e in iter_events(result.events_path) if e["kind"] == "ledger"]
+        logged = [e for e in iter_events(result.events_path) if e["kind"] == "ledgers"]
         sizes = [p.stat().st_size for p in paths.ledgers.glob("*.jsonl")]
         if mode == "observation":
             assert logged == [] and sizes == [0, 0, 0]
@@ -437,39 +440,43 @@ class TestCheckpointResume:
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
         elif failure.startswith("kept_ledger_") and failure != "kept_ledger_no_price":
-            # A well-formed ledger event that replay cannot apply: momentum's
+            # A well-formed ledger entry that replay cannot apply: momentum's
             # first OPEN spending more than the capital left, or turned into a
             # CLOSE of a market it never opened.
-            at = events.index(b'"kind":"ledger"')
-            start, end = events.rindex(b"\n", 0, at) + 1, events.index(b"\n", at)
+            at = events.index(b'"kind":"ledgers"')
+            start, end = events.rindex(b"\n", 0, at) + 1, events.index(b"\n", at) + 1
             line = events[start:end]
-            assert b'"agent_id":"momentum","basis_delta_cents":19000' in line
-            assert b'"entry_kind":"OPEN"' in line and b'"seq":1,' in line
+            block = json.loads(line)
+            assert block["agent_id"] == "momentum" and block["basis_delta_cents"][0] == 19000
+            assert block["entry_kind"][0] == "OPEN" and block["seq"][0] == 1
             if failure == "kept_ledger_overdrawn":
-                edited = line.replace(b'"basis_delta_cents":19000', b'"basis_delta_cents":999999')
+                block["basis_delta_cents"][0] = 999999
             else:
-                edited = line.replace(b'"entry_kind":"OPEN"', b'"entry_kind":"CLOSE"')
+                block["entry_kind"][0] = "CLOSE"
+            edited = evalloop.event_line(block).encode()
             events_path.write_bytes(events[:start] + edited + events[end:])
             ckpt["events_bytes"] += len(edited) - len(line)
             save(ckpt)
             match = "momentum: ledger entry seq 1 cannot be replayed"
         elif failure.startswith("kept_huge_"):
             # A JSON integer too large for a float, which once escaped as an
-            # OverflowError: a ledger price, or a drift value.
+            # OverflowError: a ledger entry's price, or a drift value.
             lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
-            kind, key = ("ledger", "price") if failure == "kept_huge_ledger_price" else (
+            kind, key = ("ledgers", "price") if failure == "kept_huge_ledger_price" else (
                 "drift", "d_narrative")
             at = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
-            lines[at] = evalloop.event_line({**json.loads(lines[at]), key: 10**400}).encode()
+            event = json.loads(lines[at])
+            event[key] = [10**400, *event[key][1:]] if kind == "ledgers" else 10**400
+            lines[at] = evalloop.event_line(event).encode()
             head = b"".join(lines)
             events_path.write_bytes(head + events[ckpt["events_bytes"]:])
             save({**ckpt, "events_bytes": len(head)})
-            match = "int too large to convert to float"
+            match = f"{key} 1000000000000"
         elif failure.startswith("kept_"):
             # A line of the kept prefix that the reader, the fold or the
             # ledger replay refuses.
             lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
-            kind, key = ("ledger", "price") if failure == "kept_ledger_no_price" else (
+            kind, key = ("ledgers", "price") if failure == "kept_ledger_no_price" else (
                 "forecasts", "agent_id")
             at = next(i for i, line in enumerate(lines) if f'"kind":"{kind}"'.encode() in line)
             event = json.loads(lines[at])
@@ -501,59 +508,86 @@ class TestCheckpointResume:
         "damage",
         [("seq", None), ("timestamp", None), ("side", None), ("side", "LEFT"),
          ("side", ["YES"]), ("entry_kind", "SELL"), ("timestamp", "yesterday"),
-         ("timestamp", ["2026"]), ("quantity_micro", "many"), ("price", None),
+         ("timestamp", "0001-01-01T00:00:00+01:00"), ("timestamp", ["2026"]), ("quantity_micro", "many"), ("price", None),
          ("price", "cheap")],
         ids=lambda d: f"{d[0]}={d[1]!r}" if d[1] is not None else f"no_{d[0]}",
     )
-    def test_kept_ledger_event_that_does_not_convert(self, tmp_path, damage):
-        """Resume builds each kept entry from its fold row; one that does not
-        convert raises the CorruptLog the conversion of the event itself
-        gives, quoting the event."""
+    def test_kept_ledger_event_that_does_not_convert(self, tmp_path, capsys, damage):
+        """A kept ledger entry that does not convert, its value of ``key``
+        taken out of its block's list (None) or replaced, is a
+        ``CorruptLog`` naming the key, from ``report`` and from resume, by
+        the block's checks; a timestamp that is a string but not a time, or
+        a time before year 1 in UTC, which only resume reads, is one naming
+        the agent and seq. Resume leaves every file as it was."""
         key, value = damage
         make_engine(tmp_path, cycles=4, run_id="conv").run()
         run_dir = tmp_path / "conv"
-        ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
-        ckpt = json.loads(ckpt_path.read_bytes())
-        events = (run_dir / "events.jsonl").read_bytes()
-        lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
         # a MARK, so the fold itself reads no price
-        at = next(i for i, line in enumerate(lines) if b'"entry_kind":"MARK"' in line)
-        event = json.loads(lines[at])
+        entry = self._damage_kept_entry(run_dir, "MARK", key, _DROP if value is None else value)
         if value is None:
-            del event[key]
+            words = f"{key} holds"
+        elif key == "timestamp" and type(value) is str:
+            where = f"{entry['agent_id']}: ledger entry seq {entry['seq']}"
+            words = f"{where} has timestamp {value!r}"
         else:
-            event[key] = value
-        lines[at] = evalloop.event_line(event).encode()
-        head = b"".join(lines)
-        (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
-        ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
-        with pytest.raises(CorruptLog) as converted:
-            reporting.fold_events(
-                lambda e: entry_from_record({**e, "kind": e["entry_kind"]}), [event]
-            )
-        with pytest.raises(CorruptLog) as resumed:
+            what = dict(
+                side="one of", entry_kind="one of", timestamp="a string",
+                quantity_micro="an integer", price="a finite number",
+            )[key]
+            words = f"{key} {value!r} is not {what}"
+            assert cli_main(["--out", str(tmp_path), "report", "--run-id", "conv"]) == 1
+            assert words in capsys.readouterr().err
+        files = [
+            run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl")),
+            *sorted((run_dir / "checkpoints").iterdir()),
+        ]
+        before = {p.name: file_sha256(p) for p in files}
+        with pytest.raises(CorruptLog, match=re.escape(words)):
             resume_run(tmp_path, "conv", at_cycle=3)
-        assert str(resumed.value) == str(converted.value)
+        assert {p.name: file_sha256(p) for p in files} == before
+
+    @staticmethod
+    def _first_entry(run_dir, entry_kind) -> dict:
+        """The log's first ledger entry of ``entry_kind``, as a per-entry event."""
+        return next(
+            e for e in per_entry_events(iter_events(run_dir / "events.jsonl"))
+            if e["kind"] == "ledger" and e["entry_kind"] == entry_kind
+        )
 
     @staticmethod
     def _damage_kept_entry(run_dir, entry_kind, key, value, marker=None) -> dict:
-        """Set ``key`` of the first kept ledger event of ``entry_kind`` (or
-        the first kept line holding ``marker``) before cycle 3's checkpoint
-        to ``value``, written as ``json.dumps`` writes it; the damaged event.
-        A key that holds a list, a block's, gets ``value`` as its first value."""
+        """Set ``key`` of the first kept ledger entry of ``entry_kind`` before
+        cycle 3's checkpoint, in its ledgers block, to ``value`` (``_DROP``
+        takes the entry's value out of the list), and return the entry, as a
+        per-entry event, before the damage. Given ``marker``, set ``key`` of
+        the first kept line holding it instead, a list's first value, and
+        return the damaged event. The line is written as ``json.dumps``
+        writes it."""
         ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
         ckpt = json.loads(ckpt_path.read_bytes())
         events = (run_dir / "events.jsonl").read_bytes()
         lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
-        marker = (marker or f'"entry_kind":"{entry_kind}"').encode()
-        at = next(i for i, line in enumerate(lines) if marker in line)
-        event = json.loads(lines[at])
-        event[key] = [value, *event[key][1:]] if type(event[key]) is list else value
+        if marker is None:
+            at = next(
+                i for i, line in enumerate(lines)
+                if b'"kind":"ledgers"' in line and entry_kind in json.loads(line)["entry_kind"]
+            )
+            event = json.loads(lines[at])
+            place = event["entry_kind"].index(entry_kind)
+            damaged = per_entry_events([event])[place]
+            if value is _DROP:
+                del event[key][place]
+            else:
+                event[key][place] = value
+        else:
+            at = next(i for i, line in enumerate(lines) if marker.encode() in line)
+            event = damaged = json.loads(lines[at])
+            event[key] = [value, *event[key][1:]] if type(event[key]) is list else value
         lines[at] = (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode()
         head = b"".join(lines)
         (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
         ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
-        return event
+        return damaged
 
     @pytest.mark.parametrize(
         "key, value",
@@ -563,14 +597,15 @@ class TestCheckpointResume:
     def test_kept_ledger_value_no_ledger_line_can_hold_is_corrupt(self, tmp_path, key, value):
         """An OPEN's replay takes each of these, so each once resumed and
         went into the agent's ledger file as it was: ``NaN`` and
-        ``Infinity`` are not JSON."""
+        ``Infinity`` are not JSON. The block's checks refuse each, naming
+        the key."""
         make_engine(tmp_path, cycles=4, run_id="kept").run()
         run_dir = tmp_path / "kept"
-        event = self._damage_kept_entry(run_dir, "OPEN", key, value)
+        self._damage_kept_entry(run_dir, "OPEN", key, value)
         files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
         before = {p.name: file_sha256(p) for p in files}
-        where = f"{event['agent_id']}: ledger entry seq {event['seq']} needs a string condition_id"
-        with pytest.raises(CorruptLog, match=re.escape(where)):
+        what = "a finite number" if key == "price" else "a string"
+        with pytest.raises(CorruptLog, match=re.escape(f"{key} {value!r} is not {what}")):
             resume_run(tmp_path, "kept", at_cycle=3)
         assert {p.name: file_sha256(p) for p in files} == before
 
@@ -578,40 +613,39 @@ class TestCheckpointResume:
         "key, convert", [("cash_delta_cents", float), ("basis_delta_cents", float),
                          ("quantity_micro", float)],
     )
-    def test_kept_ledger_numbers_of_another_json_type_convert(self, tmp_path, key, convert):
-        """A kept entry's cents and quantity are read with ``int``, so each
-        ledger file holds the same line as the clean run's. Its seq is not:
-        see the next test."""
+    def test_kept_ledger_numbers_of_another_json_type_are_corrupt(self, tmp_path, key, convert):
+        """A kept entry's cents and quantity are exact integers: a block's
+        checks convert nothing, so ``0.0`` is refused, naming the key, and
+        the files are left as they were. Per-entry events, which older
+        versions wrote, were read with ``int``."""
         make_engine(tmp_path, cycles=4, run_id="num").run()
         run_dir = tmp_path / "num"
-        ledgers = {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")}
-        event = json.loads(
-            next(line for line in (run_dir / "events.jsonl").read_bytes().splitlines()
-                 if b'"entry_kind":"MARK"' in line)
-        )
-        self._damage_kept_entry(run_dir, "MARK", key, convert(event[key]))
-        resume_run(tmp_path, "num", at_cycle=3)
-        assert {p.name: p.read_bytes() for p in (run_dir / "ledgers").glob("*.jsonl")} == ledgers
+        files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        value = convert(self._first_entry(run_dir, "MARK")[key])
+        self._damage_kept_entry(run_dir, "MARK", key, value)
+        before = {p.name: file_sha256(p) for p in files}
+        words = f"{key} {value!r} is not an integer"
+        with pytest.raises(CorruptLog, match=re.escape(words)):
+            resume_run(tmp_path, "num", at_cycle=3)
+        assert {p.name: file_sha256(p) for p in files} == before
 
     @pytest.mark.parametrize("case", ["true", "float", "fraction", "skipped"])
     def test_kept_ledger_seq_must_be_the_agent_s_next(self, tmp_path, case):
         """A kept entry's seq is an exact ``int`` and its agent's next seq,
-        or the resume is a ``CorruptLog`` naming the agent and seq. ``int``
-        once read ``true`` as 1, and the entry's ledger file line took it."""
+        or the resume is a ``CorruptLog``: one naming the key from the
+        block's checks, or one naming the agent and seq. ``int`` once read
+        ``true`` as 1, and the entry's ledger file line took it."""
         make_engine(tmp_path, cycles=4, run_id="seq").run()
         run_dir = tmp_path / "seq"
-        seq = json.loads(
-            next(line for line in (run_dir / "events.jsonl").read_bytes().splitlines()
-                 if b'"entry_kind":"MARK"' in line)
-        )["seq"]
-        value = {"true": True, "float": float(seq), "fraction": seq + 0.5, "skipped": seq + 1}[case]
-        event = self._damage_kept_entry(run_dir, "MARK", "seq", value)
         files = [run_dir / "events.jsonl", *sorted((run_dir / "ledgers").glob("*.jsonl"))]
+        seq = self._first_entry(run_dir, "MARK")["seq"]
+        value = {"true": True, "float": float(seq), "fraction": seq + 0.5, "skipped": seq + 1}[case]
+        entry = self._damage_kept_entry(run_dir, "MARK", "seq", value)
         before = {p.name: file_sha256(p) for p in files}
         if case == "skipped":
-            where = f"{event['agent_id']}: ledger entry seq {seq + 1} is not the next seq, {seq}"
+            where = f"{entry['agent_id']}: ledger entry seq {seq + 1} is not the next seq, {seq}"
         else:
-            where = f"{event['agent_id']}: ledger entry seq {value!r} is not an integer"
+            where = f"seq {value!r} is not an integer"
         with pytest.raises(CorruptLog, match=re.escape(where)):
             resume_run(tmp_path, "seq", at_cycle=3)
         assert {p.name: file_sha256(p) for p in files} == before
@@ -684,26 +718,6 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"outcome {outcome!r} is not 0 or 1" in err
-
-    def test_kept_ledger_event_without_a_note_resumes_with_an_empty_one(self, tmp_path):
-        """A kept entry's note is its event's, or "" when the event has none."""
-        make_engine(tmp_path, cycles=4, run_id="note").run()
-        run_dir = tmp_path / "note"
-        ckpt_path = run_dir / "checkpoints" / "cycle_00003.json"
-        ckpt = json.loads(ckpt_path.read_bytes())
-        events = (run_dir / "events.jsonl").read_bytes()
-        lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
-        at = next(i for i, line in enumerate(lines) if b'"kind":"ledger"' in line)
-        event = json.loads(lines[at])
-        del event["note"]
-        lines[at] = evalloop.event_line(event).encode()
-        head = b"".join(lines)
-        (run_dir / "events.jsonl").write_bytes(head + events[ckpt["events_bytes"]:])
-        ckpt_path.write_text(json.dumps({**ckpt, "events_bytes": len(head)}), encoding="utf-8")
-        resume_run(tmp_path, "note", at_cycle=3)
-        ledger = (run_dir / "ledgers" / f"{event['agent_id']}.jsonl").read_text(encoding="utf-8")
-        record = json.loads(ledger.splitlines()[event["seq"] - 1])
-        assert (record["seq"], record["note"]) == (event["seq"], "")
 
     def test_live_not_resumable(self, tmp_path):
         engine = make_engine(tmp_path, cycles=3, run_id="liveck")
@@ -1225,25 +1239,34 @@ _JSON_FLOAT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 1.0, 1e-05, 5e-324, 2.2250738585072009e-308, 1e16, 0.1]),
 )
-# A ledger event, with every value of the type its template writes; its entry
+# Each list of a ledgers block: a value of the type the engine writes, an
+# integer within a float's range (counts above 2**64 too), and its entry
 # kind and side are members' text.
-_LEDGER_EVENTS = st.fixed_dictionaries(
-    {
-        "kind": st.just("ledger"),
-        "cycle": st.integers(),
-        "agent_id": _JSON_TEXT,
-        "entry_kind": st.sampled_from([k.value for k in EntryKind]),
-        "seq": st.integers(),
-        "condition_id": _JSON_TEXT,
-        "cash_delta_cents": st.integers(),
-        "timestamp": _JSON_TEXT,
-        "side": st.sampled_from([s.value for s in Side]),
-        "price": _JSON_FLOAT,
-        "quantity_micro": st.integers(),
-        "basis_delta_cents": st.integers(),
-        "note": _JSON_TEXT,
-    }
-)
+_LEDGER_COLUMNS = {
+    "basis_delta_cents": st.integers(-(2**70), 2**70),
+    "cash_delta_cents": st.integers(-(2**70), 2**70),
+    "condition_id": _JSON_TEXT,
+    "entry_kind": st.sampled_from([k.value for k in EntryKind]),
+    "note": _JSON_TEXT,
+    "price": _JSON_FLOAT,
+    "quantity_micro": st.integers(-(2**70), 2**70),
+    "seq": st.integers(-(2**70), 2**70),
+    "side": st.sampled_from([s.value for s in Side]),
+    "timestamp": _JSON_TEXT,
+}
+
+
+@st.composite
+def _ledgers_blocks(draw, cycle=st.integers(), agent_id=_JSON_TEXT, min_size=1, max_size=3):
+    """A ledgers block of ``min_size`` to ``max_size`` entries, as one agent
+    turn logs them."""
+    n = draw(st.integers(min_size, max_size))
+    block = {"kind": "ledgers", "cycle": draw(cycle), "agent_id": draw(agent_id)}
+    for key, values in _LEDGER_COLUMNS.items():
+        block[key] = draw(st.lists(values, min_size=n, max_size=n))
+    return block
+
+
 # Ledger entries as the simulator makes them, with any text and numbers.
 _LEDGER_ENTRIES = st.builds(
     LedgerEntry,
@@ -1275,8 +1298,10 @@ _META = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
 @st.composite
 def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
     """One cycle's blocks in the engine's order: its snapshots, the forecasts
-    of up to three agent turns (a turn that fails part-way has a shorter
-    block), then a baselines block per kind, each over the cycle's markets."""
+    and ledger entries of up to three agent turns (a turn that fails
+    part-way has a shorter forecasts block, and a turn without entries no
+    ledgers block), then a baselines block per kind, each over the cycle's
+    markets."""
     cycle = draw(st.integers())
     n = draw(st.integers(0, 4))
     cids = draw(st.lists(_MARKET_IDS, min_size=n, max_size=n, unique=unique_markets))
@@ -1299,6 +1324,12 @@ def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
             "output_tokens": column(st.integers(0, 10**6), made),
             "trace": column(_JSON_TEXT, made),
         })
+        entries = draw(_ledgers_blocks(st.just(cycle), st.just(agent_id), 0, 2))
+        if entries["seq"]:
+            entries["condition_id"] = draw(
+                st.lists(_MARKET_IDS, min_size=len(entries["seq"]), max_size=len(entries["seq"]))
+            )
+            blocks.append(entries)
     for kind in BaselineKind:
         blocks.append({
             "kind": "baselines", "cycle": cycle, "baseline": kind.value, "condition_id": cids,
@@ -1309,7 +1340,7 @@ def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
 
 _AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
 _CID = "0x" + "ab" * 20
-# kind -> one event of each block kind and one ledger event
+# kind -> one event of each block kind
 _SAMPLE_EVENTS = {
     "forecasts": {
         "kind": "forecasts", "cycle": 3, "agent_id": "momentum", "condition_id": [_CID, "m"],
@@ -1324,22 +1355,23 @@ _SAMPLE_EVENTS = {
         "kind": "snapshots", "cycle": 3, "condition_id": [_CID, "m"], "yes_price": [0.625, 0.5],
         "no_price": [0.375, 0.5], "observed_at": ["2026-01-01T00:00:00Z"] * 2,
     },
-    "ledger": {
-        "kind": "ledger", "cycle": 3, "agent_id": "momentum", "entry_kind": "OPEN", "seq": 4,
-        "condition_id": _CID, "cash_delta_cents": 0,
-        "timestamp": "2026-01-01T00:00:00Z", "side": "YES", "price": 0.625,
-        "quantity_micro": 240_000_000, "basis_delta_cents": 15_000, "note": "fill",
+    "ledgers": {
+        "kind": "ledgers", "cycle": 3, "agent_id": "momentum", "basis_delta_cents": [15_000, 0],
+        "cash_delta_cents": [0, 0], "condition_id": [_CID, "m"], "entry_kind": ["OPEN", "MARK"],
+        "note": ["fill", ""], "price": [0.625, 0.5], "quantity_micro": [240_000_000, 0],
+        "seq": [4, 5], "side": ["YES", "NO"],
+        "timestamp": ["2026-01-01T00:00:00Z", "2026-01-01T01:00:00Z"],
     },
 }
 
 
-def _ledger_event(cycle: int, agent_id: str, entry: LedgerEntry) -> dict:
-    """The ledger event of an entry, built as the generic path builds it."""
-    record = entry_to_record(entry)
-    return {
-        "kind": "ledger", "cycle": cycle, "agent_id": agent_id, "entry_kind": record.pop("kind"),
-        **record,
-    }
+def _ledgers_block(cycle: int, agent_id: str, entries: list[LedgerEntry]) -> dict:
+    """The ledgers block of a turn's entries, built from their records."""
+    records = [entry_to_record(entry) for entry in entries]
+    block = {"kind": "ledgers", "cycle": cycle, "agent_id": agent_id}
+    for key in reporting.BLOCK_LISTS["ledgers"]:
+        block[key] = [record["kind" if key == "entry_kind" else key] for record in records]
+    return block
 
 
 def _ledger_record(ev: dict) -> dict:
@@ -1356,19 +1388,19 @@ def _file_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def _bulk_run(agent_id: str = "momentum"):
-    """A run writing to a ``StringIO``, with one agent's state and ledger."""
+def _bulk_run():
+    """A run writing to a ``StringIO``, with a state and a ledger for any agent."""
     out = io.StringIO()
-    state = evalloop._AgentState(None, None, agents.CalibrationWindow(size=5))
-    ledger = LedgerWriter("unused.jsonl")
-    return evalloop._Run({agent_id: state}, EventFold(), {}, {agent_id: ledger}, events=out), out
+    states = defaultdict(lambda: evalloop._AgentState(None, None, agents.CalibrationWindow(size=5)))
+    ledgers = defaultdict(lambda: LedgerWriter("unused.jsonl"))
+    return evalloop._Run(states, EventFold(), {}, ledgers, events=out), out
 
 
 def _emit_typed(run, ev: dict) -> None:
     """Hand the engine's writer of ``ev``'s kind the records ``ev`` was made
     from. Each time text of ``ev`` is that of a distinct timestamp in the
     run's ISO cache."""
-    texts = ev["observed_at"] if ev["kind"] == "snapshots" else [ev.get("timestamp")]
+    texts = ev.get("observed_at", ev.get("timestamp", []))
     times = {}
     for text in texts:
         at = times.setdefault(text, _AT + timedelta(seconds=len(times)))
@@ -1396,11 +1428,14 @@ def _emit_typed(run, ev: dict) -> None:
             )
         ])
     else:
-        run.record(ev["cycle"], ev["agent_id"], LedgerEntry(
-            ev["seq"], EntryKind(ev["entry_kind"]), ev["condition_id"], ev["cash_delta_cents"],
-            times[ev["timestamp"]], Side(ev["side"]), ev["price"], ev["quantity_micro"],
-            ev["basis_delta_cents"], ev["note"],
-        ))
+        run.record(ev["cycle"], ev["agent_id"], [
+            LedgerEntry(
+                e["seq"], EntryKind(e["entry_kind"]), e["condition_id"], e["cash_delta_cents"],
+                times[e["timestamp"]], Side(e["side"]), e["price"], e["quantity_micro"],
+                e["basis_delta_cents"], e["note"],
+            )
+            for e in per_entry_events([ev])
+        ])
 
 
 def _state(fold: EventFold):
@@ -1424,8 +1459,8 @@ _MEMBER_KEYS = ("kind", "baseline", "entry_kind", "side")
 
 class TestBulkLines:
     """The engine writes each block through ``event_line`` and the ledger
-    template's lines as the generic encoder does; a block folds as its
-    per-row events, which older versions wrote, do."""
+    file template's lines as ``json.dumps`` does; a block folds as its
+    per-row or per-entry events, which older versions wrote, do."""
 
     def _check(self, ev):
         """The engine's line of ``ev``, on a fresh and then a warm string
@@ -1433,14 +1468,15 @@ class TestBulkLines:
         ``json.dumps`` of its record."""
         expected = evalloop._EVENT_ENCODER.encode(ev) + "\n"
         agent_id = ev.get("agent_id", "momentum")
-        run, out = _bulk_run(agent_id)
+        run, out = _bulk_run()
         for _ in range(2):
             out.seek(0)
             out.truncate()
             _emit_typed(run, ev)
             assert out.getvalue() == expected
-        if ev["kind"] == "ledger":
-            assert run.ledgers[agent_id]._lines == [_file_line(_ledger_record(ev))] * 2
+        if ev["kind"] == "ledgers":
+            lines = [_file_line(_ledger_record(e)) for e in per_entry_events([ev])]
+            assert run.ledgers[agent_id]._lines == lines * 2
 
     @staticmethod
     def _folds_as_its_rows(events: list[dict]) -> None:
@@ -1451,10 +1487,21 @@ class TestBulkLines:
         by_row = EventFold().consume(oracles.per_row_events(read))
         assert _state(by_block) == _state(by_row)
 
-    @given(_LEDGER_EVENTS)
+    @given(_ledgers_blocks())
     @settings(max_examples=300, deadline=None)
-    def test_ledger_line(self, ev):
+    def test_ledgers_block_line(self, ev):
         self._check(ev)
+
+    @given(st.lists(_ledgers_blocks(agent_id=_AGENT_IDS), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_ledgers_blocks_fold_as_their_entries(self, blocks):
+        """Random ledgers blocks, read back, fold as their per-entry ledger
+        events do, dict insertion order included: every entry kind, counts
+        above 2**64, and agents that come again."""
+        read = [json.loads(evalloop.event_line(block)) for block in blocks]
+        by_block = EventFold().consume(read)
+        by_entry = EventFold().consume(per_entry_events(read))
+        assert _state(by_block) == _state(by_entry)
 
     @given(st.lists(_cycle_blocks(), min_size=1, max_size=3))
     @settings(max_examples=300, deadline=None)
@@ -1483,29 +1530,38 @@ class TestBulkLines:
             read.add(json.loads(out.getvalue()))
         assert _state(run.fold) == _state(read)
 
-    @given(st.integers(), _JSON_TEXT, _LEDGER_ENTRIES)
+    @given(st.integers(), _JSON_TEXT, st.lists(_LEDGER_ENTRIES, max_size=4))
     @settings(max_examples=300, deadline=None)
-    def test_ledger_lines_of_an_entry(self, cycle, agent_id, entry):
-        """Both lines of a ledger entry, the log's and the ledger file's, as
-        the engine fills them (its kind, side and time text from its tables
-        and caches), on a fresh and then a warm string cache."""
-        ev = _ledger_event(cycle, agent_id, entry)
-        expected = (evalloop.event_line(ev), _file_line(entry_to_record(entry)))
-        run, out = _bulk_run(agent_id)
-        for _ in range(2):
+    def test_ledger_lines_of_a_turn(self, cycle, agent_id, entries):
+        """A turn's ledger lines, the log's block and each entry's ledger
+        file line, as the engine fills them (each kind, side and time text
+        from its tables and caches), on a fresh and then a warm string
+        cache; a turn without entries logs nothing."""
+        block = _ledgers_block(cycle, agent_id, entries)
+        expected = evalloop.event_line(block) if entries else ""
+        files = [_file_line(entry_to_record(entry)) for entry in entries]
+        run, out = _bulk_run()
+        for turn in (1, 2):
             out.seek(0)
             out.truncate()
-            run.record(cycle, agent_id, entry)
-            assert (out.getvalue(), run.ledgers[agent_id]._lines[-1]) == expected
+            run.record(cycle, agent_id, entries)
+            assert (out.getvalue(), run.ledgers[agent_id]._lines) == (expected, files * turn)
 
-    def test_fold_rows_hold_the_ledger_template_s_values(self):
-        """``EventFold.add_ledger`` takes, and its rows hold, the values of
-        ``_LEDGER_FIELDS`` in that order; resume reads the rows so."""
-        params = tuple(inspect.signature(EventFold.add_ledger).parameters)
-        assert params[2:] == evalloop._LEDGER_FIELDS[1:]
+    def test_fold_rows_hold_an_entry_s_values_in_key_order(self):
+        """``EventFold.add_ledgers`` folds each entry as a row of its
+        per-entry event's values in sorted key order, its cycle among them
+        and its agent and kind not; resume reads the rows so."""
+        block = _SAMPLE_EVENTS["ledgers"]
+        fold = EventFold()
+        fold.add(block)
+        rows = [
+            tuple(e[k] for k in sorted(e) if k not in ("agent_id", "kind"))
+            for e in per_entry_events([block])
+        ]
+        assert fold.ledgers == {"momentum": rows}
 
     def test_ledger_file_line_takes_entry_to_record_s_keys_in_order(self):
-        entry = entry_from_record(_ledger_record(_SAMPLE_EVENTS["ledger"]))
+        entry = entry_from_record(_ledger_record(per_entry_events([_SAMPLE_EVENTS["ledgers"]])[0]))
         assert evalloop._LEDGER_FILE_FIELDS == tuple(entry_to_record(entry))
 
     @pytest.mark.parametrize("value", [1e-05, 1e16, -0.0, 5e-324])
@@ -1534,9 +1590,8 @@ class TestBulkLines:
         self._check(ev)
         self._folds_as_its_rows([_META, ev])
 
-    def test_readme_table_lists_each_template_s_keys(self):
-        """Each block kind's keys held once and its lists, and the ledger
-        template's keys."""
+    def test_readme_table_lists_each_block_s_keys(self):
+        """Each block kind's keys held once and its lists."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = {}
         for line in readme.splitlines():
@@ -1546,14 +1601,10 @@ class TestBulkLines:
                     tuple(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]
                 )
         assert rows == {
-            **{
-                kind: (
-                    tuple(sorted({"cycle", reporting.BLOCK_SUBJECTS[kind]} - {None})),
-                    tuple(lists),
-                )
-                for kind, lists in reporting.BLOCK_LISTS.items()
-            },
-            "ledger": (evalloop._LEDGER_FIELDS, ()),
+            kind: (
+                tuple(sorted({"cycle", reporting.BLOCK_SUBJECTS[kind]} - {None})), tuple(lists)
+            )
+            for kind, lists in reporting.BLOCK_LISTS.items()
         }
 
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))

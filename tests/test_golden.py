@@ -33,7 +33,7 @@ from driftmark.market_data import (
     save_outcomes,
 )
 from driftmark.reporting import aggregate, emit, iter_events
-from oracles import per_row_shape, read_log_oracle
+from oracles import per_entry_shape, per_row_shape, read_log_oracle
 
 SIX_AGENTS = (
     "market_copier", "momentum", "mean_reversion", "drift_adjusted", "risk_confirmation",
@@ -67,7 +67,7 @@ MANIFESTS = {
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "5a384951f7ce30ea8c34af8c61face6d46e4522b2fb5fd3dfc407d3a7a18b61d",
+        "events.jsonl": "75fb215133c6364940661eeeed8cf4091cd6d35bc98a65830686b346794415c4",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -80,13 +80,13 @@ PINS = {
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "f4d8fd5bd3715e6a6d0eda6cfc95e32fe31be6915cc5db6f0a57a3d537b4e63a",
+        "events.jsonl": "749076476bc6b968f8e6fc1833550ea5f203935f97804c143cf730713a929262",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "ee860ff6c507fca29091428d53962a685f22327f29ad94e84700433c999feea0",
+        "events.jsonl": "f384e4dd7f2606529c77d208ad29cfe71e4a3b9c2a225f2399c6674c9f4a7119",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
@@ -94,10 +94,21 @@ PINS = {
     },
 }
 
+# name -> sha256 of the pinned log with each ledgers block written back as
+# one ledger event per entry (see ``oracles.per_entry_shape``), written with
+# ``event_line``: these were the events pins until each agent turn's ledger
+# entries became one block.
+PER_ENTRY_SHAPE_PINS = {
+    "synthetic": "5a384951f7ce30ea8c34af8c61face6d46e4522b2fb5fd3dfc407d3a7a18b61d",
+    "observation": "acafdac4414f9118170852e4affa994c3f8ac05580fc86a02fd8d0349cae1f7b",
+    "replay": "f4d8fd5bd3715e6a6d0eda6cfc95e32fe31be6915cc5db6f0a57a3d537b4e63a",
+    "flaky": "ee860ff6c507fca29091428d53962a685f22327f29ad94e84700433c999feea0",
+}
+
 # name -> sha256 of the pinned log in per-row shape (see
 # ``oracles.per_row_shape``), written with ``event_line``: these were the
-# events pins until a cycle's snapshots, each agent turn's forecasts and each
-# baseline kind's forecasts became one block each.
+# events pins before that, until a cycle's snapshots, each agent turn's
+# forecasts and each baseline kind's forecasts became one block each.
 PER_ROW_SHAPE_PINS = {
     "synthetic": "70b4d8402205481e11b9d2c79e971388c6d51ac8391c334e65427e679b2e2748",
     "observation": "9270524bf2544f0e5cedde468b4cc4d6189922704bb5e803601fb857df879039",
@@ -187,15 +198,13 @@ SETUP_PINS = {
 }
 
 
-# The keys of each block kind's lines and of the ledger template's, besides
-# ``kind``.
+# The keys of each block kind's lines besides ``kind``.
 LINE_KEYS = {
-    **{
-        kind: {"cycle", reporting.BLOCK_SUBJECTS[kind], *lists} - {None}
-        for kind, lists in reporting.BLOCK_LISTS.items()
-    },
-    "ledger": set(evalloop._LEDGER_FIELDS),
+    kind: {"cycle", reporting.BLOCK_SUBJECTS[kind], *lists} - {None}
+    for kind, lists in reporting.BLOCK_LISTS.items()
 }
+# The kinds of the per-row and per-entry lines older versions wrote.
+OLDER_KINDS = ("forecast", "baseline", "snapshot", "ledger")
 
 
 # The keys a bulk line of an older shape holds and today's do not.
@@ -292,17 +301,20 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     digests = run_digests("out", name)
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
-    # Every line is the generic encoder's line; a block or ledger line holds
-    # exactly its kind's keys.
+    # Every line is the generic encoder's line, no line is a per-row or
+    # per-entry one, and a block holds exactly its kind's keys.
     for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
         ev = json.loads(line)
         assert event_line(ev) == line
-        assert ev["kind"] not in ("forecast", "baseline", "snapshot"), line
+        assert ev["kind"] not in OLDER_KINDS, line
         if ev["kind"] in LINE_KEYS:
             assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
-    # Its blocks exploded into rows are the log per-row versions wrote.
-    rows = "".join(map(event_line, per_row_shape(result.events_path)))
-    assert hashlib.sha256(rows.encode()).hexdigest() == PER_ROW_SHAPE_PINS[name]
+    # Its ledgers blocks exploded into entries are the log per-entry versions
+    # wrote, and all its blocks exploded the log per-row versions wrote.
+    shapes = ((per_entry_shape, PER_ENTRY_SHAPE_PINS), (per_row_shape, PER_ROW_SHAPE_PINS))
+    for shape, pins in shapes:
+        rows = "".join(map(event_line, shape(result.events_path)))
+        assert hashlib.sha256(rows.encode()).hexdigest() == pins[name], shape.__name__
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_PINS))
@@ -332,7 +344,7 @@ def test_logs_and_ledgers_are_strict_json(name, tmp_path, monkeypatch):
             resume_run("out", name, at_cycle=2)
         files = [paths.events, *sorted(paths.ledgers.glob("*.jsonl"))]
         lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
-        assert any('"kind":"ledger"' in line for line in lines) or name == "observation"
+        assert any('"kind":"ledgers"' in line for line in lines) or name == "observation"
         for line in lines:
             json.loads(line, parse_constant=_not_json)
     with pytest.raises(ValueError, match="NaN is not JSON"):
@@ -490,7 +502,7 @@ def test_checkpoints_with_ledger_offsets_resume_to_pins(tmp_path, monkeypatch):
         kept = [json.loads(line) for line in log[: ckpt["events_bytes"]].splitlines()]
         ckpt["agents"] = {}
         for aid in spec["agent_ids"]:
-            n = sum(1 for e in kept if e["kind"] == "ledger" and e["agent_id"] == aid)
+            n = sum(len(e["seq"]) for e in kept if e["kind"] == "ledgers" and e["agent_id"] == aid)
             ckpt["agents"][aid] = {
                 "state": older_agent_state(aid, kept),
                 "ledger_bytes": len(b"".join(ledgers[aid][:n])),
@@ -540,27 +552,32 @@ def rewrite_log(paths: RunPaths, lines: list[str]) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in files}
 
 
-@pytest.mark.parametrize("older", ["all", *OLDER_KEYS, "one_row"])
+@pytest.mark.parametrize("older", ["all", *OLDER_KEYS, "one_row", "one_entry"])
 def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
-    """A run whose kept log holds a per-row bulk line, which older versions
-    wrote, is not resumed: everywhere (a run started before blocks), with a
-    key older versions still repeated on one line, or as one per-row
-    forecast among blocks. No version would reproduce the mixed log. Its
-    log, ledgers and checkpoints are left as they were."""
+    """A run whose kept log holds a per-row bulk line or a per-entry ledger
+    line, which older versions wrote, is not resumed: everywhere (a run
+    started before blocks), with a key older versions still repeated on one
+    line, as one per-row forecast among blocks, or as one per-entry ledger
+    event among blocks. No version would reproduce the mixed log. Its log,
+    ledgers and checkpoints are left as they were."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", "flaky")
     paths = RunPaths("out", "flaky")
-    if older == "one_row":
-        # The last forecasts block of cycle 1 gives its last market to a
-        # per-row forecast just after it.
+    # The first cycle whose boundary keeps the older line.
+    kept_from = 1
+    if older in ("one_row", "one_entry"):
+        # The last forecasts block of cycle 1, or the last ledgers block of
+        # cycle 2, the first with one, gives its last market or entry to a
+        # per-row forecast or a per-entry ledger event just after it.
+        kind, kept_from = ("forecasts", 1) if older == "one_row" else ("ledgers", 2)
         lines = paths.events.read_text(encoding="utf-8").splitlines(keepends=True)
         at = max(
             i for i, ev in enumerate(map(json.loads, lines))
-            if ev["kind"] == "forecasts" and ev["cycle"] == 1
+            if ev["kind"] == kind and ev["cycle"] == kept_from
         )
         block = json.loads(lines[at])
         row = {k: v.pop() if type(v) is list else v for k, v in block.items()}
-        row["kind"] = "forecast"
+        row["kind"] = kind[:-1]
         lines[at:at + 1] = [event_line(block), event_line(row)]
     else:
         lines = older_shape(paths.events)
@@ -571,22 +588,24 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
         at = max(i for i, ev in enumerate(events) if ev["kind"] == kind and ev["cycle"] == 1)
         events[at][older] = json.loads(lines[at])[older]
         lines = [event_line(ev) for ev in events]
-    first = next(
-        i for i, ev in enumerate(map(json.loads, lines), 1)
-        if ev["kind"] in ("forecast", "baseline", "snapshot")
+    first, kind = next(
+        (i, ev["kind"]) for i, ev in enumerate(map(json.loads, lines), 1)
+        if ev["kind"] in OLDER_KINDS
     )
+    words = f"at line {first}: a {'per-entry' if kind == 'ledger' else 'per-row'} {kind};"
     before = rewrite_log(paths, lines)
-    for at_cycle in (1, MANIFESTS["flaky"]["cycles"] // 2, None):
-        with pytest.raises(OlderLogShape, match=f"at line {first}: a per-row"):
+    for at_cycle in (kept_from, MANIFESTS["flaky"]["cycles"] // 2, None):
+        with pytest.raises(OlderLogShape, match=words):
             resume_run("out", "flaky", at_cycle=at_cycle)
     assert cli_main(["--out", "out", "run", "--agents", "momentum", "--resume", "flaky"]) == 1
-    assert f"at line {first}:" in capsys.readouterr().err
+    assert words in capsys.readouterr().err
     assert {p: p.read_bytes() for p in before} == before
 
 
 # name -> (block kind, key, value, the CorruptLog's words): the first block of
 # that kind holds ``value`` as its ``cycle``, or as the list's first value;
-# None drops the list's last value.
+# None drops the list's last value. The first ledgers block is momentum's 23
+# OPENs of cycle 2.
 DAMAGED_BLOCKS = {
     "ragged": ("forecasts", "probability", None, "probability holds 39 values, condition_id 40"),
     "nan_probability": ("forecasts", "probability", math.nan, "probability nan is not in "),
@@ -596,6 +615,17 @@ DAMAGED_BLOCKS = {
     "non_string_trace": ("forecasts", "trace", 7, "trace 7 is not a string"),
     # a JSON integer too large for a float, which the reports once took
     "huge_yes_price": ("snapshots", "yes_price", 10**400, "yes_price 1000000000000"),
+    "huge_confidence": ("forecasts", "confidence", 10**400, "confidence 1000000000000"),
+    "huge_input_tokens": ("forecasts", "input_tokens", 10**400, "input_tokens 1000000000000"),
+    "huge_output_tokens": ("forecasts", "output_tokens", 10**400, "output_tokens 100000000000"),
+    "huge_ledger_price": ("ledgers", "price", 10**400, "price 1000000000000"),
+    "huge_basis": ("ledgers", "basis_delta_cents", 10**400, "basis_delta_cents 100000000000"),
+    "ragged_ledgers": ("ledgers", "seq", None, "seq holds 22 values, basis_delta_cents 23"),
+    "unknown_entry_kind": ("ledgers", "entry_kind", "SELL", "entry_kind 'SELL' is not one of"),
+    "unknown_side": ("ledgers", "side", "LEFT", "side 'LEFT' is not one of"),
+    "float_seq": ("ledgers", "seq", 1.0, "seq 1.0 is not an integer"),
+    "nan_ledger_price": ("ledgers", "price", math.nan, "price nan is not a finite number"),
+    "non_string_note": ("ledgers", "note", 5, "note 5 is not a string"),
 }
 
 
@@ -611,6 +641,7 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
     lines = paths.events.read_text(encoding="utf-8").splitlines(keepends=True)
     at = next(i for i, ev in enumerate(map(json.loads, lines)) if ev["kind"] == kind)
     block = json.loads(lines[at])
+    kept_from = block["cycle"]
     if value is None:
         block[key].pop()
     elif key == "cycle":
@@ -623,7 +654,7 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
         aggregate(paths.events)
     assert cli_main(["report", "--log", str(paths.events)]) == 1
     assert words in capsys.readouterr().err
-    for at_cycle in (1, MANIFESTS["flaky"]["cycles"] // 2, None):
+    for at_cycle in (kept_from, MANIFESTS["flaky"]["cycles"] // 2, None):
         with pytest.raises(CorruptLog, match=words):
             resume_run("out", "flaky", at_cycle=at_cycle)
     assert {p: p.read_bytes() for p in before} == before

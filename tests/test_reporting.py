@@ -33,7 +33,12 @@ from driftmark.reporting import (
     format_cents,
     iter_events,
 )
-from oracles import confidence_drift_oracle, log_likelihood_clamped_oracle, read_log_oracle
+from oracles import (
+    confidence_drift_oracle,
+    log_likelihood_clamped_oracle,
+    per_entry_events,
+    read_log_oracle,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "leaderboard_events.jsonl"
 
@@ -167,6 +172,13 @@ def _expected(data: bytes):
     return result
 
 
+# An older log's per-entry OPEN of agent ``a`` in market ``m``.
+_OPEN = {
+    "kind": "ledger", "agent_id": "a", "entry_kind": "OPEN", "cycle": 1, "condition_id": "m",
+    "cash_delta_cents": 0, "basis_delta_cents": 15_000, "price": 0.5,
+}
+
+
 class TestLogReader:
     """The one reader of ``report`` and resume against ``json.loads`` per line."""
 
@@ -208,7 +220,7 @@ class TestLogReader:
         [
             ({"kind": "forecast", "cycle": 1}, "no key 'agent_id'"),
             ({"kind": "snapshot", "cycle": "x", "condition_id": "a", "yes_price": 0.5},
-             "invalid literal"),
+             "cycle 'x' is not an integer"),
             ({"kind": "baseline", "baseline": 3, "cycle": 1}, "can only concatenate"),
             # Keys the reports read only after the fold.
             ({"kind": "ledger", "agent_id": "a"}, "no key 'entry_kind'"),
@@ -219,17 +231,40 @@ class TestLogReader:
             # OverflowError, and a price that is not finite, which
             # market_divergence once read as NaN.
             ({"kind": "drift", "agent_id": "a", "d_narrative": 10**400, "d_temporal": 0.0},
-             "int too large to convert to float"),
+             "d_narrative 1000000000000"),
             ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
-              "probability": 10**400}, "int too large to convert to float"),
+              "probability": 10**400}, "probability 1000000000000"),
+            *(
+                ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
+                  "probability": 0.5, key: 10**400}, f"{key} 1000000000000")
+                for key in ("confidence", "input_tokens", "output_tokens")
+            ),
             ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": 10**400},
-             "int too large to convert to float"),
+             "yes_price 1000000000000"),
+            *(
+                ({**_OPEN, key: 10**400}, f"{key} 1000000000000")
+                for key in ("price", "basis_delta_cents", "cash_delta_cents")
+            ),
             ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.nan},
              "yes_price nan is not a finite number"),
             ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.inf},
              "yes_price inf is not a finite number"),
             ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": -math.inf},
              "yes_price -inf is not a finite number"),
+            # A cycle that is not an exact integer, which the per-row and
+            # per-entry events once read with ``int``: a CLOSE's moved its
+            # P&L to cycle 2, 1 or 3.
+            *(
+                ({**_OPEN, "entry_kind": "CLOSE", "cycle": cycle},
+                 f"cycle {cycle!r} is not an integer")
+                for cycle in (2.5, True, "3")
+            ),
+            ({"kind": "forecast", "agent_id": "a", "cycle": 2.5, "condition_id": "m",
+              "probability": 0.5}, "cycle 2.5 is not an integer"),
+            ({"kind": "baseline", "baseline": "market", "cycle": True, "condition_id": "m",
+              "probability": 0.5}, "cycle True is not an integer"),
+            ({"kind": "snapshot", "cycle": "3", "condition_id": "m", "yes_price": 0.5},
+             "cycle '3' is not an integer"),
         ],
     )
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
@@ -312,12 +347,13 @@ class TestAggregateFromRun:
 
     def test_ledger_keys_only_resume_reads_may_be_missing(self, run_report, tmp_path):
         """The fold reads an OPEN's basis and price and every entry's kind,
-        market, cycle and cash as it takes a ledger event, and no other key:
-        a log without the rest reports the same."""
+        market, cycle and cash as it takes an older log's per-entry ledger
+        event, and no other key: the run's log with its ledgers blocks
+        written as such events without the rest reports the same."""
         report, result = run_report
         kept = {"kind", "agent_id", "entry_kind", "condition_id", "cycle", "cash_delta_cents"}
         lines = []
-        for ev in iter_events(result.events_path):
+        for ev in per_entry_events(iter_events(result.events_path)):
             if ev["kind"] == "ledger":
                 ev = {k: v for k, v in ev.items() if k in kept or ev["entry_kind"] == "OPEN"
                       and k in ("basis_delta_cents", "price")}
