@@ -261,20 +261,24 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
 
 def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
     """Pass a kept log's events through; a per-row forecast, baseline or
-    snapshot or a per-entry ledger event, which older versions wrote where
-    today's blocks are, is an ``OlderLogShape`` naming its line (blank
-    lines, which no run writes, are not counted)."""
+    snapshot, a per-entry ledger event or a forecasts or baselines block
+    that names its markets, which older versions wrote where today's blocks
+    are, is an ``OlderLogShape`` naming its line (blank lines, which no run
+    writes, are not counted)."""
     for line_no, ev in enumerate(events, start=1):
         kind = ev.get("kind")
         # compared, not hashed: a kind may be any JSON value
         if kind == "forecast" or kind == "baseline" or kind == "snapshot" or kind == "ledger":
-            shape = "per-entry" if kind == "ledger" else "per-row"
-            raise OlderLogShape(
-                line_no,
-                f"a {shape} {kind}; resume this run with the version that started it, "
-                "or start it again",
-            )
-        yield ev
+            shape = f"{'per-entry' if kind == 'ledger' else 'per-row'} {kind}"
+        elif (kind == "forecasts" or kind == "baselines") and "condition_id" in ev:
+            shape = f"{kind} block naming its markets"
+        else:
+            yield ev
+            continue
+        raise OlderLogShape(
+            line_no,
+            f"a {shape}; resume this run with the version that started it, or start it again",
+        )
 
 
 def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
@@ -420,29 +424,29 @@ class _Run:
         self.fold.add_snapshots(cycle, cids, yes_prices)
 
     def emit_forecasts(self, cycle: int, agent_id: str, records: list[ForecastRecord]) -> None:
-        """The agent's forecasts of one turn, one per market, in order; the
-        fold takes the agent's strategy from its agent_meta."""
-        cids = [r.condition_id for r in records]
+        """The agent's forecasts of one turn, of the first markets of the
+        cycle's snapshots block, in its order; the line names no market, and
+        the fold takes the agent's strategy from its agent_meta."""
         probabilities = [r.probability for r in records]
         confidences = [r.confidence for r in records]
         n_in = [r.input_tokens for r in records]
         n_out = [r.output_tokens for r in records]
         self.events.write(event_line({
-            "kind": "forecasts", "cycle": cycle, "agent_id": agent_id, "condition_id": cids,
+            "kind": "forecasts", "cycle": cycle, "agent_id": agent_id,
             "confidence": confidences, "input_tokens": n_in, "output_tokens": n_out,
             "probability": probabilities, "trace": [r.reasoning_trace for r in records],
         }))
         self.fold.add_forecasts(
-            agent_id, cycle, cids, probabilities, confidences, n_in, n_out,
-            self.fold.strategy(agent_id),
+            agent_id, cycle, [r.condition_id for r in records], probabilities, confidences, n_in,
+            n_out, self.fold.strategy(agent_id),
         )
 
     def emit_baselines(self, cycle: int, kind: str, probabilities: dict[str, float]) -> None:
-        """One baseline kind's forecasts, by market in the cycle's order."""
+        """One baseline kind's forecasts of every market, in the order of the
+        cycle's snapshots block; the line names no market."""
         cids, values = list(probabilities), list(probabilities.values())
         self.events.write(event_line({
-            "kind": "baselines", "cycle": cycle, "baseline": kind, "condition_id": cids,
-            "probability": values,
+            "kind": "baselines", "cycle": cycle, "baseline": kind, "probability": values,
         }))
         self.fold.add_baselines(reporting.BASELINE_PREFIX + kind, cycle, cids, values)
 
@@ -709,15 +713,16 @@ class EvalEngine:
         ledger file is read or written."""
         boundary = ckpt["next_cycle"] - 1
         # Each agent's forecasts block of its last turn that completed, and
-        # those of the cycle being read, which a failure drops.
-        completed: dict[str, dict] = {}
-        turns: dict[str, dict] = {}
+        # those of the cycle being read, which a failure drops, each with
+        # the markets the fold found for it.
+        completed: dict[str, tuple[list[str], dict]] = {}
+        turns: dict[str, tuple[list[str], dict]] = {}
 
         def add(ev: dict) -> None:
             run.fold.add(ev)
             kind = ev.get("kind")
             if kind == "forecasts":
-                turns[ev["agent_id"]] = ev
+                turns[ev["agent_id"]] = (run.fold.block_markets(ev), ev)
             elif kind == "agent_failure":
                 turns.pop(ev["agent_id"], None)
             elif kind == "cycle_end":
@@ -754,13 +759,13 @@ class EvalEngine:
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            block = completed.get(aid)
-            if block is not None:
+            if aid in completed:
+                cids, block = completed[aid]
                 st.prev_forecasts = {
                     cid: ForecastRecord(cid, p, confidence, trace, n_in, n_out)
                     for cid, p, confidence, trace, n_in, n_out in zip(
-                        block["condition_id"], block["probability"], block["confidence"],
-                        block["trace"], block["input_tokens"], block["output_tokens"],
+                        cids, block["probability"], block["confidence"], block["trace"],
+                        block["input_tokens"], block["output_tokens"],
                     )
                 }
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])

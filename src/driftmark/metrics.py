@@ -252,21 +252,26 @@ def _pairwise_sum(xs: list[float]) -> float:
     return total
 
 
+def _pstdev(xs: list[float]) -> float:
+    """Population stdev of a non-empty list of floats, equal bit for bit to
+    ``numpy.std(xs, ddof=0)``: the same subtractions, correctly rounded
+    divisions and square root, and ``_pairwise_sum`` for both sums."""
+    n = len(xs)
+    mean = _pairwise_sum(xs) / n
+    return math.sqrt(_pairwise_sum([(x - mean) * (x - mean) for x in xs]) / n)
+
+
 def price_volatility(prices: Sequence[float], window: int = 10) -> float:
     """Population stdev of the last ``window`` price changes (all of them
     when ``window`` is not positive); 0 when fewer than 2 changes. Equal bit
-    for bit to ``numpy.std(numpy.diff(prices)[-window:])``: the same
-    subtractions, correctly rounded divisions and square root, and
-    ``_pairwise_sum`` for both sums."""
+    for bit to ``numpy.std(numpy.diff(prices)[-window:])``."""
     p = list(map(float, prices))
     if window > 0:
         p = p[-window - 1 :]
     deltas = list(map(operator.sub, p[1:], p))
-    n = len(deltas)
-    if n < 2:
+    if len(deltas) < 2:
         return 0.0
-    mean = _pairwise_sum(deltas) / n
-    return math.sqrt(_pairwise_sum([(d - mean) * (d - mean) for d in deltas]) / n)
+    return _pstdev(deltas)
 
 
 def risk_category(category: EventCategory, volatility: float, threshold: float = 0.08) -> Risk:
@@ -279,10 +284,10 @@ def risk_category(category: EventCategory, volatility: float, threshold: float =
 
 
 def risk_adjusted_return(total_pnl_cents: int, per_cycle_pnl: Sequence[int]) -> float | None:
-    """Total P&L over the stdev of per-cycle P&L; absent when flat."""
+    """Total P&L over the population stdev of per-cycle P&L; absent when flat."""
     if len(per_cycle_pnl) < 2:
         return None
-    sd = float(np.std(np.asarray(per_cycle_pnl, dtype=float), ddof=0))
+    sd = _pstdev(list(map(float, per_cycle_pnl)))
     if sd == 0.0:
         return None
     return total_pnl_cents / sd

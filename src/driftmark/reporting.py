@@ -239,6 +239,14 @@ def _cycle(ev: dict) -> int:
     return cycle
 
 
+def _strategy(ev: dict) -> str:
+    """An event's strategy: a string, or a ``ValueError``."""
+    strategy = ev.get("strategy", "NONE")
+    if type(strategy) is not str:
+        raise ValueError(f"strategy {strategy!r} is not a string")
+    return strategy
+
+
 def _probability(ev: dict) -> float:
     """An event's probability; one that is not a number in [0, 1] (NaN and
     infinities are not) is a ``ValueError``: the score folds bin it by
@@ -263,16 +271,18 @@ _SIDES = frozenset(s.value for s in Side)
 
 # Each block kind's subject key, which it holds once beside ``kind`` and
 # ``cycle`` (None for none), and its lists, parallel, one value per market
-# or ledger entry, with what each may hold.
+# or ledger entry, with what each may hold. A forecasts or baselines block
+# names no market: its i-th value is of the i-th market of its cycle's
+# snapshots block.
 BLOCK_SUBJECTS = {
     "forecasts": "agent_id", "baselines": "baseline", "snapshots": None, "ledgers": "agent_id",
 }
 BLOCK_LISTS = {
     "forecasts": {
-        "condition_id": _STRINGS, "confidence": _INTEGERS, "input_tokens": _INTEGERS,
-        "output_tokens": _INTEGERS, "probability": _PROBABILITIES, "trace": _STRINGS,
+        "confidence": _INTEGERS, "input_tokens": _INTEGERS, "output_tokens": _INTEGERS,
+        "probability": _PROBABILITIES, "trace": _STRINGS,
     },
-    "baselines": {"condition_id": _STRINGS, "probability": _PROBABILITIES},
+    "baselines": {"probability": _PROBABILITIES},
     "snapshots": {
         "condition_id": _STRINGS, "no_price": _PRICES, "observed_at": _STRINGS,
         "yes_price": _PRICES,
@@ -290,10 +300,18 @@ BLOCK_LISTS = {
 }
 
 
+# The lists of a forecasts or baselines block as the versions before blocks
+# named their markets by place wrote it, with its markets last.
+_NAMED_LISTS = {
+    kind: {**BLOCK_LISTS[kind], "condition_id": _STRINGS} for kind in ("forecasts", "baselines")
+}
+
+
 def _block(ev: dict) -> tuple:
     """A block's cycle, its subject (None for none) and its lists in
-    ``BLOCK_LISTS`` order. A cycle that is not an integer (a bool is not
-    one), a subject that is not a string, a list of another length than
+    ``BLOCK_LISTS`` order, and an older forecasts or baselines block's
+    ``condition_id`` list last. A cycle that is not an integer (a bool is
+    not one), a subject that is not a string, a list of another length than
     the first, or a value its list may not hold is a ``ValueError`` naming
     the key; nothing is converted."""
     cycle = _cycle(ev)
@@ -302,13 +320,15 @@ def _block(ev: dict) -> tuple:
     subject = None if key is None else ev[key]
     if key is not None and type(subject) is not str:
         raise ValueError(f"{key} {subject!r} is not a string")
+    named = kind in _NAMED_LISTS and "condition_id" in ev
+    lists = _NAMED_LISTS[kind] if named else BLOCK_LISTS[kind]
     columns = []
-    for key, (types, within, what) in BLOCK_LISTS[kind].items():
+    for key, (types, within, what) in lists.items():
         values = ev[key]
         if type(values) is not list:
             raise ValueError(f"{key} is not a list")
         if columns and len(values) != len(columns[0]):
-            first = next(iter(BLOCK_LISTS[kind]))
+            first = next(iter(lists))
             raise ValueError(f"{key} holds {len(values)} values, {first} {len(columns[0])}")
         if not types.issuperset(map(type, values)) or (
             within is not None and not all(map(within, values))
@@ -345,6 +365,9 @@ class EventFold:
         self.cycles_seen: set[int] = set()
         self.agents_seen: list[str] = []
         self.baselines_seen: list[str] = []
+        # (cycle, condition_ids) of the last snapshots block: the markets a
+        # forecasts or baselines block's values are of, by place
+        self.markets: tuple[int, list[str]] | None = None
 
     def consume(self, events: Iterable[dict]) -> "EventFold":
         fold_events(self.add, events)
@@ -356,10 +379,11 @@ class EventFold:
         Kinds are tested from the most frequent down. Every key the reports
         read later is read here, and every value they read is checked here,
         so an event without one, or with one they cannot read, fails in
-        ``fold_events``. A block is checked whole by ``_block``. The per-row
-        ``forecast``, ``baseline`` and ``snapshot`` events and the per-entry
-        ``ledger`` events of older logs are converted and folded as one-row
-        blocks."""
+        ``fold_events``. A block is checked whole by ``_block``, and a
+        forecasts or baselines block that names no market takes its markets
+        from ``block_markets``. The per-row ``forecast``, ``baseline`` and
+        ``snapshot`` events and the per-entry ``ledger`` events of older
+        logs are converted and folded as one-row blocks."""
         kind = ev.get("kind")
         if kind == "ledger":
             # The keys the reports read must be there and hold numbers they
@@ -382,12 +406,14 @@ class EventFold:
             cycle, agent, columns = _block(ev)
             self.add_ledgers(agent, cycle, *columns)
         elif kind == "forecasts":
-            cycle, agent, (cids, confidences, n_in, n_out, probabilities, _) = _block(ev)
+            cycle, agent, (confidences, n_in, n_out, probabilities, _, *named) = _block(ev)
+            cids = named[0] if named else self.block_markets(ev)
             self.add_forecasts(
                 agent, cycle, cids, probabilities, confidences, n_in, n_out, self.strategy(agent)
             )
         elif kind == "baselines":
-            cycle, baseline, (cids, probabilities) = _block(ev)
+            cycle, baseline, (probabilities, *named) = _block(ev)
+            cids = named[0] if named else self.block_markets(ev)
             self.add_baselines(BASELINE_PREFIX + baseline, cycle, cids, probabilities)
         elif kind == "snapshots":
             cycle, _, (cids, _, _, yes_prices) = _block(ev)
@@ -419,6 +445,7 @@ class EventFold:
         elif kind == "agent_failure":
             self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
         elif kind == "agent_meta":
+            _strategy(ev)
             if type(ev.get("agent_count", 1)) is not int:
                 raise ValueError(f"agent_count {ev['agent_count']!r} is not an integer")
             if type(ev.get("unique_users")) not in (int, type(None)):
@@ -433,7 +460,7 @@ class EventFold:
                 [_finite("confidence", int(ev.get("confidence", 5)))],
                 [_finite("input_tokens", int(ev.get("input_tokens", 0)))],
                 [_finite("output_tokens", int(ev.get("output_tokens", 0)))],
-                ev["strategy"] if "strategy" in ev else self.strategy(agent),
+                _strategy(ev) if "strategy" in ev else self.strategy(agent),
             )
         elif kind == "baseline":
             self.add_baselines(
@@ -443,6 +470,26 @@ class EventFold:
         elif kind == "snapshot":
             yes = _finite("yes_price", _float("yes_price", ev["yes_price"]))
             self.add_snapshots(_cycle(ev), [ev["condition_id"]], [yes])
+
+    def block_markets(self, block: dict) -> list[str]:
+        """The markets of a forecasts or baselines block that ``_block`` has
+        checked and that names none: the first of the last snapshots
+        block's, one per value. A block with no snapshots block before it,
+        of another cycle than that block's, or with more values than that
+        block has markets is a ``ValueError``."""
+        kind, cycle, n = block["kind"], block["cycle"], len(block["probability"])
+        if self.markets is None:
+            raise ValueError(f"a {kind} block before any snapshots block")
+        snapshot_cycle, cids = self.markets
+        if cycle != snapshot_cycle:
+            raise ValueError(
+                f"a {kind} block of cycle {cycle} after the snapshots of cycle {snapshot_cycle}"
+            )
+        if n > len(cids):
+            raise ValueError(
+                f"a {kind} block holds {n} values, its cycle's snapshots {len(cids)} markets"
+            )
+        return cids[:n]
 
     # The blocks, from their lists: ``add`` checks a block, or converts a
     # per-row event, and calls these; the engine calls them as it writes
@@ -498,6 +545,7 @@ class EventFold:
             rows.append(row)
 
     def add_snapshots(self, cycle: int, condition_ids: list[str], yes_prices: list[float]) -> None:
+        self.markets = (cycle, condition_ids)
         if not condition_ids:
             return
         prices = self.prices

@@ -346,16 +346,33 @@ def _rows(block: dict) -> list[dict]:
     ]
 
 
+def named_markets_events(events) -> list[dict]:
+    """``events`` as the versions before blocks named their markets by place
+    wrote them: each ``forecasts`` and ``baselines`` block also holds
+    ``condition_id``, the first markets of the last ``snapshots`` block
+    before it, one per value. A block that names its markets is kept."""
+    named: list[dict] = []
+    markets: list[str] = []
+    for ev in events:
+        if ev["kind"] == "snapshots":
+            markets = ev["condition_id"]
+        elif ev["kind"] in ("forecasts", "baselines") and "condition_id" not in ev:
+            ev = {**ev, "condition_id": markets[: len(ev["probability"])]}
+        named.append(ev)
+    return named
+
+
 def per_entry_events(events) -> list[dict]:
-    """``events`` as the versions before ledgers blocks wrote them: each
-    ``ledgers`` block becomes one ``ledger`` event per entry in its place,
-    but for settlement's. There the versions before wrote each resolution
-    followed by each agent's entry for its market, agent by agent, where
-    blocks write every resolution and then one block per agent."""
+    """``named_markets_events`` of ``events`` as the versions before ledgers
+    blocks wrote them: each ``ledgers`` block becomes one ``ledger`` event
+    per entry in its place, but for settlement's. There the versions before
+    wrote each resolution followed by each agent's entry for its market,
+    agent by agent, where blocks write every resolution and then one block
+    per agent."""
     rows: list[dict] = []
     resolutions: list[dict] = []
     settled: list[dict] = []
-    for ev in [*events, None]:
+    for ev in [*named_markets_events(events), None]:
         if ev is not None and ev["kind"] == "resolution" and not settled:
             resolutions.append(ev)
             continue
@@ -400,6 +417,11 @@ def read_events(path) -> list[dict]:
     """A log's lines, each read with ``json.loads``."""
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
+
+
+def named_markets_shape(path) -> list[dict]:
+    """``named_markets_events`` of a log's events."""
+    return named_markets_events(read_events(path))
 
 
 def per_row_shape(path) -> list[dict]:

@@ -308,7 +308,7 @@ class TestCheckpointResume:
             if e.get("cycle") == 2 and e.get("agent_id") == "fails_mid_cycle"
         ]
         assert [e["kind"] for e in blocks] == ["forecasts", "agent_failure"]
-        assert len(blocks[0]["condition_id"]) == 1
+        assert len(blocks[0]["probability"]) == 1
         resumed = resume_run(tmp_path, "mid", at_cycle=2)
         assert resumed.event_log_sha256 == full.event_log_sha256
 
@@ -682,6 +682,7 @@ class TestCheckpointResume:
             ("market_meta", "domain", ["x"], "domain ['x'] is not a string"),
             ("agent_meta", "agent_count", "many", "agent_count 'many' is not an integer"),
             ("agent_meta", "unique_users", 1.5, "unique_users 1.5 is not an integer or null"),
+            ("agent_meta", "strategy", 7, "strategy 7 is not a string"),
             ("batch", "accepted", "no", "accepted 'no' is not true or false"),
         ],
     )
@@ -1299,9 +1300,10 @@ _META = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
 def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
     """One cycle's blocks in the engine's order: its snapshots, the forecasts
     and ledger entries of up to three agent turns (a turn that fails
-    part-way has a shorter forecasts block, and a turn without entries no
-    ledgers block), then a baselines block per kind, each over the cycle's
-    markets."""
+    part-way has a shorter forecasts block, of the first markets, and a turn
+    without entries no ledgers block), then a baselines block per kind, each
+    over the cycle's markets, which the forecasts and baselines blocks take
+    from the snapshots block by place."""
     cycle = draw(st.integers())
     n = draw(st.integers(0, 4))
     cids = draw(st.lists(_MARKET_IDS, min_size=n, max_size=n, unique=unique_markets))
@@ -1318,7 +1320,7 @@ def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
         made = draw(st.integers(0, n))
         blocks.append({
             "kind": "forecasts", "cycle": cycle, "agent_id": agent_id,
-            "condition_id": cids[:made], "probability": column(_UNIT, made),
+            "probability": column(_UNIT, made),
             "confidence": column(st.integers(-5, 15), made),
             "input_tokens": column(st.integers(0, 2**70), made),
             "output_tokens": column(st.integers(0, 10**6), made),
@@ -1332,7 +1334,7 @@ def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
             blocks.append(entries)
     for kind in BaselineKind:
         blocks.append({
-            "kind": "baselines", "cycle": cycle, "baseline": kind.value, "condition_id": cids,
+            "kind": "baselines", "cycle": cycle, "baseline": kind.value,
             "probability": column(_UNIT),
         })
     return blocks
@@ -1343,13 +1345,12 @@ _CID = "0x" + "ab" * 20
 # kind -> one event of each block kind
 _SAMPLE_EVENTS = {
     "forecasts": {
-        "kind": "forecasts", "cycle": 3, "agent_id": "momentum", "condition_id": [_CID, "m"],
-        "probability": [0.625, 0.5], "confidence": [7, 5], "trace": ["up 3% on volume", ""],
-        "input_tokens": [312, 310], "output_tokens": [4, 0],
+        "kind": "forecasts", "cycle": 3, "agent_id": "momentum", "probability": [0.625, 0.5],
+        "confidence": [7, 5], "trace": ["up 3% on volume", ""], "input_tokens": [312, 310],
+        "output_tokens": [4, 0],
     },
     "baselines": {
-        "kind": "baselines", "cycle": 3, "baseline": "market", "condition_id": [_CID, "m"],
-        "probability": [0.625, 0.5],
+        "kind": "baselines", "cycle": 3, "baseline": "market", "probability": [0.625, 0.5],
     },
     "snapshots": {
         "kind": "snapshots", "cycle": 3, "condition_id": [_CID, "m"], "yes_price": [0.625, 0.5],
@@ -1388,18 +1389,26 @@ def _file_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
+# What the sample forecasts and baselines blocks are folded after: momentum's
+# strategy and their cycle's markets.
+_CONTEXT = (_META, _SAMPLE_EVENTS["snapshots"])
+
+
 def _bulk_run():
-    """A run writing to a ``StringIO``, with a state and a ledger for any agent."""
+    """A run writing to a ``StringIO``, with a state and a ledger for any
+    agent, whose fold has folded ``_CONTEXT``."""
     out = io.StringIO()
     states = defaultdict(lambda: evalloop._AgentState(None, None, agents.CalibrationWindow(size=5)))
     ledgers = defaultdict(lambda: LedgerWriter("unused.jsonl"))
-    return evalloop._Run(states, EventFold(), {}, ledgers, events=out), out
+    run = evalloop._Run(states, EventFold().consume(_CONTEXT), {}, ledgers, events=out)
+    return run, out
 
 
 def _emit_typed(run, ev: dict) -> None:
     """Hand the engine's writer of ``ev``'s kind the records ``ev`` was made
-    from. Each time text of ``ev`` is that of a distinct timestamp in the
-    run's ISO cache."""
+    from; a forecasts or baselines block's are of the first markets of the
+    last snapshots block the run folded. Each time text of ``ev`` is that of
+    a distinct timestamp in the run's ISO cache."""
     texts = ev.get("observed_at", ev.get("timestamp", []))
     times = {}
     for text in texts:
@@ -1412,13 +1421,13 @@ def _emit_typed(run, ev: dict) -> None:
                 input_tokens=n_in, output_tokens=n_out,
             )
             for cid, p, conf, trace, n_in, n_out in zip(
-                ev["condition_id"], ev["probability"], ev["confidence"], ev["trace"],
+                run.fold.markets[1], ev["probability"], ev["confidence"], ev["trace"],
                 ev["input_tokens"], ev["output_tokens"],
             )
         ])
     elif ev["kind"] == "baselines":
         run.emit_baselines(
-            ev["cycle"], ev["baseline"], dict(zip(ev["condition_id"], ev["probability"]))
+            ev["cycle"], ev["baseline"], dict(zip(run.fold.markets[1], ev["probability"]))
         )
     elif ev["kind"] == "snapshots":
         run.emit_snapshots(ev["cycle"], [
@@ -1481,10 +1490,13 @@ class TestBulkLines:
     @staticmethod
     def _folds_as_its_rows(events: list[dict]) -> None:
         """``events``, written with ``event_line`` and read back, fold to
-        the state their per-row events fold to."""
+        the state their per-row events fold to, but for the markets of the
+        last snapshots block, which only the blocks after it read: a
+        per-row event names its market."""
         read = [json.loads(evalloop.event_line(ev)) for ev in events]
         by_block = EventFold().consume(read)
         by_row = EventFold().consume(oracles.per_row_events(read))
+        by_row.markets = by_block.markets
         assert _state(by_block) == _state(by_row)
 
     @given(_ledgers_blocks())
@@ -1511,6 +1523,26 @@ class TestBulkLines:
         ``score_columns`` sums in that order."""
         self._folds_as_its_rows([_META, *(block for blocks in cycles for block in blocks)])
 
+    @given(st.lists(_cycle_blocks(), min_size=1, max_size=3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_fold_alike_with_their_markets_named(self, cycles, data):
+        """Forecasts and baselines blocks that take their markets from their
+        cycle's snapshots block by place fold to the state they fold to with
+        those markets named in ``condition_id``, as the versions before wrote
+        them, each block or only some: prefixes of the cycle's markets,
+        repeated markets and empty cycles."""
+        blocks = [_META, *(block for blocks in cycles for block in blocks)]
+        named = oracles.named_markets_events(blocks)
+        some = [
+            data.draw(st.sampled_from([block, named_block]))
+            for block, named_block in zip(blocks, named)
+        ]
+        states = [
+            _state(EventFold().consume(json.loads(evalloop.event_line(ev)) for ev in events))
+            for events in (blocks, named, some)
+        ]
+        assert states[0] == states[1] == states[2]
+
     @given(st.lists(_cycle_blocks(unique_markets=True), min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_engine_writes_each_block_as_event_line_and_folds_it_as_add(self, cycles):
@@ -1519,9 +1551,7 @@ class TestBulkLines:
         read back; both take a forecast's strategy from its agent's
         agent_meta. Each cycle names a market once, as the feed does."""
         run, out = _bulk_run()
-        read = EventFold()
-        for fold in (run.fold, read):
-            fold.add(_META)
+        read = EventFold().consume(_CONTEXT)
         for block in (block for blocks in cycles for block in blocks):
             out.seek(0)
             out.truncate()
@@ -1588,7 +1618,7 @@ class TestBulkLines:
             k: v if k in _MEMBER_KEYS else edged(k, v) for k, v in _SAMPLE_EVENTS[kind].items()
         }
         self._check(ev)
-        self._folds_as_its_rows([_META, ev])
+        self._folds_as_its_rows([*_CONTEXT, ev])
 
     def test_readme_table_lists_each_block_s_keys(self):
         """Each block kind's keys held once and its lists."""
@@ -1614,11 +1644,9 @@ class TestBulkLines:
         agent's agent_meta."""
         ev = _SAMPLE_EVENTS[kind]
         run, out = _bulk_run()
-        run.fold.add(_META)
         _emit_typed(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
-        read = EventFold()
-        read.add(_META)
+        read = EventFold().consume(_CONTEXT)
         read.add(json.loads(out.getvalue()))
         assert _state(run.fold) == _state(read)
 

@@ -33,7 +33,13 @@ from driftmark.market_data import (
     save_outcomes,
 )
 from driftmark.reporting import aggregate, emit, iter_events
-from oracles import per_entry_shape, per_row_shape, read_log_oracle
+from oracles import (
+    named_markets_events,
+    named_markets_shape,
+    per_entry_shape,
+    per_row_shape,
+    read_log_oracle,
+)
 
 SIX_AGENTS = (
     "market_copier", "momentum", "mean_reversion", "drift_adjusted", "risk_confirmation",
@@ -67,7 +73,7 @@ MANIFESTS = {
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 PINS = {
     "synthetic": {
-        "events.jsonl": "75fb215133c6364940661eeeed8cf4091cd6d35bc98a65830686b346794415c4",
+        "events.jsonl": "3902596f66c5e06db671174a394a2a4f324681c4c248b69e92d3b308a26a1a75",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/drift_adjusted.jsonl": EMPTY,
         "ledgers/market_copier.jsonl": EMPTY,
@@ -76,17 +82,17 @@ PINS = {
         "ledgers/risk_confirmation.jsonl": EMPTY,
     },
     "observation": {
-        "events.jsonl": "acafdac4414f9118170852e4affa994c3f8ac05580fc86a02fd8d0349cae1f7b",
+        "events.jsonl": "455c0ace2eb7452eaf5f85730cb0e21a271507e6ee5ba2f8f7f90bf519229f78",
         **{f"ledgers/{aid}.jsonl": EMPTY for aid in SIX_AGENTS},
     },
     "replay": {
-        "events.jsonl": "749076476bc6b968f8e6fc1833550ea5f203935f97804c143cf730713a929262",
+        "events.jsonl": "c76d3181f92baf33c4dcd9cc1ce14d5bf58b00e7383757621f407b5d8a5a0224",
         "ledgers/market_copier.jsonl": EMPTY,
         "ledgers/mean_reversion.jsonl": "e08b9a3709c8cf1da5f49fc8521bfb039ec825a19b22506465408e0759610791",
         "ledgers/momentum.jsonl": "a1f5dc2b56d8fc2bec676adcca65c21d78ed3452afa6b0f722fee7b4c4b3f0c9",
     },
     "flaky": {
-        "events.jsonl": "f384e4dd7f2606529c77d208ad29cfe71e4a3b9c2a225f2399c6674c9f4a7119",
+        "events.jsonl": "d6b42dd8272e5aa35c35052b01fc1532dc8b2cd3f3bf62c1074d7fb93be1626f",
         "ledgers/budget_noise.jsonl": EMPTY,
         "ledgers/flaky.jsonl": EMPTY,
         "ledgers/momentum.jsonl": "007a030bb1be335b4532b4e68ec28446df748d75069b0b1dd11de1d5eed1207c",
@@ -94,10 +100,21 @@ PINS = {
     },
 }
 
-# name -> sha256 of the pinned log with each ledgers block written back as
-# one ledger event per entry (see ``oracles.per_entry_shape``), written with
-# ``event_line``: these were the events pins until each agent turn's ledger
-# entries became one block.
+# name -> sha256 of the pinned log with each forecasts and baselines block
+# naming its markets again (see ``oracles.named_markets_shape``), written
+# with ``event_line``: these were the events pins until those blocks took
+# their markets from their cycle's snapshots block, by place.
+NAMED_MARKETS_SHAPE_PINS = {
+    "synthetic": "75fb215133c6364940661eeeed8cf4091cd6d35bc98a65830686b346794415c4",
+    "observation": "acafdac4414f9118170852e4affa994c3f8ac05580fc86a02fd8d0349cae1f7b",
+    "replay": "749076476bc6b968f8e6fc1833550ea5f203935f97804c143cf730713a929262",
+    "flaky": "f384e4dd7f2606529c77d208ad29cfe71e4a3b9c2a225f2399c6674c9f4a7119",
+}
+
+# name -> sha256 of that log with each ledgers block written back as one
+# ledger event per entry (see ``oracles.per_entry_shape``), written with
+# ``event_line``: these were the events pins before that, until each agent
+# turn's ledger entries became one block.
 PER_ENTRY_SHAPE_PINS = {
     "synthetic": "5a384951f7ce30ea8c34af8c61face6d46e4522b2fb5fd3dfc407d3a7a18b61d",
     "observation": "acafdac4414f9118170852e4affa994c3f8ac05580fc86a02fd8d0349cae1f7b",
@@ -205,6 +222,8 @@ LINE_KEYS = {
 }
 # The kinds of the per-row and per-entry lines older versions wrote.
 OLDER_KINDS = ("forecast", "baseline", "snapshot", "ledger")
+# The block kinds that take their markets from their cycle's snapshots block.
+PLACED_KINDS = ("forecasts", "baselines")
 
 
 # The keys a bulk line of an older shape holds and today's do not.
@@ -302,16 +321,23 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     assert digests == PINS[name]
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
     # Every line is the generic encoder's line, no line is a per-row or
-    # per-entry one, and a block holds exactly its kind's keys.
+    # per-entry one, no forecasts or baselines block names its markets, and
+    # a block holds exactly its kind's keys.
     for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
         ev = json.loads(line)
         assert event_line(ev) == line
         assert ev["kind"] not in OLDER_KINDS, line
+        assert ev["kind"] not in PLACED_KINDS or "condition_id" not in ev, line
         if ev["kind"] in LINE_KEYS:
             assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
-    # Its ledgers blocks exploded into entries are the log per-entry versions
-    # wrote, and all its blocks exploded the log per-row versions wrote.
-    shapes = ((per_entry_shape, PER_ENTRY_SHAPE_PINS), (per_row_shape, PER_ROW_SHAPE_PINS))
+    # Its forecasts and baselines blocks naming their markets are the log
+    # the versions before wrote, with its ledgers blocks exploded into
+    # entries too the log per-entry versions wrote, and with all its blocks
+    # exploded the log per-row versions wrote.
+    shapes = (
+        (named_markets_shape, NAMED_MARKETS_SHAPE_PINS), (per_entry_shape, PER_ENTRY_SHAPE_PINS),
+        (per_row_shape, PER_ROW_SHAPE_PINS),
+    )
     for shape, pins in shapes:
         rows = "".join(map(event_line, shape(result.events_path)))
         assert hashlib.sha256(rows.encode()).hexdigest() == pins[name], shape.__name__
@@ -478,7 +504,7 @@ def older_agent_state(agent_id: str, kept: list[dict]) -> dict:
     the other agents' is empty."""
     kind = agent_id.split("#", 1)[0]
     state: dict = {}
-    for ev in kept:
+    for ev in named_markets_events(kept):
         if kind == "momentum" and ev["kind"] == "snapshots":
             state.update(zip(ev["condition_id"], ev["yes_price"]))
         elif kind == "drift_adjusted" and ev["kind"] == "forecasts" and ev["agent_id"] == agent_id:
@@ -552,14 +578,18 @@ def rewrite_log(paths: RunPaths, lines: list[str]) -> dict[Path, bytes]:
     return {p: p.read_bytes() for p in files}
 
 
-@pytest.mark.parametrize("older", ["all", *OLDER_KEYS, "one_row", "one_entry"])
+@pytest.mark.parametrize(
+    "older", ["all", *OLDER_KEYS, "one_row", "one_entry", "named_markets"]
+)
 def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
-    """A run whose kept log holds a per-row bulk line or a per-entry ledger
-    line, which older versions wrote, is not resumed: everywhere (a run
-    started before blocks), with a key older versions still repeated on one
-    line, as one per-row forecast among blocks, or as one per-entry ledger
-    event among blocks. No version would reproduce the mixed log. Its log,
-    ledgers and checkpoints are left as they were."""
+    """A run whose kept log holds a per-row bulk line, a per-entry ledger
+    line or a forecasts or baselines block naming its markets, which older
+    versions wrote, is not resumed: everywhere (a run started before
+    blocks, or before blocks took their markets by place), with a key older
+    versions still repeated on one line, as one per-row forecast among
+    blocks, or as one per-entry ledger event among blocks. No version would
+    reproduce the mixed log. Its log, ledgers and checkpoints are left as
+    they were."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", "flaky")
     paths = RunPaths("out", "flaky")
@@ -575,10 +605,14 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
             i for i, ev in enumerate(map(json.loads, lines))
             if ev["kind"] == kind and ev["cycle"] == kept_from
         )
-        block = json.loads(lines[at])
+        block = named_markets_events(map(json.loads, lines[: at + 1]))[-1]
         row = {k: v.pop() if type(v) is list else v for k, v in block.items()}
         row["kind"] = kind[:-1]
+        if kind in PLACED_KINDS:
+            del block["condition_id"]
         lines[at:at + 1] = [event_line(block), event_line(row)]
+    elif older == "named_markets":
+        lines = [event_line(ev) for ev in named_markets_shape(paths.events)]
     else:
         lines = older_shape(paths.events)
     if older in OLDER_KEYS:
@@ -590,9 +624,13 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
         lines = [event_line(ev) for ev in events]
     first, kind = next(
         (i, ev["kind"]) for i, ev in enumerate(map(json.loads, lines), 1)
-        if ev["kind"] in OLDER_KINDS
+        if ev["kind"] in OLDER_KINDS or ev["kind"] in PLACED_KINDS and "condition_id" in ev
     )
-    words = f"at line {first}: a {'per-entry' if kind == 'ledger' else 'per-row'} {kind};"
+    if kind in PLACED_KINDS:
+        shape = f"{kind} block naming its markets"
+    else:
+        shape = f"{'per-entry' if kind == 'ledger' else 'per-row'} {kind}"
+    words = f"at line {first}: a {shape};"
     before = rewrite_log(paths, lines)
     for at_cycle in (kept_from, MANIFESTS["flaky"]["cycles"] // 2, None):
         with pytest.raises(OlderLogShape, match=words):
@@ -603,11 +641,24 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
 
 
 # name -> (block kind, key, value, the CorruptLog's words): the first block of
-# that kind holds ``value`` as its ``cycle``, or as the list's first value;
-# None drops the list's last value. The first ledgers block is momentum's 23
-# OPENs of cycle 2.
+# that kind holds ``value`` as its ``cycle`` or ``kind``, or as the list's
+# first value; None drops the list's last value, and ... repeats the last
+# value of each list. The first ledgers block is momentum's 23 OPENs of
+# cycle 2.
 DAMAGED_BLOCKS = {
-    "ragged": ("forecasts", "probability", None, "probability holds 39 values, condition_id 40"),
+    "ragged": ("forecasts", "probability", None, "probability holds 39 values, confidence 40"),
+    # A block that finds no markets in its cycle's snapshots block: one more
+    # value than the cycle has markets, another cycle, and no snapshots
+    # block before it (the first one's kind is one the fold does not read).
+    "longer_than_snapshots": (
+        "forecasts", "probability", ..., "forecasts block holds 41 values, its cycle's snapshots 40"
+    ),
+    "other_cycle": (
+        "baselines", "cycle", 2, "baselines block of cycle 2 after the snapshots of cycle 1"
+    ),
+    "no_snapshots": (
+        "snapshots", "kind", "snapshots_v2", "forecasts block before any snapshots block"
+    ),
     "nan_probability": ("forecasts", "probability", math.nan, "probability nan is not in "),
     "probability_above_1": ("baselines", "probability", 1.5, "probability 1.5 is not in "),
     "bool_cycle": ("snapshots", "cycle", True, "cycle True is not an integer"),
@@ -644,7 +695,11 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
     kept_from = block["cycle"]
     if value is None:
         block[key].pop()
-    elif key == "cycle":
+    elif value is ...:
+        for values in block.values():
+            if type(values) is list:
+                values.append(values[-1])
+    elif type(block[key]) is not list:
         block[key] = value
     else:
         block[key][0] = value

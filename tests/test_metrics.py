@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftmark import metrics
 from driftmark.errors import (
     DegenerateInput,
     EmptyInput,
@@ -345,6 +346,21 @@ class TestPriceVolatility:
 
         prices = deque([0.1, 0.4, 0.35, 0.9, 0.2], maxlen=4)
         assert price_volatility(prices, 3) == oracles.price_volatility_oracle(list(prices), 3)
+
+
+class TestPopulationStdev:
+    """The stdev behind ``price_volatility`` and ``risk_adjusted_return``
+    equals numpy's float64 form bit for bit."""
+
+    @given(st.lists(st.integers(-(10**12), 10**12), min_size=2, max_size=300))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_numpy_on_per_cycle_pnl(self, xs):
+        """Lengths across numpy's 8- and 128-element sum blocks, and cents
+        up to 10**12 in size."""
+        expected = float(np.std(np.asarray(xs, dtype=float), ddof=0))
+        assert metrics._pstdev(list(map(float, xs))) == expected
+        total = sum(xs)
+        assert risk_adjusted_return(total, xs) == (total / expected if expected else None)
 
 
 class TestHHIS:

@@ -265,6 +265,13 @@ class TestLogReader:
               "probability": 0.5}, "cycle True is not an integer"),
             ({"kind": "snapshot", "cycle": "3", "condition_id": "m", "yes_price": 0.5},
              "cycle '3' is not an integer"),
+            # A strategy that is not a string: the diagnostics once reported
+            # it as a key of strategy_freq ({7: 1.0}), or failed to order a
+            # null one beside "NONE" with a raw TypeError.
+            ({"kind": "agent_meta", "agent_id": "a", "strategy": 7},
+             "strategy 7 is not a string"),
+            ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
+              "probability": 0.5, "strategy": None}, "strategy None is not a string"),
         ],
     )
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
