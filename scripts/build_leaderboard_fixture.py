@@ -4,9 +4,9 @@
 The fixture is a minimal event log whose aggregation reproduces the
 published leaderboard of eight large-scale agents: P&L to the cent, token
 averages to the integer, and the P&L ordering. Two synthetic markets carry
-the forecasts and the settled ledger entries. It is written in an older,
-per-row shape (one forecast, snapshot or ledger entry per line, with the
-keys forecasts no longer repeat), which ``driftmark report`` still reads.
+the forecasts and the settled ledger entries. It is written in the shape
+the engine writes: a cycle's snapshots, an agent's forecasts of a cycle and
+an agent's settlement entries are one block each.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ def build_events() -> list[dict]:
                 "kind": "agent_meta",
                 "agent_id": agent_id,
                 "agent_count": count,
+                "strategy": "NONE",
                 "unique_users": users,
             }
         )
@@ -71,61 +72,36 @@ def build_events() -> list[dict]:
                 "end_time": T2,
             }
         )
+    cids = [cid for cid, _p, _o in MARKETS]
+    prices = [price for _cid, price, _o in MARKETS]
     for cycle, ts in ((1, T1), (2, T2)):
         events.append({"kind": "cycle_start", "cycle": cycle, "time": ts})
-        for cid, price, _o in MARKETS:
-            events.append(
-                {
-                    "kind": "snapshot",
-                    "cycle": cycle,
-                    "condition_id": cid,
-                    "yes_price": price,
-                    "no_price": round(1.0 - price, 10),
-                    "observed_at": ts,
-                }
-            )
+        events.append(
+            {
+                "kind": "snapshots",
+                "cycle": cycle,
+                "condition_id": cids,
+                "yes_price": prices,
+                "no_price": [round(1.0 - price, 10) for price in prices],
+                "observed_at": [ts] * len(MARKETS),
+            }
+        )
         for agent_id, _pnl, _u, _c, tokens_in, tokens_out in LEADERBOARD_ROWS:
-            for cid, price, _o in MARKETS:
-                events.append(
-                    {
-                        "kind": "forecast",
-                        "cycle": cycle,
-                        "agent_id": agent_id,
-                        "condition_id": cid,
-                        "probability": price,
-                        "confidence": 5,
-                        "trace": f"quote tracking view on {cid}",
-                        "strategy": "NONE",
-                        "input_tokens": tokens_in,
-                        "output_tokens": tokens_out,
-                        "latency_ms": 0.0,
-                        "sampled_at": ts,
-                        "contract_digest": "",
-                    }
-                )
-        events.append({"kind": "cycle_end", "cycle": cycle, "time": ts})
-    # Settlement: split each agent's P&L across the two markets.
-    for agent_id, pnl, _u, _c, _ti, _to in LEADERBOARD_ROWS:
-        first = pnl // 2
-        parts = [first, pnl - first]
-        for (cid, price, outcome), part in zip(MARKETS, parts):
             events.append(
                 {
-                    "kind": "ledger",
-                    "cycle": 3,
+                    "kind": "forecasts",
+                    "cycle": cycle,
                     "agent_id": agent_id,
-                    "entry_kind": "RESOLVE",
-                    "seq": 1,
-                    "condition_id": cid,
-                    "cash_delta_cents": part,
-                    "timestamp": T2,
-                    "side": "YES",
-                    "price": 1.0 if outcome else 0.0,
-                    "quantity_micro": 0,
-                    "basis_delta_cents": 0,
-                    "note": "resolution",
+                    "probability": prices,
+                    "confidence": [5] * len(MARKETS),
+                    "trace": [f"quote tracking view on {cid}" for cid in cids],
+                    "input_tokens": [tokens_in] * len(MARKETS),
+                    "output_tokens": [tokens_out] * len(MARKETS),
                 }
             )
+        events.append({"kind": "cycle_end", "cycle": cycle, "time": ts})
+    # Settlement: every resolution, then each agent's P&L split across the
+    # two markets as one block of RESOLVE entries.
     for cid, _p, outcome in MARKETS:
         events.append(
             {
@@ -133,6 +109,25 @@ def build_events() -> list[dict]:
                 "condition_id": cid,
                 "outcome": outcome,
                 "resolved_at": T2,
+            }
+        )
+    for agent_id, pnl, _u, _c, _ti, _to in LEADERBOARD_ROWS:
+        first = pnl // 2
+        events.append(
+            {
+                "kind": "ledgers",
+                "cycle": 3,
+                "agent_id": agent_id,
+                "basis_delta_cents": [0] * len(MARKETS),
+                "cash_delta_cents": [first, pnl - first],
+                "condition_id": cids,
+                "entry_kind": ["RESOLVE"] * len(MARKETS),
+                "note": ["resolution"] * len(MARKETS),
+                "price": [1.0 if outcome else 0.0 for _cid, _p, outcome in MARKETS],
+                "quantity_micro": [0] * len(MARKETS),
+                "seq": list(range(1, len(MARKETS) + 1)),
+                "side": ["YES"] * len(MARKETS),
+                "timestamp": [T2] * len(MARKETS),
             }
         )
     events.append({"kind": "run_completed", "cycles_run": 2})

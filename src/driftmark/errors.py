@@ -137,15 +137,6 @@ class RunExists(EngineError):
     manifest; nothing is written."""
 
 
-class OlderLogShape(EngineError):
-    """Resume met a bulk line in the shape an older version wrote: resuming
-    would mix two line shapes in one log, which no version reproduces."""
-
-    def __init__(self, line_no: int, reason: str = ""):
-        super().__init__(f"older log shape at line {line_no}: {reason}")
-        self.line_no = line_no
-
-
 # --- reporting --------------------------------------------------------------
 
 class CorruptLog(EngineError):

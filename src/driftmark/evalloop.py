@@ -70,7 +70,6 @@ from .errors import (
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
-    OlderLogShape,
     RunExists,
 )
 from .fileio import write_atomic
@@ -259,28 +258,6 @@ def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
         yield line
 
 
-def _current_shape(events: Iterator[dict]) -> Iterator[dict]:
-    """Pass a kept log's events through; a per-row forecast, baseline or
-    snapshot, a per-entry ledger event or a forecasts or baselines block
-    that names its markets, which older versions wrote where today's blocks
-    are, is an ``OlderLogShape`` naming its line (blank lines, which no run
-    writes, are not counted)."""
-    for line_no, ev in enumerate(events, start=1):
-        kind = ev.get("kind")
-        # compared, not hashed: a kind may be any JSON value
-        if kind == "forecast" or kind == "baseline" or kind == "snapshot" or kind == "ledger":
-            shape = f"{'per-entry' if kind == 'ledger' else 'per-row'} {kind}"
-        elif (kind == "forecasts" or kind == "baselines") and "condition_id" in ev:
-            shape = f"{kind} block naming its markets"
-        else:
-            yield ev
-            continue
-        raise OlderLogShape(
-            line_no,
-            f"a {shape}; resume this run with the version that started it, or start it again",
-        )
-
-
 def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
     """The entry of a kept ledgers block's row, whose values the block's
     checks have passed, with each entry kind, side and timestamp text looked
@@ -425,8 +402,7 @@ class _Run:
 
     def emit_forecasts(self, cycle: int, agent_id: str, records: list[ForecastRecord]) -> None:
         """The agent's forecasts of one turn, of the first markets of the
-        cycle's snapshots block, in its order; the line names no market, and
-        the fold takes the agent's strategy from its agent_meta."""
+        cycle's snapshots block, in its order; the line names no market."""
         probabilities = [r.probability for r in records]
         confidences = [r.confidence for r in records]
         n_in = [r.input_tokens for r in records]
@@ -438,7 +414,7 @@ class _Run:
         }))
         self.fold.add_forecasts(
             agent_id, cycle, [r.condition_id for r in records], probabilities, confidences, n_in,
-            n_out, self.fold.strategy(agent_id),
+            n_out,
         )
 
     def emit_baselines(self, cycle: int, kind: str, probabilities: dict[str, float]) -> None:
@@ -678,9 +654,9 @@ class EvalEngine:
     @staticmethod
     def _read_prefix(path: Path, size: int, add: Callable[[dict], None]) -> dict:
         """Check that the first ``size`` bytes of the log end a line, feed
-        each of those lines, read by ``reporting.decode_lines`` and checked
-        by ``_current_shape``, to ``add`` and return the last one's event
-        ({} for none). The log is left as it is."""
+        each of those lines, read by ``reporting.decode_lines``, to ``add``
+        and return the last one's event ({} for none). The log is left as
+        it is."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -691,7 +667,7 @@ class EvalEngine:
             if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             fh.seek(0)
-            events = _current_shape(reporting.decode_lines(_lines_upto(fh, size)))
+            events = reporting.decode_lines(_lines_upto(fh, size))
             return reporting.fold_events(add, events) or {}
 
     @staticmethod
@@ -736,6 +712,7 @@ class EvalEngine:
         for cid, by_cycle in run.fold.prices.items():
             run.prices[cid].extend(by_cycle.values())
         times = _Timestamps()
+        portfolios = last.get("portfolios")
         for aid, st in run.states.items():
             entries = [_kept_entry(aid, row, times) for row in run.fold.ledgers.get(aid, [])]
             for entry in entries:
@@ -755,7 +732,7 @@ class EvalEngine:
                     ) from exc
                 st.window = _calibrated(st.window, entry)
                 run.ledgers[aid].append(run.ledger_line(entry))
-            if last.get("portfolios", {}).get(aid) != _totals(st.portfolio):
+            if type(portfolios) is not dict or portfolios.get(aid) != _totals(st.portfolio):
                 raise CorruptLog(
                     None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )

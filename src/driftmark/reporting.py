@@ -36,8 +36,6 @@ from .metrics import (
 from .simulator import EntryKind, Side
 
 BASELINE_PREFIX = "baseline:"
-# What a ledger row holds for a key its event lacks.
-NO_KEY = object()
 
 
 def format_cents(cents: int) -> str:
@@ -220,16 +218,6 @@ def _finite(key: str, value) -> float:
     return value
 
 
-def _float(key: str, value) -> float:
-    """``float`` of an older per-row event's ``value`` of ``key``, as it has
-    always been read; an integer too large for a float is a ``ValueError``
-    naming the key."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} {value!r} is not a finite number") from None
-
-
 def _cycle(ev: dict) -> int:
     """An event's cycle: an exact ``int`` (a bool, a float or a string is
     not one, and nothing is converted), or a ``ValueError``."""
@@ -239,22 +227,12 @@ def _cycle(ev: dict) -> int:
     return cycle
 
 
-def _strategy(ev: dict) -> str:
-    """An event's strategy: a string, or a ``ValueError``."""
-    strategy = ev.get("strategy", "NONE")
-    if type(strategy) is not str:
-        raise ValueError(f"strategy {strategy!r} is not a string")
-    return strategy
-
-
-def _probability(ev: dict) -> float:
-    """An event's probability; one that is not a number in [0, 1] (NaN and
-    infinities are not) is a ``ValueError``: the score folds bin it by
-    its place in [0, 1]."""
-    p = _float("probability", ev["probability"])
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {ev['probability']!r} is not in [0, 1]")
-    return p
+def _string(ev: dict, key: str) -> str:
+    """An event's ``key``: a string, or a ``ValueError`` naming the key."""
+    value = ev[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
 
 
 # What a block's list may hold: the types of its values, a test each value
@@ -298,30 +276,25 @@ BLOCK_LISTS = {
         "timestamp": _STRINGS,
     },
 }
-
-
-# The lists of a forecasts or baselines block as the versions before blocks
-# named their markets by place wrote it, with its markets last.
-_NAMED_LISTS = {
-    kind: {**BLOCK_LISTS[kind], "condition_id": _STRINGS} for kind in ("forecasts", "baselines")
-}
+# Every kind of event the engine writes, the only kinds the fold takes.
+KINDS = frozenset((
+    "agent_failure", "agent_meta", "baselines", "batch", "cycle_end", "cycle_start", "drift",
+    "final_report", "forecasts", "ledgers", "market_meta", "resolution", "run_completed",
+    "run_started", "skip", "snapshots",
+))
 
 
 def _block(ev: dict) -> tuple:
     """A block's cycle, its subject (None for none) and its lists in
-    ``BLOCK_LISTS`` order, and an older forecasts or baselines block's
-    ``condition_id`` list last. A cycle that is not an integer (a bool is
-    not one), a subject that is not a string, a list of another length than
-    the first, or a value its list may not hold is a ``ValueError`` naming
-    the key; nothing is converted."""
+    ``BLOCK_LISTS`` order. A cycle that is not an integer (a bool is not
+    one), a subject that is not a string, a list of another length than the
+    first, a value its list may not hold or a key the block does not hold
+    is a ``ValueError`` naming the key; nothing is converted."""
     cycle = _cycle(ev)
     kind = ev["kind"]
-    key = BLOCK_SUBJECTS[kind]
-    subject = None if key is None else ev[key]
-    if key is not None and type(subject) is not str:
-        raise ValueError(f"{key} {subject!r} is not a string")
-    named = kind in _NAMED_LISTS and "condition_id" in ev
-    lists = _NAMED_LISTS[kind] if named else BLOCK_LISTS[kind]
+    subject_key = BLOCK_SUBJECTS[kind]
+    subject = None if subject_key is None else _string(ev, subject_key)
+    lists = BLOCK_LISTS[kind]
     columns = []
     for key, (types, within, what) in lists.items():
         values = ev[key]
@@ -338,6 +311,9 @@ def _block(ev: dict) -> tuple:
             )
             raise ValueError(f"{key} {bad!r} is not {what}")
         columns.append(values)
+    if len(ev) > len(lists) + (2 if subject_key is None else 3):
+        extra = next(k for k in ev if k not in lists and k not in ("kind", "cycle", subject_key))
+        raise ValueError(f"a {kind} block holds {extra!r}, which this version does not write")
     return cycle, subject, columns
 
 
@@ -348,12 +324,12 @@ class EventFold:
         self.meta: dict[str, dict] = {}  # condition_id -> market_meta
         self.agent_meta: dict[str, dict] = {}
         self.prices: dict[str, dict[int, float]] = {}  # cid -> cycle -> yes price
-        # subject -> cid -> [(cycle, prob, confidence, in_tok, out_tok, strategy)]
+        # subject -> cid -> [(cycle, prob, confidence, in_tok, out_tok)]
         self.forecasts: dict[str, dict[str, list[tuple]]] = {}
         # subject -> [(d_narrative, d_temporal, d_temporal_product)]
         self.drifts: dict[str, list[tuple]] = {}
-        # subject -> a row per ledger entry: its values in the sorted order
-        # of a per-entry ledger event's keys, its cycle among them
+        # subject -> a row per ledger entry: its values and its cycle, in the
+        # sorted order of their keys
         self.ledgers: dict[str, list[tuple]] = {}
         # subject -> [(condition_id, basis_delta_cents, price)] of its OPEN entries
         self.opens: dict[str, list[tuple]] = {}
@@ -379,57 +355,42 @@ class EventFold:
         Kinds are tested from the most frequent down. Every key the reports
         read later is read here, and every value they read is checked here,
         so an event without one, or with one they cannot read, fails in
-        ``fold_events``. A block is checked whole by ``_block``, and a
-        forecasts or baselines block that names no market takes its markets
-        from ``block_markets``. The per-row ``forecast``, ``baseline`` and
-        ``snapshot`` events and the per-entry ``ledger`` events of older
-        logs are converted and folded as one-row blocks."""
+        ``fold_events``; so does an event of a kind not in ``KINDS``. A
+        block is checked whole by ``_block``, and a forecasts or baselines
+        block takes its markets from ``block_markets``."""
         kind = ev.get("kind")
-        if kind == "ledger":
-            # The keys the reports read must be there and hold numbers they
-            # can read, an OPEN's basis and price too; one only resume read
-            # may be missing (NO_KEY).
-            agent, entry_kind, cid = ev["agent_id"], ev["entry_kind"], ev["condition_id"]
-            cycle, cash = _cycle(ev), _finite("cash_delta_cents", ev["cash_delta_cents"])
-            get = ev.get
-            if entry_kind == "OPEN":
-                basis = _finite("basis_delta_cents", ev["basis_delta_cents"])
-                price = _finite("price", ev["price"])
-            else:
-                basis, price = get("basis_delta_cents", NO_KEY), get("price", NO_KEY)
-            self.add_ledgers(
-                agent, cycle, [basis], [cash], [cid], [entry_kind], [get("note", NO_KEY)], [price],
-                [get("quantity_micro", NO_KEY)], [get("seq", NO_KEY)], [get("side", NO_KEY)],
-                [get("timestamp", NO_KEY)],
-            )
-        elif kind == "ledgers":
+        if kind == "ledgers":
             cycle, agent, columns = _block(ev)
+            # An OPEN's basis and price are a stake and a win probability.
+            for basis, entry_kind, price in zip(columns[0], columns[3], columns[5]):
+                if entry_kind == "OPEN" and not (basis >= 0 and 0.0 < price <= 1.0):
+                    raise ValueError(f"an OPEN of basis {basis!r} at price {price!r}")
             self.add_ledgers(agent, cycle, *columns)
         elif kind == "forecasts":
-            cycle, agent, (confidences, n_in, n_out, probabilities, _, *named) = _block(ev)
-            cids = named[0] if named else self.block_markets(ev)
+            cycle, agent, (confidences, n_in, n_out, probabilities, _) = _block(ev)
             self.add_forecasts(
-                agent, cycle, cids, probabilities, confidences, n_in, n_out, self.strategy(agent)
+                agent, cycle, self.block_markets(ev), probabilities, confidences, n_in, n_out
             )
         elif kind == "baselines":
-            cycle, baseline, (probabilities, *named) = _block(ev)
-            cids = named[0] if named else self.block_markets(ev)
-            self.add_baselines(BASELINE_PREFIX + baseline, cycle, cids, probabilities)
+            cycle, baseline, (probabilities,) = _block(ev)
+            self.add_baselines(
+                BASELINE_PREFIX + baseline, cycle, self.block_markets(ev), probabilities
+            )
         elif kind == "snapshots":
             cycle, _, (cids, _, _, yes_prices) = _block(ev)
             self.add_snapshots(cycle, cids, yes_prices)
         elif kind == "drift":
-            self.drifts.setdefault(ev["agent_id"], []).append((
+            self.drifts.setdefault(_string(ev, "agent_id"), []).append((
                 _finite("d_narrative", ev["d_narrative"]),
                 _finite("d_temporal", ev["d_temporal"]),
-                _finite("d_temporal_product", ev.get("d_temporal_product", 0.0)),
+                _finite("d_temporal_product", ev["d_temporal_product"]),
             ))
         elif kind == "batch":
             if type(ev["accepted"]) is not bool:
                 raise ValueError(f"accepted {ev['accepted']!r} is not true or false")
-            self.batches.setdefault(ev["agent_id"], []).append(ev)
+            self.batches.setdefault(_string(ev, "agent_id"), []).append(ev)
         elif kind == "market_meta":
-            risk = ev.get("risk", "medium")
+            risk = ev["risk"]
             if type(risk) is not str or risk not in _RISKS:
                 raise ValueError(f"risk {risk!r} is not one of {sorted(_RISKS)}")
             for key in ("domain", "horizon", "liquidity"):
@@ -443,40 +404,27 @@ class EventFold:
                 raise ValueError(f"outcome {outcome!r} is not 0 or 1")
             self.outcomes[ev["condition_id"]] = outcome
         elif kind == "agent_failure":
-            self.failures[ev["agent_id"]] = self.failures.get(ev["agent_id"], 0) + 1
+            agent = _string(ev, "agent_id")
+            self.failures[agent] = self.failures.get(agent, 0) + 1
         elif kind == "agent_meta":
-            _strategy(ev)
-            if type(ev.get("agent_count", 1)) is not int:
+            agent = _string(ev, "agent_id")
+            _string(ev, "strategy")
+            if type(ev["agent_count"]) is not int:
                 raise ValueError(f"agent_count {ev['agent_count']!r} is not an integer")
-            if type(ev.get("unique_users")) not in (int, type(None)):
+            if type(ev["unique_users"]) not in (int, type(None)):
                 raise ValueError(f"unique_users {ev['unique_users']!r} is not an integer or null")
-            self.agent_meta[ev["agent_id"]] = ev
-            if ev["agent_id"] not in self.agents_seen:
-                self.agents_seen.append(ev["agent_id"])
-        elif kind == "forecast":
-            agent = ev["agent_id"]
-            self.add_forecasts(
-                agent, _cycle(ev), [ev["condition_id"]], [_probability(ev)],
-                [_finite("confidence", int(ev.get("confidence", 5)))],
-                [_finite("input_tokens", int(ev.get("input_tokens", 0)))],
-                [_finite("output_tokens", int(ev.get("output_tokens", 0)))],
-                _strategy(ev) if "strategy" in ev else self.strategy(agent),
-            )
-        elif kind == "baseline":
-            self.add_baselines(
-                BASELINE_PREFIX + ev["baseline"], _cycle(ev), [ev["condition_id"]],
-                [_probability(ev)],
-            )
-        elif kind == "snapshot":
-            yes = _finite("yes_price", _float("yes_price", ev["yes_price"]))
-            self.add_snapshots(_cycle(ev), [ev["condition_id"]], [yes])
+            self.agent_meta[agent] = ev
+            if agent not in self.agents_seen:
+                self.agents_seen.append(agent)
+        elif type(kind) is not str or kind not in KINDS:
+            raise ValueError(f"kind {kind!r} is not one this version writes")
 
     def block_markets(self, block: dict) -> list[str]:
         """The markets of a forecasts or baselines block that ``_block`` has
-        checked and that names none: the first of the last snapshots
-        block's, one per value. A block with no snapshots block before it,
-        of another cycle than that block's, or with more values than that
-        block has markets is a ``ValueError``."""
+        checked: the first of the last snapshots block's, one per value. A
+        block with no snapshots block before it, of another cycle than that
+        block's, or with more values than that block has markets is a
+        ``ValueError``."""
         kind, cycle, n = block["kind"], block["cycle"], len(block["probability"])
         if self.markets is None:
             raise ValueError(f"a {kind} block before any snapshots block")
@@ -491,15 +439,14 @@ class EventFold:
             )
         return cids[:n]
 
-    # The blocks, from their lists: ``add`` checks a block, or converts a
-    # per-row event, and calls these; the engine calls them as it writes
-    # each block. Each folds its rows in order, as their per-row events
-    # would fold, and a block without rows folds to nothing. A yes price
-    # above 0 but below the feed's floor is refused here, as it always was.
+    # The blocks, from their lists: ``add`` checks a block and calls these;
+    # the engine calls them as it writes each block. Each folds its rows in
+    # order, and a block without rows folds to nothing. A yes price above 0
+    # but below the feed's floor is refused here, as it always was.
 
     def add_forecasts(
         self, subject: str, cycle: int, condition_ids: list[str], probabilities: list[float],
-        confidences: list[int], input_tokens: list[int], output_tokens: list[int], strategy: str,
+        confidences: list[int], input_tokens: list[int], output_tokens: list[int],
     ) -> None:
         if not condition_ids:
             return
@@ -509,7 +456,7 @@ class EventFold:
         for cid, p, conf, n_in, n_out in zip(
             condition_ids, probabilities, confidences, input_tokens, output_tokens
         ):
-            by_market.setdefault(cid, []).append((cycle, p, conf, n_in, n_out, strategy))
+            by_market.setdefault(cid, []).append((cycle, p, conf, n_in, n_out))
         self.cycles_seen.add(cycle)
 
     def add_baselines(
@@ -521,7 +468,7 @@ class EventFold:
             self.baselines_seen.append(subject)
         by_market = self.forecasts.setdefault(subject, {})
         for cid, p in zip(condition_ids, probabilities):
-            by_market.setdefault(cid, []).append((cycle, p, 5, 0, 0, "NONE"))
+            by_market.setdefault(cid, []).append((cycle, p, 5, 0, 0))
 
     def add_ledgers(
         self, subject: str, cycle: int, basis_delta_cents: list[int],
@@ -612,7 +559,7 @@ class EventFold:
         in_sum = 0
         out_sum = 0
         for rows in self.forecasts.get(subject, {}).values():
-            for (_, _, _, in_tok, out_tok, _) in rows:
+            for (_, _, _, in_tok, out_tok) in rows:
                 n += 1
                 in_sum += in_tok
                 out_sum += out_tok
@@ -766,18 +713,8 @@ def aggregate(
         if subject.startswith(BASELINE_PREFIX):
             continue
 
-        strat_counts: dict[str, int] = {}
-        total_forecasts = 0
-        for rows_ in fold.forecasts.get(subject, {}).values():
-            for row in rows_:
-                strategy = row[5]
-                strat_counts[strategy] = strat_counts.get(strategy, 0) + 1
-                total_forecasts += 1
-        freq = (
-            {k: v / total_forecasts for k, v in sorted(strat_counts.items())}
-            if total_forecasts
-            else {}
-        )
+        # Every forecast of an agent is of its one strategy.
+        freq = {fold.strategy(subject): 1.0} if subject in fold.forecasts else {}
         dprob, dedge, der = fold.adjustment_depth(subject)
         success = sum(1 for b in fold.batches.get(subject, []) if b.get("accepted"))
         failure = (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import io
 import json
@@ -683,6 +684,9 @@ class TestCheckpointResume:
             ("agent_meta", "agent_count", "many", "agent_count 'many' is not an integer"),
             ("agent_meta", "unique_users", 1.5, "unique_users 1.5 is not an integer or null"),
             ("agent_meta", "strategy", 7, "strategy 7 is not a string"),
+            ("agent_meta", "agent_id", 7, "agent_id 7 is not a string"),
+            ("drift", "agent_id", None, "agent_id None is not a string"),
+            ("batch", "agent_id", 7.0, "agent_id 7.0 is not a string"),
             ("batch", "accepted", "no", "accepted 'no' is not true or false"),
         ],
     )
@@ -705,6 +709,44 @@ class TestCheckpointResume:
         with pytest.raises(CorruptLog, match=re.escape(reason)):
             resume_run(tmp_path, "bad", at_cycle=3)
         assert {p.name: file_sha256(p) for p in files} == before
+
+    def test_a_kept_agent_id_that_is_no_string_is_corrupt(self, tmp_path):
+        """A kept ``agent_meta`` whose id, edited in place to the same
+        length, is a number: resume once cut the log, settled the run
+        again and died sorting the final reports' subjects with a raw
+        ``TypeError``, leaving a log without its end. Now it is a
+        ``CorruptLog`` naming the key, and every file is left as it was."""
+        make_engine(tmp_path, agents=("momentum", "market_copier"), cycles=4, run_id="id").run()
+        run_dir = tmp_path / "id"
+        log = run_dir / "events.jsonl"
+        data = log.read_bytes()
+        name = b'"agent_id":"market_copier","kind":"agent_meta"'
+        assert data.count(name) == 1
+        log.write_bytes(data.replace(name, b'"agent_id":100000000000007,"kind":"agent_meta"'))
+        files = [p for p in sorted(run_dir.rglob("*")) if p.is_file()]
+        before = {p: p.read_bytes() for p in files}
+        with pytest.raises(CorruptLog, match="agent_id 100000000000007 is not a string"):
+            resume_run(tmp_path, "id")
+        assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()} == before
+
+    @pytest.mark.parametrize("portfolios", [[], "x", None])
+    def test_a_kept_cycle_end_whose_portfolios_are_no_object_is_corrupt(
+        self, tmp_path, portfolios
+    ):
+        """Resume compares the replayed portfolios with the boundary's
+        cycle_end, which once ended in a raw ``AttributeError`` for
+        portfolios that are not a JSON object; every file is left as it
+        was."""
+        make_engine(tmp_path, cycles=4, run_id="end").run()
+        run_dir = tmp_path / "end"
+        self._damage_kept_entry(
+            run_dir, None, "portfolios", portfolios, marker='"cycle":3,"kind":"cycle_end"'
+        )
+        files = [p for p in sorted(run_dir.rglob("*")) if p.is_file()]
+        before = {p: p.read_bytes() for p in files}
+        with pytest.raises(CorruptLog, match="ledger replay disagrees with cycle 3's cycle_end"):
+            resume_run(tmp_path, "end", at_cycle=3)
+        assert {p: p.read_bytes() for p in files} == before
 
     @pytest.mark.parametrize("outcome", [2, True, 1.0, "1", None])
     def test_a_logged_outcome_other_than_0_or_1_is_corrupt(self, tmp_path, capsys, outcome):
@@ -1260,14 +1302,23 @@ _LEDGER_COLUMNS = {
 @st.composite
 def _ledgers_blocks(draw, cycle=st.integers(), agent_id=_JSON_TEXT, min_size=1, max_size=3):
     """A ledgers block of ``min_size`` to ``max_size`` entries, as one agent
-    turn logs them."""
+    turn logs them: an OPEN's basis is a stake, not negative, and its price
+    a win probability above 0, as the fold requires."""
     n = draw(st.integers(min_size, max_size))
     block = {"kind": "ledgers", "cycle": draw(cycle), "agent_id": draw(agent_id)}
     for key, values in _LEDGER_COLUMNS.items():
         block[key] = draw(st.lists(values, min_size=n, max_size=n))
+    for i, kind in enumerate(block["entry_kind"]):
+        if kind == "OPEN":
+            block["basis_delta_cents"][i] = abs(block["basis_delta_cents"][i])
+            block["price"][i] = draw(_OPEN_PRICE)
     return block
 
 
+# An OPEN's fill price: a win probability above 0, the edge floats too.
+_OPEN_PRICE = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([5e-324, 1e-05, 1.0])
+)
 # Ledger entries as the simulator makes them, with any text and numbers.
 _LEDGER_ENTRIES = st.builds(
     LedgerEntry,
@@ -1292,8 +1343,11 @@ _AGENT_IDS = st.sampled_from(["momentum", "drift_adjusted", "\u00e9\u2028\x00"])
 _UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1.0, 0, 1]))
 # The fold refuses a tiny positive yes price, as snapshot validation does.
 _YES_PRICE = _JSON_FLOAT.filter(lambda p: not 0.0 < p < MIN_POSITIVE_PRICE)
-# The agent_meta that gives momentum's forecasts its strategy.
-_META = {"kind": "agent_meta", "agent_id": "momentum", "strategy": "MOMENTUM"}
+# The agent_meta that names momentum first.
+_META = {
+    "kind": "agent_meta", "agent_id": "momentum", "agent_count": 1, "strategy": "MOMENTUM",
+    "unique_users": None,
+}
 
 
 @st.composite
@@ -1390,7 +1444,7 @@ def _file_line(record: dict) -> str:
 
 
 # What the sample forecasts and baselines blocks are folded after: momentum's
-# strategy and their cycle's markets.
+# agent_meta and their cycle's markets.
 _CONTEXT = (_META, _SAMPLE_EVENTS["snapshots"])
 
 
@@ -1447,11 +1501,39 @@ def _emit_typed(run, ev: dict) -> None:
         ])
 
 
+def _by_row(events: list[dict]) -> EventFold:
+    """A fold of ``events`` that takes each block a row at a time, through
+    its kind's typed adder with one value per list, and every other event
+    through ``EventFold.add``; a forecasts or baselines block's rows are of
+    the first markets of the last snapshots block before it."""
+    fold = EventFold()
+    for ev in oracles.named_markets_events(events):
+        kind = ev["kind"]
+        if kind not in reporting.BLOCK_LISTS:
+            fold.add(ev)
+            continue
+        keys = list(reporting.BLOCK_LISTS[kind])
+        if kind in ("forecasts", "baselines"):
+            keys.append("condition_id")
+        for row in zip(*(ev[key] for key in keys)):
+            one = [[value] for value in row]
+            if kind == "forecasts":
+                confidence, n_in, n_out, p, _, cid = one
+                fold.add_forecasts(ev["agent_id"], ev["cycle"], cid, p, confidence, n_in, n_out)
+            elif kind == "baselines":
+                p, cid = one
+                fold.add_baselines(reporting.BASELINE_PREFIX + ev["baseline"], ev["cycle"], cid, p)
+            elif kind == "snapshots":
+                cid, _, _, yes = one
+                fold.add_snapshots(ev["cycle"], cid, yes)
+            else:
+                fold.add_ledgers(ev["agent_id"], ev["cycle"], *one)
+    return fold
+
+
 def _state(fold: EventFold):
     """A fold's state, each dict as its items in insertion order, so that two
-    states are equal only if their dicts were filled in the same order. Values
-    compare with ``==``, so a block's int probability 1 equals the 1.0 a
-    per-row event's is converted to."""
+    states are equal only if their dicts were filled in the same order."""
     def ordered(value):
         if type(value) is dict:
             return [(k, ordered(v)) for k, v in value.items()]
@@ -1468,8 +1550,8 @@ _MEMBER_KEYS = ("kind", "baseline", "entry_kind", "side")
 
 class TestBulkLines:
     """The engine writes each block through ``event_line`` and the ledger
-    file template's lines as ``json.dumps`` does; a block folds as its
-    per-row or per-entry events, which older versions wrote, do."""
+    file template's lines as ``json.dumps`` does; a block folds as its rows,
+    taken one at a time, do."""
 
     def _check(self, ev):
         """The engine's line of ``ev``, on a fresh and then a warm string
@@ -1490,12 +1572,11 @@ class TestBulkLines:
     @staticmethod
     def _folds_as_its_rows(events: list[dict]) -> None:
         """``events``, written with ``event_line`` and read back, fold to
-        the state their per-row events fold to, but for the markets of the
-        last snapshots block, which only the blocks after it read: a
-        per-row event names its market."""
+        the state ``_by_row`` folds them to, but for the markets of the
+        last snapshots block, which only the blocks after it read."""
         read = [json.loads(evalloop.event_line(ev)) for ev in events]
         by_block = EventFold().consume(read)
-        by_row = EventFold().consume(oracles.per_row_events(read))
+        by_row = _by_row(read)
         by_row.markets = by_block.markets
         assert _state(by_block) == _state(by_row)
 
@@ -1507,13 +1588,11 @@ class TestBulkLines:
     @given(st.lists(_ledgers_blocks(agent_id=_AGENT_IDS), min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_ledgers_blocks_fold_as_their_entries(self, blocks):
-        """Random ledgers blocks, read back, fold as their per-entry ledger
-        events do, dict insertion order included: every entry kind, counts
+        """Random ledgers blocks, read back, fold as their entries do, one
+        at a time, dict insertion order included: every entry kind, counts
         above 2**64, and agents that come again."""
         read = [json.loads(evalloop.event_line(block)) for block in blocks]
-        by_block = EventFold().consume(read)
-        by_entry = EventFold().consume(per_entry_events(read))
-        assert _state(by_block) == _state(by_entry)
+        assert _state(EventFold().consume(read)) == _state(_by_row(read))
 
     @given(st.lists(_cycle_blocks(), min_size=1, max_size=3))
     @settings(max_examples=300, deadline=None)
@@ -1525,31 +1604,30 @@ class TestBulkLines:
 
     @given(st.lists(_cycle_blocks(), min_size=1, max_size=3), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_blocks_fold_alike_with_their_markets_named(self, cycles, data):
-        """Forecasts and baselines blocks that take their markets from their
-        cycle's snapshots block by place fold to the state they fold to with
-        those markets named in ``condition_id``, as the versions before wrote
-        them, each block or only some: prefixes of the cycle's markets,
-        repeated markets and empty cycles."""
+    def test_blocks_naming_their_markets_are_refused(self, cycles, data):
+        """A forecasts or baselines block naming its markets in
+        ``condition_id``, as the versions before wrote them, is a
+        ``CorruptLog`` naming the key, among blocks that take their markets
+        from their cycle's snapshots block by place."""
         blocks = [_META, *(block for blocks in cycles for block in blocks)]
         named = oracles.named_markets_events(blocks)
         some = [
             data.draw(st.sampled_from([block, named_block]))
             for block, named_block in zip(blocks, named)
         ]
-        states = [
-            _state(EventFold().consume(json.loads(evalloop.event_line(ev)) for ev in events))
-            for events in (blocks, named, some)
-        ]
-        assert states[0] == states[1] == states[2]
+        read = [json.loads(evalloop.event_line(ev)) for ev in some]
+        if some == blocks:
+            EventFold().consume(read)
+        else:
+            with pytest.raises(CorruptLog, match="holds 'condition_id', which this version"):
+                EventFold().consume(read)
 
     @given(st.lists(_cycle_blocks(unique_markets=True), min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_engine_writes_each_block_as_event_line_and_folds_it_as_add(self, cycles):
         """The engine's block line is ``event_line`` of the block, and the
         engine folds it from its lists as ``EventFold.add`` folds the line
-        read back; both take a forecast's strategy from its agent's
-        agent_meta. Each cycle names a market once, as the feed does."""
+        read back. Each cycle names a market once, as the feed does."""
         run, out = _bulk_run()
         read = EventFold().consume(_CONTEXT)
         for block in (block for blocks in cycles for block in blocks):
@@ -1600,8 +1678,9 @@ class TestBulkLines:
         """Each float of the event, each string that is not a member's text
         and each value of a block's lists of them, as the edge float and a
         text of non-ASCII characters, NUL and U+2028 (once more for each
-        later value of a list); a probability or a yes price the fold
-        refuses keeps its sample value. A block folds as its rows too."""
+        later value of a list); a probability, a yes price or an OPEN's
+        price (the sample ledgers block's first) the fold refuses keeps its
+        sample value. A block folds as its rows too."""
         text = "\u00e9\u2028\U0001f600\x00"
 
         def edged(key, v, i=0):
@@ -1610,6 +1689,7 @@ class TestBulkLines:
             if type(v) is float and (
                 key == "probability" and not 0.0 <= value <= 1.0
                 or key == "yes_price" and 0.0 < value < MIN_POSITIVE_PRICE
+                or key == "price" and i == 0 and not 0.0 < value <= 1.0
             ):
                 return v
             return value if type(v) is float else text * (i + 1) if type(v) is str else v
@@ -1619,6 +1699,34 @@ class TestBulkLines:
         }
         self._check(ev)
         self._folds_as_its_rows([*_CONTEXT, ev])
+
+    def test_the_fold_takes_each_kind_the_engine_writes_and_no_other(self):
+        """The kinds of the engine's event dicts, read from its source, are
+        ``reporting.KINDS``: a kind written without a reader, or read without
+        a writer, fails here and not in a user's ``report``. An event of each
+        is taken by ``EventFold.add`` as one of its kinds (it may lack keys);
+        the kinds older versions wrote are refused."""
+        tree = ast.parse(Path(evalloop.__file__).read_text(encoding="utf-8"))
+        written = {
+            value.value
+            for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "kind"
+            and isinstance(value, ast.Constant)
+        }
+        assert written == reporting.KINDS
+
+        def refused(kind) -> bool:
+            try:
+                EventFold().add({"kind": kind})
+            except ValueError as exc:
+                return "is not one this version writes" in str(exc)
+            except (KeyError, TypeError):
+                pass
+            return False
+
+        assert not any(map(refused, written))
+        assert all(map(refused, ["forecast", "baseline", "snapshot", "ledger", None, 7]))
 
     def test_readme_table_lists_each_block_s_keys(self):
         """Each block kind's keys held once and its lists."""
@@ -1640,8 +1748,7 @@ class TestBulkLines:
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_engine_folds_what_its_line_reads_back(self, kind):
         """The engine folds an event from its values as ``EventFold.add``
-        folds its line read back; both take a forecast's strategy from its
-        agent's agent_meta."""
+        folds its line read back."""
         ev = _SAMPLE_EVENTS[kind]
         run, out = _bulk_run()
         _emit_typed(run, ev)

@@ -15,13 +15,16 @@ import math
 import os
 import shutil
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftmark import evalloop, reporting
 from driftmark.cli import main as cli_main
-from driftmark.errors import CorruptLog, IoError, OlderLogShape
+from driftmark.errors import CorruptLog, IoError
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
 from driftmark.market_data import (
     Domain,
@@ -32,7 +35,7 @@ from driftmark.market_data import (
     save_feed,
     save_outcomes,
 )
-from driftmark.reporting import aggregate, emit, iter_events
+from driftmark.reporting import aggregate, decode_lines, emit, iter_events
 from oracles import (
     named_markets_events,
     named_markets_shape,
@@ -392,21 +395,46 @@ def test_reader_matches_oracle_on_pinned_logs(name, tmp_path, monkeypatch):
     assert read_log_oracle(path.read_bytes()) == ("events", list(iter_events(path)))
 
 
+def older_shape_words(kind: str) -> str:
+    """The words of the ``CorruptLog`` that refuses a log whose first line in
+    an older shape is of ``kind``: a block naming its markets names its
+    ``condition_id``, a per-row or per-entry line its kind."""
+    if kind in PLACED_KINDS:
+        return f"a {kind} block holds 'condition_id', which this version does not write"
+    return f"kind '{kind}' is not one this version writes"
+
+
 @pytest.mark.parametrize("name", sorted(MANIFESTS))
-def test_older_shape_logs_report_the_same(name, tmp_path, monkeypatch):
+def test_report_refuses_older_shape_logs(name, tmp_path, monkeypatch, capsys):
     """Putting back the keys the bulk lines no longer repeat gives the logs
-    older versions wrote, byte for byte, and ``report`` reads them as before."""
+    older versions wrote, byte for byte; ``report`` reads only the shape
+    this version writes, so each older shape is a ``CorruptLog`` naming
+    the kind or key of its first line in that shape (the previous shapes'
+    is an ``agent_meta`` without ``strategy``), and the CLI exits 1 with
+    one ``error:`` line."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", name)
     events = RunPaths("out", name).events
     previous = tmp_path / "previous.jsonl"
     previous.write_text("".join(map(event_line, previous_shape(events))), encoding="utf-8")
     assert file_sha256(previous) == PREVIOUS_SHAPE_PINS[name]
-    assert report_digests(previous) == REPORT_PINS[name]
     older = tmp_path / "older.jsonl"
     older.write_text("".join(older_shape(events)), encoding="utf-8")
     assert file_sha256(older) == OLDER_SHAPE_PINS[name]
-    assert report_digests(older) == REPORT_PINS[name]
+    shapes = {previous: "no key 'strategy'", older: "no key 'strategy'"}
+    for shape, kind in (
+        (per_row_shape, "snapshot"), (per_entry_shape, "forecasts"),
+        (named_markets_shape, "forecasts"),
+    ):
+        path = tmp_path / f"{shape.__name__}.jsonl"
+        path.write_text("".join(map(event_line, shape(events))), encoding="utf-8")
+        shapes[path] = older_shape_words(kind)
+    for path, words in shapes.items():
+        with pytest.raises(CorruptLog, match=words):
+            aggregate(path)
+        assert cli_main(["report", "--log", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err, err
 
 
 def test_reader_matches_oracle_on_leaderboard_fixture():
@@ -419,14 +447,20 @@ def test_leaderboard_fixture_reports_match_pins():
 
 
 def test_fixture_script_writes_the_leaderboard_fixture(tmp_path):
-    """The fixture, the one per-row log checked in, is what its script
-    writes, byte for byte."""
+    """The fixture, the one log checked in, is what its script writes,
+    byte for byte, in the shape the engine writes."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "build_leaderboard_fixture.py"
     spec = importlib.util.spec_from_file_location("build_leaderboard_fixture", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     script.write_fixture(tmp_path / "fixture.jsonl")
     assert (tmp_path / "fixture.jsonl").read_bytes() == LEADERBOARD_FIXTURE.read_bytes()
+    for line in LEADERBOARD_FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True):
+        ev = json.loads(line)
+        assert event_line(ev) == line
+        assert ev["kind"] in reporting.KINDS, line
+        if ev["kind"] in LINE_KEYS:
+            assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
 
 
 @pytest.mark.parametrize("name", ["synthetic", "flaky"])
@@ -584,12 +618,13 @@ def rewrite_log(paths: RunPaths, lines: list[str]) -> dict[Path, bytes]:
 def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
     """A run whose kept log holds a per-row bulk line, a per-entry ledger
     line or a forecasts or baselines block naming its markets, which older
-    versions wrote, is not resumed: everywhere (a run started before
-    blocks, or before blocks took their markets by place), with a key older
-    versions still repeated on one line, as one per-row forecast among
-    blocks, or as one per-entry ledger event among blocks. No version would
-    reproduce the mixed log. Its log, ledgers and checkpoints are left as
-    they were."""
+    versions wrote, is neither reported nor resumed: everywhere (a run
+    started before blocks, or before blocks took their markets by place),
+    with a key older versions still repeated on one line, as one per-row
+    forecast among blocks, or as one per-entry ledger event among blocks.
+    Each is the ``CorruptLog`` of any log in an older shape, naming the
+    kind or key of its first older line. Its log, ledgers and checkpoints
+    are left as they were."""
     monkeypatch.chdir(tmp_path)
     run_manifest("out", "flaky")
     paths = RunPaths("out", "flaky")
@@ -622,18 +657,18 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
         at = max(i for i, ev in enumerate(events) if ev["kind"] == kind and ev["cycle"] == 1)
         events[at][older] = json.loads(lines[at])[older]
         lines = [event_line(ev) for ev in events]
-    first, kind = next(
-        (i, ev["kind"]) for i, ev in enumerate(map(json.loads, lines), 1)
+    kind = next(
+        ev["kind"] for ev in map(json.loads, lines)
         if ev["kind"] in OLDER_KINDS or ev["kind"] in PLACED_KINDS and "condition_id" in ev
     )
-    if kind in PLACED_KINDS:
-        shape = f"{kind} block naming its markets"
-    else:
-        shape = f"{'per-entry' if kind == 'ledger' else 'per-row'} {kind}"
-    words = f"at line {first}: a {shape};"
+    # The older shape's first line the fold refuses is an agent_meta
+    # without its strategy.
+    words = "no key 'strategy'" if older == "all" else older_shape_words(kind)
     before = rewrite_log(paths, lines)
+    with pytest.raises(CorruptLog, match=words):
+        aggregate(paths.events)
     for at_cycle in (kept_from, MANIFESTS["flaky"]["cycles"] // 2, None):
-        with pytest.raises(OlderLogShape, match=words):
+        with pytest.raises(CorruptLog, match=words):
             resume_run("out", "flaky", at_cycle=at_cycle)
     assert cli_main(["--out", "out", "run", "--agents", "momentum", "--resume", "flaky"]) == 1
     assert words in capsys.readouterr().err
@@ -649,7 +684,7 @@ DAMAGED_BLOCKS = {
     "ragged": ("forecasts", "probability", None, "probability holds 39 values, confidence 40"),
     # A block that finds no markets in its cycle's snapshots block: one more
     # value than the cycle has markets, another cycle, and no snapshots
-    # block before it (the first one's kind is one the fold does not read).
+    # block before it (the first one's kind is one the fold passes).
     "longer_than_snapshots": (
         "forecasts", "probability", ..., "forecasts block holds 41 values, its cycle's snapshots 40"
     ),
@@ -657,7 +692,11 @@ DAMAGED_BLOCKS = {
         "baselines", "cycle", 2, "baselines block of cycle 2 after the snapshots of cycle 1"
     ),
     "no_snapshots": (
-        "snapshots", "kind", "snapshots_v2", "forecasts block before any snapshots block"
+        "snapshots", "kind", "cycle_start", "forecasts block before any snapshots block"
+    ),
+    # a kind this version does not write
+    "unknown_kind": (
+        "snapshots", "kind", "snapshots_v2", "kind 'snapshots_v2' is not one this version writes"
     ),
     "nan_probability": ("forecasts", "probability", math.nan, "probability nan is not in "),
     "probability_above_1": ("baselines", "probability", 1.5, "probability 1.5 is not in "),
@@ -713,6 +752,109 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
         with pytest.raises(CorruptLog, match=words):
             resume_run("out", "flaky", at_cycle=at_cycle)
     assert {p: p.read_bytes() for p in before} == before
+
+
+# What one mutation puts in a value's place, by the value's type: a value of
+# another JSON type, and one out of its range (a string that no member or
+# id is, a number below any count, price or probability).
+_OTHER_TYPE = {str: 7, bool: "true", int: "1", float: "0.5", type(None): 0, list: "x", dict: []}
+_MUTATIONS = ("drop", "type", "nan", "huge", "range", "id")
+
+
+def _mutated(value, how: str):
+    if how == "type":
+        return _OTHER_TYPE[type(value)]
+    if how == "range":
+        if type(value) is str:
+            return value + "\x00"
+        return -1 - abs(value) if type(value) in (int, float) else 2
+    return {"nan": math.nan, "huge": 10**400, "id": 7}[how]
+
+
+@st.composite
+def one_key_mutated(draw, lines: list[bytes], size: int) -> tuple[int, bytes]:
+    """One of the lines in the first ``size`` bytes of ``lines`` with one
+    key mutated, and its place: the key dropped, or its value (a list's
+    whole or one of its values) of another JSON type, NaN, ``10**400``,
+    out of range or the non-string id 7. A dropped value of a list leaves
+    it shorter than the block's others."""
+    kept = sum(1 for end in accumulate(map(len, lines)) if end <= size)
+    at = draw(st.integers(0, kept - 1))
+    ev = json.loads(lines[at])
+    key = draw(st.sampled_from(sorted(ev)))
+    how = draw(st.sampled_from(_MUTATIONS))
+    value = ev[key]
+    if type(value) is list and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        if how == "drop":
+            del value[i]
+        else:
+            value[i] = _mutated(value[i], how)
+    elif how == "drop":
+        del ev[key]
+    else:
+        ev[key] = _mutated(value, how)
+    return at, json.dumps(ev, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+@pytest.fixture(scope="module")
+def flaky_run(tmp_path_factory) -> RunPaths:
+    """The pinned flaky run, which every example below copies."""
+    root = tmp_path_factory.mktemp("pinned")
+    EvalEngine.create(root, run_id="flaky", **MANIFESTS["flaky"]).run()
+    assert run_digests(root, "flaky") == PINS["flaky"]
+    return RunPaths(root, "flaky")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_of_a_pinned_log_with_one_key_mutated(flaky_run, data):
+    """``aggregate`` and ``emit`` of a pinned log with one key of one line
+    mutated give a report in every format, or a ``CorruptLog``, and never
+    any other exception."""
+    lines = flaky_run.events.read_bytes().splitlines(keepends=True)
+    at, line = data.draw(one_key_mutated(lines, sum(map(len, lines))))
+    try:
+        report = aggregate(decode_lines([*lines[:at], line, *lines[at + 1:]]))
+    except CorruptLog:
+        return
+    for fmt in REPORT_FORMATS:
+        emit(report, fmt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_resume_of_a_pinned_log_with_one_key_mutated(flaky_run, tmp_path_factory, data):
+    """A resume whose kept log has one key of one line mutated, as above,
+    either runs to the end or is a ``CorruptLog`` that leaves the log, the
+    ledgers and the checkpoints as they were; it never raises anything
+    else."""
+    root = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(flaky_run.root, root / "flaky")
+    paths = RunPaths(root, "flaky")
+    at_cycle = data.draw(st.integers(1, MANIFESTS["flaky"]["cycles"]))
+    checkpoint = paths.checkpoints / f"cycle_{at_cycle:05d}.json"
+    size = json.loads(checkpoint.read_bytes())["events_bytes"]
+    lines = paths.events.read_bytes().splitlines(keepends=True)
+    at, line = data.draw(one_key_mutated(lines, size))
+    # Each checkpoint past the mutated line moves with its end.
+    start, moved = sum(map(len, lines[:at])), len(line) - len(lines[at])
+    for path in paths.checkpoints.glob("cycle_*.json"):
+        ckpt = json.loads(path.read_bytes())
+        if ckpt["events_bytes"] > start:
+            path.write_text(
+                json.dumps({**ckpt, "events_bytes": ckpt["events_bytes"] + moved}),
+                encoding="utf-8",
+            )
+    paths.events.write_bytes(b"".join([*lines[:at], line, *lines[at + 1:]]))
+    files = [paths.events, *paths.ledgers.iterdir(), *paths.checkpoints.iterdir()]
+    before = {p: p.read_bytes() for p in files}
+    try:
+        resume_run(root, "flaky", at_cycle=at_cycle)
+    except CorruptLog:
+        assert {p: p.read_bytes() for p in files} == before
+    finally:
+        shutil.rmtree(root)
 
 
 def test_resume_without_the_log_is_a_typed_error(tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from driftmark.metrics import (
     log_likelihood,
 )
 from driftmark.reporting import (
+    BLOCK_LISTS,
     EventFold,
     LeaderboardRow,
     aggregate,
@@ -36,7 +37,7 @@ from driftmark.reporting import (
 from oracles import (
     confidence_drift_oracle,
     log_likelihood_clamped_oracle,
-    per_entry_events,
+    per_row_events,
     read_log_oracle,
 )
 
@@ -172,11 +173,32 @@ def _expected(data: bytes):
     return result
 
 
-# An older log's per-entry OPEN of agent ``a`` in market ``m``.
-_OPEN = {
-    "kind": "ledger", "agent_id": "a", "entry_kind": "OPEN", "cycle": 1, "condition_id": "m",
-    "cash_delta_cents": 0, "basis_delta_cents": 15_000, "price": 0.5,
+# The events of a log that names agent ``a`` and a high-risk market ``m``,
+# and then a snapshots block of ``m``, a forecasts block of ``a`` and a
+# ledgers block of ``a``'s OPEN of ``m``, all of cycle 1.
+_META = {
+    "kind": "agent_meta", "agent_id": "a", "agent_count": 1, "strategy": "NONE",
+    "unique_users": None,
 }
+_MARKET = {"kind": "market_meta", "condition_id": "m", "risk": "high"}
+_SNAPSHOTS = {
+    "kind": "snapshots", "cycle": 1, "condition_id": ["m"], "no_price": [0.5],
+    "observed_at": [""], "yes_price": [0.5],
+}
+_FORECASTS = {
+    "kind": "forecasts", "cycle": 1, "agent_id": "a", "confidence": [5], "input_tokens": [0],
+    "output_tokens": [0], "probability": [0.5], "trace": [""],
+}
+_OPEN = {
+    "kind": "ledgers", "cycle": 1, "agent_id": "a", "basis_delta_cents": [15_000],
+    "cash_delta_cents": [0], "condition_id": ["m"], "entry_kind": ["OPEN"], "note": ["fill"],
+    "price": [0.5], "quantity_micro": [300_000_000], "seq": [1], "side": ["YES"],
+    "timestamp": ["2026-01-01T00:00:00Z"],
+}
+
+
+def _without(ev: dict, key: str) -> dict:
+    return {k: v for k, v in ev.items() if k != key}
 
 
 class TestLogReader:
@@ -218,77 +240,123 @@ class TestLogReader:
     @pytest.mark.parametrize(
         "event, reason",
         [
-            ({"kind": "forecast", "cycle": 1}, "no key 'agent_id'"),
-            ({"kind": "snapshot", "cycle": "x", "condition_id": "a", "yes_price": 0.5},
-             "cycle 'x' is not an integer"),
-            ({"kind": "baseline", "baseline": 3, "cycle": 1}, "can only concatenate"),
+            ({"kind": "forecasts", "cycle": 1}, "no key 'agent_id'"),
+            ({**_SNAPSHOTS, "cycle": "x"}, "cycle 'x' is not an integer"),
+            ({"kind": "baselines", "baseline": 3, "cycle": 1, "probability": [0.5]},
+             "baseline 3 is not a string"),
             # Keys the reports read only after the fold.
-            ({"kind": "ledger", "agent_id": "a"}, "no key 'entry_kind'"),
-            ({"kind": "ledger", "agent_id": "a", "entry_kind": "OPEN", "cycle": 1,
-              "condition_id": "m", "cash_delta_cents": 0}, "no key 'basis_delta_cents'"),
+            (_without(_OPEN, "entry_kind"), "no key 'entry_kind'"),
+            (_without(_OPEN, "basis_delta_cents"), "no key 'basis_delta_cents'"),
             ({"kind": "drift", "agent_id": "a"}, "no key 'd_narrative'"),
+            # Keys the engine always writes, which the fold once took a
+            # default for.
+            ({"kind": "drift", "agent_id": "a", "d_narrative": 0.0, "d_temporal": 0.0},
+             "no key 'd_temporal_product'"),
+            *((_without(_META, key), f"no key '{key}'")
+              for key in ("agent_count", "strategy", "unique_users")),
+            (_without(_MARKET, "risk"), "no key 'risk'"),
             # A JSON integer too large for a float, which once escaped as an
             # OverflowError, and a price that is not finite, which
             # market_divergence once read as NaN.
-            ({"kind": "drift", "agent_id": "a", "d_narrative": 10**400, "d_temporal": 0.0},
-             "d_narrative 1000000000000"),
-            ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
-              "probability": 10**400}, "probability 1000000000000"),
+            ({"kind": "drift", "agent_id": "a", "d_narrative": 10**400, "d_temporal": 0.0,
+              "d_temporal_product": 0.0}, "d_narrative 1000000000000"),
+            ({**_FORECASTS, "probability": [10**400]}, "probability 1000000000000"),
             *(
-                ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
-                  "probability": 0.5, key: 10**400}, f"{key} 1000000000000")
+                ({**_FORECASTS, key: [10**400]}, f"{key} 1000000000000")
                 for key in ("confidence", "input_tokens", "output_tokens")
             ),
-            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": 10**400},
-             "yes_price 1000000000000"),
+            ({**_SNAPSHOTS, "yes_price": [10**400]}, "yes_price 1000000000000"),
             *(
-                ({**_OPEN, key: 10**400}, f"{key} 1000000000000")
+                ({**_OPEN, key: [10**400]}, f"{key} 1000000000000")
                 for key in ("price", "basis_delta_cents", "cash_delta_cents")
             ),
-            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.nan},
-             "yes_price nan is not a finite number"),
-            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": math.inf},
-             "yes_price inf is not a finite number"),
-            ({"kind": "snapshot", "cycle": 1, "condition_id": "m", "yes_price": -math.inf},
-             "yes_price -inf is not a finite number"),
+            ({**_SNAPSHOTS, "yes_price": [math.nan]}, "yes_price nan is not a finite number"),
+            ({**_SNAPSHOTS, "yes_price": [math.inf]}, "yes_price inf is not a finite number"),
+            ({**_SNAPSHOTS, "yes_price": [-math.inf]}, "yes_price -inf is not a finite number"),
             # A cycle that is not an exact integer, which the per-row and
             # per-entry events once read with ``int``: a CLOSE's moved its
             # P&L to cycle 2, 1 or 3.
             *(
-                ({**_OPEN, "entry_kind": "CLOSE", "cycle": cycle},
+                ({**_OPEN, "entry_kind": ["CLOSE"], "cycle": cycle},
                  f"cycle {cycle!r} is not an integer")
                 for cycle in (2.5, True, "3")
             ),
-            ({"kind": "forecast", "agent_id": "a", "cycle": 2.5, "condition_id": "m",
-              "probability": 0.5}, "cycle 2.5 is not an integer"),
-            ({"kind": "baseline", "baseline": "market", "cycle": True, "condition_id": "m",
-              "probability": 0.5}, "cycle True is not an integer"),
-            ({"kind": "snapshot", "cycle": "3", "condition_id": "m", "yes_price": 0.5},
-             "cycle '3' is not an integer"),
+            ({**_FORECASTS, "cycle": 2.5}, "cycle 2.5 is not an integer"),
+            ({"kind": "baselines", "baseline": "market", "cycle": True, "probability": [0.5]},
+             "cycle True is not an integer"),
+            ({**_SNAPSHOTS, "cycle": "3"}, "cycle '3' is not an integer"),
+            # An OPEN whose stake or win probability var_cvar cannot take.
+            *(
+                ({**_OPEN, key: [value]}, "an OPEN of basis")
+                for key, value in (("price", 0.0), ("price", 1.5), ("basis_delta_cents", -1))
+            ),
             # A strategy that is not a string: the diagnostics once reported
             # it as a key of strategy_freq ({7: 1.0}), or failed to order a
             # null one beside "NONE" with a raw TypeError.
-            ({"kind": "agent_meta", "agent_id": "a", "strategy": 7},
-             "strategy 7 is not a string"),
-            ({"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
-              "probability": 0.5, "strategy": None}, "strategy None is not a string"),
+            ({**_META, "strategy": 7}, "strategy 7 is not a string"),
+            # An agent id that is not a string, which the leaderboard once
+            # failed on with a raw AttributeError.
+            *(
+                (event, "agent_id 7 is not a string")
+                for event in (
+                    {**_META, "agent_id": 7},
+                    {"kind": "drift", "agent_id": 7, "d_narrative": 0.0, "d_temporal": 0.0,
+                     "d_temporal_product": 0.0},
+                    {"kind": "batch", "agent_id": 7, "accepted": True},
+                    {"kind": "agent_failure", "agent_id": 7, "cycle": 1, "error": "x"},
+                )
+            ),
+            # Kinds and keys this version does not write: the per-row and
+            # per-entry events and the blocks naming their markets that
+            # older versions wrote, and a forecast's strategy.
+            *(
+                ({**row, "kind": kind}, f"kind '{kind}' is not one this version writes")
+                for kind, row in (
+                    ("forecast", {"agent_id": "a", "cycle": 1, "condition_id": "m",
+                                  "probability": 0.5}),
+                    ("baseline", {"baseline": "market", "cycle": 1, "condition_id": "m",
+                                  "probability": 0.5}),
+                    ("snapshot", {"cycle": 1, "condition_id": "m", "yes_price": 0.5}),
+                    ("ledger", {"agent_id": "a", "cycle": 1, "condition_id": "m",
+                                "entry_kind": "OPEN", "cash_delta_cents": 0}),
+                    ("snapshots_v2", {}),
+                )
+            ),
+            ({**_FORECASTS, "condition_id": ["m"]},
+             "a forecasts block holds 'condition_id', which this version does not write"),
+            ({**_FORECASTS, "strategy": None},
+             "a forecasts block holds 'strategy', which this version does not write"),
         ],
     )
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
-        """The log names agent ``a`` and a high-risk market ``m`` first, so
-        the reports would read every key of the bad event; a forecast of
-        ``m`` follows it."""
+        """The log names agent ``a``, a high-risk market ``m`` and the cycle's
+        snapshot of ``m`` first, so the reports would read every key of the
+        bad event; a forecast of ``m`` and an OPEN of it follow it."""
         bad = tmp_path / "bad.jsonl"
-        meta = [{"kind": "agent_meta", "agent_id": "a"},
-                {"kind": "market_meta", "condition_id": "m", "risk": "high"}]
-        forecast = {"kind": "forecast", "agent_id": "a", "cycle": 1, "condition_id": "m",
-                    "probability": 0.5}
         bad.write_text(
-            "".join(json.dumps(ev) + "\n" for ev in [*meta, event, forecast]), encoding="utf-8"
+            "".join(
+                json.dumps(ev) + "\n"
+                for ev in [_META, _MARKET, _SNAPSHOTS, event, _FORECASTS, _OPEN]
+            ),
+            encoding="utf-8",
         )
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(bad)
         assert '"kind": "' + event["kind"] + '"' in str(err.value)
+
+    def test_the_events_around_each_bad_one_report(self, tmp_path):
+        """The log that test refuses each event of reads without it."""
+        good = tmp_path / "good.jsonl"
+        good.write_text(
+            "".join(
+                json.dumps(ev) + "\n" for ev in [_META, _MARKET, _SNAPSHOTS, _FORECASTS, _OPEN]
+            ),
+            encoding="utf-8",
+        )
+        report = aggregate(good)
+        assert [row.agent_id for row in report.leaderboard] == ["a"]
+        assert report.diagnostics[0].strategy_freq == {"NONE": 1.0}
+        assert report.final_reports["a"]["risk"]["risk_category"] == "high"
 
     def test_unreadable_path_is_io_error(self, tmp_path):
         for path in (tmp_path / "missing.jsonl", tmp_path):
@@ -352,23 +420,17 @@ class TestAggregateFromRun:
         briers = [r.mean_brier for r in by_brier]
         assert briers == sorted(briers)
 
-    def test_ledger_keys_only_resume_reads_may_be_missing(self, run_report, tmp_path):
-        """The fold reads an OPEN's basis and price and every entry's kind,
-        market, cycle and cash as it takes an older log's per-entry ledger
-        event, and no other key: the run's log with its ledgers blocks
-        written as such events without the rest reports the same."""
-        report, result = run_report
-        kept = {"kind", "agent_id", "entry_kind", "condition_id", "cycle", "cash_delta_cents"}
-        lines = []
-        for ev in per_entry_events(iter_events(result.events_path)):
-            if ev["kind"] == "ledger":
-                ev = {k: v for k, v in ev.items() if k in kept or ev["entry_kind"] == "OPEN"
-                      and k in ("basis_delta_cents", "price")}
-            lines.append(json.dumps(ev) + "\n")
-        assert sum('"seq"' in line for line in lines) == 0
-        stripped = tmp_path / "stripped.jsonl"
-        stripped.write_text("".join(lines), encoding="utf-8")
-        assert aggregate(stripped).to_dict() == report.to_dict()
+    def test_a_ledgers_block_holds_every_list(self, run_report, tmp_path):
+        """The fold reads every list of a ledgers block, those only resume
+        reads too: the run's log with one list dropped from its first
+        ledgers block is a ``CorruptLog`` naming it."""
+        _, result = run_report
+        events = list(iter_events(result.events_path))
+        at = next(i for i, ev in enumerate(events) if ev["kind"] == "ledgers")
+        for key in BLOCK_LISTS["ledgers"]:
+            damaged = [*events[:at], _without(events[at], key), *events[at + 1:]]
+            with pytest.raises(CorruptLog, match=f"no key '{key}'"):
+                aggregate(damaged)
 
     def test_d_total_is_exact_sum(self, run_report):
         report, _ = run_report
@@ -515,12 +577,18 @@ class TestCli:
         not_object = tmp_path / "list.jsonl"
         not_object.write_text("[1,2]\n", encoding="utf-8")
         no_key = tmp_path / "nokey.jsonl"
-        no_key.write_text('{"kind":"forecast","cycle":1}\n', encoding="utf-8")
+        no_key.write_text('{"kind":"forecasts","cycle":1}\n', encoding="utf-8")
         no_entry_kind = tmp_path / "ledger.jsonl"
         no_entry_kind.write_text(
-            '{"kind":"agent_meta","agent_id":"a"}\n{"kind":"ledger","agent_id":"a"}\n',
+            json.dumps(_META) + "\n" + json.dumps(_without(_OPEN, "entry_kind")) + "\n",
             encoding="utf-8",
         )
+        # a per-row forecast, which older versions wrote
+        per_row = tmp_path / "per_row.jsonl"
+        per_row.write_text('{"kind":"forecast","agent_id":"a","cycle":1}\n', encoding="utf-8")
+        # once a raw AttributeError
+        int_agent = tmp_path / "int_agent.jsonl"
+        int_agent.write_text('{"kind":"agent_meta","agent_id":7}\n', encoding="utf-8")
         for args in (
             ["--run-id", "nope"],
             ["--log", str(tmp_path / "missing.jsonl")],
@@ -529,6 +597,8 @@ class TestCli:
             ["--log", str(not_object)],
             ["--log", str(no_key)],
             ["--log", str(no_entry_kind)],
+            ["--log", str(per_row)],
+            ["--log", str(int_agent)],
         ):
             assert cli_main(["--out", str(tmp_path), "report", *args]) == 1
             err = capsys.readouterr().err
@@ -612,13 +682,41 @@ PROBS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max
 UNRESOLVED = "0xopen"
 
 
+def _forecasts(agent_id: str, cycle: int, probabilities: list, confidences: list) -> dict:
+    """A forecasts block of ``agent_id``'s forecasts of the first markets
+    of its cycle's snapshots block."""
+    n = len(probabilities)
+    return {
+        "kind": "forecasts", "agent_id": agent_id, "cycle": cycle, "probability": probabilities,
+        "confidence": confidences, "input_tokens": [0] * n, "output_tokens": [0] * n,
+        "trace": [""] * n,
+    }
+
+
+def _snapshots(cycle: int, prices: dict[str, float]) -> dict:
+    """The snapshots block of ``prices``' markets, in its order."""
+    n = len(prices)
+    return {
+        "kind": "snapshots", "cycle": cycle, "condition_id": list(prices),
+        "yes_price": list(prices.values()), "no_price": [0.0] * n, "observed_at": [""] * n,
+    }
+
+
+_AGENT_METAS = [
+    {**_META, "agent_id": agent_id} for agent_id in ("a", "b", "never_resolved")
+]
+
+
 @st.composite
 def scoring_logs(draw) -> list[dict]:
-    """Forecasts of two agents over a few markets in a drawn order, some
-    snapshots (a price may be 0) and some resolutions; ``never_resolved``
-    forecasts only a market that never resolves."""
+    """Forecasts of two agents over a few markets, some resolutions, and
+    each cycle's snapshots of some markets (a price may be 0) in a drawn
+    order; an agent's forecasts of a cycle are of the first of them, as
+    the engine logs a turn that fails part-way. ``never_resolved``
+    forecasts only a market that never resolves, in each cycle whose
+    snapshots name it first."""
     cids = [f"0x{i:02d}" for i in range(draw(st.integers(1, 4)))]
-    events = [{"kind": "agent_meta", "agent_id": a} for a in ("a", "b", "never_resolved")]
+    events = list(_AGENT_METAS)
     events += [
         {
             "kind": "market_meta",
@@ -631,24 +729,25 @@ def scoring_logs(draw) -> list[dict]:
         for cid in cids + [UNRESOLVED]
     ]
 
-    def forecast(agent_id, cid, cycle):
-        return {
-            "kind": "forecast", "agent_id": agent_id, "condition_id": cid, "cycle": cycle,
-            "probability": draw(PROBS), "confidence": draw(st.integers(0, 10)),
-        }
+    def forecasts(agent_id, cycle, n):
+        return _forecasts(
+            agent_id, cycle, [draw(PROBS) for _ in range(n)],
+            [draw(st.integers(0, 10)) for _ in range(n)],
+        )
 
     for cycle in range(1, draw(st.integers(1, 6)) + 1):
-        for cid in cids + [UNRESOLVED]:
-            if draw(st.booleans()):
-                events.append({
-                    "kind": "snapshot", "condition_id": cid, "cycle": cycle,
-                    "yes_price": draw(st.floats(min_value=0.0, max_value=1.0)),
-                })
+        markets = [cid for cid in draw(st.permutations(cids)) if draw(st.booleans())]
+        first = draw(st.booleans())
+        markets = [UNRESOLVED, *markets] if first else [*markets, UNRESOLVED]
+        events.append(_snapshots(
+            cycle, {cid: draw(st.floats(min_value=0.0, max_value=1.0)) for cid in markets}
+        ))
         for agent_id in ("a", "b"):
-            for cid in draw(st.permutations(cids)):
-                if draw(st.booleans()):
-                    events.append(forecast(agent_id, cid, cycle))
-        events.append(forecast("never_resolved", UNRESOLVED, cycle))
+            n = draw(st.integers(0, len(markets)))
+            if n:
+                events.append(forecasts(agent_id, cycle, n))
+        if first:
+            events.append(forecasts("never_resolved", cycle, 1))
     for cid in cids:
         if draw(st.booleans()):
             events.append(
@@ -659,11 +758,12 @@ def scoring_logs(draw) -> list[dict]:
 
 def per_forecast_oracle(events: list[dict], subject: str, config: EngineConfig) -> dict:
     """The report values the fold derives per forecast, computed with one
-    call of the per-forecast definitions per forecast, in log order."""
+    call of the per-forecast definitions per forecast, in log order, from
+    the log's blocks taken apart into one event per market."""
     rows: dict[str, list[tuple[int, float, int]]] = {}
     prices: dict[tuple[str, int], float] = {}
     outcomes: dict[str, int] = {}
-    for ev in events:
+    for ev in per_row_events(events):
         if ev["kind"] == "forecast" and ev["agent_id"] == subject:
             rows.setdefault(ev["condition_id"], []).append(
                 (ev["cycle"], ev["probability"], ev["confidence"])
@@ -712,7 +812,7 @@ def per_forecast_oracle(events: list[dict], subject: str, config: EngineConfig) 
 def adjustment_depth_oracle(events: list[dict], subject: str) -> tuple:
     rows: dict[str, list[tuple[int, float]]] = {}
     prices: dict[tuple[str, int], float] = {}
-    for ev in events:
+    for ev in per_row_events(events):
         if ev["kind"] == "forecast" and ev["agent_id"] == subject:
             rows.setdefault(ev["condition_id"], []).append((ev["cycle"], ev["probability"]))
         elif ev["kind"] == "snapshot":
@@ -733,7 +833,8 @@ def adjustment_depth_oracle(events: list[dict], subject: str) -> tuple:
 def tiny_price(events: list[dict]) -> bool:
     """A snapshot price the feed refuses: positive but below its floor."""
     return any(
-        e["kind"] == "snapshot" and 0.0 < e["yes_price"] < MIN_POSITIVE_PRICE for e in events
+        0.0 < p < MIN_POSITIVE_PRICE
+        for e in events if e["kind"] == "snapshots" for p in e["yes_price"]
     )
 
 
@@ -759,28 +860,23 @@ class TestScoringFoldMatchesPerForecast:
 
     @settings(max_examples=150, deadline=None)
     @given(scoring_logs())
-    @example(  # priced, priced, unpriced, priced, priced: no return is carried over the gap
-        [{"kind": "agent_meta", "agent_id": "a"}]
+    @example(  # priced, priced, at 0, priced, priced: no return is carried over the gap
+        [_AGENT_METAS[0]]
         + [
-            {"kind": "forecast", "agent_id": "a", "condition_id": "0x00", "cycle": c,
-             "probability": 0.1 * c, "confidence": 5}
+            ev
             for c in range(1, 6)
-        ]
-        + [
-            {"kind": "snapshot", "condition_id": "0x00", "cycle": c, "yes_price": 0.2 + 0.1 * c}
-            for c in (1, 2, 4, 5)
+            for ev in (
+                _snapshots(c, {"0x00": 0.0 if c == 3 else 0.2 + 0.1 * c}),
+                _forecasts("a", c, [0.1 * c], [5]),
+            )
         ]
     )
     @example(  # returns at such a price would overflow and be NaN: the fold refuses the log
-        [{"kind": "agent_meta", "agent_id": "a"}]
+        [_AGENT_METAS[0]]
         + [
-            {"kind": "forecast", "agent_id": "a", "condition_id": "0x00", "cycle": c,
-             "probability": p, "confidence": 0}
+            ev
             for c, p in ((1, 0.5), (2, 0.0))
-        ]
-        + [
-            {"kind": "snapshot", "condition_id": "0x00", "cycle": c, "yes_price": 2.2e-311}
-            for c in (1, 2)
+            for ev in (_snapshots(c, {"0x00": 2.2e-311}), _forecasts("a", c, [p], [0]))
         ]
     )
     def test_adjustment_depth_and_category_briers(self, events):
@@ -799,7 +895,7 @@ class TestScoringFoldMatchesPerForecast:
         for row in report.categories:
             # markets in the order of the agent's first forecast on each
             by_cid: dict[str, list[float]] = {}
-            for e in events:
+            for e in per_row_events(events):
                 if e["kind"] == "forecast" and e["agent_id"] == row.agent_id:
                     by_cid.setdefault(e["condition_id"], []).append(e["probability"])
             briers = [
