@@ -183,9 +183,6 @@ class BatchValidation:
     ok: bool
     issues: tuple[BatchIssue, ...] = ()
 
-    def codes(self) -> set[str]:
-        return {i.code for i in self.issues}
-
 
 def validate_decision_batch(
     batch: DecisionBatch,
@@ -218,6 +215,9 @@ def validate_decision_batch(
         seen.add(d.market_id)
         if d.market_id not in known_markets:
             issues.append(BatchIssue("unknown_market", d.market_id, d.market_id))
+        # Padding: a HOLD without closeAmount has nothing more to check.
+        if d.action is Action.HOLD and d.close_fraction is None:
+            continue
         if d.action in (Action.BUY_YES, Action.BUY_NO):
             if d.amount_cents is None or not (
                 cfg.buy_min_cents <= d.amount_cents <= cfg.buy_max_cents
@@ -289,9 +289,10 @@ def _wire_item(
     expected_return_cents: int | None = None,
     h_score: float | None = None,
     strategy: Strategy | None = None,
-) -> dict:
-    """One decision of the agent wire schema from a ``Decision``'s values,
-    in its field order: amounts in dollars, a value that is None left out."""
+) -> str:
+    """The text of one decision of the agent wire schema from a
+    ``Decision``'s values, in its field order: amounts in dollars, a value
+    that is None left out."""
     item: dict = {"marketId": market_id, "action": _ACTION_TEXT[action]}
     if amount_cents is not None:
         item["amount"] = round(amount_cents / 100.0, 2)
@@ -308,11 +309,16 @@ def _wire_item(
         item["hScore"] = round(h_score, 6)
     if strategy is not None:
         item["strategy"] = _STRATEGY_TEXT[strategy]
-    return item
+    return _WIRE_ENCODER.encode(item)
 
 
-def _wire_text(items: list[dict], overall_reasoning: str) -> str:
-    return _WIRE_ENCODER.encode({"decisions": items, "reasoning": overall_reasoning})
+def _wire_text(items: list[str], overall_reasoning: str) -> str:
+    """The reply joined from its items' texts: the text the encoder gives
+    for the whole object."""
+    return (
+        f'{{"decisions":[{",".join(items)}],'
+        f'"reasoning":{_WIRE_ENCODER.encode(overall_reasoning)}}}'
+    )
 
 
 def decisions_to_wire(batch: DecisionBatch) -> str:
@@ -344,18 +350,82 @@ _WIRE_FIELDS = (
 _BUY_WIRE_FIELDS = (("amount", _cents), *_WIRE_FIELDS)
 
 
+def _reasoning(value, where: str) -> str:
+    """A reasoning as read from the wire: absent or null is ``""``, any
+    other value but a string is a ``MalformedAgentOutput`` naming ``where``."""
+    if value is None:
+        return ""
+    if type(value) is not str:
+        raise MalformedAgentOutput(f"{where}: {value!r} is not a string")
+    return value
+
+
+def hold_decision(
+    holds: dict[tuple[str, str], Decision], market_id: str, reasoning: str
+) -> Decision:
+    """The HOLD of ``market_id`` with ``reasoning``, built once and shared
+    through ``holds``, which maps (market id, reasoning) to it."""
+    decision = holds.get((market_id, reasoning))
+    if decision is None:
+        decision = holds[market_id, reasoning] = Decision(
+            market_id, Action.HOLD, reasoning=reasoning
+        )
+    return decision
+
+
+def _decision(i: int, item) -> Decision:
+    """Any wire decision, the ``i``-th of its reply, as a ``Decision``; one
+    the contract refuses is a ``MalformedAgentOutput`` naming it."""
+    if not isinstance(item, dict):
+        raise MalformedAgentOutput(f"decision {i} is not an object")
+    try:
+        action = _member(_ACTIONS, Action, item["action"])
+        market_id = item["marketId"]
+    except (KeyError, ValueError) as exc:
+        raise MalformedAgentOutput(f"decision {i}: {exc}") from exc
+    if type(market_id) is not str:
+        raise MalformedAgentOutput(f"decision {i}: marketId: {market_id!r} is not a string")
+    buy = action in (Action.BUY_YES, Action.BUY_NO)
+    if buy and item.get("amount") is None:
+        raise MalformedAgentOutput(f"decision {i}: BUY without amount")
+    # A key that is absent or null is None; a value its conversion cannot
+    # take names the decision and the key. Only a BUY has an amount.
+    values: list = [] if buy else [None]
+    for key, convert in _BUY_WIRE_FIELDS if buy else _WIRE_FIELDS:
+        value = item.get(key)
+        if value is None:
+            values.append(None)
+            continue
+        try:
+            values.append(convert(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedAgentOutput(f"decision {i}: {key}: {exc}") from exc
+    amount, close, confidence, edge, er, h_score, strategy = values
+    reasoning = _reasoning(item.get("reasoning"), f"decision {i}: reasoning")
+    return Decision(
+        market_id, action, amount, close, reasoning, confidence, edge, er, h_score, strategy
+    )
+
+
 def parse_decision_wire(
     text: str,
     *,
     agent_id: str,
     produced_at: datetime,
     lenient: bool = False,
+    holds: dict[tuple[str, str], Decision] | None = None,
 ) -> tuple[DecisionBatch, list[str]]:
     """Parse the wire schema into a DecisionBatch.
 
     Returns (batch, violations). Strict mode rejects anything that is not
     raw JSON; lenient mode strips markdown fences and records the
     violation instead of failing.
+
+    A decision that is exactly ``{marketId, action: "HOLD", reasoning}``,
+    with string values, takes a fast path to the ``Decision`` that
+    ``_decision`` would read it to, shared through ``holds`` (see
+    ``hold_decision``); pass one dict for all of a cycle's replies to share
+    their padding. Every other decision takes ``_decision``.
     """
     violations: list[str] = []
     stripped = text.strip()
@@ -371,41 +441,23 @@ def parse_decision_wire(
     if not isinstance(data, dict) or not isinstance(data.get("decisions"), list):
         raise MalformedAgentOutput('top level must be {"decisions": [...], "reasoning": ...}')
 
+    if holds is None:
+        holds = {}
     decisions: list[Decision] = []
     for i, item in enumerate(data["decisions"]):
-        if not isinstance(item, dict):
-            raise MalformedAgentOutput(f"decision {i} is not an object")
-        try:
-            action = _member(_ACTIONS, Action, item["action"])
-            market_id = str(item["marketId"])
-        except (KeyError, ValueError) as exc:
-            raise MalformedAgentOutput(f"decision {i}: {exc}") from exc
-        buy = action in (Action.BUY_YES, Action.BUY_NO)
-        if buy and item.get("amount") is None:
-            raise MalformedAgentOutput(f"decision {i}: BUY without amount")
-        # A key that is absent or null is None; a value its conversion
-        # cannot take names the decision and the key. Only a BUY has an
-        # amount.
-        values: list = [] if buy else [None]
-        for key, convert in _BUY_WIRE_FIELDS if buy else _WIRE_FIELDS:
-            value = item.get(key)
-            if value is None:
-                values.append(None)
+        if type(item) is dict and len(item) == 3 and item.get("action") == "HOLD":
+            market_id, reasoning = item.get("marketId"), item.get("reasoning")
+            if type(market_id) is str and type(reasoning) is str:
+                # hold_decision's lookup, inline for the HOLD already shared
+                decision = holds.get((market_id, reasoning))
+                if decision is None:
+                    decision = hold_decision(holds, market_id, reasoning)
+                decisions.append(decision)
                 continue
-            try:
-                values.append(convert(value))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MalformedAgentOutput(f"decision {i}: {key}: {exc}") from exc
-        amount, close, confidence, edge, er, h_score, strategy = values
-        decisions.append(
-            Decision(
-                market_id, action, amount, close, str(item.get("reasoning", "")), confidence,
-                edge, er, h_score, strategy,
-            )
-        )
+        decisions.append(_decision(i, item))
     batch = DecisionBatch(
         decisions=tuple(decisions),
-        overall_reasoning=str(data.get("reasoning", "")),
+        overall_reasoning=_reasoning(data.get("reasoning"), "reasoning"),
         agent_id=agent_id,
         produced_at=produced_at,
     )
@@ -625,6 +677,7 @@ def build_decision_batch(
     risk_by_market: dict[str, Risk],
     max_open_positions: int,
     cfg: AgentConfig,
+    hold_texts: dict[str, str] | None = None,
 ) -> str:
     """Assemble the agent's wire-format reply for one cycle.
 
@@ -634,6 +687,9 @@ def build_decision_batch(
     decisions: ``simulator.step`` enforces them. Each item is written from
     its values by the wire format's one writer, so the reply is the text
     ``decisions_to_wire`` gives for those decisions, without building them.
+    A market's HOLD text is the same for every agent, so it is written once
+    into ``hold_texts`` by market id; pass one dict for all of a cycle's
+    replies.
     """
     mode = window.mode
     if mode == WindowMode.CALIBRATION:
@@ -652,9 +708,12 @@ def build_decision_batch(
     candidates: list[tuple] = []
     for snap in snapshots:
         cid = snap.condition_id
-        if cid in open_positions or cid not in records:
+        record = records.get(cid)
+        # Each floor is tested as soon as its value is known, so only a
+        # market that clears the confidence and edge floors is sized and
+        # priced; most markets are HOLD padding.
+        if record is None or record.confidence < min_conf or cid in open_positions:
             continue
-        record = records[cid]
         prob, confidence = record.probability, record.confidence
         # With no history no nudge applies; the penalty fires when the win
         # rate trails the stated probability.
@@ -665,17 +724,19 @@ def build_decision_batch(
             action, edge, p_side, price = Action.BUY_YES, edge_yes, calibrated, snap.yes_price
         else:
             action, edge, p_side, price = Action.BUY_NO, edge_no, 1.0 - calibrated, snap.no_price
-        if price <= 0.0:
+        if edge < min_edge or price <= 0.0:
             continue
         risk = risk_by_market.get(cid, Risk.MEDIUM)
         bet = bets.get((confidence, risk))
         if bet is None:
             bet = bets[confidence, risk] = agent.bet_cents(confidence, risk, cfg)
         er = expected_return(p_side, bet, price)
-        if confidence >= min_conf and edge >= min_edge and er > 0:
+        if er > 0:
             candidates.append((cid, action, bet, confidence, edge, er, price))
 
-    items: list[dict] = []
+    if hold_texts is None:
+        hold_texts = {}
+    items: list[str] = []
     used: set[str] = set()
     room = max_open_positions - len(open_positions)
     # Ranked as rank_decisions ranks them; every candidate's H score is 0.
@@ -693,9 +754,13 @@ def build_decision_batch(
     for snap in snapshots:
         if len(items) >= cfg.batch_size:
             break
-        if snap.condition_id in used:
+        cid = snap.condition_id
+        if cid in used:
             continue
-        items.append(_wire_item(snap.condition_id, Action.HOLD, reasoning="no edge"))
-        used.add(snap.condition_id)
+        text = hold_texts.get(cid)
+        if text is None:
+            text = hold_texts[cid] = _wire_item(cid, Action.HOLD, reasoning="no edge")
+        items.append(text)
+        used.add(cid)
 
     return _wire_text(items, f"{agent.agent_id} cycle decisions under {mode.value}")

@@ -140,14 +140,16 @@ class RunExists(EngineError):
 # --- reporting --------------------------------------------------------------
 
 class CorruptLog(EngineError):
-    """A log line that is not UTF-8, not JSON or not a JSON object; or
-    (``line_no`` is then None) an event the fold cannot take, or a log that
-    disagrees with the checkpoint resume starts from."""
+    """A log line that is not UTF-8, not JSON or not a JSON object, or
+    whose event the fold cannot take; or (``line_no`` is then None) such an
+    event passed in other than as a log's line, or a log that disagrees
+    with the checkpoint resume starts from."""
 
     def __init__(self, line_no: int | None, reason: str = ""):
         where = "" if line_no is None else f" at line {line_no}"
         super().__init__(f"corrupt log{where}: {reason}")
         self.line_no = line_no
+        self.reason = reason
 
 
 class IoError(EngineError):

@@ -37,6 +37,7 @@ from .agents import (
     ScriptedAgent,
     build_agent,
     build_decision_batch,
+    hold_decision,
     parse_decision_wire,
     sample_forecast,
     validate_decision_batch,
@@ -350,6 +351,10 @@ class _Cycle(NamedTuple):
     # Each market's yes price and its previous price.
     moves: dict[str, tuple[float, float | None]]
     risk_by_market: dict[str, Risk]
+    # Each market's HOLD wire text, and the HOLD decisions by (market,
+    # reasoning), which every agent's batch shares.
+    hold_texts: dict[str, str]
+    holds: dict[tuple[str, str], Decision]
 
 
 @dataclass
@@ -904,6 +909,8 @@ class EvalEngine:
                 )
                 for cid, s in snap_map.items()
             },
+            hold_texts={},
+            holds={},
         )
         for aid in self.manifest.agent_ids:
             self._agent_turn(run, c, aid)
@@ -944,7 +951,7 @@ class EvalEngine:
                 {"kind": "agent_failure", "cycle": c.number, "agent_id": aid, "error": str(exc)}
             )
             records = {}
-            batch = self._fallback_batch(aid, c.now, c.snaps)
+            batch = self._fallback_batch(aid, c)
         result = step(
             st.portfolio,
             batch,
@@ -1019,9 +1026,10 @@ class EvalEngine:
             risk_by_market=c.risk_by_market,
             max_open_positions=self.config.simulator.max_open_positions,
             cfg=cfg,
+            hold_texts=c.hold_texts,
         )
         batch, violations = parse_decision_wire(
-            wire, agent_id=aid, produced_at=c.now, lenient=cfg.lenient_json
+            wire, agent_id=aid, produced_at=c.now, lenient=cfg.lenient_json, holds=c.holds
         )
         validation = validate_decision_batch(batch, set(c.snap_map) | open_ids, st.window, cfg)
         run.emit(
@@ -1038,7 +1046,7 @@ class EvalEngine:
                 ),
             }
         )
-        return batch if validation.ok else self._fallback_batch(aid, c.now, c.snaps)
+        return batch if validation.ok else self._fallback_batch(aid, c)
 
     def _agent_drift(
         self,
@@ -1163,20 +1171,17 @@ class EvalEngine:
         cat = run.categories.get(snap.condition_id)
         return cat if cat is not None else self._categorize(snap)
 
-    def _fallback_batch(
-        self, agent_id: str, now, snaps: Sequence[MarketSnapshot]
-    ) -> DecisionBatch:
-        """30 HOLDs on known markets; triggers still fire inside step()."""
+    def _fallback_batch(self, agent_id: str, c: _Cycle) -> DecisionBatch:
+        """30 HOLDs on known markets, the cycle's shared ones; triggers still
+        fire inside step()."""
         size = self.config.agents.batch_size
-        holds = tuple(
-            Decision(market_id=s.condition_id, action=Action.HOLD, reasoning="fallback")
-            for s in snaps[:size]
-        )
         return DecisionBatch(
-            decisions=holds,
+            decisions=tuple(
+                hold_decision(c.holds, s.condition_id, "fallback") for s in c.snaps[:size]
+            ),
             overall_reasoning="fallback after failure",
             agent_id=agent_id,
-            produced_at=now,
+            produced_at=c.now,
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -55,7 +56,9 @@ def decode_lines(lines: Iterable[bytes]) -> Iterator[dict]:
     ``json.loads``, so each value and error message is that of
     ``json.loads`` on the line. Blank lines are skipped but counted. A
     line that is not UTF-8, not JSON or not a JSON object is a
-    ``CorruptLog`` naming it."""
+    ``CorruptLog`` naming it; so is one whose event the consumer refuses
+    by throwing a ``CorruptLog`` that names no line into this generator,
+    as ``fold_events`` does."""
     for line_no, raw in enumerate(lines, start=1):
         try:
             line = raw.decode()
@@ -75,7 +78,12 @@ def decode_lines(lines: Iterable[bytes]) -> Iterator[dict]:
                 raise CorruptLog(line_no, str(exc)) from exc
         if type(ev) is not dict:
             raise CorruptLog(line_no, f"a {type(ev).__name__}, not a JSON object")
-        yield ev
+        try:
+            yield ev
+        except CorruptLog as exc:
+            if exc.line_no is not None:
+                raise
+            raise CorruptLog(line_no, exc.reason) from exc.__cause__
 
 
 def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
@@ -96,7 +104,10 @@ def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
 def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> dict | None:
     """Feed each event to ``add`` and return the last one (None for none).
     An event it cannot take, for a missing key, a value of the wrong type or
-    an integer too large for a float, is a ``CorruptLog`` naming the event."""
+    an integer too large for a float, is a ``CorruptLog`` naming the event,
+    thrown into ``events`` when it is a generator, so that one reading a
+    log (``decode_lines``, and ``iter_events`` of a path) names its line;
+    events passed in any other way name none."""
     ev = None
     for ev in events:
         try:
@@ -104,7 +115,11 @@ def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> dict | N
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
             event = json.dumps(ev, default=repr)[:200]
-            raise CorruptLog(None, f"{what} in event {event}") from exc
+            error = CorruptLog(None, f"{what} in event {event}")
+            error.__cause__ = exc
+            if isinstance(events, Generator):
+                events.throw(error)
+            raise error from exc
     return ev
 
 

@@ -9,7 +9,8 @@ package's event-log reader must equal value for value and error for error;
 and ``generate_synthetic_oracle``, the synthetic generator with numpy's
 clip, which uses the generator's own tables and helpers; and
 ``build_decision_batch_oracle``, the decision reply built as objects and
-serialized from them, which uses the agents' records and helpers; and
+serialized from them, and ``validate_decision_batch_oracle``, which use
+the agents' records and helpers; and
 ``drift_means_oracle``, the drift means taken with ``metrics.temporal_drift``
 per market.
 The portfolio oracles at the end use the simulator's data types, and
@@ -592,6 +593,44 @@ def decisions_to_wire_oracle(batch: ag.DecisionBatch) -> str:
     return json.dumps(
         {"decisions": items, "reasoning": batch.overall_reasoning}, separators=(",", ":")
     )
+
+
+def validate_decision_batch_oracle(batch, known_markets, window, cfg) -> list[tuple[str, str]]:
+    """The (code, detail) of each issue of a batch, every check run on
+    every decision, in decision order."""
+    issues = []
+    if len(batch.decisions) != cfg.batch_size:
+        issues.append(
+            ("wrong_cardinality", f"{len(batch.decisions)} decisions, need {cfg.batch_size}")
+        )
+    floors = {
+        ag.WindowMode.CALIBRATION: (cfg.calibration_min_confidence, cfg.calibration_min_edge),
+        ag.WindowMode.BOOTSTRAP: (cfg.bootstrap_min_confidence, cfg.bootstrap_min_edge),
+    }.get(window.mode)
+    for n, d in enumerate(batch.decisions):
+        if any(e.market_id == d.market_id for e in batch.decisions[:n]):
+            issues.append(("duplicate_market", d.market_id))
+        if d.market_id not in known_markets:
+            issues.append(("unknown_market", d.market_id))
+        if d.action in (Action.BUY_YES, Action.BUY_NO):
+            amount = d.amount_cents
+            if amount is None or not (cfg.buy_min_cents <= amount <= cfg.buy_max_cents):
+                issues.append(("amount_out_of_range", f"{d.market_id}: amount {d.amount_cents}"))
+            if floors is not None:
+                ok = (
+                    d.confidence is not None and d.confidence >= floors[0]
+                    and d.edge is not None and d.edge >= floors[1]
+                    and d.expected_return_cents is not None and d.expected_return_cents > 0
+                )
+                if not ok:
+                    issues.append((
+                        "threshold_violation",
+                        f"{d.market_id}: conf={d.confidence} edge={d.edge} "
+                        f"er={d.expected_return_cents} below {window.mode.value} floor",
+                    ))
+        if d.close_fraction is not None and not (1 <= d.close_fraction <= 100):
+            issues.append(("amount_out_of_range", f"{d.market_id}: closeAmount"))
+    return issues
 
 
 def build_decision_batch_oracle(

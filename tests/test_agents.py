@@ -158,19 +158,19 @@ class TestValidateBatch:
         ids = sorted(_known())[:29]
         result = validate_decision_batch(_hold_batch(ids), _known(), window_with([]))
         assert not result.ok
-        assert "wrong_cardinality" in result.codes()
+        assert "wrong_cardinality" in {i.code for i in result.issues}
 
     def test_duplicate_market(self):
         ids = sorted(_known())[:29]
         result = validate_decision_batch(
             _hold_batch(ids + [ids[0]]), _known(), window_with([])
         )
-        assert "duplicate_market" in result.codes()
+        assert "duplicate_market" in {i.code for i in result.issues}
 
     def test_unknown_market(self):
         ids = sorted(_known())[:29] + ["0xunknown"]
         result = validate_decision_batch(_hold_batch(ids), _known(), window_with([]))
-        assert "unknown_market" in result.codes()
+        assert "unknown_market" in {i.code for i in result.issues}
 
     def test_buy_amount_out_of_range(self):
         ids = sorted(_known())[:30]
@@ -187,7 +187,7 @@ class TestValidateBatch:
         )
         batch = DecisionBatch(tuple(decisions), "", "a1", NOW)
         result = validate_decision_batch(batch, _known(), window_with([]))
-        assert "amount_out_of_range" in result.codes()
+        assert "amount_out_of_range" in {i.code for i in result.issues}
 
     def test_bootstrap_thresholds(self):
         ids = sorted(_known())[:30]
@@ -202,7 +202,7 @@ class TestValidateBatch:
         rest = [Decision(market_id=i, action=Action.HOLD) for i in ids[1:]]
         batch = DecisionBatch((low_conf, *rest), "", "a1", NOW)
         result = validate_decision_batch(batch, _known(), window_with([10]))
-        assert "threshold_violation" in result.codes()
+        assert "threshold_violation" in {i.code for i in result.issues}
 
     def test_calibration_thresholds(self):
         ids = sorted(_known())[:30]
@@ -234,7 +234,7 @@ class TestValidateBatch:
             NOW,
         )
         result = validate_decision_batch(thin_edge, _known(), window_with([10] * 30))
-        assert "threshold_violation" in result.codes()
+        assert "threshold_violation" in {i.code for i in result.issues}
 
     def test_fuzzed_batches(self):
         # Acceptance-style fuzz: every illegal batch rejected with the right
@@ -268,12 +268,42 @@ class TestValidateBatch:
             if flavor == "ok":
                 assert result.ok
             elif flavor == "cardinality":
-                assert "wrong_cardinality" in result.codes()
+                assert "wrong_cardinality" in {i.code for i in result.issues}
             elif flavor == "duplicate":
-                assert "duplicate_market" in result.codes()
+                assert "duplicate_market" in {i.code for i in result.issues}
             else:
-                assert "amount_out_of_range" in result.codes()
+                assert "amount_out_of_range" in {i.code for i in result.issues}
 
+
+    @given(
+        decisions=st.lists(
+            st.builds(
+                Decision,
+                market_id=st.sampled_from(["0x0", "0x1", "0x2", "0xunknown"]),
+                action=st.sampled_from(list(Action)),
+                amount_cents=st.one_of(st.none(), st.integers(0, 30_000)),
+                close_fraction=st.one_of(st.none(), st.integers(-5, 120)),
+                confidence=st.one_of(st.none(), st.integers(0, 10)),
+                edge=st.one_of(st.none(), st.floats(-0.2, 0.2)),
+                expected_return_cents=st.one_of(st.none(), st.integers(-100, 100)),
+            ),
+            max_size=8,
+        ),
+        pnls=st.lists(st.integers(-5, 5), max_size=4),
+        batch_size=st.integers(0, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_issues_equal_every_check_on_every_decision(self, decisions, pnls, batch_size):
+        """Skipping the BUY and threshold checks for a HOLD without
+        closeAmount leaves every issue and its order as running every
+        check on every decision gives."""
+        batch = DecisionBatch(tuple(decisions), "", "a1", NOW)
+        known, window = {"0x0", "0x1", "0x2"}, window_with(pnls, size=3)
+        cfg = AgentConfig(batch_size=batch_size)
+        result = validate_decision_batch(batch, known, window, cfg)
+        expected = oracles.validate_decision_batch_oracle(batch, known, window, cfg)
+        assert [(i.code, i.detail) for i in result.issues] == expected
+        assert result.ok == (not expected)
 
 class TestRankOpportunities:
     @staticmethod
@@ -315,6 +345,40 @@ _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6,
+)
+
+# JSON values without NaN, which equals no other value, so that batches
+# read from it compare equal.
+_WIRE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=10),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_ABSENT = object()
+# A HOLD of the parser's fast path, from a small pool of markets so some
+# repeat, and each way a decision can miss the path by one key.
+_FAST_HOLDS = st.fixed_dictionaries({
+    "marketId": st.sampled_from(["0x0", "0x1", "0x2"]),
+    "action": st.just("HOLD"),
+    "reasoning": st.sampled_from(["no edge", "", "fallback"]),
+})
+_NEAR_HOLDS = st.one_of(
+    _FAST_HOLDS,
+    st.builds(lambda d, v: {**d, "other": v}, _FAST_HOLDS, _WIRE_VALUES),
+    st.builds(lambda d, a: {**d, "action": a}, _FAST_HOLDS, st.sampled_from(
+        ["hold", "Hold", " HOLD", "CLOSE", "BUY_YES", "BUY_NO", None, ["HOLD"]]
+    )),
+    st.builds(lambda d, v: {**d, "marketId": v}, _FAST_HOLDS, _WIRE_VALUES),
+    st.builds(lambda d, v: {**d, "reasoning": v}, _FAST_HOLDS, _WIRE_VALUES),
+    st.builds(lambda d, v: {**d, "closeAmount": v}, _FAST_HOLDS,
+              st.one_of(st.integers(-5, 120), _WIRE_VALUES)),
+    st.builds(lambda d, v: {**d, "amount": v}, _FAST_HOLDS, _WIRE_VALUES),
+    st.builds(lambda d, key: {k: v for k, v in d.items() if k != key}, _FAST_HOLDS,
+              st.sampled_from(["marketId", "action", "reasoning"])),
+    _WIRE_VALUES,
 )
 
 
@@ -436,6 +500,71 @@ class TestWireFormat:
             parse_decision_wire(
                 json.dumps({"decisions": [item]}), agent_id="a1", produced_at=NOW
             )
+
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, [1, 2], {"id": "0x1"}])
+    def test_a_non_string_market_id_names_the_decision_and_the_key(self, value):
+        """Once ``null`` read as market ``"None"`` and ``[1, 2]`` as ``"[1, 2]"``."""
+        items = [
+            {"marketId": "0x0", "action": "HOLD", "reasoning": ""},
+            {"marketId": value, "action": "HOLD", "reasoning": ""},
+        ]
+        with pytest.raises(MalformedAgentOutput) as err:
+            parse_decision_wire(json.dumps({"decisions": items}), agent_id="a1", produced_at=NOW)
+        assert str(err.value) == f"decision 1: marketId: {value!r} is not a string"
+
+    @pytest.mark.parametrize("value", [7, 1.5, False, ["r"], {"why": "r"}])
+    def test_a_non_string_reasoning_names_the_decision_and_the_key(self, value):
+        """Once a dict reasoning read as its repr."""
+        item = {"marketId": "0x0", "action": "CLOSE", "reasoning": value}
+        with pytest.raises(MalformedAgentOutput) as err:
+            parse_decision_wire(json.dumps({"decisions": [item]}), agent_id="a1", produced_at=NOW)
+        assert str(err.value) == f"decision 0: reasoning: {value!r} is not a string"
+        with pytest.raises(MalformedAgentOutput) as err:
+            parse_decision_wire(
+                json.dumps({"decisions": [], "reasoning": value}), agent_id="a1", produced_at=NOW
+            )
+        assert str(err.value) == f"reasoning: {value!r} is not a string"
+
+    def test_an_absent_or_null_reasoning_reads_as_empty(self):
+        items = [
+            {"marketId": "0x0", "action": "HOLD"},
+            {"marketId": "0x1", "action": "HOLD", "reasoning": None},
+        ]
+        for top in ({}, {"reasoning": None}):
+            batch, _ = parse_decision_wire(
+                json.dumps({"decisions": items, **top}), agent_id="a1", produced_at=NOW
+            )
+            assert batch.overall_reasoning == ""
+            assert batch.decisions == (Decision("0x0", Action.HOLD), Decision("0x1", Action.HOLD))
+
+    @given(
+        items=st.lists(_NEAR_HOLDS, max_size=8),
+        reasoning=st.one_of(st.just(_ABSENT), _WIRE_VALUES),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_the_hold_fast_path_equals_the_general_path(self, items, reasoning):
+        """Each decision read by the general path alone, ``_decision``,
+        gives the batch the parser gives, or the same
+        ``MalformedAgentOutput`` message; a second parse that shares the
+        first's HOLDs gives it too."""
+        top = {} if reasoning is _ABSENT else {"reasoning": reasoning}
+        wire = json.dumps({"decisions": items, **top})
+        data = json.loads(wire)
+        holds: dict = {}
+        try:
+            expected = DecisionBatch(
+                tuple(agents._decision(i, item) for i, item in enumerate(data["decisions"])),
+                agents._reasoning(data.get("reasoning"), "reasoning"), "a1", NOW,
+            )
+        except MalformedAgentOutput as general:
+            with pytest.raises(MalformedAgentOutput) as fast:
+                parse_decision_wire(wire, agent_id="a1", produced_at=NOW, holds=holds)
+            assert str(fast.value) == str(general)
+            return
+        for _ in range(2):
+            batch, _ = parse_decision_wire(wire, agent_id="a1", produced_at=NOW, holds=holds)
+            assert batch == expected
+        assert all(d.action is Action.HOLD for d in holds.values())
 
     @given(
         st.lists(
@@ -725,3 +854,50 @@ class TestBuildDecisionBatch:
         assert parse_decision_wire(wire, agent_id=kind, produced_at=NOW) == parse_decision_wire(
             expected, agent_id=kind, produced_at=NOW
         )
+
+    @given(
+        order=st.permutations(sorted(agents.AGENT_BUILDERS)),
+        cycles=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 44),  # a small pool of ids, so some repeat
+                    _PRICES, _PRICES, st.floats(0.0, 1.0), st.integers(0, 10),
+                ),
+                min_size=1, max_size=40,
+            ),
+            min_size=1, max_size=3,
+        ),
+        open_ids=st.sets(st.integers(0, 50), max_size=8),
+        batch_size=st.integers(1, 35),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replies_that_share_a_cycle_s_hold_texts_equal_the_uncached_ones(
+        self, order, cycles, open_ids, batch_size
+    ):
+        """Each agent of a cycle, in any order, builds its reply with the
+        cycle's one ``hold_texts``: the reply is the text the object path
+        gives, and the text its own parse serializes back to. Each cycle
+        starts a new dict, which holds only HOLDs of its own markets."""
+        cfg = AgentConfig(batch_size=batch_size)
+        opened = {f"0x{n:040x}" for n in open_ids}
+        for markets in cycles:
+            snaps, records = [], {}
+            for n, yes, no, prob, confidence in markets:
+                cid = f"0x{n:040x}"
+                snaps.append(make_snapshot(cid=cid, yes=yes, no=no))
+                records[cid] = agents.ForecastRecord(cid, prob, confidence, "t", 0, 0)
+            hold_texts: dict[str, str] = {}
+            for kind in order:
+                args = (build_agent(kind), records, snaps, window_with([1, -1]), opened)
+                kwargs = dict(risk_by_market={}, max_open_positions=40, cfg=cfg)
+                wire = build_decision_batch(*args, **kwargs, hold_texts=hold_texts)
+                assert wire == oracles.build_decision_batch_oracle(
+                    *args, **kwargs, produced_at=NOW
+                )
+                batch, _ = parse_decision_wire(wire, agent_id=kind, produced_at=NOW)
+                assert decisions_to_wire(batch) == wire
+            assert set(hold_texts) <= {s.condition_id for s in snaps}
+            assert all(
+                json.loads(text) == {"marketId": cid, "action": "HOLD", "reasoning": "no edge"}
+                for cid, text in hold_texts.items()
+            )

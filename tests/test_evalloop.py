@@ -185,6 +185,52 @@ class TestRunBasics:
         assert len(batches) + len(failures) == 4
         assert any(e["kind"] == "run_completed" for e in events)
 
+    def test_a_cycle_s_turns_share_its_holds_and_each_cycle_starts_anew(
+        self, tmp_path, monkeypatch
+    ):
+        """Every agent's batch of a cycle, the fallback too, reads the HOLD
+        texts and HOLD decisions of one pair of dicts, which start empty
+        with the cycle: nothing carries over to the next."""
+        build, parse = evalloop.build_decision_batch, evalloop.parse_decision_wire
+        step = evalloop.step
+        shared: dict = defaultdict(lambda: {"texts": [], "holds": []})
+
+        def build_sharing(agent, records, snaps, *args, hold_texts, **kwargs):
+            cycle = shared[snaps[0].observed_at]
+            if not cycle["texts"]:
+                assert hold_texts == {}
+            cycle["texts"].append(hold_texts)
+            return build(agent, records, snaps, *args, hold_texts=hold_texts, **kwargs)
+
+        def parse_sharing(wire, *, produced_at, holds, **kwargs):
+            cycle = shared[produced_at]
+            if not cycle["holds"]:
+                assert holds == {}
+            cycle["holds"].append(holds)
+            return parse(wire, produced_at=produced_at, holds=holds, **kwargs)
+
+        fallbacks = []
+
+        def step_noting_fallbacks(portfolio, batch, *args, **kwargs):
+            if batch.overall_reasoning == "fallback after failure":
+                fallbacks.append(batch)
+            return step(portfolio, batch, *args, **kwargs)
+
+        monkeypatch.setattr(evalloop, "build_decision_batch", build_sharing)
+        monkeypatch.setattr(evalloop, "parse_decision_wire", parse_sharing)
+        monkeypatch.setattr(evalloop, "step", step_noting_fallbacks)
+        make_engine(tmp_path, agents=("market_copier", "flaky", "momentum"), cycles=4).run()
+        assert len(shared) == 4
+        for cycle in shared.values():
+            for dicts in (cycle["texts"], cycle["holds"]):
+                assert all(d is dicts[0] for d in dicts)
+        firsts = [cycle[key][0] for cycle in shared.values() for key in ("texts", "holds")]
+        assert len({id(d) for d in firsts}) == len(firsts)
+        assert fallbacks  # cycle 3
+        for batch in fallbacks:
+            holds = shared[batch.produced_at]["holds"][0]
+            assert all(holds[d.market_id, "fallback"] is d for d in batch.decisions)
+
 
     @pytest.mark.parametrize("mode", ["observation", "execution"])
     def test_each_ledger_fsynced_once_after_the_last_cycle_end(self, tmp_path, monkeypatch, mode):
@@ -715,18 +761,21 @@ class TestCheckpointResume:
         length, is a number: resume once cut the log, settled the run
         again and died sorting the final reports' subjects with a raw
         ``TypeError``, leaving a log without its end. Now it is a
-        ``CorruptLog`` naming the key, and every file is left as it was."""
+        ``CorruptLog`` naming the key and the line, and every file is left
+        as it was."""
         make_engine(tmp_path, agents=("momentum", "market_copier"), cycles=4, run_id="id").run()
         run_dir = tmp_path / "id"
         log = run_dir / "events.jsonl"
         data = log.read_bytes()
         name = b'"agent_id":"market_copier","kind":"agent_meta"'
         assert data.count(name) == 1
+        line_no = data[:data.index(name)].count(b"\n") + 1
         log.write_bytes(data.replace(name, b'"agent_id":100000000000007,"kind":"agent_meta"'))
         files = [p for p in sorted(run_dir.rglob("*")) if p.is_file()]
         before = {p: p.read_bytes() for p in files}
-        with pytest.raises(CorruptLog, match="agent_id 100000000000007 is not a string"):
+        with pytest.raises(CorruptLog, match="agent_id 100000000000007 is not a string") as err:
             resume_run(tmp_path, "id")
+        assert err.value.line_no == line_no
         assert {p: p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()} == before
 
     @pytest.mark.parametrize("portfolios", [[], "x", None])

@@ -797,6 +797,14 @@ def one_key_mutated(draw, lines: list[bytes], size: int) -> tuple[int, bytes]:
     return at, json.dumps(ev, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
+def assert_names_the_refused_line(error: CorruptLog, lines: list[bytes], at: int) -> None:
+    """``error``, from folding ``lines`` whose line ``at`` (from 0) is
+    mutated, names the first line the fold refuses: the mutated one, or a
+    later one that reads what the fold took from it."""
+    assert error.line_no is not None and error.line_no >= at + 1, str(error)
+    reporting.EventFold().consume(decode_lines(lines[:error.line_no - 1]))
+
+
 @pytest.fixture(scope="module")
 def flaky_run(tmp_path_factory) -> RunPaths:
     """The pinned flaky run, which every example below copies."""
@@ -810,13 +818,15 @@ def flaky_run(tmp_path_factory) -> RunPaths:
 @given(data=st.data())
 def test_report_of_a_pinned_log_with_one_key_mutated(flaky_run, data):
     """``aggregate`` and ``emit`` of a pinned log with one key of one line
-    mutated give a report in every format, or a ``CorruptLog``, and never
-    any other exception."""
+    mutated give a report in every format, or a ``CorruptLog`` naming the
+    line refused, and never any other exception."""
     lines = flaky_run.events.read_bytes().splitlines(keepends=True)
     at, line = data.draw(one_key_mutated(lines, sum(map(len, lines))))
+    mutated = [*lines[:at], line, *lines[at + 1:]]
     try:
-        report = aggregate(decode_lines([*lines[:at], line, *lines[at + 1:]]))
-    except CorruptLog:
+        report = aggregate(decode_lines(mutated))
+    except CorruptLog as error:
+        assert_names_the_refused_line(error, mutated, at)
         return
     for fmt in REPORT_FORMATS:
         emit(report, fmt)
@@ -828,7 +838,9 @@ def test_resume_of_a_pinned_log_with_one_key_mutated(flaky_run, tmp_path_factory
     """A resume whose kept log has one key of one line mutated, as above,
     either runs to the end or is a ``CorruptLog`` that leaves the log, the
     ledgers and the checkpoints as they were; it never raises anything
-    else."""
+    else. A refusal of the fold names the line refused; one that names
+    none comes from the ledger replay's checks, after the fold took every
+    kept line."""
     root = tmp_path_factory.mktemp("mutated")
     shutil.copytree(flaky_run.root, root / "flaky")
     paths = RunPaths(root, "flaky")
@@ -846,13 +858,22 @@ def test_resume_of_a_pinned_log_with_one_key_mutated(flaky_run, tmp_path_factory
                 json.dumps({**ckpt, "events_bytes": ckpt["events_bytes"] + moved}),
                 encoding="utf-8",
             )
-    paths.events.write_bytes(b"".join([*lines[:at], line, *lines[at + 1:]]))
+    mutated = [*lines[:at], line, *lines[at + 1:]]
+    paths.events.write_bytes(b"".join(mutated))
     files = [paths.events, *paths.ledgers.iterdir(), *paths.checkpoints.iterdir()]
     before = {p: p.read_bytes() for p in files}
     try:
         resume_run(root, "flaky", at_cycle=at_cycle)
-    except CorruptLog:
+    except CorruptLog as error:
         assert {p: p.read_bytes() for p in files} == before
+        if error.line_no is None:
+            kept = size + moved
+            reporting.EventFold().consume(
+                decode_lines(l for l, end in zip(mutated, accumulate(map(len, mutated)))
+                             if end <= kept)
+            )
+        else:
+            assert_names_the_refused_line(error, mutated, at)
     finally:
         shutil.rmtree(root)
 

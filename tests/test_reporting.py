@@ -331,18 +331,21 @@ class TestLogReader:
     def test_event_the_fold_cannot_take_is_corrupt_log(self, tmp_path, event, reason):
         """The log names agent ``a``, a high-risk market ``m`` and the cycle's
         snapshot of ``m`` first, so the reports would read every key of the
-        bad event; a forecast of ``m`` and an OPEN of it follow it."""
+        bad event; a forecast of ``m`` and an OPEN of it follow it. A blank
+        line before it, which counts, puts it on line 5; the same events
+        passed as a list name no line."""
+        events = [_META, _MARKET, _SNAPSHOTS, event, _FORECASTS, _OPEN]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            "".join(
-                json.dumps(ev) + "\n"
-                for ev in [_META, _MARKET, _SNAPSHOTS, event, _FORECASTS, _OPEN]
-            ),
-            encoding="utf-8",
-        )
+        lines = [json.dumps(ev) + "\n" for ev in events]
+        bad.write_text("".join([*lines[:3], "\n", *lines[3:]]), encoding="utf-8")
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(bad)
         assert '"kind": "' + event["kind"] + '"' in str(err.value)
+        assert err.value.line_no == 5
+        assert str(err.value).startswith("corrupt log at line 5: ")
+        with pytest.raises(CorruptLog, match=reason) as err:
+            aggregate(events)
+        assert err.value.line_no is None
 
     def test_the_events_around_each_bad_one_report(self, tmp_path):
         """The log that test refuses each event of reads without it."""
