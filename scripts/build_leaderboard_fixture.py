@@ -5,14 +5,17 @@ The fixture is a minimal event log whose aggregation reproduces the
 published leaderboard of eight large-scale agents: P&L to the cent, token
 averages to the integer, and the P&L ordering. Two synthetic markets carry
 the forecasts and the settled ledger entries. It is written in the shape
-the engine writes: a cycle's snapshots, an agent's forecasts of a cycle and
-an agent's settlement entries are one block each.
+the engine writes, every key of every event: a cycle's snapshots, an
+agent's forecasts of a cycle and an agent's settlement entries are one block
+each, and each cycle ends with every agent's untouched portfolio.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from driftmark.config import EngineConfig
 
 # (agent_id, pnl_cents, unique_users, agent_count, avg_input_tokens, avg_output_tokens)
 LEADERBOARD_ROWS = [
@@ -33,6 +36,13 @@ MARKETS = [
 
 T1 = "2026-01-05T00:00:00Z"
 T2 = "2026-01-06T00:00:00Z"
+
+# An agent's portfolio totals at each cycle's end: it trades only at settlement.
+CAPITAL_CENTS = EngineConfig().simulator.initial_capital_cents
+TOTALS = {
+    "total_capital_cents": CAPITAL_CENTS, "available_cents": CAPITAL_CENTS,
+    "deployed_cents": 0, "open": 0,
+}
 
 
 def build_events() -> list[dict]:
@@ -99,7 +109,10 @@ def build_events() -> list[dict]:
                     "output_tokens": [tokens_out] * len(MARKETS),
                 }
             )
-        events.append({"kind": "cycle_end", "cycle": cycle, "time": ts})
+        events.append({
+            "kind": "cycle_end", "cycle": cycle, "time": ts,
+            "portfolios": {row[0]: TOTALS for row in LEADERBOARD_ROWS},
+        })
     # Settlement: every resolution, then each agent's P&L split across the
     # two markets as one block of RESOLVE entries.
     for cid, _p, outcome in MARKETS:

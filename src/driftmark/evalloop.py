@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
-from . import reporting
+from . import reporting, schema
 from .agents import (
     AGENT_BUILDERS,
     Action,
@@ -183,7 +183,7 @@ _LEDGER_FILE_LINE = (
 )
 _LEDGER_FILE_FIELDS = tuple(re.findall(r'"(\w+)":%', _LEDGER_FILE_LINE))
 # The lists of a ledgers block, in the order ``EventFold.add_ledgers`` takes them.
-_LEDGER_LISTS = tuple(reporting.BLOCK_LISTS["ledgers"])
+_LEDGER_LISTS = tuple(schema.BLOCK_LISTS["ledgers"])
 
 
 # Each baseline kind's, entry kind's and side's text. ``.value`` goes through
@@ -192,9 +192,6 @@ _LEDGER_LISTS = tuple(reporting.BLOCK_LISTS["ledgers"])
 _BASELINE_TEXT = {k: k.value for k in BaselineKind}
 _ENTRY_KIND_TEXT = {k: k.value for k in EntryKind}
 _SIDE_TEXT = {s: s.value for s in Side}
-# The members by text, for the entries resume rebuilds.
-_ENTRY_KINDS = {k.value: k for k in EntryKind}
-_SIDES = {s.value: s for s in Side}
 
 
 class _JsonStrings(dict):
@@ -249,20 +246,10 @@ def _totals(p: Portfolio) -> dict:
     }
 
 
-def _lines_upto(fh: BinaryIO, size: int) -> Iterator[bytes]:
-    """The lines of a binary file in its first ``size`` bytes, which end a line."""
-    read = 0
-    for line in fh:
-        if read == size:
-            return
-        read += len(line)
-        yield line
-
-
 def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
-    """The entry of a kept ledgers block's row, whose values the block's
-    checks have passed, with each entry kind, side and timestamp text looked
-    up. A timestamp that does not parse, or does not convert to UTC, is a
+    """The entry of a kept ledgers block's row, whose values the schema has
+    checked, with each entry kind, side and timestamp text looked up. A
+    timestamp that does not parse, or does not convert to UTC, is a
     ``CorruptLog`` naming its agent and seq."""
     basis, cash, cid, _, kind, note, price, qty, seq, side, ts = row
     try:
@@ -272,8 +259,7 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
             None, f"{agent_id}: ledger entry seq {seq} has timestamp {ts!r}: {exc}"
         ) from exc
     return LedgerEntry(
-        seq, _ENTRY_KINDS[kind], cid, cash, timestamp, _SIDES[side], float(price), qty, basis,
-        note,
+        seq, EntryKind(kind), cid, cash, timestamp, Side(side), float(price), qty, basis, note,
     )
 
 
@@ -657,11 +643,11 @@ class EvalEngine:
         raise NoCheckpoint(f"no readable checkpoints under {self.paths.checkpoints}")
 
     @staticmethod
-    def _read_prefix(path: Path, size: int, add: Callable[[dict], None]) -> dict:
+    def _read_prefix(path: Path, size: int, add: Callable[[dict], None]) -> tuple[dict, int]:
         """Check that the first ``size`` bytes of the log end a line, feed
         each of those lines, read by ``reporting.decode_lines``, to ``add``
-        and return the last one's event ({} for none). The log is left as
-        it is."""
+        and return the last one's event ({} for none) and its number. The
+        log is left as it is."""
         try:
             fh = open(path, "rb")
         except OSError as exc:
@@ -672,8 +658,20 @@ class EvalEngine:
             if size > end or (size and fh.read(1) != b"\n"):
                 raise CorruptLog(None, f"{path.name}: byte {size} is not the end of a line")
             fh.seek(0)
-            events = reporting.decode_lines(_lines_upto(fh, size))
-            return reporting.fold_events(add, events) or {}
+            line_no = 0
+
+            def kept() -> Iterator[bytes]:
+                nonlocal line_no
+                read = 0
+                for line in fh:
+                    if read == size:
+                        return
+                    read += len(line)
+                    line_no += 1
+                    yield line
+
+            last = reporting.fold_events(add, reporting.decode_lines(kept()))
+            return last or {}, line_no
 
     @staticmethod
     def _truncate_lines(path: Path, size: int) -> None:
@@ -701,7 +699,7 @@ class EvalEngine:
 
         def add(ev: dict) -> None:
             run.fold.add(ev)
-            kind = ev.get("kind")
+            kind = ev["kind"]
             if kind == "forecasts":
                 turns[ev["agent_id"]] = (run.fold.block_markets(ev), ev)
             elif kind == "agent_failure":
@@ -710,14 +708,15 @@ class EvalEngine:
                 completed.update(turns)
                 turns.clear()
 
-        last = self._read_prefix(self.paths.events, ckpt["events_bytes"], add)
-        if last.get("kind") != "cycle_end" or last.get("cycle") != boundary:
-            raise CorruptLog(None, f"the kept log does not end with cycle {boundary}'s cycle_end")
+        last, line_no = self._read_prefix(self.paths.events, ckpt["events_bytes"], add)
+        if last.get("kind") != "cycle_end" or last["cycle"] != boundary:
+            raise CorruptLog(
+                line_no or None, f"the kept log does not end with cycle {boundary}'s cycle_end"
+            )
         run.next_cycle = ckpt["next_cycle"]
         for cid, by_cycle in run.fold.prices.items():
             run.prices[cid].extend(by_cycle.values())
         times = _Timestamps()
-        portfolios = last.get("portfolios")
         for aid, st in run.states.items():
             entries = [_kept_entry(aid, row, times) for row in run.fold.ledgers.get(aid, [])]
             for entry in entries:
@@ -737,9 +736,9 @@ class EvalEngine:
                     ) from exc
                 st.window = _calibrated(st.window, entry)
                 run.ledgers[aid].append(run.ledger_line(entry))
-            if type(portfolios) is not dict or portfolios.get(aid) != _totals(st.portfolio):
+            if last["portfolios"].get(aid) != _totals(st.portfolio):
                 raise CorruptLog(
-                    None, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
+                    line_no, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
             if aid in completed:
                 cids, block = completed[aid]
@@ -857,9 +856,10 @@ class EvalEngine:
             }
         )
         for aid in m.agent_ids:
-            strategy = run.states[aid].agent.strategy.value
-            meta = {"agent_id": aid, "agent_count": 1, "strategy": strategy, "unique_users": None}
-            run.emit({"kind": "agent_meta", **meta})
+            run.emit({
+                "kind": "agent_meta", "agent_id": aid, "agent_count": 1,
+                "strategy": run.states[aid].agent.strategy.value, "unique_users": None,
+            })
 
     def _run_cycle(self, run: _Run, cycle: int, snaps: list[MarketSnapshot]) -> None:
         """Log one cycle: its snapshots, each agent's turn, the baselines and

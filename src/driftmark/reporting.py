@@ -9,7 +9,6 @@ unresolved markets contribute only to drift and divergence.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import repeat
@@ -34,7 +33,7 @@ from .metrics import (
     score_forecasts,
     var_cvar,
 )
-from .simulator import EntryKind, Side
+from .schema import BLOCK_LISTS, decode
 
 BASELINE_PREFIX = "baseline:"
 
@@ -102,20 +101,19 @@ def iter_events(source: str | Path | Iterable[dict]) -> Iterator[dict]:
 
 
 def fold_events(add: Callable[[dict], None], events: Iterable[dict]) -> dict | None:
-    """Feed each event to ``add`` and return the last one (None for none).
-    An event it cannot take, for a missing key, a value of the wrong type or
-    an integer too large for a float, is a ``CorruptLog`` naming the event,
-    thrown into ``events`` when it is a generator, so that one reading a
-    log (``decode_lines``, and ``iter_events`` of a path) names its line;
-    events passed in any other way name none."""
+    """Check each event against its kind's table (``schema.decode``), feed
+    it to ``add`` and return the last one (None for none). An event the
+    schema or the fold refuses with a ``ValueError`` is a ``CorruptLog``
+    naming the event, thrown into ``events`` when it is a generator, so that
+    one reading a log (``decode_lines``, and ``iter_events`` of a path)
+    names its line; events passed in any other way name none."""
     ev = None
     for ev in events:
         try:
-            add(ev)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            what = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+            add(decode(ev))
+        except ValueError as exc:
             event = json.dumps(ev, default=repr)[:200]
-            error = CorruptLog(None, f"{what} in event {event}")
+            error = CorruptLog(None, f"{exc} in event {event}")
             error.__cause__ = exc
             if isinstance(events, Generator):
                 events.throw(error)
@@ -163,17 +161,6 @@ class AgentDiagnostics:
     success_cycles: int
     failure_cycles: int
 
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "strategy_freq": self.strategy_freq,
-            "mean_abs_dprob": self.mean_abs_dprob,
-            "mean_abs_dedge": self.mean_abs_dedge,
-            "mean_abs_der_cents": self.mean_abs_der_cents,
-            "success_cycles": self.success_cycles,
-            "failure_cycles": self.failure_cycles,
-        }
-
 
 @dataclass
 class CategoryRow:
@@ -183,16 +170,6 @@ class CategoryRow:
     n_scored: int
     mean_brier: float | None
     pnl_cents: int
-
-    def to_dict(self) -> dict:
-        return {
-            "agent_id": self.agent_id,
-            "dimension": self.dimension,
-            "value": self.value,
-            "n_scored": self.n_scored,
-            "mean_brier": self.mean_brier,
-            "pnl_cents": self.pnl_cents,
-        }
 
 
 @dataclass
@@ -207,129 +184,14 @@ class AggregateReport:
         return {
             "sort_key": self.sort_key,
             "leaderboard": [r.to_dict() for r in self.leaderboard],
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "categories": [c.to_dict() for c in self.categories],
+            "diagnostics": [dict(vars(d)) for d in self.diagnostics],
+            "categories": [dict(vars(c)) for c in self.categories],
             "final_reports": self.final_reports,
         }
 
 
 # Reference bet for the expected-return adjustment-depth diagnostic.
 _REFERENCE_BET_CENTS = 15_000
-
-
-_RISKS = frozenset(r.value for r in Risk)
-
-
-# The largest number a float holds; an integer beyond it is compared, not
-# converted, since converting it raises.
-_FLOAT_MAX = sys.float_info.max
-
-
-def _finite(key: str, value) -> float:
-    """An event's ``value`` of ``key``: a finite number, not a bool, that a
-    float holds; anything else is a ``ValueError`` naming the key."""
-    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
-        raise ValueError(f"{key} {value!r} is not a finite number")
-    return value
-
-
-def _cycle(ev: dict) -> int:
-    """An event's cycle: an exact ``int`` (a bool, a float or a string is
-    not one, and nothing is converted), or a ``ValueError``."""
-    cycle = ev["cycle"]
-    if type(cycle) is not int:
-        raise ValueError(f"cycle {cycle!r} is not an integer")
-    return cycle
-
-
-def _string(ev: dict, key: str) -> str:
-    """An event's ``key``: a string, or a ``ValueError`` naming the key."""
-    value = ev[key]
-    if type(value) is not str:
-        raise ValueError(f"{key} {value!r} is not a string")
-    return value
-
-
-# What a block's list may hold: the types of its values, a test each value
-# passes besides (None for none), and what a value must be. Numbers are
-# compared, not converted: an integer too large for a float is refused.
-_STRINGS = (frozenset((str,)), None, "a string")
-_INTEGERS = (
-    frozenset((int,)), lambda v: abs(v) <= _FLOAT_MAX, "an integer within a float's range"
-)
-_PROBABILITIES = (frozenset((int, float)), lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_PRICES = (frozenset((int, float)), lambda v: abs(v) <= _FLOAT_MAX, "a finite number")
-_ENTRY_KINDS = frozenset(k.value for k in EntryKind)
-_SIDES = frozenset(s.value for s in Side)
-
-# Each block kind's subject key, which it holds once beside ``kind`` and
-# ``cycle`` (None for none), and its lists, parallel, one value per market
-# or ledger entry, with what each may hold. A forecasts or baselines block
-# names no market: its i-th value is of the i-th market of its cycle's
-# snapshots block.
-BLOCK_SUBJECTS = {
-    "forecasts": "agent_id", "baselines": "baseline", "snapshots": None, "ledgers": "agent_id",
-}
-BLOCK_LISTS = {
-    "forecasts": {
-        "confidence": _INTEGERS, "input_tokens": _INTEGERS, "output_tokens": _INTEGERS,
-        "probability": _PROBABILITIES, "trace": _STRINGS,
-    },
-    "baselines": {"probability": _PROBABILITIES},
-    "snapshots": {
-        "condition_id": _STRINGS, "no_price": _PRICES, "observed_at": _STRINGS,
-        "yes_price": _PRICES,
-    },
-    "ledgers": {
-        "basis_delta_cents": _INTEGERS, "cash_delta_cents": _INTEGERS,
-        "condition_id": _STRINGS,
-        "entry_kind": (
-            frozenset((str,)), _ENTRY_KINDS.__contains__, f"one of {sorted(_ENTRY_KINDS)}"
-        ),
-        "note": _STRINGS, "price": _PRICES, "quantity_micro": _INTEGERS, "seq": _INTEGERS,
-        "side": (frozenset((str,)), _SIDES.__contains__, f"one of {sorted(_SIDES)}"),
-        "timestamp": _STRINGS,
-    },
-}
-# Every kind of event the engine writes, the only kinds the fold takes.
-KINDS = frozenset((
-    "agent_failure", "agent_meta", "baselines", "batch", "cycle_end", "cycle_start", "drift",
-    "final_report", "forecasts", "ledgers", "market_meta", "resolution", "run_completed",
-    "run_started", "skip", "snapshots",
-))
-
-
-def _block(ev: dict) -> tuple:
-    """A block's cycle, its subject (None for none) and its lists in
-    ``BLOCK_LISTS`` order. A cycle that is not an integer (a bool is not
-    one), a subject that is not a string, a list of another length than the
-    first, a value its list may not hold or a key the block does not hold
-    is a ``ValueError`` naming the key; nothing is converted."""
-    cycle = _cycle(ev)
-    kind = ev["kind"]
-    subject_key = BLOCK_SUBJECTS[kind]
-    subject = None if subject_key is None else _string(ev, subject_key)
-    lists = BLOCK_LISTS[kind]
-    columns = []
-    for key, (types, within, what) in lists.items():
-        values = ev[key]
-        if type(values) is not list:
-            raise ValueError(f"{key} is not a list")
-        if columns and len(values) != len(columns[0]):
-            first = next(iter(lists))
-            raise ValueError(f"{key} holds {len(values)} values, {first} {len(columns[0])}")
-        if not types.issuperset(map(type, values)) or (
-            within is not None and not all(map(within, values))
-        ):
-            bad = next(
-                v for v in values if type(v) not in types or not (within is None or within(v))
-            )
-            raise ValueError(f"{key} {bad!r} is not {what}")
-        columns.append(values)
-    if len(ev) > len(lists) + (2 if subject_key is None else 3):
-        extra = next(k for k in ev if k not in lists and k not in ("kind", "cycle", subject_key))
-        raise ValueError(f"a {kind} block holds {extra!r}, which this version does not write")
-    return cycle, subject, columns
 
 
 class EventFold:
@@ -350,7 +212,7 @@ class EventFold:
         self.opens: dict[str, list[tuple]] = {}
         # subject -> [(cycle, condition_id, cash_delta_cents)] of its CLOSE and RESOLVE entries
         self.realized: dict[str, list[tuple]] = {}
-        self.batches: dict[str, list[dict]] = {}
+        self.accepted: dict[str, list[bool]] = {}  # subject -> each batch's accepted
         self.failures: dict[str, int] = {}
         self.outcomes: dict[str, int] = {}
         self.cycles_seen: set[int] = set()
@@ -365,81 +227,58 @@ class EventFold:
         return self
 
     def add(self, ev: dict) -> None:
-        """Fold one event. The engine calls this for each event it writes,
-        but for the blocks, which it folds through their typed adders below.
-        Kinds are tested from the most frequent down. Every key the reports
-        read later is read here, and every value they read is checked here,
-        so an event without one, or with one they cannot read, fails in
-        ``fold_events``; so does an event of a kind not in ``KINDS``. A
-        block is checked whole by ``_block``, and a forecasts or baselines
-        block takes its markets from ``block_markets``."""
-        kind = ev.get("kind")
+        """Fold one event of the shape ``schema.decode`` checks; the engine
+        calls this for each event it writes but the blocks, which it folds
+        through their typed adders below. Kinds are tested from the most
+        frequent down. The fold refuses only values that do not fit others:
+        an OPEN's (below) and a block's markets (``block_markets``)."""
+        kind = ev["kind"]
         if kind == "ledgers":
-            cycle, agent, columns = _block(ev)
             # An OPEN's basis and price are a stake and a win probability.
-            for basis, entry_kind, price in zip(columns[0], columns[3], columns[5]):
+            for basis, entry_kind, price in zip(
+                ev["basis_delta_cents"], ev["entry_kind"], ev["price"]
+            ):
                 if entry_kind == "OPEN" and not (basis >= 0 and 0.0 < price <= 1.0):
                     raise ValueError(f"an OPEN of basis {basis!r} at price {price!r}")
-            self.add_ledgers(agent, cycle, *columns)
+            self.add_ledgers(
+                ev["agent_id"], ev["cycle"], *map(ev.__getitem__, BLOCK_LISTS["ledgers"])
+            )
         elif kind == "forecasts":
-            cycle, agent, (confidences, n_in, n_out, probabilities, _) = _block(ev)
             self.add_forecasts(
-                agent, cycle, self.block_markets(ev), probabilities, confidences, n_in, n_out
+                ev["agent_id"], ev["cycle"], self.block_markets(ev), ev["probability"],
+                ev["confidence"], ev["input_tokens"], ev["output_tokens"],
             )
         elif kind == "baselines":
-            cycle, baseline, (probabilities,) = _block(ev)
             self.add_baselines(
-                BASELINE_PREFIX + baseline, cycle, self.block_markets(ev), probabilities
+                BASELINE_PREFIX + ev["baseline"], ev["cycle"], self.block_markets(ev),
+                ev["probability"],
             )
         elif kind == "snapshots":
-            cycle, _, (cids, _, _, yes_prices) = _block(ev)
-            self.add_snapshots(cycle, cids, yes_prices)
+            self.add_snapshots(ev["cycle"], ev["condition_id"], ev["yes_price"])
         elif kind == "drift":
-            self.drifts.setdefault(_string(ev, "agent_id"), []).append((
-                _finite("d_narrative", ev["d_narrative"]),
-                _finite("d_temporal", ev["d_temporal"]),
-                _finite("d_temporal_product", ev["d_temporal_product"]),
-            ))
+            self.drifts.setdefault(ev["agent_id"], []).append(
+                (ev["d_narrative"], ev["d_temporal"], ev["d_temporal_product"])
+            )
         elif kind == "batch":
-            if type(ev["accepted"]) is not bool:
-                raise ValueError(f"accepted {ev['accepted']!r} is not true or false")
-            self.batches.setdefault(_string(ev, "agent_id"), []).append(ev)
+            self.accepted.setdefault(ev["agent_id"], []).append(ev["accepted"])
         elif kind == "market_meta":
-            risk = ev["risk"]
-            if type(risk) is not str or risk not in _RISKS:
-                raise ValueError(f"risk {risk!r} is not one of {sorted(_RISKS)}")
-            for key in ("domain", "horizon", "liquidity"):
-                if type(ev.get(key, "")) is not str:
-                    raise ValueError(f"{key} {ev[key]!r} is not a string")
             self.meta[ev["condition_id"]] = ev
         elif kind == "resolution":
-            outcome = ev["outcome"]
-            # as ``market_data.load_outcomes`` reads an outcome
-            if type(outcome) is not int or outcome not in (0, 1):
-                raise ValueError(f"outcome {outcome!r} is not 0 or 1")
-            self.outcomes[ev["condition_id"]] = outcome
+            self.outcomes[ev["condition_id"]] = ev["outcome"]
         elif kind == "agent_failure":
-            agent = _string(ev, "agent_id")
+            agent = ev["agent_id"]
             self.failures[agent] = self.failures.get(agent, 0) + 1
         elif kind == "agent_meta":
-            agent = _string(ev, "agent_id")
-            _string(ev, "strategy")
-            if type(ev["agent_count"]) is not int:
-                raise ValueError(f"agent_count {ev['agent_count']!r} is not an integer")
-            if type(ev["unique_users"]) not in (int, type(None)):
-                raise ValueError(f"unique_users {ev['unique_users']!r} is not an integer or null")
+            agent = ev["agent_id"]
             self.agent_meta[agent] = ev
             if agent not in self.agents_seen:
                 self.agents_seen.append(agent)
-        elif type(kind) is not str or kind not in KINDS:
-            raise ValueError(f"kind {kind!r} is not one this version writes")
 
     def block_markets(self, block: dict) -> list[str]:
-        """The markets of a forecasts or baselines block that ``_block`` has
-        checked: the first of the last snapshots block's, one per value. A
-        block with no snapshots block before it, of another cycle than that
-        block's, or with more values than that block has markets is a
-        ``ValueError``."""
+        """The markets of a forecasts or baselines block: the first of the
+        last snapshots block's, one per value. A block with no snapshots
+        block before it, of another cycle than that block's, or with more
+        values than that block has markets is a ``ValueError``."""
         kind, cycle, n = block["kind"], block["cycle"], len(block["probability"])
         if self.markets is None:
             raise ValueError(f"a {kind} block before any snapshots block")
@@ -454,10 +293,10 @@ class EventFold:
             )
         return cids[:n]
 
-    # The blocks, from their lists: ``add`` checks a block and calls these;
-    # the engine calls them as it writes each block. Each folds its rows in
-    # order, and a block without rows folds to nothing. A yes price above 0
-    # but below the feed's floor is refused here, as it always was.
+    # The blocks, from their lists: ``add`` calls these; the engine calls
+    # them as it writes each block. Each folds its rows in order, and a
+    # block without rows folds to nothing. A yes price above 0 but below the
+    # feed's floor is refused here, as it always was.
 
     def add_forecasts(
         self, subject: str, cycle: int, condition_ids: list[str], probabilities: list[float],
@@ -731,11 +570,9 @@ def aggregate(
         # Every forecast of an agent is of its one strategy.
         freq = {fold.strategy(subject): 1.0} if subject in fold.forecasts else {}
         dprob, dedge, der = fold.adjustment_depth(subject)
-        success = sum(1 for b in fold.batches.get(subject, []) if b.get("accepted"))
-        failure = (
-            sum(1 for b in fold.batches.get(subject, []) if not b.get("accepted"))
-            + fold.failures.get(subject, 0)
-        )
+        accepted = fold.accepted.get(subject, [])
+        success = sum(accepted)
+        failure = len(accepted) - success + fold.failures.get(subject, 0)
         diagnostics.append(
             AgentDiagnostics(
                 agent_id=subject,

@@ -36,7 +36,7 @@ from driftmark.evalloop import (
     token_budget_sweep,
     verify_run,
 )
-from driftmark import agents, evalloop, fileio, reporting
+from driftmark import agents, evalloop, fileio, reporting, schema
 from driftmark import contract as contract_module
 from driftmark.baselines import BaselineKind
 from driftmark.contract import lock_contract, render_instruction
@@ -412,8 +412,12 @@ class TestCheckpointResume:
             "not_cycle_end": events.rindex(b"\n", 0, offset - 1) + 1,
         }[where]
         path.write_text(json.dumps(ckpt), encoding="utf-8")
-        with pytest.raises(CorruptLog):
+        with pytest.raises(CorruptLog) as err:
             resume_run(tmp_path, "off", at_cycle=2)
+        if where == "not_cycle_end":
+            # the kept log's last line
+            assert err.value.line_no == events[: ckpt["events_bytes"]].count(b"\n")
+            assert "the kept log does not end with cycle 2's cycle_end" in str(err.value)
 
     def test_cycle_end_totals_disagreeing_with_ledger_raise_corrupt_log(self, tmp_path):
         make_engine(tmp_path, cycles=4, run_id="tot").run()
@@ -430,8 +434,9 @@ class TestCheckpointResume:
         events_path.write_bytes(head + tail)
         ckpt["events_bytes"] = len(head)
         path.write_text(json.dumps(ckpt), encoding="utf-8")
-        with pytest.raises(CorruptLog):
+        with pytest.raises(CorruptLog, match="ledger replay disagrees with cycle 2's") as err:
             resume_run(tmp_path, "tot", at_cycle=2)
+        assert err.value.line_no == len(lines)
 
     @pytest.mark.parametrize(
         "failure",
@@ -784,17 +789,21 @@ class TestCheckpointResume:
     ):
         """Resume compares the replayed portfolios with the boundary's
         cycle_end, which once ended in a raw ``AttributeError`` for
-        portfolios that are not a JSON object; every file is left as it
-        was."""
+        portfolios that are not a JSON object. The schema refuses them,
+        naming the key and the line, and every file is left as it was."""
         make_engine(tmp_path, cycles=4, run_id="end").run()
         run_dir = tmp_path / "end"
         self._damage_kept_entry(
             run_dir, None, "portfolios", portfolios, marker='"cycle":3,"kind":"cycle_end"'
         )
+        ckpt = json.loads((run_dir / "checkpoints" / "cycle_00003.json").read_bytes())
+        kept = (run_dir / "events.jsonl").read_bytes()[: ckpt["events_bytes"]]
         files = [p for p in sorted(run_dir.rglob("*")) if p.is_file()]
         before = {p: p.read_bytes() for p in files}
-        with pytest.raises(CorruptLog, match="ledger replay disagrees with cycle 3's cycle_end"):
+        words = f"portfolios {portfolios!r} is not an object"
+        with pytest.raises(CorruptLog, match=re.escape(words)) as err:
             resume_run(tmp_path, "end", at_cycle=3)
+        assert err.value.line_no == kept.count(b"\n")
         assert {p: p.read_bytes() for p in files} == before
 
     @pytest.mark.parametrize("outcome", [2, True, 1.0, "1", None])
@@ -1473,7 +1482,7 @@ def _ledgers_block(cycle: int, agent_id: str, entries: list[LedgerEntry]) -> dic
     """The ledgers block of a turn's entries, built from their records."""
     records = [entry_to_record(entry) for entry in entries]
     block = {"kind": "ledgers", "cycle": cycle, "agent_id": agent_id}
-    for key in reporting.BLOCK_LISTS["ledgers"]:
+    for key in schema.BLOCK_LISTS["ledgers"]:
         block[key] = [record["kind" if key == "entry_kind" else key] for record in records]
     return block
 
@@ -1558,10 +1567,10 @@ def _by_row(events: list[dict]) -> EventFold:
     fold = EventFold()
     for ev in oracles.named_markets_events(events):
         kind = ev["kind"]
-        if kind not in reporting.BLOCK_LISTS:
+        if kind not in schema.BLOCK_LISTS:
             fold.add(ev)
             continue
-        keys = list(reporting.BLOCK_LISTS[kind])
+        keys = list(schema.BLOCK_LISTS[kind])
         if kind in ("forecasts", "baselines"):
             keys.append("condition_id")
         for row in zip(*(ev[key] for key in keys)):
@@ -1751,48 +1760,55 @@ class TestBulkLines:
 
     def test_the_fold_takes_each_kind_the_engine_writes_and_no_other(self):
         """The kinds of the engine's event dicts, read from its source, are
-        ``reporting.KINDS``: a kind written without a reader, or read without
-        a writer, fails here and not in a user's ``report``. An event of each
-        is taken by ``EventFold.add`` as one of its kinds (it may lack keys);
-        the kinds older versions wrote are refused."""
+        ``schema.KINDS``: a kind written without a table, or a table without
+        a writer, fails here and not in a user's ``report``. Each such dict
+        holds exactly its kind's keys, or none other where it splats in a
+        mapping (the pinned logs' lines hold the rest), and each block a
+        ``_Run`` writer logs holds exactly its kind's keys. The kinds older
+        versions wrote are refused."""
         tree = ast.parse(Path(evalloop.__file__).read_text(encoding="utf-8"))
-        written = {
-            value.value
-            for node in ast.walk(tree) if isinstance(node, ast.Dict)
-            for key, value in zip(node.keys, node.values)
-            if isinstance(key, ast.Constant) and key.value == "kind"
-            and isinstance(value, ast.Constant)
-        }
-        assert written == reporting.KINDS
+        written = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Dict):
+                continue
+            keys = {
+                k.value: v for k, v in zip(node.keys, node.values) if isinstance(k, ast.Constant)
+            }
+            if not isinstance(keys.get("kind"), ast.Constant):
+                continue
+            kind = keys.pop("kind").value
+            table = schema.TABLES[kind]
+            if None in node.keys:
+                assert set(keys) <= {*table.keys, *table.lists}, kind
+            else:
+                assert set(keys) == {*table.keys, *table.lists}, kind
+            written.add(kind)
+        assert written == schema.KINDS
+        for ev in _SAMPLE_EVENTS.values():
+            run, out = _bulk_run()
+            _emit_typed(run, ev)
+            assert schema.decode(json.loads(out.getvalue())) == ev
+        for kind in ["forecast", "baseline", "snapshot", "ledger", None, 7]:
+            with pytest.raises(ValueError, match="is not one this version writes"):
+                schema.decode({"kind": kind})
 
-        def refused(kind) -> bool:
-            try:
-                EventFold().add({"kind": kind})
-            except ValueError as exc:
-                return "is not one this version writes" in str(exc)
-            except (KeyError, TypeError):
-                pass
-            return False
-
-        assert not any(map(refused, written))
-        assert all(map(refused, ["forecast", "baseline", "snapshot", "ledger", None, 7]))
-
-    def test_readme_table_lists_each_block_s_keys(self):
-        """Each block kind's keys held once and its lists."""
+    def test_readme_table_is_the_schema(self):
+        """README's table lists each kind, in the schema's order, with its
+        keys held once and its lists, each key with its type's name."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = {}
         for line in readme.splitlines():
             cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
             if line.startswith("| `") and len(cells) == 3:
                 rows[cells[0].strip("`")] = tuple(
-                    tuple(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]
+                    re.findall(r"`(\w+)` ([^,]+)", cell) for cell in cells[1:]
                 )
-        assert rows == {
-            kind: (
-                tuple(sorted({"cycle", reporting.BLOCK_SUBJECTS[kind]} - {None})), tuple(lists)
-            )
-            for kind, lists in reporting.BLOCK_LISTS.items()
-        }
+        assert list(rows.items()) == [
+            (kind, tuple(
+                [(key, t.name) for key, t in keys.items()] for keys in (table.keys, table.lists)
+            ))
+            for kind, table in schema.TABLES.items()
+        ]
 
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_engine_folds_what_its_line_reads_back(self, kind):

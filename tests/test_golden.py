@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftmark import evalloop, reporting
+from driftmark import evalloop, reporting, schema
 from driftmark.cli import main as cli_main
 from driftmark.errors import CorruptLog, IoError
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
@@ -218,11 +218,6 @@ SETUP_PINS = {
 }
 
 
-# The keys of each block kind's lines besides ``kind``.
-LINE_KEYS = {
-    kind: {"cycle", reporting.BLOCK_SUBJECTS[kind], *lists} - {None}
-    for kind, lists in reporting.BLOCK_LISTS.items()
-}
 # The kinds of the per-row and per-entry lines older versions wrote.
 OLDER_KINDS = ("forecast", "baseline", "snapshot", "ledger")
 # The block kinds that take their markets from their cycle's snapshots block.
@@ -325,14 +320,14 @@ def test_run_matches_pins(name, tmp_path, monkeypatch):
     assert result.event_log_sha256 == PINS[name]["events.jsonl"]
     # Every line is the generic encoder's line, no line is a per-row or
     # per-entry one, no forecasts or baselines block names its markets, and
-    # a block holds exactly its kind's keys.
+    # every line passes the schema's decoder: it holds exactly its kind's
+    # keys, each of its type.
     for line in result.events_path.read_text(encoding="utf-8").splitlines(keepends=True):
         ev = json.loads(line)
         assert event_line(ev) == line
         assert ev["kind"] not in OLDER_KINDS, line
         assert ev["kind"] not in PLACED_KINDS or "condition_id" not in ev, line
-        if ev["kind"] in LINE_KEYS:
-            assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
+        assert schema.decode(ev) is ev, line
     # Its forecasts and baselines blocks naming their markets are the log
     # the versions before wrote, with its ledgers blocks exploded into
     # entries too the log per-entry versions wrote, and with all its blocks
@@ -448,7 +443,8 @@ def test_leaderboard_fixture_reports_match_pins():
 
 def test_fixture_script_writes_the_leaderboard_fixture(tmp_path):
     """The fixture, the one log checked in, is what its script writes,
-    byte for byte, in the shape the engine writes."""
+    byte for byte, in the shape the engine writes: every line passes the
+    schema's decoder."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "build_leaderboard_fixture.py"
     spec = importlib.util.spec_from_file_location("build_leaderboard_fixture", path)
     script = importlib.util.module_from_spec(spec)
@@ -458,9 +454,7 @@ def test_fixture_script_writes_the_leaderboard_fixture(tmp_path):
     for line in LEADERBOARD_FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True):
         ev = json.loads(line)
         assert event_line(ev) == line
-        assert ev["kind"] in reporting.KINDS, line
-        if ev["kind"] in LINE_KEYS:
-            assert set(ev) == {"kind", *LINE_KEYS[ev["kind"]]}, line
+        assert schema.decode(ev) is ev, line
 
 
 @pytest.mark.parametrize("name", ["synthetic", "flaky"])
@@ -678,22 +672,20 @@ def test_resume_refuses_older_shape_lines(tmp_path, monkeypatch, capsys, older):
 # name -> (block kind, key, value, the CorruptLog's words): the first block of
 # that kind holds ``value`` as its ``cycle`` or ``kind``, or as the list's
 # first value; None drops the list's last value, and ... repeats the last
-# value of each list. The first ledgers block is momentum's 23 OPENs of
-# cycle 2.
+# value of each list. A key of None takes the block out. The first ledgers
+# block is momentum's 23 OPENs of cycle 2.
 DAMAGED_BLOCKS = {
     "ragged": ("forecasts", "probability", None, "probability holds 39 values, confidence 40"),
     # A block that finds no markets in its cycle's snapshots block: one more
     # value than the cycle has markets, another cycle, and no snapshots
-    # block before it (the first one's kind is one the fold passes).
+    # block before it.
     "longer_than_snapshots": (
         "forecasts", "probability", ..., "forecasts block holds 41 values, its cycle's snapshots 40"
     ),
     "other_cycle": (
         "baselines", "cycle", 2, "baselines block of cycle 2 after the snapshots of cycle 1"
     ),
-    "no_snapshots": (
-        "snapshots", "kind", "cycle_start", "forecasts block before any snapshots block"
-    ),
+    "no_snapshots": ("snapshots", None, None, "forecasts block before any snapshots block"),
     # a kind this version does not write
     "unknown_kind": (
         "snapshots", "kind", "snapshots_v2", "kind 'snapshots_v2' is not one this version writes"
@@ -732,7 +724,9 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
     at = next(i for i, ev in enumerate(map(json.loads, lines)) if ev["kind"] == kind)
     block = json.loads(lines[at])
     kept_from = block["cycle"]
-    if value is None:
+    if key is None:
+        del lines[at]
+    elif value is None:
         block[key].pop()
     elif value is ...:
         for values in block.values():
@@ -742,7 +736,8 @@ def test_damaged_block_is_a_corrupt_log(damage, tmp_path, monkeypatch, capsys):
         block[key] = value
     else:
         block[key][0] = value
-    lines[at] = event_line(block)
+    if key is not None:
+        lines[at] = event_line(block)
     before = rewrite_log(paths, lines)
     with pytest.raises(CorruptLog, match=words):
         aggregate(paths.events)

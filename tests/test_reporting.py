@@ -24,7 +24,6 @@ from driftmark.metrics import (
     log_likelihood,
 )
 from driftmark.reporting import (
-    BLOCK_LISTS,
     EventFold,
     LeaderboardRow,
     aggregate,
@@ -34,6 +33,7 @@ from driftmark.reporting import (
     format_cents,
     iter_events,
 )
+from driftmark.schema import BLOCK_LISTS
 from oracles import (
     confidence_drift_oracle,
     log_likelihood_clamped_oracle,
@@ -180,7 +180,10 @@ _META = {
     "kind": "agent_meta", "agent_id": "a", "agent_count": 1, "strategy": "NONE",
     "unique_users": None,
 }
-_MARKET = {"kind": "market_meta", "condition_id": "m", "risk": "high"}
+_MARKET = {
+    "kind": "market_meta", "condition_id": "m", "question": "q", "liquidity": "high",
+    "risk": "high", "domain": "economic", "horizon": "short", "end_time": "",
+}
 _SNAPSHOTS = {
     "kind": "snapshots", "cycle": 1, "condition_id": ["m"], "no_price": [0.5],
     "observed_at": [""], "yes_price": [0.5],
@@ -194,6 +197,15 @@ _OPEN = {
     "cash_delta_cents": [0], "condition_id": ["m"], "entry_kind": ["OPEN"], "note": ["fill"],
     "price": [0.5], "quantity_micro": [300_000_000], "seq": [1], "side": ["YES"],
     "timestamp": ["2026-01-01T00:00:00Z"],
+}
+_DRIFT = {
+    "kind": "drift", "cycle": 1, "agent_id": "a", "d_narrative": 0.0, "d_temporal": 0.0,
+    "d_temporal_difference": 0.0, "d_temporal_product": 0.0, "d_confidence": 0.0,
+    "d_total": 0.0, "market_divergence": 0.0, "low_evidence": True,
+}
+_BATCH = {
+    "kind": "batch", "cycle": 1, "agent_id": "a", "accepted": True, "issues": [],
+    "wire_violations": [], "n_decisions": 0, "n_buys": 0,
 }
 
 
@@ -232,7 +244,7 @@ class TestLogReader:
     )
     def test_bad_line_is_corrupt_log_naming_it(self, tmp_path, line, reason):
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b'{"kind":"cycle_start","cycle":1}\n' + line + b"\n")
+        bad.write_bytes(b'{"kind":"cycle_start","cycle":1,"time":""}\n' + line + b"\n")
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(bad)
         assert err.value.line_no == 2
@@ -247,19 +259,17 @@ class TestLogReader:
             # Keys the reports read only after the fold.
             (_without(_OPEN, "entry_kind"), "no key 'entry_kind'"),
             (_without(_OPEN, "basis_delta_cents"), "no key 'basis_delta_cents'"),
-            ({"kind": "drift", "agent_id": "a"}, "no key 'd_narrative'"),
+            ({"kind": "drift", "cycle": 1, "agent_id": "a"}, "no key 'd_narrative'"),
             # Keys the engine always writes, which the fold once took a
             # default for.
-            ({"kind": "drift", "agent_id": "a", "d_narrative": 0.0, "d_temporal": 0.0},
-             "no key 'd_temporal_product'"),
+            (_without(_DRIFT, "d_temporal_product"), "no key 'd_temporal_product'"),
             *((_without(_META, key), f"no key '{key}'")
               for key in ("agent_count", "strategy", "unique_users")),
             (_without(_MARKET, "risk"), "no key 'risk'"),
             # A JSON integer too large for a float, which once escaped as an
             # OverflowError, and a price that is not finite, which
             # market_divergence once read as NaN.
-            ({"kind": "drift", "agent_id": "a", "d_narrative": 10**400, "d_temporal": 0.0,
-              "d_temporal_product": 0.0}, "d_narrative 1000000000000"),
+            ({**_DRIFT, "d_narrative": 10**400}, "d_narrative 1000000000000"),
             ({**_FORECASTS, "probability": [10**400]}, "probability 1000000000000"),
             *(
                 ({**_FORECASTS, key: [10**400]}, f"{key} 1000000000000")
@@ -300,9 +310,8 @@ class TestLogReader:
                 (event, "agent_id 7 is not a string")
                 for event in (
                     {**_META, "agent_id": 7},
-                    {"kind": "drift", "agent_id": 7, "d_narrative": 0.0, "d_temporal": 0.0,
-                     "d_temporal_product": 0.0},
-                    {"kind": "batch", "agent_id": 7, "accepted": True},
+                    {**_DRIFT, "agent_id": 7},
+                    {**_BATCH, "agent_id": 7},
                     {"kind": "agent_failure", "agent_id": 7, "cycle": 1, "error": "x"},
                 )
             ),
@@ -346,6 +355,17 @@ class TestLogReader:
         with pytest.raises(CorruptLog, match=reason) as err:
             aggregate(events)
         assert err.value.line_no is None
+
+    def test_a_fold_bug_is_no_corrupt_log(self, monkeypatch):
+        """Only a ``ValueError``, the schema's or the fold's refusal, makes
+        a ``CorruptLog``: an adder's bug surfaces as itself."""
+
+        def add_forecasts(self, *args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(EventFold, "add_forecasts", add_forecasts)
+        with pytest.raises(KeyError, match="bug"):
+            aggregate([_META, _MARKET, _SNAPSHOTS, _FORECASTS])
 
     def test_the_events_around_each_bad_one_report(self, tmp_path):
         """The log that test refuses each event of reads without it."""
@@ -576,7 +596,7 @@ class TestCli:
 
     def test_report_errors_exit_one_with_one_line(self, tmp_path, capsys):
         not_utf8 = tmp_path / "bad.jsonl"
-        not_utf8.write_bytes(b'{"kind":"cycle_start"}\n\xff\n')
+        not_utf8.write_bytes(b'{"kind":"cycle_start","cycle":1,"time":""}\n\xff\n')
         not_object = tmp_path / "list.jsonl"
         not_object.write_text("[1,2]\n", encoding="utf-8")
         no_key = tmp_path / "nokey.jsonl"
@@ -724,6 +744,8 @@ def scoring_logs(draw) -> list[dict]:
         {
             "kind": "market_meta",
             "condition_id": cid,
+            "question": "q",
+            "end_time": "",
             "risk": draw(st.sampled_from(["low", "medium", "high"])),
             "domain": draw(st.sampled_from(["politics", "sports"])),
             "horizon": draw(st.sampled_from(["short", "long"])),
@@ -754,7 +776,10 @@ def scoring_logs(draw) -> list[dict]:
     for cid in cids:
         if draw(st.booleans()):
             events.append(
-                {"kind": "resolution", "condition_id": cid, "outcome": draw(st.integers(0, 1))}
+                {
+                    "kind": "resolution", "condition_id": cid, "outcome": draw(st.integers(0, 1)),
+                    "resolved_at": "",
+                }
             )
     return events
 
