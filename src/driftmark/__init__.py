@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 from .config import EngineConfig, load_config
 from .contract import ContractHash, PromptContract, lock_contract
 from .market_data import MarketSnapshot, ResolvedOutcome, generate_synthetic
-from .evalloop import EvalEngine, RunManifest, significance_test, token_budget_sweep
+from .evalloop import EvalEngine, RunManifest, token_budget_sweep
+from .metrics import significance_test
 from .reporting import aggregate
 
 __all__ = [

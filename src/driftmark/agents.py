@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -93,17 +93,11 @@ class ForecastRecord:
 
 
 @dataclass(frozen=True)
-class ClosedPosition:
-    condition_id: str
-    side: str  # "YES" | "NO"
-    pnl_cents: int
-
-
-@dataclass(frozen=True)
 class CalibrationWindow:
-    """Rolling window of the most recent closed positions (at most 30)."""
+    """The realized P&L in cents of an agent's most recent closed positions,
+    oldest first: at most ``size`` of them."""
 
-    entries: tuple[ClosedPosition, ...] = ()
+    entries: tuple[int, ...] = ()
     size: int = 30
 
     @property
@@ -114,10 +108,6 @@ class CalibrationWindow:
             return WindowMode.CALIBRATION
         return WindowMode.BOOTSTRAP
 
-    def record(self, closed: ClosedPosition) -> "CalibrationWindow":
-        entries = (self.entries + (closed,))[-self.size:]
-        return replace(self, entries=entries)
-
 
 def _win_rate(window: CalibrationWindow) -> float | None:
     """The window's Laplace-smoothed win rate: (wins+1)/(n+2) below a full
@@ -125,7 +115,7 @@ def _win_rate(window: CalibrationWindow) -> float | None:
     n = len(window.entries)
     if n == 0:
         return None
-    wins = sum(1 for e in window.entries if e.pnl_cents > 0)
+    wins = sum(1 for pnl in window.entries if pnl > 0)
     if n < window.size:
         return (wins + 1) / (n + 2)
     return wins / n

@@ -240,7 +240,6 @@ class ContractStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.contract.json"
@@ -250,6 +249,7 @@ class ContractStore:
             raise UnlockedContract("only locked contracts can be stored")
         path = self.path_for(chash.digest)
         if not path.exists():
+            self.root.mkdir(parents=True, exist_ok=True)
             write_atomic(path, contract_to_json(contract, chash.algorithm_id).encode())
         return path
 

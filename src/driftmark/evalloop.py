@@ -15,21 +15,18 @@ import json
 import os
 import re
 import time as _time
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
-import numpy as np
-
-from . import reporting, schema
+from . import reporting
 from .agents import (
     AGENT_BUILDERS,
     Action,
     CalibrationWindow,
-    ClosedPosition,
     Decision,
     DecisionBatch,
     ForecastRecord,
@@ -67,7 +64,6 @@ from .errors import (
     FatalFeedError,
     InvalidParameters,
     IoError,
-    LengthMismatch,
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
@@ -182,8 +178,6 @@ _LEDGER_FILE_LINE = (
     '"side":%s,"price":%r,"quantity_micro":%d,"basis_delta_cents":%d,"note":%s}\n'
 )
 _LEDGER_FILE_FIELDS = tuple(re.findall(r'"(\w+)":%', _LEDGER_FILE_LINE))
-# The lists of a ledgers block, in the order ``EventFold.add_ledgers`` takes them.
-_LEDGER_LISTS = tuple(schema.BLOCK_LISTS["ledgers"])
 
 
 # Each baseline kind's, entry kind's and side's text. ``.value`` goes through
@@ -263,22 +257,12 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
     )
 
 
-def _price_history(window: int) -> defaultdict[str, deque[float]]:
-    """Each market's latest yes prices; the volatility of ``window`` price
-    changes needs ``window + 1`` of them."""
-    return defaultdict(lambda: deque(maxlen=window + 1))
-
-
-# Ledger entries that realize a position's P&L, which calibration windows hold.
-_REALIZED = (EntryKind.CLOSE, EntryKind.RESOLVE)
-
-
-def _calibrated(window: CalibrationWindow, entry: LedgerEntry) -> CalibrationWindow:
-    if entry.kind not in _REALIZED:
-        return window
-    return window.record(
-        ClosedPosition(entry.condition_id, entry.side.value, entry.cash_delta_cents)
-    )
+def _recent_prices(by_cycle: dict[int, float], n: int) -> list[float]:
+    """A market's last ``n`` yes prices, oldest first, from the fold's
+    prices of it by cycle."""
+    recent = list(islice(reversed(by_cycle.values()), n))
+    recent.reverse()
+    return recent
 
 
 def _mean(xs: list[float]) -> float:
@@ -286,10 +270,10 @@ def _mean(xs: list[float]) -> float:
 
 
 def _moves(
-    snap_map: dict[str, MarketSnapshot], prices: dict[str, deque[float]]
+    snap_map: dict[str, MarketSnapshot], prices: dict[str, list[float]]
 ) -> dict[str, tuple[float, float | None]]:
     """Each of the cycle's markets' yes price and its previous price (None
-    for a market's first price), once the cycle's prices are in ``prices``."""
+    for a market's first price), from its recent prices, this cycle's last."""
     moves = {}
     for cid, s in snap_map.items():
         history = prices[cid]
@@ -347,7 +331,6 @@ class _Cycle(NamedTuple):
 class _AgentState:
     agent: ScriptedAgent
     portfolio: Portfolio
-    window: CalibrationWindow
     prev_forecasts: dict[str, ForecastRecord] = field(default_factory=dict)
     # Token sets of the prev_forecasts traces; one missing is computed from its trace.
     prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -356,13 +339,12 @@ class _AgentState:
 @dataclass
 class _Run:
     """What a run carries from cycle to cycle: the log it appends to, and
-    each agent's ledger, written once at the end of the run."""
+    the fold of every event written to it, which is all the run remembers
+    of what it logged (each market's prices, each subject's forecasts, each
+    agent's ledger rows and realized P&L) and holds each of them once."""
 
     states: dict[str, _AgentState]
-    # Folds every event of the log, for the final reports.
     fold: reporting.EventFold
-    prices: dict[str, deque[float]]
-    ledgers: dict[str, LedgerWriter]
     next_cycle: int = 1
     # Each market's category from its cycle-1 snapshot.
     categories: dict[str, EventCategory] = field(default_factory=dict)
@@ -371,86 +353,40 @@ class _Run:
     history: HistoricalFrequency = field(default_factory=HistoricalFrequency)
     events: TextIO | None = None
     iso: _IsoCache = field(default_factory=_IsoCache)
-    strings: _JsonStrings = field(default_factory=_JsonStrings)
 
     def emit(self, ev: dict) -> None:
+        """Write one event, a block or any other, and fold it."""
         self.events.write(event_line(ev))
         self.fold.add(ev)
 
-    # A block is written through ``event_line`` and folded from the lists it
-    # was made of, by its typed adder.
-
-    def emit_snapshots(self, cycle: int, snaps: list[MarketSnapshot]) -> None:
-        cids = [s.condition_id for s in snaps]
-        yes_prices = [s.yes_price for s in snaps]
-        iso = self.iso
-        self.events.write(event_line({
-            "kind": "snapshots", "cycle": cycle, "condition_id": cids,
-            "no_price": [s.no_price for s in snaps],
-            "observed_at": [iso[s.observed_at] for s in snaps], "yes_price": yes_prices,
-        }))
-        self.fold.add_snapshots(cycle, cids, yes_prices)
-
-    def emit_forecasts(self, cycle: int, agent_id: str, records: list[ForecastRecord]) -> None:
-        """The agent's forecasts of one turn, of the first markets of the
-        cycle's snapshots block, in its order; the line names no market."""
-        probabilities = [r.probability for r in records]
-        confidences = [r.confidence for r in records]
-        n_in = [r.input_tokens for r in records]
-        n_out = [r.output_tokens for r in records]
-        self.events.write(event_line({
-            "kind": "forecasts", "cycle": cycle, "agent_id": agent_id,
-            "confidence": confidences, "input_tokens": n_in, "output_tokens": n_out,
-            "probability": probabilities, "trace": [r.reasoning_trace for r in records],
-        }))
-        self.fold.add_forecasts(
-            agent_id, cycle, [r.condition_id for r in records], probabilities, confidences, n_in,
-            n_out,
-        )
-
-    def emit_baselines(self, cycle: int, kind: str, probabilities: dict[str, float]) -> None:
-        """One baseline kind's forecasts of every market, in the order of the
-        cycle's snapshots block; the line names no market."""
-        cids, values = list(probabilities), list(probabilities.values())
-        self.events.write(event_line({
-            "kind": "baselines", "cycle": cycle, "baseline": kind, "probability": values,
-        }))
-        self.fold.add_baselines(reporting.BASELINE_PREFIX + kind, cycle, cids, values)
-
-    def ledger_line(self, entry: LedgerEntry) -> str:
-        """The entry's ledger file line, through ``_LEDGER_FILE_LINE``."""
-        strings = self.strings
-        return _LEDGER_FILE_LINE % (
-            entry.seq, strings[_ENTRY_KIND_TEXT[entry.kind]], strings[entry.condition_id],
-            entry.cash_delta_cents, strings[self.iso[entry.timestamp]],
-            strings[_SIDE_TEXT[entry.side]], entry.price, entry.quantity_micro,
-            entry.basis_delta_cents, strings[entry.note],
-        )
-
     def record(self, cycle: int, agent_id: str, entries: Sequence[LedgerEntry]) -> None:
-        """Add an agent turn's entries to the agent's ledger, log them as one
-        block, and feed each to the agent's calibration window; a turn
-        without entries logs no block."""
+        """Log an agent turn's entries as one ledgers block; a turn without
+        entries logs none."""
         if not entries:
             return
-        ledger = self.ledgers[agent_id]
-        st = self.states[agent_id]
-        for entry in entries:
-            ledger.append(self.ledger_line(entry))
-            st.window = _calibrated(st.window, entry)
         iso = self.iso
-        columns = (
-            [e.basis_delta_cents for e in entries], [e.cash_delta_cents for e in entries],
-            [e.condition_id for e in entries], [_ENTRY_KIND_TEXT[e.kind] for e in entries],
-            [e.note for e in entries], [e.price for e in entries],
-            [e.quantity_micro for e in entries], [e.seq for e in entries],
-            [_SIDE_TEXT[e.side] for e in entries], [iso[e.timestamp] for e in entries],
-        )
-        self.events.write(event_line({
+        self.emit({
             "kind": "ledgers", "cycle": cycle, "agent_id": agent_id,
-            **dict(zip(_LEDGER_LISTS, columns)),
-        }))
-        self.fold.add_ledgers(agent_id, cycle, *columns)
+            "basis_delta_cents": [e.basis_delta_cents for e in entries],
+            "cash_delta_cents": [e.cash_delta_cents for e in entries],
+            "condition_id": [e.condition_id for e in entries],
+            "entry_kind": [_ENTRY_KIND_TEXT[e.kind] for e in entries],
+            "note": [e.note for e in entries], "price": [e.price for e in entries],
+            "quantity_micro": [e.quantity_micro for e in entries],
+            "seq": [e.seq for e in entries], "side": [_SIDE_TEXT[e.side] for e in entries],
+            "timestamp": [iso[e.timestamp] for e in entries],
+        })
+
+
+def _ledger_lines(rows: list[tuple], strings: _JsonStrings) -> Iterator[str]:
+    """The ledger file lines of an agent's ledger rows in the fold, through
+    ``_LEDGER_FILE_LINE``. A kept log may hold a price as an integer; it is
+    written as the ``float`` its replayed entry holds."""
+    for basis, cash, cid, _, kind, note, price, qty, seq, side, ts in rows:
+        yield _LEDGER_FILE_LINE % (
+            seq, strings[kind], strings[cid], cash, strings[ts], strings[side], float(price),
+            qty, basis, strings[note],
+        )
 
 
 @dataclass(frozen=True)
@@ -681,15 +617,15 @@ class EvalEngine:
 
     def _restore(self, ckpt: dict, run: _Run) -> None:
         """Bring a fresh run state to the checkpoint from the kept log alone:
-        its fold, which holds the agents' memory and the baselines'
-        forecasts; the price history from its snapshots; each agent's
-        portfolio, ledger and calibration window, replayed from its ledgers
-        blocks' entries; and each agent's previous forecasts, those of its last turn
-        without an agent_failure, which its drift compares against. No agent
-        is called. The replayed portfolios must match the boundary's
-        cycle_end. The log is cut back to the checkpoint only once every
-        check has passed, so a resume that fails leaves it as it was; no
-        ledger file is read or written."""
+        fold it, which is the run's memory (prices, the agents' and the
+        baselines' forecasts, ledger rows, realized P&L); replay each
+        agent's portfolio from its ledger rows, which must match the
+        boundary's cycle_end; and take up each agent's previous forecasts,
+        those of its last turn without an agent_failure, which its drift
+        compares against. No agent is called. The log is cut back to the
+        checkpoint only once every check has passed, so a resume that fails
+        leaves it as it was; no ledger file is read, and each is written
+        again at the end of the run."""
         boundary = ckpt["next_cycle"] - 1
         # Each agent's forecasts block of its last turn that completed, and
         # those of the cycle being read, which a failure drops, each with
@@ -714,8 +650,6 @@ class EvalEngine:
                 line_no or None, f"the kept log does not end with cycle {boundary}'s cycle_end"
             )
         run.next_cycle = ckpt["next_cycle"]
-        for cid, by_cycle in run.fold.prices.items():
-            run.prices[cid].extend(by_cycle.values())
         times = _Timestamps()
         for aid, st in run.states.items():
             entries = [_kept_entry(aid, row, times) for row in run.fold.ledgers.get(aid, [])]
@@ -734,8 +668,6 @@ class EvalEngine:
                     raise CorruptLog(
                         None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
                     ) from exc
-                st.window = _calibrated(st.window, entry)
-                run.ledgers[aid].append(run.ledger_line(entry))
             if last["portfolios"].get(aid) != _totals(st.portfolio):
                 raise CorruptLog(
                     line_no, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
@@ -798,8 +730,7 @@ class EvalEngine:
             os.fsync(run.events.fileno())
         finally:
             run.events.close()
-        for writer in run.ledgers.values():
-            writer.sync()
+        self._write_ledgers(run.fold)
         sha = file_sha256(self.paths.events)
         write_atomic(self.paths.events_sha, f"{sha}\n".encode())
         return RunResult(
@@ -824,13 +755,10 @@ class EvalEngine:
             aid: _AgentState(
                 agent=build_agent(aid, self.manifest.seed),
                 portfolio=Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions),
-                window=CalibrationWindow(size=self.config.agents.calibration_window_size),
             )
             for aid in self.manifest.agent_ids
         }
-        ledgers = {aid: LedgerWriter(self._ledger_path(aid)) for aid in states}
-        prices = _price_history(self.config.metrics.volatility_window)
-        run = _Run(states, reporting.EventFold(), prices, ledgers)
+        run = _Run(states, reporting.EventFold())
         if resume:
             self._restore(self._latest_checkpoint(resume_cycle), run)
             run.categories = {s.condition_id: self._categorize(s) for s in cycles_data[0]}
@@ -839,6 +767,16 @@ class EvalEngine:
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
         run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
         return run
+
+    def _write_ledgers(self, fold: reporting.EventFold) -> None:
+        """Write each agent's ledger file, whole, from its rows in the fold;
+        an agent that never traded gets an empty one."""
+        strings = _JsonStrings()
+        for aid in self.manifest.agent_ids:
+            writer = LedgerWriter(self._ledger_path(aid))
+            for line in _ledger_lines(fold.ledgers.get(aid, []), strings):
+                writer.append(line)
+            writer.sync()
 
     def _start(self, run: _Run, total_cycles: int) -> None:
         m = self.manifest
@@ -886,10 +824,17 @@ class EvalEngine:
                         "end_time": iso[s.end_time],
                     }
                 )
-        run.emit_snapshots(cycle, snaps)
-        for s in snaps:
-            run.prices[s.condition_id].append(s.yes_price)
+        run.emit({
+            "kind": "snapshots", "cycle": cycle, "condition_id": [s.condition_id for s in snaps],
+            "no_price": [s.no_price for s in snaps],
+            "observed_at": [iso[s.observed_at] for s in snaps],
+            "yes_price": [s.yes_price for s in snaps],
+        })
         snap_map = {s.condition_id: s for s in snaps}
+        prices = {
+            cid: _recent_prices(run.fold.prices[cid], cfg.volatility_window + 1)
+            for cid in snap_map
+        }
         c = _Cycle(
             number=cycle,
             now=snaps[0].observed_at,
@@ -900,11 +845,11 @@ class EvalEngine:
                 for s in snaps
             ],
             tokens=[{} for _ in snaps],
-            moves=_moves(snap_map, run.prices),
+            moves=_moves(snap_map, prices),
             risk_by_market={
                 cid: risk_category(
                     self._category(run, s),
-                    price_volatility(run.prices[cid], cfg.volatility_window),
+                    price_volatility(prices[cid], cfg.volatility_window),
                     cfg.volatility_threshold,
                 )
                 for cid, s in snap_map.items()
@@ -1006,22 +951,36 @@ class EvalEngine:
                 )
         finally:
             if records:
-                run.emit_forecasts(c.number, aid, list(records.values()))
+                made = records.values()
+                run.emit({
+                    "kind": "forecasts", "cycle": c.number, "agent_id": aid,
+                    "confidence": [r.confidence for r in made],
+                    "input_tokens": [r.input_tokens for r in made],
+                    "output_tokens": [r.output_tokens for r in made],
+                    "probability": [r.probability for r in made],
+                    "trace": [r.reasoning_trace for r in made],
+                })
         return records
 
     def _decide(
         self, run: _Run, c: _Cycle, aid: str, records: dict[str, ForecastRecord]
     ) -> DecisionBatch:
         """Build, parse, validate and log the agent's decision batch; a
-        rejected batch falls back to HOLDs."""
+        rejected batch falls back to HOLDs. The agent's calibration window
+        is its last realized P&Ls in the fold."""
         cfg = self.config.agents
         st = run.states[aid]
+        realized = run.fold.realized.get(aid, [])
+        window = CalibrationWindow(
+            tuple(cash for _, _, cash in realized[-cfg.calibration_window_size:]),
+            cfg.calibration_window_size,
+        )
         open_ids = {p.condition_id for p in st.portfolio.open_positions}
         wire = build_decision_batch(
             st.agent,
             records,
             c.snaps,
-            st.window,
+            window,
             open_ids,
             risk_by_market=c.risk_by_market,
             max_open_positions=self.config.simulator.max_open_positions,
@@ -1031,7 +990,7 @@ class EvalEngine:
         batch, violations = parse_decision_wire(
             wire, agent_id=aid, produced_at=c.now, lenient=cfg.lenient_json, holds=c.holds
         )
-        validation = validate_decision_batch(batch, set(c.snap_map) | open_ids, st.window, cfg)
+        validation = validate_decision_batch(batch, set(c.snap_map) | open_ids, window, cfg)
         run.emit(
             {
                 "kind": "batch",
@@ -1100,7 +1059,10 @@ class EvalEngine:
             for bf in forecasts:
                 probs[_BASELINE_TEXT[bf.kind]][s.condition_id] = bf.probability
         for kind, curr in probs.items():
-            run.emit_baselines(c.number, kind, curr)
+            run.emit({
+                "kind": "baselines", "cycle": c.number, "baseline": kind,
+                "probability": list(curr.values()),
+            })
         if c.number > 1:
             for kind, curr in probs.items():
                 means, _ = _drift_means(curr, prev[kind], c.moves)
@@ -1197,41 +1159,6 @@ def _read_checkpoint(path: Path) -> dict | None:
     except (OSError, ValueError, LookupError, TypeError):
         return None
     return ckpt if valid else None
-
-
-# --- statistics ----------------------------------------------------------------------
-
-
-def significance_test(
-    scores_a: Sequence[float],
-    scores_b: Sequence[float],
-    resamples: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Two-sided paired bootstrap p-value for a difference in mean scores.
-
-    The null distribution resamples the mean of centered paired differences;
-    add-one smoothing keeps the p-value strictly positive.
-    """
-    if len(scores_a) != len(scores_b):
-        raise LengthMismatch(f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}")
-    if len(scores_a) == 0:
-        raise LengthMismatch("need at least one paired score")
-    diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
-    observed = float(diffs.mean())
-    centered = diffs - observed
-    rng = np.random.default_rng([int(seed) & _MASK64, 0x51F7])
-    n = len(diffs)
-    hits = 0
-    chunk = max(1, min(resamples, 2_000_000 // max(n, 1)))
-    remaining = resamples
-    while remaining > 0:
-        take = min(chunk, remaining)
-        idx = rng.integers(0, n, size=(take, n))
-        means = centered[idx].mean(axis=1)
-        hits += int(np.sum(np.abs(means) >= abs(observed)))
-        remaining -= take
-    return (1 + hits) / (resamples + 1)
 
 
 # --- token budget sweep -----------------------------------------------------------------

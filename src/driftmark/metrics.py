@@ -359,6 +359,44 @@ def confidence_reasoning_alignment(
     return min(max(r, -1.0), 1.0)
 
 
+# --- significance ------------------------------------------------------------------
+
+
+def significance_test(
+    scores_a: Sequence[float],
+    scores_b: Sequence[float],
+    resamples: int = 10_000,
+    seed: int = 0,
+) -> float:
+    """Two-sided paired bootstrap p-value for a difference in mean scores.
+
+    The null distribution resamples the mean of centered paired differences;
+    add-one smoothing keeps the p-value strictly positive. Its value is
+    written to no log, so numpy stays here, imported on the first call.
+    """
+    import numpy as np
+
+    if len(scores_a) != len(scores_b):
+        raise LengthMismatch(f"paired scores differ in length: {len(scores_a)} vs {len(scores_b)}")
+    if len(scores_a) == 0:
+        raise LengthMismatch("need at least one paired score")
+    diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
+    observed = float(diffs.mean())
+    centered = diffs - observed
+    rng = np.random.default_rng([int(seed) & ((1 << 64) - 1), 0x51F7])
+    n = len(diffs)
+    hits = 0
+    chunk = max(1, min(resamples, 2_000_000 // max(n, 1)))
+    remaining = resamples
+    while remaining > 0:
+        take = min(chunk, remaining)
+        idx = rng.integers(0, n, size=(take, n))
+        means = centered[idx].mean(axis=1)
+        hits += int(np.sum(np.abs(means) >= abs(observed)))
+        remaining -= take
+    return (1 + hits) / (resamples + 1)
+
+
 # --- report types ------------------------------------------------------------------
 
 

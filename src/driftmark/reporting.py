@@ -227,11 +227,12 @@ class EventFold:
         return self
 
     def add(self, ev: dict) -> None:
-        """Fold one event of the shape ``schema.decode`` checks; the engine
-        calls this for each event it writes but the blocks, which it folds
-        through their typed adders below. Kinds are tested from the most
-        frequent down. The fold refuses only values that do not fit others:
-        an OPEN's (below) and a block's markets (``block_markets``)."""
+        """Fold one event of the shape ``schema.decode`` checks. This is the
+        one way into the fold: the engine calls it for each event it writes,
+        blocks included, and ``report`` and resume for each event they read.
+        Kinds are tested from the most frequent down. The fold refuses only
+        values that do not fit others: an OPEN's (below) and a block's
+        markets (``block_markets``)."""
         kind = ev["kind"]
         if kind == "ledgers":
             # An OPEN's basis and price are a stake and a win probability.
@@ -293,10 +294,9 @@ class EventFold:
             )
         return cids[:n]
 
-    # The blocks, from their lists: ``add`` calls these; the engine calls
-    # them as it writes each block. Each folds its rows in order, and a
-    # block without rows folds to nothing. A yes price above 0 but below the
-    # feed's floor is refused here, as it always was.
+    # The blocks, from their lists: only ``add`` calls these. Each folds its
+    # rows in order, and a block without rows folds to nothing. A yes price
+    # above 0 but below the feed's floor is refused here, as it always was.
 
     def add_forecasts(
         self, subject: str, cycle: int, condition_ids: list[str], probabilities: list[float],

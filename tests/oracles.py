@@ -414,6 +414,23 @@ def per_row_events(events) -> list[dict]:
     return rows
 
 
+def agent_part(events, agent_id: str) -> list[dict]:
+    """An agent's part of a log, in log order: each event of its own (its
+    ``agent_id``, or a ``final_report`` of it as ``subject``) and, for each
+    ``cycle_end``, its entry in ``portfolios`` (None for a subject without
+    one, such as a baseline) as ``{"kind": "cycle_end", "cycle", "portfolio"}``."""
+    part: list[dict] = []
+    for ev in events:
+        if ev.get("agent_id") == agent_id or ev.get("subject") == agent_id:
+            part.append(ev)
+        elif ev["kind"] == "cycle_end":
+            part.append({
+                "kind": "cycle_end", "cycle": ev["cycle"],
+                "portfolio": ev["portfolios"].get(agent_id),
+            })
+    return part
+
+
 def read_events(path) -> list[dict]:
     """A log's lines, each read with ``json.loads``."""
     with open(path, encoding="utf-8") as fh:

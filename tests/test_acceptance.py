@@ -19,13 +19,7 @@ import pytest
 from driftmark.agents import Action, Decision, DecisionBatch, CalibrationWindow
 from driftmark.agents import validate_decision_batch
 from driftmark.contract import ContractStore
-from driftmark.evalloop import (
-    EvalEngine,
-    resume_run,
-    significance_test,
-    token_budget_sweep,
-    verify_run,
-)
+from driftmark.evalloop import EvalEngine, resume_run, token_budget_sweep, verify_run
 from driftmark.market_data import generate_synthetic
 from driftmark.metrics import (
     brier,
@@ -33,6 +27,7 @@ from driftmark.metrics import (
     hhis,
     log_likelihood,
     narrative_drift,
+    significance_test,
     temporal_drift,
     var_cvar,
 )

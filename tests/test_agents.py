@@ -13,7 +13,6 @@ from driftmark import agents
 from driftmark.agents import (
     Action,
     CalibrationWindow,
-    ClosedPosition,
     Decision,
     DecisionBatch,
     MarketCopier,
@@ -41,8 +40,7 @@ NOW = datetime(2026, 2, 1, tzinfo=timezone.utc)
 
 
 def window_with(pnls, size=30):
-    entries = tuple(ClosedPosition(f"0x{i:040x}", "YES", pnl) for i, pnl in enumerate(pnls))
-    return CalibrationWindow(entries=entries, size=size)
+    return CalibrationWindow(entries=tuple(pnls), size=size)
 
 
 class TestCalibrationWindow:
@@ -50,12 +48,6 @@ class TestCalibrationWindow:
         assert window_with([]).mode == WindowMode.FIRST_CALL
         assert window_with([10] * 7).mode == WindowMode.BOOTSTRAP
         assert window_with([10] * 30).mode == WindowMode.CALIBRATION
-
-    def test_rolls_at_capacity(self):
-        w = window_with([1] * 30)
-        w2 = w.record(ClosedPosition("0xnew", "NO", -5))
-        assert len(w2.entries) == 30
-        assert w2.entries[-1].condition_id == "0xnew"
 
 
 def calibration_adjustment(window, stated_prob, penalty=-0.05):

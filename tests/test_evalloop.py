@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import io
 import json
 import os
 import re
+import tempfile
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -16,11 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftmark.cli import main as cli_main
-from driftmark.config import EngineConfig, config_from_dict
+from driftmark.config import AgentConfig, EngineConfig, config_from_dict
 from driftmark.errors import (
     CorruptLog,
     InvalidParameters,
-    LengthMismatch,
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
@@ -32,7 +33,6 @@ from driftmark.evalloop import (
     RunPaths,
     file_sha256,
     resume_run,
-    significance_test,
     token_budget_sweep,
     verify_run,
 )
@@ -42,17 +42,15 @@ from driftmark.baselines import BaselineKind
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
     MIN_POSITIVE_PRICE,
-    Liquidity,
-    MarketSnapshot,
     generate_synthetic,
     save_feed,
     save_outcomes,
 )
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
+from driftmark.timeutil import to_iso
 from driftmark.simulator import (
     EntryKind,
     LedgerEntry,
-    LedgerWriter,
     Side,
     entry_from_record,
     entry_to_record,
@@ -62,6 +60,23 @@ from driftmark.simulator import (
 import oracles
 from oracles import per_entry_events, per_row_shape
 from conftest import make_snapshot
+from test_golden import MANIFESTS, run_manifest
+
+
+@pytest.fixture(scope="module")
+def pinned_logs(tmp_path_factory):
+    """The full run's events of a pinned manifest by name, each run once,
+    with the directory it ran in, which holds its replay inputs."""
+    logs = {}
+
+    def full(name):
+        if name not in logs:
+            root = tmp_path_factory.mktemp(name)
+            with contextlib.chdir(root):
+                logs[name] = (root, oracles.read_events(run_manifest("out", name).events_path))
+        return logs[name]
+
+    return full
 
 
 # Takes a value out of its list, for ``_damage_kept_entry``.
@@ -1055,33 +1070,22 @@ class TestVerify:
         assert "verify m: FAILED" in out and "manifest.json" in out
         assert "Traceback" not in out + err
 
-
-class TestSignificance:
-    def test_identical_scores_p_near_one(self):
-        scores = list(np.linspace(0.1, 0.4, 50))
-        assert significance_test(scores, scores, seed=1) > 0.9
-
-    def test_separated_scores_tiny_p(self):
-        a = [0.0] * 100
-        b = [0.25] * 100
-        assert significance_test(a, b, seed=1) < 0.001
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            significance_test([0.1] * 10, [0.1] * 9)
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(3)
-        a = list(rng.uniform(0, 1, 40))
-        b = list(rng.uniform(0, 1, 40))
-        assert significance_test(a, b, seed=5) == significance_test(a, b, seed=5)
-
-    def test_moderate_difference_detected(self):
-        rng = np.random.default_rng(8)
-        base = rng.uniform(0.1, 0.3, 200)
-        a = list(base)
-        b = list(base + 0.05)
-        assert significance_test(a, b, seed=2) < 0.01
+    def test_verify_of_a_missing_run_leaves_out_as_it_was(self, tmp_path, capsys):
+        """Verifying a run that is not there exits 1 and makes no directory
+        under ``--out``, nor ``--out`` itself; ``lock`` into a store that
+        does not exist yet makes it and writes its contract there."""
+        out = tmp_path / "runs"
+        assert cli_main(["--out", str(out), "verify", "--run-id", "nope"]) == 1
+        assert "verify nope: FAILED" in capsys.readouterr().out
+        assert not out.exists()
+        out.mkdir()
+        assert cli_main(["--out", str(out), "verify", "--run-id", "nope"]) == 1
+        assert list(out.iterdir()) == []
+        store = tmp_path / "new" / "store"
+        assert cli_main(["lock", "--store", str(store)]) == 0
+        digest, path = capsys.readouterr().out.split()[-2:]
+        assert Path(path) == store / f"{digest}.contract.json"
+        assert contract_module.ContractStore(store).verify_stored(digest)
 
 
 class TestTokenBudgetSweep:
@@ -1278,7 +1282,7 @@ class TestDriftMeans:
     @given(
         st.lists(
             st.tuples(
-                st.lists(_UNIT, min_size=1, max_size=3),  # the market's prices so far
+                st.lists(_UNIT, min_size=1, max_size=14),  # the market's prices so far
                 _UNIT,  # this cycle's probability
                 st.none() | _UNIT,  # the previous cycle's, if any
             ),
@@ -1288,18 +1292,22 @@ class TestDriftMeans:
     @settings(max_examples=300)
     def test_equal_the_per_market_means_of_temporal_drift(self, markets):
         """Bit for bit, with markets of one price and markets without a
-        previous forecast."""
-        prices = evalloop._price_history(10)
+        previous forecast, each market's moves taken from its recent prices
+        in the fold's by-cycle form, as the engine takes them."""
+        recent, histories = {}, {}
         snap_map, curr, prev = {}, {}, {}
         for i, (history, p_curr, p_prev) in enumerate(markets):
             cid = f"0x{i:040x}"
-            prices[cid].extend(history)
+            by_cycle = {cycle: price for cycle, price in enumerate(history, start=3)}
+            recent[cid] = evalloop._recent_prices(by_cycle, 11)
+            assert recent[cid] == history[-11:]
+            histories[cid] = history
             snap_map[cid] = make_snapshot(cid=cid, yes=history[-1])
             curr[cid] = p_curr
             if p_prev is not None:
                 prev[cid] = p_prev
-        means, compared = evalloop._drift_means(curr, prev, evalloop._moves(snap_map, prices))
-        want_means, want_compared = oracles.drift_means_oracle(curr, prev, snap_map, prices)
+        means, compared = evalloop._drift_means(curr, prev, evalloop._moves(snap_map, recent))
+        want_means, want_compared = oracles.drift_means_oracle(curr, prev, snap_map, histories)
         assert [m.hex() for m in means] == [m.hex() for m in want_means]
         assert compared == want_compared
 
@@ -1392,6 +1400,13 @@ _LEDGER_ENTRIES = st.builds(
     quantity_micro=st.integers(),
     basis_delta_cents=st.integers(),
     note=_JSON_TEXT,
+).flatmap(
+    # an OPEN's basis is a stake and its price a win probability above 0,
+    # as the fold requires
+    lambda e: st.builds(
+        dataclasses.replace, st.just(e), basis_delta_cents=st.just(abs(e.basis_delta_cents)),
+        price=_OPEN_PRICE,
+    ) if e.kind is EntryKind.OPEN else st.just(e)
 )
 # A few market and agent ids, non-ASCII, NUL and U+2028 among them, so that
 # blocks share markets and a market or an agent may come twice.
@@ -1507,56 +1522,42 @@ _CONTEXT = (_META, _SAMPLE_EVENTS["snapshots"])
 
 
 def _bulk_run():
-    """A run writing to a ``StringIO``, with a state and a ledger for any
-    agent, whose fold has folded ``_CONTEXT``."""
+    """A run writing to a ``StringIO``, whose fold has folded ``_CONTEXT``."""
     out = io.StringIO()
-    states = defaultdict(lambda: evalloop._AgentState(None, None, agents.CalibrationWindow(size=5)))
-    ledgers = defaultdict(lambda: LedgerWriter("unused.jsonl"))
-    run = evalloop._Run(states, EventFold().consume(_CONTEXT), {}, ledgers, events=out)
-    return run, out
+    return evalloop._Run({}, EventFold().consume(_CONTEXT), events=out), out
 
 
-def _emit_typed(run, ev: dict) -> None:
-    """Hand the engine's writer of ``ev``'s kind the records ``ev`` was made
-    from; a forecasts or baselines block's are of the first markets of the
-    last snapshots block the run folded. Each time text of ``ev`` is that of
-    a distinct timestamp in the run's ISO cache."""
-    texts = ev.get("observed_at", ev.get("timestamp", []))
+def _emit_as_engine(run, ev: dict) -> None:
+    """Log ``ev`` as the engine does: a ledgers block through ``_Run.record``,
+    from the ``LedgerEntry``s it was made of, each time text that of a
+    distinct timestamp in the run's ISO cache; any other block through
+    ``_Run.emit``."""
+    if ev["kind"] != "ledgers":
+        run.emit(ev)
+        return
     times = {}
-    for text in texts:
+    for text in ev["timestamp"]:
         at = times.setdefault(text, _AT + timedelta(seconds=len(times)))
         run.iso[at] = text
-    if ev["kind"] == "forecasts":
-        run.emit_forecasts(ev["cycle"], ev["agent_id"], [
-            agents.ForecastRecord(
-                condition_id=cid, probability=p, confidence=conf, reasoning_trace=trace,
-                input_tokens=n_in, output_tokens=n_out,
-            )
-            for cid, p, conf, trace, n_in, n_out in zip(
-                run.fold.markets[1], ev["probability"], ev["confidence"], ev["trace"],
-                ev["input_tokens"], ev["output_tokens"],
-            )
-        ])
-    elif ev["kind"] == "baselines":
-        run.emit_baselines(
-            ev["cycle"], ev["baseline"], dict(zip(run.fold.markets[1], ev["probability"]))
+    run.record(ev["cycle"], ev["agent_id"], [
+        LedgerEntry(
+            e["seq"], EntryKind(e["entry_kind"]), e["condition_id"], e["cash_delta_cents"],
+            times[e["timestamp"]], Side(e["side"]), e["price"], e["quantity_micro"],
+            e["basis_delta_cents"], e["note"],
         )
-    elif ev["kind"] == "snapshots":
-        run.emit_snapshots(ev["cycle"], [
-            MarketSnapshot(cid, "q", yes, no, Liquidity.HIGH, _AT, times[text])
-            for cid, yes, no, text in zip(
-                ev["condition_id"], ev["yes_price"], ev["no_price"], ev["observed_at"]
-            )
-        ])
-    else:
-        run.record(ev["cycle"], ev["agent_id"], [
-            LedgerEntry(
-                e["seq"], EntryKind(e["entry_kind"]), e["condition_id"], e["cash_delta_cents"],
-                times[e["timestamp"]], Side(e["side"]), e["price"], e["quantity_micro"],
-                e["basis_delta_cents"], e["note"],
-            )
-            for e in per_entry_events([ev])
-        ])
+        for e in per_entry_events([ev])
+    ])
+
+
+def _ledger_file_lines(fold: EventFold, agent_id: str) -> list[str]:
+    """The agent's ledger file lines from the fold's rows, as the engine
+    writes them, on a fresh and then a warm string cache: the two must
+    agree."""
+    strings = evalloop._JsonStrings()
+    rows = fold.ledgers.get(agent_id, [])
+    lines = list(evalloop._ledger_lines(rows, strings))
+    assert list(evalloop._ledger_lines(rows, strings)) == lines
+    return lines
 
 
 def _by_row(events: list[dict]) -> EventFold:
@@ -1607,25 +1608,24 @@ _MEMBER_KEYS = ("kind", "baseline", "entry_kind", "side")
 
 
 class TestBulkLines:
-    """The engine writes each block through ``event_line`` and the ledger
-    file template's lines as ``json.dumps`` does; a block folds as its rows,
+    """The engine writes each block through ``event_line`` and folds it
+    through ``EventFold.add``, and writes the ledger file template's lines
+    from the fold's rows as ``json.dumps`` does; a block folds as its rows,
     taken one at a time, do."""
 
     def _check(self, ev):
-        """The engine's line of ``ev``, on a fresh and then a warm string
-        cache, is the generic encoder's; a ledger entry's file line is
-        ``json.dumps`` of its record."""
-        expected = evalloop._EVENT_ENCODER.encode(ev) + "\n"
-        agent_id = ev.get("agent_id", "momentum")
+        """The engine's line of ``ev`` is the generic encoder's, and its
+        fold is that of the line read back; a ledger entry's file line,
+        from the fold's row, is ``json.dumps`` of its record."""
         run, out = _bulk_run()
-        for _ in range(2):
-            out.seek(0)
-            out.truncate()
-            _emit_typed(run, ev)
-            assert out.getvalue() == expected
+        _emit_as_engine(run, ev)
+        assert out.getvalue() == evalloop._EVENT_ENCODER.encode(ev) + "\n"
+        read = EventFold().consume(_CONTEXT)
+        read.add(json.loads(out.getvalue()))
+        assert _state(run.fold) == _state(read)
         if ev["kind"] == "ledgers":
             lines = [_file_line(_ledger_record(e)) for e in per_entry_events([ev])]
-            assert run.ledgers[agent_id]._lines == lines * 2
+            assert _ledger_file_lines(run.fold, ev["agent_id"]) == lines
 
     @staticmethod
     def _folds_as_its_rows(events: list[dict]) -> None:
@@ -1683,15 +1683,15 @@ class TestBulkLines:
     @given(st.lists(_cycle_blocks(unique_markets=True), min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_engine_writes_each_block_as_event_line_and_folds_it_as_add(self, cycles):
-        """The engine's block line is ``event_line`` of the block, and the
-        engine folds it from its lists as ``EventFold.add`` folds the line
-        read back. Each cycle names a market once, as the feed does."""
+        """The engine's block line is ``event_line`` of the block, and what
+        the engine folds as it writes is what ``EventFold.add`` folds of the
+        line read back. Each cycle names a market once, as the feed does."""
         run, out = _bulk_run()
         read = EventFold().consume(_CONTEXT)
         for block in (block for blocks in cycles for block in blocks):
             out.seek(0)
             out.truncate()
-            _emit_typed(run, block)
+            _emit_as_engine(run, block)
             assert out.getvalue() == evalloop.event_line(block)
             read.add(json.loads(out.getvalue()))
         assert _state(run.fold) == _state(read)
@@ -1701,8 +1701,9 @@ class TestBulkLines:
     def test_ledger_lines_of_a_turn(self, cycle, agent_id, entries):
         """A turn's ledger lines, the log's block and each entry's ledger
         file line, as the engine fills them (each kind, side and time text
-        from its tables and caches), on a fresh and then a warm string
-        cache; a turn without entries logs nothing."""
+        from its tables and caches; the file lines from the fold's rows, on
+        a fresh and then a warm string cache), for two turns; a turn without
+        entries logs nothing."""
         block = _ledgers_block(cycle, agent_id, entries)
         expected = evalloop.event_line(block) if entries else ""
         files = [_file_line(entry_to_record(entry)) for entry in entries]
@@ -1711,7 +1712,8 @@ class TestBulkLines:
             out.seek(0)
             out.truncate()
             run.record(cycle, agent_id, entries)
-            assert (out.getvalue(), run.ledgers[agent_id]._lines) == (expected, files * turn)
+            assert out.getvalue() == expected
+            assert _ledger_file_lines(run.fold, agent_id) == files * turn
 
     def test_fold_rows_hold_an_entry_s_values_in_key_order(self):
         """``EventFold.add_ledgers`` folds each entry as a row of its
@@ -1725,6 +1727,18 @@ class TestBulkLines:
             for e in per_entry_events([block])
         ]
         assert fold.ledgers == {"momentum": rows}
+
+    def test_a_kept_integer_price_is_written_as_the_float_replay_reads(self):
+        """A kept log may hold a price as an integer, a number the schema
+        takes; its ledger file line is that of the entry replay builds,
+        whose price is a ``float``."""
+        fold = EventFold()
+        fold.add({**_SAMPLE_EVENTS["ledgers"], "price": [1, 0]})
+        times = evalloop._Timestamps()
+        entries = [evalloop._kept_entry("momentum", row, times) for row in fold.ledgers["momentum"]]
+        lines = _ledger_file_lines(fold, "momentum")
+        assert lines == [_file_line(entry_to_record(entry)) for entry in entries]
+        assert '"price":1.0,' in lines[0]
 
     def test_ledger_file_line_takes_entry_to_record_s_keys_in_order(self):
         entry = entry_from_record(_ledger_record(per_entry_events([_SAMPLE_EVENTS["ledgers"]])[0]))
@@ -1763,9 +1777,9 @@ class TestBulkLines:
         ``schema.KINDS``: a kind written without a table, or a table without
         a writer, fails here and not in a user's ``report``. Each such dict
         holds exactly its kind's keys, or none other where it splats in a
-        mapping (the pinned logs' lines hold the rest), and each block a
-        ``_Run`` writer logs holds exactly its kind's keys. The kinds older
-        versions wrote are refused."""
+        mapping (the pinned logs' lines hold the rest), and the ledgers block
+        ``_Run.record`` builds from its entries holds exactly its kind's
+        keys. The kinds older versions wrote are refused."""
         tree = ast.parse(Path(evalloop.__file__).read_text(encoding="utf-8"))
         written = set()
         for node in ast.walk(tree):
@@ -1784,10 +1798,9 @@ class TestBulkLines:
                 assert set(keys) == {*table.keys, *table.lists}, kind
             written.add(kind)
         assert written == schema.KINDS
-        for ev in _SAMPLE_EVENTS.values():
-            run, out = _bulk_run()
-            _emit_typed(run, ev)
-            assert schema.decode(json.loads(out.getvalue())) == ev
+        run, out = _bulk_run()
+        _emit_as_engine(run, _SAMPLE_EVENTS["ledgers"])
+        assert schema.decode(json.loads(out.getvalue())) == _SAMPLE_EVENTS["ledgers"]
         for kind in ["forecast", "baseline", "snapshot", "ledger", None, 7]:
             with pytest.raises(ValueError, match="is not one this version writes"):
                 schema.decode({"kind": kind})
@@ -1812,11 +1825,11 @@ class TestBulkLines:
 
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_EVENTS))
     def test_engine_folds_what_its_line_reads_back(self, kind):
-        """The engine folds an event from its values as ``EventFold.add``
-        folds its line read back."""
+        """What the engine folds as it writes an event is what
+        ``EventFold.add`` folds of its line read back."""
         ev = _SAMPLE_EVENTS[kind]
         run, out = _bulk_run()
-        _emit_typed(run, ev)
+        _emit_as_engine(run, ev)
         assert out.getvalue() == evalloop.event_line(ev)
         read = EventFold().consume(_CONTEXT)
         read.add(json.loads(out.getvalue()))
@@ -1851,6 +1864,70 @@ class TestFallbackBatch:
         result = engine.run()
         batches = [e for e in iter_events(result.events_path) if e["kind"] == "batch"]
         assert all(b["accepted"] for b in batches)
+
+
+class TestTheFoldIsTheMemory:
+    """What a run remembers between cycles it reads from its fold."""
+
+    def test_a_window_is_the_agent_s_last_realized_pnls(self, tmp_path, monkeypatch):
+        """Each calibration window an agent's batch is validated against
+        holds the P&Ls of its last ``calibration_window_size`` CLOSE and
+        RESOLVE entries of the cycles before, read here from the log; with
+        a window of 2, windows roll."""
+        seen = []
+        real = evalloop.validate_decision_batch
+
+        def spy(batch, known, window, cfg):
+            seen.append((batch.agent_id, batch.produced_at, window))
+            return real(batch, known, window, cfg)
+
+        monkeypatch.setattr(evalloop, "validate_decision_batch", spy)
+        config = EngineConfig(agents=AgentConfig(calibration_window_size=2))
+        result = EvalEngine.create(
+            tmp_path, seed=7, agent_ids=["momentum", "mean_reversion"], cycles=8,
+            feed_source={"kind": "synthetic", "n_markets": 40}, config=config,
+        ).run()
+        events = oracles.read_events(result.events_path)
+        cycle_at = {ev["time"]: ev["cycle"] for ev in events if ev["kind"] == "cycle_start"}
+        realized = [
+            (e["agent_id"], e["cycle"], e["cash_delta_cents"]) for e in per_entry_events(events)
+            if e["kind"] == "ledger" and e["entry_kind"] in ("CLOSE", "RESOLVE")
+        ]
+        rolled = 0
+        for aid, at, window in seen:
+            cycle = cycle_at[to_iso(at)]
+            pnls = [cash for agent, c, cash in realized if agent == aid and c < cycle]
+            assert window == agents.CalibrationWindow(tuple(pnls[-2:]), 2), (aid, cycle)
+            rolled += len(pnls) > 2
+        assert len(seen) == 2 * 8 and rolled
+
+    @pytest.mark.parametrize("name", sorted(MANIFESTS))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_an_agent_s_part_is_that_of_the_full_run(self, name, pinned_logs, data):
+        """An agent's part of a log (``oracles.agent_part``) depends on the
+        feed, the seed and its own id only: run with a subset of a pinned
+        manifest's agents, in any order, each agent's part, each baseline's
+        and the baselines blocks are those of the full run."""
+        root, full = pinned_logs(name)
+        ids = data.draw(st.permutations(MANIFESTS[name]["agent_ids"]), label="order")
+        ids = ids[: data.draw(st.integers(1, len(ids)), label="agents")]
+        with contextlib.chdir(root):
+            result = EvalEngine.create(
+                tempfile.mkdtemp(dir=root), run_id=name,
+                **{**MANIFESTS[name], "agent_ids": ids},
+            ).run()
+        part = oracles.read_events(result.events_path)
+        baselines = [reporting.BASELINE_PREFIX + kind.value for kind in BaselineKind]
+        for subject in [*ids, *baselines]:
+            assert list(map(evalloop.event_line, oracles.agent_part(part, subject))) == list(
+                map(evalloop.event_line, oracles.agent_part(full, subject))
+            ), subject
+        blocks = [
+            [evalloop.event_line(ev) for ev in log if ev["kind"] == "baselines"]
+            for log in (part, full)
+        ]
+        assert blocks[0] == blocks[1]
 
 
 class TestHotPathEquivalence:

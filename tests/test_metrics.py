@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import ast
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftmark import metrics
+from driftmark import evalloop, metrics
 from driftmark.errors import (
     DegenerateInput,
     EmptyInput,
@@ -37,6 +39,7 @@ from driftmark.metrics import (
     reliability_bins_to_csv,
     risk_adjusted_return,
     risk_category,
+    significance_test,
     token_set,
     score_forecasts,
     temporal_drift,
@@ -534,3 +537,42 @@ class TestArrayScoringMatchesPerForecast:
             score_forecasts([(0.5, 1)], bins=1, eps=0.02)
         with pytest.raises(EmptyInput):
             score_forecasts([(0.5, 1)], bins=1)
+
+
+class TestSignificance:
+    def test_identical_scores_p_near_one(self):
+        scores = list(np.linspace(0.1, 0.4, 50))
+        assert significance_test(scores, scores, seed=1) > 0.9
+
+    def test_separated_scores_tiny_p(self):
+        a = [0.0] * 100
+        b = [0.25] * 100
+        assert significance_test(a, b, seed=1) < 0.001
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            significance_test([0.1] * 10, [0.1] * 9)
+
+    def test_deterministic_given_seed(self):
+        rng = np.random.default_rng(3)
+        a = list(rng.uniform(0, 1, 40))
+        b = list(rng.uniform(0, 1, 40))
+        assert significance_test(a, b, seed=5) == significance_test(a, b, seed=5)
+
+    def test_moderate_difference_detected(self):
+        rng = np.random.default_rng(8)
+        base = rng.uniform(0.1, 0.3, 200)
+        a = list(base)
+        b = list(base + 0.05)
+        assert significance_test(a, b, seed=2) < 0.01
+
+    def test_the_engine_imports_no_numpy(self):
+        """numpy is off the path from manifest to log: ``evalloop`` imports
+        none, and ``significance_test`` imports it when called."""
+        tree = ast.parse(Path(evalloop.__file__).read_text(encoding="utf-8"))
+        imported = [
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
+
