@@ -82,8 +82,7 @@ def unit_noise(*parts) -> float:
 # --- records ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
+class ForecastRecord(NamedTuple):
     condition_id: str
     probability: float
     confidence: int  # integer 0-10
@@ -644,14 +643,7 @@ def sample_forecast(
     if len(words) > budget:
         words = words[:budget]
         trace = " ".join(words)
-    return ForecastRecord(
-        condition_id=market.condition_id,
-        probability=prob,
-        confidence=conf,
-        reasoning_trace=trace,
-        input_tokens=input_tokens,
-        output_tokens=len(words),
-    )
+    return ForecastRecord(market.condition_id, prob, conf, trace, input_tokens, len(words))
 
 
 # --- batch construction -------------------------------------------------------------

@@ -7,8 +7,8 @@ impossible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .market_data import EventCategory, MarketSnapshot, ResolvedOutcome
 
@@ -20,8 +20,7 @@ class BaselineKind(str, Enum):
     HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
-class BaselineForecast:
+class BaselineForecast(NamedTuple):
     kind: BaselineKind
     condition_id: str
     probability: float
@@ -32,19 +31,11 @@ def market_baseline(snapshot: MarketSnapshot, use_mid: bool = False) -> Baseline
     prob = snapshot.yes_price
     if use_mid:
         prob = (snapshot.yes_price + (1.0 - snapshot.no_price)) / 2.0
-    return BaselineForecast(
-        kind=BaselineKind.MARKET,
-        condition_id=snapshot.condition_id,
-        probability=prob,
-    )
+    return BaselineForecast(BaselineKind.MARKET, snapshot.condition_id, prob)
 
 
 def uniform_baseline(snapshot: MarketSnapshot) -> BaselineForecast:
-    return BaselineForecast(
-        kind=BaselineKind.UNIFORM,
-        condition_id=snapshot.condition_id,
-        probability=0.5,
-    )
+    return BaselineForecast(BaselineKind.UNIFORM, snapshot.condition_id, 0.5)
 
 
 class HistoricalFrequency:
@@ -78,9 +69,7 @@ def historical_frequency_baseline(
     """Laplace-smoothed frequency over the resolved events of ``history``
     sharing (risk, domain)."""
     return BaselineForecast(
-        kind=BaselineKind.HISTORICAL,
-        condition_id=snapshot.condition_id,
-        probability=history.probability(category),
+        BaselineKind.HISTORICAL, snapshot.condition_id, history.probability(category)
     )
 
 
@@ -96,8 +85,4 @@ def heuristic_baseline(
         prob = longshot_prob
     else:
         prob = 0.5
-    return BaselineForecast(
-        kind=BaselineKind.HEURISTIC,
-        condition_id=snapshot.condition_id,
-        probability=prob,
-    )
+    return BaselineForecast(BaselineKind.HEURISTIC, snapshot.condition_id, prob)

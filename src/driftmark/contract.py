@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -152,25 +153,8 @@ def render_instruction_parts(
     market's times are formatted only when ``extra`` does not hold their
     text.
     """
-    if not contract.locked:
-        raise UnlockedContract("render requires a locked contract")
-    values = {
-        "market.condition_id": market.condition_id,
-        "market.question": market.question,
-        "market.yes_price": f"{market.yes_price:.4f}",
-        "market.no_price": f"{market.no_price:.4f}",
-        "market.liquidity_tier": market.liquidity_tier.value,
-        "contract.version": contract.version,
-        "contract.token_budget": str(contract.token_budget),
-        **(extra or {}),
-    }
-    if "market.end_time" not in values:
-        values["market.end_time"] = to_iso(market.end_time)
-    if "market.observed_at" not in values:
-        values["market.observed_at"] = to_iso(market.observed_at)
-
-    # split() alternates literal text and placeholder keys.
-    pieces = _PLACEHOLDER.split(contract.template_text)
+    values = _values(contract, market, extra)
+    pieces = _pieces(contract.template_text)
     parts: list[str] = []
     current = [pieces[0]]
     for i in range(1, len(pieces), 2):
@@ -187,16 +171,75 @@ def render_instruction_parts(
     return parts
 
 
-def summary_stand_in(summary: str) -> str:
-    """A text that splits as ``summary`` does wherever it is put: one ``x``
+@lru_cache(maxsize=64)
+def _pieces(template_text: str) -> tuple[str, ...]:
+    """The template's literal texts and placeholder keys, alternating."""
+    return tuple(_PLACEHOLDER.split(template_text))
+
+
+def _values(contract: PromptContract, market, extra: dict[str, str] | None) -> dict[str, str]:
+    """Each placeholder's text but the summary's: the market's and the
+    contract's fields, overridden by ``extra``."""
+    if not contract.locked:
+        raise UnlockedContract("render requires a locked contract")
+    values = {
+        "market.condition_id": market.condition_id,
+        "market.question": market.question,
+        "market.yes_price": f"{market.yes_price:.4f}",
+        "market.no_price": f"{market.no_price:.4f}",
+        "market.liquidity_tier": market.liquidity_tier.value,
+        "contract.version": contract.version,
+        "contract.token_budget": str(contract.token_budget),
+        **(extra or {}),
+    }
+    if "market.end_time" not in values:
+        values["market.end_time"] = to_iso(market.end_time)
+    if "market.observed_at" not in values:
+        values["market.observed_at"] = to_iso(market.observed_at)
+    return values
+
+
+def summary_stand_in(text: str) -> str:
+    """A text that splits as ``text`` does wherever it is put: one ``x``
     per whitespace token, joined by spaces, with a space before or after
-    where ``summary`` starts or ends with whitespace ("" for ""). Any
-    template rendered with it holds as many tokens as with ``summary``."""
-    if not summary:
+    where ``text`` starts or ends with whitespace ("" for ""). Any template
+    rendered with it holds as many tokens as with ``text``."""
+    if not text:
         return ""
-    head = " " if summary[0].isspace() else ""
-    tail = " " if summary[-1].isspace() else ""
-    return head + " ".join(["x"] * len(summary.split())) + tail
+    head = " " if text[0].isspace() else ""
+    tail = " " if text[-1].isspace() else ""
+    return head + " ".join(["x"] * len(text.split())) + tail
+
+
+def instruction_shape(
+    contract: PromptContract,
+    market,
+    summary: str = "",
+    extra: dict[str, str] | None = None,
+) -> tuple[tuple[str, ...], str]:
+    """The instruction's shape: the ``summary_stand_in`` of every value
+    ``render_instruction_parts`` substitutes, in the template's order, and
+    the summary's (``extra``'s summary, as ``render_instruction`` takes it).
+
+    The template rendered with each value's stand-in in its place holds as
+    many whitespace tokens as rendered with the values: a stand-in is
+    empty, starts with whitespace and ends with whitespace exactly when its
+    value does, and holds as many tokens. That text is a function of the
+    contract and the shape, so two instructions of one contract with equal
+    shapes split into as many tokens. An unknown placeholder is the
+    ``MissingPlaceholderValue`` ``render_instruction`` raises.
+    """
+    if extra and _SUMMARY_KEY in extra:
+        summary = extra[_SUMMARY_KEY]
+    values = _values(contract, market, extra)
+    stand_ins = []
+    for key in _pieces(contract.template_text)[1::2]:
+        if key == _SUMMARY_KEY:
+            continue
+        if key not in values:
+            raise MissingPlaceholderValue(key)
+        stand_ins.append(summary_stand_in(values[key]))
+    return tuple(stand_ins), summary_stand_in(summary)
 
 
 # --- storage ----------------------------------------------------------------

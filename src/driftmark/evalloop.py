@@ -54,6 +54,7 @@ from .contract import (
     DEFAULT_TEMPLATE,
     PromptContract,
     contract_from_json,
+    instruction_shape,
     lock_contract,
     render_instruction,
     summary_stand_in,
@@ -314,10 +315,10 @@ class _Cycle(NamedTuple):
     now: datetime
     snaps: list[MarketSnapshot]
     snap_map: dict[str, MarketSnapshot]
-    # Each snapshot's time texts, and its instruction's token count by
-    # summary_stand_in of the portfolio summary.
+    # Each snapshot's time texts, and the stand-ins of its instruction's
+    # values: its instruction_shape but for the summary's stand-in.
     times: list[dict[str, str]]
-    tokens: list[dict[str, int]]
+    shapes: list[tuple[str, ...]]
     # Each market's yes price and its previous price.
     moves: dict[str, tuple[float, float | None]]
     risk_by_market: dict[str, Risk]
@@ -353,6 +354,9 @@ class _Run:
     history: HistoricalFrequency = field(default_factory=HistoricalFrequency)
     events: TextIO | None = None
     iso: _IsoCache = field(default_factory=_IsoCache)
+    # Each instruction shape's token count: the split of the first
+    # instruction rendered of that shape.
+    tokens: dict[tuple[tuple[str, ...], str], int] = field(default_factory=dict)
 
     def emit(self, ev: dict) -> None:
         """Write one event, a block or any other, and fold it."""
@@ -660,11 +664,15 @@ class EvalEngine:
                         f"{aid}: ledger entry seq {entry.seq} is not the next seq, "
                         f"{st.portfolio.next_seq}",
                     )
-                # apply_entry's own errors, a broken Portfolio invariant
-                # (AssertionError), or a price it cannot value
+                # apply_entry's own errors, or a price it cannot value; a
+                # broken Portfolio invariant (AssertionError) names the seq
                 try:
                     st.portfolio = apply_entry(st.portfolio, entry)
-                except (EngineError, AssertionError, ArithmeticError, ValueError) as exc:
+                except AssertionError as exc:
+                    raise CorruptLog(
+                        None, f"{aid}: ledger entry cannot be replayed: {exc}"
+                    ) from exc
+                except (EngineError, ArithmeticError, ValueError) as exc:
                     raise CorruptLog(
                         None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
                     ) from exc
@@ -835,16 +843,17 @@ class EvalEngine:
             cid: _recent_prices(run.fold.prices[cid], cfg.volatility_window + 1)
             for cid in snap_map
         }
+        times = [
+            {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]}
+            for s in snaps
+        ]
         c = _Cycle(
             number=cycle,
             now=snaps[0].observed_at,
             snaps=snaps,
             snap_map=snap_map,
-            times=[
-                {"market.end_time": iso[s.end_time], "market.observed_at": iso[s.observed_at]}
-                for s in snaps
-            ],
-            tokens=[{} for _ in snaps],
+            times=times,
+            shapes=[instruction_shape(self.contract, s, "", t)[0] for s, t in zip(snaps, times)],
             moves=_moves(snap_map, prices),
             risk_by_market={
                 cid: risk_category(
@@ -931,15 +940,17 @@ class EvalEngine:
         still holds the agent's previous probabilities."""
         st = run.states[aid]
         previous = run.fold.forecasts.get(aid, {})
-        # Summaries that split alike share a stand-in, so each market's
-        # instruction is rendered once per cycle, not once per agent.
+        # Instructions of one shape split alike, so the run renders one of
+        # each shape and looks the count up for the others.
         stand_in = summary_stand_in(st.portfolio.summary())
+        tokens = run.tokens
         records: dict[str, ForecastRecord] = {}
         try:
-            for s, times, counts in zip(c.snaps, c.times, c.tokens):
-                n_in = counts.get(stand_in)
+            for s, times, values in zip(c.snaps, c.times, c.shapes):
+                shape = values, stand_in  # instruction_shape(contract, s, summary, times)
+                n_in = tokens.get(shape)
                 if n_in is None:
-                    n_in = counts[stand_in] = len(
+                    n_in = tokens[shape] = len(
                         render_instruction(self.contract, s, stand_in, times).split()
                     )
                 cid = s.condition_id

@@ -6,34 +6,67 @@ checked as it writes them: a test holds each one to its kind's table."""
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, NamedTuple
 
 from .market_data import Risk
 from .simulator import EntryKind, Mode, Side
 
-# The largest number a float holds. An integer beyond it is compared, not
-# converted, since converting it raises.
-_FLOAT_MAX = sys.float_info.max
+
+class Range(NamedTuple):
+    """A test of one value, and the same test of every value of a list,
+    taken with built-ins over the whole list; both are made from one
+    definition of the range."""
+
+    one: Callable[[object], bool]
+    every: Callable[[list], bool]
 
 
-def _finite(value) -> bool:
-    """A float holds ``value``: NaN, an infinity or a larger integer it does not."""
-    return abs(value) <= _FLOAT_MAX
+def _between(low: float, high: float, floats: bool = True) -> Range:
+    """Numbers in [``low``, ``high``], ints and, unless ``floats`` is
+    False, floats. Comparisons refuse NaN, and compare an integer no float
+    holds without converting it. Over a list, ``min`` and ``max`` skip a
+    NaN, or keep it when it comes first, which the comparisons then refuse;
+    once they pass, ``math.isfinite`` finds any NaN left among floats,
+    converting only integers a float holds."""
+
+    def every(values: list) -> bool:
+        return not values or (
+            low <= min(values)
+            and max(values) <= high
+            and (not floats or all(map(math.isfinite, values)))
+        )
+
+    return Range(lambda value: low <= value <= high, every)
+
+
+def _or_null(r: Range) -> Range:
+    """``r``, or null."""
+    return Range(
+        lambda value: value is None or r.one(value),
+        lambda values: r.every([v for v in values if v is not None]),
+    )
 
 
 class Type(NamedTuple):
-    """A value is exactly one of ``types`` (a bool is no int) and passes
-    ``within`` (None for no test). ``what`` says what a value must be in a
-    refusal, and ``name`` names the type in README's table."""
+    """A value is exactly one of ``types`` (a bool is no int) and is
+    ``within`` its range (None for any). ``what`` says what a value must be
+    in a refusal, and ``name`` names the type in README's table."""
 
     types: frozenset
-    within: Callable[[object], bool] | None
+    within: Range | None
     what: str
     name: str
 
     def holds(self, value) -> bool:
-        return type(value) in self.types and (self.within is None or self.within(value))
+        return type(value) in self.types and (self.within is None or self.within.one(value))
+
+    def holds_for_all(self, values: list) -> bool:
+        """``holds`` of every value of a list."""
+        return self.types.issuperset(map(type, values)) and (
+            self.within is None or self.within.every(values)
+        )
 
 
 def one_of(values, what: str | None = None) -> Type:
@@ -41,20 +74,28 @@ def one_of(values, what: str | None = None) -> Type:
     members = frozenset(values)
     what = what or f"one of {sorted(members)}"
     name = "/".join(sorted(map(str, members)))
-    return Type(frozenset(map(type, members)), members.__contains__, what, name)
+    return Type(
+        frozenset(map(type, members)), Range(members.__contains__, members.issuperset), what, name
+    )
 
 
+# The largest number a float holds.
+_FLOAT_MAX = sys.float_info.max
 STR = Type(frozenset((str,)), None, "a string", "str")
-INT = Type(frozenset((int,)), _finite, "an integer within a float's range", "int")
-NUMBER = Type(frozenset((int, float)), _finite, "a finite number", "number")
-PROBABILITY = Type(frozenset((int, float)), lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "probability")
+INT = Type(
+    frozenset((int,)), _between(-_FLOAT_MAX, _FLOAT_MAX, floats=False),
+    "an integer within a float's range", "int",
+)
+NUMBER = Type(
+    frozenset((int, float)), _between(-_FLOAT_MAX, _FLOAT_MAX), "a finite number", "number"
+)
+PROBABILITY = Type(frozenset((int, float)), _between(0.0, 1.0), "in [0, 1]", "probability")
 BOOL = Type(frozenset((bool,)), None, "true or false", "bool")
 LIST = Type(frozenset((list,)), None, "a list", "list")
 OBJECT = Type(frozenset((dict,)), None, "an object", "object")
 OBJECT_OR_NULL = Type(frozenset((dict, type(None))), None, "an object or null", "object or null")
 INT_OR_NULL = Type(
-    frozenset((int, type(None))), lambda v: v is None or _finite(v), "an integer or null",
-    "int or null",
+    frozenset((int, type(None))), _or_null(INT.within), "an integer or null", "int or null"
 )
 
 
@@ -143,9 +184,8 @@ def decode(ev: dict) -> dict:
                 raise ValueError(f"{key} is not a list")
             if len(values) != len(ev[first]):
                 raise ValueError(f"{key} holds {len(values)} values, {first} {len(ev[first])}")
-            if not t.types.issuperset(map(type, values)) or (
-                t.within is not None and not all(map(t.within, values))
-            ):
+            if not t.holds_for_all(values):
+                # Only a refusal looks at each value, to name the first.
                 bad = next(v for v in values if not t.holds(v))
                 raise ValueError(f"{key} {bad!r} is not {t.what}")
     except KeyError as exc:

@@ -3,9 +3,11 @@ P&L ledger.
 
 Money is integer cents throughout; share quantities are integer
 micro-shares so partial closes stay exact. Operations are functional: each
-prices its change as one ledger entry and returns ``apply_entry`` of it, the
-one portfolio transition, which ledger replay folds too. The capital
-identity available + deployed = total holds after every transition.
+prices its change as one ledger entry and returns ``apply_entry`` of it.
+``apply_entries`` is the one portfolio transition: ``apply_entry`` is its
+one-entry case, and a step's marks and ledger replay pass it a whole
+sequence. The capital identity available + deployed = total holds after
+every entry.
 
 Fills happen at the quoted price with no slippage (quote-level model;
 depth is out of scope). One position per market per agent.
@@ -103,6 +105,17 @@ class LedgerEntry:
     note: str = ""
 
 
+def _broken(total: int, available: int, deployed: int, n_open: int, max_open: int) -> str:
+    """Which invariant a portfolio of these totals breaks ("" for none)."""
+    if available + deployed != total:
+        return f"capital identity broken: {available} + {deployed} != {total}"
+    if available < 0:
+        return "available capital went negative"
+    if n_open > max_open:
+        return "too many open positions"
+    return ""
+
+
 @dataclass(frozen=True)
 class Portfolio:
     total_capital_cents: int
@@ -113,15 +126,12 @@ class Portfolio:
     next_seq: int = 1
 
     def __post_init__(self):
-        if self.available_cents + self.deployed_cents != self.total_capital_cents:
-            raise AssertionError(
-                f"capital identity broken: {self.available_cents} + {self.deployed_cents} "
-                f"!= {self.total_capital_cents}"
-            )
-        if self.available_cents < 0:
-            raise AssertionError("available capital went negative")
-        if len(self.open_positions) > self.max_open:
-            raise AssertionError("too many open positions")
+        broken = _broken(
+            self.total_capital_cents, self.available_cents, self.deployed_cents,
+            len(self.open_positions), self.max_open,
+        )
+        if broken:
+            raise AssertionError(broken)
 
     @classmethod
     def fresh(cls, capital_cents: int, max_open: int = 30) -> "Portfolio":
@@ -266,8 +276,13 @@ def resolve_market(
 
 
 def apply_entry(portfolio: Portfolio, entry: LedgerEntry) -> Portfolio:
-    """The portfolio after one ledger entry: the only transition, shared by
-    every operation above, ``step``'s marks and ``replay_ledger``.
+    """The portfolio after one ledger entry: ``apply_entries`` of it."""
+    return apply_entries(portfolio, (entry,))
+
+
+def apply_entries(portfolio: Portfolio, entries: Iterable[LedgerEntry]) -> Portfolio:
+    """The portfolio after ``entries``, in order: the only transition, shared
+    by every operation above, ``step``'s marks and ``replay_ledger``.
 
     Every kind moves capital alike: ``basis_delta_cents`` goes from available
     to deployed, and the realized ``cash_delta_cents`` into available and
@@ -276,55 +291,52 @@ def apply_entry(portfolio: Portfolio, entry: LedgerEntry) -> Portfolio:
     its price; a position with no quantity left is removed. A MARK for a
     market without a position changes nothing; a CLOSE or RESOLVE for one
     raises ``NoSuchPosition``.
+
+    The positions are indexed by market once, keep their order, and the
+    portfolio is built once, at the end; the totals after each entry are
+    checked as ``Portfolio`` checks them, and an invariant broken is an
+    ``AssertionError`` naming the entry's seq. So the result, or the error,
+    is that of applying the entries one at a time.
     """
-    cid = entry.condition_id
-    held = portfolio.open_positions
-    at = next((i for i, p in enumerate(held) if p.condition_id == cid), None)
-    if entry.kind == EntryKind.OPEN:
-        if at is not None:
-            raise AlreadyOpen(cid)
-        opened = Position(
-            condition_id=cid,
-            side=entry.side,
-            entry_price=entry.price,
-            quantity_micro=entry.quantity_micro,
-            cost_basis_cents=entry.basis_delta_cents,
-            opened_at=entry.timestamp,
-        )
-        positions = held + (opened,)
-    elif at is None:
-        if entry.kind == EntryKind.MARK:
-            return portfolio
-        raise NoSuchPosition(cid)
-    else:
-        position = held[at]
-        quantity = position.quantity_micro + entry.quantity_micro
-        basis = position.cost_basis_cents + entry.basis_delta_cents
-        if quantity <= 0:
-            positions = held[:at] + held[at + 1 :]
-        else:
-            changed = Position(
-                condition_id=cid,
-                side=position.side,
-                entry_price=position.entry_price,
-                quantity_micro=quantity,
-                cost_basis_cents=basis,
-                opened_at=position.opened_at,
-                unrealized_pnl_cents=_value_cents(quantity, entry.price) - basis,
+    total = portfolio.total_capital_cents
+    available = portfolio.available_cents
+    deployed = portfolio.deployed_cents
+    max_open = portfolio.max_open
+    next_seq = portfolio.next_seq
+    held = {p.condition_id: p for p in portfolio.open_positions}
+    for entry in entries:
+        cid = entry.condition_id
+        position = held.get(cid)
+        if entry.kind == EntryKind.OPEN:
+            if position is not None:
+                raise AlreadyOpen(cid)
+            held[cid] = Position(
+                cid, entry.side, entry.price, entry.quantity_micro, entry.basis_delta_cents,
+                entry.timestamp,
             )
-            positions = held[:at] + (changed,) + held[at + 1 :]
-    # The constructors, not dataclasses.replace: step marks every position
-    # through here each cycle.
-    return Portfolio(
-        total_capital_cents=portfolio.total_capital_cents + entry.cash_delta_cents,
-        available_cents=(
-            portfolio.available_cents - entry.basis_delta_cents + entry.cash_delta_cents
-        ),
-        deployed_cents=portfolio.deployed_cents + entry.basis_delta_cents,
-        open_positions=positions,
-        max_open=portfolio.max_open,
-        next_seq=entry.seq + 1,
-    )
+        elif position is None:
+            if entry.kind == EntryKind.MARK:
+                continue
+            raise NoSuchPosition(cid)
+        else:
+            quantity = position.quantity_micro + entry.quantity_micro
+            basis = position.cost_basis_cents + entry.basis_delta_cents
+            if quantity <= 0:
+                del held[cid]
+            else:
+                held[cid] = Position(
+                    cid, position.side, position.entry_price, quantity, basis,
+                    position.opened_at, _value_cents(quantity, entry.price) - basis,
+                )
+        cash, moved = entry.cash_delta_cents, entry.basis_delta_cents
+        total += cash
+        available += cash - moved
+        deployed += moved
+        next_seq = entry.seq + 1
+        if available < 0 or available + deployed != total or len(held) > max_open:
+            broken = _broken(total, available, deployed, len(held), max_open)
+            raise AssertionError(f"{broken} after ledger entry seq {entry.seq}")
+    return Portfolio(total, available, deployed, tuple(held.values()), max_open, next_seq)
 
 
 # --- the step ---------------------------------------------------------------------
@@ -369,27 +381,18 @@ def step(
     entries: list[LedgerEntry] = []
     skipped: list[SkipRecord] = []
 
-    # Mark positions with a snapshot this cycle; stale ones keep their last
-    # mark and are reported, not fatal.
+    # Mark positions with a snapshot this cycle, in one transition; stale
+    # ones keep their last mark and are reported, not fatal.
     for p in portfolio.open_positions:
         snap = snapshots.get(p.condition_id)
         if snap is None:
             skipped.append(SkipRecord(p.condition_id, "MARK", "missing_snapshot"))
             continue
-        entry = LedgerEntry(
-            seq=portfolio.next_seq,
-            kind=EntryKind.MARK,
-            condition_id=p.condition_id,
-            cash_delta_cents=0,
-            timestamp=now,
-            side=p.side,
-            price=p.side_price(snap),
-            quantity_micro=0,
-            basis_delta_cents=0,
-            note="mark",
-        )
-        portfolio = apply_entry(portfolio, entry)
-        entries.append(entry)
+        entries.append(LedgerEntry(
+            portfolio.next_seq + len(entries), EntryKind.MARK, p.condition_id, 0, now, p.side,
+            p.side_price(snap), 0, 0, "mark",
+        ))
+    portfolio = apply_entries(portfolio, entries)
 
     # Mandatory trigger closes, engine-enforced.
     for position in list(portfolio.open_positions):
@@ -504,7 +507,4 @@ def replay_ledger(
     initial_capital_cents: int, entries: Iterable[LedgerEntry], max_open: int = 30
 ) -> Portfolio:
     """Fold a ledger from initial capital back into the final portfolio."""
-    portfolio = Portfolio.fresh(initial_capital_cents, max_open=max_open)
-    for entry in entries:
-        portfolio = apply_entry(portfolio, entry)
-    return portfolio
+    return apply_entries(Portfolio.fresh(initial_capital_cents, max_open=max_open), entries)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from datetime import timedelta
 
@@ -29,8 +30,9 @@ import numpy as np
 from driftmark import agents as ag
 from driftmark import market_data as md
 from driftmark.agents import Action
+from driftmark.errors import AlreadyOpen, NoSuchPosition
 from driftmark.metrics import temporal_drift
-from driftmark.simulator import Position, Side
+from driftmark.simulator import EntryKind, Position, Side
 from driftmark.timeutil import SYNTHETIC_START
 
 
@@ -95,6 +97,17 @@ def token_set_oracle(text: str) -> frozenset[str]:
     if current:
         tokens.add("".join(current))
     return frozenset(tokens)
+
+
+def number_type_oracle(name: str, value) -> bool:
+    """A value of ``schema``'s ``int``, ``number`` or ``probability`` type,
+    one value at a time: its type exactly (a bool is no int), then a
+    float's range, compared without converting, or [0, 1]."""
+    if type(value) not in ((int,) if name == "int" else (int, float)):
+        return False
+    if name == "probability":
+        return 0.0 <= value <= 1.0
+    return abs(value) <= sys.float_info.max
 
 
 def price_volatility_oracle(prices, window: int = 10) -> float:
@@ -537,6 +550,50 @@ def resolve_oracle(portfolio, outcome):
             p for p in portfolio.open_positions if p.condition_id != outcome.condition_id
         ),
         next_seq=portfolio.next_seq + 1,
+    )
+
+
+def apply_entry_oracle(portfolio, entry):
+    """One ledger entry's transition, found by a scan of the positions and
+    checked by the portfolio's constructor, as the simulator applied each
+    entry before a sequence went through one pass."""
+    at = next(
+        (i for i, p in enumerate(portfolio.open_positions)
+         if p.condition_id == entry.condition_id),
+        None,
+    )
+    held = list(portfolio.open_positions)
+    if entry.kind == EntryKind.OPEN:
+        if at is not None:
+            raise AlreadyOpen(entry.condition_id)
+        held.append(Position(
+            entry.condition_id, entry.side, entry.price, entry.quantity_micro,
+            entry.basis_delta_cents, entry.timestamp,
+        ))
+    elif at is None:
+        if entry.kind == EntryKind.MARK:
+            return portfolio
+        raise NoSuchPosition(entry.condition_id)
+    else:
+        quantity = held[at].quantity_micro + entry.quantity_micro
+        basis = held[at].cost_basis_cents + entry.basis_delta_cents
+        if quantity <= 0:
+            del held[at]
+        else:
+            value = _value_cents_oracle(quantity, entry.price)
+            held[at] = replace(
+                held[at], quantity_micro=quantity, cost_basis_cents=basis,
+                unrealized_pnl_cents=value - basis,
+            )
+    return replace(
+        portfolio,
+        total_capital_cents=portfolio.total_capital_cents + entry.cash_delta_cents,
+        available_cents=(
+            portfolio.available_cents - entry.basis_delta_cents + entry.cash_delta_cents
+        ),
+        deployed_cents=portfolio.deployed_cents + entry.basis_delta_cents,
+        open_positions=tuple(held),
+        next_seq=entry.seq + 1,
     )
 
 

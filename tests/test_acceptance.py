@@ -234,8 +234,9 @@ def test_criterion_05_simulator_conservation():
             portfolio = result.portfolio
             entries.extend(result.entries)
             ops += len(decisions)
-            # capital identity is re-asserted by Portfolio.__post_init__ on
-            # every mutation; check the trigger band at the step's prices
+            # capital identity is asserted by apply_entries after every
+            # entry and by Portfolio.__post_init__; check it and the trigger
+            # band at the step's prices
             assert portfolio.available_cents + portfolio.deployed_cents == portfolio.total_capital_cents
             for pos in portfolio.open_positions:
                 assert evaluate_triggers(pos) == Trigger.NONE

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +16,7 @@ from driftmark.contract import (
     compute_hash,
     contract_from_json,
     contract_to_json,
+    instruction_shape,
     lock_contract,
     render_instruction,
     render_instruction_parts,
@@ -188,7 +190,32 @@ class TestRenderInstruction:
 
 # Letters, ASCII and Unicode whitespace (ideographic space, the four
 # information separators and NEL are whitespace to str.split too).
-TOKEN_TEXT = st.text(alphabet="ab \n\t\u3000\x1c\x1d\x1e\x1f\x85", max_size=8)
+_SPACES = " \n\t\u3000\x1c\x1d\x1e\x1f\x85"
+TOKEN_TEXT = st.text(alphabet="ab" + _SPACES, max_size=8)
+
+
+def _reshaped(data, text: str) -> str:
+    """``text`` with each word and each whitespace run redrawn, in place:
+    it splits as ``text`` does wherever it is put."""
+    return "".join(
+        data.draw(st.text(alphabet=_SPACES if run[0].isspace() else "ab", min_size=1, max_size=3))
+        for run in re.findall(r"\s+|\S+", text)
+    )
+
+
+def _market_values(contract, market) -> dict[str, str]:
+    """Every value a market and the contract fill, as the renderer writes it."""
+    return {
+        "market.condition_id": market.condition_id,
+        "market.question": market.question,
+        "market.yes_price": f"{market.yes_price:.4f}",
+        "market.no_price": f"{market.no_price:.4f}",
+        "market.liquidity_tier": market.liquidity_tier.value,
+        "market.end_time": to_iso(market.end_time),
+        "market.observed_at": to_iso(market.observed_at),
+        "contract.version": contract.version,
+        "contract.token_budget": str(contract.token_budget),
+    }
 
 
 def _count(contract, market, summary, extra=None) -> int:
@@ -204,6 +231,16 @@ _KEYS = (
     "market.liquidity_tier", "market.end_time", "market.observed_at", "contract.version",
     "contract.token_budget", "portfolio.summary", " portfolio.summary ",
 )
+# Any template over them: literal text and placeholders, adjacent or apart.
+_TEMPLATES = st.lists(
+    st.one_of(
+        TOKEN_TEXT,
+        st.sampled_from(_KEYS).map(lambda key: "{{%s}}" % key),
+        st.sampled_from(["{{no.such.key}}", "{{market.volume}}"]),
+    ),
+    min_size=1,
+    max_size=10,
+).map("".join).filter(bool)
 
 
 class TestSummaryStandIn:
@@ -231,15 +268,7 @@ class TestSummaryStandIn:
         assert _count(contract, market, summary) == expected
 
     @given(
-        st.lists(
-            st.one_of(
-                TOKEN_TEXT,
-                st.sampled_from(_KEYS).map(lambda key: "{{%s}}" % key),
-                st.sampled_from(["{{no.such.key}}", "{{market.volume}}"]),
-            ),
-            min_size=1,
-            max_size=10,
-        ).map("".join).filter(bool),
+        _TEMPLATES,
         st.fixed_dictionaries({
             "cid": TOKEN_TEXT, "question": TOKEN_TEXT, "version": TOKEN_TEXT,
             "end": TOKEN_TEXT, "observed": TOKEN_TEXT, "summary": TOKEN_TEXT,
@@ -274,6 +303,75 @@ class TestSummaryStandIn:
             assert info.value.key == exc.key
             return
         assert _count(contract, market, summary, extra) == expected
+
+    @given(
+        _TEMPLATES,
+        st.fixed_dictionaries({
+            "cid": TOKEN_TEXT, "question": TOKEN_TEXT, "version": TOKEN_TEXT,
+            "end": TOKEN_TEXT, "observed": TOKEN_TEXT, "summary": TOKEN_TEXT,
+        }),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=500)
+    @example("{{market.question}}{{market.condition_id}}{{contract.version}}",
+             dict(cid="", question=" a", version="b\x1c", end="", observed="", summary=""),
+             True, None)
+    @example("{{market.question}}b{{portfolio.summary}}{{market.condition_id}}",
+             dict(cid="a", question="a\u3000", version="", end="", observed="", summary="\x85a "),
+             False, None)
+    def test_every_value_s_stand_in_splits_as_the_value(self, template, texts, with_times, data):
+        """Any template and any values, empty or holding Unicode whitespace,
+        in placeholders adjacent or apart: a market whose every value and
+        summary is redrawn word for word and space for space has the same
+        instruction_shape and the same count; each count is the split of
+        the rendered instruction, rendered with the summary's stand-in, and
+        rendered with every value's stand-in; and an unknown key is the
+        same error."""
+        contract, _ = lock_contract(template, texts["version"], 1000)
+
+        def inputs(t, yes):
+            market = make_snapshot(cid=t["cid"], question=t["question"], yes=yes)
+            extra = (
+                {"market.end_time": t["end"], "market.observed_at": t["observed"]}
+                if with_times else None
+            )
+            return market, t["summary"], extra
+
+        # The explicit example draws nothing: its second market is its first
+        # at another price.
+        reshape = (lambda text: text) if data is None else (lambda text: _reshaped(data, text))
+        yes = 0.5 if data is None else data.draw(st.floats(0.0, 1.0))
+        first = inputs(texts, 0.25)
+        second = inputs({k: v if k == "version" else reshape(v) for k, v in texts.items()}, yes)
+        try:
+            counts = [len(render_instruction(contract, *args).split()) for args in (first, second)]
+        except MissingPlaceholderValue as exc:
+            for args in (first, second):
+                with pytest.raises(MissingPlaceholderValue) as info:
+                    instruction_shape(contract, *args)
+                assert info.value.key == exc.key
+            return
+        assert instruction_shape(contract, *first) == instruction_shape(contract, *second)
+        assert counts[0] == counts[1]
+        for (market, summary, extra), count in zip((first, second), counts):
+            assert _count(contract, market, summary, extra) == count
+            values = {**_market_values(contract, market), **(extra or {})}
+            stand_ins = {key: summary_stand_in(text) for key, text in values.items()}
+            assert len(
+                render_instruction(contract, market, summary_stand_in(summary), stand_ins).split()
+            ) == count
+
+    def test_the_shape_holds_each_value_s_stand_in_in_template_order(self):
+        contract, _ = lock_contract(
+            "{{market.question}}|{{portfolio.summary}}|{{market.yes_price}}{{contract.version}}",
+            "v 1 ", 1000,
+        )
+        market = make_snapshot(question=" Will it rain?")
+        assert instruction_shape(contract, market, "open 0/30") == ((" x x x", "x", "x x "), "x x")
+        assert instruction_shape(
+            contract, market, "ignored", {"portfolio.summary": "", "market.yes_price": "a b"}
+        ) == ((" x x x", "x x", "x x "), "")
 
     def test_default_template(self):
         contract = lock_contract(DEFAULT_TEMPLATE, "v1", 1000)[0]

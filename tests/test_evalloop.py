@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftmark.cli import main as cli_main
@@ -524,7 +525,11 @@ class TestCheckpointResume:
             events_path.write_bytes(events[:start] + edited + events[end:])
             ckpt["events_bytes"] += len(edited) - len(line)
             save(ckpt)
-            match = "momentum: ledger entry seq 1 cannot be replayed"
+            match = {
+                "kept_ledger_overdrawn": "momentum: ledger entry cannot be replayed: available "
+                "capital went negative after ledger entry seq 1$",
+                "kept_ledger_close_unopened": "momentum: ledger entry seq 1 cannot be replayed: ",
+            }[failure]
         elif failure.startswith("kept_huge_"):
             # A JSON integer too large for a float, which once escaped as an
             # OverflowError: a ledger entry's price, or a drift value.
@@ -1470,6 +1475,21 @@ def _cycle_blocks(draw, unique_markets: bool = False) -> list[dict]:
 _AT = datetime(2026, 1, 1, tzinfo=timezone.utc)
 _CID = "0x" + "ab" * 20
 # kind -> one event of each block kind
+# Numbers at every edge of the schema's ranges: ints and floats of
+# either sign, NaN, the infinities, integers no float holds and the
+# largest that round to one, -0.0, subnormals, the largest float, and
+# bools, which are no number.
+_EDGE_NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+    st.sampled_from([
+        float("nan"), float("inf"), -float("inf"), 10**400, -(10**400), -0.0, 5e-324,
+        sys.float_info.max, int(sys.float_info.max), int(sys.float_info.max) + 1,
+        -int(sys.float_info.max) - 1, True, False,
+    ]),
+)
+
 _SAMPLE_EVENTS = {
     "forecasts": {
         "kind": "forecasts", "cycle": 3, "agent_id": "momentum", "probability": [0.625, 0.5],
@@ -1805,6 +1825,32 @@ class TestBulkLines:
             with pytest.raises(ValueError, match="is not one this version writes"):
                 schema.decode({"kind": kind})
 
+    @pytest.mark.parametrize("kind, key", [
+        ("forecasts", "input_tokens"), ("snapshots", "yes_price"), ("baselines", "probability"),
+    ])
+    @given(values=st.lists(_EDGE_NUMBERS, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    # a NaN after a value in range, which min and max pass over
+    @example(values=[0, float("nan")])
+    def test_a_number_list_is_refused_exactly_when_a_value_is(self, kind, key, values):
+        """An int, number or probability list, its range checked with
+        built-ins over the whole list, is refused exactly when one of its
+        values is out of its type, value by value, and the refusal names
+        the first such value."""
+        t = schema.TABLES[kind].lists[key]
+        ev = {
+            k: v if k not in schema.TABLES[kind].lists else (v * len(values))[: len(values)]
+            for k, v in _SAMPLE_EVENTS[kind].items()
+        }
+        ev[key] = values
+        bad = next((v for v in values if not oracles.number_type_oracle(t.name, v)), None)
+        if bad is None:
+            assert schema.decode(ev) is ev
+        else:
+            with pytest.raises(ValueError) as info:
+                schema.decode(ev)
+            assert str(info.value) == f"{key} {bad!r} is not {t.what}"
+
     def test_readme_table_is_the_schema(self):
         """README's table lists each kind, in the schema's order, with its
         keys held once and its lists, each key with its type's name."""
@@ -1855,15 +1901,41 @@ class TestRunDirectory:
 
 
 class TestFallbackBatch:
-    def test_rejected_batch_defaults_to_holds(self, tmp_path):
-        # shrink the batch size so agent batches (size 30) get rejected
-        from driftmark.config import AgentConfig
+    def test_rejected_batch_defaults_to_holds(self, tmp_path, monkeypatch):
+        """A reply that breaks the contract, 29 decisions where it must hold
+        30, is rejected: its batch event says so, the turn trades the
+        fallback batch of HOLDs, so the agent opens nothing in a cycle
+        where its BUYs would have opened positions, and the run completes."""
 
-        config = EngineConfig(agents=AgentConfig(batch_size=30))
-        engine = make_engine(tmp_path, agents=("market_copier",), cycles=2, run_id="fb")
-        result = engine.run()
-        batches = [e for e in iter_events(result.events_path) if e["kind"] == "batch"]
-        assert all(b["accepted"] for b in batches)
+        def opens(result) -> set:
+            return {
+                (e["agent_id"], e["cycle"])
+                for e in per_entry_events(iter_events(result.events_path))
+                if e["kind"] == "ledger" and e["entry_kind"] == "OPEN"
+            }
+
+        honest = make_engine(tmp_path, cycles=3, run_id="honest").run()
+        real = evalloop.build_decision_batch
+
+        def short(agent, *args, **kwargs):
+            wire = real(agent, *args, **kwargs)
+            if agent.agent_id != "momentum":
+                return wire
+            reply = json.loads(wire)
+            reply["decisions"].pop()  # HOLD padding; the BUYs come first
+            return json.dumps(reply)
+
+        monkeypatch.setattr(evalloop, "build_decision_batch", short)
+        result = make_engine(tmp_path, cycles=3, run_id="fb").run()
+        events = list(iter_events(result.events_path))
+        batches = {(e["agent_id"], e["cycle"]): e for e in events if e["kind"] == "batch"}
+        momentum = [(cycle, b) for (aid, cycle), b in batches.items() if aid == "momentum"]
+        assert [b["accepted"] for _, b in momentum] == [False] * 3
+        assert all(b["accepted"] for (aid, _), b in batches.items() if aid != "momentum")
+        bought = {("momentum", cycle) for cycle, b in momentum if b["n_buys"]}
+        assert bought & opens(honest)
+        assert not {key for key in opens(result) if key[0] == "momentum"}
+        assert result.cycles_run == 3 and events[-1]["kind"] == "run_completed"
 
 
 class TestTheFoldIsTheMemory:

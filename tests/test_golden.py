@@ -14,7 +14,6 @@ import json
 import math
 import os
 import shutil
-from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 from driftmark import evalloop, reporting, schema
 from driftmark.cli import main as cli_main
+from driftmark.contract import instruction_shape
 from driftmark.errors import CorruptLog, IoError
 from driftmark.evalloop import EvalEngine, RunPaths, event_line, file_sha256, resume_run
 from driftmark.market_data import (
@@ -290,25 +290,52 @@ def run_manifest(root, name: str):
     return EvalEngine.create(root, run_id=name, **MANIFESTS[name]).run()
 
 
-def test_a_run_renders_each_market_once_per_cycle(tmp_path, monkeypatch):
+def test_a_run_renders_once_per_distinct_shape(tmp_path, monkeypatch):
     """Each forecast's input_tokens is the split of the text the renderer
-    gives, called through the name the engine imports: every portfolio
-    summary has the same stand-in, so each market is rendered once per
-    cycle for all six agents, and the pins hold."""
+    gives, called through the name the engine imports, once for each
+    distinct instruction shape (``contract.instruction_shape`` of the
+    market and the agent's portfolio summary): every other instruction of
+    that shape takes its count, and the pins hold. The seed-7 questions
+    hold three word counts and every portfolio summary eight tokens, so
+    the run renders three instructions for its 1,440 forecasts."""
     real = evalloop.render_instruction
-    calls = Counter()
+    real_stand_in = evalloop.summary_stand_in
+    real_sample = evalloop.sample_forecast
+    rendered: dict[tuple, int] = {}
+    renders = []
+    summaries = []
+    forecast_shapes = []
 
-    def counted(contract, market, *args, **kwargs):
-        calls[market.observed_at, market.condition_id] += 1
-        return real(contract, market, *args, **kwargs)
+    def counted(contract, market, summary="", extra=None):
+        text = real(contract, market, summary, extra)
+        shape = instruction_shape(contract, market, summary, extra)
+        renders.append(shape)
+        rendered[shape] = len(text.split())
+        return text
+
+    def stand_in(summary):
+        summaries.append(summary)
+        return real_stand_in(summary)
+
+    def sample(agent, market, *args, **kwargs):
+        forecast_shapes.append((market, summaries[-1]))
+        return real_sample(agent, market, *args, **kwargs)
 
     monkeypatch.setattr(evalloop, "render_instruction", counted)
+    monkeypatch.setattr(evalloop, "summary_stand_in", stand_in)
+    monkeypatch.setattr(evalloop, "sample_forecast", sample)
     monkeypatch.chdir(tmp_path)
-    run_manifest("out", "synthetic")
+    result = run_manifest("out", "synthetic")
     assert run_digests("out", "synthetic") == PINS["synthetic"]
-    manifest = MANIFESTS["synthetic"]
-    assert len(calls) == manifest["feed_source"]["n_markets"] * manifest["cycles"]
-    assert set(calls.values()) == {1}
+    contract = EvalEngine.create(tmp_path, **MANIFESTS["synthetic"]).contract
+    shapes = [instruction_shape(contract, m, summary) for m, summary in forecast_shapes]
+    assert len(renders) == len(set(renders)) == len(set(shapes)) == 3
+    assert set(renders) == set(shapes)
+    logged = [
+        n for ev in iter_events(result.events_path) if ev["kind"] == "forecasts"
+        for n in ev["input_tokens"]
+    ]
+    assert logged == [rendered[shape] for shape in shapes]
 
 
 @pytest.mark.parametrize("name", sorted(MANIFESTS))

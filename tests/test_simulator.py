@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from datetime import datetime, timedelta, timezone
@@ -32,6 +33,7 @@ from driftmark.simulator import (
     Portfolio,
     Side,
     Trigger,
+    apply_entries,
     apply_entry,
     close_position,
     entry_from_record,
@@ -306,6 +308,26 @@ class TestStep:
         assert skips.get("0xlow") == "insufficient_capital"
 
 
+# A quoted price is 0 or at least MIN_POSITIVE_PRICE, as the feed enforces.
+PRICES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(MIN_POSITIVE_PRICE, 1.0))
+
+# Any ledger entry over a few markets: deltas of either sign, so entries
+# can overdraw, exceed the position limit, or close what is not held.
+ENTRIES = st.builds(
+    LedgerEntry,
+    seq=st.integers(1, 100),
+    kind=st.sampled_from(EntryKind),
+    condition_id=st.sampled_from(["0xa", "0xb", "0xc"]),
+    cash_delta_cents=st.integers(-5_000, 5_000),
+    timestamp=st.just(NOW),
+    side=st.sampled_from(Side),
+    price=st.floats(0.0, 1.0),
+    quantity_micro=st.integers(-2_000_000, 2_000_000),
+    basis_delta_cents=st.integers(-5_000, 20_000),
+    note=st.sampled_from(["", "mark"]),
+)
+
+
 class TestLedger:
     def test_entry_round_trip(self):
         p = Portfolio.fresh(600_000)
@@ -340,6 +362,82 @@ class TestLedger:
                 apply_entry(p, LedgerEntry(9, kind, "0xz", 0, NOW, Side.YES, 0.5, -1, -1))
         with pytest.raises(AlreadyOpen):
             apply_entry(p, opened)
+
+    @given(
+        capital=st.integers(0, 100_000),
+        max_open=st.integers(0, 3),
+        entries=st.lists(ENTRIES, max_size=30),
+    )
+    @settings(max_examples=500)
+    @example(capital=100, max_open=30, entries=[
+        LedgerEntry(4, EntryKind.OPEN, "0xa", 0, NOW, Side.YES, 0.5, 10, 50),
+        LedgerEntry(5, EntryKind.MARK, "0xa", 0, NOW, Side.YES, 0.7, 0, 0),
+        LedgerEntry(6, EntryKind.OPEN, "0xb", 0, NOW, Side.NO, 0.5, 10, 60),
+    ])
+    @example(capital=1_000, max_open=3, entries=[
+        LedgerEntry(1, EntryKind.OPEN, "0xa", 0, NOW, Side.YES, 0.5, 1_000_000, 50),
+        LedgerEntry(2, EntryKind.OPEN, "0xb", 0, NOW, Side.NO, 0.5, 1_000_000, 60),
+        LedgerEntry(3, EntryKind.MARK, "0xa", 0, NOW, Side.YES, 0.7, 0, 0),
+        LedgerEntry(4, EntryKind.CLOSE, "0xb", 5, NOW, Side.NO, 0.4, -500_000, -30),
+        LedgerEntry(5, EntryKind.MARK, "0xc", 0, NOW, Side.NO, 0.4, 0, 0),
+        LedgerEntry(6, EntryKind.RESOLVE, "0xa", -50, NOW, Side.YES, 0.0, -1_000_000, -50),
+    ])
+    def test_apply_entries_is_the_per_entry_fold(self, capital, max_open, entries):
+        """Any entries, of any kind, market and delta: ``apply_entries`` is
+        ``apply_entry`` folded over them, and the scan-and-rebuild oracle
+        folded over them, or raises the per-entry fold's error, whose
+        message names the entry that broke an invariant."""
+        start = Portfolio.fresh(capital, max_open)
+        portfolio = oracle = start
+        for entry in entries:
+            try:
+                oracle = oracles.apply_entry_oracle(oracle, entry)
+            except (AlreadyOpen, NoSuchPosition, AssertionError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    apply_entry(portfolio, entry)
+                if isinstance(exc, AssertionError):
+                    assert str(info.value) == f"{exc} after ledger entry seq {entry.seq}"
+                else:
+                    assert str(info.value) == str(exc)
+                with pytest.raises(type(exc)) as whole:
+                    apply_entries(start, entries)
+                assert str(whole.value) == str(info.value)
+                return
+            portfolio = apply_entry(portfolio, entry)
+            assert portfolio == oracle
+        assert apply_entries(start, entries) == portfolio
+
+    @given(
+        opened=st.lists(st.tuples(st.floats(0.05, 0.95), st.integers(10_000, 20_000)),
+                        max_size=30),
+        moves=st.dictionaries(st.integers(0, 29), st.floats(-0.6, 0.6)),
+        first_seq=st.integers(1, 10**6),
+    )
+    @settings(max_examples=200)
+    @example(opened=[(0.5, 10_000)] * 3, moves={0: 0.01, 2: -0.3}, first_seq=1)
+    def test_step_of_an_empty_batch_is_the_oracle(self, opened, moves, first_seq):
+        """Up to 30 positions, each with a snapshot whose side price moved
+        past a trigger band, within the bands, or with no snapshot: the
+        step's marks, in one pass, and its closes are the oracle's, and the
+        seqs run on."""
+        sides = [Side.YES if i % 2 else Side.NO for i in range(len(opened))]
+        portfolio = dataclasses.replace(Portfolio.fresh(10**7), next_seq=first_seq)
+        portfolio = apply_entries(portfolio, [
+            LedgerEntry(first_seq + i, EntryKind.OPEN, f"0x{i:02d}", 0, NOW, side, price,
+                        round(basis * 10_000 / price), basis)
+            for i, ((price, basis), side) in enumerate(zip(opened, sides))
+        ])
+        snaps = {}
+        for i, move in moves.items():
+            if i < len(opened):
+                price = min(opened[i][0] * (1 + move), 1.0)
+                yes = price if sides[i] == Side.YES else 1.0 - price
+                snaps[f"0x{i:02d}"] = make_snapshot(cid=f"0x{i:02d}", yes=yes)
+        result = step(portfolio, batch_of([]), snaps, Mode.EXECUTION, now=NOW)
+        assert result.portfolio == oracles.step_oracle(portfolio, snaps)
+        assert [e.seq for e in result.entries] == list(
+            range(portfolio.next_seq, portfolio.next_seq + len(result.entries))
+        )
 
     def test_capital_identity_enforced(self):
         with pytest.raises(AssertionError):
@@ -390,8 +488,9 @@ class TestConservationFuzz:
             p = result.portfolio
             all_entries.extend(result.entries)
             steps += len(decisions)
-            # capital identity is asserted inside Portfolio.__post_init__ on
-            # every mutation; verify trigger bands explicitly
+            # capital identity is asserted by apply_entries after every
+            # entry and by Portfolio.__post_init__; verify trigger bands
+            # explicitly
             for pos in p.open_positions:
                 assert evaluate_triggers(pos) == Trigger.NONE
             t = t + timedelta(minutes=5)
@@ -419,8 +518,6 @@ class TestConservationFuzz:
 
 
 MACHINE_CIDS = ("0xa", "0xb", "0xc", "0xd")
-# A quoted price is 0 or at least MIN_POSITIVE_PRICE, as the feed enforces.
-PRICES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(MIN_POSITIVE_PRICE, 1.0))
 
 
 class PortfolioMachine(RuleBasedStateMachine):
