@@ -31,7 +31,6 @@ from .agents import (
     DecisionBatch,
     ForecastRecord,
     Memory,
-    ScriptedAgent,
     build_agent,
     build_decision_batch,
     hold_decision,
@@ -60,14 +59,15 @@ from .contract import (
     summary_stand_in,
 )
 from .errors import (
+    AlreadyOpen,
     CorruptLog,
-    EngineError,
     FatalFeedError,
     InvalidParameters,
     IoError,
     LiveSourceNotResumable,
     MalformedAgentOutput,
     NoCheckpoint,
+    NoSuchPosition,
     RunExists,
 )
 from .fileio import write_atomic
@@ -98,7 +98,7 @@ from .simulator import (
     Mode,
     Portfolio,
     Side,
-    apply_entry,
+    apply_entries,
     resolve_market,
     step,
 )
@@ -258,6 +258,32 @@ def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
     )
 
 
+def _replay(aid: str, portfolio: Portfolio, entries: list[LedgerEntry]) -> Portfolio:
+    """``portfolio`` after an agent's kept ledger entries, by one
+    ``apply_entries`` call, each entry's seq checked to be the agent's next
+    as it is applied. An entry out of order, or one that does not apply, is
+    a ``CorruptLog`` naming the agent and the entry's seq, which a broken
+    capital invariant's message names itself."""
+    seq = portfolio.next_seq
+
+    def in_order() -> Iterator[LedgerEntry]:
+        nonlocal seq
+        for seq, entry in enumerate(entries, start=portfolio.next_seq):
+            if entry.seq != seq:
+                raise CorruptLog(
+                    None, f"{aid}: ledger entry seq {entry.seq} is not the next seq, {seq}"
+                )
+            yield entry
+
+    try:
+        return apply_entries(portfolio, in_order())
+    except AssertionError as exc:
+        raise CorruptLog(None, f"{aid}: ledger entry cannot be replayed: {exc}") from exc
+    # apply_entries' own errors, or a price it cannot value
+    except (AlreadyOpen, NoSuchPosition, ArithmeticError, ValueError) as exc:
+        raise CorruptLog(None, f"{aid}: ledger entry seq {seq} cannot be replayed: {exc}") from exc
+
+
 def _recent_prices(by_cycle: dict[int, float], n: int) -> list[float]:
     """A market's last ``n`` yes prices, oldest first, from the fold's
     prices of it by cycle."""
@@ -329,24 +355,19 @@ class _Cycle(NamedTuple):
 
 
 @dataclass
-class _AgentState:
-    agent: ScriptedAgent
-    portfolio: Portfolio
-    prev_forecasts: dict[str, ForecastRecord] = field(default_factory=dict)
-    # Token sets of the prev_forecasts traces; one missing is computed from its trace.
-    prev_tokens: dict[str, frozenset[str]] = field(default_factory=dict)
-
-
-@dataclass
 class _Run:
     """What a run carries from cycle to cycle: the log it appends to, and
     the fold of every event written to it, which is all the run remembers
     of what it logged (each market's prices, each subject's forecasts, each
-    agent's ledger rows and realized P&L) and holds each of them once."""
+    agent's previous forecasts block, ledger rows and realized P&L) and
+    holds each of them once. ``EvalEngine._state`` builds the portfolios and
+    categories from the fold, for a fresh run and a resume alike."""
 
-    states: dict[str, _AgentState]
+    portfolios: dict[str, Portfolio]
     fold: reporting.EventFold
-    next_cycle: int = 1
+    # Each agent's token sets of the traces of its last completed turn, by
+    # trace text; a trace missing is tokenized from its text.
+    trace_tokens: dict[str, dict[str, frozenset[str]]] = field(default_factory=dict)
     # Each market's category from its cycle-1 snapshot.
     categories: dict[str, EventCategory] = field(default_factory=dict)
     # The outcomes the historical baseline has seen: none, since outcomes
@@ -452,6 +473,8 @@ class EvalEngine:
         if not self.contract.locked:
             raise InvalidParameters("contract must be locked")
         self.mode = Mode(manifest.mode)
+        # An agent keeps no state: each is built from its id and the seed.
+        self.agents = {aid: build_agent(aid, manifest.seed) for aid in manifest.agent_ids}
 
     # -- construction helpers --
 
@@ -619,77 +642,47 @@ class EvalEngine:
         with open(path, "ab") as fh:
             fh.truncate(size)
 
-    def _restore(self, ckpt: dict, run: _Run) -> None:
-        """Bring a fresh run state to the checkpoint from the kept log alone:
-        fold it, which is the run's memory (prices, the agents' and the
-        baselines' forecasts, ledger rows, realized P&L); replay each
-        agent's portfolio from its ledger rows, which must match the
-        boundary's cycle_end; and take up each agent's previous forecasts,
-        those of its last turn without an agent_failure, which its drift
-        compares against. No agent is called. The log is cut back to the
-        checkpoint only once every check has passed, so a resume that fails
-        leaves it as it was; no ledger file is read, and each is written
-        again at the end of the run."""
+    def _restore(self, ckpt: dict, run: _Run, cycles: list[list[MarketSnapshot]]) -> None:
+        """Bring a run with an empty fold to the checkpoint from the kept log
+        alone: fold it, check that it ends with the boundary's cycle_end,
+        build the state from the fold as a fresh run does (``_state``) and
+        check each agent's portfolio against that cycle_end. No agent is
+        called. The log is cut back to the checkpoint only once every check
+        has passed, so a resume that fails leaves it as it was; no ledger
+        file is read, and each is written again at the end of the run."""
         boundary = ckpt["next_cycle"] - 1
-        # Each agent's forecasts block of its last turn that completed, and
-        # those of the cycle being read, which a failure drops, each with
-        # the markets the fold found for it.
-        completed: dict[str, tuple[list[str], dict]] = {}
-        turns: dict[str, tuple[list[str], dict]] = {}
-
-        def add(ev: dict) -> None:
-            run.fold.add(ev)
-            kind = ev["kind"]
-            if kind == "forecasts":
-                turns[ev["agent_id"]] = (run.fold.block_markets(ev), ev)
-            elif kind == "agent_failure":
-                turns.pop(ev["agent_id"], None)
-            elif kind == "cycle_end":
-                completed.update(turns)
-                turns.clear()
-
-        last, line_no = self._read_prefix(self.paths.events, ckpt["events_bytes"], add)
+        last, line_no = self._read_prefix(self.paths.events, ckpt["events_bytes"], run.fold.add)
         if last.get("kind") != "cycle_end" or last["cycle"] != boundary:
             raise CorruptLog(
                 line_no or None, f"the kept log does not end with cycle {boundary}'s cycle_end"
             )
-        run.next_cycle = ckpt["next_cycle"]
-        times = _Timestamps()
-        for aid, st in run.states.items():
-            entries = [_kept_entry(aid, row, times) for row in run.fold.ledgers.get(aid, [])]
-            for entry in entries:
-                if entry.seq != st.portfolio.next_seq:
-                    raise CorruptLog(
-                        None,
-                        f"{aid}: ledger entry seq {entry.seq} is not the next seq, "
-                        f"{st.portfolio.next_seq}",
-                    )
-                # apply_entry's own errors, or a price it cannot value; a
-                # broken Portfolio invariant (AssertionError) names the seq
-                try:
-                    st.portfolio = apply_entry(st.portfolio, entry)
-                except AssertionError as exc:
-                    raise CorruptLog(
-                        None, f"{aid}: ledger entry cannot be replayed: {exc}"
-                    ) from exc
-                except (EngineError, ArithmeticError, ValueError) as exc:
-                    raise CorruptLog(
-                        None, f"{aid}: ledger entry seq {entry.seq} cannot be replayed: {exc}"
-                    ) from exc
-            if last["portfolios"].get(aid) != _totals(st.portfolio):
+        self._state(run, cycles)
+        for aid, portfolio in run.portfolios.items():
+            if last["portfolios"].get(aid) != _totals(portfolio):
                 raise CorruptLog(
                     line_no, f"{aid}: ledger replay disagrees with cycle {boundary}'s cycle_end"
                 )
-            if aid in completed:
-                cids, block = completed[aid]
-                st.prev_forecasts = {
-                    cid: ForecastRecord(cid, p, confidence, trace, n_in, n_out)
-                    for cid, p, confidence, trace, n_in, n_out in zip(
-                        cids, block["probability"], block["confidence"], block["trace"],
-                        block["input_tokens"], block["output_tokens"],
-                    )
-                }
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
+
+    def _state(self, run: _Run, cycles: list[list[MarketSnapshot]]) -> None:
+        """Build what the run's next cycle reads beside its fold from the
+        fold alone, for a fresh run (the fold of its header lines) and a
+        resume (of the kept log) alike: each agent's portfolio, its ledger
+        rows replayed by one ``apply_entries`` call with each seq checked
+        (``_replay``), and, once cycle 1 is logged, each market's category
+        from its snapshot in the feed's first cycle, ``cycles[0]``. The fold
+        itself gives the next cycle, the one after its last cycle_end, and
+        each agent's previous forecasts (``EventFold.previous``)."""
+        fold = run.fold
+        if fold.last_cycle_end:  # cycle 1 categorizes its own snapshots
+            run.categories = {s.condition_id: self._categorize(s) for s in cycles[0]}
+        sim = self.config.simulator
+        times = _Timestamps()
+        for aid in self.manifest.agent_ids:
+            # Every row converts before any is replayed.
+            entries = [_kept_entry(aid, row, times) for row in fold.ledgers.get(aid, [])]
+            fresh = Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions)
+            run.portfolios[aid] = _replay(aid, fresh, entries)
 
     # -- the run --
 
@@ -713,16 +706,26 @@ class EvalEngine:
                 )
             total_cycles = min(self.manifest.cycles, len(cycles_data))
         self.paths.ensure()
-        run = self._setup(resume, resume_cycle, cycles_data)
+        # A resume builds its state from the kept log; a fresh run, once the
+        # manifest and the contract are saved, from its header lines.
+        run = _Run({}, reporting.EventFold())
+        if resume:
+            self._restore(self._latest_checkpoint(resume_cycle), run, cycles_data)
+        else:
+            write_atomic(self.paths.manifest, self.manifest.to_json().encode())
+            ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
+        run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
         try:
             if not resume:
                 self._start(run, total_cycles)
+                self._state(run, cycles_data)
             limiter = RateLimiter(self.config.market.rate_limit_per_sec) if live else None
-            for cycle in range(run.next_cycle, total_cycles + 1):
+            first = run.fold.last_cycle_end + 1
+            for cycle in range(first, total_cycles + 1):
                 if not live:
                     snaps = cycles_data[cycle - 1]
                 else:
-                    if cycle > run.next_cycle and self.manifest.cycle_interval_sec > 0:
+                    if cycle > first and self.manifest.cycle_interval_sec > 0:
                         _time.sleep(self.manifest.cycle_interval_sec)
                     snaps = self._live_cycle(limiter)
                 self._run_cycle(run, cycle, snaps)
@@ -749,32 +752,6 @@ class EvalEngine:
             final_reports=final,
             fold=run.fold,
         )
-
-    def _setup(
-        self, resume: bool, resume_cycle: int | None, cycles_data: list[list[MarketSnapshot]]
-    ) -> _Run:
-        """The run state before its next cycle, with the log open for
-        appending: fresh after the manifest and the contract are saved, or
-        restored from a checkpoint and the log kept up to it, with each
-        market's category from its snapshot in ``cycles_data``' first
-        cycle."""
-        sim = self.config.simulator
-        states = {
-            aid: _AgentState(
-                agent=build_agent(aid, self.manifest.seed),
-                portfolio=Portfolio.fresh(sim.initial_capital_cents, sim.max_open_positions),
-            )
-            for aid in self.manifest.agent_ids
-        }
-        run = _Run(states, reporting.EventFold())
-        if resume:
-            self._restore(self._latest_checkpoint(resume_cycle), run)
-            run.categories = {s.condition_id: self._categorize(s) for s in cycles_data[0]}
-        else:
-            write_atomic(self.paths.manifest, self.manifest.to_json().encode())
-            ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
-        run.events = open(self.paths.events, "a" if resume else "w", encoding="utf-8")
-        return run
 
     def _write_ledgers(self, fold: reporting.EventFold) -> None:
         """Write each agent's ledger file, whole, from its rows in the fold;
@@ -804,7 +781,7 @@ class EvalEngine:
         for aid in m.agent_ids:
             run.emit({
                 "kind": "agent_meta", "agent_id": aid, "agent_count": 1,
-                "strategy": run.states[aid].agent.strategy.value, "unique_users": None,
+                "strategy": self.agents[aid].strategy.value, "unique_users": None,
             })
 
     def _run_cycle(self, run: _Run, cycle: int, snaps: list[MarketSnapshot]) -> None:
@@ -875,7 +852,7 @@ class EvalEngine:
                 "cycle": cycle,
                 "time": now_iso,
                 "portfolios": {
-                    aid: _totals(run.states[aid].portfolio) for aid in self.manifest.agent_ids
+                    aid: _totals(run.portfolios[aid]) for aid in self.manifest.agent_ids
                 },
             }
         )
@@ -892,13 +869,13 @@ class EvalEngine:
     def _agent_turn(self, run: _Run, c: _Cycle, aid: str) -> None:
         """One agent's cycle: forecasts, drift, its decision batch and the
         simulator step. A failing agent trades a batch of HOLDs."""
-        st = run.states[aid]
         sim = self.config.simulator
-        curr_tokens: dict[str, frozenset[str]] = {}
+        tokens: dict[str, frozenset[str]] = {}
         try:
             records = self._forecasts(run, c, aid)
-            if st.prev_forecasts:
-                run.emit(self._agent_drift(run, c, aid, records, curr_tokens))
+            previous = run.fold.previous.get(aid)
+            if previous and previous[0]:  # a turn with forecasts
+                run.emit(self._agent_drift(run, c, aid, records, previous, tokens))
             batch = self._decide(run, c, aid, records)
         except MalformedAgentOutput as exc:
             run.emit(
@@ -907,7 +884,7 @@ class EvalEngine:
             records = {}
             batch = self._fallback_batch(aid, c)
         result = step(
-            st.portfolio,
+            run.portfolios[aid],
             batch,
             c.snap_map,
             self.mode,
@@ -916,7 +893,7 @@ class EvalEngine:
             stop_loss=sim.stop_loss_ratio,
             target_win=sim.target_win_ratio,
         )
-        st.portfolio = result.portfolio
+        run.portfolios[aid] = result.portfolio
         run.record(c.number, aid, result.entries)
         for skip in result.skipped:
             run.emit(
@@ -930,19 +907,17 @@ class EvalEngine:
                 }
             )
         if records:
-            st.prev_forecasts = records
-            st.prev_tokens = curr_tokens
+            run.trace_tokens[aid] = tokens
 
     def _forecasts(self, run: _Run, c: _Cycle, aid: str) -> dict[str, ForecastRecord]:
         """Sample the agent's forecast of every market, given its memory of
         it, and log them as one block; a turn that fails part-way logs the
         forecasts it made. The fold takes the block after the turn, so it
         still holds the agent's previous probabilities."""
-        st = run.states[aid]
         previous = run.fold.forecasts.get(aid, {})
         # Instructions of one shape split alike, so the run renders one of
         # each shape and looks the count up for the others.
-        stand_in = summary_stand_in(st.portfolio.summary())
+        stand_in = summary_stand_in(run.portfolios[aid].summary())
         tokens = run.tokens
         records: dict[str, ForecastRecord] = {}
         try:
@@ -957,7 +932,7 @@ class EvalEngine:
                 rows = previous.get(cid)
                 memory = Memory(c.moves[cid][1], rows[-1][1] if rows else None)
                 records[cid] = sample_forecast(
-                    st.agent, s, self.contract.token_budget, cycle_index=c.number,
+                    self.agents[aid], s, self.contract.token_budget, cycle_index=c.number,
                     input_tokens=n_in, memory=memory,
                 )
         finally:
@@ -980,15 +955,14 @@ class EvalEngine:
         rejected batch falls back to HOLDs. The agent's calibration window
         is its last realized P&Ls in the fold."""
         cfg = self.config.agents
-        st = run.states[aid]
         realized = run.fold.realized.get(aid, [])
         window = CalibrationWindow(
             tuple(cash for _, _, cash in realized[-cfg.calibration_window_size:]),
             cfg.calibration_window_size,
         )
-        open_ids = {p.condition_id for p in st.portfolio.open_positions}
+        open_ids = {p.condition_id for p in run.portfolios[aid].open_positions}
         wire = build_decision_batch(
-            st.agent,
+            self.agents[aid],
             records,
             c.snaps,
             window,
@@ -1024,24 +998,29 @@ class EvalEngine:
         c: _Cycle,
         aid: str,
         records: dict[str, ForecastRecord],
-        curr_tokens: dict[str, frozenset[str]],
+        previous: tuple[list[str], list[float], list[str]],
+        tokens: dict[str, frozenset[str]],
     ) -> dict:
-        """The agent's drift against its previous forecasts; fills
-        ``curr_tokens`` with the token sets of the traces it compares."""
-        st = run.states[aid]
-        prev = st.prev_forecasts
+        """The agent's drift against its ``previous`` forecasts, the fold's;
+        fills ``tokens`` with the token sets of the traces it compares, by
+        trace text."""
+        cached = run.trace_tokens.get(aid, {})
+        markets, probabilities, traces = previous
         means, compared = _drift_means(
             {cid: rec.probability for cid, rec in records.items()},
-            {cid: rec.probability for cid, rec in prev.items()},
+            dict(zip(markets, probabilities)),
             c.moves,
         )
+        trace_of = dict(zip(markets, traces))
         dn_parts: list[float] = []
         for cid in compared:
-            prev_tokens = st.prev_tokens.get(cid)
-            if prev_tokens is None:
-                prev_tokens = token_set(prev[cid].reasoning_trace)
-            tokens = curr_tokens[cid] = token_set(records[cid].reasoning_trace)
-            dn_parts.append(narrative_drift_sets(prev_tokens, tokens))
+            trace = trace_of[cid]
+            prev_set = cached.get(trace)
+            if prev_set is None:
+                prev_set = token_set(trace)
+            trace = records[cid].reasoning_trace
+            curr_set = tokens[trace] = token_set(trace)
+            dn_parts.append(narrative_drift_sets(prev_set, curr_set))
         return self._drift_event(c.number, aid, means, _mean(dn_parts))
 
     def _baselines(self, run: _Run, c: _Cycle) -> None:
@@ -1115,10 +1094,9 @@ class EvalEngine:
                 }
             )
         for aid in self.manifest.agent_ids:
-            st = run.states[aid]
             entries = []
             for outcome in outcomes:
-                st.portfolio, entry = resolve_market(st.portfolio, outcome)
+                run.portfolios[aid], entry = resolve_market(run.portfolios[aid], outcome)
                 if entry is not None:
                     entries.append(entry)
             run.record(cycle, aid, entries)

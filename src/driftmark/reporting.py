@@ -221,6 +221,12 @@ class EventFold:
         # (cycle, condition_ids) of the last snapshots block: the markets a
         # forecasts or baselines block's values are of, by place
         self.markets: tuple[int, list[str]] | None = None
+        # agent -> (markets, probabilities, traces) of its last forecasts
+        # block of a cycle that ended without an agent_failure from it: what
+        # its drift compares against; and of the cycle being folded
+        self.previous: dict[str, tuple[list[str], list[float], list[str]]] = {}
+        self.turns: dict[str, tuple[list[str], list[float], list[str]]] = {}
+        self.last_cycle_end = 0  # the cycle of the last cycle_end
 
     def consume(self, events: Iterable[dict]) -> "EventFold":
         fold_events(self.add, events)
@@ -232,7 +238,9 @@ class EventFold:
         blocks included, and ``report`` and resume for each event they read.
         Kinds are tested from the most frequent down. The fold refuses only
         values that do not fit others: an OPEN's (below) and a block's
-        markets (``block_markets``)."""
+        markets (``block_markets``). A cycle_end makes each agent's
+        forecasts block of its cycle, which an agent_failure drops, the
+        agent's ``previous`` one, in a run and a resume alike."""
         kind = ev["kind"]
         if kind == "ledgers":
             # An OPEN's basis and price are a stake and a win probability.
@@ -245,10 +253,12 @@ class EventFold:
                 ev["agent_id"], ev["cycle"], *map(ev.__getitem__, BLOCK_LISTS["ledgers"])
             )
         elif kind == "forecasts":
+            markets = self.block_markets(ev)
             self.add_forecasts(
-                ev["agent_id"], ev["cycle"], self.block_markets(ev), ev["probability"],
+                ev["agent_id"], ev["cycle"], markets, ev["probability"],
                 ev["confidence"], ev["input_tokens"], ev["output_tokens"],
             )
+            self.turns[ev["agent_id"]] = markets, ev["probability"], ev["trace"]
         elif kind == "baselines":
             self.add_baselines(
                 BASELINE_PREFIX + ev["baseline"], ev["cycle"], self.block_markets(ev),
@@ -266,9 +276,14 @@ class EventFold:
             self.meta[ev["condition_id"]] = ev
         elif kind == "resolution":
             self.outcomes[ev["condition_id"]] = ev["outcome"]
+        elif kind == "cycle_end":
+            self.previous.update(self.turns)
+            self.turns.clear()
+            self.last_cycle_end = ev["cycle"]
         elif kind == "agent_failure":
             agent = ev["agent_id"]
             self.failures[agent] = self.failures.get(agent, 0) + 1
+            self.turns.pop(agent, None)
         elif kind == "agent_meta":
             agent = ev["agent_id"]
             self.agent_meta[agent] = ev

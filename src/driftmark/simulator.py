@@ -288,9 +288,10 @@ def apply_entries(portfolio: Portfolio, entries: Iterable[LedgerEntry]) -> Portf
     to deployed, and the realized ``cash_delta_cents`` into available and
     total. An OPEN adds its position. A CLOSE, RESOLVE or MARK adds its
     quantity and basis to the market's position and marks what is left at
-    its price; a position with no quantity left is removed. A MARK for a
-    market without a position changes nothing; a CLOSE or RESOLVE for one
-    raises ``NoSuchPosition``.
+    its price; a position with no quantity left is removed. A CLOSE,
+    RESOLVE or MARK for a market without a position raises
+    ``NoSuchPosition``: ``step`` marks only the positions held, so every
+    entry applied advances ``next_seq``.
 
     The positions are indexed by market once, keep their order, and the
     portfolio is built once, at the end; the totals after each entry are
@@ -315,8 +316,6 @@ def apply_entries(portfolio: Portfolio, entries: Iterable[LedgerEntry]) -> Portf
                 entry.timestamp,
             )
         elif position is None:
-            if entry.kind == EntryKind.MARK:
-                continue
             raise NoSuchPosition(cid)
         else:
             quantity = position.quantity_micro + entry.quantity_micro

@@ -427,6 +427,29 @@ def per_row_events(events) -> list[dict]:
     return rows
 
 
+def previous_forecasts(events) -> dict[str, tuple[list, list, list]]:
+    """Each agent's (markets, probabilities, traces) of its last forecasts
+    block in a cycle that ended, read from ``named_markets_events``, but
+    only of a cycle in which it logged no agent_failure."""
+    previous: dict[str, tuple[list, list, list]] = {}
+    blocks: dict[str, dict] = {}
+    failed: set[str] = set()
+    for ev in named_markets_events(events):
+        if ev["kind"] == "forecasts":
+            blocks[ev["agent_id"]] = ev
+        elif ev["kind"] == "agent_failure":
+            failed.add(ev["agent_id"])
+        elif ev["kind"] == "cycle_end":
+            for agent_id, block in blocks.items():
+                if agent_id not in failed:
+                    previous[agent_id] = (
+                        block["condition_id"], block["probability"], block["trace"]
+                    )
+            blocks.clear()
+            failed.clear()
+    return previous
+
+
 def agent_part(events, agent_id: str) -> list[dict]:
     """An agent's part of a log, in log order: each event of its own (its
     ``agent_id``, or a ``final_report`` of it as ``subject``) and, for each
@@ -571,8 +594,6 @@ def apply_entry_oracle(portfolio, entry):
             entry.basis_delta_cents, entry.timestamp,
         ))
     elif at is None:
-        if entry.kind == EntryKind.MARK:
-            return portfolio
         raise NoSuchPosition(entry.condition_id)
     else:
         quantity = held[at].quantity_micro + entry.quantity_micro

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -61,7 +62,7 @@ from driftmark.simulator import (
 import oracles
 from oracles import per_entry_events, per_row_shape
 from conftest import make_snapshot
-from test_golden import MANIFESTS, run_manifest
+from test_golden import MANIFESTS, PINS, run_manifest
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,27 @@ def make_engine(root, seed=42, agents=("market_copier", "momentum"), markets=40,
         run_id=run_id,
         mode=mode,
     )
+
+
+def _check_each_cycle(engine: EvalEngine, events: list[dict]) -> None:
+    """Each cycle N of ``events``, the log of ``engine``'s manifest, is what
+    the engine writes into memory from the state ``_state`` builds of the
+    log through cycle N-1's cycle_end (its header lines for cycle 1), as a
+    fresh run and a resume build it: a run is a resume from the empty log.
+    Each state's previous forecasts are ``oracles.previous_forecasts``."""
+    cycles, _ = engine._load_feed()
+    lines = list(map(evalloop.event_line, events))
+    starts = [i for i, ev in enumerate(events) if ev["kind"] == "cycle_start"]
+    ends = [i + 1 for i, ev in enumerate(events) if ev["kind"] == "cycle_end"]
+    assert len(starts) == len(ends) == events[0]["cycles"]
+    for n, (start, end) in enumerate(zip(starts, ends), start=1):
+        assert start == (ends[n - 2] if n > 1 else 1 + len(engine.manifest.agent_ids))
+        run = evalloop._Run({}, EventFold().consume(events[:start]), events=io.StringIO())
+        engine._state(run, cycles)
+        assert run.fold.last_cycle_end == n - 1
+        assert run.fold.previous == oracles.previous_forecasts(events[:start]), f"cycle {n}"
+        engine._run_cycle(run, n, cycles[n - 1])
+        assert run.events.getvalue() == "".join(lines[start:end]), f"cycle {n}"
 
 
 class TestRunBasics:
@@ -372,6 +394,14 @@ class TestCheckpointResume:
         ]
         assert [e["kind"] for e in blocks] == ["forecasts", "agent_failure"]
         assert len(blocks[0]["probability"]) == 1
+        # The state after cycle 2 takes cycle 1's 40 forecasts as the
+        # agent's previous ones, in a run and a resume alike.
+        events = oracles.read_events(full.events_path)
+        end = 1 + [i for i, e in enumerate(events) if e["kind"] == "cycle_end"][1]
+        assert len(oracles.previous_forecasts(events[:end])["fails_mid_cycle"][0]) == 40
+        _check_each_cycle(
+            make_engine(tmp_path, agents=("fails_mid_cycle", "momentum"), cycles=4), events
+        )
         resumed = resume_run(tmp_path, "mid", at_cycle=2)
         assert resumed.event_log_sha256 == full.event_log_sha256
 
@@ -461,7 +491,7 @@ class TestCheckpointResume:
             "events_mid_line", "events_not_cycle_end", "totals", "live",
             "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
             "kept_ledger_overdrawn", "kept_ledger_close_unopened", "kept_huge_ledger_price",
-            "kept_huge_drift",
+            "kept_huge_drift", "kept_mark_unheld_last", "kept_mark_unheld_not_last",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
@@ -530,6 +560,39 @@ class TestCheckpointResume:
                 "capital went negative after ledger entry seq 1$",
                 "kept_ledger_close_unopened": "momentum: ledger entry seq 1 cannot be replayed: ",
             }[failure]
+        elif failure.startswith("kept_mark_unheld_"):
+            # A MARK of a market momentum holds no position in, put in its
+            # last kept ledgers block: last, with the next seq, or first,
+            # with the block's first seq and the block's entries renumbered
+            # after it. Replayed as a no-op, the last one once resumed and
+            # the run wrote its seq again.
+            lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
+            at = max(
+                i for i, line in enumerate(lines)
+                if b'"kind":"ledgers"' in line and json.loads(line)["agent_id"] == "momentum"
+            )
+            block = json.loads(lines[at])
+            traded = {
+                cid for line in lines if b'"kind":"ledgers"' in line
+                for cid in json.loads(line)["condition_id"]
+            }
+            snapshots = next(json.loads(line) for line in lines if b'"kind":"snapshots"' in line)
+            unheld = next(cid for cid in snapshots["condition_id"] if cid not in traded)
+            place = len(block["seq"]) if failure == "kept_mark_unheld_last" else 0
+            seq = block["seq"][place - 1] + 1 if place else block["seq"][0]
+            mark = dict(
+                basis_delta_cents=0, cash_delta_cents=0, condition_id=unheld, entry_kind="MARK",
+                note="mark", price=0.5, quantity_micro=0, seq=seq, side="YES",
+                timestamp=block["timestamp"][0],
+            )
+            for key, value in mark.items():
+                block[key].insert(place, value)
+            block["seq"][place + 1:] = [n + 1 for n in block["seq"][place + 1:]]
+            lines[at] = evalloop.event_line(block).encode()
+            head = b"".join(lines)
+            events_path.write_bytes(head + events[ckpt["events_bytes"]:])
+            save({**ckpt, "events_bytes": len(head)})
+            match = f"momentum: ledger entry seq {seq} cannot be replayed: "
         elif failure.startswith("kept_huge_"):
             # A JSON integer too large for a float, which once escaped as an
             # OverflowError: a ledger entry's price, or a drift value.
@@ -1584,7 +1647,8 @@ def _by_row(events: list[dict]) -> EventFold:
     """A fold of ``events`` that takes each block a row at a time, through
     its kind's typed adder with one value per list, and every other event
     through ``EventFold.add``; a forecasts or baselines block's rows are of
-    the first markets of the last snapshots block before it."""
+    the first markets of the last snapshots block before it, and a
+    forecasts block is its agent's turn."""
     fold = EventFold()
     for ev in oracles.named_markets_events(events):
         kind = ev["kind"]
@@ -1607,6 +1671,8 @@ def _by_row(events: list[dict]) -> EventFold:
                 fold.add_snapshots(ev["cycle"], cid, yes)
             else:
                 fold.add_ledgers(ev["agent_id"], ev["cycle"], *one)
+        if kind == "forecasts":
+            fold.turns[ev["agent_id"]] = ev["condition_id"], ev["probability"], ev["trace"]
     return fold
 
 
@@ -2000,6 +2066,17 @@ class TestTheFoldIsTheMemory:
             for log in (part, full)
         ]
         assert blocks[0] == blocks[1]
+
+    @pytest.mark.parametrize("name", sorted(MANIFESTS))
+    def test_each_cycle_from_its_prefix(self, name, pinned_logs):
+        """Each cycle of a pinned log is what the engine writes from the
+        state it builds of the log before it (``_check_each_cycle``)."""
+        root, events = pinned_logs(name)
+        log = "".join(map(evalloop.event_line, events))
+        assert hashlib.sha256(log.encode()).hexdigest() == PINS[name]["events.jsonl"]
+        with contextlib.chdir(root):
+            engine = EvalEngine.create(root / "unused", run_id=name, **MANIFESTS[name])
+            _check_each_cycle(engine, events)
 
 
 class TestHotPathEquivalence:

@@ -355,9 +355,9 @@ class TestLedger:
     def test_apply_entry_replay_rules(self):
         p = Portfolio.fresh(600_000)
         p, opened = open_position(p, buy("0xa"), make_snapshot(cid="0xa"), NOW)
-        # a MARK of a market without a position changes nothing, next_seq included
-        assert apply_entry(p, LedgerEntry(9, EntryKind.MARK, "0xz", 0, NOW, Side.YES, 0.5, 0, 0)) == p
-        for kind in (EntryKind.CLOSE, EntryKind.RESOLVE):
+        # an entry of a market without a position is refused, a MARK too:
+        # taken as a no-op, it left next_seq behind its own seq
+        for kind in (EntryKind.CLOSE, EntryKind.RESOLVE, EntryKind.MARK):
             with pytest.raises(NoSuchPosition):
                 apply_entry(p, LedgerEntry(9, kind, "0xz", 0, NOW, Side.YES, 0.5, -1, -1))
         with pytest.raises(AlreadyOpen):
