@@ -4,7 +4,13 @@ A run is fully described by its manifest (seed, contracts, agents, feed,
 cycle count, config snapshot). On replay and synthetic sources the event
 log is a pure function of the manifest: all timestamps are virtual, agents
 derive randomness from the seed, and reports are folds over the log.
-Checkpoints at cycle boundaries allow byte-identical resumption.
+
+One feed source gives a run its cycles, one at a time, whatever its kind.
+The state a cycle starts from is built from the log before it alone, so
+cycle N's lines are a function of the log through cycle N-1 and cycle N's
+snapshots. Every cycle end is checkpointed: a resume cuts the log back to
+a checkpoint and builds the state from the kept log, as a fresh run builds
+it from its header lines, and the two write the same bytes.
 """
 
 from __future__ import annotations
@@ -72,11 +78,15 @@ from .errors import (
 )
 from .fileio import write_atomic
 from .market_data import (
+    ENDPOINT_ENV_VAR,
+    Domain,
     EventCategory,
+    Horizon,
     MarketSnapshot,
     RateLimiter,
     Risk,
     categorize_event,
+    feed_cycles,
     fetch_snapshot,
     generate_synthetic,
     load_outcomes,
@@ -189,35 +199,25 @@ _ENTRY_KIND_TEXT = {k: k.value for k in EntryKind}
 _SIDE_TEXT = {s: s.value for s in Side}
 
 
-class _JsonStrings(dict):
-    """JSON text by string, for the strings a run's ledger file lines repeat
-    (market ids, and an entry's kind, side, time and note): each is encoded
-    once."""
+class _Memo(dict):
+    """``fn`` of each key, computed the first time the key is looked up: a
+    run's ISO texts of timestamps, timestamps of kept ISO texts, and the JSON
+    texts of the strings its ledger file lines repeat."""
 
-    def __missing__(self, text: str) -> str:
-        encoded = self[text] = encode_basestring_ascii(text)
-        return encoded
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def event_line(event: dict) -> str:
     """One log line: ``event`` as compact JSON with sorted keys."""
     return _EVENT_ENCODER.encode(event) + "\n"
-
-
-class _IsoCache(dict):
-    """ISO-8601 text by timestamp; each distinct timestamp is formatted once."""
-
-    def __missing__(self, ts) -> str:
-        text = self[ts] = to_iso(ts)
-        return text
-
-
-class _Timestamps(dict):
-    """Timestamp by ISO-8601 text; each distinct text is parsed once."""
-
-    def __missing__(self, text) -> datetime:
-        ts = self[text] = from_iso(text)
-        return ts
 
 
 def file_sha256(path: Path) -> str:
@@ -241,7 +241,7 @@ def _totals(p: Portfolio) -> dict:
     }
 
 
-def _kept_entry(agent_id: str, row: tuple, times: _Timestamps) -> LedgerEntry:
+def _kept_entry(agent_id: str, row: tuple, times: _Memo) -> LedgerEntry:
     """The entry of a kept ledgers block's row, whose values the schema has
     checked, with each entry kind, side and timestamp text looked up. A
     timestamp that does not parse, or does not convert to UTC, is a
@@ -368,13 +368,15 @@ class _Run:
     # Each agent's token sets of the traces of its last completed turn, by
     # trace text; a trace missing is tokenized from its text.
     trace_tokens: dict[str, dict[str, frozenset[str]]] = field(default_factory=dict)
-    # Each market's category from its cycle-1 snapshot.
+    # Each market's category, as its market_meta row logs it.
     categories: dict[str, EventCategory] = field(default_factory=dict)
     # The outcomes the historical baseline has seen: none, since outcomes
     # settle only after the last cycle.
     history: HistoricalFrequency = field(default_factory=HistoricalFrequency)
     events: TextIO | None = None
-    iso: _IsoCache = field(default_factory=_IsoCache)
+    # ISO text by timestamp. ``to_iso`` is looked up as each run starts, so a
+    # wrapper installed on the module's name is the one called.
+    iso: _Memo = field(default_factory=lambda: _Memo(to_iso))
     # Each instruction shape's token count: the split of the first
     # instruction rendered of that shape.
     tokens: dict[tuple[tuple[str, ...], str], int] = field(default_factory=dict)
@@ -403,7 +405,7 @@ class _Run:
         })
 
 
-def _ledger_lines(rows: list[tuple], strings: _JsonStrings) -> Iterator[str]:
+def _ledger_lines(rows: list[tuple], strings: _Memo) -> Iterator[str]:
     """The ledger file lines of an agent's ledger rows in the fold, through
     ``_LEDGER_FILE_LINE``. A kept log may hold a price as an integer; it is
     written as the ``float`` its replayed entry holds."""
@@ -455,6 +457,11 @@ class EvalEngine:
             if repeated is not None:
                 raise InvalidParameters(
                     f"live condition_ids repeat {repeated!r}; a cycle holds each market once"
+                )
+            if len(ids) < config.agents.batch_size:
+                raise InvalidParameters(
+                    f"need at least {config.agents.batch_size} markets per cycle, "
+                    f"got {len(ids)} live condition_ids"
                 )
         for aid in manifest.agent_ids:
             if type(aid) is not str:
@@ -521,58 +528,72 @@ class EvalEngine:
         )
         return cls(manifest, config, out_root, {chash.digest: (locked, chash)})
 
-    # -- feed loading --
+    # -- the feed --
 
-    def _load_feed(self) -> tuple[list[list[MarketSnapshot]], list[ResolvedOutcome]]:
+    def _feed(
+        self, resume: bool
+    ) -> tuple[int, Iterator[list[MarketSnapshot]], list[ResolvedOutcome]]:
+        """The run's cycle count, its cycles, each one list of snapshots, and
+        the outcomes that settle after the last. A replay or synthetic feed
+        is read and checked whole before anything is written: up to the
+        manifest's cycle count of its cycles are kept, and each must hold a
+        batch of markets. A live feed needs an endpoint, fetches each cycle
+        as the run reaches it, and cannot be resumed: its past cycles cannot
+        be fetched again."""
         src = self.manifest.feed_source
-        kind = src.get("kind")
-        if kind == "synthetic":
+        if src["kind"] == "live":
+            if resume:
+                raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
+            endpoint = src.get("endpoint") or os.environ.get(ENDPOINT_ENV_VAR)
+            if not endpoint:
+                raise FatalFeedError(
+                    f"live feed needs an endpoint in the manifest or ${ENDPOINT_ENV_VAR}"
+                )
+            return self.manifest.cycles, self._live_cycles(endpoint), []
+        if src["kind"] == "synthetic":
             feed = generate_synthetic(
                 seed=self.manifest.seed,
                 n_markets=int(src["n_markets"]),
                 steps=self.manifest.cycles,
                 interval_seconds=self.manifest.cycle_interval_sec,
             )
-            return feed.cycles(), feed.outcomes
-        if kind == "replay":
+            snapshots, outcomes = feed.snapshots, feed.outcomes
+        else:
             try:
                 snapshots = list(
                     replay_feed(src["feed"], spread_tolerance=self.config.market.spread_tolerance)
                 )
             except (OSError, UnicodeDecodeError) as exc:
                 raise FatalFeedError(f"cannot read feed {src['feed']}: {exc}") from exc
-            grouped: dict = {}
-            for s in snapshots:
-                grouped.setdefault(s.observed_at, []).append(s)
-            cycles = [grouped[ts] for ts in sorted(grouped)][: self.manifest.cycles]
             try:
                 outcomes = load_outcomes(src["outcomes"]) if src.get("outcomes") else []
             except (OSError, UnicodeDecodeError) as exc:
                 raise FatalFeedError(f"cannot read outcomes {src['outcomes']}: {exc}") from exc
-            return cycles, outcomes
-        return [], []  # live: fetched lazily inside run()
-
-    def _live_cycle(self, limiter: RateLimiter) -> list[MarketSnapshot]:
-        from .market_data import ENDPOINT_ENV_VAR
-
-        src = self.manifest.feed_source
-        endpoint = src.get("endpoint") or os.environ.get(ENDPOINT_ENV_VAR)
-        if not endpoint:
-            raise FatalFeedError(
-                f"live feed needs an endpoint in the manifest or ${ENDPOINT_ENV_VAR}"
-            )
-        snaps = []
-        for cid in src["condition_ids"]:
-            snaps.append(
-                fetch_snapshot(
-                    endpoint,
-                    cid,
-                    rate_limiter=limiter,
-                    spread_tolerance=self.config.market.spread_tolerance,
-                    timeout=self.config.market.request_timeout_sec,
+        cycles = list(islice(feed_cycles(snapshots), self.manifest.cycles))
+        batch_size = self.config.agents.batch_size
+        # An empty feed's first cycle is as short as can be.
+        for n, cycle in enumerate(cycles or [[]], start=1):
+            if len(cycle) < batch_size:
+                raise InvalidParameters(
+                    f"need at least {batch_size} markets per cycle, got {len(cycle)} in cycle {n}"
                 )
-            )
-        return snaps
+        return len(cycles), iter(cycles), outcomes
+
+    def _live_cycles(self, endpoint: str) -> Iterator[list[MarketSnapshot]]:
+        """Each cycle's snapshots of the manifest's markets, fetched from
+        ``endpoint`` through one rate limiter, the manifest's interval apart."""
+        market = self.config.market
+        limiter = RateLimiter(market.rate_limit_per_sec)
+        while True:
+            yield [
+                fetch_snapshot(
+                    endpoint, cid, rate_limiter=limiter,
+                    spread_tolerance=market.spread_tolerance, timeout=market.request_timeout_sec,
+                )
+                for cid in self.manifest.feed_source["condition_ids"]
+            ]
+            if self.manifest.cycle_interval_sec > 0:
+                _time.sleep(self.manifest.cycle_interval_sec)
 
     # -- checkpointing --
 
@@ -642,7 +663,7 @@ class EvalEngine:
         with open(path, "ab") as fh:
             fh.truncate(size)
 
-    def _restore(self, ckpt: dict, run: _Run, cycles: list[list[MarketSnapshot]]) -> None:
+    def _restore(self, ckpt: dict, run: _Run) -> None:
         """Bring a run with an empty fold to the checkpoint from the kept log
         alone: fold it, check that it ends with the boundary's cycle_end,
         build the state from the fold as a fresh run does (``_state``) and
@@ -656,7 +677,7 @@ class EvalEngine:
             raise CorruptLog(
                 line_no or None, f"the kept log does not end with cycle {boundary}'s cycle_end"
             )
-        self._state(run, cycles)
+        self._state(run)
         for aid, portfolio in run.portfolios.items():
             if last["portfolios"].get(aid) != _totals(portfolio):
                 raise CorruptLog(
@@ -664,20 +685,25 @@ class EvalEngine:
                 )
         self._truncate_lines(self.paths.events, ckpt["events_bytes"])
 
-    def _state(self, run: _Run, cycles: list[list[MarketSnapshot]]) -> None:
+    def _state(self, run: _Run) -> None:
         """Build what the run's next cycle reads beside its fold from the
         fold alone, for a fresh run (the fold of its header lines) and a
         resume (of the kept log) alike: each agent's portfolio, its ledger
         rows replayed by one ``apply_entries`` call with each seq checked
-        (``_replay``), and, once cycle 1 is logged, each market's category
-        from its snapshot in the feed's first cycle, ``cycles[0]``. The fold
-        itself gives the next cycle, the one after its last cycle_end, and
-        each agent's previous forecasts (``EventFold.previous``)."""
+        (``_replay``), and each market's category from its market_meta row,
+        which cycle 1 logs. The fold itself gives the next cycle, the one
+        after its last cycle_end, and each agent's previous forecasts
+        (``EventFold.previous``). No cycle of the feed is read."""
         fold = run.fold
-        if fold.last_cycle_end:  # cycle 1 categorizes its own snapshots
-            run.categories = {s.condition_id: self._categorize(s) for s in cycles[0]}
+        for cid, meta in fold.meta.items():
+            try:
+                run.categories[cid] = EventCategory(
+                    Risk(meta["risk"]), Domain(meta["domain"]), Horizon(meta["horizon"])
+                )
+            except ValueError as exc:
+                raise CorruptLog(None, f"market_meta of {cid}: {exc}") from exc
         sim = self.config.simulator
-        times = _Timestamps()
+        times = _Memo(from_iso)
         for aid in self.manifest.agent_ids:
             # Every row converts before any is replayed.
             entries = [_kept_entry(aid, row, times) for row in fold.ledgers.get(aid, [])]
@@ -691,26 +717,13 @@ class EvalEngine:
             raise RunExists(
                 f"{self.paths.root} already holds a run; resume it or choose another run id"
             )
-        live = self.manifest.feed_source.get("kind") == "live"
-        if resume and live:
-            raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
-        cycles_data, outcomes = self._load_feed()
-        if live:
-            total_cycles = self.manifest.cycles
-        else:
-            batch_size = self.config.agents.batch_size
-            n_markets = len(cycles_data[0]) if cycles_data else 0
-            if n_markets < batch_size:
-                raise InvalidParameters(
-                    f"need at least {batch_size} markets per cycle, got {n_markets}"
-                )
-            total_cycles = min(self.manifest.cycles, len(cycles_data))
+        total_cycles, cycles, outcomes = self._feed(resume)
         self.paths.ensure()
         # A resume builds its state from the kept log; a fresh run, once the
         # manifest and the contract are saved, from its header lines.
         run = _Run({}, reporting.EventFold())
         if resume:
-            self._restore(self._latest_checkpoint(resume_cycle), run, cycles_data)
+            self._restore(self._latest_checkpoint(resume_cycle), run)
         else:
             write_atomic(self.paths.manifest, self.manifest.to_json().encode())
             ContractStore(self.paths.contracts).save(self.contract, self.contract_hash)
@@ -718,18 +731,12 @@ class EvalEngine:
         try:
             if not resume:
                 self._start(run, total_cycles)
-                self._state(run, cycles_data)
-            limiter = RateLimiter(self.config.market.rate_limit_per_sec) if live else None
+                self._state(run)
             first = run.fold.last_cycle_end + 1
-            for cycle in range(first, total_cycles + 1):
-                if not live:
-                    snaps = cycles_data[cycle - 1]
-                else:
-                    if cycle > first and self.manifest.cycle_interval_sec > 0:
-                        _time.sleep(self.manifest.cycle_interval_sec)
-                    snaps = self._live_cycle(limiter)
+            kept = islice(cycles, first - 1, None)
+            for cycle, snaps in zip(range(first, total_cycles + 1), kept):
                 self._run_cycle(run, cycle, snaps)
-                self._end_cycle(run, cycle, checkpoint=not live)
+                self._end_cycle(run, cycle)
             self._settle(run, outcomes, total_cycles + 1)
             # Final reports are a fold over the log written so far.
             final = reporting.final_reports_from_fold(run.fold, self.config)
@@ -756,7 +763,7 @@ class EvalEngine:
     def _write_ledgers(self, fold: reporting.EventFold) -> None:
         """Write each agent's ledger file, whole, from its rows in the fold;
         an agent that never traded gets an empty one."""
-        strings = _JsonStrings()
+        strings = _Memo(encode_basestring_ascii)
         for aid in self.manifest.agent_ids:
             writer = LedgerWriter(self._ledger_path(aid))
             for line in _ledger_lines(fold.ledgers.get(aid, []), strings):
@@ -857,14 +864,12 @@ class EvalEngine:
             }
         )
 
-    def _end_cycle(self, run: _Run, cycle: int, checkpoint: bool) -> None:
-        """Make the cycle durable: the log flushed and, when the run can be
-        resumed, fsynced and checkpointed."""
+    def _end_cycle(self, run: _Run, cycle: int) -> None:
+        """Make the cycle durable: the log flushed, fsynced and checkpointed."""
         run.events.flush()
-        if checkpoint:
-            # The checkpoint points into the log, so the log is made durable first.
-            os.fsync(run.events.fileno())
-            self._write_checkpoint(cycle, os.fstat(run.events.fileno()).st_size)
+        # The checkpoint points into the log, so the log is made durable first.
+        os.fsync(run.events.fileno())
+        self._write_checkpoint(cycle, os.fstat(run.events.fileno()).st_size)
 
     def _agent_turn(self, run: _Run, c: _Cycle, aid: str) -> None:
         """One agent's cycle: forecasts, drift, its decision batch and the
@@ -1266,8 +1271,6 @@ def resume_run(out_root: str | Path, run_id: str, at_cycle: int | None = None) -
     """Resume an interrupted run from its latest (or given) checkpoint."""
     paths = RunPaths(out_root, run_id)
     manifest = _read_run_file(paths.manifest, RunManifest.from_json)
-    if manifest.feed_source.get("kind") == "live":
-        raise LiveSourceNotResumable("live feeds cannot be resumed deterministically")
     config = config_from_dict(manifest.metric_config)
     store = ContractStore(paths.contracts)
     contracts = {

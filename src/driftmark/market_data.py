@@ -16,7 +16,9 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -414,12 +416,14 @@ class SyntheticFeed:
     # checks, never written to feed files.
     true_probs: dict[str, float] = field(default_factory=dict)
 
-    def cycles(self) -> list[list[MarketSnapshot]]:
-        """Group snapshots into per-timestamp cycles, preserving order."""
-        grouped: dict[datetime, list[MarketSnapshot]] = {}
-        for s in self.snapshots:
-            grouped.setdefault(s.observed_at, []).append(s)
-        return [grouped[ts] for ts in sorted(grouped)]
+
+def feed_cycles(snapshots: Iterable[MarketSnapshot]) -> Iterator[list[MarketSnapshot]]:
+    """A feed's cycles in order, each a run of snapshots that share their
+    ``observed_at``. ``replay_feed`` refuses a timestamp regression and
+    ``generate_synthetic`` emits its snapshots step by step, so each run is a
+    whole cycle."""
+    for _, cycle in groupby(snapshots, attrgetter("observed_at")):
+        yield list(cycle)
 
 
 def _condition_id(seed: int, index: int) -> str:

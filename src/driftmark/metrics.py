@@ -171,17 +171,6 @@ def temporal_drifts(dp: float, dm: float) -> tuple[float, float]:
     return dp - dm, dp * dm
 
 
-def temporal_drift(
-    p_prev: float, p_curr: float, m_prev: float, m_curr: float, form: str = "difference"
-) -> float:
-    """Probability movement unexplained by (difference) or scaled by (product)
-    the market's own movement."""
-    if form not in ("difference", "product"):
-        raise ValueError(f"unknown temporal drift form {form!r}")
-    difference, product = temporal_drifts(abs(p_curr - p_prev), abs(m_curr - m_prev))
-    return difference if form == "difference" else product
-
-
 def confidence_drifts(probs: Sequence[float], outcomes: Sequence[int]) -> list[float]:
     """Each forecast's confidence drift against the whole resolved history
     ``zip(probs, outcomes)``, in one pass over arrays: the gap between its

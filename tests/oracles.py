@@ -11,8 +11,9 @@ clip, which uses the generator's own tables and helpers; and
 ``build_decision_batch_oracle``, the decision reply built as objects and
 serialized from them, and ``validate_decision_batch_oracle``, which use
 the agents' records and helpers; and
-``drift_means_oracle``, the drift means taken with ``metrics.temporal_drift``
-per market.
+``temporal_drift``, ``metrics.temporal_drifts`` of one market's moves in
+one form, and ``drift_means_oracle``, the drift means taken with it per
+market.
 The portfolio oracles at the end use the simulator's data types, and
 nothing else of it.
 """
@@ -31,7 +32,7 @@ from driftmark import agents as ag
 from driftmark import market_data as md
 from driftmark.agents import Action
 from driftmark.errors import AlreadyOpen, NoSuchPosition
-from driftmark.metrics import temporal_drift
+from driftmark.metrics import temporal_drifts
 from driftmark.simulator import EntryKind, Position, Side
 from driftmark.timeutil import SYNTHETIC_START
 
@@ -162,6 +163,18 @@ def temporal_drift_oracle(p_prev, p_curr, m_prev, m_curr, form: str) -> float:
     if form == "difference":
         return move_p - move_m
     return move_p * move_m
+
+
+def temporal_drift(
+    p_prev: float, p_curr: float, m_prev: float, m_curr: float, form: str = "difference"
+) -> float:
+    """Probability movement unexplained by (difference) or scaled by (product)
+    the market's own movement: the package's ``temporal_drifts`` of one
+    market, which ``temporal_drift_oracle`` checks."""
+    if form not in ("difference", "product"):
+        raise ValueError(f"unknown temporal drift form {form!r}")
+    difference, product = temporal_drifts(abs(p_curr - p_prev), abs(m_curr - m_prev))
+    return difference if form == "difference" else product
 
 
 def var_cvar_oracle(size_cents: int, price: float, p_win: float, alpha: float):
@@ -793,7 +806,7 @@ def build_decision_batch_oracle(
 
 
 def drift_means_oracle(curr, prev, snap_map, prices):
-    """Means over the probabilities ``curr`` of ``metrics.temporal_drift``
+    """Means over the probabilities ``curr`` of ``temporal_drift``
     from ``prev`` in both forms, each market's taken from its last two
     prices, and of the divergence from the market's yes price; and the
     markets compared, in order."""

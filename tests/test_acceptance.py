@@ -28,7 +28,6 @@ from driftmark.metrics import (
     log_likelihood,
     narrative_drift,
     significance_test,
-    temporal_drift,
     var_cvar,
 )
 from driftmark.reporting import aggregate
@@ -44,6 +43,7 @@ from driftmark.timeutil import SYNTHETIC_START
 
 import oracles
 from conftest import make_snapshot
+from oracles import temporal_drift
 
 
 @contextmanager

@@ -12,6 +12,7 @@ import sys
 import tempfile
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from driftmark.cli import main as cli_main
 from driftmark.config import AgentConfig, EngineConfig, config_from_dict
 from driftmark.errors import (
     CorruptLog,
+    FatalFeedError,
     InvalidParameters,
     LiveSourceNotResumable,
     MalformedAgentOutput,
@@ -43,13 +45,15 @@ from driftmark import contract as contract_module
 from driftmark.baselines import BaselineKind
 from driftmark.contract import lock_contract, render_instruction
 from driftmark.market_data import (
+    ENDPOINT_ENV_VAR,
     MIN_POSITIVE_PRICE,
+    feed_cycles,
     generate_synthetic,
     save_feed,
     save_outcomes,
 )
 from driftmark.reporting import EventFold, final_reports_from_fold, iter_events
-from driftmark.timeutil import to_iso
+from driftmark.timeutil import from_iso, to_iso
 from driftmark.simulator import (
     EntryKind,
     LedgerEntry,
@@ -102,8 +106,9 @@ def _check_each_cycle(engine: EvalEngine, events: list[dict]) -> None:
     the engine writes into memory from the state ``_state`` builds of the
     log through cycle N-1's cycle_end (its header lines for cycle 1), as a
     fresh run and a resume build it: a run is a resume from the empty log.
-    Each state's previous forecasts are ``oracles.previous_forecasts``."""
-    cycles, _ = engine._load_feed()
+    Each state's previous forecasts are ``oracles.previous_forecasts``. The
+    state is built without the feed, whose cycle N only the cycle reads."""
+    _, cycles, _ = engine._feed(resume=False)
     lines = list(map(evalloop.event_line, events))
     starts = [i for i, ev in enumerate(events) if ev["kind"] == "cycle_start"]
     ends = [i + 1 for i, ev in enumerate(events) if ev["kind"] == "cycle_end"]
@@ -111,10 +116,10 @@ def _check_each_cycle(engine: EvalEngine, events: list[dict]) -> None:
     for n, (start, end) in enumerate(zip(starts, ends), start=1):
         assert start == (ends[n - 2] if n > 1 else 1 + len(engine.manifest.agent_ids))
         run = evalloop._Run({}, EventFold().consume(events[:start]), events=io.StringIO())
-        engine._state(run, cycles)
+        engine._state(run)
         assert run.fold.last_cycle_end == n - 1
         assert run.fold.previous == oracles.previous_forecasts(events[:start]), f"cycle {n}"
-        engine._run_cycle(run, n, cycles[n - 1])
+        engine._run_cycle(run, n, next(cycles))
         assert run.events.getvalue() == "".join(lines[start:end]), f"cycle {n}"
 
 
@@ -492,6 +497,7 @@ class TestCheckpointResume:
             "kept_not_utf8", "kept_not_object", "kept_no_agent_id", "kept_ledger_no_price",
             "kept_ledger_overdrawn", "kept_ledger_close_unopened", "kept_huge_ledger_price",
             "kept_huge_drift", "kept_mark_unheld_last", "kept_mark_unheld_not_last",
+            "kept_meta_domain",
         ],
     )
     def test_failed_resume_leaves_log_and_ledgers_untouched(self, tmp_path, failure):
@@ -529,6 +535,14 @@ class TestCheckpointResume:
                 "events_not_cycle_end": events.rindex(b"\n", 0, offset - 1) + 1,
             }[failure]
             save(ckpt)
+        elif failure == "kept_meta_domain":
+            # A market_meta row the schema takes, whose domain no category has:
+            # resume reads each market's category from its row.
+            at = events.index(b'"domain":"') + len(b'"domain":"')
+            edited = events[:at] + b"sports" + events[events.index(b'"', at):]
+            events_path.write_bytes(edited)
+            save({**ckpt, "events_bytes": ckpt["events_bytes"] + len(edited) - len(events)})
+            match = "market_meta of 0x[0-9a-f]+: 'sports' is not a valid Domain"
         elif failure == "totals":
             lines = events[: ckpt["events_bytes"]].splitlines(keepends=True)
             cycle_end = json.loads(lines[-1])
@@ -627,7 +641,10 @@ class TestCheckpointResume:
         elif failure == "live":
             manifest_path = run_dir / "manifest.json"
             data = json.loads(manifest_path.read_text(encoding="utf-8"))
-            data["feed_source"] = {"kind": "live", "endpoint": "http://x", "condition_ids": []}
+            data["feed_source"] = {
+                "kind": "live", "endpoint": "http://x",
+                "condition_ids": [f"0x{i:02x}" for i in range(30)],
+            }
             manifest_path.write_text(json.dumps(data), encoding="utf-8")
             error = LiveSourceNotResumable
         files = [
@@ -908,7 +925,10 @@ class TestCheckpointResume:
         engine.run()
         manifest_path = tmp_path / "liveck" / "manifest.json"
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
-        data["feed_source"] = {"kind": "live", "endpoint": "http://x", "condition_ids": []}
+        data["feed_source"] = {
+            "kind": "live", "endpoint": "http://x",
+            "condition_ids": [f"0x{i:02x}" for i in range(30)],
+        }
         manifest_path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(LiveSourceNotResumable):
             resume_run(tmp_path, "liveck")
@@ -1033,6 +1053,21 @@ class TestReplaySource:
             if e["kind"] == "forecast"
         ]
         assert syn_probs == rep_probs
+
+    def test_every_cycle_must_hold_a_batch(self, tmp_path):
+        """A kept cycle of fewer markets than ``agents.batch_size`` is refused
+        by its number before anything is written; run, every agent's batch
+        of it would be rejected for its cardinality and fall back to HOLDs."""
+        cycles = list(feed_cycles(generate_synthetic(9, 31, 3).snapshots))
+        cycles[1] = cycles[1][:29]
+        save_feed([s for cycle in cycles for s in cycle], tmp_path / "feed.jsonl")
+        engine = EvalEngine.create(
+            tmp_path / "out", seed=9, agent_ids=["momentum"], cycles=3, run_id="short",
+            feed_source={"kind": "replay", "feed": str(tmp_path / "feed.jsonl")},
+        )
+        with pytest.raises(InvalidParameters, match="30 markets per cycle, got 29 in cycle 2"):
+            engine.run()
+        assert not (tmp_path / "out").exists()
 
 
 class TestLiveSource:
@@ -1284,6 +1319,29 @@ class TestFeedSourceKeys:
             EvalEngine.create(
                 tmp_path, seed=1, agent_ids=["momentum"], feed_source=feed_source, cycles=2
             )
+        assert not any(tmp_path.iterdir())
+
+    def test_live_markets_fewer_than_a_batch_is_invalid_parameters(self, tmp_path):
+        """Every live cycle holds the manifest's markets, so each must hold a
+        batch of them."""
+        feed_source = {
+            "kind": "live", "endpoint": "http://127.0.0.1:9/price",
+            "condition_ids": [f"0x{i:02x}" for i in range(29)],
+        }
+        with pytest.raises(InvalidParameters, match="30 markets per cycle, got 29 live"):
+            EvalEngine.create(
+                tmp_path, seed=1, agent_ids=["momentum"], feed_source=feed_source, cycles=2
+            )
+        assert not any(tmp_path.iterdir())
+
+    def test_live_feed_without_an_endpoint_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        engine = EvalEngine.create(
+            tmp_path, seed=1, agent_ids=["momentum"], cycles=2, run_id="lv",
+            feed_source={"kind": "live", "condition_ids": [f"0x{i:02x}" for i in range(30)]},
+        )
+        with pytest.raises(FatalFeedError, match="live feed needs an endpoint"):
+            engine.run()
         assert not any(tmp_path.iterdir())
 
     def test_unknown_kind(self, tmp_path):
@@ -1636,7 +1694,7 @@ def _ledger_file_lines(fold: EventFold, agent_id: str) -> list[str]:
     """The agent's ledger file lines from the fold's rows, as the engine
     writes them, on a fresh and then a warm string cache: the two must
     agree."""
-    strings = evalloop._JsonStrings()
+    strings = evalloop._Memo(encode_basestring_ascii)
     rows = fold.ledgers.get(agent_id, [])
     lines = list(evalloop._ledger_lines(rows, strings))
     assert list(evalloop._ledger_lines(rows, strings)) == lines
@@ -1820,7 +1878,7 @@ class TestBulkLines:
         whose price is a ``float``."""
         fold = EventFold()
         fold.add({**_SAMPLE_EVENTS["ledgers"], "price": [1, 0]})
-        times = evalloop._Timestamps()
+        times = evalloop._Memo(from_iso)
         entries = [evalloop._kept_entry("momentum", row, times) for row in fold.ledgers["momentum"]]
         lines = _ledger_file_lines(fold, "momentum")
         assert lines == [_file_line(entry_to_record(entry)) for entry in entries]
@@ -2079,6 +2137,71 @@ class TestTheFoldIsTheMemory:
             _check_each_cycle(engine, events)
 
 
+class TestNoLookahead:
+    """The log through cycle c is a function of the manifest and the feed
+    through cycle c: no cycle reads a later price, market or outcome. This is
+    ForecastBench's rule for forecasting questions (Karger et al., ICLR 2025)."""
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_the_log_through_a_cycle_is_blind_to_the_feed_after_it(self, data):
+        """A replay feed changed after cycle c (new prices, markets dropped
+        down to a batch or added, in any order) with changed outcomes logs
+        the same bytes through cycle c's cycle_end. The feed keeps its cycle
+        count, which run_started logs."""
+        n_cycles = data.draw(st.integers(3, 6), label="cycles")
+        c = data.draw(st.integers(1, n_cycles - 1), label="c")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        feed = generate_synthetic(seed, data.draw(st.integers(30, 36), label="markets"), n_cycles)
+        agent_ids = data.draw(
+            st.lists(st.sampled_from(sorted(agents.AGENT_BUILDERS)), min_size=1, max_size=4,
+                     unique=True),
+            label="agents",
+        )
+        rnd = data.draw(st.randoms(use_true_random=False))
+        cycles = list(feed_cycles(feed.snapshots))
+        added_end = cycles[-1][0].observed_at + timedelta(days=30)
+        changed, added = cycles[:c], []
+        for n, cycle in enumerate(cycles[c:], start=c + 1):
+            kept = [
+                dataclasses.replace(s, yes_price=yes, no_price=1.0 - yes)
+                for s in rnd.sample(cycle, rnd.randint(30, len(cycle)))
+                for yes in [rnd.uniform(0.01, 0.99)]
+            ]
+            new = [
+                dataclasses.replace(
+                    cycle[0], condition_id=f"0xadded{n}_{i}", yes_price=0.5, no_price=0.5,
+                    question=f"Will the added market {i} close higher?", end_time=added_end,
+                )
+                for i in range(rnd.randint(0, 3))
+            ]
+            added += [s.condition_id for s in new]
+            changed.append(kept + new)
+        outcomes = [
+            dataclasses.replace(o, outcome=1 - o.outcome)
+            for o in feed.outcomes if rnd.random() < 0.8
+        ]
+        outcomes += [dataclasses.replace(feed.outcomes[0], condition_id=cid) for cid in added]
+
+        def log(snapshots, outcomes) -> bytes:
+            with tempfile.TemporaryDirectory() as root, contextlib.chdir(root):
+                save_feed(snapshots, "feed.jsonl")
+                save_outcomes(outcomes, "outcomes.jsonl")
+                return EvalEngine.create(
+                    "out", seed=seed, agent_ids=agent_ids, cycles=n_cycles, run_id="blind",
+                    feed_source={
+                        "kind": "replay", "feed": "feed.jsonl", "outcomes": "outcomes.jsonl",
+                    },
+                ).run().events_path.read_bytes()
+
+        full = log(feed.snapshots, feed.outcomes)
+        other = log([s for cycle in changed for s in cycle], outcomes)
+        end = full.index(b'{"cycle":%d,"kind":"cycle_end"' % c)
+        end = full.index(b"\n", end) + 1
+        assert other[:end] == full[:end]
+        assert other != full
+
+
 class TestHotPathEquivalence:
     """The engine folds events as it writes them and renders each market once
     per cycle; both must agree with the slow forms."""
@@ -2134,7 +2257,7 @@ class TestHotPathEquivalence:
         sim = EngineConfig().simulator
         snaps = {
             (c, s.condition_id): s
-            for c, cycle in enumerate(generate_synthetic(2, 40, cycles).cycles(), start=1)
+            for c, cycle in enumerate(feed_cycles(generate_synthetic(2, 40, cycles).snapshots), 1)
             for s in cycle
         }
         events = per_row_shape(result.events_path)

@@ -37,6 +37,7 @@ from driftmark.market_data import (
     ResolvedOutcome,
     Risk,
     categorize_event,
+    feed_cycles,
     fetch_snapshot,
     generate_synthetic,
     replay_feed,
@@ -274,7 +275,7 @@ class TestReplay:
         """A 31-market, 3-cycle feed that lists each cycle's first market
         again, next to it or at the cycle's end."""
         lines = []
-        for cycle in generate_synthetic(7, 31, 3).cycles():
+        for cycle in feed_cycles(generate_synthetic(7, 31, 3).snapshots):
             listed = cycle + cycle[:1] if at_end else cycle[:1] + cycle
             lines += [json.dumps(snapshot_to_record(s)) + "\n" for s in listed]
         path.write_text("".join(lines), encoding="utf-8")
@@ -559,7 +560,7 @@ class TestSynthetic:
             EventCategory(Risk.HIGH, Domain.POLITICAL, Horizon.SHORT): 1.0,
         }
         feed = generate_synthetic(5, 200, 2, category_mix=mix)
-        first_cycle = feed.cycles()[0]
+        first_cycle = next(feed_cycles(feed.snapshots))
         for s in first_cycle:
             cat = categorize_event(s.question, s.end_time, s.observed_at, s.yes_price)
             assert cat.domain == Domain.POLITICAL
@@ -605,7 +606,7 @@ class TestSynthetic:
 
     def test_cycles_grouping(self):
         feed = generate_synthetic(3, 7, 4)
-        cycles = feed.cycles()
+        cycles = list(feed_cycles(feed.snapshots))
         assert len(cycles) == 4
         assert all(len(c) == 7 for c in cycles)
 

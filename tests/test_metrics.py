@@ -42,11 +42,11 @@ from driftmark.metrics import (
     significance_test,
     token_set,
     score_forecasts,
-    temporal_drift,
     var_cvar,
 )
 
 import oracles
+from oracles import temporal_drift
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
