@@ -179,8 +179,9 @@ def validate_decision_batch(
     window: CalibrationWindow,
     cfg: AgentConfig = AgentConfig(),
 ) -> BatchValidation:
-    """Enforce the decision contract: exactly 30 unique known markets, BUY
-    amounts inside the mandated range, and per-mode confidence/edge floors.
+    """Enforce the decision contract: exactly ``cfg.batch_size`` unique
+    known markets, BUY amounts inside the mandated range, and per-mode
+    confidence/edge floors.
 
     HOLD and CLOSE entries are exempt from the thresholds.
     """
@@ -665,10 +666,11 @@ def build_decision_batch(
 
     Ranked BUY candidates that clear the mode's floors come first, as many
     as ``max_open_positions`` leaves room for, then HOLD padding up to
-    exactly 30 unique markets. Stop-loss and target-win closes are not
-    decisions: ``simulator.step`` enforces them. Each item is written from
-    its values by the wire format's one writer, so the reply is the text
-    ``decisions_to_wire`` gives for those decisions, without building them.
+    exactly ``cfg.batch_size`` unique markets. Stop-loss and target-win
+    closes are not decisions: ``simulator.step`` enforces them. Each item is
+    written from its values by the wire format's one writer, so the reply is
+    the text ``decisions_to_wire`` gives for those decisions, without
+    building them.
     A market's HOLD text is the same for every agent, so it is written once
     into ``hold_texts`` by market id; pass one dict for all of a cycle's
     replies.

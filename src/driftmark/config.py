@@ -62,6 +62,14 @@ class AgentConfig:
     # Strict wire parsing rejects markdown fences; lenient strips and logs.
     lenient_json: bool = False
 
+    def __post_init__(self):
+        # A batch holds at least one market, and a calibration window at
+        # least one realized P&L: ``realized[-0:]`` would be the whole history.
+        for name in ("batch_size", "calibration_window_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"agents.{name} must be an int of at least 1, not {value!r}")
+
 
 @dataclass(frozen=True)
 class BaselineConfig:

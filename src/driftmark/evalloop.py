@@ -1128,8 +1128,8 @@ class EvalEngine:
         return cat if cat is not None else self._categorize(snap)
 
     def _fallback_batch(self, agent_id: str, c: _Cycle) -> DecisionBatch:
-        """30 HOLDs on known markets, the cycle's shared ones; triggers still
-        fire inside step()."""
+        """``agents.batch_size`` HOLDs on known markets, the cycle's shared
+        ones; triggers still fire inside step()."""
         size = self.config.agents.batch_size
         return DecisionBatch(
             decisions=tuple(
@@ -1287,14 +1287,6 @@ class VerifyReport:
     events_ok: bool
     contracts: dict[str, bool]
     messages: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "events_ok": self.events_ok,
-            "contracts": self.contracts,
-            "messages": list(self.messages),
-        }
 
 
 def verify_run(out_root: str | Path, run_id: str) -> VerifyReport:

@@ -11,11 +11,11 @@ import csv
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .config import MetricConfig
 from .errors import (
     DegenerateInput,
     EmptyInput,
@@ -25,9 +25,6 @@ from .errors import (
     ZeroPrice,
 )
 from .market_data import EventCategory, Risk
-
-DEFAULT_HHIS_WEIGHTS = (0.2, 0.2, 0.3, 0.15, 0.15)
-
 
 
 # --- correctness ------------------------------------------------------------
@@ -57,27 +54,9 @@ def accuracy(pairs: Sequence[tuple[float, int]]) -> float:
 # --- calibration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReliabilityBin:
-    bin_low: float
-    bin_high: float
-    mean_confidence: float | None
-    empirical_accuracy: float | None
-    count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_low": self.bin_low,
-            "bin_high": self.bin_high,
-            "mean_confidence": self.mean_confidence,
-            "empirical_accuracy": self.empirical_accuracy,
-            "count": self.count,
-        }
-
-
 def ece_mce(
     forecasts: Sequence[tuple[float, int]], bins: int = 10
-) -> tuple[float, float, list[ReliabilityBin]]:
+) -> tuple[float, float, list[dict]]:
     """Expected and maximum calibration error over equal-width bins.
 
     Empty bins are excluded from both statistics but still appear in the
@@ -94,42 +73,40 @@ def ece_mce(
 
 def _ece_mce(
     p: np.ndarray, y: np.ndarray, bins: int
-) -> tuple[float, float, list[ReliabilityBin]]:
+) -> tuple[float, float, list[dict]]:
     idx = np.minimum((p * bins).astype(int), bins - 1)
     n = float(len(p))
     ece = 0.0
     mce = 0.0
-    out: list[ReliabilityBin] = []
+    out: list[dict] = []
     for b in range(bins):
         mask = idx == b
         count = int(mask.sum())
-        low, high = b / bins, (b + 1) / bins
-        if count == 0:
-            out.append(ReliabilityBin(low, high, None, None, 0))
-            continue
-        conf = float(p[mask].mean())
-        acc = float(y[mask].mean())
-        gap = abs(acc - conf)
-        ece += (count / n) * gap
-        mce = max(mce, gap)
-        out.append(ReliabilityBin(low, high, conf, acc, count))
+        conf = acc = None
+        if count:
+            conf = float(p[mask].mean())
+            acc = float(y[mask].mean())
+            gap = abs(acc - conf)
+            ece += (count / n) * gap
+            mce = max(mce, gap)
+        out.append(
+            {
+                "bin_low": b / bins,
+                "bin_high": (b + 1) / bins,
+                "mean_confidence": conf,
+                "empirical_accuracy": acc,
+                "count": count,
+            }
+        )
     return ece, mce, out
 
 
-def reliability_bins_to_csv(bins_list: Sequence[ReliabilityBin], destination) -> None:
-    """Write bins as CSV to a file-like object (for external plotting)."""
-    writer = csv.writer(destination)
-    writer.writerow(["bin_low", "bin_high", "mean_confidence", "empirical_accuracy", "count"])
-    for b in bins_list:
-        writer.writerow(
-            [
-                b.bin_low,
-                b.bin_high,
-                "" if b.mean_confidence is None else b.mean_confidence,
-                "" if b.empirical_accuracy is None else b.empirical_accuracy,
-                b.count,
-            ]
-        )
+def reliability_bins_to_csv(bins_list: Sequence[dict], destination) -> None:
+    """Write the bins ``ece_mce`` gives (at least two) as CSV to a file-like
+    object (for external plotting); an empty value is an empty cell."""
+    writer = csv.DictWriter(destination, fieldnames=list(bins_list[0]))
+    writer.writeheader()
+    writer.writerows(bins_list)
 
 
 # --- drift --------------------------------------------------------------------
@@ -291,7 +268,7 @@ def hhis(
     drift: float,
     risk: float,
     quality: float,
-    weights: Sequence[float] = DEFAULT_HHIS_WEIGHTS,
+    weights: Sequence[float] = MetricConfig.hhis_weights,
 ) -> float:
     """Weighted composite of the five behavior axes; drift is clamped to [0,1]
     before entering so the score stays in [0,1]."""
@@ -386,37 +363,14 @@ def significance_test(
     return (1 + hits) / (resamples + 1)
 
 
-# --- report types ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    brier: float
-    log_likelihood: float
-    accuracy: float
-    ece: float
-    mce: float
-    reliability_bins: list[ReliabilityBin] = field(default_factory=list)
-    clamped_count: int = 0
-    sample_size: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "brier": self.brier,
-            "log_likelihood": self.log_likelihood,
-            "accuracy": self.accuracy,
-            "ece": self.ece,
-            "mce": self.mce,
-            "reliability_bins": [b.to_dict() for b in self.reliability_bins],
-            "clamped_count": self.clamped_count,
-            "sample_size": self.sample_size,
-        }
+# --- reports ------------------------------------------------------------------------
 
 
 def score_forecasts(
     pairs: Sequence[tuple[float, int]], bins: int = 10, eps: float = 1e-9
-) -> ScoreReport:
-    """Full correctness + calibration report over (probability, outcome) pairs.
+) -> dict:
+    """Full correctness + calibration report over (probability, outcome) pairs,
+    as the ``score`` object of a final report.
 
     Every value is bit for bit what ``brier``, ``log_likelihood`` and
     ``accuracy`` give per forecast; ``clamped_count`` counts the forecasts
@@ -438,96 +392,13 @@ def score_forecasts(
     briers = [d ** 2 for d in (p - y).tolist()]
     lls = list(map(math.log, np.minimum(np.maximum(chosen, eps), high).tolist()))
     ece, mce, bins_list = _ece_mce(p, y, bins)
-    return ScoreReport(
-        brier=float(np.mean(briers)),
-        log_likelihood=float(np.mean(lls)),
-        accuracy=int(((p >= 0.5) == (y == 1)).sum()) / len(pairs),
-        ece=ece,
-        mce=mce,
-        reliability_bins=bins_list,
-        clamped_count=int(((chosen < eps) | (chosen > high)).sum()),
-        sample_size=len(pairs),
-    )
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    d_narrative: float
-    d_temporal: float
-    d_confidence: float
-    d_total: float
-    market_divergence: float
-    d_temporal_product: float = 0.0
-    low_evidence: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "d_narrative": self.d_narrative,
-            "d_temporal": self.d_temporal,
-            "d_confidence": self.d_confidence,
-            "d_total": self.d_total,
-            "market_divergence": self.market_divergence,
-            "d_temporal_product": self.d_temporal_product,
-            "low_evidence": self.low_evidence,
-        }
-
-
-def drift_report(
-    d_narrative: float,
-    d_temporal: float,
-    d_confidence: float,
-    divergence: float,
-    d_temporal_product: float = 0.0,
-    low_evidence: bool = False,
-) -> DriftReport:
-    # d_total must be the exact float sum of its parts; never recompute it
-    # from aggregated values elsewhere.
-    return DriftReport(
-        d_narrative=d_narrative,
-        d_temporal=d_temporal,
-        d_confidence=d_confidence,
-        d_total=d_narrative + d_temporal + d_confidence,
-        market_divergence=divergence,
-        d_temporal_product=d_temporal_product,
-        low_evidence=low_evidence,
-    )
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    risk_category: Risk
-    var: float | None = None
-    cvar: float | None = None
-    risk_adjusted_return: float | None = None
-
-    def __post_init__(self):
-        if self.risk_category == Risk.HIGH:
-            if self.var is None or self.cvar is None:
-                raise ValueError("HIGH risk requires var and cvar")
-            if self.cvar < self.var:
-                raise ValueError("cvar must be >= var")
-        else:
-            if self.var is not None or self.cvar is not None:
-                raise ValueError("var/cvar only accompany HIGH risk")
-
-    def to_dict(self) -> dict:
-        return {
-            "risk_category": self.risk_category.value,
-            "var": self.var,
-            "cvar": self.cvar,
-            "risk_adjusted_return": self.risk_adjusted_return,
-        }
-
-
-@dataclass(frozen=True)
-class CompositeScores:
-    hhis: float
-    reasoning_quality: float
-    confidence_reasoning_alignment: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "hhis": self.hhis,
-            "reasoning_quality": self.reasoning_quality,
-            "confidence_reasoning_alignment": self.confidence_reasoning_alignment,
-        }
+    return {
+        "brier": float(np.mean(briers)),
+        "log_likelihood": float(np.mean(lls)),
+        "accuracy": int(((p >= 0.5) == (y == 1)).sum()) / len(pairs),
+        "ece": ece,
+        "mce": mce,
+        "reliability_bins": bins_list,
+        "clamped_count": int(((chosen < eps) | (chosen > high)).sum()),
+        "sample_size": len(pairs),
+    }

@@ -10,23 +10,18 @@ from __future__ import annotations
 
 import json
 from collections.abc import Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .agents import expected_return
 from .config import EngineConfig
 from .errors import CorruptLog, DegenerateInput, IoError, LengthMismatch
-from .market_data import MIN_POSITIVE_PRICE, Risk
+from .market_data import MIN_POSITIVE_PRICE
 from .metrics import (
-    CompositeScores,
-    DriftReport,
-    RiskReport,
-    ScoreReport,
     confidence_drifts,
     confidence_reasoning_alignment,
-    drift_report,
     hhis,
     reasoning_quality,
     risk_adjusted_return,
@@ -134,21 +129,13 @@ class LeaderboardRow:
     d_total: float | None
     hhis: float | None
 
-    FIELDS = (
-        "agent_id",
-        "pnl_cents",
-        "unique_users",
-        "agent_count",
-        "avg_input_tokens",
-        "avg_output_tokens",
-        "mean_brier",
-        "ece",
-        "d_total",
-        "hhis",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the fields' names, in order
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+LeaderboardRow.FIELDS = tuple(f.name for f in fields(LeaderboardRow))
 
 
 @dataclass
@@ -473,7 +460,7 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
     out: dict[str, dict] = {}
     for subject in fold.agents_seen + fold.baselines_seen:
         probs, outcomes, confidences, gaps = fold.score_columns(subject)
-        score: ScoreReport | None = None
+        score = None
         # Confidence drift of each resolved forecast against the subject's
         # own resolved history (computable only after resolution).
         drifts: list[float] = []
@@ -486,8 +473,9 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
             drifts = confidence_drifts(probs, outcomes)
         dn, dt, dtp = fold.drift_means(subject)
         dc = sum(drifts) / len(drifts) if drifts else 0.0
-        divergence = sum(gaps) / len(gaps) if gaps else 0.0
-        drift = drift_report(dn, dt, dc, divergence, dtp)
+        # d_total must be the exact float sum of its parts; never recompute
+        # it from aggregated values elsewhere.
+        d_total = dn + dt + dc
 
         buys = fold.opens.get(subject, [])
         high_buys = [b for b in buys if fold.meta.get(b[0], {}).get("risk") == "high"]
@@ -498,9 +486,9 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
             )
         else:
             worst = "low"
-        risk_cat = Risk(worst)
+        # VaR and CVaR accompany high risk only.
         var = cvar = None
-        if risk_cat == Risk.HIGH:
+        if worst == "high":
             var, cvar = 0.0, 0.0
             for _, basis, price in high_buys:
                 # Stake-level risk at entry; the fill price is the market's
@@ -508,13 +496,9 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
                 v, cv = var_cvar(basis, price, price, config.metrics.var_alpha)
                 var += v
                 cvar += cv
-        rar = risk_adjusted_return(fold.pnl_cents(subject), fold.pnl_by_cycle(subject))
-        risk = RiskReport(
-            risk_category=risk_cat, var=var, cvar=cvar, risk_adjusted_return=rar
-        )
 
-        correctness = 1.0 - score.brier if score else 0.5
-        calibration = 1.0 - score.ece if score else 0.5
+        correctness = 1.0 - score["brier"] if score else 0.5
+        calibration = 1.0 - score["ece"] if score else 0.5
         risk_score = 1.0 - (len(high_buys) / len(buys)) if buys else 1.0
         quality = reasoning_quality(dn, dc)
         alignment: float | None
@@ -524,23 +508,37 @@ def final_reports_from_fold(fold: EventFold, config: EngineConfig) -> dict[str, 
             )
         except (DegenerateInput, LengthMismatch):
             alignment = None
-        composite = CompositeScores(
-            hhis=hhis(
-                correctness,
-                calibration,
-                drift.d_total,
-                risk_score,
-                quality,
-                config.metrics.hhis_weights,
-            ),
-            reasoning_quality=quality,
-            confidence_reasoning_alignment=alignment,
-        )
         out[subject] = {
-            "score": score.to_dict() if score else None,
-            "drift": drift.to_dict(),
-            "risk": risk.to_dict(),
-            "composite": composite.to_dict(),
+            "score": score,
+            "drift": {
+                "d_narrative": dn,
+                "d_temporal": dt,
+                "d_confidence": dc,
+                "d_total": d_total,
+                "market_divergence": sum(gaps) / len(gaps) if gaps else 0.0,
+                "d_temporal_product": dtp,
+                "low_evidence": False,
+            },
+            "risk": {
+                "risk_category": worst,
+                "var": var,
+                "cvar": cvar,
+                "risk_adjusted_return": risk_adjusted_return(
+                    fold.pnl_cents(subject), fold.pnl_by_cycle(subject)
+                ),
+            },
+            "composite": {
+                "hhis": hhis(
+                    correctness,
+                    calibration,
+                    d_total,
+                    risk_score,
+                    quality,
+                    config.metrics.hhis_weights,
+                ),
+                "reasoning_quality": quality,
+                "confidence_reasoning_alignment": alignment,
+            },
             "pnl_cents": fold.pnl_cents(subject),
         }
     return out

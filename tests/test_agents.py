@@ -282,7 +282,7 @@ class TestValidateBatch:
             max_size=8,
         ),
         pnls=st.lists(st.integers(-5, 5), max_size=4),
-        batch_size=st.integers(0, 8),
+        batch_size=st.integers(1, 8),
     )
     @settings(max_examples=300, deadline=None)
     def test_issues_equal_every_check_on_every_decision(self, decisions, pnls, batch_size):

@@ -184,6 +184,36 @@ class TestInitialCapital:
         assert not (out / "neg").exists()
 
 
+class TestAgentCounts:
+    """``batch_size=0`` once ran with every batch accepted and no decision,
+    ``-1`` with every batch rejected, and ``calibration_window_size=0`` made
+    the window the agent's whole history."""
+
+    NAMES = ("batch_size", "calibration_window_size")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_is_allowed(self, name):
+        assert getattr(config_from_dict({"agents": {name: 1}}).agents, name) == 1
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [0, -1, -30, True, False, 30.0, "30", None])
+    def test_not_an_int_of_at_least_one_raises_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"agents.{name} "):
+            config_from_dict({"agents": {name: value}})
+
+    def test_cli_run_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "empty_batch.yaml"
+        path.write_text("agents:\n  batch_size: 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli_main([
+            "--config", str(path), "--out", str(out), "run", "--agents", "momentum",
+            "--cycles", "2", "--run-id", "empty",
+        ])
+        assert code == 1
+        assert "batch_size" in capsys.readouterr().err
+        assert not (out / "empty").exists()
+
+
 class TestFinalReportSettings:
     """Values the final reports cannot take used to fail a run only after
     its last cycle, leaving no run_completed and no events.sha256."""

@@ -2011,6 +2011,64 @@ class TestBulkLines:
             evalloop.event_line(ev)
 
 
+class TestFinalReportObjects:
+    """A final report's objects are the dicts the fold writes; these hold
+    them, on every pinned log, to what README says of them."""
+
+    # Subjects whose final report is of high risk, by pinned manifest; every
+    # other subject's is of low risk.
+    HIGH_RISK = {"flaky": 1, "observation": 0, "replay": 2, "synthetic": 2}
+
+    @staticmethod
+    def reports(pinned_logs, name):
+        return [ev for ev in pinned_logs(name)[1] if ev["kind"] == "final_report"]
+
+    @pytest.mark.parametrize("name", sorted(MANIFESTS))
+    def test_final_report_invariants(self, name, pinned_logs):
+        """VaR and CVaR are numbers, CVaR at least VaR, exactly when the risk
+        is high, and null otherwise; d_total is the exact float sum of its
+        parts; hhis lies in [0, 1]."""
+        high = []
+        for ev in self.reports(pinned_logs, name):
+            risk, drift = ev["risk"], ev["drift"]
+            var, cvar = risk["var"], risk["cvar"]
+            numbers = type(var) in (int, float) and type(cvar) in (int, float)
+            assert (risk["risk_category"] == "high") == (numbers and cvar >= var), ev
+            if risk["risk_category"] == "high":
+                high.append(ev["subject"])
+            else:
+                assert risk["risk_category"] == "low" and var is None and cvar is None, ev
+            assert drift["d_total"] == (
+                drift["d_narrative"] + drift["d_temporal"] + drift["d_confidence"]
+            ), ev
+            assert 0.0 <= ev["composite"]["hhis"] <= 1.0, ev
+        assert len(high) == self.HIGH_RISK[name], high
+
+    def test_readme_lists_the_keys_of_each_object(self, pinned_logs):
+        """README's list under the event table names the keys of each object
+        of every pinned log's final reports, and of each reliability bin."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = {}
+        for line in readme.split("The objects of a `final_report` hold", 1)[1].splitlines():
+            item = re.match(r"- (?:each bin of )?`(\w+)`: (.*)", line)
+            if item:
+                listed[item[1]] = sorted(re.findall(r"`(\w+)`", item[2]))
+            elif listed:
+                break
+        assert list(listed) == ["score", "reliability_bins", "drift", "risk", "composite"]
+        scored = 0
+        for name in sorted(MANIFESTS):
+            for ev in self.reports(pinned_logs, name):
+                for key in ("drift", "risk", "composite"):
+                    assert sorted(ev[key]) == listed[key], (name, key)
+                if ev["score"] is not None:
+                    scored += 1
+                    assert sorted(ev["score"]) == listed["score"], name
+                    for b in ev["score"]["reliability_bins"]:
+                        assert sorted(b) == listed["reliability_bins"], name
+        assert scored
+
+
 class TestRunDirectory:
     def test_entries_match_readme_tree(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

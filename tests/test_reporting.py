@@ -818,7 +818,7 @@ def per_forecast_oracle(events: list[dict], subject: str, config: EngineConfig) 
             "accuracy": accuracy(pairs),
             "ece": ece,
             "mce": mce,
-            "reliability_bins": [b.to_dict() for b in bins_list],
+            "reliability_bins": bins_list,
             "clamped_count": sum(
                 1 for p, o in pairs if log_likelihood_clamped_oracle(p, o, eps)
             ),
